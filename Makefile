@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race stress crash fuzz vet bench-smoke check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl
+.PHONY: tier1 build test race stress crash fuzz vet bench-smoke check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl bench-gate
 
 # tier1 is the full pre-merge gate: static checks, build, the whole test
 # suite under the race detector (including the internal/check concurrency
@@ -151,3 +151,17 @@ check-bench-repl:
 		grep -q "\"replicas\": $$n" BENCH_repl.json || { echo "BENCH_repl.json missing grid row: $$n replicas"; exit 1; }; \
 	done
 	@echo "BENCH_repl.json covers the failover grid and policy comparison"
+
+# bench-gate runs the four BENCHMARK.json workloads once at seed 1, exactly
+# as the merge pipeline does, and prints the three gated end-to-end metrics
+# per workload. A run that fails its own output checks stops the target.
+# Compare against the same target on the parent commit: setup_s may be 25%
+# worse, alloc_bytes_per_op 2%, heap_after_gc_mb 10% (bounds in
+# BENCHMARK.json).
+bench-gate:
+	@for w in oltp_point olap_scan mixed_rw selfdrive_loop; do \
+		out=$$(bash benchmark/run.sh -workload $$w -seed 1) || { echo "$$out" | tail -n 3; exit 1; }; \
+		for m in setup_s alloc_bytes_per_op heap_after_gc_mb; do \
+			echo "$$w $$(echo "$$out" | tail -n 1 | grep -o "\"$$m\":{[^}]*}")"; \
+		done; \
+	done

@@ -9,6 +9,20 @@ type Batch struct {
 	RowIDs []storage.RowID // nil once provenance is lost (joins, aggs)
 }
 
+// expect sizes an empty batch for n rows with identities.
+func (b *Batch) expect(n int) {
+	b.Rows = make([]storage.Tuple, 0, n)
+	b.RowIDs = make([]storage.RowID, 0, n)
+}
+
+// push appends a row, and its identity while the batch still carries them.
+func (b *Batch) push(rid storage.RowID, t storage.Tuple) {
+	b.Rows = append(b.Rows, t)
+	if b.RowIDs != nil {
+		b.RowIDs = append(b.RowIDs, rid)
+	}
+}
+
 // NumRows returns the row count.
 func (b *Batch) NumRows() float64 { return float64(len(b.Rows)) }
 
@@ -35,9 +49,9 @@ func (b *Batch) AvgWidth() float64 {
 }
 
 // sampledWidth computes AvgWidth's statistic over a pre-extracted width
-// list. Fused pipelines record per-row widths while streaming (tuples are
-// never materialized) and replay the exact charge the operator-at-a-time
-// path would have made.
+// list. The rowPass driver records per-row widths while streaming (tuples
+// are never materialized) and bills the exact charge the materialize driver
+// would have made.
 func sampledWidth(widths []int) float64 {
 	if len(widths) == 0 {
 		return 0

@@ -59,19 +59,18 @@ type Ctx struct {
 	// identical whether or not an interrupt hook is installed.
 	Interrupt func() error
 
-	// DisableFusion forces compiled-mode plans through the
-	// operator-at-a-time path. It exists for the fused/unfused equivalence
-	// tests and for isolating regressions; production compiled execution
-	// always fuses.
+	// DisableFusion runs compiled-mode plans on the materialize driver: the
+	// reference the equivalence tests and the execution benchmarks compare
+	// the rowPass driver against. Only chooseDriver reads it.
 	DisableFusion bool
 
-	// FusedPipelines counts pipelines this context executed on the fused
-	// path (one scan chain, hash join, or index join each), for
+	// FusedPipelines counts the fragments this context ran on the rowPass
+	// driver (one scan chain, hash join, or index join each), for
 	// observability in the control loop and CLIs.
 	FusedPipelines int
 
 	// VecBatches counts column-major batches this context processed on the
-	// vectorized path (vectorized.go): the vec-mode analogue of
+	// vecPass driver (vectorized.go): the vec-mode analogue of
 	// FusedPipelines, for observability in the control loop and CLIs.
 	VecBatches int
 
@@ -84,9 +83,13 @@ type Ctx struct {
 	// arena backs projected and joined output tuples (see pool.go).
 	arena valueArena
 
-	// jt is the fused hash join's build table, reused build-to-build so
+	// jt is the streaming hash join's build table, reused build-to-build so
 	// steady-state builds allocate nothing (see pipeline.go).
 	jt joinTable
+
+	// stages is the scratch list the running scan chain's stages live in,
+	// reused chain to chain (see chainStages).
+	stages []chainStage
 }
 
 // NewCtx builds a context with a fresh collector-less tracker on the given
@@ -105,15 +108,16 @@ func (c *Ctx) Thread() *hw.Thread { return c.Tracker.Thread() }
 
 func (c *Ctx) compiled() bool { return c.Mode == catalog.Compile }
 
-// fused reports whether this worker runs compiled plans as fused pipelines.
-func (c *Ctx) fused() bool { return c.compiled() && !c.DisableFusion }
+// compute charges operator logic to the worker's own thread, scaled by the
+// execution mode.
+func (c *Ctx) compute(n float64) { c.computeOn(c.Thread(), n) }
 
-// compute charges operator logic, scaled by the execution mode.
-func (c *Ctx) compute(n float64) {
+// computeOn is compute charged to th: a partition worker chain's thread.
+func (c *Ctx) computeOn(th *hw.Thread, n float64) {
 	if !c.compiled() {
 		n *= interpretFactor
 	}
-	c.Thread().Compute(n)
+	th.Compute(n)
 }
 
 // vecCompute charges vectorized-kernel logic. Unlike compute it never pays

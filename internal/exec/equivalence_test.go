@@ -48,27 +48,59 @@ func relDiff(a, b float64) float64 {
 	return d / m
 }
 
+// equivalenceCase is one database the equivalence tests run every template
+// of a benchmark on: a partition count and the DOP the contexts run at.
+type equivalenceCase struct {
+	bench      workload.Benchmark
+	scale      float64
+	parts, dop int
+	seeds      []int64
+	// wantVec marks the cases with chains vecPass can take: rooted at a
+	// sequential scan of an unpartitioned table. SmallBank and TATP are
+	// pure index-lookup + DML workloads, and a partitioned table's scans
+	// take the exchange, so every chain there runs materialized — the
+	// equivalence contract still holds, just with zero batches.
+	wantVec bool
+}
+
+func (tc equivalenceCase) name(seed int64) string {
+	name := fmt.Sprintf("%s/seed%d", tc.bench.Name(), seed)
+	if tc.parts > 1 || tc.dop > 1 {
+		name += fmt.Sprintf("/parts%d/dop%d", tc.parts, tc.dop)
+	}
+	return name
+}
+
+func (tc equivalenceCase) knobs() catalog.Knobs {
+	knobs := catalog.DefaultKnobs()
+	knobs.PartitionCount = tc.parts
+	return knobs
+}
+
+// equivalenceCases is shared by the fused/unfused and the vectorized
+// equivalence tests. chainShapes ignores the seed.
+var equivalenceCases = []equivalenceCase{
+	{workload.SmallBank{}, 0.05, 1, 1, []int64{1, 7}, false},
+	{workload.TATP{}, 0.05, 1, 1, []int64{1, 7}, false},
+	{workload.TPCH{}, 0.02, 1, 1, []int64{1, 7}, true},
+	{workload.TPCH{}, 0.02, 4, 2, []int64{1}, false},
+	{chainShapes{}, 1, 1, 1, []int64{1}, true},
+	{chainShapes{}, 1, 1, 2, []int64{1}, true},
+	{chainShapes{}, 1, 4, 1, []int64{1}, false},
+	{chainShapes{}, 1, 4, 2, []int64{1}, false},
+}
+
 func TestFusedUnfusedEquivalence(t *testing.T) {
 	// Bulk replay charges differ from n accumulated per-row charges only by
 	// float summation order.
 	const labelTol = 1e-9
 
-	cases := []struct {
-		bench workload.Benchmark
-		scale float64
-	}{
-		{workload.SmallBank{}, 0.05},
-		{workload.TATP{}, 0.05},
-		{workload.TPCH{}, 0.02},
-	}
-	seeds := []int64{1, 7}
-
-	for _, tc := range cases {
-		for _, seed := range seeds {
+	for _, tc := range equivalenceCases {
+		for _, seed := range tc.seeds {
 			tc, seed := tc, seed
-			t.Run(fmt.Sprintf("%s/seed%d", tc.bench.Name(), seed), func(t *testing.T) {
+			t.Run(tc.name(seed), func(t *testing.T) {
 				t.Parallel()
-				db := engine.Open(catalog.DefaultKnobs())
+				db := engine.Open(tc.knobs())
 				if err := tc.bench.Load(db, tc.scale, seed); err != nil {
 					t.Fatal(err)
 				}
@@ -91,6 +123,7 @@ func TestFusedUnfusedEquivalence(t *testing.T) {
 							Tracker:       metrics.NewTracker(col, hw.NewThread(hw.DefaultCPU())),
 							Mode:          mode,
 							Contenders:    1,
+							DOP:           tc.dop,
 							DisableFusion: disableFusion,
 						}
 						b, err := exec.Execute(ctx, q.Plan)

@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"fmt"
+	"slices"
+
 	"mb2/internal/hw"
-	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/par"
 	"mb2/internal/plan"
@@ -35,15 +37,6 @@ func partChains(dop, parts int) int {
 	return dop
 }
 
-// computeOn charges operator logic to a worker thread, scaled by the
-// execution mode (the worker-thread analogue of Ctx.compute).
-func (c *Ctx) computeOn(th *hw.Thread, n float64) {
-	if !c.compiled() {
-		n *= interpretFactor
-	}
-	th.Compute(n)
-}
-
 // absorbCritical folds the critical-path chain's counters into the session
 // thread: the chain with the largest derived elapsed time, ties broken by
 // the lowest chain index so the choice is deterministic.
@@ -72,245 +65,164 @@ func emitPartitionRecords(ctx *Ctx, kind ou.Kind, feats [][]float64, labels []hw
 	}
 }
 
-// tryParallelScan runs a sequential scan over a partitioned table as a
-// parallel partition scan. It returns (nil, false) when the node does not
-// qualify (unpartitioned table, or a missing table left for execSeqScan's
-// error path).
-func tryParallelScan(ctx *Ctx, n *plan.SeqScanNode) (*Batch, bool) {
-	tbl := ctx.DB.Table(n.Table)
-	if tbl == nil {
-		return nil, false
-	}
-	parts := tbl.PartitionCount()
-	if parts <= 1 {
-		return nil, false
-	}
-	id, ts := ctx.snapshot()
+// fanOut runs work once per partition — partition p on worker chain
+// p % dop, each chain a fresh hardware thread — and emits one kind record per
+// partition, in partition order, with the features work returned and the
+// labels its bracket measured on the chain. It returns the chain count.
+func fanOut(ctx *Ctx, parts int, kind ou.Kind, work func(th *hw.Thread, p, dop int) []float64) int {
 	dop := partChains(ctx.DOP, parts)
-	width := float64(tbl.Meta.Schema.TupleBytes())
-	cols := float64(tbl.Meta.Schema.NumColumns())
 	cpu := ctx.Thread().CPU()
-
 	chains := make([]*hw.Thread, dop)
-	partRows := make([][]storage.Tuple, parts)
-	partIDs := make([][]storage.RowID, parts)
 	feats := make([][]float64, parts)
 	labels := make([]hw.Metrics, parts)
-
 	par.Do(dop, dop, func(c int) {
 		th := hw.NewThread(cpu)
 		chains[c] = th
 		for p := c; p < parts; p += dop {
 			th.Compute(300) // per-partition tracker bracket
 			start := th.Counters()
-			var rows []storage.Tuple
-			var rowIDs []storage.RowID
-			tbl.ScanPartition(th, p, id, ts, func(r storage.RowID, t storage.Tuple) bool {
-				rows = append(rows, t)
-				rowIDs = append(rowIDs, r)
-				return true
-			})
-			scanned := float64(len(rows))
-			ctx.computeOn(th, scanned*6)
-			if n.Filter == nil && n.Project != nil {
-				rows = project(rows, n.Project)
-				ctx.computeOn(th, scanned*float64(len(n.Project))*2)
-			}
+			feats[p] = work(th, p, dop)
 			labels[p] = th.Since(start)
 			th.Compute(300)
-			feats[p] = ou.ParallelScanFeatures(scanned, cols, width,
-				float64(parts), float64(dop), ctx.compiled())
-			partRows[p] = rows
-			partIDs[p] = rowIDs
 		}
 	})
-
 	absorbCritical(ctx, chains)
-	emitPartitionRecords(ctx, ou.ParallelScan, feats, labels)
-	if ctx.fused() {
-		ctx.FusedPipelines += parts // each partition ran one fused scan chain
-	}
+	emitPartitionRecords(ctx, kind, feats, labels)
+	return dop
+}
 
-	// Exchange merge: concatenate the per-partition streams in partition
-	// order on the session thread.
+// emitExchangeMerge bills concatenating the per-partition streams, in
+// partition order on the session thread, as the EXCHANGE_MERGE OU.
+func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 	start := ctx.Tracker.Start()
-	total := 0
-	for _, rows := range partRows {
-		total += len(rows)
-	}
-	rows := make([]storage.Tuple, 0, total)
-	rowIDs := make([]storage.RowID, 0, total)
-	for p := range partRows {
-		rows = append(rows, partRows[p]...)
-		rowIDs = append(rowIDs, partIDs[p]...)
-	}
-	ctx.Thread().SeqWrite(float64(total), width)
-	ctx.compute(float64(total) * 2)
-	mergeFeats := ou.ExchangeMergeFeatures(float64(total), width,
-		float64(parts), float64(dop), ctx.compiled())
+	ctx.Thread().SeqWrite(total, width)
+	ctx.compute(total * 2)
+	mergeFeats := ou.ExchangeMergeFeatures(total, width, float64(parts), float64(dop), ctx.compiled())
 	ctx.Tracker.Stop(ou.ExchangeMerge, mergeFeats, start)
+}
 
-	b := &Batch{Rows: rows, RowIDs: rowIDs}
-	if n.Filter != nil {
-		b = applyFilter(ctx, b, n.Filter)
-		if n.Project != nil {
-			b.Rows = project(b.Rows, n.Project)
-			b.RowIDs = nil
+// exchangeScan is the scan source over a partitioned table: every partition
+// scans on its worker chain (one PARALLEL_SCAN each) and the exchange merge
+// concatenates the stripes into b. Like the serial sources it bills, but
+// does not run, the source's own column projection.
+func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch) error {
+	tbl := ctx.DB.Table(n.Table)
+	if tbl == nil {
+		return fmt.Errorf("exec: table %q does not exist", n.Table)
+	}
+	id, ts := ctx.snapshot()
+	width := float64(tbl.Meta.Schema.TupleBytes())
+	cols := float64(tbl.Meta.Schema.NumColumns())
+	counts := tbl.PartitionRowCounts()
+	parts := len(counts)
+	stripes := make([]Batch, parts)
+
+	dop := fanOut(ctx, parts, ou.ParallelScan, func(th *hw.Thread, p, dop int) []float64 {
+		stripe := &stripes[p]
+		stripe.expect(counts[p])
+		tbl.ScanPartition(th, p, id, ts, func(r storage.RowID, t storage.Tuple) bool {
+			stripe.push(r, t)
+			return true
+		})
+		scanned := stripe.NumRows()
+		ctx.computeOn(th, scanned*6)
+		if n.Filter == nil && n.Project != nil {
+			ctx.computeOn(th, scanned*float64(len(n.Project))*2)
 		}
+		return ou.ParallelScanFeatures(scanned, cols, width, float64(parts), float64(dop), ctx.compiled())
+	})
+
+	total := 0
+	for p := range stripes {
+		total += len(stripes[p].Rows)
 	}
-	if n.Project != nil {
-		b.RowIDs = nil
+	b.expect(total)
+	for p := range stripes {
+		b.Rows = append(b.Rows, stripes[p].Rows...)
+		b.RowIDs = append(b.RowIDs, stripes[p].RowIDs...)
 	}
-	return b, true
+	emitExchangeMerge(ctx, float64(total), width, parts, dop)
+	return nil
 }
 
 // partitionWise reports whether a hash join qualifies for the
 // partition-wise path: both inputs are bare scans of tables hash-partitioned
 // the same way, joined exactly on their partition keys, so equal keys are
 // guaranteed to be co-located in equal partition numbers.
-func partitionWise(ctx *Ctx, n *plan.HashJoinNode) (left, right *storage.Table, parts int, ok bool) {
+func partitionWise(ctx *Ctx, n *plan.HashJoinNode) bool {
 	ls, lok := n.Left.(*plan.SeqScanNode)
 	rs, rok := n.Right.(*plan.SeqScanNode)
 	if !lok || !rok || ls.Filter != nil || rs.Filter != nil || ls.Project != nil || rs.Project != nil {
-		return nil, nil, 0, false
-	}
-	left, right = ctx.DB.Table(ls.Table), ctx.DB.Table(rs.Table)
-	if left == nil || right == nil {
-		return nil, nil, 0, false
-	}
-	parts = left.PartitionCount()
-	if parts <= 1 || right.PartitionCount() != parts {
-		return nil, nil, 0, false
-	}
-	if !equalCols(n.LeftKeys, left.PartitionKeyCols()) || !equalCols(n.RightKeys, right.PartitionKeyCols()) {
-		return nil, nil, 0, false
-	}
-	return left, right, parts, true
-}
-
-func equalCols(a, b []int) bool {
-	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	left, right := ctx.DB.Table(ls.Table), ctx.DB.Table(rs.Table)
+	if left == nil || right == nil {
+		return false
 	}
-	return true
+	parts := left.PartitionCount()
+	return parts > 1 && right.PartitionCount() == parts &&
+		slices.Equal(n.LeftKeys, left.PartitionKeyCols()) && slices.Equal(n.RightKeys, right.PartitionKeyCols())
 }
 
-// tryPartitionJoin runs a qualifying hash join partition-wise: every
-// partition builds a private hash table over its stripe of the build side
-// and probes it with the co-located stripe of the probe side, one
-// PARTITION_PROBE OU invocation per partition (build plus probe of that
-// partition), fanned over the worker chains.
-func tryPartitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, bool) {
-	left, right, parts, ok := partitionWise(ctx, n)
-	if !ok {
-		return nil, false
-	}
+// partitionJoin runs a partitionWise hash join: every partition builds a
+// private hash table over its stripe of the build side and probes it with
+// the co-located stripe of the probe side, one PARTITION_PROBE OU invocation
+// per partition (build plus probe of that partition), fanned over the worker
+// chains.
+func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
+	left := ctx.DB.Table(n.Left.(*plan.SeqScanNode).Table)
+	right := ctx.DB.Table(n.Right.(*plan.SeqScanNode).Table)
+	counts := left.PartitionRowCounts()
+	parts := len(counts)
 	id, ts := ctx.snapshot()
-	dop := partChains(ctx.DOP, parts)
-	cpu := ctx.Thread().CPU()
 	leftW := float64(left.Meta.Schema.TupleBytes())
 	rightW := float64(right.Meta.Schema.TupleBytes())
 	leftCols := float64(left.Meta.Schema.NumColumns())
 	rightCols := float64(right.Meta.Schema.NumColumns())
-	keyBytes := 8.0 * float64(len(n.LeftKeys))
-	entryBytes := keyBytes + 8 + 16
-
-	chains := make([]*hw.Thread, dop)
+	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
 	partOut := make([][]storage.Tuple, parts)
-	feats := make([][]float64, parts)
-	labels := make([]hw.Metrics, parts)
 
-	par.Do(dop, dop, func(c int) {
-		th := hw.NewThread(cpu)
-		chains[c] = th
-		var keyBuf []byte
-		for p := c; p < parts; p += dop {
-			th.Compute(300)
-			start := th.Counters()
+	dop := fanOut(ctx, parts, ou.PartitionProbe, func(th *hw.Thread, p, dop int) []float64 {
+		// Build over this partition's stripe of the build side.
+		buildRows := make([]storage.Tuple, 0, counts[p])
+		left.ScanPartition(th, p, id, ts, func(_ storage.RowID, t storage.Tuple) bool {
+			buildRows = append(buildRows, t)
+			return true
+		})
+		htBytes := float64(len(buildRows)) * entryBytes
+		th.Alloc(htBytes)
+		j := mapJoin{ctx: ctx, th: th, htBytes: htBytes}
+		j.insertAll(buildRows, n.LeftKeys, 0)
 
-			// Build over this partition's stripe of the build side.
-			var buildRows []storage.Tuple
-			left.ScanPartition(th, p, id, ts, func(_ storage.RowID, t storage.Tuple) bool {
-				buildRows = append(buildRows, t)
-				return true
-			})
-			htBytes := float64(len(buildRows)) * entryBytes
-			th.Alloc(htBytes)
-			ht := make(map[string]*[]int32, len(buildRows))
-			for i, r := range buildRows {
-				keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.LeftKeys)
-				if b, ok := ht[string(keyBuf)]; ok {
-					*b = append(*b, int32(i))
-				} else {
-					bucket := make([]int32, 1, 4)
-					bucket[0] = int32(i)
-					ht[string(keyBuf)] = &bucket
-				}
-				ctx.computeOn(th, 10)
-				th.RandWrite(1, htBytes)
-			}
-
-			// Probe with the co-located stripe of the probe side.
-			var out []storage.Tuple
-			probed := 0.0
-			right.ScanPartition(th, p, id, ts, func(_ storage.RowID, r storage.Tuple) bool {
-				probed++
-				keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.RightKeys)
-				ctx.computeOn(th, 10)
-				th.RandRead(1, htBytes, 1)
-				if b, ok := ht[string(keyBuf)]; ok {
-					for _, li := range *b {
-						joined := make(storage.Tuple, 0, len(buildRows[li])+len(r))
-						joined = append(joined, buildRows[li]...)
-						joined = append(joined, r...)
-						out = append(out, joined)
-					}
-				}
-				return true
-			})
-			outRows := float64(len(out))
-			th.SeqWrite(outRows, leftW+rightW)
-			th.Free(htBytes)
-
-			labels[p] = th.Since(start)
-			th.Compute(300)
-			// One invocation covers the whole partition pair: the feature's
-			// tuple count is the total work volume (build + probe + emitted
-			// matches), its cardinality the partition's distinct build keys.
-			feats[p] = ou.PartitionProbeFeatures(
-				float64(len(buildRows))+probed+outRows,
-				leftCols+rightCols, leftW+rightW,
-				float64(len(ht)), entryBytes,
-				float64(dop), ctx.compiled())
-			partOut[p] = out
-		}
+		// Probe with the co-located stripe of the probe side.
+		probed := 0.0
+		right.ScanPartition(th, p, id, ts, func(_ storage.RowID, r storage.Tuple) bool {
+			probed++
+			j.probe(r, n.RightKeys)
+			return true
+		})
+		outRows := float64(len(j.out))
+		th.SeqWrite(outRows, leftW+rightW)
+		th.Free(htBytes)
+		partOut[p] = j.out
+		// One invocation covers the whole partition pair: the feature's
+		// tuple count is the total work volume (build + probe + emitted
+		// matches), its cardinality the partition's distinct build keys.
+		return ou.PartitionProbeFeatures(
+			float64(len(buildRows))+probed+outRows,
+			leftCols+rightCols, leftW+rightW,
+			float64(len(j.ht)), entryBytes,
+			float64(dop), ctx.compiled())
 	})
 
-	absorbCritical(ctx, chains)
-	emitPartitionRecords(ctx, ou.PartitionProbe, feats, labels)
-	if ctx.fused() {
-		ctx.FusedPipelines += parts // each partition ran one fused build+probe
-	}
-
-	start := ctx.Tracker.Start()
 	total := 0
 	for _, rows := range partOut {
 		total += len(rows)
 	}
 	out := make([]storage.Tuple, 0, total)
-	for p := range partOut {
-		out = append(out, partOut[p]...)
+	for _, rows := range partOut {
+		out = append(out, rows...)
 	}
-	ctx.Thread().SeqWrite(float64(total), leftW+rightW)
-	ctx.compute(float64(total) * 2)
-	mergeFeats := ou.ExchangeMergeFeatures(float64(total), leftW+rightW,
-		float64(parts), float64(dop), ctx.compiled())
-	ctx.Tracker.Stop(ou.ExchangeMerge, mergeFeats, start)
-
-	return &Batch{Rows: out}, true
+	emitExchangeMerge(ctx, float64(total), leftW+rightW, parts, dop)
+	return &Batch{Rows: out}, nil
 }

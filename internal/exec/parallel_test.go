@@ -19,6 +19,7 @@ import (
 	"mb2/internal/metrics"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
+	"mb2/internal/runner"
 	"mb2/internal/storage"
 )
 
@@ -27,20 +28,30 @@ func newPartitionedDB(t *testing.T, parts, rows int) *engine.DB {
 	knobs := catalog.DefaultKnobs()
 	knobs.PartitionCount = parts
 	db := engine.Open(knobs)
+	if err := loadPartTables(db, rows); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// loadPartTables creates and fills part_items(id, grp, val) and
+// part_dim(id, name), both keyed (and, on a partitioned engine, hashed) on
+// id.
+func loadPartTables(db *engine.DB, rows int) error {
 	schema := catalog.NewSchema(
 		catalog.Column{Name: "id", Type: catalog.Int64},
 		catalog.Column{Name: "grp", Type: catalog.Int64},
 		catalog.Column{Name: "val", Type: catalog.Float64},
 	)
 	if _, err := db.CreateTable("part_items", schema); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	dimSchema := catalog.NewSchema(
 		catalog.Column{Name: "id", Type: catalog.Int64},
 		catalog.Column{Name: "name", Type: catalog.Varchar, Width: 12},
 	)
 	if _, err := db.CreateTable("part_dim", dimSchema); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	tuples := make([]storage.Tuple, rows)
 	for i := range tuples {
@@ -51,7 +62,7 @@ func newPartitionedDB(t *testing.T, parts, rows int) *engine.DB {
 		}
 	}
 	if err := db.BulkLoad("part_items", tuples); err != nil {
-		t.Fatal(err)
+		return err
 	}
 	dims := make([]storage.Tuple, rows)
 	for i := range dims {
@@ -60,10 +71,37 @@ func newPartitionedDB(t *testing.T, parts, rows int) *engine.DB {
 			storage.NewString(fmt.Sprintf("d%03d", i%97)),
 		}
 	}
-	if err := db.BulkLoad("part_dim", dims); err != nil {
-		t.Fatal(err)
+	return db.BulkLoad("part_dim", dims)
+}
+
+// chainShapes is the equivalence tests' extra benchmark: every way a scan
+// chain can wrap a sequential scan, and the hash joins that stream or
+// partition one, over loadPartTables' tables. The SmallBank/TATP/TPC-H
+// templates reach few of these shapes, and none on a partitioned table.
+type chainShapes struct{}
+
+func (chainShapes) Name() string { return "shapes" }
+
+func (chainShapes) Load(db *engine.DB, _ float64, _ int64) error { return loadPartTables(db, 2500) }
+
+func (chainShapes) Templates(*engine.DB, int64) []runner.QueryTemplate {
+	scan := func(table string) *plan.SeqScanNode { return &plan.SeqScanNode{Table: table} }
+	lowGrp := plan.Cmp{Op: plan.LT, L: plan.Col(1), R: plan.IntConst(8)}
+	filtered := func() plan.Node { return &plan.FilterNode{Child: scan("part_items"), Pred: lowGrp} }
+	join := func(right plan.Node) plan.Node {
+		return &plan.HashJoinNode{Left: scan("part_dim"), Right: right, LeftKeys: []int{0}, RightKeys: []int{0}}
 	}
-	return db
+	return []runner.QueryTemplate{
+		{Name: "scan[filter]", Plan: &plan.SeqScanNode{Table: "part_items", Filter: lowGrp}},
+		{Name: "scan[project]", Plan: &plan.SeqScanNode{Table: "part_items", Project: []int{2, 0}}},
+		{Name: "scan[filter,project]", Plan: &plan.SeqScanNode{Table: "part_items", Filter: lowGrp, Project: []int{2, 0}}},
+		{Name: "filter(scan)", Plan: filtered()},
+		{Name: "project(filter(scan))", Plan: &plan.ProjectNode{Child: filtered(), Exprs: []plan.Expr{
+			plan.Col(0), plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)},
+		}}},
+		{Name: "join(scan,scan)", Plan: join(scan("part_items"))},
+		{Name: "join(scan,filter(scan))", Plan: join(filtered())},
+	}
 }
 
 func runScan(t *testing.T, db *engine.DB, dop int, mode catalog.ExecutionMode) (*exec.Batch, []metrics.Record) {
@@ -216,6 +254,22 @@ func TestParallelScanDeterministicAcrossDOPAndRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The exchange materializes: a partition scan or a partition-wise join
+	// is not a fused pipeline, whatever the mode.
+	ctx := exec.NewCtx(db, hw.DefaultCPU())
+	ctx.Mode, ctx.DOP = catalog.Compile, 2
+	for _, q := range (chainShapes{}).Templates(db, 0) {
+		if q.Name != "scan[filter]" && q.Name != "join(scan,scan)" {
+			continue
+		}
+		if _, err := exec.Execute(ctx, q.Plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ctx.FusedPipelines != 0 {
+		t.Fatalf("partitioned scan and join counted as %d fused pipelines", ctx.FusedPipelines)
 	}
 }
 

@@ -4,202 +4,200 @@ import (
 	"bytes"
 	"fmt"
 
+	"mb2/internal/catalog"
+	"mb2/internal/exec/vec"
 	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
 )
 
-// Fused streaming pipelines: the compiled-mode execution path.
+// Fragments and drivers.
 //
-// In compiled mode a scan-rooted chain (scan → filter → project) runs as a
-// single pass: each tuple flows through every stage before the next is
-// produced, with no intermediate Batch materialization, and hash/index
-// join probes stream straight from their source into the join output. The
-// interpreted path keeps the operator-at-a-time shape in relational.go.
+// Each plan fragment the execution modes treat differently is written once.
+// A scan chain is a plan.ScanPipeline: one source (seqSource, idxSource, or
+// the partition exchange of parallel.go) pushing rows through the chain's
+// stages into a sink. A hash join is build → streamed probe → two OU
+// brackets. The execution mode never selects a different body; it selects,
+// in chooseDriver and nowhere else, the driver that runs the fragment:
 //
-// The modeled-cost contract is strict: a fused pipeline emits exactly the
-// OU records — same kinds, same order, same feature vectors — that the
-// operator-at-a-time path emits for the same plan, so models trained on
-// either path stay valid for both. Real work (predicate evaluation, output
-// construction) happens in the single pass; modeled charges whose
-// operator-at-a-time placement would interleave across OU brackets are
-// replayed afterwards, bracket by bracket, from counts and width samples
-// collected during the pass. Labels therefore agree to float-rounding
-// (bulk n-item charges versus n single-item charges); features agree
-// bit-for-bit. The equivalence property test in equivalence_test.go pins
-// this down across the SmallBank/TATP/TPC-H template matrix.
+//   - materialize: one operator at a time, every output a Batch, every
+//     charge made where the work happens. Interpreted mode, and the
+//     reference the other drivers are tested against.
+//   - rowPass: one tuple at a time through the whole fragment, no
+//     intermediate Batch. Compiled mode.
+//   - vecPass: one column batch at a time through selection-vector kernels
+//     (vectorized.go). Vectorized mode, sequential-scan sources only.
+//   - exchange: materialize, with the source fanned out over partition
+//     worker chains. Every mode, whenever the source table is partitioned.
+//
+// The modeled-cost contract is strict: rowPass emits exactly the OU records
+// — same kinds, same order, same feature vectors — that materialize emits
+// for the same plan, so models trained on either stay valid for both. The
+// streaming drivers do their real work in one pass and bill each stage
+// afterwards, bracket by bracket, from the counts and width samples the
+// pass collected, through the same emitters materialize calls as it goes.
+// Labels therefore agree to float rounding (bulk n-item charges versus n
+// single-item charges); features agree bit for bit. vecPass bills its own
+// VEC_* kinds, so its stream is not record-equivalent, but every driver
+// returns bit-identical rows (equivalence_test.go, vec_equivalence_test.go).
 
-// execFusedScan runs a fusable scan chain and materializes its output.
-func execFusedScan(ctx *Ctx, p *plan.ScanPipeline) (*Batch, error) {
-	ctx.FusedPipelines++
-	est := capHint(p.Source.Est().Rows)
-	rows := make([]storage.Tuple, 0, est)
-	keepIDs := p.HasRowIDs()
-	var rowIDs []storage.RowID
-	if keepIDs {
-		rowIDs = make([]storage.RowID, 0, est)
+// driver is how a fragment runs.
+type driver int
+
+const (
+	materialize driver = iota
+	rowPass
+	vecPass
+	exchange
+)
+
+// streams reports whether the driver hands a chain's rows to a sink one at a
+// time instead of materializing them.
+func (d driver) streams() bool { return d == rowPass || d == vecPass }
+
+// chooseDriver recognises the fragment rooted at node — a scan chain, which
+// it returns as a pipeline, or a join — and picks its driver. It is the one
+// place the execution mode and table partitioning decide how a plan runs,
+// and the only caller of plan.FuseScan; modeling.Translator mirrors it.
+// Every other node runs on materialize.
+func chooseDriver(ctx *Ctx, node plan.Node) (driver, *plan.ScanPipeline) {
+	drv := materialize
+	switch {
+	case ctx.Mode == catalog.Compile && !ctx.DisableFusion:
+		drv = rowPass
+	case ctx.Mode == catalog.Vectorize:
+		drv = vecPass
 	}
-	err := runScanPipeline(ctx, p, func(r storage.RowID, t storage.Tuple) {
-		rows = append(rows, t)
-		if keepIDs {
-			rowIDs = append(rowIDs, r)
+	switch n := node.(type) {
+	case *plan.HashJoinNode:
+		if partitionWise(ctx, n) {
+			return exchange, nil
 		}
-	})
-	if err != nil {
-		return nil, err
+		return drv, nil
+	case *plan.IndexJoinNode:
+		return drv, nil
 	}
-	return &Batch{Rows: rows, RowIDs: rowIDs}, nil
+	p := plan.FuseScan(node)
+	if p == nil {
+		return materialize, nil
+	}
+	seq, ok := p.Source.(*plan.SeqScanNode)
+	if !ok {
+		if drv == vecPass {
+			drv = materialize // the batch kernels read sequential scans only
+		}
+		return drv, p
+	}
+	if tbl := ctx.DB.Table(seq.Table); tbl != nil && tbl.PartitionCount() > 1 {
+		return exchange, p
+	}
+	return drv, p
 }
 
-// rowProc is the per-tuple stage machine of one fused pass: it applies the
-// source's own filter/projection and every wrapper stage, recording the
-// per-stage row counts and input widths the OU replay needs.
-type rowProc struct {
-	ctx        *Ctx
-	stages     []plan.PipelineStage
-	srcFilter  plan.Expr
-	srcProject []int
+// chainStage is one per-tuple step of a scan chain, plus what a streaming
+// driver records during its pass to bill the step afterwards. Exactly one of
+// pred, cols and exprs is set. cols is the source's own column projection: a
+// view change billed inside the source bracket, never an OU of its own. A
+// pred or exprs stage bills one bracket.
+type chainStage struct {
+	pred  plan.Expr
+	cols  []int
+	exprs []plan.Expr
 
-	rows        int     // rows entering the pipeline (source output)
-	srcWidths   *[]int  // widths before the source's own filter (nil if none)
-	stageRows   []int   // input row count per wrapper stage
-	stageWidths []*[]int
-
-	sink func(storage.RowID, storage.Tuple)
+	inRows int    // rows entering the stage
+	widths *[]int // rowPass: the width of every entering row (pooled)
+	chunks int    // vecPass: chunks entering the stage, and the summed
+	wSum   int    // width of one sampled live lane per chunk
 }
 
-func newRowProc(ctx *Ctx, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) *rowProc {
-	rp := &rowProc{ctx: ctx, stages: p.Stages, sink: sink}
+// chainStages lists a chain's stages in application order: the source's own
+// filter, its column projection, then the wrapper stages bottom-up. The list
+// lives in the Ctx's scratch slice: a chain's source is a leaf, so no second
+// chain starts on the same Ctx before this one has finished.
+func (c *Ctx) chainStages(p *plan.ScanPipeline) []chainStage {
+	var filter plan.Expr
+	var cols []int
 	switch s := p.Source.(type) {
 	case *plan.SeqScanNode:
-		rp.srcFilter, rp.srcProject = s.Filter, s.Project
+		filter, cols = s.Filter, s.Project
 	case *plan.IdxScanNode:
-		rp.srcFilter, rp.srcProject = s.Filter, s.Project
+		filter, cols = s.Filter, s.Project
 	}
-	if rp.srcFilter != nil {
-		rp.srcWidths = getIntBuf()
+	st := c.stages[:0]
+	if filter != nil {
+		st = append(st, chainStage{pred: filter})
 	}
-	if len(p.Stages) > 0 {
-		rp.stageRows = make([]int, len(p.Stages))
-		rp.stageWidths = make([]*[]int, len(p.Stages))
-		for i := range p.Stages {
-			rp.stageWidths[i] = getIntBuf()
-		}
+	if cols != nil {
+		st = append(st, chainStage{cols: cols})
 	}
-	return rp
+	for _, w := range p.Stages {
+		st = append(st, chainStage{pred: w.Pred, exprs: w.Exprs})
+	}
+	c.stages = st
+	return st
 }
 
-// release returns the pooled width buffers.
-func (rp *rowProc) release() {
-	if rp.srcWidths != nil {
-		putIntBuf(rp.srcWidths)
-		rp.srcWidths = nil
+func (st *chainStage) opsPerRow() float64 {
+	if st.pred != nil {
+		return st.pred.Ops()
 	}
-	for i, w := range rp.stageWidths {
-		if w != nil {
-			putIntBuf(w)
-			rp.stageWidths[i] = nil
-		}
+	ops := 0.0
+	for _, e := range st.exprs {
+		ops += e.Ops()
 	}
+	return ops
 }
 
-// process pushes one source row through the fused stages.
-func (rp *rowProc) process(rid storage.RowID, t storage.Tuple) {
-	rp.rows++
-	if rp.srcFilter != nil {
-		*rp.srcWidths = append(*rp.srcWidths, t.Bytes())
-		if !plan.Truthy(rp.srcFilter.Eval(t)) {
-			return
-		}
+// step applies the stage to one tuple and reports whether the tuple
+// survives; a projected tuple is carved from a.
+func (st *chainStage) step(t storage.Tuple, a *valueArena) (storage.Tuple, bool) {
+	switch {
+	case st.pred != nil:
+		return t, plan.Truthy(st.pred.Eval(t))
+	case st.cols != nil:
+		return a.projectCols(t, st.cols), true
 	}
-	if rp.srcProject != nil {
-		t = rp.ctx.arena.projectCols(t, rp.srcProject)
+	out := a.alloc(len(st.exprs))
+	for j, e := range st.exprs {
+		out[j] = e.Eval(t)
 	}
-	for i := range rp.stages {
-		st := &rp.stages[i]
-		rp.stageRows[i]++
-		*rp.stageWidths[i] = append(*rp.stageWidths[i], t.Bytes())
-		if st.Pred != nil {
-			if !plan.Truthy(st.Pred.Eval(t)) {
-				return
-			}
-		} else {
-			out := rp.ctx.arena.alloc(len(st.Exprs))
-			for j, e := range st.Exprs {
-				out[j] = e.Eval(t)
-			}
-			t = out
-		}
-	}
-	rp.sink(rid, t)
+	return out, true
 }
 
-// replayStages emits the Arithmetic OU bracket for the source's own filter
-// and for every wrapper stage, charging exactly what applyFilter and
-// execProject would have charged over the materialized intermediates.
-func (rp *rowProc) replayStages() {
-	ctx := rp.ctx
-	if rp.srcFilter != nil {
-		replayFilter(ctx, rp.rows, *rp.srcWidths, rp.srcFilter)
-	}
-	for i := range rp.stages {
-		st := &rp.stages[i]
-		if st.Pred != nil {
-			replayFilter(ctx, rp.stageRows[i], *rp.stageWidths[i], st.Pred)
-		} else {
-			replayProject(ctx, rp.stageRows[i], *rp.stageWidths[i], st.Exprs)
-		}
-	}
-}
-
-// replayFilter mirrors applyFilter's charges and OU record.
-func replayFilter(ctx *Ctx, nrows int, widths []int, pred plan.Expr) {
+// emitArithmetic bills one filter or projection stage over nrows tuples of
+// the given average width as an ARITHMETIC OU.
+func emitArithmetic(ctx *Ctx, nrows, width, opsPerRow float64) {
 	start := ctx.Tracker.Start()
-	ops := float64(nrows) * pred.Ops()
-	ctx.Thread().SeqRead(float64(nrows), sampledWidth(widths))
+	ops := nrows * opsPerRow
+	ctx.Thread().SeqRead(nrows, width)
 	ctx.compute(ops * 2)
 	ctx.Tracker.Stop(ou.Arithmetic, ou.ArithmeticFeatures(ops, ctx.compiled()), start)
 }
 
-// replayProject mirrors execProject's charges and OU record.
-func replayProject(ctx *Ctx, nrows int, widths []int, exprs []plan.Expr) {
-	start := ctx.Tracker.Start()
-	opsPerRow := 0.0
-	for _, e := range exprs {
-		opsPerRow += e.Ops()
-	}
-	ops := float64(nrows) * opsPerRow
-	ctx.Thread().SeqRead(float64(nrows), sampledWidth(widths))
-	ctx.compute(ops * 2)
-	ctx.Tracker.Stop(ou.Arithmetic, ou.ArithmeticFeatures(ops, ctx.compiled()), start)
+// rowSink consumes a source's rows in scan order. *Batch collects them;
+// *rowRun pushes them through a chain's stages.
+type rowSink interface {
+	// expect is called once, before the first push, with the most rows the
+	// source can deliver.
+	expect(n int)
+	push(rid storage.RowID, t storage.Tuple)
 }
 
-// runScanPipeline drives one fused pass over the pipeline's source, feeding
-// every surviving row to sink, then emits the pipeline's OU records in
-// operator-at-a-time order.
-func runScanPipeline(ctx *Ctx, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
-	rp := newRowProc(ctx, p, sink)
-	defer rp.release()
-	var err error
-	switch src := p.Source.(type) {
+// runSource streams a chain's source into out.
+func runSource(ctx *Ctx, src plan.Node, out rowSink) error {
+	switch n := src.(type) {
 	case *plan.SeqScanNode:
-		err = runSeqSource(ctx, rp, src)
+		return seqSource(ctx, n, out)
 	case *plan.IdxScanNode:
-		err = runIdxSource(ctx, rp, src)
-	default:
-		err = fmt.Errorf("exec: unsupported pipeline source %T", p.Source)
+		return idxSource(ctx, n, out)
 	}
-	if err != nil {
-		return err
-	}
-	rp.replayStages()
-	return nil
+	return fmt.Errorf("exec: unsupported pipeline source %T", src)
 }
 
-// runSeqSource streams the table through the pipeline inside the SeqScan OU
-// bracket, using a pooled scan-row buffer (zero per-row allocation).
-func runSeqSource(ctx *Ctx, rp *rowProc, n *plan.SeqScanNode) error {
+// seqSource streams every visible row of the table into out inside the
+// SEQ_SCAN bracket, through a pooled scan-row buffer.
+func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", n.Table)
@@ -207,15 +205,18 @@ func runSeqSource(ctx *Ctx, rp *rowProc, n *plan.SeqScanNode) error {
 	id, ts := ctx.snapshot()
 
 	start := ctx.Tracker.Start()
+	out.expect(tbl.NumRows())
 	buf := getScanBuf()
-	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(rows []storage.ScanRow) bool {
-		for i := range rows {
-			rp.process(rows[i].Row, rows[i].Data)
+	rows := 0
+	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(chunk []storage.ScanRow) bool {
+		rows += len(chunk)
+		for i := range chunk {
+			out.push(chunk[i].Row, chunk[i].Data)
 		}
 		return true
 	})
 	putScanBuf(buf)
-	scanned := float64(rp.rows)
+	scanned := float64(rows)
 	ctx.compute(scanned * 6)
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	cols := float64(tbl.Meta.Schema.NumColumns())
@@ -227,11 +228,11 @@ func runSeqSource(ctx *Ctx, rp *rowProc, n *plan.SeqScanNode) error {
 	return nil
 }
 
-// runIdxSource streams index matches through the pipeline inside the
-// IdxScan OU bracket. Row IDs collect into a pooled buffer (point lookups
-// go through the copy-free SearchEQFunc path) and version reads stream
-// straight into the stage machine.
-func runIdxSource(ctx *Ctx, rp *rowProc, n *plan.IdxScanNode) error {
+// idxSource streams the index's matches into out inside the IDX_SCAN
+// bracket. Row IDs collect into a pooled buffer first (point lookups go
+// through the copy-free SearchEQFunc), so version reads never nest inside
+// the tree's read lock and out learns the match count before the first row.
+func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	tbl := ctx.DB.Table(n.Table)
 	idx := ctx.DB.Index(n.Index)
 	if tbl == nil || idx == nil {
@@ -264,26 +265,142 @@ func runIdxSource(ctx *Ctx, rp *rowProc, n *plan.IdxScanNode) error {
 			return true
 		})
 	}
+	out.expect(len(ids))
+	rows := 0
 	for _, r := range ids {
 		t, err := tbl.Read(ctx.Thread(), r, id, ts)
 		if err != nil {
 			continue // version not visible at this snapshot
 		}
-		rp.process(r, t)
+		rows++
+		out.push(r, t)
 	}
 	*rowBuf = ids
 	putRowIDBuf(rowBuf)
 
-	matched := float64(rp.rows)
+	matched := float64(rows)
 	ctx.compute(matched * 8)
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	cols := float64(tbl.Meta.Schema.NumColumns())
 	if n.Filter == nil && n.Project != nil {
 		ctx.compute(matched * float64(len(n.Project)) * 2)
 	}
+	// The cardinality feature carries the index's key population: descent
+	// depth and cache behavior depend on the structure's size, not just on
+	// how many rows match.
 	feats := ou.ExecFeatures(matched, cols, width, float64(idx.NumRows()), 0, loops, ctx.compiled())
 	ctx.Tracker.Stop(ou.IdxScan, feats, start)
 	return nil
+}
+
+// execChain runs a scan chain on its driver and returns its output.
+func execChain(ctx *Ctx, drv driver, p *plan.ScanPipeline) (*Batch, error) {
+	b := &Batch{}
+	if drv.streams() {
+		est := capHint(p.Source.Est().Rows)
+		b.Rows = make([]storage.Tuple, 0, est)
+		if p.HasRowIDs() {
+			b.RowIDs = make([]storage.RowID, 0, est)
+		}
+		if err := streamChain(ctx, drv, p, b.push); err != nil {
+			return nil, err
+		}
+		return b, nil
+	}
+	var err error
+	if drv == exchange {
+		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b)
+	} else {
+		err = runSource(ctx, p.Source, b)
+	}
+	if err != nil {
+		return nil, err
+	}
+	stages := ctx.chainStages(p)
+	for i := range stages {
+		applyStage(ctx, b, &stages[i])
+	}
+	return b, nil
+}
+
+// applyStage is the materialize driver's stage: it bills the stage over the
+// whole batch, then runs it in place.
+func applyStage(ctx *Ctx, b *Batch, st *chainStage) {
+	if st.cols == nil {
+		emitArithmetic(ctx, b.NumRows(), b.AvgWidth(), st.opsPerRow())
+	}
+	k := 0
+	for i, r := range b.Rows {
+		t, keep := st.step(r, heap)
+		if !keep {
+			continue
+		}
+		b.Rows[k] = t
+		if b.RowIDs != nil {
+			b.RowIDs[k] = b.RowIDs[i]
+		}
+		k++
+	}
+	b.Rows = b.Rows[:k]
+	if st.pred == nil {
+		b.RowIDs = nil // a projection loses row identities
+	} else if b.RowIDs != nil {
+		b.RowIDs = b.RowIDs[:k]
+	}
+}
+
+// streamChain runs a scan chain on a streaming driver, handing every
+// surviving row to sink.
+func streamChain(ctx *Ctx, drv driver, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
+	stages := ctx.chainStages(p)
+	if drv == vecPass {
+		return runVecPass(ctx, p.Source.(*plan.SeqScanNode), stages, p.HasRowIDs(), sink)
+	}
+	for i := range stages {
+		if stages[i].cols == nil {
+			stages[i].widths = getIntBuf()
+		}
+	}
+	err := runSource(ctx, p.Source, &rowRun{ctx: ctx, stages: stages, sink: sink})
+	for i := range stages {
+		st := &stages[i]
+		if st.cols != nil {
+			continue
+		}
+		if err == nil {
+			emitArithmetic(ctx, float64(st.inRows), sampledWidth(*st.widths), st.opsPerRow())
+		}
+		putIntBuf(st.widths)
+		st.widths = nil
+	}
+	return err
+}
+
+// rowRun is the rowPass driver's per-tuple machine: the sink its source
+// pushes into. Each row runs through every stage before the next is read,
+// leaving behind the per-stage row counts and input widths the stage
+// brackets are billed from once the source bracket has closed.
+type rowRun struct {
+	ctx    *Ctx
+	stages []chainStage
+	sink   func(storage.RowID, storage.Tuple)
+}
+
+func (rp *rowRun) expect(int) {}
+
+func (rp *rowRun) push(rid storage.RowID, t storage.Tuple) {
+	for i := range rp.stages {
+		st := &rp.stages[i]
+		if st.cols == nil {
+			st.inRows++
+			*st.widths = append(*st.widths, t.Bytes())
+		}
+		var keep bool
+		if t, keep = st.step(t, &rp.ctx.arena); !keep {
+			return
+		}
+	}
+	rp.sink(rid, t)
 }
 
 // joinTable is the fused hash join's build structure: chained hashing with
@@ -382,21 +499,21 @@ func (t *joinTable) probe(k []byte, fn func(row int32)) {
 	}
 }
 
-// execHashJoinFused is the compiled-mode hash join: the build side
-// materializes (it must), the probe side streams — when the right child is
-// a fusable scan chain, its rows flow from the storage layer through the
-// probe into the join output in one pass with no intermediate Batch. Keys
-// are encoded into the worker's scratch buffer; the build goes into the
-// Ctx-reused joinTable, so the steady-state hot path allocates nothing per
-// row. Output tuples come from the context arena.
-func execHashJoinFused(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
+// streamHashJoin is the hash join of the streaming drivers. The build side
+// materializes (it must) into the Ctx-reused joinTable; the probe side
+// streams — when the right child is a chain on a streaming driver, its rows
+// flow from the storage layer through the probe into the join output with
+// no intermediate Batch. Keys encode into the worker's scratch buffer and
+// output tuples come from the context arena, so the steady-state hot path
+// allocates nothing per row. All real work comes first; the build and probe
+// brackets are billed afterwards, the probe as HASHJOIN_PROBE under rowPass
+// and as VEC_PROBE under vecPass (the build keeps its mode-flagged
+// HASHJOIN_BUILD: the kind carries no vectorized profile).
+func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv driver) (*Batch, error) {
 	left, err := Execute(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	ctx.FusedPipelines++
-
-	// Real build, charges replayed in the build bracket below.
 	jt := &ctx.jt
 	jt.reset(len(left.Rows))
 	for i, r := range left.Rows {
@@ -404,18 +521,16 @@ func execHashJoinFused(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 		jt.insert(ctx.keyBuf, int32(i))
 	}
 
-	// Real probe: stream the right side.
 	rightWidths := getIntBuf()
 	defer putIntBuf(rightWidths)
-	rightRows, rightCols := 0, 0
+	rightCols := 0
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
 	var cur storage.Tuple
 	emit := func(row int32) {
 		out = append(out, ctx.arena.join(left.Rows[row], cur))
 	}
 	probe := func(_ storage.RowID, r storage.Tuple) {
-		rightRows++
-		if rightRows == 1 {
+		if len(*rightWidths) == 0 {
 			rightCols = len(r)
 		}
 		*rightWidths = append(*rightWidths, r.Bytes())
@@ -423,10 +538,10 @@ func execHashJoinFused(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 		cur = r
 		jt.probe(ctx.keyBuf, emit)
 	}
-	if rp := plan.FuseScan(n.Right); rp != nil {
-		// The probe-side pipeline's OU records (scan + stages) emit here,
-		// before the build/probe brackets — operator-at-a-time order.
-		if err := runScanPipeline(ctx, rp, probe); err != nil {
+	// The probe side's own OU records emit here, before the build and probe
+	// brackets: operator-at-a-time order.
+	if rdrv, chain := chooseDriver(ctx, n.Right); chain != nil && rdrv.streams() {
+		if err := streamChain(ctx, rdrv, chain, probe); err != nil {
 			return nil, err
 		}
 	} else {
@@ -439,35 +554,41 @@ func execHashJoinFused(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 		}
 	}
 
-	// Build bracket replay.
 	buildRows := float64(len(left.Rows))
-	keyBytes := 8.0 * float64(len(n.LeftKeys))
-	entryBytes := keyBytes + 8 + 16
+	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
 	htBytes := buildRows * entryBytes
+	card := float64(jt.distinct)
+	leftW := left.AvgWidth()
+	rightRows := float64(len(*rightWidths))
+	rightW := sampledWidth(*rightWidths)
+	outRows := float64(len(out))
 
 	start := ctx.Tracker.Start()
 	ctx.Thread().Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
-	nb := len(left.Rows)
-	ctx.compute(10 * float64(nb))
-	ctx.Thread().RandWrite(float64(nb), htBytes)
-	if ctx.JHTSleepEvery > 0 && nb > 0 {
+	ctx.compute(10 * buildRows)
+	ctx.Thread().RandWrite(buildRows, htBytes)
+	if nb := len(left.Rows); ctx.JHTSleepEvery > 0 && nb > 0 {
 		ctx.Thread().Sleep(float64((nb-1)/ctx.JHTSleepEvery + 1))
 	}
-	card := float64(jt.distinct)
-	leftW := left.AvgWidth()
 	buildFeats := ou.ExecFeatures(buildRows, left.NumCols(), leftW, card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
 
-	// Probe bracket replay.
 	start = ctx.Tracker.Start()
-	ctx.compute(10 * float64(rightRows))
-	ctx.Thread().RandRead(float64(rightRows), htBytes, 1)
-	outRows := float64(len(out))
-	rightW := sampledWidth(*rightWidths)
-	ctx.Thread().SeqWrite(outRows, leftW+rightW)
-	probeFeats := ou.ExecFeatures(float64(rightRows)+outRows, float64(rightCols), rightW,
-		card, leftW+rightW, 1, ctx.compiled())
-	ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)
+	if drv == vecPass {
+		ctx.Thread().RandRead(rightRows, htBytes, 1)
+		ctx.vecCompute(rightRows*vecProbeCostPerRow + vecBatches(rightRows)*vecBatchOverhead)
+		ctx.Thread().SeqWrite(outRows, leftW+rightW)
+		probeFeats := ou.VecProbeFeatures(rightRows+outRows, float64(rightCols), rightW,
+			card, leftW+rightW, vec.BatchRows)
+		ctx.Tracker.Stop(ou.VecProbe, probeFeats, start)
+	} else {
+		ctx.compute(10 * rightRows)
+		ctx.Thread().RandRead(rightRows, htBytes, 1)
+		ctx.Thread().SeqWrite(outRows, leftW+rightW)
+		probeFeats := ou.ExecFeatures(rightRows+outRows, float64(rightCols), rightW,
+			card, leftW+rightW, 1, ctx.compiled())
+		ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)
+	}
 
 	ctx.Thread().Free(htBytes) // the hash table is query-lifetime scratch
 	return &Batch{Rows: out}, nil

@@ -6,8 +6,8 @@ import (
 	"mb2/internal/storage"
 )
 
-// Hot-path scratch memory discipline. Fused pipelines draw three kinds of
-// buffers:
+// Hot-path scratch memory discipline. The streaming drivers draw three kinds
+// of buffers:
 //
 //   - pooled scratch (scan-row buffers, row-ID buffers, width buffers):
 //     returned to a sync.Pool before Execute returns; never escapes.
@@ -19,7 +19,8 @@ import (
 //     caller owns the Batch and everything it references; arena chunks are
 //     NOT pooled, because results legitimately outlive the query.
 //
-// See DESIGN.md "Execution pipelines" for the full retention contract.
+// See DESIGN.md "Execution: source → stages → sink" for the full retention
+// contract.
 
 const (
 	scanBatchSize  = 256
@@ -71,8 +72,16 @@ type valueArena struct {
 	buf []storage.Value
 }
 
+// heap is the nil arena: every tuple it hands out is its own allocation.
+// The materialize driver uses it, because interpreted sessions are too many
+// for each to pin an arena chunk.
+var heap *valueArena
+
 // alloc returns a zeroed tuple of n values backed by the arena.
 func (a *valueArena) alloc(n int) storage.Tuple {
+	if a == nil {
+		return make(storage.Tuple, n)
+	}
 	if n > len(a.buf) {
 		size := arenaChunkVals
 		if n > size {

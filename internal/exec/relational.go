@@ -5,19 +5,20 @@ import (
 	"sort"
 
 	"mb2/internal/catalog"
+	"mb2/internal/hw"
 	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
 )
 
-// Execute runs a plan and returns the materialized result. In compiled
-// mode, plan fragments the pipeline analyzer recognizes run on the fused
-// single-pass path (pipeline.go); in vectorized mode, qualifying scan
-// chains and hash joins run batch-at-a-time (vectorized.go) and emit their
-// own VEC_* OUs; everything else — and all of interpreted mode — takes the
-// operator-at-a-time path below. The compiled paths emit identical OU
-// record streams; all paths produce bit-identical results.
+// Execute runs a plan and returns the materialized result: it polls the
+// interrupt hook, has chooseDriver recognise the fragment rooted at node and
+// pick its driver (pipeline.go), and runs the fragment on it. Scan chains
+// and hash joins are each one definition run by whichever driver the mode
+// and the tables' partitioning select; every other operator has a single
+// body, run one operator at a time. All drivers return bit-identical rows,
+// and materialize and rowPass emit identical OU record streams.
 func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	// Operator-boundary cancellation point: a killed session aborts here
 	// before the next operator starts (see Ctx.Interrupt).
@@ -26,46 +27,22 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 			return nil, err
 		}
 	}
-	// Partitioned tables route qualifying scans and joins through the
-	// exchange-style parallel operators (parallel.go) in every execution
-	// mode; unpartitioned tables never enter them.
-	switch n := node.(type) {
-	case *plan.SeqScanNode:
-		if b, ok := tryParallelScan(ctx, n); ok {
-			return b, nil
-		}
-	case *plan.HashJoinNode:
-		if b, ok := tryPartitionJoin(ctx, n); ok {
-			return b, nil
-		}
+	drv, chain := chooseDriver(ctx, node)
+	if drv == rowPass {
+		ctx.FusedPipelines++
 	}
-	if ctx.fused() {
-		switch n := node.(type) {
-		case *plan.HashJoinNode:
-			return execHashJoinFused(ctx, n)
-		default:
-			if p := plan.FuseScan(node); p != nil {
-				return execFusedScan(ctx, p)
-			}
-		}
-	}
-	if ctx.Mode == catalog.Vectorize {
-		switch n := node.(type) {
-		case *plan.HashJoinNode:
-			return execHashJoinVec(ctx, n)
-		default:
-			if p := vecScanOf(ctx, node); p != nil {
-				return execVecScan(ctx, p)
-			}
-		}
+	if chain != nil {
+		return execChain(ctx, drv, chain)
 	}
 	switch n := node.(type) {
-	case *plan.SeqScanNode:
-		return execSeqScan(ctx, n)
-	case *plan.IdxScanNode:
-		return execIdxScan(ctx, n)
 	case *plan.HashJoinNode:
-		return execHashJoin(ctx, n)
+		switch drv {
+		case exchange:
+			return partitionJoin(ctx, n)
+		case materialize:
+			return mapHashJoin(ctx, n)
+		}
+		return streamHashJoin(ctx, n, drv)
 	case *plan.IndexJoinNode:
 		return execIndexJoin(ctx, n)
 	case *plan.AggNode:
@@ -73,9 +50,9 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	case *plan.SortNode:
 		return execSort(ctx, n)
 	case *plan.ProjectNode:
-		return execProject(ctx, n)
+		return execStage(ctx, n.Child, chainStage{exprs: n.Exprs})
 	case *plan.FilterNode:
-		return execFilter(ctx, n)
+		return execStage(ctx, n.Child, chainStage{pred: n.Pred})
 	case *plan.InsertNode:
 		return execInsert(ctx, n)
 	case *plan.UpdateNode:
@@ -89,153 +66,13 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	}
 }
 
-func project(rows []storage.Tuple, cols []int) []storage.Tuple {
-	if cols == nil {
-		return rows
+// execStage runs a filter or projection whose child is not a scan chain.
+func execStage(ctx *Ctx, child plan.Node, st chainStage) (*Batch, error) {
+	b, err := Execute(ctx, child)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]storage.Tuple, len(rows))
-	for i, r := range rows {
-		t := make(storage.Tuple, len(cols))
-		for j, c := range cols {
-			t[j] = r[c]
-		}
-		out[i] = t
-	}
-	return out
-}
-
-func execSeqScan(ctx *Ctx, n *plan.SeqScanNode) (*Batch, error) {
-	tbl := ctx.DB.Table(n.Table)
-	if tbl == nil {
-		return nil, fmt.Errorf("exec: table %q does not exist", n.Table)
-	}
-	id, ts := ctx.snapshot()
-
-	start := ctx.Tracker.Start()
-	nslots := tbl.NumRows()
-	rows := make([]storage.Tuple, 0, nslots)
-	rowIDs := make([]storage.RowID, 0, nslots)
-	tbl.Scan(ctx.Thread(), id, ts, func(r storage.RowID, t storage.Tuple) bool {
-		rows = append(rows, t)
-		rowIDs = append(rowIDs, r)
-		return true
-	})
-	scanned := float64(len(rows))
-	ctx.compute(scanned * 6)
-	width := float64(tbl.Meta.Schema.TupleBytes())
-	cols := float64(tbl.Meta.Schema.NumColumns())
-	if n.Filter == nil && n.Project != nil {
-		rows = project(rows, n.Project)
-		ctx.compute(scanned * float64(len(n.Project)) * 2)
-	}
-	feats := ou.ExecFeatures(scanned, cols, width, 0, 0, 1, ctx.compiled())
-	ctx.Tracker.Stop(ou.SeqScan, feats, start)
-
-	b := &Batch{Rows: rows, RowIDs: rowIDs}
-	if n.Filter != nil {
-		b = applyFilter(ctx, b, n.Filter)
-		if n.Project != nil {
-			b.Rows = project(b.Rows, n.Project)
-			b.RowIDs = nil
-		}
-	}
-	if n.Project != nil {
-		b.RowIDs = nil
-	}
-	return b, nil
-}
-
-// applyFilter evaluates a predicate over the batch as an ARITHMETIC OU.
-func applyFilter(ctx *Ctx, b *Batch, pred plan.Expr) *Batch {
-	start := ctx.Tracker.Start()
-	nrows := b.NumRows()
-	ops := nrows * pred.Ops()
-	ctx.Thread().SeqRead(nrows, b.AvgWidth())
-	ctx.compute(ops * 2)
-	rows := make([]storage.Tuple, 0, len(b.Rows))
-	var rowIDs []storage.RowID
-	if b.RowIDs != nil {
-		rowIDs = make([]storage.RowID, 0, len(b.Rows))
-	}
-	for i, r := range b.Rows {
-		if plan.Truthy(pred.Eval(r)) {
-			rows = append(rows, r)
-			if b.RowIDs != nil {
-				rowIDs = append(rowIDs, b.RowIDs[i])
-			}
-		}
-	}
-	ctx.Tracker.Stop(ou.Arithmetic, ou.ArithmeticFeatures(ops, ctx.compiled()), start)
-	if b.RowIDs == nil {
-		rowIDs = nil
-	}
-	return &Batch{Rows: rows, RowIDs: rowIDs}
-}
-
-func execIdxScan(ctx *Ctx, n *plan.IdxScanNode) (*Batch, error) {
-	tbl := ctx.DB.Table(n.Table)
-	idx := ctx.DB.Index(n.Index)
-	if tbl == nil || idx == nil {
-		return nil, fmt.Errorf("exec: missing table %q or index %q", n.Table, n.Index)
-	}
-	id, ts := ctx.snapshot()
-	loops := n.Loops
-	if loops < 1 {
-		loops = 1
-	}
-
-	start := ctx.Tracker.Start()
-	var rowIDs []storage.RowID
-	if n.Eq != nil {
-		rowIDs = idx.SearchEQ(ctx.Thread(), index.EncodeKey(n.Eq...), loops)
-	} else {
-		var lo, hi index.Key
-		if n.Lo != nil {
-			lo = index.EncodeKey(n.Lo...)
-		}
-		if n.Hi != nil {
-			hi = index.EncodeKey(n.Hi...)
-		}
-		idx.SearchRange(ctx.Thread(), lo, hi, func(_ index.Key, r storage.RowID) bool {
-			rowIDs = append(rowIDs, r)
-			return true
-		})
-	}
-	rows := make([]storage.Tuple, 0, len(rowIDs))
-	liveIDs := make([]storage.RowID, 0, len(rowIDs))
-	for _, r := range rowIDs {
-		t, err := tbl.Read(ctx.Thread(), r, id, ts)
-		if err != nil {
-			continue // version not visible at this snapshot
-		}
-		rows = append(rows, t)
-		liveIDs = append(liveIDs, r)
-	}
-	matched := float64(len(rows))
-	ctx.compute(matched * 8)
-	width := float64(tbl.Meta.Schema.TupleBytes())
-	cols := float64(tbl.Meta.Schema.NumColumns())
-	if n.Filter == nil && n.Project != nil {
-		rows = project(rows, n.Project)
-		ctx.compute(matched * float64(len(n.Project)) * 2)
-	}
-	// The cardinality feature carries the index's key population: descent
-	// depth and cache behavior depend on the structure's size, not just on
-	// how many rows match.
-	feats := ou.ExecFeatures(matched, cols, width, float64(idx.NumRows()), 0, loops, ctx.compiled())
-	ctx.Tracker.Stop(ou.IdxScan, feats, start)
-
-	b := &Batch{Rows: rows, RowIDs: liveIDs}
-	if n.Filter != nil {
-		b = applyFilter(ctx, b, n.Filter)
-		if n.Project != nil {
-			b.Rows = project(b.Rows, n.Project)
-			b.RowIDs = nil
-		}
-	}
-	if n.Project != nil {
-		b.RowIDs = nil
-	}
+	applyStage(ctx, b, &st)
 	return b, nil
 }
 
@@ -243,7 +80,61 @@ func keyOf(t storage.Tuple, cols []int) string {
 	return string(index.KeyFromTuple(t, cols))
 }
 
-func execHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
+// mapJoin is the hash table of the joins that charge one row at a time: a
+// map from encoded key to the build rows under it, charged to th — the
+// session's thread in mapHashJoin, a partition worker's in partitionJoin.
+// Keys encode into keyBuf; the map[string] index with an in-place
+// []byte→string conversion is allocation-free, and pointer-valued buckets
+// let repeat keys append without a map write. Only the first occurrence of
+// a distinct key allocates its string.
+type mapJoin struct {
+	ctx     *Ctx
+	th      *hw.Thread
+	htBytes float64
+	keyBuf  []byte
+	build   []storage.Tuple
+	ht      map[string]*[]int32
+	out     []storage.Tuple
+}
+
+// insertAll builds the table over rows, sleeping once every sleepEvery rows
+// when that is positive (Ctx.JHTSleepEvery).
+func (j *mapJoin) insertAll(rows []storage.Tuple, keys []int, sleepEvery int) {
+	j.build = rows
+	j.ht = make(map[string]*[]int32, len(rows))
+	for i, r := range rows {
+		j.keyBuf = index.AppendKeyFromTuple(j.keyBuf[:0], r, keys)
+		if b, ok := j.ht[string(j.keyBuf)]; ok {
+			*b = append(*b, int32(i))
+		} else {
+			bucket := make([]int32, 1, 4)
+			bucket[0] = int32(i)
+			j.ht[string(j.keyBuf)] = &bucket
+		}
+		j.ctx.computeOn(j.th, 10)
+		j.th.RandWrite(1, j.htBytes)
+		if sleepEvery > 0 && i%sleepEvery == 0 {
+			j.th.Sleep(1)
+		}
+	}
+}
+
+// probe appends to out the join of r with every build row under its key, in
+// build order.
+func (j *mapJoin) probe(r storage.Tuple, keys []int) {
+	j.keyBuf = index.AppendKeyFromTuple(j.keyBuf[:0], r, keys)
+	j.ctx.computeOn(j.th, 10)
+	j.th.RandRead(1, j.htBytes, 1)
+	if b, ok := j.ht[string(j.keyBuf)]; ok {
+		for _, li := range *b {
+			j.out = append(j.out, heap.join(j.build[li], r))
+		}
+	}
+}
+
+// mapHashJoin is the materialize driver's hash join: both inputs
+// materialize, and the build and probe brackets charge row by row.
+func mapHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	left, err := Execute(ctx, n.Left)
 	if err != nil {
 		return nil, err
@@ -255,53 +146,25 @@ func execHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 
 	// Build phase: hash table over the left input.
 	buildRows := left.NumRows()
-	keyBytes := 8.0 * float64(len(n.LeftKeys))
-	entryBytes := keyBytes + 8 + 16
+	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
 	htBytes := buildRows * entryBytes
 
 	start := ctx.Tracker.Start()
 	ctx.Thread().Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
-	// Keys are encoded into the worker's scratch buffer; the map[string]
-	// index with an in-place []byte→string conversion is allocation-free,
-	// and pointer-valued buckets let repeat keys append without a map write.
-	// Only the first occurrence of a distinct key allocates its string.
-	ht := make(map[string]*[]int32, len(left.Rows))
-	for i, r := range left.Rows {
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.LeftKeys)
-		if b, ok := ht[string(ctx.keyBuf)]; ok {
-			*b = append(*b, int32(i))
-		} else {
-			bucket := make([]int32, 1, 4)
-			bucket[0] = int32(i)
-			ht[string(ctx.keyBuf)] = &bucket
-		}
-		ctx.compute(10)
-		ctx.Thread().RandWrite(1, htBytes)
-		if ctx.JHTSleepEvery > 0 && i%ctx.JHTSleepEvery == 0 {
-			ctx.Thread().Sleep(1)
-		}
-	}
-	card := float64(len(ht))
+	j := mapJoin{ctx: ctx, th: ctx.Thread(), htBytes: htBytes, keyBuf: ctx.keyBuf,
+		out: make([]storage.Tuple, 0, capHint(n.Rows.Rows))}
+	j.insertAll(left.Rows, n.LeftKeys, ctx.JHTSleepEvery)
+	card := float64(len(j.ht))
 	buildFeats := ou.ExecFeatures(buildRows, left.NumCols(), left.AvgWidth(), card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
 
 	// Probe phase.
 	start = ctx.Tracker.Start()
-	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
 	for _, r := range right.Rows {
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.RightKeys)
-		ctx.compute(10)
-		ctx.Thread().RandRead(1, htBytes, 1)
-		if b, ok := ht[string(ctx.keyBuf)]; ok {
-			for _, li := range *b {
-				joined := make(storage.Tuple, 0, len(left.Rows[li])+len(r))
-				joined = append(joined, left.Rows[li]...)
-				joined = append(joined, r...)
-				out = append(out, joined)
-			}
-		}
+		j.probe(r, n.RightKeys)
 	}
-	outRows := float64(len(out))
+	ctx.keyBuf = j.keyBuf
+	outRows := float64(len(j.out))
 	ctx.Thread().SeqWrite(outRows, left.AvgWidth()+right.AvgWidth())
 	// The probe's work volume covers both the probing input and the
 	// materialized matches, so its tuple-count feature is their sum —
@@ -313,7 +176,7 @@ func execHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)
 
 	ctx.Thread().Free(htBytes) // the hash table is query-lifetime scratch
-	return &Batch{Rows: out}, nil
+	return &Batch{Rows: j.out}, nil
 }
 
 func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
@@ -332,9 +195,6 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 		loops = 1
 	}
 
-	if ctx.fused() {
-		ctx.FusedPipelines++ // the probe loop below is itself a fused pass
-	}
 	start := ctx.Tracker.Start()
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
 	// Probe keys encode into the worker scratch buffer and postings collect
@@ -391,7 +251,7 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 		st, ok := groups[k]
 		if !ok {
 			st = &aggState{
-				group:  projectRow(r, n.GroupBy),
+				group:  heap.projectCols(r, n.GroupBy),
 				counts: make([]float64, len(n.Aggs)),
 				sums:   make([]float64, len(n.Aggs)),
 				mins:   make([]float64, len(n.Aggs)),
@@ -457,14 +317,6 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 	return &Batch{Rows: out}, nil
 }
 
-func projectRow(r storage.Tuple, cols []int) storage.Tuple {
-	out := make(storage.Tuple, len(cols))
-	for i, c := range cols {
-		out[i] = r[c]
-	}
-	return out
-}
-
 func valueAsFloat(v storage.Value) float64 {
 	if v.Kind == catalog.Float64 {
 		return v.F
@@ -516,39 +368,6 @@ func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 	ctx.Tracker.Stop(ou.SortIter, iterFeats, start)
 
 	return &Batch{Rows: out}, nil
-}
-
-func execProject(ctx *Ctx, n *plan.ProjectNode) (*Batch, error) {
-	child, err := Execute(ctx, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	start := ctx.Tracker.Start()
-	opsPerRow := 0.0
-	for _, e := range n.Exprs {
-		opsPerRow += e.Ops()
-	}
-	ops := child.NumRows() * opsPerRow
-	ctx.Thread().SeqRead(child.NumRows(), child.AvgWidth())
-	ctx.compute(ops * 2)
-	out := make([]storage.Tuple, len(child.Rows))
-	for i, r := range child.Rows {
-		t := make(storage.Tuple, len(n.Exprs))
-		for j, e := range n.Exprs {
-			t[j] = e.Eval(r)
-		}
-		out[i] = t
-	}
-	ctx.Tracker.Stop(ou.Arithmetic, ou.ArithmeticFeatures(ops, ctx.compiled()), start)
-	return &Batch{Rows: out}, nil
-}
-
-func execFilter(ctx *Ctx, n *plan.FilterNode) (*Batch, error) {
-	child, err := Execute(ctx, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	return applyFilter(ctx, child, n.Pred), nil
 }
 
 func execOutput(ctx *Ctx, n *plan.OutputNode) (*Batch, error) {

@@ -11,7 +11,6 @@ package exec_test
 // operator records.
 
 import (
-	"fmt"
 	"testing"
 
 	"mb2/internal/catalog"
@@ -20,31 +19,15 @@ import (
 	"mb2/internal/hw"
 	"mb2/internal/metrics"
 	"mb2/internal/ou"
-	"mb2/internal/workload"
 )
 
 func TestVectorizedInterpretedEquivalence(t *testing.T) {
-	// wantVec marks benchmarks whose templates contain vectorizable shapes
-	// (scan-rooted chains / hash joins): SmallBank and TATP are pure
-	// index-lookup + DML workloads, so every query there falls back — the
-	// equivalence contract still holds, just with zero batches.
-	cases := []struct {
-		bench   workload.Benchmark
-		scale   float64
-		wantVec bool
-	}{
-		{workload.SmallBank{}, 0.05, false},
-		{workload.TATP{}, 0.05, false},
-		{workload.TPCH{}, 0.02, true},
-	}
-	seeds := []int64{1, 7}
-
-	for _, tc := range cases {
-		for _, seed := range seeds {
+	for _, tc := range equivalenceCases {
+		for _, seed := range tc.seeds {
 			tc, seed := tc, seed
-			t.Run(fmt.Sprintf("%s/seed%d", tc.bench.Name(), seed), func(t *testing.T) {
+			t.Run(tc.name(seed), func(t *testing.T) {
 				t.Parallel()
-				db := engine.Open(catalog.DefaultKnobs())
+				db := engine.Open(tc.knobs())
 				if err := tc.bench.Load(db, tc.scale, seed); err != nil {
 					t.Fatal(err)
 				}
@@ -62,6 +45,7 @@ func TestVectorizedInterpretedEquivalence(t *testing.T) {
 							Tracker:    metrics.NewTracker(col, hw.NewThread(hw.DefaultCPU())),
 							Mode:       mode,
 							Contenders: 1,
+							DOP:        tc.dop,
 						}
 						b, err := exec.Execute(ctx, q.Plan)
 						if err != nil {

@@ -6,35 +6,29 @@ import (
 	"sync"
 
 	"mb2/internal/exec/vec"
-	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
 )
 
-// Vectorized batch execution: the third execution mode (catalog.Vectorize).
+// The vecPass driver: the third execution mode (catalog.Vectorize).
 //
-// A vectorizable scan chain — a fusable scan pipeline rooted at an
-// unpartitioned sequential scan — runs batch-at-a-time: up to vec.BatchRows
-// tuples load into a column-major vec.Batch, the chain's filter and
-// projection stages run as selection-vector kernels, and only the surviving
-// lanes materialize. Hash-join probes stream the right side through the
-// same batched scan into the Ctx-reused joinTable. Everything outside the
-// vectorizable shapes (index scans, aggregates, sorts, DML, output) falls
-// back to the operator-at-a-time interpreter path, paying interpreter
-// charges — which is exactly what the mode's OU decomposition tells the
-// planner, since only VEC_* records carry vectorized cost profiles.
+// chooseDriver hands vecPass the scan chains rooted at an unpartitioned
+// sequential scan: up to vec.BatchRows tuples load into a column-major
+// vec.Batch, the chain's stages run as selection-vector kernels, and only
+// the surviving lanes materialize. Hash-join probes stream the right side
+// through the same pass into the Ctx-reused joinTable (streamHashJoin).
+// Everything else (index scans, aggregates, sorts, DML, output) runs on the
+// materialize driver, paying interpreter charges — which is exactly what
+// the mode's OU decomposition tells the planner, since only VEC_* records
+// carry vectorized cost profiles.
 //
-// The OU bracket discipline is the fused path's: all real work happens
-// inside the VEC_SCAN source bracket, and per-stage VEC_FILTER brackets
-// replay their charges afterwards from counts collected during the pass.
-// Unlike the fused path, the vec OU stream is NOT record-equivalent to the
-// interpreted stream — VEC_SCAN/VEC_FILTER/VEC_PROBE are new OU kinds with
-// their own models — but query RESULTS are bit-identical to interpreted
-// execution (equivalence_test.go pins this across the template matrix).
+// The bracket discipline is rowPass's: all real work happens inside the
+// VEC_SCAN source bracket, and the per-stage VEC_FILTER brackets are billed
+// afterwards from counts collected during the pass.
 
 // Per-row/per-op kernel cost constants. Compare: interpreted scans pay
-// 6*interpretFactor = 16.8 per row and compiled fused scans pay 6; the
+// 6*interpretFactor = 16.8 per row and compiled scans pay 6; the
 // vectorized kernel pays vecScanCostPerRow plus a fixed per-batch overhead,
 // so it wins on large inputs and loses on tiny ones — a trade-off the
 // VEC_* models learn from the batch_rows feature rather than having it
@@ -57,92 +51,43 @@ func vecBatches(rows float64) float64 {
 }
 
 // vecScanBufPool holds scan-row buffers sized to the vectorized batch
-// (scanBufPool's buffers are sized for the fused path's smaller chunks).
+// (scanBufPool's buffers are sized for the row sources' smaller chunks).
 var vecScanBufPool = sync.Pool{
 	New: func() any { b := make([]storage.ScanRow, 0, vec.BatchRows); return &b },
 }
 
-// vecScanOf reports whether the tree rooted at node is a vectorizable scan
-// chain, returning its pipeline. The translator's vec qualification in
-// internal/modeling mirrors this exactly; partitioned tables are excluded
-// because partition routing takes precedence in every mode.
-func vecScanOf(ctx *Ctx, node plan.Node) *plan.ScanPipeline {
-	p := plan.FuseScan(node)
-	if p == nil {
-		return nil
-	}
-	src, ok := p.Source.(*plan.SeqScanNode)
-	if !ok {
-		return nil
-	}
-	tbl := ctx.DB.Table(src.Table)
-	if tbl == nil || tbl.PartitionCount() > 1 {
-		return nil
-	}
-	return p
-}
-
-// vecStage is the per-stage bookkeeping of one vectorized pass: exactly one
-// of pred/exprs is set (the source's own filter runs as the first stage).
-// Widths sample one live lane per chunk — enough for the replayed SeqRead
-// charge, with no per-row measurement on the hot path.
-type vecStage struct {
-	pred   plan.Expr
-	exprs  []plan.Expr
-	inRows int
-	chunks int
-	wSum   int
-}
-
-func (st *vecStage) opsPerRow() float64 {
-	if st.pred != nil {
-		return st.pred.Ops()
-	}
-	ops := 0.0
-	for _, e := range st.exprs {
-		ops += e.Ops()
-	}
-	return ops
-}
-
-// note records a chunk of k live lanes entering the stage.
-func (st *vecStage) note(b *vec.Batch, k int) {
-	st.inRows += k
+// note records a chunk's live lanes entering the stage. Widths sample one
+// live lane per chunk — enough for the SeqRead charge billed afterwards,
+// with no per-row measurement on the hot path.
+func (st *chainStage) note(b *vec.Batch) {
+	st.inRows += b.Live()
 	st.chunks++
 	st.wSum += b.LaneBytes(b.Sel()[0])
 }
 
-// runVecScan drives one vectorized pass over the pipeline's unpartitioned
-// sequential-scan source, feeding every surviving row to sink, then emits
-// the VEC_SCAN and per-stage VEC_FILTER brackets. When the chain has no
-// projection, emitted tuples are the storage layer's own (bit-identical to
-// the interpreted path, zero copies); otherwise survivors materialize from
+// emitVecFilter bills one filter or projection stage over inRows lanes as a
+// VEC_FILTER OU.
+func emitVecFilter(ctx *Ctx, inRows, width, opsPerRow float64) {
+	start := ctx.Tracker.Start()
+	ops := inRows * opsPerRow
+	ctx.Thread().SeqRead(inRows, width)
+	ctx.vecCompute(ops*vecFilterCostPerOp + vecBatches(inRows)*vecBatchOverhead)
+	ctx.Tracker.Stop(ou.VecFilter, ou.VecFilterFeatures(inRows, ops, vec.BatchRows), start)
+}
+
+// runVecPass drives one vectorized pass over an unpartitioned sequential
+// scan, feeding every surviving row to sink, then bills the VEC_SCAN and
+// per-stage VEC_FILTER brackets. The source's column projection is a free
+// columnar view change. When the chain has no projection (keepRows),
+// emitted tuples are the storage layer's own (bit-identical to the
+// materialize driver's, zero copies); otherwise survivors materialize from
 // the batch into arena storage.
-func runVecScan(ctx *Ctx, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
-	src, ok := p.Source.(*plan.SeqScanNode)
-	if !ok {
-		return fmt.Errorf("exec: vectorized pipeline source must be a seq scan, got %T", p.Source)
-	}
+func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows bool, sink func(storage.RowID, storage.Tuple)) error {
 	tbl := ctx.DB.Table(src.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", src.Table)
 	}
 	id, ts := ctx.snapshot()
-
-	// Stage list in application order: the source's own filter first, then
-	// the wrapper stages bottom-up. The source's own column projection runs
-	// between the two as a free columnar view change (no stage, no OU).
-	stages := make([]vecStage, 0, len(p.Stages)+1)
-	srcFilter := -1
-	if src.Filter != nil {
-		srcFilter = 0
-		stages = append(stages, vecStage{pred: src.Filter})
-	}
-	for _, st := range p.Stages {
-		stages = append(stages, vecStage{pred: st.Pred, exprs: st.Exprs})
-	}
-	keepRows := p.HasRowIDs()
-
 	b := vec.GetBatch()
 	buf := vecScanBufPool.Get().(*[]storage.ScanRow)
 
@@ -152,24 +97,19 @@ func runVecScan(ctx *Ctx, p *plan.ScanPipeline, sink func(storage.RowID, storage
 		scanned += len(rows)
 		ctx.VecBatches++
 		b.Load(rows)
-		next := 0
-		if srcFilter == 0 {
-			stages[0].note(b, b.Live())
-			b.Filter(stages[0].pred)
-			next = 1
-		}
-		if src.Project != nil && b.Live() > 0 {
-			b.ProjectCols(src.Project)
-		}
-		for i := next; i < len(stages); i++ {
+		for i := range stages {
 			if b.Live() == 0 {
 				break
 			}
 			st := &stages[i]
-			st.note(b, b.Live())
-			if st.pred != nil {
+			switch {
+			case st.cols != nil:
+				b.ProjectCols(st.cols)
+			case st.pred != nil:
+				st.note(b)
 				b.Filter(st.pred)
-			} else {
+			default:
+				st.note(b)
 				b.ProjectExprs(st.exprs)
 			}
 		}
@@ -201,131 +141,16 @@ func runVecScan(ctx *Ctx, p *plan.ScanPipeline, sink func(storage.RowID, storage
 	feats := ou.VecScanFeatures(sc, cols, width, vec.BatchRows)
 	ctx.Tracker.Stop(ou.VecScan, feats, start)
 
-	// Per-stage bracket replay, in application order.
 	for i := range stages {
 		st := &stages[i]
-		start := ctx.Tracker.Start()
-		inRows := float64(st.inRows)
-		ops := inRows * st.opsPerRow()
+		if st.cols != nil {
+			continue
+		}
 		w := 0.0
 		if st.chunks > 0 {
 			w = float64(st.wSum) / float64(st.chunks)
 		}
-		ctx.Thread().SeqRead(inRows, w)
-		ctx.vecCompute(ops*vecFilterCostPerOp + vecBatches(inRows)*vecBatchOverhead)
-		ctx.Tracker.Stop(ou.VecFilter, ou.VecFilterFeatures(inRows, ops, vec.BatchRows), start)
+		emitVecFilter(ctx, float64(st.inRows), w, st.opsPerRow())
 	}
 	return nil
-}
-
-// execVecScan runs a vectorizable scan chain and materializes its output.
-func execVecScan(ctx *Ctx, p *plan.ScanPipeline) (*Batch, error) {
-	est := capHint(p.Source.Est().Rows)
-	rows := make([]storage.Tuple, 0, est)
-	keepIDs := p.HasRowIDs()
-	var rowIDs []storage.RowID
-	if keepIDs {
-		rowIDs = make([]storage.RowID, 0, est)
-	}
-	err := runVecScan(ctx, p, func(r storage.RowID, t storage.Tuple) {
-		rows = append(rows, t)
-		if keepIDs {
-			rowIDs = append(rowIDs, r)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{Rows: rows, RowIDs: rowIDs}, nil
-}
-
-// execHashJoinVec is the vectorized-mode hash join. The build side is the
-// fused path's: a real build into the Ctx-reused joinTable with charges
-// replayed in a HASHJOIN_BUILD bracket (features flagged interpreted, since
-// build cost is mode-independent here and the kind carries no vec profile).
-// The probe side streams the right input — batch-at-a-time when it is a
-// vectorizable scan chain — and replays as a VEC_PROBE bracket.
-func execHashJoinVec(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
-	left, err := Execute(ctx, n.Left)
-	if err != nil {
-		return nil, err
-	}
-
-	// Real build, charges replayed in the build bracket below.
-	jt := &ctx.jt
-	jt.reset(len(left.Rows))
-	for i, r := range left.Rows {
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.LeftKeys)
-		jt.insert(ctx.keyBuf, int32(i))
-	}
-
-	// Real probe: stream the right side.
-	rightWidths := getIntBuf()
-	defer putIntBuf(rightWidths)
-	rightRows, rightCols := 0, 0
-	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
-	var cur storage.Tuple
-	emit := func(row int32) {
-		out = append(out, ctx.arena.join(left.Rows[row], cur))
-	}
-	probe := func(_ storage.RowID, r storage.Tuple) {
-		rightRows++
-		if rightRows == 1 {
-			rightCols = len(r)
-		}
-		*rightWidths = append(*rightWidths, r.Bytes())
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.RightKeys)
-		cur = r
-		jt.probe(ctx.keyBuf, emit)
-	}
-	if rp := vecScanOf(ctx, n.Right); rp != nil {
-		// The probe-side pipeline's OU records (VEC_SCAN + stages) emit
-		// here, before the build/probe brackets — same relative order as
-		// the fused and operator-at-a-time paths.
-		if err := runVecScan(ctx, rp, probe); err != nil {
-			return nil, err
-		}
-	} else {
-		right, err := Execute(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range right.Rows {
-			probe(0, r)
-		}
-	}
-
-	// Build bracket replay — identical to execHashJoinFused's.
-	buildRows := float64(len(left.Rows))
-	keyBytes := 8.0 * float64(len(n.LeftKeys))
-	entryBytes := keyBytes + 8 + 16
-	htBytes := buildRows * entryBytes
-
-	start := ctx.Tracker.Start()
-	ctx.Thread().Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
-	nb := len(left.Rows)
-	ctx.compute(10 * float64(nb))
-	ctx.Thread().RandWrite(float64(nb), htBytes)
-	if ctx.JHTSleepEvery > 0 && nb > 0 {
-		ctx.Thread().Sleep(float64((nb-1)/ctx.JHTSleepEvery + 1))
-	}
-	card := float64(jt.distinct)
-	leftW := left.AvgWidth()
-	buildFeats := ou.ExecFeatures(buildRows, left.NumCols(), leftW, card, entryBytes, 1, ctx.compiled())
-	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
-
-	// Probe bracket replay, as a VEC_PROBE record.
-	start = ctx.Tracker.Start()
-	rr := float64(rightRows)
-	ctx.Thread().RandRead(rr, htBytes, 1)
-	ctx.vecCompute(rr*vecProbeCostPerRow + vecBatches(rr)*vecBatchOverhead)
-	outRows := float64(len(out))
-	rightW := sampledWidth(*rightWidths)
-	ctx.Thread().SeqWrite(outRows, leftW+rightW)
-	probeFeats := ou.VecProbeFeatures(rr+outRows, float64(rightCols), rightW,
-		card, leftW+rightW, vec.BatchRows)
-	ctx.Tracker.Stop(ou.VecProbe, probeFeats, start)
-
-	ctx.Thread().Free(htBytes) // the hash table is query-lifetime scratch
-	return &Batch{Rows: out}, nil
 }

@@ -60,7 +60,7 @@ func (tr *Translator) compiled() bool { return tr.Mode == catalog.Compile }
 
 func (tr *Translator) vectorized() bool { return tr.Mode == catalog.Vectorize }
 
-// vecFusible mirrors exec's vectorization qualification (exec.vecScanOf):
+// vecFusible mirrors exec's vectorization qualification (exec.chooseDriver):
 // the tree rooted at n is a fusable scan chain whose source is a sequential
 // scan of an unpartitioned table (under the what-if partition override).
 // Operators outside such chains fall back to the interpreter in vectorized
@@ -175,7 +175,7 @@ func sameCols(a, b []int) bool {
 // visitParallelScan translates a scan over a partitioned table: one
 // PARALLEL_SCAN invocation per partition (uniform-hash row estimate) on its
 // worker chain, the exchange merge on the session thread, then the filter.
-// The emission order matches exec.tryParallelScan exactly.
+// The emission order matches exec.exchangeScan exactly.
 func (tr *Translator) visitParallelScan(v *plan.SeqScanNode, parts int, out *[]OUInvocation) subtreeInfo {
 	tableRows := v.TableRows
 	if tableRows <= 0 {
@@ -290,7 +290,7 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		if tr.vectorized() {
 			// Batch-at-a-time scan: the source's own filter replays as a
 			// VEC_FILTER stage; its column projection is a free columnar
-			// view change (no OU), matching exec.runVecScan.
+			// view change (no OU), matching exec.runVecPass.
 			*out = append(*out, OUInvocation{Kind: ou.VecScan,
 				Features: ou.VecScanFeatures(tableRows, cols, width, vec.BatchRows)})
 			outRows := tr.noisy(v.Rows.Rows)
@@ -348,7 +348,7 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		outRows := tr.noisy(v.Rows.Rows)
 		if tr.vectorized() {
 			// Vectorized probes replace HASHJOIN_PROBE; the build keeps its
-			// interpreted-flagged HASHJOIN_BUILD (exec.execHashJoinVec).
+			// interpreted-flagged HASHJOIN_BUILD (exec.streamHashJoin).
 			*out = append(*out, OUInvocation{Kind: ou.VecProbe,
 				Features: ou.VecProbeFeatures(right.rows+outRows, right.cols, right.width,
 					card, left.width+right.width, vec.BatchRows)})
@@ -410,7 +410,7 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		}
 		if tr.vectorized() && tr.vecFusible(v) {
 			// A projection stage of a vectorized chain bills its expression
-			// work as a VEC_FILTER stage (exec.runVecScan).
+			// work as a VEC_FILTER stage (exec.runVecPass).
 			*out = append(*out, OUInvocation{Kind: ou.VecFilter,
 				Features: ou.VecFilterFeatures(child.rows, child.rows*opsPerRow, vec.BatchRows)})
 		} else {

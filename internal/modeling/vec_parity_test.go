@@ -62,7 +62,7 @@ func recordedIn(t *testing.T, db *engine.DB, mode catalog.ExecutionMode, q plan.
 	ctx := &exec.Ctx{
 		DB:      db,
 		Tracker: metrics.NewTracker(col, hw.NewThread(hw.DefaultCPU())),
-		Mode:    mode, Contenders: 1,
+		Mode:    mode, Contenders: 1, DOP: db.Knobs().ScanDOP,
 	}
 	if _, err := exec.Execute(ctx, q); err != nil {
 		t.Fatal(err)
@@ -101,13 +101,22 @@ func compareStreams(t *testing.T, recorded []metrics.Record, translated []OUInvo
 
 // TestTranslatorMatchesExecutorAllModes pins the translator's emission to
 // the executor's recorded OU stream in every execution mode — interpreted,
-// compiled (fused), and vectorized — over a filtered scan, a scan chain
-// with wrapper filter/projection stages, and a hash join with a streamed
-// probe side. This is the parity contract that makes PredictQuery's
-// three-way mode pricing trustworthy.
+// compiled (fused), and vectorized — over a filtered scan, scan chains with
+// wrapper filter/projection stages, and hash joins with a streamed probe
+// side, on an unpartitioned database and on one hashed four ways (where
+// every mode must take the partition exchange). This is the parity contract
+// that makes PredictQuery's three-way mode pricing trustworthy.
 func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 	const n = 1000
-	db := newVecTestDB(t, n)
+	dbs := []struct {
+		suffix string
+		db     *engine.DB
+		parts  int
+	}{
+		{"", newVecTestDB(t, n), 1},
+		{"/parts4", newPartitionedTestDB(t, n, 4, 2), 4},
+	}
+	lowIDs := plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(n / 2)}
 
 	queries := []struct {
 		name string
@@ -115,7 +124,7 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 	}{
 		{"filtered-scan", &plan.SeqScanNode{
 			Table:  "items",
-			Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(n / 2)},
+			Filter: lowIDs,
 			Rows:   plan.Estimates{Rows: n / 2},
 		}},
 		{"scan-chain", &plan.ProjectNode{
@@ -136,30 +145,55 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 			RightKeys: []int{0},
 			Rows:      plan.Estimates{Rows: n / 2, Distinct: n},
 		}},
+		{"filter-over-scan", &plan.FilterNode{
+			Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
+			Pred:  lowIDs,
+			Rows:  plan.Estimates{Rows: n / 2},
+		}},
+		{"hash-join-filtered-probe", &plan.HashJoinNode{
+			Left: &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: n / 2}},
+			Right: &plan.FilterNode{
+				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
+				Pred:  lowIDs,
+				Rows:  plan.Estimates{Rows: n / 2},
+			},
+			LeftKeys:  []int{0},
+			RightKeys: []int{0},
+			Rows:      plan.Estimates{Rows: n / 2, Distinct: n / 2},
+		}},
 	}
 	modes := []catalog.ExecutionMode{catalog.Interpret, catalog.Compile, catalog.Vectorize}
 
-	for _, q := range queries {
-		for _, mode := range modes {
-			t.Run(q.name+"/"+mode.String(), func(t *testing.T) {
-				recorded := recordedIn(t, db, mode, q.node)
-				translated := NewTranslator(db, mode).TranslatePlan(q.node)
-				compareStreams(t, recorded, translated)
-
-				vecRecs := 0
-				for _, inv := range translated {
-					switch inv.Kind {
-					case ou.VecScan, ou.VecFilter, ou.VecProbe:
-						vecRecs++
+	for _, d := range dbs {
+		for _, q := range queries {
+			for _, mode := range modes {
+				t.Run(q.name+"/"+mode.String()+d.suffix, func(t *testing.T) {
+					recorded := recordedIn(t, d.db, mode, q.node)
+					translated := NewTranslator(d.db, mode).TranslatePlan(q.node)
+					if d.parts > 1 {
+						// Per-partition features carry hash skew, and a
+						// partitioned scan leaves vectorized mode nothing
+						// to batch: only the streams must agree.
+						comparePartitioned(t, recorded, translated)
+						return
 					}
-				}
-				if mode == catalog.Vectorize && vecRecs == 0 {
-					t.Error("vectorized translation emitted no VEC_* invocations")
-				}
-				if mode != catalog.Vectorize && vecRecs != 0 {
-					t.Errorf("%v translation emitted %d VEC_* invocations", mode, vecRecs)
-				}
-			})
+					compareStreams(t, recorded, translated)
+
+					vecRecs := 0
+					for _, inv := range translated {
+						switch inv.Kind {
+						case ou.VecScan, ou.VecFilter, ou.VecProbe:
+							vecRecs++
+						}
+					}
+					if mode == catalog.Vectorize && vecRecs == 0 {
+						t.Error("vectorized translation emitted no VEC_* invocations")
+					}
+					if mode != catalog.Vectorize && vecRecs != 0 {
+						t.Errorf("%v translation emitted %d VEC_* invocations", mode, vecRecs)
+					}
+				})
+			}
 		}
 	}
 }

@@ -177,6 +177,9 @@ func (s *Server) handleConn(conn Conn) {
 			}
 			err = reply(conn, MsgKillOK, encodeKillOK(s.reg.Kill(id, nil)))
 		case MsgClose:
+			// Reap the session before saying goodbye: once Client.Close
+			// returns, the process list no longer shows it.
+			sess.Close()
 			_ = reply(conn, MsgBye, nil)
 			return
 		default:

@@ -197,4 +197,19 @@ func TestServerDisconnectFreesProcessList(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+
+	// Polite close: BYE is sent after the session is reaped, so the
+	// process list is already empty when Client.Close returns.
+	for i := 0; i < 200; i++ {
+		cl, err := Dial(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := srv.Registry().Len(); n != 0 {
+			t.Fatalf("close %d: %d sessions still registered after Client.Close", i, n)
+		}
+	}
 }
