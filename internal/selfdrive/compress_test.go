@@ -1,6 +1,7 @@
 package selfdrive
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -17,30 +18,45 @@ func compressedConfig() Config {
 	return cfg
 }
 
-// TestDriveLoopPinnedDigests pins the default and partitioned seeded-run
-// digests with compression off: the clustering layer must leave the
-// historical replay byte-for-byte untouched. If either constant moves, the
-// uncompressed code path changed behavior — that is a regression, not a
-// test to update.
+// TestDriveLoopPinnedDigests pins one seeded run per arm of the loop: the
+// plain drive, the partitioned one, every workload shape (exploded,
+// compressed, each load curve) and both drills. The digest fingerprints
+// counts, observed latencies, modes and actions; the two MAPEs (as float
+// bits) also pin the forecast's entry order and float reduction order,
+// which the digest only sees once they move an action. If a constant
+// moves, behavior changed — that is a regression, not a test to update.
 func TestDriveLoopPinnedDigests(t *testing.T) {
 	ms := sharedModels(t)
-
-	res, err := Run(DefaultConfig(), ms)
-	if err != nil {
-		t.Fatal(err)
+	six := func(set func(*Config)) Config {
+		cfg := DefaultConfig()
+		cfg.Intervals = 6
+		set(&cfg)
+		return cfg
 	}
-	if const1 := uint64(0xb52d5068f447d5a2); res.Digest != const1 {
-		t.Errorf("default run digest = %#x, want %#x", res.Digest, const1)
+	cases := []struct {
+		name                  string
+		cfg                   Config
+		digest, mape, volMAPE uint64
+	}{
+		{"default", DefaultConfig(), 0xb52d5068f447d5a2, 0x3fe22a3490fe7c36, 0x3fc9e85269799e84},
+		{"partitions4", func() Config { c := DefaultConfig(); c.Partitions = 4; return c }(), 0xe2cbeb21cd10d0ee, 0x3fe05191ff564967, 0x3fc9e85269799e84},
+		{"compressed", compressedConfig(), 0x283877d9ae1bb61, 0x403fbb39533d8a55, 0x3fdec873ba0a9712},
+		{"exploded", six(func(c *Config) { c.Templates = 32 }), 0x55d340a5bfd6004e, 0x3fe2d8dc0ee53eac, 0x3fe7ec04fec04fec},
+		{"diurnal", six(func(c *Config) { c.LoadCurve = LoadDiurnal }), 0x56363f4816590d69, 0x403d05cfbae7e78f, 0x3fe70e70e70e70e7},
+		{"flash", six(func(c *Config) { c.LoadCurve = LoadFlash }), 0xa777b0cc3d233e8, 0x3fe1d1da2978054a, 0x3ff0200000000000},
+		{"crash-every-2", six(func(c *Config) { c.CrashEvery = 2 }), 0xcf5a5baeda153181, 0x3fe23802090d854b, 0x3fcc000000000000},
+		{"failover-every-3", six(func(c *Config) { c.FailoverEvery = 3 }), 0x6592b6ff6c8331d0, 0x3fe23802090d854b, 0x3fcc000000000000},
+		{"partitions4-dop2", six(func(c *Config) { c.Partitions, c.DOP = 4, 2 }), 0x6d25440bf09e674, 0x3fcf1759de266d26, 0x3fcc000000000000},
 	}
-
-	cfg := DefaultConfig()
-	cfg.Partitions = 4
-	pres, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if const2 := uint64(0xe2cbeb21cd10d0ee); pres.Digest != const2 {
-		t.Errorf("partitioned run digest = %#x, want %#x", pres.Digest, const2)
+	for _, tc := range cases {
+		res, err := Run(tc.cfg, ms)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		got := [3]uint64{res.Digest, math.Float64bits(res.MAPE), math.Float64bits(res.VolumeMAPE)}
+		if want := [3]uint64{tc.digest, tc.mape, tc.volMAPE}; got != want {
+			t.Errorf("%s: digest, MAPE bits, volume-MAPE bits = %#x, want %#x", tc.name, got, want)
+		}
 	}
 }
 
