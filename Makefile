@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: tier1 build test race stress crash fuzz vet bench-smoke check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl bench-gate
+.PHONY: tier1 build test race stress crash fuzz vet bench-smoke drive-smoke check-bench-exec bench-train bench-drive bench-exec bench-partition bench-server check-bench-server bench-compress check-bench-compress bench-repl check-bench-repl bench-gate
 
 # tier1 is the full pre-merge gate: static checks, build, the whole test
 # suite under the race detector (including the internal/check concurrency
@@ -39,12 +39,20 @@ fuzz:
 
 # bench-smoke executes every (pipeline, variant) benchmark and every
 # partition-sweep cell once — a correctness smoke, not a measurement — and
-# checks the committed BENCH_exec.json still records every execution mode.
+# checks the committed BENCH_exec.json still records every execution mode,
+# then drives mb2-drive through every workload arm (drive-smoke).
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
+	@$(MAKE) --no-print-directory drive-smoke
 	@$(MAKE) --no-print-directory check-bench-exec
 	@$(MAKE) --no-print-directory check-bench-compress
 	@$(MAKE) --no-print-directory check-bench-repl
+
+# drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a
+# short run with the exploder, compression, a load curve and both drills
+# on, replayed by -verify.
+drive-smoke:
+	$(GO) run ./cmd/mb2-drive -intervals 4 -templates 16 -clusters 4 -load-curve diurnal -crash-every 2 -failover-every 4 -verify
 
 # check-bench-exec fails unless BENCH_exec.json covers all three
 # planner-selectable execution modes (plus the unfused compiled ablation),

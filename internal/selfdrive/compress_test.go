@@ -3,6 +3,7 @@ package selfdrive
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -155,8 +156,8 @@ func TestDriveLoopExplodedUncompressed(t *testing.T) {
 }
 
 // TestDriveLoopLoadCurves replays each load curve twice: the curves must be
-// deterministic, and diurnal/flash runs must diverge from the flat run
-// (i.e., the curve actually modulates volume).
+// deterministic, diurnal/flash runs must diverge from the flat run (i.e.,
+// the curve actually modulates volume), and an unknown curve is rejected.
 func TestDriveLoopLoadCurves(t *testing.T) {
 	ms := sharedModels(t)
 	run := func(curve string) *Result {
@@ -182,6 +183,20 @@ func TestDriveLoopLoadCurves(t *testing.T) {
 	}
 	if digests[LoadFlash] == digests[LoadFlat] {
 		t.Fatal("flash curve produced the flat digest — curve had no effect")
+	}
+
+	// An unknown curve is an error naming the accepted values, not a silent
+	// flat run.
+	bogus := DefaultConfig()
+	bogus.LoadCurve = "bogus"
+	if _, err := Run(bogus, ms); err == nil {
+		t.Fatal("LoadCurve \"bogus\" ran without error")
+	} else {
+		for _, want := range []string{"bogus", LoadFlat, LoadDiurnal, LoadFlash} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("unknown-curve error %q does not name %q", err, want)
+			}
+		}
 	}
 
 	// Flash volume spike is visible in the interval reports.

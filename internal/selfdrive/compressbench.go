@@ -2,7 +2,6 @@ package selfdrive
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"mb2/internal/engine"
 	"mb2/internal/forecast"
 	"mb2/internal/modeling"
+	"mb2/internal/plan"
 	"mb2/internal/planner"
 	"mb2/internal/workload"
 )
@@ -108,7 +108,6 @@ func RunCompressBench(cfg CompressBenchConfig, ms *modeling.ModelSet) (*Compress
 	}
 
 	res := &CompressBenchResult{}
-	var lastUncompressed, lastCompressed float64
 	for _, n := range cfg.TemplateCounts {
 		for _, compressed := range []bool{false, true} {
 			pt, err := runCompressPoint(cfg, db, ms, n, compressed)
@@ -116,66 +115,49 @@ func RunCompressBench(cfg CompressBenchConfig, ms *modeling.ModelSet) (*Compress
 				return nil, err
 			}
 			res.Points = append(res.Points, pt)
-			if n == cfg.TemplateCounts[len(cfg.TemplateCounts)-1] {
-				if compressed {
-					lastCompressed = pt.ForecastPlanUSPerInterval
-				} else {
-					lastUncompressed = pt.ForecastPlanUSPerInterval
-				}
-			}
 		}
 	}
-	if lastCompressed > 0 {
-		res.SpeedupMaxN = lastUncompressed / lastCompressed
+	// The last two points are the largest population, uncompressed then
+	// compressed.
+	last := res.Points[len(res.Points)-2:]
+	if last[1].ForecastPlanUSPerInterval > 0 {
+		res.SpeedupMaxN = last[0].ForecastPlanUSPerInterval / last[1].ForecastPlanUSPerInterval
 	}
 	return res, nil
 }
 
-// compressPointIntervals trims large uncompressed points: their
-// per-interval cost is the thing being demonstrated, and a handful of
-// intervals measures it without letting the sweep run for minutes.
-func compressPointIntervals(cfg CompressBenchConfig, n int, compressed bool) int {
-	if compressed || n <= 10_000 {
-		return cfg.Intervals
-	}
-	if cfg.Intervals > 4 {
-		return 4
-	}
-	return cfg.Intervals
-}
-
 func runCompressPoint(cfg CompressBenchConfig, db *engine.DB, ms *modeling.ModelSet, n int, compressed bool) (CompressPoint, error) {
-	intervals := compressPointIntervals(cfg, n, compressed)
+	// Large uncompressed points are trimmed: their per-interval cost is the
+	// thing being demonstrated, and a handful of intervals measures it
+	// without letting the sweep run for minutes.
+	intervals := cfg.Intervals
+	if !compressed && n > 10_000 {
+		intervals = min(intervals, 4)
+	}
 	pt := CompressPoint{Templates: n, Compressed: compressed, Intervals: intervals}
 
 	driveCfg := DefaultConfig()
-	driveCfg.Seed = cfg.Seed
-	driveCfg.Intervals = intervals
-	driveCfg.LoadCurve = LoadDiurnal
-	// Period double the run length: the curve is a rising-then-easing hump
-	// with no near-zero trough, so late-interval trends stay positive and
-	// every planning step sees a live forecast.
-	driveCfg.LoadPeriod = 2 * cfg.Intervals
 	driveCfg.SkewShiftAt = intervals / 2
 	if n > len(scenarioBases) {
 		driveCfg.Templates = n
 	}
-	sc := newScenario(driveCfg)
-	population := benchPopulation(sc, n)
+	if compressed {
+		driveCfg.Clusters = cfg.Clusters
+	}
+	// The trace's day is double the run length: the curve is a
+	// rising-then-easing hump with no near-zero trough, so late-interval
+	// trends stay positive and every planning step sees a live forecast.
+	period := 2 * cfg.Intervals
+	sc, err := newScenario(driveCfg)
+	if err != nil {
+		return pt, err
+	}
+	population := benchPopulation(sc)
 	sample := benchSample(population, 1024)
 
-	var clusterer *forecast.Clusterer
-	var hist *forecast.History
-	if compressed {
-		clusterer = forecast.NewClusterer(cfg.Clusters, driveCfg.ClusterTolerance)
-		hist = forecast.NewClusteredHistory(driveCfg.IntervalUS, driveCfg.HistoryWindow, clusterer)
-	} else {
-		hist = forecast.NewWindowedHistory(driveCfg.IntervalUS, driveCfg.HistoryWindow)
-	}
-	fc := forecast.Forecaster{Window: driveCfg.HistoryWindow}
+	hist := newHistory(driveCfg.IntervalUS, driveCfg.HistoryWindow, driveCfg.Clusters)
 	p := planner.New(db, ms)
 	p.Cache = modeling.NewPredictionCache()
-	mode := db.Knobs().ExecutionMode
 	// A deliberately narrow action space: one candidate per family. The
 	// bench measures how inference cost scales with forecast size, not
 	// how many candidates the planner can afford to weigh.
@@ -185,80 +167,56 @@ func runCompressPoint(cfg CompressBenchConfig, db *engine.DB, ms *modeling.Model
 		PartitionCandidates: []int{2},
 		DOPCandidates:       []int{2},
 	}
+	rep := func(name string) plan.Node { return sc.repFor(name, nil) }
 
-	var ingestUS, fpUS, fpMaxUS float64
+	var ingestUS, fpUS float64
 	fpSteps := 0
-	var volPred, volObs []float64
-	var pendingCounts map[string]float64
-	var pendingClusterPred []float64
+	var volume volumeScore
 
 	for i := 0; i < intervals; i++ {
-		counts := syntheticCounts(sc, population, i)
+		counts := syntheticCounts(sc, population, i, period)
 
 		start := time.Now()
-		if clusterer != nil {
-			sc.registerTemplates(clusterer, db, counts)
-		}
+		sc.registerTemplates(hist.Clusterer(), db, counts)
 		hist.Append(counts)
 		ingestUS += float64(time.Since(start).Microseconds())
 
 		// Score last step's volume predictions on the sampled templates.
-		if pendingCounts != nil || pendingClusterPred != nil {
-			fan := pendingCounts
-			if pendingClusterPred != nil {
-				fan = hist.FanOut(pendingClusterPred, sample)
-			}
-			for _, name := range sample {
-				volPred = append(volPred, fan[name])
-				volObs = append(volObs, counts[name])
-			}
-			pendingCounts, pendingClusterPred = nil, nil
-		}
+		volume.settle(counts, sample)
 
 		if hist.Len() < 2 || i == intervals-1 {
 			continue
 		}
 		start = time.Now()
-		var f modeling.IntervalForecast
-		if clusterer != nil {
-			f, pendingClusterPred = buildForecastClustered(hist, fc, driveCfg, sc, nil)
-		} else {
-			f, pendingCounts = buildForecast(hist, fc, driveCfg, sc, nil)
-		}
-		if _, err := p.PlanActions(mode, f, candCfg); err != nil {
+		volume.pending = predictVolumes(hist, driveCfg.HistoryWindow)
+		f := volume.pending.forecast(driveCfg.IntervalUS, driveCfg.Sessions, rep)
+		if _, err := p.PlanActions(db.Knobs().ExecutionMode, f, candCfg); err != nil {
 			return pt, err
 		}
 		stepUS := float64(time.Since(start).Microseconds())
 		fpUS += stepUS
-		if stepUS > fpMaxUS {
-			fpMaxUS = stepUS
-		}
+		pt.ForecastPlanMaxUS = max(pt.ForecastPlanMaxUS, stepUS)
 		fpSteps++
-		if len(f.Queries) > pt.ForecastQueries {
-			pt.ForecastQueries = len(f.Queries)
-		}
+		pt.ForecastQueries = max(pt.ForecastQueries, len(f.Queries))
 	}
 
 	if fpSteps > 0 {
 		pt.ForecastPlanUSPerInterval = fpUS / float64(fpSteps)
 	}
-	pt.ForecastPlanMaxUS = fpMaxUS
 	pt.IngestUSPerInterval = ingestUS / float64(intervals)
-	pt.VolumeMAPE = forecast.MAPE(volPred, volObs)
+	pt.VolumeMAPE = forecast.MAPE(volume.pred, volume.obs)
 	pt.CacheEvictions = p.Cache.Evictions()
-	if clusterer != nil {
-		pt.Clusters = clusterer.Len()
+	if c := hist.Clusterer(); c != nil {
+		pt.Clusters = c.Len()
 	}
 	return pt, nil
 }
 
 // benchPopulation lists the point's template names: the four bases for the
-// historical population, the exploded variant set otherwise.
-func benchPopulation(sc *scenario, n int) []string {
+// plain population, the exploded variant set otherwise.
+func benchPopulation(sc *scenario) []string {
 	if !sc.exploded() {
-		out := make([]string, len(scenarioBases))
-		copy(out, scenarioBases[:])
-		return out
+		return scenarioBases[:]
 	}
 	var out []string
 	for b := range scenarioBases {
@@ -285,29 +243,21 @@ func benchSample(population []string, max int) []string {
 
 // syntheticCounts generates one interval's per-template volumes: a
 // hash-derived base volume per template, a hot subset carrying 4x volume
-// (rotated by the skew shift), all scaled by the diurnal load curve.
-// Every template is active every interval — the production-trace shape
-// where per-template iteration hurts most. Purely hash-derived: the same
-// (population, interval) always yields the same counts.
-func syntheticCounts(sc *scenario, population []string, interval int) map[string]float64 {
-	period := sc.cfg.LoadPeriod
-	if period < 2 {
-		period = 8
-	}
-	curve := 0.6 + 0.5*math.Sin(2*math.Pi*float64(interval)/float64(period))
+// (rotated by the skew shift), all scaled by the diurnal curve over a day
+// of period intervals. Every template is active every interval — the
+// production-trace shape where per-template iteration hurts most. Purely
+// hash-derived: the same (population, interval) always yields the same
+// counts.
+func syntheticCounts(sc *scenario, population []string, interval, period int) map[string]float64 {
+	curve := diurnal(interval, period)
 	shift := sc.cfg.SkewShiftAt > 0 && interval >= sc.cfg.SkewShiftAt
 
+	nv := len(population) / len(scenarioBases) // variants per base (>= 1)
 	counts := make(map[string]float64, len(population))
 	for _, name := range population {
-		h := fnv.New64a()
-		h.Write([]byte(name))
-		base := 1 + float64(h.Sum64()%16)
+		base := 1 + float64(nameHash(name)%16)
 		_, ord := splitVariant(name)
 		if ord >= 0 {
-			nv := len(population) / len(scenarioBases)
-			if nv < 1 {
-				nv = 1
-			}
 			hotOrd := ord
 			if shift {
 				hotOrd = (ord + nv/2) % nv

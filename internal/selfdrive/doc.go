@@ -1,11 +1,31 @@
-// Package selfdrive closes MB2's loop (Sec 8.7): it drives a live engine.DB
-// under concurrent seeded workload sessions and, at each planning interval,
-// (1) aggregates per-template query counts and resource metrics streamed
-// from the live execution path, (2) forecasts the next interval's volumes,
-// (3) generates and ranks candidate actions — an execution-mode flip and
-// index builds over hot predicate columns at several thread counts — with
-// the planner, and (4) applies the winning action against the running
-// system, recording predicted-vs-observed interval latency.
+// Package selfdrive closes MB2's loop (Sec 8.7): observe → forecast → plan
+// → act against a live engine.DB, with one implementation of each stage.
+//
+//   - scenario (scenario.go) is the workload: a template population (the
+//     four TPC-C read templates, optionally exploded into synthetic
+//     variants), a load curve, and the one generator that draws every
+//     session's seeded query list from them. It also resolves a template
+//     name to its canonical representative plan.
+//   - volumes (control.go) is the forecast: predictVolumes runs the
+//     forecaster over the (optionally clustered) history, volumes.forecast
+//     turns the predictions plus a name → representative-plan lookup into
+//     the modeling.IntervalForecast inference consumes, and
+//     volumes.perTemplate fans them back out for volume-MAPE accounting.
+//   - controller (control.go) is the control step: publish a finished index
+//     build, rank candidate actions with planner.PlanActions, apply the
+//     first that clears the improvement threshold (passing over index
+//     builds while one is in flight), and record one AppliedAction.
+//   - digest (digest.go) folds everything observable into the run's
+//     fingerprint.
+//
+// Run drives these over a TPC-C database it loads and a workload it
+// generates, charging an in-flight build the throughput whole-machine
+// contention leaves it and recording predicted-vs-observed interval
+// latency. LiveController drives the same controller and forecast builder
+// over whatever traffic a live session.Registry carries, forecasting over
+// the plans that traffic surfaced. RunCompressBench times the forecast
+// builder and the planner across template populations with and without
+// workload compression.
 //
 // # Determinism
 //

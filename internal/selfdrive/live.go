@@ -1,8 +1,6 @@
 package selfdrive
 
 import (
-	"fmt"
-
 	"mb2/internal/forecast"
 	"mb2/internal/modeling"
 	"mb2/internal/plan"
@@ -19,13 +17,6 @@ type LiveConfig struct {
 	HistoryWindow int
 	// PlanEvery plans at every Nth tick (1 = every tick).
 	PlanEvery int
-	// ThreadCandidates, MaxImpactRatio, MinImprovement: the planner
-	// knobs, as in Config.
-	ThreadCandidates    []int
-	MaxImpactRatio      float64
-	MinImprovement      float64
-	PartitionCandidates []int
-	DOPCandidates       []int
 }
 
 func (cfg LiveConfig) withDefaults() LiveConfig {
@@ -39,36 +30,23 @@ func (cfg LiveConfig) withDefaults() LiveConfig {
 	if cfg.PlanEvery < 1 {
 		cfg.PlanEvery = 1
 	}
-	if len(cfg.ThreadCandidates) == 0 {
-		cfg.ThreadCandidates = d.ThreadCandidates
-	}
-	if cfg.MaxImpactRatio <= 0 {
-		cfg.MaxImpactRatio = d.MaxImpactRatio
-	}
-	if cfg.MinImprovement <= 0 {
-		cfg.MinImprovement = d.MinImprovement
-	}
 	return cfg
 }
 
 // LiveController closes the self-driving loop over a live process list:
 // whatever front end feeds the registry (the wire server, an embedded
 // harness), each Tick drains the sessions' observations, extends the
-// forecast history, and — on planning ticks — selects and applies the
-// winning action through the what-if planner. Unlike Run, it does not
-// construct the workload: it forecasts over the representative plans the
-// traffic itself surfaced.
+// forecast history, and — on planning ticks — runs the same control step
+// as Run. Unlike Run, it does not construct the workload: it forecasts over
+// the representative plans the traffic itself surfaced.
 type LiveController struct {
 	reg  *session.Registry
-	p    *planner.Planner
+	ctl  controller
 	cfg  LiveConfig
 	hist *forecast.History
-	fc   forecast.Forecaster
 
-	ticks   int
-	reps    map[string]plan.Node
-	build   *planner.BuildHandle
-	actions []AppliedAction
+	ticks int
+	reps  map[string]plan.Node
 }
 
 // NewLiveController attaches a controller to a process list.
@@ -78,16 +56,15 @@ func NewLiveController(reg *session.Registry, ms *modeling.ModelSet, cfg LiveCon
 	p.Cache = modeling.NewPredictionCache()
 	return &LiveController{
 		reg:  reg,
-		p:    p,
+		ctl:  controller{p: p, cand: planner.CandidateConfig{MaxImpactRatio: maxImpactRatio}},
 		cfg:  cfg,
-		hist: forecast.NewWindowedHistory(cfg.IntervalUS, cfg.HistoryWindow),
-		fc:   forecast.Forecaster{Window: cfg.HistoryWindow},
+		hist: newHistory(cfg.IntervalUS, cfg.HistoryWindow, 0),
 		reps: make(map[string]plan.Node),
 	}
 }
 
 // Actions returns everything the controller has applied so far.
-func (c *LiveController) Actions() []AppliedAction { return c.actions }
+func (c *LiveController) Actions() []AppliedAction { return c.ctl.actions }
 
 // History exposes the forecast store (observability).
 func (c *LiveController) History() *forecast.History { return c.hist }
@@ -96,110 +73,40 @@ func (c *LiveController) History() *forecast.History { return c.hist }
 // one forecast-plan-act step. It returns the actions applied this tick.
 func (c *LiveController) Tick() ([]AppliedAction, error) {
 	obs := c.reg.DrainObservations()
-	// Remember the first representative plan live traffic surfaced per
-	// template: the plans the forecast predicts over.
+	// Keep the newest representative plan live traffic surfaced per
+	// template: the plans that run now (after an index publish, the index
+	// scans) are the ones the forecast must predict over.
 	for name, node := range obs.Reps {
-		if _, ok := c.reps[name]; !ok {
-			c.reps[name] = node
-		}
+		c.reps[name] = node
 	}
 	c.hist.Append(obs.Counts)
 	tick := c.ticks
 	c.ticks++
-
-	var applied []AppliedAction
+	before := len(c.ctl.actions)
 
 	// Advance an in-progress build: the live controller charges dedicated
 	// build threads at unit speed (it does not model whole-machine
 	// contention the way the embedded loop does).
-	if c.build != nil {
-		for j := 0; j < c.build.Threads; j++ {
-			c.build.Advance(j, c.cfg.IntervalUS)
-		}
-		if c.build.Done() {
-			if err := c.build.Publish(c.reg.DB()); err != nil {
-				return nil, fmt.Errorf("selfdrive: publishing %s: %w", c.build.Candidate.Name, err)
-			}
-			applied = append(applied, AppliedAction{
-				Interval: tick, Kind: "index-publish", Detail: c.build.Candidate.Name,
-			})
-			c.build = nil
+	if b := c.ctl.build; b != nil {
+		for j := 0; j < b.Threads; j++ {
+			b.Advance(j, c.cfg.IntervalUS)
 		}
 	}
-
+	if err := c.ctl.publishIfDone(tick); err != nil {
+		return nil, err
+	}
 	if c.hist.Len() >= 2 && c.ticks%c.cfg.PlanEvery == 0 {
-		f := c.liveForecast()
-		if len(f.Queries) > 0 {
-			mode := c.reg.DB().Knobs().ExecutionMode
-			actions, err := c.p.PlanActions(mode, f, planner.CandidateConfig{
-				ThreadCandidates:    c.cfg.ThreadCandidates,
-				MaxImpactRatio:      c.cfg.MaxImpactRatio,
-				PartitionCandidates: c.cfg.PartitionCandidates,
-				DOPCandidates:       c.cfg.DOPCandidates,
-			})
-			if err != nil {
-				return nil, err
-			}
-			for _, a := range actions {
-				if a.PredictedImprovement < c.cfg.MinImprovement {
-					break // sorted best-first: nothing further qualifies
-				}
-				if a.Kind == planner.ActionIndexBuild && c.build != nil {
-					continue // one build at a time
-				}
-				handle, err := c.p.Apply(a, nil)
-				if err != nil {
-					return nil, fmt.Errorf("selfdrive: applying %v: %w", a, err)
-				}
-				kind, detail := "mode-change", a.Mode.String()
-				switch a.Kind {
-				case planner.ActionIndexBuild:
-					kind = "index-build-start"
-					detail = fmt.Sprintf("%s threads=%d", a.Index.Name, a.Threads)
-					c.build = handle
-				case planner.ActionRepartition:
-					kind = "repartition"
-					detail = fmt.Sprintf("parts=%d", a.Partitions)
-				case planner.ActionSetDOP:
-					kind = "set-dop"
-					detail = fmt.Sprintf("dop=%d", a.DOP)
-				}
-				applied = append(applied, AppliedAction{
-					Interval: tick, Kind: kind, Detail: detail,
-					PredictedImprovement: a.PredictedImprovement,
-				})
-				break // apply the winning action only
-			}
+		if err := c.ctl.act(tick, c.forecast()); err != nil {
+			return nil, err
 		}
 	}
-	c.actions = append(c.actions, applied...)
-	return applied, nil
+	return c.ctl.actions[before:], nil
 }
 
-// liveForecast builds the inference input from the forecast history and
-// the representative plans live traffic surfaced. Threads reflects the
-// process list's current concurrency.
-func (c *LiveController) liveForecast() modeling.IntervalForecast {
-	predictions := c.fc.ForecastAll(c.hist, 1)
-	counts := make(map[string]float64, len(predictions))
-	for name, series := range predictions {
-		if len(series) > 0 {
-			counts[name] = series[0]
-		}
-	}
-	threads := c.reg.Len()
-	if threads < 1 {
-		threads = 1
-	}
-	f := modeling.IntervalForecast{IntervalUS: c.cfg.IntervalUS, Threads: threads}
-	for _, name := range sortedTemplates(counts) {
-		rep, ok := c.reps[name]
-		if !ok || counts[name] <= 0 {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: counts[name], Fingerprint: plan.Fingerprint(rep),
-		})
-	}
-	return f
+// forecast builds the inference input from the forecast history and the
+// representative plans live traffic surfaced. Threads reflects the process
+// list's current concurrency.
+func (c *LiveController) forecast() modeling.IntervalForecast {
+	return predictVolumes(c.hist, c.cfg.HistoryWindow).forecast(c.cfg.IntervalUS, max(c.reg.Len(), 1),
+		func(name string) plan.Node { return c.reps[name] })
 }

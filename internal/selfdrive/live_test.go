@@ -1,11 +1,13 @@
 package selfdrive
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/plan"
 	"mb2/internal/server"
 	"mb2/internal/workload"
 )
@@ -103,9 +105,32 @@ func TestLiveControllerDrivesFromServerTraffic(t *testing.T) {
 			t.Fatalf("applied action promised no improvement: %+v", a)
 		}
 	}
+	// The controller's own index publish changes how the by-last lookups
+	// plan; the forecast must predict over the plans that run now, not the
+	// sequential scans it saw first.
+	if !slices.ContainsFunc(actions, func(a AppliedAction) bool { return a.Kind == "index-publish" }) {
+		t.Fatalf("no index published over %d ticks; actions: %v", ticks, actions)
+	}
+	f := ctrl.forecast()
+	if len(f.Queries) == 0 {
+		t.Fatal("empty forecast after live traffic")
+	}
+	for _, q := range f.Queries {
+		if hasSeqScan(q.Plan) {
+			t.Errorf("forecast predicts with a sequential scan after the index publish: %#x", q.Fingerprint)
+		}
+	}
 	// The forecast history really came through the process list: the
 	// drained per-template streams must cover the SQL the clients sent.
 	if ctrl.History().Len() != ticks {
 		t.Fatalf("history holds %d intervals, want %d", ctrl.History().Len(), ticks)
 	}
+}
+
+// hasSeqScan reports whether a plan tree contains a sequential scan.
+func hasSeqScan(n plan.Node) bool {
+	if _, ok := n.(*plan.SeqScanNode); ok {
+		return true
+	}
+	return slices.ContainsFunc(n.Children(), hasSeqScan)
 }

@@ -1,10 +1,8 @@
 package selfdrive
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"math/rand"
 	"time"
 
@@ -34,62 +32,43 @@ type Config struct {
 	HistoryWindow int
 	IntervalUS    float64
 	// ThreadCandidates are the index-build parallelism degrees the planner
-	// weighs; MaxImpactRatio is its during-build impact budget (0 =
-	// unbounded); MinImprovement is the predicted relative latency
-	// reduction an action must promise to be applied.
+	// weighs (empty selects the planner's default); MaxImpactRatio is its
+	// during-build impact budget.
 	ThreadCandidates []int
 	MaxImpactRatio   float64
-	MinImprovement   float64
 	// Jobs bounds the session worker pool (<= 0 selects GOMAXPROCS, 1 is
 	// serial); results are bit-for-bit identical at every setting.
 	Jobs int
 	// CrashEvery runs a crash-recovery drill after every Nth interval (0
 	// disables). Each drill verifies torn-tail recovery on a sandboxed
 	// engine without touching the live one; drill outcomes fold into the
-	// run digest only when enabled, so CrashEvery=0 runs keep their digest.
+	// run digest.
 	CrashEvery int
 	// FailoverEvery runs a log-shipping failover drill after every Nth
 	// interval (0 disables). Each drill ships a sandboxed primary's WAL to
 	// replicas, kills the primary at strided offsets, promotes by
 	// model-predicted recovery time, and verifies the promoted state
-	// against the commit oracle. Like CrashEvery, outcomes fold into the
-	// run digest only when enabled.
+	// against the commit oracle; drill outcomes fold into the run digest.
 	FailoverEvery int
 
 	// Partitions and DOP seed the engine's partitioning knobs at open
-	// (<= 1 keeps the serial defaults, preserving historical digests).
-	// PartitionCandidates and DOPCandidates are the repartition / set-dop
-	// action spaces the planner weighs (nil selects the planner defaults).
-	Partitions          int
-	DOP                 int
-	PartitionCandidates []int
-	DOPCandidates       []int
+	// (<= 1 is the serial engine); the planner may move both.
+	Partitions int
+	DOP        int
 
-	// Workload shape: TPC-C customers per district, and the
-	// customer-lookup share ramp (base + perInterval*i, capped at max) that
-	// makes the workload drift.
-	CustomersPerDistrict     int
-	CustomerBaseShare        float64
-	CustomerSharePerInterval float64
-	CustomerMaxShare         float64
+	// CustomersPerDistrict sizes the TPC-C database.
+	CustomersPerDistrict int
 
 	// Templates > 0 explodes the four base templates into that many
-	// synthetic variants (the high-cardinality scenario); 0 keeps the
-	// historical four-template drive bit-for-bit.
+	// synthetic variants (the high-cardinality scenario).
 	Templates int
 	// Clusters > 0 enables workload compression: templates are clustered
 	// into at most this many representatives, forecasting runs per cluster,
-	// and planning sees one forecast entry per cluster. 0 keeps the
-	// per-template path (and its digests) untouched.
+	// and planning sees one forecast entry per cluster.
 	Clusters int
-	// ClusterTolerance is the feature-distance threshold for joining an
-	// existing cluster (0 = forecast.DefaultClusterTolerance).
-	ClusterTolerance float64
-	// LoadCurve shapes per-interval volume: "" or "flat" (historical),
-	// "diurnal" (sinusoid over LoadPeriod intervals), "flash" (3x spike
-	// for two mid-run intervals).
-	LoadCurve  string
-	LoadPeriod int
+	// LoadCurve shapes per-interval volume: "" or "flat", "diurnal"
+	// (sinusoid), "flash" (3x spike for two mid-run intervals).
+	LoadCurve string
 	// SkewShiftAt, when > 0, rotates the exploded population's hot
 	// variants at that interval — the mid-run skew shift.
 	SkewShiftAt int
@@ -102,20 +81,16 @@ type Config struct {
 // DefaultConfig returns a configuration sized for tests and quick CLI runs.
 func DefaultConfig() Config {
 	return Config{
-		Seed:                     1,
-		Sessions:                 2,
-		QueriesPerSession:        6,
-		Intervals:                12,
-		PlanEvery:                2,
-		HistoryWindow:            6,
-		IntervalUS:               100_000,
-		ThreadCandidates:         []int{1, 2, 4},
-		MaxImpactRatio:           2.0,
-		MinImprovement:           0.02,
-		CustomersPerDistrict:     300,
-		CustomerBaseShare:        0.15,
-		CustomerSharePerInterval: 0.05,
-		CustomerMaxShare:         0.7,
+		Seed:                 1,
+		Sessions:             2,
+		QueriesPerSession:    6,
+		Intervals:            12,
+		PlanEvery:            2,
+		HistoryWindow:        6,
+		IntervalUS:           100_000,
+		ThreadCandidates:     []int{1, 2, 4},
+		MaxImpactRatio:       maxImpactRatio,
+		CustomersPerDistrict: 300,
 	}
 }
 
@@ -139,42 +114,13 @@ func (cfg Config) withDefaults() Config {
 	if cfg.IntervalUS <= 0 {
 		cfg.IntervalUS = d.IntervalUS
 	}
-	if len(cfg.ThreadCandidates) == 0 {
-		cfg.ThreadCandidates = d.ThreadCandidates
-	}
 	if cfg.MaxImpactRatio <= 0 {
 		cfg.MaxImpactRatio = d.MaxImpactRatio
-	}
-	if cfg.MinImprovement <= 0 {
-		cfg.MinImprovement = d.MinImprovement
 	}
 	if cfg.CustomersPerDistrict < tpccLastNames {
 		cfg.CustomersPerDistrict = d.CustomersPerDistrict
 	}
-	if cfg.CustomerBaseShare <= 0 {
-		cfg.CustomerBaseShare = d.CustomerBaseShare
-	}
-	if cfg.CustomerSharePerInterval <= 0 {
-		cfg.CustomerSharePerInterval = d.CustomerSharePerInterval
-	}
-	if cfg.CustomerMaxShare <= 0 {
-		cfg.CustomerMaxShare = d.CustomerMaxShare
-	}
 	return cfg
-}
-
-// customerCount returns how many of a session's queries are customer
-// lookups at interval i (the drifting share, rounded).
-func (cfg Config) customerCount(i int) int {
-	share := cfg.CustomerBaseShare + cfg.CustomerSharePerInterval*float64(i)
-	if share > cfg.CustomerMaxShare {
-		share = cfg.CustomerMaxShare
-	}
-	n := int(math.Round(share * float64(cfg.QueriesPerSession)))
-	if n > cfg.QueriesPerSession {
-		n = cfg.QueriesPerSession
-	}
-	return n
 }
 
 // AppliedAction records one action the loop applied.
@@ -281,6 +227,10 @@ func (r *Result) countKind(kind string) int {
 // determinism scheme.
 func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	cfg = cfg.withDefaults()
+	sc, err := newScenario(cfg)
+	if err != nil {
+		return nil, err
+	}
 	knobs := catalog.DefaultKnobs()
 	if cfg.Partitions > 1 {
 		knobs.PartitionCount = cfg.Partitions
@@ -300,67 +250,34 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	} else {
 		p.Cache = modeling.NewPredictionCache()
 	}
-	sc := newScenario(cfg)
-	var clusterer *forecast.Clusterer
-	var hist *forecast.History
-	if cfg.Clusters > 0 {
-		clusterer = forecast.NewClusterer(cfg.Clusters, cfg.ClusterTolerance)
-		hist = forecast.NewClusteredHistory(cfg.IntervalUS, cfg.HistoryWindow, clusterer)
-	} else {
-		hist = forecast.NewWindowedHistory(cfg.IntervalUS, cfg.HistoryWindow)
-	}
-	fc := forecast.Forecaster{Window: cfg.HistoryWindow}
-	machine := db.Machine
+	ctl := &controller{p: p, cand: planner.CandidateConfig{
+		ThreadCandidates: cfg.ThreadCandidates,
+		MaxImpactRatio:   cfg.MaxImpactRatio,
+	}}
+	hist := newHistory(cfg.IntervalUS, cfg.HistoryWindow, cfg.Clusters)
+	rep := func(name string) plan.Node { return sc.repFor(name, ctl.published) }
 	// The run's process list: every interval's workers are real sessions
 	// admitted here, and the loop drains its observations from it — the
 	// same path a live server's traffic takes.
 	reg := session.NewRegistry(db, 0)
 
 	res := &Result{}
-	digest := fnv.New64a()
-	var published []planner.IndexCandidate
-	var build *planner.BuildHandle
+	dig := newDigest()
 	var predSeries, obsSeries []float64
 	predictedNext := 0.0
-	// Pending per-template volume predictions for the coming interval —
-	// either direct per-template forecasts, or per-cluster forecasts fanned
-	// out on arrival of the actuals (compression on). Feeds VolumeMAPE.
-	var pendingCounts map[string]float64
-	var pendingClusterPred []float64
-	var volPred, volObs []float64
+	var volume volumeScore
 
 	for i := 0; i < cfg.Intervals; i++ {
 		ivStart := time.Now()
 		liveKnobs := db.Knobs()
 		mode := liveKnobs.ExecutionMode
-		dop := liveKnobs.ScanDOP
-		if dop < 1 {
-			dop = 1
-		}
 
 		// Phase 1: concurrent seeded execution with live observation.
 		// Each worker is a real session admitted through the process list:
-		// Open samples the live knobs (the mode/dop read above) and wires
+		// Open samples the live knobs (the ones read above) and wires
 		// the session's private observation buffer, and serial admission
-		// gives ascending IDs — the deterministic merge order.
-		sessions := make([][]liveQuery, cfg.Sessions)
-		nCustomer := cfg.customerCount(i)
-		for s := range sessions {
-			rng := rand.New(rand.NewSource(unitSeed(cfg.Seed,
-				fmt.Sprintf("drive/interval-%d/session-%d", i, s))))
-			switch {
-			case sc.exploded():
-				sessions[s] = sc.sessionQueriesExploded(rng, i, published)
-			case cfg.LoadCurve != "" && cfg.LoadCurve != LoadFlat:
-				// Curve-modulated volume on the plain four-template mix.
-				curved := cfg
-				curved.QueriesPerSession = cfg.intervalQueries(i)
-				sessions[s] = sessionQueries(rng, curved,
-					customerCountOf(curved, i, curved.QueriesPerSession), published)
-			default:
-				sessions[s] = sessionQueries(rng, cfg, nCustomer, published)
-			}
-		}
+		// gives ascending IDs — the deterministic merge order. Each session
+		// draws its queries from its own seeded stream.
 		workers := make([]*session.Session, cfg.Sessions)
 		for s := range workers {
 			w, err := reg.Open(session.Options{Contenders: float64(cfg.Sessions)})
@@ -369,44 +286,38 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			}
 			workers[s] = w
 		}
-		totals := make([]hw.Metrics, cfg.Sessions)
+		perThread := make([]hw.Metrics, cfg.Sessions)
 		queryIso := make([][]hw.Metrics, cfg.Sessions)
-		fusedCounts := make([]int, cfg.Sessions)
-		vecCounts := make([]int, cfg.Sessions)
 		errs := make([]error, cfg.Sessions)
 		par.Do(cfg.Jobs, cfg.Sessions, func(s int) {
-			w := workers[s]
-			for _, q := range sessions[s] {
-				_, iso, err := w.ExecPlan(q.name, q.fp, q.node)
+			rng := rand.New(rand.NewSource(unitSeed(cfg.Seed,
+				fmt.Sprintf("drive/interval-%d/session-%d", i, s))))
+			for _, q := range sc.sessionQueries(rng, i, ctl.published) {
+				_, iso, err := workers[s].ExecPlan(q.name, q.fp, q.node)
 				if err != nil {
 					errs[s] = fmt.Errorf("selfdrive: session %d executing %s: %w", s, q.name, err)
 					return
 				}
-				totals[s].Add(iso)
+				perThread[s].Add(iso)
 				queryIso[s] = append(queryIso[s], iso)
 			}
-			fusedCounts[s] = w.ExecCtx().FusedPipelines
-			vecCounts[s] = w.ExecCtx().VecBatches
 		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+		if err := errors.Join(errs...); err != nil {
+			return nil, err
 		}
-		for s := range fusedCounts {
-			res.FusedPipelines += fusedCounts[s]
-			res.VecBatches += vecCounts[s]
+		for _, w := range workers {
+			res.FusedPipelines += w.ExecCtx().FusedPipelines
+			res.VecBatches += w.ExecCtx().VecBatches
 		}
 
 		// Phase 2: whole-machine contention, including active build threads.
-		perThread := append([]hw.Metrics(nil), totals...)
 		var extraIdx []int
-		if build != nil {
-			work, idx := build.ActiveWork(cfg.IntervalUS)
+		if ctl.build != nil {
+			work, idx := ctl.build.ActiveWork(cfg.IntervalUS)
 			perThread = append(perThread, work...)
 			extraIdx = idx
 		}
-		ratios := machine.ContentionRatios(perThread, cfg.IntervalUS)
+		ratios := db.Machine.ContentionRatios(perThread, cfg.IntervalUS)
 		var latSum float64
 		nq := 0
 		for s := 0; s < cfg.Sessions; s++ {
@@ -422,70 +333,45 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 
 		// Phase 3: drain the process list's observations (ascending
 		// session-ID merge — the serial-order reduction) into the windowed
-		// forecast store, then retire the interval's sessions.
+		// forecast store, score last interval's volume predictions against
+		// them, then retire the interval's sessions.
 		merged := reg.DrainObservations()
-		if clusterer != nil {
-			sc.registerTemplates(clusterer, db, merged.Counts)
-		}
+		sc.registerTemplates(hist.Clusterer(), db, merged.Counts)
 		hist.Append(merged.Counts)
-		// Volume-MAPE accounting: score last interval's per-template volume
-		// predictions (cluster predictions fan out proportionally) against
-		// the counts that actually arrived.
-		if pendingClusterPred != nil || pendingCounts != nil {
-			names := sortedTemplates(merged.Counts)
-			fan := pendingCounts
-			if pendingClusterPred != nil {
-				fan = hist.FanOut(pendingClusterPred, names)
-			}
-			for _, name := range names {
-				volPred = append(volPred, fan[name])
-				volObs = append(volObs, merged.Counts[name])
-			}
-			pendingCounts, pendingClusterPred = nil, nil
-		}
+		names := merged.Templates()
+		volume.settle(merged.Counts, names)
 		for _, w := range workers {
 			w.Close()
 		}
 
-		// Phase 4: advance and maybe publish an in-progress build.
-		building := false
-		if build != nil {
-			for e, j := range extraIdx {
-				r := ratios[cfg.Sessions+e][hw.LabelElapsedUS]
-				if r > 0 {
-					build.Advance(j, cfg.IntervalUS/r)
-				}
-			}
-			if build.Done() {
-				if err := build.Publish(db); err != nil {
-					return nil, fmt.Errorf("selfdrive: publishing %s: %w", build.Candidate.Name, err)
-				}
-				published = append(published, build.Candidate)
-				res.Actions = append(res.Actions, AppliedAction{
-					Interval: i, Kind: "index-publish", Detail: build.Candidate.Name,
-				})
-				build = nil
-			} else {
-				building = true
+		// Phase 4: advance an in-progress build by what contention left its
+		// threads, and publish it once done.
+		for e, j := range extraIdx {
+			r := ratios[cfg.Sessions+e][hw.LabelElapsedUS]
+			if r > 0 {
+				ctl.build.Advance(j, cfg.IntervalUS/r)
 			}
 		}
+		if err := ctl.publishIfDone(i); err != nil {
+			return nil, err
+		}
 
-		rep := IntervalReport{
+		report := IntervalReport{
 			Interval: i, Queries: nq,
 			ObservedAvgLatencyUS:  observed,
 			PredictedAvgLatencyUS: predictedNext,
 			Mode:                  mode,
-			Building:              building,
-			IndexLive:             len(published) > 0,
-			DOP:                   dop,
-			Partitions:            normalizedParts(liveKnobs.PartitionCount),
+			Building:              ctl.build != nil,
+			IndexLive:             len(ctl.published) > 0,
+			DOP:                   max(liveKnobs.ScanDOP, 1),
+			Partitions:            max(liveKnobs.PartitionCount, 1),
 		}
 		if predictedNext > 0 {
 			predSeries = append(predSeries, predictedNext)
 			obsSeries = append(obsSeries, observed)
 		}
 
-		hashInterval(digest, i, merged.Counts, observed, mode, res.Actions)
+		dig.interval(i, names, merged.Counts, observed, mode, ctl.actions)
 
 		// Phase 4b: rehearse crash recovery on a sandboxed engine.
 		if cfg.CrashEvery > 0 && (i+1)%cfg.CrashEvery == 0 {
@@ -494,7 +380,7 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 				return nil, fmt.Errorf("selfdrive: crash drill at interval %d: %w", i, err)
 			}
 			res.CrashDrills = append(res.CrashDrills, drill)
-			hashDrill(digest, drill)
+			dig.crashDrill(drill)
 		}
 
 		// Phase 4c: rehearse log-shipping failover on a sandboxed group.
@@ -504,69 +390,28 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 				return nil, fmt.Errorf("selfdrive: failover drill at interval %d: %w", i, err)
 			}
 			res.FailoverDrills = append(res.FailoverDrills, drill)
-			hashFailover(digest, drill)
+			dig.failoverDrill(drill)
 		}
 
 		// Phase 5: forecast, plan, act, and predict the next interval.
 		predictedNext = 0
 		if hist.Len() >= 2 && i < cfg.Intervals-1 {
-			var f modeling.IntervalForecast
-			if clusterer != nil {
-				f, pendingClusterPred = buildForecastClustered(hist, fc, cfg, sc, published)
-			} else {
-				f, pendingCounts = buildForecast(hist, fc, cfg, sc, published)
-			}
-			if (i+1)%cfg.PlanEvery == 0 && len(f.Queries) > 0 {
-				actions, err := p.PlanActions(mode, f, planner.CandidateConfig{
-					ThreadCandidates:    cfg.ThreadCandidates,
-					MaxImpactRatio:      cfg.MaxImpactRatio,
-					PartitionCandidates: cfg.PartitionCandidates,
-					DOPCandidates:       cfg.DOPCandidates,
-				})
-				if err != nil {
+			volume.pending = predictVolumes(hist, cfg.HistoryWindow)
+			f := volume.pending.forecast(cfg.IntervalUS, cfg.Sessions, rep)
+			if (i+1)%cfg.PlanEvery == 0 {
+				if err := ctl.act(i, f); err != nil {
 					return nil, err
-				}
-				for _, a := range actions {
-					if a.PredictedImprovement < cfg.MinImprovement {
-						break // sorted best-first: nothing further qualifies
-					}
-					if a.Kind == planner.ActionIndexBuild && build != nil {
-						continue // one build at a time
-					}
-					handle, err := p.Apply(a, nil)
-					if err != nil {
-						return nil, fmt.Errorf("selfdrive: applying %v: %w", a, err)
-					}
-					kind, detail := "mode-change", a.Mode.String()
-					switch a.Kind {
-					case planner.ActionIndexBuild:
-						kind = "index-build-start"
-						detail = fmt.Sprintf("%s threads=%d", a.Index.Name, a.Threads)
-						build = handle
-					case planner.ActionRepartition:
-						kind = "repartition"
-						detail = fmt.Sprintf("parts=%d", a.Partitions)
-					case planner.ActionSetDOP:
-						kind = "set-dop"
-						detail = fmt.Sprintf("dop=%d", a.DOP)
-					}
-					res.Actions = append(res.Actions, AppliedAction{
-						Interval: i, Kind: kind, Detail: detail,
-						PredictedImprovement: a.PredictedImprovement,
-					})
-					break // apply the winning action only
 				}
 			}
 			// Predict the coming interval with whatever is now in effect.
-			curMode := db.Knobs().ExecutionMode
-			tr := modeling.NewTranslator(db, curMode)
+			tr := modeling.NewTranslator(db, db.Knobs().ExecutionMode)
 			tr.Cache = p.Cache
 			var af *modeling.ActionForecast
-			if build != nil {
+			if b := ctl.build; b != nil {
 				af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
-					Table:   build.Candidate.Table,
-					KeyCols: build.Candidate.KeyColNames,
-					Threads: build.Threads,
+					Table:   b.Candidate.Table,
+					KeyCols: b.Candidate.KeyColNames,
+					Threads: b.Threads,
 				}}
 			}
 			infStart := time.Now()
@@ -578,148 +423,23 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			predictedNext = pred.AvgQueryLatencyUS
 		}
 
-		rep.WallUS = float64(time.Since(ivStart).Microseconds())
-		res.Intervals = append(res.Intervals, rep)
+		report.WallUS = float64(time.Since(ivStart).Microseconds())
+		res.Intervals = append(res.Intervals, report)
 	}
 
+	res.Actions = ctl.actions
 	res.CacheHits, res.CacheMisses = p.Cache.Stats()
 	res.CacheHitRate = p.Cache.HitRate()
 	res.CacheEvictions = p.Cache.Evictions()
 	res.MAPE = forecast.MAPE(predSeries, obsSeries)
-	res.VolumeMAPE = forecast.MAPE(volPred, volObs)
+	res.VolumeMAPE = forecast.MAPE(volume.pred, volume.obs)
 	res.HistoryEvicted = hist.Evicted()
-	if clusterer != nil {
-		res.TemplatesSeen = clusterer.Assigned()
-		res.Clusters = clusterer.Len()
+	if c := hist.Clusterer(); c != nil {
+		res.TemplatesSeen = c.Assigned()
+		res.Clusters = c.Len()
 	} else {
 		res.TemplatesSeen = len(hist.Templates())
 	}
-	res.Digest = digest.Sum64()
+	res.Digest = dig.h.Sum64()
 	return res, nil
-}
-
-// normalizedParts floors a partition-count knob at 1 for reporting.
-func normalizedParts(p int) int {
-	if p < 1 {
-		return 1
-	}
-	return p
-}
-
-// buildForecast converts the history's next-interval volume forecasts into
-// the inference pipeline's input, using the canonical per-template plans —
-// O(template population) per call. Also returns the per-template volume
-// predictions for MAPE accounting.
-func buildForecast(hist *forecast.History, fc forecast.Forecaster, cfg Config, sc *scenario, published []planner.IndexCandidate) (modeling.IntervalForecast, map[string]float64) {
-	reps := representatives(cfg, published)
-	predictions := fc.ForecastAll(hist, 1)
-	counts := make(map[string]float64, len(predictions))
-	for name, series := range predictions {
-		if len(series) > 0 {
-			counts[name] = series[0]
-		}
-	}
-	f := modeling.IntervalForecast{IntervalUS: cfg.IntervalUS, Threads: cfg.Sessions}
-	for _, name := range sortedTemplates(counts) {
-		rep, ok := reps[name]
-		if !ok {
-			// Outside the canonical four: an exploded variant (or unknown).
-			rep, ok = sc.repFor(name, published)
-		}
-		if !ok || counts[name] <= 0 {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: counts[name], Fingerprint: plan.Fingerprint(rep),
-		})
-	}
-	return f, counts
-}
-
-// buildForecastClustered is buildForecast's workload-compression path:
-// forecasting runs once per cluster (O(K), independent of the template
-// population) and planning sees one entry per cluster — the leader's
-// representative plan carrying the members' summed predicted volume. The
-// returned per-cluster predictions fan back out to member templates when
-// the next interval's actuals arrive.
-func buildForecastClustered(hist *forecast.History, fc forecast.Forecaster, cfg Config, sc *scenario, published []planner.IndexCandidate) (modeling.IntervalForecast, []float64) {
-	c := hist.Clusterer()
-	preds := fc.ForecastClusters(hist, 1)
-	clusterNext := make([]float64, len(preds))
-	f := modeling.IntervalForecast{IntervalUS: cfg.IntervalUS, Threads: cfg.Sessions}
-	for id, series := range preds {
-		if len(series) == 0 || series[0] <= 0 {
-			continue
-		}
-		clusterNext[id] = series[0]
-		rep, ok := sc.repFor(c.Leader(id), published)
-		if !ok {
-			continue
-		}
-		f.Queries = append(f.Queries, modeling.ForecastQuery{
-			Plan: rep, Count: series[0], Fingerprint: plan.Fingerprint(rep),
-			Members: c.MemberCount(id),
-		})
-	}
-	return f, clusterNext
-}
-
-// hashInterval folds one interval's observable outcome into the run
-// digest: the per-template counts (sorted), the observed latency, the
-// execution mode, and the cumulative action log length.
-func hashInterval(h interface{ Write([]byte) (int, error) }, interval int, counts map[string]float64, observed float64, mode catalog.ExecutionMode, actions []AppliedAction) {
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(interval))
-	for _, name := range sortedTemplates(counts) {
-		h.Write([]byte(name))
-		put(math.Float64bits(counts[name]))
-	}
-	put(math.Float64bits(observed))
-	put(uint64(mode))
-	put(uint64(len(actions)))
-	for _, a := range actions {
-		h.Write([]byte(a.Kind))
-		h.Write([]byte(a.Detail))
-	}
-}
-
-// hashDrill folds one crash drill's outcome into the run digest. Only
-// called when drills are enabled, so disabled runs keep their digest.
-func hashDrill(h interface{ Write([]byte) (int, error) }, d CrashDrill) {
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(d.Interval))
-	h.Write([]byte(d.Workload))
-	put(d.Commits)
-	put(uint64(d.Offsets))
-	put(uint64(d.TornOffsets))
-	put(d.StateDigest)
-}
-
-// hashFailover folds one failover drill's outcome into the run digest. Only
-// runs that enable FailoverEvery are affected.
-func hashFailover(h interface{ Write([]byte) (int, error) }, d FailoverDrill) {
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(d.Interval))
-	h.Write([]byte(d.Workload))
-	h.Write([]byte(d.Policy))
-	put(d.Commits)
-	put(uint64(d.Offsets))
-	put(uint64(d.Crashes))
-	for _, p := range d.Promotions {
-		put(uint64(p))
-	}
-	put(math.Float64bits(d.MeanFailoverUS))
-	put(d.Digest)
 }

@@ -2,7 +2,6 @@ package selfdrive
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"strconv"
@@ -17,15 +16,34 @@ import (
 	"mb2/internal/planner"
 )
 
-// Load-curve names (Config.LoadCurve). Flat is the historical behavior;
-// diurnal modulates per-session volume sinusoidally over LoadPeriod
-// intervals; flash triples volume for two intervals mid-run (the flash
-// crowd the forecaster has never seen coming).
+// Load-curve names (Config.LoadCurve). Flat keeps per-session volume
+// constant; diurnal modulates it sinusoidally over diurnalPeriod intervals;
+// flash triples it for two intervals mid-run (the flash crowd the
+// forecaster has never seen coming).
 const (
 	LoadFlat    = "flat"
 	LoadDiurnal = "diurnal"
 	LoadFlash   = "flash"
 )
+
+// diurnalPeriod is the drive's day length in intervals.
+const diurnalPeriod = 8
+
+// The customer-lookup share of a session's queries ramps from
+// customerBaseShare by customerSharePerInterval up to customerMaxShare:
+// the drift the forecaster picks up and the planner's index action
+// exploits.
+const (
+	customerBaseShare        = 0.15
+	customerSharePerInterval = 0.05
+	customerMaxShare         = 0.7
+)
+
+// diurnal is the day curve's volume multiplier at interval i: a sinusoid
+// around 0.6 that troughs near 0.1 and peaks at 1.1.
+func diurnal(i, period int) float64 {
+	return 0.6 + 0.5*math.Sin(2*math.Pi*float64(i)/float64(period))
+}
 
 // variantSep separates a base template name from its synthetic variant
 // ordinal ("customer_by_last#0042").
@@ -37,9 +55,10 @@ var scenarioBases = [...]string{
 	tmplOrdersPoint, tmplStockLevel, tmplCustomerByLast, tmplOrderlineScan,
 }
 
-// scenario derives the run's workload population from the Config: with
-// Templates <= 0 it is the historical four-template drive, otherwise the
-// four bases explode into Templates synthetic variants, each a structural
+// scenario is the run's workload: a template population, a load curve, and
+// the one generator that draws session queries from them. With Templates
+// <= 0 the population is the four base templates; otherwise the bases
+// explode into Templates synthetic variants, each a structural
 // near-duplicate of its base with deterministically perturbed cardinality
 // estimates (so variant fingerprints differ but feature vectors stay
 // close — the shape workload compression exists for).
@@ -49,11 +68,31 @@ var scenarioBases = [...]string{
 // building), never from session workers.
 type scenario struct {
 	cfg      Config
+	scale    func(i int) float64 // the load curve: volume multiplier at interval i
 	repCache map[string]plan.Node
 }
 
-func newScenario(cfg Config) *scenario {
-	return &scenario{cfg: cfg, repCache: make(map[string]plan.Node)}
+// newScenario resolves the Config's load curve and template population.
+func newScenario(cfg Config) (*scenario, error) {
+	sc := &scenario{cfg: cfg, repCache: make(map[string]plan.Node)}
+	switch cfg.LoadCurve {
+	case "", LoadFlat:
+		sc.scale = func(int) float64 { return 1 }
+	case LoadDiurnal:
+		sc.scale = func(i int) float64 { return diurnal(i, diurnalPeriod) }
+	case LoadFlash:
+		mid := cfg.Intervals / 2
+		sc.scale = func(i int) float64 {
+			if i == mid || i == mid+1 {
+				return 3
+			}
+			return 1
+		}
+	default:
+		return nil, fmt.Errorf("selfdrive: unknown load curve %q (want \"\", %q, %q or %q)",
+			cfg.LoadCurve, LoadFlat, LoadDiurnal, LoadFlash)
+	}
+	return sc, nil
 }
 
 // exploded reports whether the synthetic-variant population is active.
@@ -63,10 +102,7 @@ func (sc *scenario) exploded() bool { return sc.cfg.Templates > 0 }
 // population of Templates names is spread as evenly as possible across
 // the four bases.
 func (sc *scenario) variantsPerBase(b int) int {
-	n := sc.cfg.Templates
-	if n < len(scenarioBases) {
-		n = len(scenarioBases)
-	}
+	n := max(sc.cfg.Templates, len(scenarioBases))
 	nv := n / len(scenarioBases)
 	if b < n%len(scenarioBases) {
 		nv++
@@ -98,9 +134,7 @@ func splitVariant(name string) (base string, ord int) {
 // the default tolerance, far enough that fingerprints and feature vectors
 // are all distinct.
 func variantFactor(name string) float64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return 1 + 0.25*float64(h.Sum64()%4096)/4096
+	return 1 + 0.25*float64(nameHash(name)%4096)/4096
 }
 
 // scaleEstimates returns a copy of the plan with every cardinality
@@ -125,41 +159,54 @@ func scaleEstimates(n plan.Node, f float64) plan.Node {
 	}
 }
 
-// baseRep returns the canonical representative plan of a base template
-// (the same fixed-constant plans representatives() builds).
+// customerMatches estimates a by-last-name lookup's matching rows.
+func (sc *scenario) customerMatches() float64 {
+	return float64(sc.cfg.CustomersPerDistrict) / tpccLastNames
+}
+
+// orderlineRows estimates the analytic scan's matching rows: half the
+// order-line table (10 districts x cpd*3/4 orders x ~10 lines).
+func (sc *scenario) orderlineRows() float64 {
+	return float64(sc.cfg.CustomersPerDistrict) * 10 * 3 / 4 * 10 / 2
+}
+
+// baseRep returns the canonical representative plan of a base template —
+// the plan forecast-driven inference predicts with. Fixed constants keep
+// each template's fingerprint stable across intervals, which is what makes
+// the prediction cache effective; predictions depend on the cardinality
+// estimates, not the literal values.
 func (sc *scenario) baseRep(base string) plan.Node {
-	matches := float64(sc.cfg.CustomersPerDistrict) / tpccLastNames
 	switch base {
 	case tmplOrdersPoint:
 		return ordersPoint(0, 0, 0)
 	case tmplStockLevel:
 		return stockLevel(0, 0, 0)
 	case tmplCustomerByLast:
-		return customerByLast(0, 0, 0, matches)
+		return customerByLast(0, 0, 0, sc.customerMatches())
 	case tmplOrderlineScan:
-		return orderlineScan(5, orderlineRows(sc.cfg))
+		return orderlineScan(5, sc.orderlineRows())
 	}
 	return nil
 }
 
 // repFor returns a template's representative plan rewritten through the
-// published indexes (nil, false for names outside the population). The
-// canonical plan is cached; the index rewrite is applied per call since
-// the published set grows over the run.
-func (sc *scenario) repFor(name string, published []planner.IndexCandidate) (plan.Node, bool) {
+// published indexes (nil for names outside the population). The canonical
+// plan is cached; the index rewrite is applied per call since the
+// published set grows over the run.
+func (sc *scenario) repFor(name string, published []planner.IndexCandidate) plan.Node {
 	rep, ok := sc.repCache[name]
 	if !ok {
 		base, ord := splitVariant(name)
 		rep = sc.baseRep(base)
 		if rep == nil {
-			return nil, false
+			return nil
 		}
 		if ord >= 0 {
 			rep = scaleEstimates(rep, variantFactor(name))
 		}
 		sc.repCache[name] = rep
 	}
-	return rewritePublished(rep, published), true
+	return rewritePublished(rep, published)
 }
 
 // pickVariant draws a variant ordinal for a base: min-of-two draws skews
@@ -172,10 +219,7 @@ func (sc *scenario) pickVariant(rng *rand.Rand, baseIdx, interval int) int {
 		return 0
 	}
 	a, b := rng.Int63n(int64(nv)), rng.Int63n(int64(nv))
-	ord := int(a)
-	if int(b) < ord {
-		ord = int(b)
-	}
+	ord := int(min(a, b))
 	if sc.cfg.SkewShiftAt > 0 && interval >= sc.cfg.SkewShiftAt {
 		ord = (ord + nv/2) % nv
 	}
@@ -183,44 +227,36 @@ func (sc *scenario) pickVariant(rng *rand.Rand, baseIdx, interval int) int {
 }
 
 // intervalQueries returns the per-session query volume at interval i under
-// the configured load curve (always >= 1).
-func (cfg Config) intervalQueries(i int) int {
-	q := cfg.QueriesPerSession
-	switch cfg.LoadCurve {
-	case LoadDiurnal:
-		period := cfg.LoadPeriod
-		if period < 2 {
-			period = 8
-		}
-		scale := 0.6 + 0.5*math.Sin(2*math.Pi*float64(i)/float64(period))
-		q = int(math.Round(scale * float64(cfg.QueriesPerSession)))
-	case LoadFlash:
-		mid := cfg.Intervals / 2
-		if i == mid || i == mid+1 {
-			q = 3 * cfg.QueriesPerSession
-		}
-	}
-	if q < 1 {
-		q = 1
-	}
-	return q
+// the load curve (always >= 1).
+func (sc *scenario) intervalQueries(i int) int {
+	return max(int(math.Round(sc.scale(i)*float64(sc.cfg.QueriesPerSession))), 1)
 }
 
-// sessionQueriesExploded is sessionQueries for the exploded population:
-// the same base mix, but every query lands on a rng-drawn variant whose
-// plan carries the variant's perturbed estimates. The load curve sets the
-// interval's volume and the skew shift rotates the hot variants.
-func (sc *scenario) sessionQueriesExploded(rng *rand.Rand, interval int, published []planner.IndexCandidate) []liveQuery {
-	cfg := sc.cfg
-	cpd := cfg.CustomersPerDistrict
-	matches := float64(cpd) / tpccLastNames
-	qn := cfg.intervalQueries(interval)
-	nCustomer := customerCountOf(cfg, interval, qn)
-	var out []liveQuery
+// customerCount returns how many of a session's volume queries at interval
+// i are customer lookups (the drifting share, rounded).
+func customerCount(i, volume int) int {
+	share := min(customerBaseShare+customerSharePerInterval*float64(i), customerMaxShare)
+	return min(int(math.Round(share*float64(volume))), volume)
+}
+
+// sessionQueries builds one session's deterministic query list for an
+// interval: the load curve sets the volume, the ramping share of it are
+// customer lookups, and the remainder cycles through order points, stock
+// levels, and the analytic order-line scan. In an exploded population every
+// query lands on a rng-drawn variant whose plan carries the variant's
+// perturbed estimates (and the skew shift rotates the hot variants); the
+// plain population draws nothing extra and names the base itself.
+func (sc *scenario) sessionQueries(rng *rand.Rand, interval int, published []planner.IndexCandidate) []liveQuery {
+	cpd := sc.cfg.CustomersPerDistrict
+	qn := sc.intervalQueries(interval)
+	nCustomer := customerCount(interval, qn)
+	out := make([]liveQuery, 0, qn)
 	add := func(baseIdx int, node plan.Node) {
-		ord := sc.pickVariant(rng, baseIdx, interval)
-		name := variantName(scenarioBases[baseIdx], ord)
-		node = scaleEstimates(node, variantFactor(name))
+		name := scenarioBases[baseIdx]
+		if sc.exploded() {
+			name = variantName(name, sc.pickVariant(rng, baseIdx, interval))
+			node = scaleEstimates(node, variantFactor(name))
+		}
 		node = rewritePublished(node, published)
 		out = append(out, liveQuery{name: name, fp: plan.Fingerprint(node), node: node})
 	}
@@ -228,30 +264,16 @@ func (sc *scenario) sessionQueriesExploded(rng *rand.Rand, interval int, publish
 		d := rng.Int63n(10)
 		switch {
 		case i < nCustomer:
-			add(2, customerByLast(0, d, rng.Int63n(tpccLastNames), matches))
+			add(2, customerByLast(0, d, rng.Int63n(tpccLastNames), sc.customerMatches()))
 		case i%3 == 0:
 			add(0, ordersPoint(0, d, rng.Int63n(int64(cpd))))
 		case i%3 == 1:
 			add(1, stockLevel(0, d, rng.Int63n(int64(cpd*3/4))))
 		default:
-			add(3, orderlineScan(5, orderlineRows(cfg)))
+			add(3, orderlineScan(5, sc.orderlineRows()))
 		}
 	}
 	return out
-}
-
-// customerCountOf is customerCount generalized to a curve-modulated
-// per-interval volume.
-func customerCountOf(cfg Config, i, volume int) int {
-	share := cfg.CustomerBaseShare + cfg.CustomerSharePerInterval*float64(i)
-	if share > cfg.CustomerMaxShare {
-		share = cfg.CustomerMaxShare
-	}
-	n := int(math.Round(share * float64(volume)))
-	if n > volume {
-		n = volume
-	}
-	return n
 }
 
 // clusterFeatures folds a representative plan's translated OU invocations
@@ -276,13 +298,17 @@ func clusterFeatures(db *engine.DB, n plan.Node) []float64 {
 }
 
 // registerTemplates assigns any unregistered observed template to a
-// cluster, in sorted-name order so founding decisions are deterministic.
+// cluster, in sorted-name order so founding decisions are deterministic
+// (nothing to do without a clusterer).
 func (sc *scenario) registerTemplates(c *forecast.Clusterer, db *engine.DB, counts map[string]float64) {
+	if c == nil {
+		return
+	}
 	for _, name := range sortedTemplates(counts) {
 		if _, ok := c.Lookup(name); ok {
 			continue
 		}
-		if rep, ok := sc.repFor(name, nil); ok {
+		if rep := sc.repFor(name, nil); rep != nil {
 			c.Assign(name, plan.Fingerprint(rep), clusterFeatures(db, rep))
 		} else {
 			c.AssignOrphan(name)

@@ -2,7 +2,6 @@ package selfdrive
 
 import (
 	"hash/fnv"
-	"math/rand"
 	"sort"
 
 	"mb2/internal/plan"
@@ -31,12 +30,18 @@ type liveQuery struct {
 	node plan.Node
 }
 
+// nameHash is the FNV-1a hash every name-derived quantity (unit seeds,
+// variant perturbations, synthetic volumes) comes from.
+func nameHash(name string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(name))
+	return h.Sum64()
+}
+
 // unitSeed derives a unit's private seed from the run seed and the unit's
 // identity (the PR 1 scheme: stable under any execution interleaving).
 func unitSeed(seed int64, name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return seed ^ int64(h.Sum64())
+	return seed ^ int64(nameHash(name))
 }
 
 func est(rows, distinct float64) plan.Estimates {
@@ -110,59 +115,6 @@ func rewritePublished(n plan.Node, published []planner.IndexCandidate) plan.Node
 		n = c.Rewrite(n)
 	}
 	return n
-}
-
-// orderlineRows estimates the analytic scan's matching rows: half the
-// order-line table (10 districts x cpd*3/4 orders x ~10 lines).
-func orderlineRows(cfg Config) float64 {
-	return float64(cfg.CustomersPerDistrict) * 10 * 3 / 4 * 10 / 2
-}
-
-// sessionQueries builds one session's deterministic query list for an
-// interval: nCustomer ramping customer lookups and the remainder cycling
-// through order points, stock levels, and the analytic order-line scan.
-func sessionQueries(rng *rand.Rand, cfg Config, nCustomer int, published []planner.IndexCandidate) []liveQuery {
-	cpd := cfg.CustomersPerDistrict
-	matches := float64(cpd) / tpccLastNames
-	var out []liveQuery
-	add := func(name string, node plan.Node) {
-		node = rewritePublished(node, published)
-		out = append(out, liveQuery{name: name, fp: plan.Fingerprint(node), node: node})
-	}
-	for i := 0; i < cfg.QueriesPerSession; i++ {
-		d := rng.Int63n(10)
-		switch {
-		case i < nCustomer:
-			add(tmplCustomerByLast, customerByLast(0, d, rng.Int63n(tpccLastNames), matches))
-		case i%3 == 0:
-			add(tmplOrdersPoint, ordersPoint(0, d, rng.Int63n(int64(cpd))))
-		case i%3 == 1:
-			add(tmplStockLevel, stockLevel(0, d, rng.Int63n(int64(cpd*3/4))))
-		default:
-			add(tmplOrderlineScan, orderlineScan(5, orderlineRows(cfg)))
-		}
-	}
-	return out
-}
-
-// representatives returns one canonical plan per template (fixed
-// constants), rewritten through the published indexes: the plans the
-// forecast-driven inference predicts with. Fixed constants keep each
-// template's fingerprint stable across intervals, which is what makes the
-// prediction cache effective; predictions depend on the cardinality
-// estimates, not the literal values.
-func representatives(cfg Config, published []planner.IndexCandidate) map[string]plan.Node {
-	matches := float64(cfg.CustomersPerDistrict) / tpccLastNames
-	reps := map[string]plan.Node{
-		tmplOrdersPoint:    ordersPoint(0, 0, 0),
-		tmplStockLevel:     stockLevel(0, 0, 0),
-		tmplCustomerByLast: customerByLast(0, 0, 0, matches),
-		tmplOrderlineScan:  orderlineScan(5, orderlineRows(cfg)),
-	}
-	for name, n := range reps {
-		reps[name] = rewritePublished(n, published)
-	}
-	return reps
 }
 
 // sortedTemplates returns the template names of a count map, sorted.
