@@ -10,16 +10,15 @@
 //	mb2-drive [-seed N] [-intervals N] [-sessions N] [-j N]
 //	          [-partitions N] [-dop N] [-crash-every N] [-failover-every N]
 //	          [-templates N] [-clusters K] [-load-curve NAME]
-//	          [-data FILE] [-bench FILE] [-bench-compress FILE]
-//	          [-bench-repl FILE] [-verify]
+//	          [-data FILE] [-verify]
 //	          [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -data, the behavior models train from a repository previously
 // written by `mb2-train -data-out FILE`; otherwise a quick training sweep
 // runs in-process first. A fixed -seed makes the whole run bit-for-bit
 // reproducible: -verify replays the run and fails unless the action logs
-// and interval digests match exactly. -bench writes loop timing, inference
-// latency percentiles, cache hit rate, and forecast error as JSON.
+// and interval digests match exactly.
+//
 // -crash-every N rehearses crash recovery after every Nth interval: a
 // sandboxed engine runs a seeded workload on a simulated block device, the
 // durable log is cut at strided crash offsets, and recovery from each cut
@@ -28,17 +27,13 @@
 // -failover-every N rehearses log-shipping failover after every Nth
 // interval: a sandboxed primary ships its WAL to replicas, dies at strided
 // kill points, and one replica is promoted by model-predicted recovery time
-// and verified against the commit oracle. -bench-repl sweeps failover time
-// over replica count and apply staleness, compares fixed against predicted
-// promotion, and writes the results as JSON.
+// and verified against the commit oracle.
 //
 // -templates N explodes the four drive templates into N synthetic variants
 // (distinct fingerprints, near-identical OU features); -clusters K turns on
 // workload compression, clustering templates into at most K representatives
 // that forecasting and planning operate on. -load-curve flat|diurnal|flash
-// shapes per-interval volume. -bench-compress runs the compression sweep
-// (template populations with and without compression) instead of a drive
-// and writes the results as JSON.
+// shapes per-interval volume.
 package main
 
 import (
@@ -49,9 +44,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 
-	"mb2/internal/benchio"
 	"mb2/internal/metrics"
 	"mb2/internal/modeling"
 	"mb2/internal/runner"
@@ -71,9 +64,6 @@ func main() {
 	clusters := flag.Int("clusters", 0, "compress the workload into at most K template clusters for forecasting and planning (0 = off)")
 	loadCurve := flag.String("load-curve", "", "per-interval load curve: flat, diurnal, or flash (default flat)")
 	dataPath := flag.String("data", "", "train models from this mb2-train -data-out repository instead of sweeping in-process")
-	benchPath := flag.String("bench", "", "write loop benchmark results as JSON to this file")
-	benchCompress := flag.String("bench-compress", "", "run the workload-compression sweep and write results as JSON to this file")
-	benchRepl := flag.String("bench-repl", "", "run the replication failover sweep and write results as JSON to this file")
 	verify := flag.Bool("verify", false, "replay the run and fail unless it reproduces bit for bit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -109,20 +99,6 @@ func main() {
 		log.Fatalf("mb2-drive: %v", err)
 	}
 
-	if *benchCompress != "" {
-		if err := runCompressBench(*benchCompress, *seed, ms); err != nil {
-			log.Fatalf("mb2-drive: %v", err)
-		}
-		return
-	}
-
-	if *benchRepl != "" {
-		if err := runReplBench(*benchRepl, *seed, ms); err != nil {
-			log.Fatalf("mb2-drive: %v", err)
-		}
-		return
-	}
-
 	cfg := selfdrive.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Intervals = *intervals
@@ -153,13 +129,6 @@ func main() {
 			log.Fatalf("mb2-drive: verify FAILED: replay digest %#x vs %#x", replay.Digest, res.Digest)
 		}
 		fmt.Printf("\nverify: replay reproduced digest %#x and an identical action log\n", res.Digest)
-	}
-
-	if *benchPath != "" {
-		if err := writeBench(*benchPath, cfg, res); err != nil {
-			log.Fatalf("mb2-drive: %v", err)
-		}
-		fmt.Printf("benchmark results written to %s\n", *benchPath)
 	}
 }
 
@@ -254,131 +223,4 @@ func printRun(res *selfdrive.Result) {
 	fmt.Printf("fused pipelines executed: %d\n", res.FusedPipelines)
 	fmt.Printf("vectorized batches processed: %d\n", res.VecBatches)
 	fmt.Printf("run digest: %#x\n", res.Digest)
-}
-
-// benchReport is the BENCH_drive.json schema.
-type benchReport struct {
-	Seed       int64 `json:"seed"`
-	Intervals  int   `json:"intervals"`
-	Sessions   int   `json:"sessions"`
-	Partitions int   `json:"partitions"`
-	DOP        int   `json:"dop"`
-	benchio.Host
-	IntervalWallP50US float64 `json:"interval_wall_p50_us"`
-	IntervalWallP99US float64 `json:"interval_wall_p99_us"`
-	InferenceP50US    float64 `json:"inference_p50_us"`
-	InferenceP99US    float64 `json:"inference_p99_us"`
-	CacheHitRate      float64 `json:"cache_hit_rate"`
-	MAPE              float64 `json:"mape"`
-	ModeChanges       int     `json:"mode_changes"`
-	IndexBuilds       int     `json:"index_builds"`
-	IndexPublishes    int     `json:"index_publishes"`
-	Repartitions      int     `json:"repartitions"`
-	DOPChanges        int     `json:"dop_changes"`
-	FusedPipelines    int     `json:"fused_pipelines"`
-	VecBatches        int     `json:"vec_batches"`
-	CrashDrills       int     `json:"crash_drills"`
-	FailoverDrills    int     `json:"failover_drills"`
-	TemplatesSeen     int     `json:"templates_seen"`
-	Clusters          int     `json:"clusters"`
-	VolumeMAPE        float64 `json:"volume_mape"`
-	CacheEvictions    uint64  `json:"cache_evictions"`
-	Digest            string  `json:"digest"`
-}
-
-func writeBench(path string, cfg selfdrive.Config, res *selfdrive.Result) error {
-	walls := make([]float64, 0, len(res.Intervals))
-	for _, rep := range res.Intervals {
-		walls = append(walls, rep.WallUS)
-	}
-	rep := benchReport{
-		Seed:              cfg.Seed,
-		Intervals:         cfg.Intervals,
-		Sessions:          cfg.Sessions,
-		Partitions:        cfg.Partitions,
-		DOP:               cfg.DOP,
-		Host:              benchio.CaptureHost(),
-		IntervalWallP50US: percentile(walls, 0.50),
-		IntervalWallP99US: percentile(walls, 0.99),
-		InferenceP50US:    percentile(res.InferenceUS, 0.50),
-		InferenceP99US:    percentile(res.InferenceUS, 0.99),
-		CacheHitRate:      res.CacheHitRate,
-		MAPE:              res.MAPE,
-		ModeChanges:       res.ModeChanges(),
-		IndexBuilds:       res.IndexBuilds(),
-		IndexPublishes:    res.IndexPublishes(),
-		Repartitions:      res.Repartitions(),
-		DOPChanges:        res.DOPChanges(),
-		FusedPipelines:    res.FusedPipelines,
-		VecBatches:        res.VecBatches,
-		CrashDrills:       len(res.CrashDrills),
-		FailoverDrills:    len(res.FailoverDrills),
-		TemplatesSeen:     res.TemplatesSeen,
-		Clusters:          res.Clusters,
-		VolumeMAPE:        res.VolumeMAPE,
-		CacheEvictions:    res.CacheEvictions,
-		Digest:            fmt.Sprintf("%#x", res.Digest),
-	}
-	return benchio.WriteJSON(path, rep)
-}
-
-// compressBenchReport is the BENCH_compress.json schema: the sweep's
-// config, host, the per-point measurements, and the headline speedup.
-type compressBenchReport struct {
-	Seed     int64 `json:"seed"`
-	Clusters int   `json:"clusters"`
-	benchio.Host
-	Points []selfdrive.CompressPoint `json:"points"`
-	// SpeedupMaxN is uncompressed/compressed forecast+plan wall clock at
-	// the largest template population.
-	SpeedupMaxN float64 `json:"speedup_max_n"`
-}
-
-func runCompressBench(path string, seed int64, ms *modeling.ModelSet) error {
-	cfg := selfdrive.DefaultCompressBenchConfig()
-	cfg.Seed = seed
-	fmt.Printf("== workload-compression sweep (seed %d, K=%d, populations %v) ==\n",
-		cfg.Seed, cfg.Clusters, cfg.TemplateCounts)
-	res, err := selfdrive.RunCompressBench(cfg, ms)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\n templates  compressed  clusters  queries/step  forecast+plan us/interval  volume MAPE  evictions")
-	for _, pt := range res.Points {
-		comp := "no"
-		if pt.Compressed {
-			comp = fmt.Sprintf("K=%d", cfg.Clusters)
-		}
-		fmt.Printf("   %6d    %-8s  %6d      %8d      %18.1f         %8.3f   %8d\n",
-			pt.Templates, comp, pt.Clusters, pt.ForecastQueries,
-			pt.ForecastPlanUSPerInterval, pt.VolumeMAPE, pt.CacheEvictions)
-	}
-	fmt.Printf("\nforecast+plan speedup at %d templates: %.1fx\n",
-		cfg.TemplateCounts[len(cfg.TemplateCounts)-1], res.SpeedupMaxN)
-	rep := compressBenchReport{
-		Seed:        cfg.Seed,
-		Clusters:    cfg.Clusters,
-		Host:        benchio.CaptureHost(),
-		Points:      res.Points,
-		SpeedupMaxN: res.SpeedupMaxN,
-	}
-	if err := benchio.WriteJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("benchmark results written to %s\n", path)
-	return nil
-}
-
-// percentile returns the pth quantile (nearest-rank) of vs; 0 when empty.
-func percentile(vs []float64, p float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	i := int(p * float64(len(s)))
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
 }

@@ -8,7 +8,6 @@
 //
 //	mb2-server -listen ADDR [-max-sessions N]
 //	mb2-server -loadgen [-sessions N] [-statements N] [-seed N] [-verify]
-//	mb2-server -bench FILE [-statements N] [-seed N]
 //	mb2-server -repl N [-txns N] [-seed N] [-verify]
 //
 // With -listen, the server accepts framed-protocol clients on a TCP
@@ -16,13 +15,10 @@
 // schema over the wire. With -loadgen, an in-process server is driven by
 // N concurrent seeded sessions; -verify replays the run against a fresh
 // engine and fails unless the result digest matches bit for bit. With
-// -bench, the load generator sweeps 100 / 1000 / 5000 concurrent
-// sessions over the in-process transport and records throughput and
-// client-observed p50/p99 latency as JSON. With -repl, a seeded committed
-// workload ships its WAL to N staggered replicas over the same framed
-// transport; the server prints per-replica staleness, promotes the
-// least-stale replica, and verifies the promoted state against the
-// primary (and, with -verify, that a full re-run reproduces the promoted
+// -repl, a seeded committed workload ships its WAL to N staggered replicas
+// over the same framed transport; the server prints per-replica staleness,
+// promotes the least-stale replica, and verifies the promoted state against
+// the primary (and, with -verify, that a full re-run reproduces the promoted
 // digest bit for bit).
 package main
 
@@ -31,7 +27,6 @@ import (
 	"fmt"
 	"log"
 
-	"mb2/internal/benchio"
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/server"
@@ -45,7 +40,6 @@ func main() {
 	statements := flag.Int("statements", 10, "loadgen: statements per session")
 	seed := flag.Int64("seed", 1, "loadgen/repl: deterministic seed")
 	verify := flag.Bool("verify", false, "loadgen/repl: replay on a fresh engine and fail unless the digest reproduces bit for bit")
-	benchPath := flag.String("bench", "", "sweep the load generator and write benchmark results as JSON to this file")
 	replicas := flag.Int("repl", 0, "ship the WAL of a seeded committed workload to N replicas, then promote the least stale")
 	txns := flag.Int("txns", 60, "repl: committed transactions to ship")
 	flag.Parse()
@@ -59,16 +53,12 @@ func main() {
 		if err := runRepl(*replicas, *txns, *seed, *verify); err != nil {
 			log.Fatalf("mb2-server: %v", err)
 		}
-	case *benchPath != "":
-		if err := runBench(*benchPath, *statements, *seed); err != nil {
-			log.Fatalf("mb2-server: %v", err)
-		}
 	case *loadgen:
 		if err := runLoadgen(*sessions, *statements, *seed, *verify); err != nil {
 			log.Fatalf("mb2-server: %v", err)
 		}
 	default:
-		log.Fatal("mb2-server: one of -listen, -loadgen, -bench, or -repl is required")
+		log.Fatal("mb2-server: one of -listen, -loadgen, or -repl is required")
 	}
 }
 
@@ -145,67 +135,5 @@ func runLoadgen(sessions, statements int, seed int64, verify bool) error {
 		}
 		fmt.Printf("\nverify: replay reproduced digest %#x across %d sessions\n", res.Digest, sessions)
 	}
-	return nil
-}
-
-// benchPoint is one sweep cell of the BENCH_server.json schema.
-type benchPoint struct {
-	Sessions          int     `json:"sessions"`
-	Statements        uint64  `json:"statements"`
-	PeakSessions      int     `json:"peak_sessions"`
-	Errors            uint64  `json:"errors"`
-	WallMS            float64 `json:"wall_ms"`
-	ThroughputStmtSec float64 `json:"throughput_stmt_per_sec"`
-	P50US             float64 `json:"p50_us"`
-	P99US             float64 `json:"p99_us"`
-	Digest            string  `json:"digest"`
-}
-
-// benchReport is the BENCH_server.json schema.
-type benchReport struct {
-	Seed              int64 `json:"seed"`
-	StatementsPerSess int   `json:"statements_per_session"`
-	benchio.Host
-	Transport string       `json:"transport"`
-	Points    []benchPoint `json:"points"`
-}
-
-func runBench(path string, statements int, seed int64) error {
-	rep := benchReport{
-		Seed:              seed,
-		StatementsPerSess: statements,
-		Host:              benchio.CaptureHost(),
-		Transport:         "in-proc pipe",
-	}
-	for _, n := range []int{100, 1000, 5000} {
-		cfg := server.LoadConfig{Sessions: n, Statements: statements, Seed: seed}
-		fmt.Printf("-- %d sessions x %d statements --\n", n, statements)
-		res, peak, err := loadRun(cfg, 0)
-		if err != nil {
-			return err
-		}
-		printLoad(res, peak)
-		if res.Errors > 0 {
-			return fmt.Errorf("%d sessions: %d statements failed", n, res.Errors)
-		}
-		if peak < n {
-			return fmt.Errorf("%d sessions: peak concurrency only reached %d", n, peak)
-		}
-		rep.Points = append(rep.Points, benchPoint{
-			Sessions:          n,
-			Statements:        res.Statements,
-			PeakSessions:      peak,
-			Errors:            res.Errors,
-			WallMS:            float64(res.Elapsed.Microseconds()) / 1000,
-			ThroughputStmtSec: res.Throughput,
-			P50US:             float64(res.P50.Microseconds()),
-			P99US:             float64(res.P99.Microseconds()),
-			Digest:            fmt.Sprintf("%#x", res.Digest),
-		})
-	}
-	if err := benchio.WriteJSON(path, rep); err != nil {
-		return err
-	}
-	fmt.Printf("benchmark results written to %s\n", path)
 	return nil
 }

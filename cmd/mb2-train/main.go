@@ -6,13 +6,11 @@
 //
 // Usage:
 //
-//	mb2-train [-full] [-seed N] [-j N] [-data-out FILE] [-bench-parallel FILE]
+//	mb2-train [-full] [-seed N] [-j N] [-data-out FILE]
 //
 // The default configuration is the quick preset (seconds); -full uses the
 // paper-scale sweeps (minutes). -j bounds the worker pool for every stage
 // of the pipeline; results are bit-for-bit identical at every setting.
-// -bench-parallel times the pipeline at several -j values, verifies the
-// state digests match, and writes the measurements as JSON.
 package main
 
 import (
@@ -30,24 +28,16 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "worker-pool size for the pipeline (1 = serial; results are identical at any value)")
 	dataOut := flag.String("data-out", "", "write the training-data repository as JSON lines to this file")
-	benchParallel := flag.String("bench-parallel", "", "benchmark the pipeline across -j settings and write JSON results to this file")
 	flag.Parse()
 
 	cfg := experiments.Quick()
-	preset := "quick"
 	if *full {
 		cfg = experiments.Full()
-		preset = "full"
 	}
 	cfg.Seed = *seed
 	cfg.Runner.Seed = *seed
 	cfg.Train.Seed = *seed
 	cfg.Jobs = *jobs
-
-	if *benchParallel != "" {
-		runBenchParallel(cfg, preset, *benchParallel)
-		return
-	}
 
 	fmt.Println("== MB2 offline training ==")
 	p, err := experiments.BuildPipeline(cfg)
@@ -103,38 +93,4 @@ func main() {
 
 	fmt.Println()
 	experiments.PrintTab2(os.Stdout, p)
-}
-
-// runBenchParallel measures the full pipeline serially and at increasing -j,
-// checks every run digests identically, and writes the results as JSON.
-func runBenchParallel(cfg experiments.Config, preset, path string) {
-	jobsList := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		jobsList = append(jobsList, n)
-	}
-	fmt.Printf("== parallel training bench (%s preset, jobs %v) ==\n", preset, jobsList)
-	res, err := experiments.RunParallelBench(cfg, preset, jobsList)
-	if err != nil {
-		log.Fatalf("mb2-train: bench-parallel: %v", err)
-	}
-	for _, pt := range res.Points {
-		fmt.Printf("  -j %-3.0f %8.2fs  speedup %.2fx  %8.0f records/s\n",
-			pt.Jobs, pt.WallSeconds, pt.Speedup, pt.RecordsPerSec)
-	}
-	fmt.Printf("  digests match: %v (state digest %s; GOMAXPROCS=%d, NumCPU=%d)\n",
-		res.DigestsMatch, res.Digest, res.GOMAXPROCS, res.NumCPU)
-	if !res.DigestsMatch {
-		log.Fatal("mb2-train: bench-parallel: parallel runs diverged from serial")
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		log.Fatalf("mb2-train: %v", err)
-	}
-	if err := res.WriteJSON(f); err != nil {
-		log.Fatalf("mb2-train: writing %s: %v", path, err)
-	}
-	if err := f.Close(); err != nil {
-		log.Fatalf("mb2-train: %v", err)
-	}
-	fmt.Printf("results written to %s\n", path)
 }

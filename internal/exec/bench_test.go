@@ -1,8 +1,7 @@
 package exec_test
 
 // Microbenchmarks for the hot execution pipelines, one sub-benchmark per
-// (scenario, variant). `make bench-exec` records these into BENCH_exec.json
-// via cmd/mb2-execbench; tier-1 CI runs them with -benchtime=1x as a smoke
+// (scenario, variant). Tier-1 CI runs them with -benchtime=1x as a smoke
 // test. The variants of a scenario execute identical plans over identical
 // data, so ns/op and allocs/op differences measure the execution path, not
 // the workload.
@@ -43,8 +42,7 @@ func BenchmarkPipelines(b *testing.B) {
 }
 
 // BenchmarkPartitionPipelines sweeps the parallel scan and partition-wise
-// join over partition-count x DOP cells. `make bench-partition` records the
-// full sweep into BENCH_partition.json; tier-1 smoke runs it at
+// join over partition-count x DOP cells; tier-1 smoke runs it at
 // -benchtime=1x to keep the parallel paths exercised on every run.
 func BenchmarkPartitionPipelines(b *testing.B) {
 	for _, parts := range []int{1, 4} {

@@ -1,13 +1,9 @@
-// Package execbench defines the shared microbenchmark scenarios for the
-// execution engine's hot pipelines. The same scenarios back the `go test
-// -bench` suite (internal/exec/bench_test.go) and the BENCH_exec.json
-// writer (cmd/mb2-execbench), so CI smoke runs and recorded numbers always
-// measure the same plans over the same data.
+// Package execbench defines the microbenchmark scenarios for the execution
+// engine's hot pipelines: the plans, data and contexts behind the `go test
+// -bench` suite in internal/exec/bench_test.go.
 package execbench
 
 import (
-	"fmt"
-
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/exec"
@@ -57,8 +53,8 @@ func NewDB(n int) (*engine.DB, error) {
 }
 
 // NewPartitionedDB loads the benchmark database hash-partitioned on id
-// with the scan DOP knob raised: the configuration BENCH_partition.json
-// sweeps. parts/dop <= 1 keep the serial defaults.
+// with the scan DOP knob raised: the configuration the partition sweep
+// runs over. parts/dop <= 1 keep the serial defaults.
 func NewPartitionedDB(n, parts, dop int) (*engine.DB, error) {
 	knobs := catalog.DefaultKnobs()
 	if parts > 1 {
@@ -239,53 +235,4 @@ func NewCtxDOP(db *engine.DB, v Variant, dop int) *exec.Ctx {
 	ctx := NewCtx(db, v)
 	ctx.DOP = dop
 	return ctx
-}
-
-// CheckPartitioned verifies the partition scenarios return the same
-// cardinalities under every variant, and — when cmp is non-nil — the same
-// cardinalities as a reference (normally unpartitioned, DOP 1) database:
-// the smoke guard the partition sweep runs before timing anything.
-func CheckPartitioned(db *engine.DB, n, dop int, cmp map[string]int) (map[string]int, error) {
-	counts := map[string]int{}
-	for _, sc := range PartitionScenarios(n) {
-		for _, v := range Variants() {
-			b, err := exec.Execute(NewCtxDOP(db, v, dop), sc.Plan)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s: %w", sc.Name, v.Name, err)
-			}
-			if prev, ok := counts[sc.Name]; ok && prev != len(b.Rows) {
-				return nil, fmt.Errorf("%s: %s returned %d rows, earlier variant %d",
-					sc.Name, v.Name, len(b.Rows), prev)
-			}
-			counts[sc.Name] = len(b.Rows)
-		}
-		if cmp != nil && counts[sc.Name] != cmp[sc.Name] {
-			return nil, fmt.Errorf("%s: partitioned run returned %d rows, reference %d",
-				sc.Name, counts[sc.Name], cmp[sc.Name])
-		}
-	}
-	return counts, nil
-}
-
-// Check runs every scenario under every variant once and verifies the
-// configurations agree on result cardinality — a cheap smoke guard the
-// JSON writer runs before benchmarking.
-func Check(db *engine.DB, n int) error {
-	for _, sc := range Scenarios(n) {
-		counts := map[string]int{}
-		for _, v := range Variants() {
-			b, err := exec.Execute(NewCtx(db, v), sc.Plan)
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", sc.Name, v.Name, err)
-			}
-			counts[v.Name] = len(b.Rows)
-		}
-		for _, v := range Variants() {
-			if counts[v.Name] != counts["interpreted"] {
-				return fmt.Errorf("%s: %s returned %d rows, interpreted %d",
-					sc.Name, v.Name, counts[v.Name], counts["interpreted"])
-			}
-		}
-	}
-	return nil
 }

@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"math"
-	"time"
-
-	"mb2/internal/benchio"
-	"mb2/internal/par"
 )
 
 // Digest returns an FNV-64a fingerprint of the pipeline's complete trained
@@ -67,70 +62,4 @@ func (p *Pipeline) Digest() uint64 {
 		}
 	}
 	return h.Sum64()
-}
-
-// ParallelBenchPoint is one -j measurement of the offline pipeline.
-type ParallelBenchPoint struct {
-	Jobs          float64 `json:"jobs"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	Speedup       float64 `json:"speedup_vs_serial"`
-	RecordsPerSec float64 `json:"records_per_sec"`
-}
-
-// ParallelBenchResult is the perf trajectory make bench-train records in
-// BENCH_train_parallel.json.
-type ParallelBenchResult struct {
-	Preset  string `json:"preset"`
-	Records int    `json:"records"`
-	benchio.Host
-	DigestsMatch bool                 `json:"digests_match"`
-	Digest       string               `json:"digest"`
-	Points       []ParallelBenchPoint `json:"points"`
-}
-
-// RunParallelBench times the full offline pipeline (OU-runners, OU-model
-// training, concurrent runners, interference model) at each jobs setting
-// and verifies every run digests identically. Speedups are relative to the
-// first setting, which callers should make 1 (serial). On machines where
-// the scheduler caps usable cores below the requested -j (GOMAXPROCS,
-// container CPU quotas), speedup saturates at that cap; the recorded
-// GOMAXPROCS/NumCPU give the context to read the numbers against.
-func RunParallelBench(cfg Config, preset string, jobsList []int) (ParallelBenchResult, error) {
-	res := ParallelBenchResult{Preset: preset, Host: benchio.CaptureHost()}
-	var digests []uint64
-	for _, jobs := range jobsList {
-		cfg.Jobs = jobs
-		start := time.Now()
-		p, err := BuildPipeline(cfg)
-		if err != nil {
-			return res, err
-		}
-		if err := p.TrainInterference(); err != nil {
-			return res, err
-		}
-		wall := time.Since(start).Seconds()
-		digests = append(digests, p.Digest())
-		res.Records = p.Repo.NumRecords()
-		res.Points = append(res.Points, ParallelBenchPoint{
-			Jobs:          float64(par.Resolve(jobs)),
-			WallSeconds:   wall,
-			RecordsPerSec: float64(p.Repo.NumRecords()) / wall,
-		})
-	}
-	res.DigestsMatch = true
-	for i, pt := range res.Points {
-		res.Points[i].Speedup = res.Points[0].WallSeconds / pt.WallSeconds
-		if digests[i] != digests[0] {
-			res.DigestsMatch = false
-		}
-	}
-	if len(digests) > 0 {
-		res.Digest = fmt.Sprintf("%016x", digests[0])
-	}
-	return res, nil
-}
-
-// WriteJSON writes the bench result as indented JSON.
-func (r ParallelBenchResult) WriteJSON(w io.Writer) error {
-	return benchio.Encode(w, r)
 }

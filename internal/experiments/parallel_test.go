@@ -99,24 +99,3 @@ func TestSeedMatrixDeterminism(t *testing.T) {
 		})
 	}
 }
-
-// TestRunParallelBenchDigests exercises the bench harness end to end on the
-// mini config and checks its own equivalence verdict.
-func TestRunParallelBenchDigests(t *testing.T) {
-	res, err := RunParallelBench(miniConfig(1), "mini", []int{1, 2})
-	if err != nil {
-		t.Fatalf("RunParallelBench: %v", err)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("want 2 bench points, got %d", len(res.Points))
-	}
-	if !res.DigestsMatch {
-		t.Fatal("bench reports digest mismatch between jobs settings")
-	}
-	if res.Points[0].Speedup != 1 {
-		t.Fatalf("first point speedup = %v, want 1", res.Points[0].Speedup)
-	}
-	if res.Records == 0 || res.Digest == "" {
-		t.Fatalf("bench result incomplete: records=%d digest=%q", res.Records, res.Digest)
-	}
-}

@@ -5,6 +5,11 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"mb2/internal/catalog"
+	"mb2/internal/engine"
+	"mb2/internal/plan"
+	"mb2/internal/workload"
 )
 
 // compressedConfig is the shared exploded+compressed drive configuration the
@@ -240,51 +245,47 @@ func TestDriveLoopCacheEvictionsSurfaced(t *testing.T) {
 	}
 }
 
-// TestRunCompressBenchSmoke runs a miniature sweep end to end and checks
-// the report's shape: both compression arms per population, the K bound
-// respected, and compressed planning input bounded by K while uncompressed
-// input tracks N.
-func TestRunCompressBenchSmoke(t *testing.T) {
-	ms := sharedModels(t)
-	cfg := CompressBenchConfig{
-		Seed:           1,
-		TemplateCounts: []int{12, 200},
-		Clusters:       8,
-		Intervals:      4,
-	}
-	res, err := RunCompressBench(cfg, ms)
-	if err != nil {
+// TestCompressionBoundsPlannerInput feeds three intervals of counts for a
+// 200-variant population through history, registration and the forecast
+// builder: uncompressed, the forecast handed to PlanActions carries one
+// entry per template; compressed to K clusters it carries at most K.
+func TestCompressionBoundsPlannerInput(t *testing.T) {
+	const n, k = 200, 8
+	cfg := DefaultConfig()
+	cfg.Templates = n
+	db := engine.Open(catalog.DefaultKnobs())
+	bench := workload.TPCC{CustomersPerDistrict: cfg.CustomersPerDistrict}
+	if err := bench.Load(db, 1, cfg.Seed); err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) != 4 {
-		t.Fatalf("points = %d, want 4", len(res.Points))
-	}
-	for _, pt := range res.Points {
-		if pt.ForecastPlanUSPerInterval <= 0 {
-			t.Errorf("point %+v: no forecast+plan timing", pt)
+	for _, clusters := range []int{0, k} {
+		cfg.Clusters = clusters
+		sc, err := newScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if pt.VolumeMAPE < 0 {
-			t.Errorf("point %+v: negative MAPE", pt)
+		hist := newHistory(cfg.IntervalUS, cfg.HistoryWindow, cfg.Clusters)
+		for i := 0; i < 3; i++ {
+			counts := make(map[string]float64, n)
+			for b, base := range scenarioBases {
+				for ord := 0; ord < sc.variantsPerBase(b); ord++ {
+					counts[variantName(base, ord)] = float64(1 + i + ord%5)
+				}
+			}
+			if len(counts) != n {
+				t.Fatalf("population = %d, want %d", len(counts), n)
+			}
+			sc.registerTemplates(hist.Clusterer(), db, counts)
+			hist.Append(counts)
 		}
-		if pt.Compressed {
-			if pt.Clusters < 1 || pt.Clusters > cfg.Clusters {
-				t.Errorf("compressed point at N=%d has %d clusters, want within (0,%d]",
-					pt.Templates, pt.Clusters, cfg.Clusters)
-			}
-			if pt.ForecastQueries > cfg.Clusters {
-				t.Errorf("compressed planning input %d exceeds K=%d", pt.ForecastQueries, cfg.Clusters)
-			}
-		} else {
-			if pt.Clusters != 0 {
-				t.Errorf("uncompressed point reports %d clusters", pt.Clusters)
-			}
-			if pt.Templates >= 200 && pt.ForecastQueries < pt.Templates/2 {
-				t.Errorf("uncompressed planning input %d does not track N=%d",
-					pt.ForecastQueries, pt.Templates)
-			}
+		f := predictVolumes(hist, cfg.HistoryWindow).forecast(cfg.IntervalUS, cfg.Sessions,
+			func(name string) plan.Node { return sc.repFor(name, nil) })
+		got := len(f.Queries)
+		if clusters == 0 && got != n {
+			t.Errorf("uncompressed forecast has %d queries, want one per template (%d)", got, n)
 		}
-	}
-	if res.SpeedupMaxN <= 0 {
-		t.Fatalf("SpeedupMaxN = %v, want > 0", res.SpeedupMaxN)
+		if clusters > 0 && (got < 1 || got > k) {
+			t.Errorf("compressed forecast has %d queries, want within [1,%d]", got, k)
+		}
 	}
 }

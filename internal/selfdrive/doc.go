@@ -23,9 +23,7 @@
 // contention leaves it and recording predicted-vs-observed interval
 // latency. LiveController drives the same controller and forecast builder
 // over whatever traffic a live session.Registry carries, forecasting over
-// the plans that traffic surfaced. RunCompressBench times the forecast
-// builder and the planner across template populations with and without
-// workload compression.
+// the plans that traffic surfaced.
 //
 // # Determinism
 //

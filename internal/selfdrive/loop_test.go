@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mb2/internal/catalog"
+	"mb2/internal/check"
 	"mb2/internal/metrics"
 	"mb2/internal/modeling"
 	"mb2/internal/runner"
@@ -406,5 +407,36 @@ func TestDriveLoopFailoverDrills(t *testing.T) {
 	}
 	if a.Digest != b.Digest || !reflect.DeepEqual(a.FailoverDrills, b.FailoverDrills) {
 		t.Fatalf("drill-enabled runs do not replay: %#x vs %#x", a.Digest, b.Digest)
+	}
+}
+
+// TestPredictedPromotionBeatsFixed drills failover where the fixed policy's
+// target (replica 0) applies lazily and replica 1 eagerly. Pricing each
+// replica's recovery with the trained models must mostly promote replica 1
+// and lower the mean failover time, in simulated microseconds.
+func TestPredictedPromotionBeatsFixed(t *testing.T) {
+	ms := sharedModels(t)
+	for _, seed := range []int64{1, 5, 7} {
+		cfg := check.FailoverConfig{
+			Seed: seed, Workload: "smallbank", Txns: 32, Stride: 101, FlushEvery: 3,
+			Replicas: 2, ApplyEvery: []int{16, 1},
+		}
+		fixed, err := check.RunFailover(cfg)
+		if err != nil {
+			t.Fatalf("seed %d fixed: %v", seed, err)
+		}
+		cfg.Policy = "predicted"
+		cfg.Predict = PredictRecovery(ms)
+		predicted, err := check.RunFailover(cfg)
+		if err != nil {
+			t.Fatalf("seed %d predicted: %v", seed, err)
+		}
+		if predicted.MeanFailoverUS >= fixed.MeanFailoverUS {
+			t.Errorf("seed %d: predicted promotion %.2f us does not beat fixed %.2f us",
+				seed, predicted.MeanFailoverUS, fixed.MeanFailoverUS)
+		}
+		if p := predicted.Promotions; len(p) != 2 || p[1] <= p[0] {
+			t.Errorf("seed %d: predicted promotions %v do not favour the eager replica", seed, p)
+		}
 	}
 }

@@ -41,8 +41,8 @@ const (
 
 // diurnal is the day curve's volume multiplier at interval i: a sinusoid
 // around 0.6 that troughs near 0.1 and peaks at 1.1.
-func diurnal(i, period int) float64 {
-	return 0.6 + 0.5*math.Sin(2*math.Pi*float64(i)/float64(period))
+func diurnal(i int) float64 {
+	return 0.6 + 0.5*math.Sin(2*math.Pi*float64(i)/float64(diurnalPeriod))
 }
 
 // variantSep separates a base template name from its synthetic variant
@@ -79,7 +79,7 @@ func newScenario(cfg Config) (*scenario, error) {
 	case "", LoadFlat:
 		sc.scale = func(int) float64 { return 1 }
 	case LoadDiurnal:
-		sc.scale = func(i int) float64 { return diurnal(i, diurnalPeriod) }
+		sc.scale = diurnal
 	case LoadFlash:
 		mid := cfg.Intervals / 2
 		sc.scale = func(i int) float64 {

@@ -157,6 +157,10 @@ func boolBit(v bool) uint64 {
 // start barrier), so the server's peak-session gauge proves the
 // concurrency level. The caller must have run SetupLoadSchema first.
 func RunLoad(tr Transport, cfg LoadConfig) (LoadResult, error) {
+	if cfg.Sessions < 1 || cfg.Statements < 1 {
+		return LoadResult{}, fmt.Errorf("loadgen: need at least one session and one statement per session, got %d x %d",
+			cfg.Sessions, cfg.Statements)
+	}
 	clients := make([]*Client, cfg.Sessions)
 	for i := range clients {
 		cl, err := Dial(tr)

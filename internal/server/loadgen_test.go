@@ -96,3 +96,18 @@ func TestLoadGenStreamsDeterministic(t *testing.T) {
 		t.Fatal("session streams identical across indexes")
 	}
 }
+
+// TestRunLoadRejectsEmptyRuns pins that a run with no sessions or no
+// statements is an error, not a panic or a digest over nothing.
+func TestRunLoadRejectsEmptyRuns(t *testing.T) {
+	for _, cfg := range []LoadConfig{
+		{Sessions: -1, Statements: 10},
+		{Sessions: 0, Statements: 10},
+		{Sessions: 3, Statements: -2},
+		{Sessions: 3, Statements: 0},
+	} {
+		if _, err := RunLoad(NewPipe(), cfg); err == nil {
+			t.Errorf("RunLoad(%d sessions x %d statements) ran without error", cfg.Sessions, cfg.Statements)
+		}
+	}
+}
