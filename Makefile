@@ -9,8 +9,10 @@ GO ?= go
 # one exercised path through every CLI's modes.
 tier1: vet build race fuzz smoke
 
+# vet also fails when gofmt would change any file.
 vet:
 	$(GO) vet ./...
+	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -132,10 +132,10 @@ func genSmallBank(seed int64, txns int) crashWorkload {
 		pkIndexes: []string{"accounts_pk", "savings_pk", "checking_pk"},
 	}
 	type acct struct {
-		id            int64
-		acc, sav, chk storage.RowID
+		id             int64
+		acc, sav, chk  storage.RowID
 		savBal, chkBal float64
-		live          bool
+		live           bool
 	}
 	var (
 		accts    []acct
@@ -195,20 +195,20 @@ func genSmallBank(seed int64, txns int) crashWorkload {
 		switch p := rng.Intn(100); {
 		case p < 30: // deposit
 			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal + amt)},
+				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal+amt)},
 			}})
 			a.chkBal += amt
 		case p < 50: // transfer savings(a) -> checking(b)
 			j := pickLive()
 			b := &accts[j]
-			eff := []crashEffect{{effUpdate, 1, a.sav, balTuple(a.id, a.savBal - amt)}}
+			eff := []crashEffect{{effUpdate, 1, a.sav, balTuple(a.id, a.savBal-amt)}}
 			a.savBal -= amt
-			eff = append(eff, crashEffect{effUpdate, 2, b.chk, balTuple(b.id, b.chkBal + amt)})
+			eff = append(eff, crashEffect{effUpdate, 2, b.chk, balTuple(b.id, b.chkBal+amt)})
 			b.chkBal += amt
 			w.txns = append(w.txns, crashTxn{effects: eff})
 		case p < 65: // write check
 			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal - amt)},
+				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal-amt)},
 			}})
 			a.chkBal -= amt
 		case p < 75: // new customer
@@ -222,7 +222,7 @@ func genSmallBank(seed int64, txns int) crashWorkload {
 			a.live = false
 		default: // deposit executed and rolled back: ghost writes in the log
 			w.txns = append(w.txns, crashTxn{abort: true, effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal + amt)},
+				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal+amt)},
 			}})
 		}
 	}
@@ -610,7 +610,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 
 	report := &CrashReport{
 		Seed: cfg.Seed, Workload: w.name, Txns: len(w.txns), Commits: commits,
-		Partitions: goldenTables[0].PartitionCount(),
+		Partitions:   goldenTables[0].PartitionCount(),
 		Checkpointed: cfg.CheckpointAfter > 0, LogBytes: len(logImage),
 	}
 	retries, _ := golden.WAL.FaultStats()

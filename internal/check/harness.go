@@ -60,7 +60,7 @@ type Config struct {
 type Report struct {
 	Seed         int64
 	Workers      int
-	Partitions   int // hash partitions per table (1 = unpartitioned)
+	Partitions   int    // hash partitions per table (1 = unpartitioned)
 	Commits      uint64 // committed transactions (including read-only)
 	Aborts       uint64 // rolled-back transactions (deliberate + conflict)
 	Conflicts    uint64 // first-updater-wins write-write conflicts hit

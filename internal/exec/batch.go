@@ -49,8 +49,8 @@ func (b *Batch) AvgWidth() float64 {
 }
 
 // sampledWidth computes AvgWidth's statistic over a pre-extracted width
-// list. The rowPass driver records per-row widths while streaming (tuples
-// are never materialized) and bills the exact charge the materialize driver
+// list. The RowPass driver records per-row widths while streaming (tuples
+// are never materialized) and bills the exact charge the Materialize driver
 // would have made.
 func sampledWidth(widths []int) float64 {
 	if len(widths) == 0 {

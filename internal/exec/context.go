@@ -59,18 +59,20 @@ type Ctx struct {
 	// identical whether or not an interrupt hook is installed.
 	Interrupt func() error
 
-	// DisableFusion runs compiled-mode plans on the materialize driver: the
+	// DisableFusion runs compiled-mode plans on the Materialize driver: the
 	// reference the equivalence tests and the execution benchmarks compare
-	// the rowPass driver against. Only chooseDriver reads it.
+	// the RowPass driver against. Only plan.ChooseDriver, through
+	// Ctx.DriverMode, reads it.
 	DisableFusion bool
 
-	// FusedPipelines counts the fragments this context ran on the rowPass
-	// driver (one scan chain, hash join, or index join each), for
-	// observability in the control loop and CLIs.
+	// FusedPipelines counts the fragments this context ran on the RowPass
+	// driver (one scan chain or hash join each; an index join has one body
+	// for every mode and is never counted), for observability in the control
+	// loop and CLIs.
 	FusedPipelines int
 
 	// VecBatches counts column-major batches this context processed on the
-	// vecPass driver (vectorized.go): the vec-mode analogue of
+	// VecPass driver (vectorized.go): the vec-mode analogue of
 	// FusedPipelines, for observability in the control loop and CLIs.
 	VecBatches int
 
@@ -107,6 +109,24 @@ func NewCtx(db *engine.DB, cpu hw.CPU) *Ctx {
 func (c *Ctx) Thread() *hw.Thread { return c.Tracker.Thread() }
 
 func (c *Ctx) compiled() bool { return c.Mode == catalog.Compile }
+
+// DriverMode, PartitionCount and PartitionKeyCols implement plan.Config over
+// the live engine.
+func (c *Ctx) DriverMode() catalog.ExecutionMode {
+	if c.DisableFusion && c.Mode == catalog.Compile {
+		return catalog.Interpret
+	}
+	return c.Mode
+}
+
+func (c *Ctx) PartitionCount(table string) int {
+	if t := c.DB.Table(table); t != nil {
+		return t.PartitionCount()
+	}
+	return 0
+}
+
+func (c *Ctx) PartitionKeyCols(table string) []int { return c.DB.Table(table).PartitionKeyCols() }
 
 // compute charges operator logic to the worker's own thread, scaled by the
 // execution mode.

@@ -55,7 +55,7 @@ type equivalenceCase struct {
 	scale      float64
 	parts, dop int
 	seeds      []int64
-	// wantVec marks the cases with chains vecPass can take: rooted at a
+	// wantVec marks the cases with chains VecPass can take: rooted at a
 	// sequential scan of an unpartitioned table. SmallBank and TATP are
 	// pure index-lookup + DML workloads, and a partitioned table's scans
 	// take the exchange, so every chain there runs materialized — the

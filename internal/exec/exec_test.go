@@ -222,6 +222,21 @@ func TestIndexJoin(t *testing.T) {
 	if idxRec.Features[5] != 5 {
 		t.Fatalf("loops feature = %v, want 5", idxRec.Features[5])
 	}
+
+	// Compiled, over an index scan: the outer chain is the plan's one fused
+	// pipeline; the join itself has a single body for every mode.
+	cctx, _ := testCtx(db)
+	cctx.Mode = catalog.Compile
+	j.Outer = &plan.IdxScanNode{Table: "items", Index: "items_grp", Eq: []storage.Value{storage.NewInt(3)}}
+	if b, err = Execute(cctx, j); err != nil {
+		t.Fatal(err)
+	}
+	if len(b.Rows) != 100 { // 10 outer rows x 10 matches each
+		t.Fatalf("compiled index join rows = %d, want 100", len(b.Rows))
+	}
+	if cctx.FusedPipelines != 1 {
+		t.Fatalf("FusedPipelines = %d, want 1 (the outer chain only)", cctx.FusedPipelines)
+	}
 }
 
 func TestAggregation(t *testing.T) {

@@ -103,9 +103,9 @@ func NewPartitionedDB(n, parts, dop int) (*engine.DB, error) {
 
 // PartitionScenarios returns the partitioned-execution pipelines: the
 // exchange-style parallel scan and the partition-wise hash join (bare
-// partition-key scans on both sides, the shape exec.partitionWise fans
-// out). On an unpartitioned database both degrade to the serial paths, so
-// the same scenarios measure every (partitions, dop) cell.
+// partition-key scans on both sides, the shape plan.ChooseDriver puts on
+// the Exchange driver). On an unpartitioned database both degrade to the
+// serial paths, so the same scenarios measure every (partitions, dop) cell.
 func PartitionScenarios(n int) []Scenario {
 	est := func(rows float64) plan.Estimates {
 		if rows < 1 {

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"mb2/internal/hw"
 	"mb2/internal/ou"
@@ -145,26 +144,8 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch) error {
 	return nil
 }
 
-// partitionWise reports whether a hash join qualifies for the
-// partition-wise path: both inputs are bare scans of tables hash-partitioned
-// the same way, joined exactly on their partition keys, so equal keys are
-// guaranteed to be co-located in equal partition numbers.
-func partitionWise(ctx *Ctx, n *plan.HashJoinNode) bool {
-	ls, lok := n.Left.(*plan.SeqScanNode)
-	rs, rok := n.Right.(*plan.SeqScanNode)
-	if !lok || !rok || ls.Filter != nil || rs.Filter != nil || ls.Project != nil || rs.Project != nil {
-		return false
-	}
-	left, right := ctx.DB.Table(ls.Table), ctx.DB.Table(rs.Table)
-	if left == nil || right == nil {
-		return false
-	}
-	parts := left.PartitionCount()
-	return parts > 1 && right.PartitionCount() == parts &&
-		slices.Equal(n.LeftKeys, left.PartitionKeyCols()) && slices.Equal(n.RightKeys, right.PartitionKeyCols())
-}
-
-// partitionJoin runs a partitionWise hash join: every partition builds a
+// partitionJoin runs a hash join that plan.ChooseDriver found partition-wise
+// (two bare scans co-partitioned on the join keys): every partition builds a
 // private hash table over its stripe of the build side and probes it with
 // the co-located stripe of the probe side, one PARTITION_PROBE OU invocation
 // per partition (build plus probe of that partition), fanned over the worker

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"mb2/internal/catalog"
 	"mb2/internal/exec/vec"
 	"mb2/internal/index"
 	"mb2/internal/ou"
@@ -19,81 +18,29 @@ import (
 // the partition exchange of parallel.go) pushing rows through the chain's
 // stages into a sink. A hash join is build → streamed probe → two OU
 // brackets. The execution mode never selects a different body; it selects,
-// in chooseDriver and nowhere else, the driver that runs the fragment:
+// in plan.ChooseDriver and nowhere else, the plan.Driver that runs the
+// fragment:
 //
-//   - materialize: one operator at a time, every output a Batch, every
+//   - Materialize: one operator at a time, every output a Batch, every
 //     charge made where the work happens. Interpreted mode, and the
 //     reference the other drivers are tested against.
-//   - rowPass: one tuple at a time through the whole fragment, no
+//   - RowPass: one tuple at a time through the whole fragment, no
 //     intermediate Batch. Compiled mode.
-//   - vecPass: one column batch at a time through selection-vector kernels
+//   - VecPass: one column batch at a time through selection-vector kernels
 //     (vectorized.go). Vectorized mode, sequential-scan sources only.
-//   - exchange: materialize, with the source fanned out over partition
+//   - Exchange: Materialize, with the source fanned out over partition
 //     worker chains. Every mode, whenever the source table is partitioned.
 //
-// The modeled-cost contract is strict: rowPass emits exactly the OU records
-// — same kinds, same order, same feature vectors — that materialize emits
+// The modeled-cost contract is strict: RowPass emits exactly the OU records
+// — same kinds, same order, same feature vectors — that Materialize emits
 // for the same plan, so models trained on either stay valid for both. The
 // streaming drivers do their real work in one pass and bill each stage
 // afterwards, bracket by bracket, from the counts and width samples the
-// pass collected, through the same emitters materialize calls as it goes.
+// pass collected, through the same emitters Materialize calls as it goes.
 // Labels therefore agree to float rounding (bulk n-item charges versus n
-// single-item charges); features agree bit for bit. vecPass bills its own
+// single-item charges); features agree bit for bit. VecPass bills its own
 // VEC_* kinds, so its stream is not record-equivalent, but every driver
 // returns bit-identical rows (equivalence_test.go, vec_equivalence_test.go).
-
-// driver is how a fragment runs.
-type driver int
-
-const (
-	materialize driver = iota
-	rowPass
-	vecPass
-	exchange
-)
-
-// streams reports whether the driver hands a chain's rows to a sink one at a
-// time instead of materializing them.
-func (d driver) streams() bool { return d == rowPass || d == vecPass }
-
-// chooseDriver recognises the fragment rooted at node — a scan chain, which
-// it returns as a pipeline, or a join — and picks its driver. It is the one
-// place the execution mode and table partitioning decide how a plan runs,
-// and the only caller of plan.FuseScan; modeling.Translator mirrors it.
-// Every other node runs on materialize.
-func chooseDriver(ctx *Ctx, node plan.Node) (driver, *plan.ScanPipeline) {
-	drv := materialize
-	switch {
-	case ctx.Mode == catalog.Compile && !ctx.DisableFusion:
-		drv = rowPass
-	case ctx.Mode == catalog.Vectorize:
-		drv = vecPass
-	}
-	switch n := node.(type) {
-	case *plan.HashJoinNode:
-		if partitionWise(ctx, n) {
-			return exchange, nil
-		}
-		return drv, nil
-	case *plan.IndexJoinNode:
-		return drv, nil
-	}
-	p := plan.FuseScan(node)
-	if p == nil {
-		return materialize, nil
-	}
-	seq, ok := p.Source.(*plan.SeqScanNode)
-	if !ok {
-		if drv == vecPass {
-			drv = materialize // the batch kernels read sequential scans only
-		}
-		return drv, p
-	}
-	if tbl := ctx.DB.Table(seq.Table); tbl != nil && tbl.PartitionCount() > 1 {
-		return exchange, p
-	}
-	return drv, p
-}
 
 // chainStage is one per-tuple step of a scan chain, plus what a streaming
 // driver records during its pass to bill the step afterwards. Exactly one of
@@ -106,8 +53,8 @@ type chainStage struct {
 	exprs []plan.Expr
 
 	inRows int    // rows entering the stage
-	widths *[]int // rowPass: the width of every entering row (pooled)
-	chunks int    // vecPass: chunks entering the stage, and the summed
+	widths *[]int // RowPass: the width of every entering row (pooled)
+	chunks int    // VecPass: chunks entering the stage, and the summed
 	wSum   int    // width of one sampled live lane per chunk
 }
 
@@ -294,9 +241,9 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 }
 
 // execChain runs a scan chain on its driver and returns its output.
-func execChain(ctx *Ctx, drv driver, p *plan.ScanPipeline) (*Batch, error) {
+func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline) (*Batch, error) {
 	b := &Batch{}
-	if drv.streams() {
+	if drv.Streams() {
 		est := capHint(p.Source.Est().Rows)
 		b.Rows = make([]storage.Tuple, 0, est)
 		if p.HasRowIDs() {
@@ -308,7 +255,7 @@ func execChain(ctx *Ctx, drv driver, p *plan.ScanPipeline) (*Batch, error) {
 		return b, nil
 	}
 	var err error
-	if drv == exchange {
+	if drv == plan.Exchange {
 		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b)
 	} else {
 		err = runSource(ctx, p.Source, b)
@@ -323,7 +270,7 @@ func execChain(ctx *Ctx, drv driver, p *plan.ScanPipeline) (*Batch, error) {
 	return b, nil
 }
 
-// applyStage is the materialize driver's stage: it bills the stage over the
+// applyStage is the Materialize driver's stage: it bills the stage over the
 // whole batch, then runs it in place.
 func applyStage(ctx *Ctx, b *Batch, st *chainStage) {
 	if st.cols == nil {
@@ -351,9 +298,9 @@ func applyStage(ctx *Ctx, b *Batch, st *chainStage) {
 
 // streamChain runs a scan chain on a streaming driver, handing every
 // surviving row to sink.
-func streamChain(ctx *Ctx, drv driver, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
+func streamChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
 	stages := ctx.chainStages(p)
-	if drv == vecPass {
+	if drv == plan.VecPass {
 		return runVecPass(ctx, p.Source.(*plan.SeqScanNode), stages, p.HasRowIDs(), sink)
 	}
 	for i := range stages {
@@ -376,7 +323,7 @@ func streamChain(ctx *Ctx, drv driver, p *plan.ScanPipeline, sink func(storage.R
 	return err
 }
 
-// rowRun is the rowPass driver's per-tuple machine: the sink its source
+// rowRun is the RowPass driver's per-tuple machine: the sink its source
 // pushes into. Each row runs through every stage before the next is read,
 // leaving behind the per-stage row counts and input widths the stage
 // brackets are billed from once the source bracket has closed.
@@ -506,10 +453,10 @@ func (t *joinTable) probe(k []byte, fn func(row int32)) {
 // no intermediate Batch. Keys encode into the worker's scratch buffer and
 // output tuples come from the context arena, so the steady-state hot path
 // allocates nothing per row. All real work comes first; the build and probe
-// brackets are billed afterwards, the probe as HASHJOIN_PROBE under rowPass
-// and as VEC_PROBE under vecPass (the build keeps its mode-flagged
+// brackets are billed afterwards, the probe as HASHJOIN_PROBE under RowPass
+// and as VEC_PROBE under VecPass (the build keeps its mode-flagged
 // HASHJOIN_BUILD: the kind carries no vectorized profile).
-func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv driver) (*Batch, error) {
+func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	left, err := Execute(ctx, n.Left)
 	if err != nil {
 		return nil, err
@@ -540,7 +487,7 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv driver) (*Batch, error) 
 	}
 	// The probe side's own OU records emit here, before the build and probe
 	// brackets: operator-at-a-time order.
-	if rdrv, chain := chooseDriver(ctx, n.Right); chain != nil && rdrv.streams() {
+	if rdrv, chain := plan.ChooseDriver(ctx, n.Right); chain != nil && rdrv.Streams() {
 		if err := streamChain(ctx, rdrv, chain, probe); err != nil {
 			return nil, err
 		}
@@ -574,7 +521,7 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv driver) (*Batch, error) 
 	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
 
 	start = ctx.Tracker.Start()
-	if drv == vecPass {
+	if drv == plan.VecPass {
 		ctx.Thread().RandRead(rightRows, htBytes, 1)
 		ctx.vecCompute(rightRows*vecProbeCostPerRow + vecBatches(rightRows)*vecBatchOverhead)
 		ctx.Thread().SeqWrite(outRows, leftW+rightW)

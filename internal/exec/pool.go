@@ -73,7 +73,7 @@ type valueArena struct {
 }
 
 // heap is the nil arena: every tuple it hands out is its own allocation.
-// The materialize driver uses it, because interpreted sessions are too many
+// The Materialize driver uses it, because interpreted sessions are too many
 // for each to pin an arena chunk.
 var heap *valueArena
 

@@ -13,12 +13,12 @@ import (
 )
 
 // Execute runs a plan and returns the materialized result: it polls the
-// interrupt hook, has chooseDriver recognise the fragment rooted at node and
-// pick its driver (pipeline.go), and runs the fragment on it. Scan chains
+// interrupt hook, has plan.ChooseDriver recognise the fragment rooted at node
+// and pick its driver, and runs the fragment on it (pipeline.go). Scan chains
 // and hash joins are each one definition run by whichever driver the mode
 // and the tables' partitioning select; every other operator has a single
 // body, run one operator at a time. All drivers return bit-identical rows,
-// and materialize and rowPass emit identical OU record streams.
+// and Materialize and RowPass emit identical OU record streams.
 func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	// Operator-boundary cancellation point: a killed session aborts here
 	// before the next operator starts (see Ctx.Interrupt).
@@ -27,8 +27,8 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 			return nil, err
 		}
 	}
-	drv, chain := chooseDriver(ctx, node)
-	if drv == rowPass {
+	drv, chain := plan.ChooseDriver(ctx, node)
+	if drv == plan.RowPass {
 		ctx.FusedPipelines++
 	}
 	if chain != nil {
@@ -37,9 +37,9 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	switch n := node.(type) {
 	case *plan.HashJoinNode:
 		switch drv {
-		case exchange:
+		case plan.Exchange:
 			return partitionJoin(ctx, n)
-		case materialize:
+		case plan.Materialize:
 			return mapHashJoin(ctx, n)
 		}
 		return streamHashJoin(ctx, n, drv)
@@ -132,7 +132,7 @@ func (j *mapJoin) probe(r storage.Tuple, keys []int) {
 	}
 }
 
-// mapHashJoin is the materialize driver's hash join: both inputs
+// mapHashJoin is the Materialize driver's hash join: both inputs
 // materialize, and the build and probe brackets charge row by row.
 func mapHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	left, err := Execute(ctx, n.Left)

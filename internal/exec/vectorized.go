@@ -11,19 +11,19 @@ import (
 	"mb2/internal/storage"
 )
 
-// The vecPass driver: the third execution mode (catalog.Vectorize).
+// The VecPass driver: the third execution mode (catalog.Vectorize).
 //
-// chooseDriver hands vecPass the scan chains rooted at an unpartitioned
+// plan.ChooseDriver hands VecPass the scan chains rooted at an unpartitioned
 // sequential scan: up to vec.BatchRows tuples load into a column-major
 // vec.Batch, the chain's stages run as selection-vector kernels, and only
 // the surviving lanes materialize. Hash-join probes stream the right side
 // through the same pass into the Ctx-reused joinTable (streamHashJoin).
 // Everything else (index scans, aggregates, sorts, DML, output) runs on the
-// materialize driver, paying interpreter charges — which is exactly what
+// Materialize driver, paying interpreter charges — which is exactly what
 // the mode's OU decomposition tells the planner, since only VEC_* records
 // carry vectorized cost profiles.
 //
-// The bracket discipline is rowPass's: all real work happens inside the
+// The bracket discipline is RowPass's: all real work happens inside the
 // VEC_SCAN source bracket, and the per-stage VEC_FILTER brackets are billed
 // afterwards from counts collected during the pass.
 
@@ -80,7 +80,7 @@ func emitVecFilter(ctx *Ctx, inRows, width, opsPerRow float64) {
 // per-stage VEC_FILTER brackets. The source's column projection is a free
 // columnar view change. When the chain has no projection (keepRows),
 // emitted tuples are the storage layer's own (bit-identical to the
-// materialize driver's, zero copies); otherwise survivors materialize from
+// Materialize driver's, zero copies); otherwise survivors materialize from
 // the batch into arena storage.
 func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows bool, sink func(storage.RowID, storage.Tuple)) error {
 	tbl := ctx.DB.Table(src.Table)

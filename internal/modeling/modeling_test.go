@@ -125,6 +125,26 @@ func TestTranslateIndexBuild(t *testing.T) {
 	}
 }
 
+// TestTranslateUnknownTable: a plan naming a table the catalog does not have
+// degrades to the one-column, eight-byte default shape, with or without a
+// projection (which also may name a column the schema does not have).
+func TestTranslateUnknownTable(t *testing.T) {
+	db := newTestDB(t, 10, 2)
+	for name, scan := range map[string]plan.Node{
+		"seq":           &plan.SeqScanNode{Table: "nope"},
+		"seq-projected": &plan.SeqScanNode{Table: "nope", Project: []int{0}},
+		"idx":           &plan.IdxScanNode{Table: "nope", Index: "nope_pk"},
+		"idx-projected": &plan.IdxScanNode{Table: "nope", Index: "nope_pk", Project: []int{0}},
+		"bad-column":    &plan.SeqScanNode{Table: "items", Project: []int{99}},
+	} {
+		invs := NewTranslator(db, catalog.Interpret).TranslatePlan(&plan.OutputNode{Child: scan})
+		out := invs[len(invs)-1]
+		if out.Kind != ou.Output || out.Features[1] != 1 || out.Features[2] != 8 {
+			t.Errorf("%s: output over the scan = %v %v, want 1 column of 8 bytes", name, out.Kind, out.Features)
+		}
+	}
+}
+
 func TestTranslateMaintenanceAndTxn(t *testing.T) {
 	db := newTestDB(t, 10, 2)
 	tr := NewTranslator(db, catalog.Interpret)

@@ -24,7 +24,10 @@ type OUInvocation struct {
 
 // Translator extracts OUs from plans and actions and generates their input
 // features from optimizer estimates — the same infrastructure used for both
-// training-data collection and runtime inference (Sec 6.1).
+// training-data collection and runtime inference (Sec 6.1). Which OUs a plan
+// fragment costs is plan.ChooseDriver's decision, the one exec.Execute runs:
+// the translator is a plan.Config answering from the live engine under the
+// what-if overrides, and emits the OUs of the driver it is handed.
 type Translator struct {
 	DB   *engine.DB
 	Mode catalog.ExecutionMode
@@ -58,23 +61,23 @@ func NewTranslator(db *engine.DB, mode catalog.ExecutionMode) *Translator {
 
 func (tr *Translator) compiled() bool { return tr.Mode == catalog.Compile }
 
-func (tr *Translator) vectorized() bool { return tr.Mode == catalog.Vectorize }
+// DriverMode, PartitionCount and PartitionKeyCols implement plan.Config over
+// the live engine under the what-if partition override.
+func (tr *Translator) DriverMode() catalog.ExecutionMode { return tr.Mode }
 
-// vecFusible mirrors exec's vectorization qualification (exec.chooseDriver):
-// the tree rooted at n is a fusable scan chain whose source is a sequential
-// scan of an unpartitioned table (under the what-if partition override).
-// Operators outside such chains fall back to the interpreter in vectorized
-// mode, and their features — compiled flag false — already say so.
-func (tr *Translator) vecFusible(n plan.Node) bool {
-	p := plan.FuseScan(n)
-	if p == nil {
-		return false
+func (tr *Translator) PartitionCount(table string) int {
+	t := tr.DB.Table(table)
+	switch {
+	case t == nil:
+		return 0
+	case tr.PartitionsOverride > 0:
+		return tr.PartitionsOverride
 	}
-	src, ok := p.Source.(*plan.SeqScanNode)
-	if !ok {
-		return false
-	}
-	return tr.partitionsFor(src.Table) <= 1
+	return t.PartitionCount()
+}
+
+func (tr *Translator) PartitionKeyCols(table string) []int {
+	return tr.DB.Table(table).PartitionKeyCols()
 }
 
 func (tr *Translator) noisy(v float64) float64 {
@@ -124,24 +127,17 @@ func (tr *Translator) projectedInfo(name string, project []int, rows float64) su
 	if project == nil {
 		return subtreeInfo{rows: rows, cols: cols, width: width}
 	}
-	t := tr.DB.Table(name)
+	// An unknown table or column prices at tableInfo's default column width.
 	w := 0.0
+	t := tr.DB.Table(name)
 	for _, c := range project {
-		w += float64(t.Meta.Schema.Columns[c].ByteWidth())
+		if t != nil && c >= 0 && c < t.Meta.Schema.NumColumns() {
+			w += float64(t.Meta.Schema.Columns[c].ByteWidth())
+		} else {
+			w += 8
+		}
 	}
 	return subtreeInfo{rows: rows, cols: float64(len(project)), width: w}
-}
-
-// partitionsFor returns the effective hash-partition count for a table
-// under the what-if override.
-func (tr *Translator) partitionsFor(table string) int {
-	if tr.PartitionsOverride > 0 {
-		return tr.PartitionsOverride
-	}
-	if t := tr.DB.Table(table); t != nil {
-		return t.PartitionCount()
-	}
-	return 1
 }
 
 // dopFor returns the effective worker-chain count, mirroring
@@ -160,160 +156,75 @@ func (tr *Translator) dopFor(parts int) int {
 	return dop
 }
 
-func sameCols(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// tableRows is the scan's estimate of its table's size, falling back to the
+// live row count.
+func (tr *Translator) tableRows(v *plan.SeqScanNode) float64 {
+	if v.TableRows > 0 {
+		return v.TableRows
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return tr.DB.RowCount(v.Table)
 }
 
-// visitParallelScan translates a scan over a partitioned table: one
-// PARALLEL_SCAN invocation per partition (uniform-hash row estimate) on its
-// worker chain, the exchange merge on the session thread, then the filter.
-// The emission order matches exec.exchangeScan exactly.
-func (tr *Translator) visitParallelScan(v *plan.SeqScanNode, parts int, out *[]OUInvocation) subtreeInfo {
-	tableRows := v.TableRows
-	if tableRows <= 0 {
-		tableRows = tr.DB.RowCount(v.Table)
-	}
-	tableRows = tr.noisy(tableRows)
-	cols, width := tr.tableInfo(v.Table)
-	dop := tr.dopFor(parts)
-	perPart := tableRows / float64(parts)
-	// Chain IDs start past the invocations emitted so far, so each parallel
-	// operator in the plan gets its own chain group (per-operator barriers,
-	// as executed).
+// fanOut appends one kind invocation per partition, partition p on worker
+// chain p % dop. Chain IDs start past the invocations emitted so far, so each
+// parallel operator in the plan gets its own chain group (per-operator
+// barriers, as executed).
+func fanOut(out *[]OUInvocation, kind ou.Kind, feats []float64, parts, dop int) {
 	base := len(*out) + 1
 	for p := 0; p < parts; p++ {
-		*out = append(*out, OUInvocation{
-			Kind: ou.ParallelScan,
-			Features: ou.ParallelScanFeatures(perPart, cols, width,
-				float64(parts), float64(dop), tr.compiled()),
-			Chain: base + p%dop,
-		})
+		*out = append(*out, OUInvocation{Kind: kind, Features: feats, Chain: base + p%dop})
 	}
-	*out = append(*out, OUInvocation{Kind: ou.ExchangeMerge,
-		Features: ou.ExchangeMergeFeatures(tableRows, width,
-			float64(parts), float64(dop), tr.compiled())})
-	outRows := tr.noisy(v.Rows.Rows)
-	if v.Filter != nil {
-		ops := tableRows * v.Filter.Ops()
-		*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
-			Features: ou.ArithmeticFeatures(ops, tr.compiled())})
-	} else {
-		outRows = tableRows
-	}
-	return tr.projectedInfo(v.Table, v.Project, outRows)
 }
 
-// tryPartitionJoin translates a hash join that the executor would run
-// partition-wise (exec.partitionWise's qualification, evaluated over the
-// what-if partition count): one PARTITION_PROBE per co-located partition
-// pair plus the exchange merge. Children are not visited — their scans fuse
-// into the per-partition build and probe, exactly as executed.
-func (tr *Translator) tryPartitionJoin(v *plan.HashJoinNode, out *[]OUInvocation) (subtreeInfo, bool) {
-	ls, lok := v.Left.(*plan.SeqScanNode)
-	rs, rok := v.Right.(*plan.SeqScanNode)
-	if !lok || !rok || ls.Filter != nil || rs.Filter != nil || ls.Project != nil || rs.Project != nil {
-		return subtreeInfo{}, false
+// emitStage bills one filter or projection stage over rows tuples: a
+// VEC_FILTER on the VecPass driver, an ARITHMETIC on every other.
+func (tr *Translator) emitStage(drv plan.Driver, rows, opsPerRow float64, out *[]OUInvocation) {
+	if drv == plan.VecPass {
+		*out = append(*out, OUInvocation{Kind: ou.VecFilter,
+			Features: ou.VecFilterFeatures(rows, rows*opsPerRow, vec.BatchRows)})
+		return
 	}
-	lt, rt := tr.DB.Table(ls.Table), tr.DB.Table(rs.Table)
-	if lt == nil || rt == nil {
-		return subtreeInfo{}, false
-	}
-	parts := tr.partitionsFor(ls.Table)
-	if parts <= 1 || tr.partitionsFor(rs.Table) != parts {
-		return subtreeInfo{}, false
-	}
-	if !sameCols(v.LeftKeys, lt.PartitionKeyCols()) || !sameCols(v.RightKeys, rt.PartitionKeyCols()) {
-		return subtreeInfo{}, false
-	}
-	leftRows := ls.TableRows
-	if leftRows <= 0 {
-		leftRows = tr.DB.RowCount(ls.Table)
-	}
-	rightRows := rs.TableRows
-	if rightRows <= 0 {
-		rightRows = tr.DB.RowCount(rs.Table)
-	}
-	leftRows, rightRows = tr.noisy(leftRows), tr.noisy(rightRows)
-	leftCols, leftW := tr.tableInfo(ls.Table)
-	rightCols, rightW := tr.tableInfo(rs.Table)
-	card := tr.noisy(v.Rows.Distinct)
-	if card <= 0 {
-		card = leftRows
-	}
-	outRows := tr.noisy(v.Rows.Rows)
-	dop := tr.dopFor(parts)
-	keyBytes := 8.0 * float64(len(v.LeftKeys))
-	entryBytes := keyBytes + 8 + 16
-	pf := float64(parts)
-	base := len(*out) + 1
-	for p := 0; p < parts; p++ {
-		*out = append(*out, OUInvocation{
-			Kind: ou.PartitionProbe,
-			Features: ou.PartitionProbeFeatures(
-				(leftRows+rightRows+outRows)/pf,
-				leftCols+rightCols, leftW+rightW,
-				card/pf, entryBytes,
-				float64(dop), tr.compiled()),
-			Chain: base + p%dop,
-		})
-	}
-	*out = append(*out, OUInvocation{Kind: ou.ExchangeMerge,
-		Features: ou.ExchangeMergeFeatures(outRows, leftW+rightW,
-			pf, float64(dop), tr.compiled())})
-	return subtreeInfo{
-		rows:  outRows,
-		cols:  leftCols + rightCols,
-		width: leftW + rightW,
-	}, true
+	*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
+		Features: ou.ArithmeticFeatures(rows*opsPerRow, tr.compiled())})
 }
 
-func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
-	switch v := n.(type) {
+// visitChain translates a scan chain in the order the executor bills it: the
+// source's bracket(s) for the driver, the source's own filter, then the
+// wrapper stages bottom-up. The source's column projection is a view change
+// billed inside the source bracket on every driver. Cardinality noise is
+// drawn in a fixed order — table rows, the scan's output estimate (even when
+// there is no filter to use it), each wrapper filter's — because CardNoise
+// may be a stateful stream.
+func (tr *Translator) visitChain(drv plan.Driver, p *plan.ScanPipeline, out *[]OUInvocation) subtreeInfo {
+	var info subtreeInfo
+	switch v := p.Source.(type) {
 	case *plan.SeqScanNode:
-		if parts := tr.partitionsFor(v.Table); parts > 1 {
-			return tr.visitParallelScan(v, parts, out)
-		}
-		tableRows := v.TableRows
-		if tableRows <= 0 {
-			tableRows = tr.DB.RowCount(v.Table)
-		}
-		tableRows = tr.noisy(tableRows)
+		tableRows := tr.noisy(tr.tableRows(v))
 		cols, width := tr.tableInfo(v.Table)
-		if tr.vectorized() {
-			// Batch-at-a-time scan: the source's own filter replays as a
-			// VEC_FILTER stage; its column projection is a free columnar
-			// view change (no OU), matching exec.runVecPass.
+		switch drv {
+		case plan.Exchange:
+			// One PARALLEL_SCAN per partition (uniform-hash row estimate) on
+			// its worker chain, then the merge on the session thread.
+			parts := tr.PartitionCount(v.Table)
+			dop := tr.dopFor(parts)
+			fanOut(out, ou.ParallelScan, ou.ParallelScanFeatures(tableRows/float64(parts), cols, width,
+				float64(parts), float64(dop), tr.compiled()), parts, dop)
+			*out = append(*out, OUInvocation{Kind: ou.ExchangeMerge,
+				Features: ou.ExchangeMergeFeatures(tableRows, width, float64(parts), float64(dop), tr.compiled())})
+		case plan.VecPass:
 			*out = append(*out, OUInvocation{Kind: ou.VecScan,
 				Features: ou.VecScanFeatures(tableRows, cols, width, vec.BatchRows)})
-			outRows := tr.noisy(v.Rows.Rows)
-			if v.Filter != nil {
-				ops := tableRows * v.Filter.Ops()
-				*out = append(*out, OUInvocation{Kind: ou.VecFilter,
-					Features: ou.VecFilterFeatures(tableRows, ops, vec.BatchRows)})
-			} else {
-				outRows = tableRows
-			}
-			return tr.projectedInfo(v.Table, v.Project, outRows)
+		default:
+			*out = append(*out, OUInvocation{Kind: ou.SeqScan,
+				Features: ou.ExecFeatures(tableRows, cols, width, 0, 0, 1, tr.compiled())})
 		}
-		*out = append(*out, OUInvocation{Kind: ou.SeqScan,
-			Features: ou.ExecFeatures(tableRows, cols, width, 0, 0, 1, tr.compiled())})
 		outRows := tr.noisy(v.Rows.Rows)
 		if v.Filter != nil {
-			ops := tableRows * v.Filter.Ops()
-			*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
-				Features: ou.ArithmeticFeatures(ops, tr.compiled())})
+			tr.emitStage(drv, tableRows, v.Filter.Ops(), out)
 		} else {
 			outRows = tableRows
 		}
-		return tr.projectedInfo(v.Table, v.Project, outRows)
+		info = tr.projectedInfo(v.Table, v.Project, outRows)
 
 	case *plan.IdxScanNode:
 		rows := tr.noisy(v.Rows.Rows)
@@ -325,15 +236,74 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		*out = append(*out, OUInvocation{Kind: ou.IdxScan,
 			Features: ou.ExecFeatures(rows, cols, width, tr.indexSize(v.Index), 0, loops, tr.compiled())})
 		if v.Filter != nil {
-			ops := rows * v.Filter.Ops()
-			*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
-				Features: ou.ArithmeticFeatures(ops, tr.compiled())})
+			tr.emitStage(drv, rows, v.Filter.Ops(), out)
 		}
-		return tr.projectedInfo(v.Table, v.Project, rows)
+		info = tr.projectedInfo(v.Table, v.Project, rows)
+	}
+	for _, st := range p.Stages {
+		if st.Pred != nil {
+			tr.emitStage(drv, info.rows, st.Pred.Ops(), out)
+			info.rows = tr.noisy(st.OutRows)
+			continue
+		}
+		tr.emitStage(drv, info.rows, exprOps(st.Exprs), out)
+		info.cols, info.width = float64(len(st.Exprs)), 8*float64(len(st.Exprs))
+	}
+	return info
+}
 
+func exprOps(exprs []plan.Expr) float64 {
+	ops := 0.0
+	for _, e := range exprs {
+		ops += e.Ops()
+	}
+	return ops
+}
+
+// visitPartitionJoin translates a hash join the executor runs partition-wise:
+// one PARTITION_PROBE per co-located partition pair plus the exchange merge.
+// Children are not visited — their scans fuse into the per-partition build
+// and probe, exactly as executed.
+func (tr *Translator) visitPartitionJoin(v *plan.HashJoinNode, out *[]OUInvocation) subtreeInfo {
+	ls, rs := v.Left.(*plan.SeqScanNode), v.Right.(*plan.SeqScanNode)
+	leftRows, rightRows := tr.noisy(tr.tableRows(ls)), tr.noisy(tr.tableRows(rs))
+	leftCols, leftW := tr.tableInfo(ls.Table)
+	rightCols, rightW := tr.tableInfo(rs.Table)
+	card := tr.noisy(v.Rows.Distinct)
+	if card <= 0 {
+		card = leftRows
+	}
+	outRows := tr.noisy(v.Rows.Rows)
+	parts := tr.PartitionCount(ls.Table)
+	dop := tr.dopFor(parts)
+	entryBytes := 8.0*float64(len(v.LeftKeys)) + 8 + 16
+	pf := float64(parts)
+	fanOut(out, ou.PartitionProbe, ou.PartitionProbeFeatures(
+		(leftRows+rightRows+outRows)/pf,
+		leftCols+rightCols, leftW+rightW,
+		card/pf, entryBytes,
+		float64(dop), tr.compiled()), parts, dop)
+	*out = append(*out, OUInvocation{Kind: ou.ExchangeMerge,
+		Features: ou.ExchangeMergeFeatures(outRows, leftW+rightW, pf, float64(dop), tr.compiled())})
+	return subtreeInfo{rows: outRows, cols: leftCols + rightCols, width: leftW + rightW}
+}
+
+// visit translates the subtree rooted at n in Execute's shape: ChooseDriver
+// recognises the fragment and picks its driver, and the fragment's OUs are
+// the ones that driver bills. Operators outside scan chains and hash joins
+// have one body, run one operator at a time (a filter or projection that is
+// not part of a chain is always ARITHMETIC); in vectorized mode they run at
+// interpreted cost, and their features — compiled flag false — already say
+// so.
+func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
+	drv, chain := plan.ChooseDriver(tr, n)
+	if chain != nil {
+		return tr.visitChain(drv, chain, out)
+	}
+	switch v := n.(type) {
 	case *plan.HashJoinNode:
-		if info, ok := tr.tryPartitionJoin(v, out); ok {
-			return info
+		if drv == plan.Exchange {
+			return tr.visitPartitionJoin(v, out)
 		}
 		left := tr.visit(v.Left, out)
 		right := tr.visit(v.Right, out)
@@ -341,12 +311,11 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		if card <= 0 {
 			card = left.rows
 		}
-		keyBytes := 8.0 * float64(len(v.LeftKeys))
-		entryBytes := keyBytes + 8 + 16
+		entryBytes := 8.0*float64(len(v.LeftKeys)) + 8 + 16
 		*out = append(*out, OUInvocation{Kind: ou.HashJoinBuild,
 			Features: ou.ExecFeatures(left.rows, left.cols, left.width, card, entryBytes, 1, tr.compiled())})
 		outRows := tr.noisy(v.Rows.Rows)
-		if tr.vectorized() {
+		if drv == plan.VecPass {
 			// Vectorized probes replace HASHJOIN_PROBE; the build keeps its
 			// interpreted-flagged HASHJOIN_BUILD (exec.streamHashJoin).
 			*out = append(*out, OUInvocation{Kind: ou.VecProbe,
@@ -404,30 +373,12 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 
 	case *plan.ProjectNode:
 		child := tr.visit(v.Child, out)
-		opsPerRow := 0.0
-		for _, e := range v.Exprs {
-			opsPerRow += e.Ops()
-		}
-		if tr.vectorized() && tr.vecFusible(v) {
-			// A projection stage of a vectorized chain bills its expression
-			// work as a VEC_FILTER stage (exec.runVecPass).
-			*out = append(*out, OUInvocation{Kind: ou.VecFilter,
-				Features: ou.VecFilterFeatures(child.rows, child.rows*opsPerRow, vec.BatchRows)})
-		} else {
-			*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
-				Features: ou.ArithmeticFeatures(child.rows*opsPerRow, tr.compiled())})
-		}
+		tr.emitStage(plan.Materialize, child.rows, exprOps(v.Exprs), out)
 		return subtreeInfo{rows: child.rows, cols: float64(len(v.Exprs)), width: 8 * float64(len(v.Exprs))}
 
 	case *plan.FilterNode:
 		child := tr.visit(v.Child, out)
-		if tr.vectorized() && tr.vecFusible(v) {
-			*out = append(*out, OUInvocation{Kind: ou.VecFilter,
-				Features: ou.VecFilterFeatures(child.rows, child.rows*v.Pred.Ops(), vec.BatchRows)})
-		} else {
-			*out = append(*out, OUInvocation{Kind: ou.Arithmetic,
-				Features: ou.ArithmeticFeatures(child.rows*v.Pred.Ops(), tr.compiled())})
-		}
+		tr.emitStage(plan.Materialize, child.rows, v.Pred.Ops(), out)
 		return subtreeInfo{rows: tr.noisy(v.Rows.Rows), cols: child.cols, width: child.width}
 
 	case *plan.InsertNode:

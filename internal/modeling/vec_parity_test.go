@@ -54,6 +54,16 @@ func newVecTestDB(t *testing.T, n int) *engine.DB {
 	return db
 }
 
+// indexItemsID builds the items(id) index the index-scan and index-join
+// parity queries read.
+func indexItemsID(t *testing.T, db *engine.DB) *engine.DB {
+	t.Helper()
+	if _, _, err := db.CreateIndex(nil, hw.DefaultCPU(), "items_id", "items", []string{"id"}, false, 2); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
 // recordedIn runs the plan in the given execution mode and drains the
 // recorded OU stream.
 func recordedIn(t *testing.T, db *engine.DB, mode catalog.ExecutionMode, q plan.Node) []metrics.Record {
@@ -99,13 +109,116 @@ func compareStreams(t *testing.T, recorded []metrics.Record, translated []OUInvo
 	}
 }
 
+// parityQuery is one plan of the translator-parity matrix, with exact
+// estimates for the n-row items / n/2-row pairs test tables.
+type parityQuery struct {
+	name string
+	node plan.Node
+	// noVec marks a plan with no fragment the VecPass driver takes.
+	noVec bool
+}
+
+func parityQueries(n int) []parityQuery {
+	lowIDs := plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(int64(n / 2))}
+	lowGroups := plan.Cmp{Op: plan.LT, L: plan.Col(1), R: plan.IntConst(10)}
+	countByGroup := func() *plan.AggNode {
+		return &plan.AggNode{
+			Child:   &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+			GroupBy: []int{1},
+			Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}},
+			Rows:    plan.Estimates{Rows: 20, Distinct: 20},
+		}
+	}
+	return []parityQuery{
+		{name: "filtered-scan", node: &plan.SeqScanNode{
+			Table:  "items",
+			Filter: lowIDs,
+			Rows:   plan.Estimates{Rows: float64(n / 2)},
+		}},
+		{name: "scan-chain", node: &plan.ProjectNode{
+			Child: &plan.FilterNode{
+				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+				Pred:  plan.Cmp{Op: plan.GE, L: plan.Col(0), R: plan.IntConst(200)},
+				Rows:  plan.Estimates{Rows: float64(n - 200)},
+			},
+			Exprs: []plan.Expr{
+				plan.Col(0),
+				plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)},
+			},
+		}},
+		{name: "hash-join", node: &plan.HashJoinNode{
+			Left:      &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+			Right:     &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: float64(n / 2)}},
+			LeftKeys:  []int{0},
+			RightKeys: []int{0},
+			Rows:      plan.Estimates{Rows: float64(n / 2), Distinct: float64(n)},
+		}},
+		{name: "filter-over-scan", node: &plan.FilterNode{
+			Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+			Pred:  lowIDs,
+			Rows:  plan.Estimates{Rows: float64(n / 2)},
+		}},
+		{name: "hash-join-filtered-probe", node: &plan.HashJoinNode{
+			Left: &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: float64(n / 2)}},
+			Right: &plan.FilterNode{
+				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+				Pred:  lowIDs,
+				Rows:  plan.Estimates{Rows: float64(n / 2)},
+			},
+			LeftKeys:  []int{0},
+			RightKeys: []int{0},
+			Rows:      plan.Estimates{Rows: float64(n / 2), Distinct: float64(n / 2)},
+		}},
+		// An idx-rooted chain: no mode vectorizes it, no partitioning fans it out.
+		{name: "filter-over-idx-scan", noVec: true, node: &plan.FilterNode{
+			Child: &plan.IdxScanNode{
+				Table: "items", Index: "items_id",
+				Lo:   []storage.Value{storage.NewInt(100)},
+				Hi:   []storage.Value{storage.NewInt(299)},
+				Rows: plan.Estimates{Rows: 200},
+			},
+			Pred: lowGroups,
+			Rows: plan.Estimates{Rows: 100},
+		}},
+		// Wrappers over a pipeline breaker are not part of any chain.
+		{name: "project-filter-over-agg", node: &plan.ProjectNode{
+			Child: &plan.FilterNode{
+				Child: countByGroup(),
+				Pred:  plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(10)},
+				Rows:  plan.Estimates{Rows: 10},
+			},
+			Exprs: []plan.Expr{
+				plan.Col(0),
+				plan.Arith{Op: plan.Add, L: plan.Col(1), R: plan.IntConst(1)},
+			},
+		}},
+		{name: "index-join", node: &plan.IndexJoinNode{
+			Outer:     &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: float64(n / 2)}},
+			Table:     "items",
+			Index:     "items_id",
+			OuterKeys: []int{0},
+			Rows:      plan.Estimates{Rows: float64(n / 2)},
+		}},
+		// pairs.id joins the 20 group numbers: the probe side materializes.
+		{name: "hash-join-agg-probe", node: &plan.HashJoinNode{
+			Left:      &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: float64(n / 2)}},
+			Right:     countByGroup(),
+			LeftKeys:  []int{0},
+			RightKeys: []int{0},
+			Rows:      plan.Estimates{Rows: 20, Distinct: float64(n / 2)},
+		}},
+	}
+}
+
 // TestTranslatorMatchesExecutorAllModes pins the translator's emission to
 // the executor's recorded OU stream in every execution mode — interpreted,
 // compiled (fused), and vectorized — over a filtered scan, scan chains with
-// wrapper filter/projection stages, and hash joins with a streamed probe
-// side, on an unpartitioned database and on one hashed four ways (where
-// every mode must take the partition exchange). This is the parity contract
-// that makes PredictQuery's three-way mode pricing trustworthy.
+// wrapper filter/projection stages (seq- and idx-rooted), wrappers over an
+// aggregate, an index join, and hash joins with a streamed and a
+// materialized probe side, on an unpartitioned database and on one hashed
+// four ways (where every mode must take the partition exchange). This is the
+// parity contract that makes PredictQuery's three-way mode pricing
+// trustworthy.
 func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 	const n = 1000
 	dbs := []struct {
@@ -113,55 +226,10 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 		db     *engine.DB
 		parts  int
 	}{
-		{"", newVecTestDB(t, n), 1},
-		{"/parts4", newPartitionedTestDB(t, n, 4, 2), 4},
+		{"", indexItemsID(t, newVecTestDB(t, n)), 1},
+		{"/parts4", indexItemsID(t, newPartitionedTestDB(t, n, 4, 2)), 4},
 	}
-	lowIDs := plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(n / 2)}
-
-	queries := []struct {
-		name string
-		node plan.Node
-	}{
-		{"filtered-scan", &plan.SeqScanNode{
-			Table:  "items",
-			Filter: lowIDs,
-			Rows:   plan.Estimates{Rows: n / 2},
-		}},
-		{"scan-chain", &plan.ProjectNode{
-			Child: &plan.FilterNode{
-				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
-				Pred:  plan.Cmp{Op: plan.GE, L: plan.Col(0), R: plan.IntConst(200)},
-				Rows:  plan.Estimates{Rows: n - 200},
-			},
-			Exprs: []plan.Expr{
-				plan.Col(0),
-				plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)},
-			},
-		}},
-		{"hash-join", &plan.HashJoinNode{
-			Left:      &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
-			Right:     &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: n / 2}},
-			LeftKeys:  []int{0},
-			RightKeys: []int{0},
-			Rows:      plan.Estimates{Rows: n / 2, Distinct: n},
-		}},
-		{"filter-over-scan", &plan.FilterNode{
-			Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
-			Pred:  lowIDs,
-			Rows:  plan.Estimates{Rows: n / 2},
-		}},
-		{"hash-join-filtered-probe", &plan.HashJoinNode{
-			Left: &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: n / 2}},
-			Right: &plan.FilterNode{
-				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: n}},
-				Pred:  lowIDs,
-				Rows:  plan.Estimates{Rows: n / 2},
-			},
-			LeftKeys:  []int{0},
-			RightKeys: []int{0},
-			Rows:      plan.Estimates{Rows: n / 2, Distinct: n / 2},
-		}},
-	}
+	queries := parityQueries(n)
 	modes := []catalog.ExecutionMode{catalog.Interpret, catalog.Compile, catalog.Vectorize}
 
 	for _, d := range dbs {
@@ -186,7 +254,7 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 							vecRecs++
 						}
 					}
-					if mode == catalog.Vectorize && vecRecs == 0 {
+					if mode == catalog.Vectorize && vecRecs == 0 && !q.noVec {
 						t.Error("vectorized translation emitted no VEC_* invocations")
 					}
 					if mode != catalog.Vectorize && vecRecs != 0 {
@@ -194,6 +262,34 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestTranslatorWhatIfMatchesLive is the property planner.EvaluateKnobShift
+// rests on: translating under the what-if overrides on an unpartitioned
+// database emits the OU kinds and worker chains a plain translator emits on
+// the database actually hashed that way at that DOP.
+func TestTranslatorWhatIfMatchesLive(t *testing.T) {
+	const n, parts, dop = 1000, 4, 2
+	serial := indexItemsID(t, newVecTestDB(t, n))
+	hashed := indexItemsID(t, newPartitionedTestDB(t, n, parts, dop))
+	for _, q := range parityQueries(n) {
+		for _, mode := range []catalog.ExecutionMode{catalog.Interpret, catalog.Compile, catalog.Vectorize} {
+			t.Run(q.name+"/"+mode.String(), func(t *testing.T) {
+				whatIf := &Translator{DB: serial, Mode: mode, PartitionsOverride: parts, DOPOverride: dop}
+				got := whatIf.TranslatePlan(q.node)
+				want := NewTranslator(hashed, mode).TranslatePlan(q.node)
+				if len(got) != len(want) {
+					t.Fatalf("what-if emits %d invocations, live %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Kind != want[i].Kind || got[i].Chain != want[i].Chain {
+						t.Errorf("invocation %d: what-if (%v, chain %d), live (%v, chain %d)",
+							i, got[i].Kind, got[i].Chain, want[i].Kind, want[i].Chain)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,24 +1,30 @@
 package plan
 
-// This file implements pipeline-boundary analysis over plan trees: the
-// decomposition a compiling execution engine performs before fusing
-// operators into single-pass machine code. A pipeline is a maximal chain of
-// streaming operators — each tuple flows through every stage before the
-// next tuple is produced — bounded below by a pipeline driver (a scan or
-// the output side of a blocking operator) and above by a pipeline breaker
-// (sort build, aggregation build, hash-join build, or the plan root).
+import (
+	"slices"
+
+	"mb2/internal/catalog"
+)
+
+// This file holds the one decision about how a plan runs: ChooseDriver
+// recognises the fragment rooted at a node and picks the driver that runs it.
+// The execution engine runs what it returns and the OU translator emits what
+// it returns, so a prediction prices the plan the engine executes.
 //
-// The execution engine consumes ScanPipeline (the scan-rooted fragment it
-// can run as one fused pass); Pipelines is the whole-tree analysis used by
-// tests, tooling, and anything that wants to reason about how many passes a
-// plan costs in compiled mode.
+// The fragment the drivers treat differently is the scan pipeline a compiling
+// engine fuses into single-pass machine code: a maximal chain of streaming
+// operators — each tuple flows through every stage before the next tuple is
+// produced — bounded below by a scan and above by a pipeline breaker (sort
+// build, aggregation build, hash-join build, or the plan root).
 
 // PipelineStage is one streaming stage applied per tuple after a pipeline's
 // source. Exactly one of Pred and Exprs is set: a FilterNode stage carries
-// its predicate, a ProjectNode stage its expressions.
+// its predicate and the estimate of the rows it lets through, a ProjectNode
+// stage its expressions.
 type PipelineStage struct {
-	Pred  Expr
-	Exprs []Expr
+	Pred    Expr
+	OutRows float64
+	Exprs   []Expr
 }
 
 // ScanPipeline is a fusable scan-rooted operator chain: a SeqScanNode or
@@ -67,7 +73,7 @@ func FuseScan(n Node) *ScanPipeline {
 			}
 			return &ScanPipeline{Source: n, Stages: stages}
 		case *FilterNode:
-			stages = append(stages, PipelineStage{Pred: t.Pred})
+			stages = append(stages, PipelineStage{Pred: t.Pred, OutRows: t.Rows.Rows})
 			n = t.Child
 		case *ProjectNode:
 			stages = append(stages, PipelineStage{Exprs: t.Exprs})
@@ -78,74 +84,88 @@ func FuseScan(n Node) *ScanPipeline {
 	}
 }
 
-// Pipeline is one pipeline of the whole-tree decomposition: the streaming
-// operators in bottom-up order. Ops[0] is the driver; the last element is
-// the operator whose parent (or the plan root) breaks the stream.
-type Pipeline struct {
-	Ops []Node
+// Driver is how a fragment runs.
+type Driver int
+
+const (
+	// Materialize runs one operator at a time, every output a batch.
+	Materialize Driver = iota
+	// RowPass runs one tuple at a time through the whole fragment.
+	RowPass
+	// VecPass runs one column batch at a time through selection-vector
+	// kernels; it reads sequential scans only.
+	VecPass
+	// Exchange is Materialize with the source fanned out over partition
+	// worker chains.
+	Exchange
+)
+
+// Streams reports whether the driver hands a chain's rows to a sink one at a
+// time instead of materializing them.
+func (d Driver) Streams() bool { return d == RowPass || d == VecPass }
+
+// Config answers the two questions the driver choice depends on: the
+// execution engine answers from the live database, the translator from the
+// live database under its what-if overrides.
+type Config interface {
+	// DriverMode is the execution mode that picks the driver; a
+	// configuration with fusion switched off answers Interpret for Compile.
+	DriverMode() catalog.ExecutionMode
+	// PartitionCount is the table's hash-partition count, 0 when there is no
+	// such table.
+	PartitionCount(table string) int
+	// PartitionKeyCols is the partition-key columns of a table that exists.
+	PartitionKeyCols(table string) []int
 }
 
-// Pipelines decomposes a plan tree into its pipelines, in execution order
-// (a pipeline appears after every pipeline it consumes). Blocking
-// operators — Sort, Agg, and the build side of a HashJoin — terminate the
-// pipelines below them and drive a new one; streaming operators (scans,
-// Filter, Project, Output, DML sinks, the probe side of joins) extend the
-// current pipeline.
-func Pipelines(root Node) []Pipeline {
-	var out []Pipeline
-	var cur []Node
-	flush := func() {
-		if len(cur) > 0 {
-			out = append(out, Pipeline{Ops: cur})
-			cur = nil
-		}
+// ChooseDriver recognises the fragment rooted at node — a scan chain, which
+// it returns as a pipeline, or a hash join — and picks its driver. It is the
+// one place the execution mode and table partitioning decide how a plan runs,
+// and the only caller of FuseScan. Every other node runs on Materialize.
+func ChooseDriver(cfg Config, node Node) (Driver, *ScanPipeline) {
+	drv := Materialize
+	switch cfg.DriverMode() {
+	case catalog.Compile:
+		drv = RowPass
+	case catalog.Vectorize:
+		drv = VecPass
 	}
-	var walk func(n Node)
-	walk = func(n Node) {
-		switch t := n.(type) {
-		case *SeqScanNode, *IdxScanNode, *InsertNode:
-			cur = append(cur, n)
-		case *FilterNode:
-			walk(t.Child)
-			cur = append(cur, n)
-		case *ProjectNode:
-			walk(t.Child)
-			cur = append(cur, n)
-		case *OutputNode:
-			walk(t.Child)
-			cur = append(cur, n)
-		case *UpdateNode:
-			walk(t.Child)
-			cur = append(cur, n)
-		case *DeleteNode:
-			walk(t.Child)
-			cur = append(cur, n)
-		case *SortNode:
-			// The sort build consumes its child pipeline; iteration over the
-			// sorted output drives a new pipeline.
-			walk(t.Child)
-			cur = append(cur, n)
-			flush()
-			cur = append(cur, n)
-		case *AggNode:
-			walk(t.Child)
-			cur = append(cur, n)
-			flush()
-			cur = append(cur, n)
-		case *HashJoinNode:
-			// Build side is a breaker; probe side streams through the join.
-			walk(t.Left)
-			flush()
-			walk(t.Right)
-			cur = append(cur, n)
-		case *IndexJoinNode:
-			walk(t.Outer)
-			cur = append(cur, n)
-		default:
-			cur = append(cur, n)
+	if join, ok := node.(*HashJoinNode); ok {
+		if coPartitioned(cfg, join) {
+			return Exchange, nil
 		}
+		return drv, nil
 	}
-	walk(root)
-	flush()
-	return out
+	p := FuseScan(node)
+	if p == nil {
+		return Materialize, nil
+	}
+	seq, ok := p.Source.(*SeqScanNode)
+	if !ok {
+		if drv == VecPass {
+			drv = Materialize // the batch kernels read sequential scans only
+		}
+		return drv, p
+	}
+	if cfg.PartitionCount(seq.Table) > 1 {
+		return Exchange, p
+	}
+	return drv, p
+}
+
+// coPartitioned reports whether a hash join qualifies for the
+// partition-wise path: both inputs are bare scans of tables hash-partitioned
+// the same way, joined exactly on their partition keys, so equal keys are
+// guaranteed to be co-located in equal partition numbers. Key columns are
+// read last: fetching them copies, and a join over anything but two bare
+// scans must not pay for it.
+func coPartitioned(cfg Config, n *HashJoinNode) bool {
+	ls, lok := n.Left.(*SeqScanNode)
+	rs, rok := n.Right.(*SeqScanNode)
+	if !lok || !rok || ls.Filter != nil || rs.Filter != nil || ls.Project != nil || rs.Project != nil {
+		return false
+	}
+	parts := cfg.PartitionCount(ls.Table)
+	return parts > 1 && cfg.PartitionCount(rs.Table) == parts &&
+		slices.Equal(n.LeftKeys, cfg.PartitionKeyCols(ls.Table)) && slices.Equal(n.RightKeys, cfg.PartitionKeyCols(rs.Table))
 }

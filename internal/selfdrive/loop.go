@@ -196,32 +196,6 @@ type Result struct {
 	VolumeMAPE float64 `json:"volume_mape"`
 }
 
-// ModeChanges counts applied mode changes; IndexBuilds counts started
-// builds.
-func (r *Result) ModeChanges() int { return r.countKind("mode-change") }
-
-// IndexBuilds counts index builds the loop started.
-func (r *Result) IndexBuilds() int { return r.countKind("index-build-start") }
-
-// IndexPublishes counts builds that completed and went live.
-func (r *Result) IndexPublishes() int { return r.countKind("index-publish") }
-
-// Repartitions counts applied repartition actions.
-func (r *Result) Repartitions() int { return r.countKind("repartition") }
-
-// DOPChanges counts applied set-dop actions.
-func (r *Result) DOPChanges() int { return r.countKind("set-dop") }
-
-func (r *Result) countKind(kind string) int {
-	n := 0
-	for _, a := range r.Actions {
-		if a.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
 // Run executes the closed loop against a fresh TPC-C database using the
 // trained models. See the package comment for the loop's phases and
 // determinism scheme.
