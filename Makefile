@@ -9,10 +9,12 @@ GO ?= go
 # one exercised path through every CLI's modes.
 tier1: vet build race fuzz smoke
 
-# vet also fails when gofmt would change any file.
+# vet also fails when gofmt would change any file, and when any cmd/ binary
+# links the test harness internal/check.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
+	@! $(GO) list -deps ./cmd/... | grep -x mb2/internal/check || { echo "a cmd/ binary links internal/check"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -47,10 +49,10 @@ smoke: drive-smoke cli-smoke
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
 
 # drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a
-# short run with the exploder, compression, a load curve and both drills
-# on, replayed by -verify.
+# short run with the exploder, compression and a load curve on, replayed
+# by -verify.
 drive-smoke:
-	$(GO) run ./cmd/mb2-drive -intervals 4 -templates 16 -clusters 4 -load-curve diurnal -crash-every 2 -failover-every 4 -verify
+	$(GO) run ./cmd/mb2-drive -intervals 4 -templates 16 -clusters 4 -load-curve diurnal -verify
 
 # cli-smoke exercises the CLI modes no test reaches: the seeded load
 # generator and the replication demo of mb2-server, each replayed by

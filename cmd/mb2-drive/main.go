@@ -8,7 +8,7 @@
 // Usage:
 //
 //	mb2-drive [-seed N] [-intervals N] [-sessions N] [-j N]
-//	          [-partitions N] [-dop N] [-crash-every N] [-failover-every N]
+//	          [-partitions N] [-dop N]
 //	          [-templates N] [-clusters K] [-load-curve NAME]
 //	          [-data FILE] [-verify]
 //	          [-cpuprofile FILE] [-memprofile FILE]
@@ -18,16 +18,6 @@
 // runs in-process first. A fixed -seed makes the whole run bit-for-bit
 // reproducible: -verify replays the run and fails unless the action logs
 // and interval digests match exactly.
-//
-// -crash-every N rehearses crash recovery after every Nth interval: a
-// sandboxed engine runs a seeded workload on a simulated block device, the
-// durable log is cut at strided crash offsets, and recovery from each cut
-// is verified against an oracle; drill outcomes fold into the run digest.
-//
-// -failover-every N rehearses log-shipping failover after every Nth
-// interval: a sandboxed primary ships its WAL to replicas, dies at strided
-// kill points, and one replica is promoted by model-predicted recovery time
-// and verified against the commit oracle.
 //
 // -templates N explodes the four drive templates into N synthetic variants
 // (distinct fingerprints, near-identical OU features); -clusters K turns on
@@ -58,8 +48,6 @@ func main() {
 	jobs := flag.Int("j", 0, "session worker-pool size (0 = GOMAXPROCS, 1 = serial; results are identical at any value)")
 	partitions := flag.Int("partitions", 4, "initial hash partitions per table (1 = unpartitioned; the planner may repartition)")
 	dop := flag.Int("dop", 1, "initial scan degree of parallelism (the planner may change it via set-dop actions)")
-	crashEvery := flag.Int("crash-every", 0, "run a crash-recovery drill after every Nth interval (0 = off)")
-	failoverEvery := flag.Int("failover-every", 0, "run a log-shipping failover drill after every Nth interval (0 = off)")
 	templates := flag.Int("templates", 0, "explode the drive templates into N synthetic variants (0 = the plain four-template workload)")
 	clusters := flag.Int("clusters", 0, "compress the workload into at most K template clusters for forecasting and planning (0 = off)")
 	loadCurve := flag.String("load-curve", "", "per-interval load curve: flat, diurnal, or flash (default flat)")
@@ -106,8 +94,6 @@ func main() {
 	cfg.Jobs = *jobs
 	cfg.Partitions = *partitions
 	cfg.DOP = *dop
-	cfg.CrashEvery = *crashEvery
-	cfg.FailoverEvery = *failoverEvery
 	cfg.Templates = *templates
 	cfg.Clusters = *clusters
 	cfg.LoadCurve = *loadCurve
@@ -188,28 +174,6 @@ func printRun(res *selfdrive.Result) {
 			fmt.Printf("  (predicted improvement %.1f%%)", 100*a.PredictedImprovement)
 		}
 		fmt.Println()
-	}
-	if len(res.CrashDrills) > 0 {
-		fmt.Println("\ncrash drills:")
-		for _, d := range res.CrashDrills {
-			state := ""
-			if d.Checkpointed {
-				state = "  (checkpointed)"
-			}
-			fmt.Printf("  interval %2d  %-9s  %3d commits, %3d offsets verified, %3d torn tails%s\n",
-				d.Interval, d.Workload, d.Commits, d.Offsets, d.TornOffsets, state)
-		}
-	}
-	if len(res.FailoverDrills) > 0 {
-		fmt.Println("\nfailover drills:")
-		for _, d := range res.FailoverDrills {
-			state := ""
-			if d.Checkpointed {
-				state = "  (checkpointed)"
-			}
-			fmt.Printf("  interval %2d  %-9s  policy=%-9s  %3d commits, %3d kill points (%d crashes), mean failover %.1f us, promotions %v%s\n",
-				d.Interval, d.Workload, d.Policy, d.Commits, d.Offsets, d.Crashes, d.MeanFailoverUS, d.Promotions, state)
-		}
 	}
 	fmt.Printf("\npredicted-vs-observed MAPE: %.3f\n", res.MAPE)
 	if res.Clusters > 0 {

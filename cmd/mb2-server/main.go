@@ -94,7 +94,7 @@ func loadRun(cfg server.LoadConfig, maxSessions int) (server.LoadResult, int, er
 	if err != nil {
 		return server.LoadResult{}, 0, err
 	}
-	if err := server.SetupLoadSchema(admin, cfg); err != nil {
+	if err := server.SetupLoadSchema(admin); err != nil {
 		return server.LoadResult{}, 0, err
 	}
 	admin.Close()

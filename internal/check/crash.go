@@ -509,6 +509,8 @@ func capturePartitioned(tables []*storage.Table, readTS uint64) map[string]strin
 	return out
 }
 
+// digestState hashes a captured state in a canonical order; serial-mode
+// replays of the same seed must produce the same digest.
 func digestState(state map[string]string) uint64 {
 	keys := make([]string, 0, len(state))
 	for k := range state {

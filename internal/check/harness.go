@@ -3,12 +3,9 @@ package check
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -750,6 +747,7 @@ func (h *harness) report() *Report {
 	h.mu.Lock()
 	accounts := len(h.accounts)
 	h.mu.Unlock()
+	lastTS := h.db.Txns.LastCommitTS()
 	return &Report{
 		Seed:         h.cfg.Seed,
 		Workers:      h.cfg.Workers,
@@ -762,40 +760,7 @@ func (h *harness) report() *Report {
 		IndexBuilt:   h.indexBuilt,
 		Checks:       int(h.checks.Load()),
 		Accounts:     accounts,
-		LastCommitTS: h.db.Txns.LastCommitTS(),
-		StateDigest:  h.stateDigest(),
+		LastCommitTS: lastTS,
+		StateDigest:  digestState(captureState(h.tables(), lastTS)),
 	}
-}
-
-// stateDigest hashes every committed tuple at the final snapshot in a
-// canonical order; serial-mode replays of the same seed must produce the
-// same digest.
-func (h *harness) stateDigest() uint64 {
-	snap := h.capture(h.db.Txns.LastCommitTS())
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	d := fnv.New64a()
-	for _, k := range keys {
-		fmt.Fprintf(d, "%s=%s\n", k, snap[k])
-	}
-	return d.Sum64()
-}
-
-// capture snapshots every visible tuple at readTS as table/row -> rendering.
-func (h *harness) capture(readTS uint64) map[string]string {
-	out := make(map[string]string)
-	for _, tbl := range h.tables() {
-		tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-			parts := make([]string, len(data))
-			for i, v := range data {
-				parts[i] = v.String()
-			}
-			out[fmt.Sprintf("%s/%d", tbl.Meta.Name, row)] = strings.Join(parts, ",")
-			return true
-		})
-	}
-	return out
 }

@@ -197,10 +197,10 @@ func (h *harness) checkIndexes() error {
 func (h *harness) checkGC() error {
 	h.checks.Add(1)
 	snapTS := h.db.Txns.LastCommitTS()
-	before := h.capture(snapTS)
+	before := captureState(h.tables(), snapTS)
 	h.db.GC.Run(nil)
 	h.gcRuns.Add(1)
-	after := h.capture(snapTS)
+	after := captureState(h.tables(), snapTS)
 	for k, v := range before {
 		got, ok := after[k]
 		if !ok {

@@ -101,6 +101,3 @@ func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
 func (db *DB) CheckpointImage() []byte {
 	return db.ckptDev.Contents()
 }
-
-// CheckpointDevice returns the checkpoint block device.
-func (db *DB) CheckpointDevice() hw.BlockDevice { return db.ckptDev }

@@ -77,10 +77,7 @@ func NewClusterer(maxClusters int, tolerance float64) *Clusterer {
 	}
 }
 
-// MaxClusters returns the K bound.
-func (c *Clusterer) MaxClusters() int { return c.max }
-
-// Len returns the number of live clusters (always <= MaxClusters).
+// Len returns the number of live clusters (always <= the K bound).
 func (c *Clusterer) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

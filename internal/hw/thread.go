@@ -16,10 +16,6 @@ func NewThread(cpu CPU) *Thread {
 // CPU returns the processor the thread runs on.
 func (t *Thread) CPU() CPU { return t.cpu }
 
-// SetCPU swaps the processor model (e.g. a frequency change); counters are
-// preserved but subsequent derivations use the new timing model.
-func (t *Thread) SetCPU(cpu CPU) { t.cpu = cpu }
-
 // Counters returns a snapshot of the raw accumulators.
 func (t *Thread) Counters() Counters { return t.c }
 

@@ -107,20 +107,19 @@ type CandidateConfig struct {
 	// MaxImpactRatio is the during-build impact budget passed to
 	// ChooseIndexThreads (0 = unbounded).
 	MaxImpactRatio float64
-	// MaxIndexCandidates caps how many index candidates are evaluated per
-	// planning step, heaviest first (0 = all).
-	MaxIndexCandidates int
-	// PartitionCandidates are the hash-partition counts to evaluate as
-	// repartition actions (nil = {1, 2, 4, 8}; the live count is skipped).
-	PartitionCandidates []int
-	// DOPCandidates are the scan DOPs to evaluate as set-dop actions
-	// (nil = {1, 2, 4}; the live DOP is skipped).
-	DOPCandidates []int
 	// Recovery, when set, describes the primary's current pending recovery
 	// work; PlanActions then also evaluates a checkpoint action against it
 	// (nil leaves the generated action set exactly as before).
 	Recovery *modeling.RecoveryEstimate
 }
+
+// partitionCandidates are the hash-partition counts PlanActions evaluates as
+// repartition actions, and dopCandidates the scan DOPs it evaluates as
+// set-dop actions; the live value of each is skipped.
+var (
+	partitionCandidates = []int{1, 2, 4, 8}
+	dopCandidates       = []int{1, 2, 4}
+)
 
 // eqConsts walks a conjunctive predicate collecting col = const terms into
 // out and returning the residual conjuncts (everything that is not a plain
@@ -381,9 +380,6 @@ func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalFor
 		threads = []int{1, 2, 4}
 	}
 	cands := GenerateIndexCandidates(p.DB, f)
-	if cfg.MaxIndexCandidates > 0 && len(cands) > cfg.MaxIndexCandidates {
-		cands = cands[:cfg.MaxIndexCandidates]
-	}
 	for i := range cands {
 		c := cands[i]
 		after, changed := c.RewriteForecast(f)
@@ -411,12 +407,8 @@ func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalFor
 	}
 
 	curParts := normalizeKnob(p.DB.Knobs().PartitionCount)
-	partCands := cfg.PartitionCandidates
-	if len(partCands) == 0 {
-		partCands = []int{1, 2, 4, 8}
-	}
-	for _, parts := range partCands {
-		if parts < 1 || parts == curParts {
+	for _, parts := range partitionCandidates {
+		if parts == curParts {
 			continue
 		}
 		d, err := p.EvaluateKnobShift(mode, f, parts, 0)
@@ -435,12 +427,8 @@ func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalFor
 	}
 
 	curDOP := normalizeKnob(p.DB.Knobs().ScanDOP)
-	dopCands := cfg.DOPCandidates
-	if len(dopCands) == 0 {
-		dopCands = []int{1, 2, 4}
-	}
-	for _, dop := range dopCands {
-		if dop < 1 || dop == curDOP {
+	for _, dop := range dopCandidates {
+		if dop == curDOP {
 			continue
 		}
 		d, err := p.EvaluateKnobShift(mode, f, 0, dop)
@@ -510,8 +498,8 @@ func normalizeKnob(v int) int {
 // BuildHandle tracks an in-progress index build applied against the
 // running system: the index is materialized under a private name and its
 // per-thread isolated work contends with the workload interval by interval
-// until progress covers it, at which point Publish renames it live (the
-// sim.go lifecycle, exposed for the online loop).
+// until progress covers it, at which point Publish renames it live. Simulate
+// and the online loop both drive it.
 type BuildHandle struct {
 	Candidate IndexCandidate
 	Threads   int

@@ -6,8 +6,6 @@ import (
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/hw"
-	"mb2/internal/metrics"
-	"mb2/internal/ou"
 	"mb2/internal/runner"
 )
 
@@ -72,11 +70,11 @@ type SimResult struct {
 	BuildWork []hw.Metrics
 }
 
-// Simulate runs the timeline. The index build physically happens under a
-// private name at BuildStart (yielding its isolated per-thread work), then
-// its threads contend with the workload interval by interval until the
-// accumulated progress covers the work, at which point the index is
-// published and the workload switches plans.
+// Simulate runs the timeline. The index build is applied at BuildStart as
+// an ActionIndexBuild; its BuildHandle's threads then contend with the
+// workload interval by interval until the accumulated progress covers the
+// work, at which point the index is published and the workload switches
+// plans.
 func Simulate(cfg SimConfig) (SimResult, error) {
 	res := SimResult{}
 	if cfg.Threads < 1 {
@@ -85,30 +83,24 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 	machine := cfg.Concurrent.Machine
 	intervalUS := cfg.Concurrent.IntervalUS
 
-	var buildRemaining []float64
-	var buildPerThread []hw.Metrics
-	building := false
+	var build *BuildHandle
 	built := false
 
 	for i := 0; i < cfg.Intervals; i++ {
 		iv := SimInterval{StartUS: float64(i) * intervalUS}
 
-		if cfg.BuildStart >= 0 && i == cfg.BuildStart && !building && !built {
-			col := metrics.NewCollector()
-			col.EnableOnly(ou.IndexBuild)
-			_, build, err := cfg.DB.CreateIndex(col, cfg.Concurrent.CPU,
-				cfg.IndexName+buildingSuffix, cfg.IndexTable, cfg.IndexCols, false, cfg.BuildThreads)
+		if cfg.BuildStart >= 0 && i == cfg.BuildStart {
+			var err error
+			build, err = New(cfg.DB, nil).Apply(Action{
+				Kind:    ActionIndexBuild,
+				Index:   &IndexCandidate{Table: cfg.IndexTable, Name: cfg.IndexName, KeyColNames: cfg.IndexCols},
+				Threads: cfg.BuildThreads,
+			}, nil)
 			if err != nil {
-				return res, fmt.Errorf("planner: starting build: %w", err)
+				return res, err
 			}
-			buildPerThread = build.PerThread
-			buildRemaining = make([]float64, len(buildPerThread))
-			for j, m := range buildPerThread {
-				buildRemaining[j] = m.ElapsedUS
-			}
-			res.BuildWork = buildPerThread
+			res.BuildWork = build.PerThread
 			res.BuildStartUS = iv.StartUS
-			building = true
 			iv.Event = fmt.Sprintf("index build started (%d threads)", cfg.BuildThreads)
 		}
 
@@ -123,22 +115,10 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		}
 		assignment := runner.RoundRobinAssignment(subset, cfg.Threads, perThread)
 
-		// The build threads demand up to one interval of their isolated
-		// work rate each.
 		var extra []hw.Metrics
 		var extraIdx []int
-		if building {
-			for j, m := range buildPerThread {
-				if buildRemaining[j] <= 0 || m.ElapsedUS <= 0 {
-					continue
-				}
-				frac := intervalUS / m.ElapsedUS
-				if frac > buildRemaining[j]/m.ElapsedUS {
-					frac = buildRemaining[j] / m.ElapsedUS
-				}
-				extra = append(extra, m.Scale(frac))
-				extraIdx = append(extraIdx, j)
-			}
+		if build != nil {
+			extra, extraIdx = build.ActiveWork(intervalUS)
 		}
 
 		run, err := runner.ExecuteInterval(db, ccfg, templates, assignment, extra)
@@ -167,26 +147,18 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		}
 
 		// Advance the build by each thread's achieved progress.
-		if building {
-			done := true
+		if build != nil {
 			for e, j := range extraIdx {
-				ratio := run.Ratios[cfg.Threads+e][hw.LabelElapsedUS]
-				progress := intervalUS / ratio
-				buildRemaining[j] -= progress
-			}
-			for _, rem := range buildRemaining {
-				if rem > 0 {
-					done = false
-				}
+				build.Advance(j, intervalUS/run.Ratios[cfg.Threads+e][hw.LabelElapsedUS])
 			}
 			iv.Building = true
-			if done {
-				building = false
-				built = true
-				res.BuildEndUS = iv.StartUS + intervalUS
-				if err := cfg.DB.RenameIndex(cfg.IndexName+buildingSuffix, cfg.IndexName); err != nil {
+			if build.Done() {
+				if err := build.Publish(cfg.DB); err != nil {
 					return res, err
 				}
+				build = nil
+				built = true
+				res.BuildEndUS = iv.StartUS + intervalUS
 				if iv.Event == "" {
 					iv.Event = "index built"
 				}

@@ -25,8 +25,8 @@ func compressedConfig() Config {
 }
 
 // TestDriveLoopPinnedDigests pins one seeded run per arm of the loop: the
-// plain drive, the partitioned one, every workload shape (exploded,
-// compressed, each load curve) and both drills. The digest fingerprints
+// plain drive, the partitioned one (at DOP 1 and 2) and every workload
+// shape (exploded, compressed, each load curve). The digest fingerprints
 // counts, observed latencies, modes and actions; the two MAPEs (as float
 // bits) also pin the forecast's entry order and float reduction order,
 // which the digest only sees once they move an action. If a constant
@@ -50,8 +50,6 @@ func TestDriveLoopPinnedDigests(t *testing.T) {
 		{"exploded", six(func(c *Config) { c.Templates = 32 }), 0x55d340a5bfd6004e, 0x3fe2d8dc0ee53eac, 0x3fe7ec04fec04fec},
 		{"diurnal", six(func(c *Config) { c.LoadCurve = LoadDiurnal }), 0x56363f4816590d69, 0x403d05cfbae7e78f, 0x3fe70e70e70e70e7},
 		{"flash", six(func(c *Config) { c.LoadCurve = LoadFlash }), 0xa777b0cc3d233e8, 0x3fe1d1da2978054a, 0x3ff0200000000000},
-		{"crash-every-2", six(func(c *Config) { c.CrashEvery = 2 }), 0xcf5a5baeda153181, 0x3fe23802090d854b, 0x3fcc000000000000},
-		{"failover-every-3", six(func(c *Config) { c.FailoverEvery = 3 }), 0x6592b6ff6c8331d0, 0x3fe23802090d854b, 0x3fcc000000000000},
 		{"partitions4-dop2", six(func(c *Config) { c.Partitions, c.DOP = 4, 2 }), 0x6d25440bf09e674, 0x3fcf1759de266d26, 0x3fcc000000000000},
 	}
 	for _, tc := range cases {

@@ -45,28 +45,3 @@ func (d *digest) interval(i int, names []string, counts map[string]float64, obse
 		d.str(a.Detail)
 	}
 }
-
-// crashDrill folds one crash drill's outcome.
-func (d *digest) crashDrill(c CrashDrill) {
-	d.u64(uint64(c.Interval))
-	d.str(c.Workload)
-	d.u64(c.Commits)
-	d.u64(uint64(c.Offsets))
-	d.u64(uint64(c.TornOffsets))
-	d.u64(c.StateDigest)
-}
-
-// failoverDrill folds one failover drill's outcome.
-func (d *digest) failoverDrill(f FailoverDrill) {
-	d.u64(uint64(f.Interval))
-	d.str(f.Workload)
-	d.str(f.Policy)
-	d.u64(f.Commits)
-	d.u64(uint64(f.Offsets))
-	d.u64(uint64(f.Crashes))
-	for _, p := range f.Promotions {
-		d.u64(uint64(p))
-	}
-	d.f64(f.MeanFailoverUS)
-	d.u64(f.Digest)
-}

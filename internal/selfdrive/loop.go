@@ -39,17 +39,6 @@ type Config struct {
 	// Jobs bounds the session worker pool (<= 0 selects GOMAXPROCS, 1 is
 	// serial); results are bit-for-bit identical at every setting.
 	Jobs int
-	// CrashEvery runs a crash-recovery drill after every Nth interval (0
-	// disables). Each drill verifies torn-tail recovery on a sandboxed
-	// engine without touching the live one; drill outcomes fold into the
-	// run digest.
-	CrashEvery int
-	// FailoverEvery runs a log-shipping failover drill after every Nth
-	// interval (0 disables). Each drill ships a sandboxed primary's WAL to
-	// replicas, kills the primary at strided offsets, promotes by
-	// model-predicted recovery time, and verifies the promoted state
-	// against the commit oracle; drill outcomes fold into the run digest.
-	FailoverEvery int
 
 	// Partitions and DOP seed the engine's partitioning knobs at open
 	// (<= 1 is the serial engine); the planner may move both.
@@ -70,11 +59,15 @@ type Config struct {
 	// (sinusoid), "flash" (3x spike for two mid-run intervals).
 	LoadCurve string
 	// SkewShiftAt, when > 0, rotates the exploded population's hot
-	// variants at that interval — the mid-run skew shift.
+	// variants at that interval — the mid-run skew shift. Only in-package
+	// tests set it: it is the hot-set rotation the pinned compressedConfig
+	// row of TestDriveLoopPinnedDigests depends on.
 	SkewShiftAt int
 	// CacheEntries bounds the prediction cache (0 =
 	// modeling.DefaultCacheEntries). Eviction only forgets memoized work,
-	// so the bound never affects digests.
+	// so the bound never affects digests. Only in-package tests set it: it
+	// is the eviction pressure TestDriveLoopCacheEvictionsSurfaced needs to
+	// show the bound is digest-neutral.
 	CacheEntries int
 }
 
@@ -176,12 +169,6 @@ type Result struct {
 	// vectorized path — the vec-mode analogue of FusedPipelines, likewise
 	// kept out of the digest.
 	VecBatches int `json:"vec_batches"`
-	// CrashDrills are the recovery drills the loop ran (empty unless
-	// Config.CrashEvery is set).
-	CrashDrills []CrashDrill `json:"crash_drills,omitempty"`
-	// FailoverDrills are the log-shipping failover drills the loop ran
-	// (empty unless Config.FailoverEvery is set).
-	FailoverDrills []FailoverDrill `json:"failover_drills,omitempty"`
 	// CacheEvictions counts entries the bounded prediction cache's LRU
 	// dropped (0 unless the run's template population outgrew the bound).
 	CacheEvictions uint64 `json:"cache_evictions"`
@@ -346,26 +333,6 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		}
 
 		dig.interval(i, names, merged.Counts, observed, mode, ctl.actions)
-
-		// Phase 4b: rehearse crash recovery on a sandboxed engine.
-		if cfg.CrashEvery > 0 && (i+1)%cfg.CrashEvery == 0 {
-			drill, err := runCrashDrill(cfg, i, len(res.CrashDrills))
-			if err != nil {
-				return nil, fmt.Errorf("selfdrive: crash drill at interval %d: %w", i, err)
-			}
-			res.CrashDrills = append(res.CrashDrills, drill)
-			dig.crashDrill(drill)
-		}
-
-		// Phase 4c: rehearse log-shipping failover on a sandboxed group.
-		if cfg.FailoverEvery > 0 && (i+1)%cfg.FailoverEvery == 0 {
-			drill, err := runFailoverDrill(cfg, ms, i, len(res.FailoverDrills))
-			if err != nil {
-				return nil, fmt.Errorf("selfdrive: failover drill at interval %d: %w", i, err)
-			}
-			res.FailoverDrills = append(res.FailoverDrills, drill)
-			dig.failoverDrill(drill)
-		}
 
 		// Phase 5: forecast, plan, act, and predict the next interval.
 		predictedNext = 0

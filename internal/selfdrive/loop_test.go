@@ -11,6 +11,7 @@ import (
 	"mb2/internal/check"
 	"mb2/internal/metrics"
 	"mb2/internal/modeling"
+	"mb2/internal/planner"
 	"mb2/internal/runner"
 )
 
@@ -290,51 +291,6 @@ func TestDriveLoopSelectsVectorizedMode(t *testing.T) {
 	}
 }
 
-// TestDriveLoopCrashDrills enables periodic crash-recovery drills and
-// checks they run, replay deterministically, and fold into the digest —
-// while a drill-free run's digest is unaffected by the feature existing.
-func TestDriveLoopCrashDrills(t *testing.T) {
-	ms := sharedModels(t)
-	cfg := DefaultConfig()
-	cfg.Intervals = 6
-	base, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.CrashDrills) != 0 {
-		t.Fatalf("CrashEvery=0 ran %d drills", len(base.CrashDrills))
-	}
-
-	cfg.CrashEvery = 2
-	a, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.CrashDrills) != 3 {
-		t.Fatalf("got %d drills over %d intervals, want 3", len(a.CrashDrills), cfg.Intervals)
-	}
-	workloads := map[string]bool{}
-	for _, d := range a.CrashDrills {
-		if d.Offsets == 0 || d.Commits == 0 {
-			t.Fatalf("empty drill: %+v", d)
-		}
-		workloads[d.Workload] = true
-	}
-	if !workloads["smallbank"] || !workloads["tatp"] {
-		t.Fatalf("drills did not alternate workloads: %+v", a.CrashDrills)
-	}
-	if a.Digest == base.Digest {
-		t.Fatal("drill outcomes must fold into the run digest")
-	}
-	b, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest || !reflect.DeepEqual(a.CrashDrills, b.CrashDrills) {
-		t.Fatalf("drill-enabled runs do not replay: %#x vs %#x", a.Digest, b.Digest)
-	}
-}
-
 // TestDriveLoopPublishesIndex runs long enough for a started build to
 // finish and verifies the published index then serves the customer lookups
 // (the interval reports flip IndexLive).
@@ -362,60 +318,6 @@ func TestDriveLoopPublishesIndex(t *testing.T) {
 	}
 }
 
-// TestDriveLoopFailoverDrills enables periodic failover drills and checks
-// they run with the model-predicted promotion policy, replay
-// deterministically, and fold into the digest — while a drill-free run's
-// digest is unaffected by the feature existing.
-func TestDriveLoopFailoverDrills(t *testing.T) {
-	ms := sharedModels(t)
-	cfg := DefaultConfig()
-	cfg.Intervals = 6
-	base, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base.FailoverDrills) != 0 {
-		t.Fatalf("FailoverEvery=0 ran %d drills", len(base.FailoverDrills))
-	}
-
-	cfg.FailoverEvery = 3
-	a, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.FailoverDrills) != 2 {
-		t.Fatalf("got %d drills over %d intervals, want 2", len(a.FailoverDrills), cfg.Intervals)
-	}
-	for _, d := range a.FailoverDrills {
-		if d.Offsets == 0 || d.Commits == 0 || d.MeanFailoverUS <= 0 {
-			t.Fatalf("empty drill: %+v", d)
-		}
-		if d.Policy != "predicted" {
-			t.Fatalf("drill with a model set must promote by prediction: %+v", d)
-		}
-		promoted := 0
-		for _, p := range d.Promotions {
-			promoted += p
-		}
-		if promoted != d.Offsets {
-			t.Fatalf("promotions do not cover the sweep: %+v", d)
-		}
-	}
-	if a.FailoverDrills[0].Checkpointed || !a.FailoverDrills[1].Checkpointed {
-		t.Fatalf("drills must alternate the checkpoint arm: %+v", a.FailoverDrills)
-	}
-	if a.Digest == base.Digest {
-		t.Fatal("failover drill outcomes must fold into the run digest")
-	}
-	b, err := Run(cfg, ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Digest != b.Digest || !reflect.DeepEqual(a.FailoverDrills, b.FailoverDrills) {
-		t.Fatalf("drill-enabled runs do not replay: %#x vs %#x", a.Digest, b.Digest)
-	}
-}
-
 // TestPredictedPromotionBeatsFixed drills failover where the fixed policy's
 // target (replica 0) applies lazily and replica 1 eagerly. Pricing each
 // replica's recovery with the trained models must mostly promote replica 1
@@ -432,7 +334,7 @@ func TestPredictedPromotionBeatsFixed(t *testing.T) {
 			t.Fatalf("seed %d fixed: %v", seed, err)
 		}
 		cfg.Policy = "predicted"
-		cfg.Predict = PredictRecovery(ms)
+		cfg.Predict = planner.New(nil, ms).PredictRecoveryUS
 		predicted, err := check.RunFailover(cfg)
 		if err != nil {
 			t.Fatalf("seed %d predicted: %v", seed, err)

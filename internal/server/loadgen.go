@@ -17,9 +17,10 @@ type LoadConfig struct {
 	// Seed drives every session's statement stream; same seed, same
 	// streams, same digest.
 	Seed int64
-	// SeedRows sizes the read-only seed table region (default 512).
-	SeedRows int
 }
+
+// seedRows sizes the read-only seed table region.
+const seedRows = 512
 
 // LoadResult summarizes a run. Digest covers only statement outcomes —
 // never timing — so replays with the same seed compare bit for bit.
@@ -40,32 +41,24 @@ type LoadResult struct {
 	P50, P99 time.Duration
 }
 
-func (c LoadConfig) seedRows() int {
-	if c.SeedRows > 0 {
-		return c.SeedRows
-	}
-	return 512
-}
-
 // ownBase returns the first key of session i's private write range. Each
 // session writes only keys it owns and reads only the seed region or its
 // own writes, so statement results never depend on how concurrent
 // sessions interleave — the property that makes the digest replayable.
 func (c LoadConfig) ownBase(i int) int {
-	return c.seedRows() + i*c.Statements
+	return seedRows + i*c.Statements
 }
 
 // SetupLoadSchema creates and populates the load generator's table
 // through a client connection: a read-only seed region of `kv` rows that
 // every session queries.
-func SetupLoadSchema(cl *Client, cfg LoadConfig) error {
+func SetupLoadSchema(cl *Client) error {
 	if _, err := cl.Query("CREATE TABLE kv (k INT, grp INT, v FLOAT)"); err != nil {
 		return err
 	}
-	rows := cfg.seedRows()
-	for i := 0; i < rows; i += 8 {
+	for i := 0; i < seedRows; i += 8 {
 		stmt := "INSERT INTO kv VALUES "
-		for j := i; j < i+8 && j < rows; j++ {
+		for j := i; j < i+8 && j < seedRows; j++ {
 			if j > i {
 				stmt += ", "
 			}
@@ -93,7 +86,6 @@ func sessionStream(cfg LoadConfig, idx int) []string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "loadgen/session/%d", idx)
 	state := uint64(cfg.Seed) ^ h.Sum64()
-	rows := uint64(cfg.seedRows())
 	base := cfg.ownBase(idx)
 	written := 0
 	out := make([]string, 0, cfg.Statements)
@@ -101,11 +93,11 @@ func sessionStream(cfg LoadConfig, idx int) []string {
 		r := splitmix64(&state)
 		switch r % 4 {
 		case 0: // point lookup in the read-only seed region
-			out = append(out, fmt.Sprintf("SELECT * FROM kv WHERE k = %d", r>>8%rows))
+			out = append(out, fmt.Sprintf("SELECT * FROM kv WHERE k = %d", r>>8%seedRows))
 		case 1: // aggregate over the seed region (writes are filtered out)
 			out = append(out, fmt.Sprintf(
 				"SELECT grp, sum(v) FROM kv WHERE k < %d AND grp = %d GROUP BY grp",
-				rows, r>>8%13))
+				seedRows, r>>8%13))
 		case 2: // insert into this session's private key range
 			k := base + written
 			written++

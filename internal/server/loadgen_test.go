@@ -14,7 +14,7 @@ func runLoadOnce(t *testing.T, cfg LoadConfig) (LoadResult, *Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SetupLoadSchema(admin, cfg); err != nil {
+	if err := SetupLoadSchema(admin); err != nil {
 		t.Fatal(err)
 	}
 	admin.Close()

@@ -105,7 +105,8 @@ func exerciseProtocol(t *testing.T, tr Transport, srv *Server) {
 	if me == nil {
 		t.Fatalf("session %d missing from process list %+v", cl.SessionID, procs)
 	}
-	if me.Queries == 0 || me.Failed == 0 {
+	// Failed counts the missing-table query and the unknown prepared name.
+	if me.Queries == 0 || me.Failed != 2 {
 		t.Fatalf("process-list counters not advancing: %+v", *me)
 	}
 }

@@ -69,13 +69,6 @@ func (s *Session) Lookup(name string) *Prepared {
 	return s.prepared[name]
 }
 
-// PreparedCount returns the number of cached prepared statements.
-func (s *Session) PreparedCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.prepared)
-}
-
 // Replans returns how many times the statement was replanned after a
 // ConfigVersion move (0 while the cached plan has stayed valid).
 func (p *Prepared) Replans() int { return p.replans }
@@ -108,11 +101,11 @@ func (s *Session) ExecPrepared(name string) (*exec.Batch, hw.Metrics, error) {
 	p := s.prepared[name]
 	s.mu.Unlock()
 	if p == nil {
-		return nil, hw.Metrics{}, fmt.Errorf("session: no prepared statement %q", name)
+		return nil, hw.Metrics{}, s.fail(fmt.Errorf("session: no prepared statement %q", name))
 	}
 	node, fp, err := p.plan(s)
 	if err != nil {
-		return nil, hw.Metrics{}, err
+		return nil, hw.Metrics{}, s.fail(err)
 	}
 	if isDML(node) {
 		return s.execDML(p.Name, fp, node)

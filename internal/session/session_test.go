@@ -170,6 +170,37 @@ func TestPrepareRejectsDDL(t *testing.T) {
 	}
 }
 
+// TestFailedCountsEveryStatementThatNeverExecuted: a plan failure is
+// charged to the process-list Failed counter whether the statement came as
+// text, by prepared name, or under a name that was never prepared.
+func TestFailedCountsEveryStatementThatNeverExecuted(t *testing.T) {
+	_, reg := testDB(t, 10)
+	s, err := reg.Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Prepare("p", "SELECT * FROM nope"); err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name string
+		exec func() error
+	}{
+		{"ExecSQL on a missing table", func() error { _, _, err := s.ExecSQL("SELECT * FROM nope"); return err }},
+		{"ExecPrepared that fails to plan", func() error { _, _, err := s.ExecPrepared("p"); return err }},
+		{"ExecPrepared of an unknown name", func() error { _, _, err := s.ExecPrepared("missing"); return err }},
+	}
+	for i, st := range steps {
+		if err := st.exec(); err == nil {
+			t.Fatalf("%s succeeded", st.name)
+		}
+		if got, want := s.Info().Failed, uint64(i+1); got != want {
+			t.Fatalf("after %s: Failed = %d, want %d", st.name, got, want)
+		}
+	}
+}
+
 func TestRegistryAdmissionCap(t *testing.T) {
 	db := engine.Open(catalog.DefaultKnobs())
 	reg := NewRegistry(db, 2)

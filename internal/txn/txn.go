@@ -221,15 +221,6 @@ func (m *Manager) LastAllocatedTS() uint64 {
 	return m.allocTS
 }
 
-// IsActive reports whether the given transaction is still in flight (used
-// by storage invariant checks to classify uncommitted versions).
-func (m *Manager) IsActive(txnID uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.active[txnID]
-	return ok
-}
-
 // LastCommitTS returns the most recent commit timestamp.
 func (m *Manager) LastCommitTS() uint64 {
 	m.mu.Lock()
