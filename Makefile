@@ -9,12 +9,15 @@ GO ?= go
 # one exercised path through every CLI's modes.
 tier1: vet build race fuzz smoke
 
-# vet also fails when gofmt would change any file, and when any cmd/ binary
-# links the test harness internal/check.
+# vet also fails when gofmt would change any file, when any cmd/ binary
+# links the test harness internal/check, and when a non-test file other than
+# the wire codec (internal/server/frame.go) and the WAL imports hash/crc32:
+# a third CRC frame codec does not reappear unnoticed.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
 	@! $(GO) list -deps ./cmd/... | grep -x mb2/internal/check || { echo "a cmd/ binary links internal/check"; exit 1; }
+	@! grep -rl --include='*.go' --exclude='*_test.go' '"hash/crc32"' . | grep -v -e '^\./internal/server/frame\.go$$' -e '^\./internal/wal/' || { echo "hash/crc32 imported outside internal/server/frame.go and internal/wal/"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -34,7 +34,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", "", "serve the framed protocol on this TCP address")
-	maxSessions := flag.Int("max-sessions", 0, "admission cap on concurrent sessions (0 = unlimited)")
+	maxSessions := flag.Int("max-sessions", 0, "listen: admission cap on concurrent sessions (0 = unlimited)")
 	loadgen := flag.Bool("loadgen", false, "run the seeded load generator against an in-process server")
 	sessions := flag.Int("sessions", 1000, "loadgen: concurrent sessions")
 	statements := flag.Int("statements", 10, "loadgen: statements per session")
@@ -76,9 +76,9 @@ func serveTCP(addr string, maxSessions int) error {
 
 // loadRun executes one seeded load-generator run against a fresh
 // in-process server and returns its result.
-func loadRun(cfg server.LoadConfig, maxSessions int) (server.LoadResult, int, error) {
+func loadRun(cfg server.LoadConfig) (server.LoadResult, int, error) {
 	tr := server.NewPipe()
-	srv := server.New(engine.Open(catalog.DefaultKnobs()), server.Config{MaxSessions: maxSessions})
+	srv := server.New(engine.Open(catalog.DefaultKnobs()), server.Config{})
 	ln, err := tr.Listen()
 	if err != nil {
 		return server.LoadResult{}, 0, err
@@ -117,7 +117,7 @@ func runLoadgen(sessions, statements int, seed int64, verify bool) error {
 	cfg := server.LoadConfig{Sessions: sessions, Statements: statements, Seed: seed}
 	fmt.Printf("== seeded load generator (seed %d, %d sessions x %d statements, in-proc transport) ==\n",
 		seed, sessions, statements)
-	res, peak, err := loadRun(cfg, 0)
+	res, peak, err := loadRun(cfg)
 	if err != nil {
 		return err
 	}
@@ -126,7 +126,7 @@ func runLoadgen(sessions, statements int, seed int64, verify bool) error {
 		return fmt.Errorf("%d statements failed", res.Errors)
 	}
 	if verify {
-		replay, _, err := loadRun(cfg, 0)
+		replay, _, err := loadRun(cfg)
 		if err != nil {
 			return fmt.Errorf("verify replay: %w", err)
 		}

@@ -145,8 +145,8 @@ func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
 // With verify, a full re-run must reproduce the promoted digest bit for
 // bit.
 func runRepl(replicas, txns int, seed int64, verify bool) error {
-	if replicas < 1 {
-		replicas = 1
+	if txns < 1 {
+		return fmt.Errorf("-txns %d: a replication run ships at least one transaction", txns)
 	}
 	fmt.Printf("== log-shipping replication (seed %d, %d txns, %d replicas, in-proc transport) ==\n",
 		seed, txns, replicas)

@@ -102,7 +102,7 @@ func TestDefaultKnobs(t *testing.T) {
 	if k.ExecutionMode != Interpret {
 		t.Fatal("default execution mode must be interpret")
 	}
-	if k.LogFlushIntervalUS <= 0 || k.GCIntervalUS <= 0 || k.IndexBuildThreads <= 0 {
+	if k.LogBufferBytes <= 0 || k.PartitionCount <= 0 || k.ScanDOP <= 0 {
 		t.Fatalf("bad defaults: %+v", k)
 	}
 	if Interpret.String() != "INTERPRET" || Compile.String() != "COMPILE" {

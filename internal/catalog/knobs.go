@@ -38,22 +38,12 @@ func (m ExecutionMode) String() string {
 
 // Knobs are the DBMS configuration parameters a self-driving DBMS may tune.
 // Behavior knobs (Sec 4.2) are appended to the features of the OUs they
-// affect; resource knobs bound what the planner may allocate.
+// affect.
 type Knobs struct {
 	// ExecutionMode affects every execution-engine OU.
 	ExecutionMode ExecutionMode
-	// LogFlushIntervalUS is how often the WAL flusher wakes (affects the
-	// log-flush batch OU).
-	LogFlushIntervalUS float64
 	// LogBufferBytes is the size of one log buffer.
 	LogBufferBytes int
-	// GCIntervalUS is how often garbage collection runs.
-	GCIntervalUS float64
-	// IndexBuildThreads is the parallelism used for index construction: the
-	// contending-OU knob the planner chooses in the paper's Fig 1/11.
-	IndexBuildThreads int
-	// WorkMemBytes caps per-query working memory (resource knob).
-	WorkMemBytes float64
 	// PartitionCount is the number of hash partitions tables are created
 	// with (and repartitioned to when the knob changes). 1 means
 	// unpartitioned storage; the "repartition" self-driving action moves it.
@@ -69,13 +59,9 @@ type Knobs struct {
 // otherwise.
 func DefaultKnobs() Knobs {
 	return Knobs{
-		ExecutionMode:      Interpret,
-		LogFlushIntervalUS: 10_000,
-		LogBufferBytes:     64 * 1024,
-		GCIntervalUS:       50_000,
-		IndexBuildThreads:  4,
-		WorkMemBytes:       1 << 30,
-		PartitionCount:     1,
-		ScanDOP:            1,
+		ExecutionMode:  Interpret,
+		LogBufferBytes: 64 * 1024,
+		PartitionCount: 1,
+		ScanDOP:        1,
 	}
 }

@@ -108,14 +108,6 @@ func (c *PredictionCache) Sync(version uint64) {
 	c.mu.Unlock()
 }
 
-// Invalidate unconditionally drops every entry.
-func (c *PredictionCache) Invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[cacheKey]*list.Element)
-	c.lru.Init()
-	c.mu.Unlock()
-}
-
 // lookup returns the memoized prediction for the key, counting the probe
 // and refreshing the entry's recency.
 func (c *PredictionCache) lookup(k cacheKey) (cacheEntry, bool) {

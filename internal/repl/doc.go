@@ -3,9 +3,12 @@
 // each of which applies committed transactions in commit order and stands
 // ready to be promoted when the primary dies.
 //
-// The design keeps the WAL format the single source of truth. A ship frame
-// carries a byte range of the primary's durable segment image stamped with
-// the segment epoch and starting offset (frame.go); the replica concatenates
+// The design keeps the WAL format the single source of truth. A ship message
+// is an ordinary internal/server frame whose payload carries a byte range of
+// the primary's durable segment image behind a 16-byte prefix, the segment
+// epoch and starting offset (frame.go) — the wire header, CRC, payload cap
+// and decoding errors are the server's, and a frame the replica rejects is
+// answered with the server's MsgError; the replica concatenates
 // ranges, re-parses the image with the same tolerant parsers recovery uses
 // (wal.ParseSegment, wal.DeserializePrefix), and applies the unseen commit
 // suffix with wal.ReplayRange. When the primary checkpoints — truncating the

@@ -3,13 +3,15 @@ package repl
 import (
 	"bytes"
 	"testing"
+
+	"mb2/internal/server"
 )
 
-// FuzzShipFrame throws arbitrary bytes at the ship-frame parsers, mirroring
-// the server's FuzzFrame. Invariants: DecodeShipPrefix never panics,
-// consumed stays in bounds, a partial prefix always carries a reason, the
-// consumed prefix re-encodes byte-identically, and DecodeShipFrame agrees
-// frame-for-frame with the tolerant walk.
+// FuzzShipFrame throws arbitrary bytes at the ship prefix over the shared
+// frame decoder (server's FuzzFrame fuzzes the frame layer itself).
+// Invariants: DecodeShipFrame never panics, a failure consumes nothing, a
+// success consumes in bounds exactly the frame server.DecodeFrame sees, and
+// the decoded message re-encodes byte-identically.
 func FuzzShipFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendShipFrame(nil, ShipFrame{Type: ShipAppend, Epoch: 3, Offset: 20, Payload: []byte("segment bytes")}))
@@ -18,42 +20,25 @@ func FuzzShipFrame(f *testing.F) {
 		ShipFrame{Type: ShipAck, Epoch: 4, Offset: 132, Payload: []byte{7, 0, 0, 0, 0, 0, 0, 0}},
 	))
 	f.Add(AppendShipFrame(nil, ShipFrame{Type: ShipAck}))
+	f.Add(server.AppendFrame(nil, server.Frame{Type: ShipAck, Payload: []byte("short")}))
+	f.Add(server.AppendFrame(nil, server.ErrorFrame(ErrShipShort)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		frames, consumed, reason := DecodeShipPrefix(data)
-		if consumed < 0 || consumed > len(data) {
-			t.Fatalf("consumed %d of %d", consumed, len(data))
-		}
-		if consumed != len(data) && reason == "" {
-			t.Fatal("partial prefix must carry a reason")
-		}
-		if consumed == len(data) && reason != "" {
-			t.Fatalf("full consumption with stop reason %q", reason)
-		}
-		// The strict decoder accepts exactly the frames the tolerant walk
-		// consumed, in order.
-		rest := data[:consumed]
-		for i, want := range frames {
-			got, n, err := DecodeShipFrame(rest)
-			if err != nil {
-				t.Fatalf("strict decode of consumed frame %d failed: %v", i, err)
+		msg, n, err := DecodeShipFrame(data)
+		if err != nil {
+			if n != 0 {
+				t.Fatalf("failed decode consumed %d bytes", n)
 			}
-			if got.Type != want.Type || got.Epoch != want.Epoch ||
-				got.Offset != want.Offset || !bytes.Equal(got.Payload, want.Payload) {
-				t.Fatalf("strict/tolerant disagree on frame %d", i)
-			}
-			rest = rest[n:]
+			return
 		}
-		if len(rest) != 0 {
-			t.Fatalf("strict walk left %d bytes of the consumed prefix", len(rest))
+		if n < server.HeaderSize+shipPrefixSize || n > len(data) {
+			t.Fatalf("consumed %d of %d", n, len(data))
 		}
-		// Round trip: re-encoding the parsed frames rebuilds the prefix.
-		var rebuilt []byte
-		for _, fr := range frames {
-			rebuilt = AppendShipFrame(rebuilt, fr)
+		if _, fn, ferr := server.DecodeFrame(data); ferr != nil || fn != n {
+			t.Fatalf("ship decoder consumed %d, frame decoder %d (%v)", n, fn, ferr)
 		}
-		if !bytes.Equal(rebuilt, data[:consumed]) {
-			t.Fatalf("re-encoding differs: %d vs %d bytes", len(rebuilt), consumed)
+		if rebuilt := AppendShipFrame(nil, msg); !bytes.Equal(rebuilt, data[:n]) {
+			t.Fatalf("re-encoding differs: %d vs %d bytes", len(rebuilt), n)
 		}
 	})
 }

@@ -113,24 +113,29 @@ func NewGroup(db *engine.DB, factory DBFactory, tr server.Transport, cfg GroupCo
 	return g, nil
 }
 
-// serveReplica is the follower's receive loop: read a frame, handle it,
-// answer with the ack. A transport error (the primary closed the group)
-// ends the loop quietly; a protocol error is recorded on the replica.
+// serveReplica is the follower's receive loop: every frame read gets exactly
+// one answer, the ack or — for a frame the replica rejects — the server's
+// MsgError carrying the reason, so the primary learns the cause over the
+// wire. A transport or framing error (the primary closed the group, the
+// stream is corrupt) ends the loop.
 func serveReplica(r *Replica, c server.Conn) {
 	defer c.Close()
 	for {
-		f, err := ReadShipFrame(c)
+		req, err := server.ReadFrame(c)
 		if err != nil {
 			return
 		}
-		ack, err := r.HandleFrame(f)
-		if err != nil {
-			r.mu.Lock()
-			r.serveErr = err
-			r.mu.Unlock()
-			return
+		var ack ShipFrame
+		f, err := shipMessage(req)
+		if err == nil {
+			ack, err = r.HandleFrame(f)
 		}
-		if err := WriteShipFrame(c, ack); err != nil {
+		if err != nil {
+			err = server.WriteFrame(c, server.ErrorFrame(err))
+		} else {
+			err = WriteShipFrame(c, ack)
+		}
+		if err != nil {
 			return
 		}
 	}
@@ -149,13 +154,13 @@ func (g *Group) Sync() error {
 	g.syncs++
 	durable := g.db.WAL.Durable()
 	epoch := g.db.WAL.Epoch()
-	for i, rep := range g.replicas {
+	for i := range g.replicas {
 		if g.syncs%g.cfg.cadence(i) != 0 {
 			continue
 		}
 		if g.sentEpoch[i] != epoch {
 			snap := ShipFrame{Type: ShipSnapshot, Epoch: epoch, Payload: g.db.CheckpointImage()}
-			if err := g.exchange(i, rep, snap); err != nil {
+			if err := g.exchange(i, snap); err != nil {
 				return err
 			}
 			g.sentEpoch[i] = epoch
@@ -168,7 +173,7 @@ func (g *Group) Sync() error {
 				Offset:  uint64(g.sentBytes[i]),
 				Payload: durable[g.sentBytes[i]:],
 			}
-			if err := g.exchange(i, rep, app); err != nil {
+			if err := g.exchange(i, app); err != nil {
 				return err
 			}
 			g.sentBytes[i] = len(durable)
@@ -177,14 +182,15 @@ func (g *Group) Sync() error {
 	return nil
 }
 
-// exchange ships one frame and validates its ack.
-func (g *Group) exchange(i int, rep *Replica, f ShipFrame) error {
+// exchange ships one frame and validates its ack. A replica that rejected
+// the frame answered MsgError, which ReadShipFrame returns as the error.
+func (g *Group) exchange(i int, f ShipFrame) error {
 	if err := WriteShipFrame(g.conns[i], f); err != nil {
-		return g.shipErr(i, rep, err)
+		return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 	}
 	ack, err := ReadShipFrame(g.conns[i])
 	if err != nil {
-		return g.shipErr(i, rep, err)
+		return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 	}
 	if ack.Type != ShipAck || ack.Epoch != f.Epoch {
 		return fmt.Errorf("repl: replica %d acked type %d epoch %d for epoch %d",
@@ -197,19 +203,12 @@ func (g *Group) exchange(i int, rep *Replica, f ShipFrame) error {
 	if ack.Offset != want {
 		return fmt.Errorf("repl: replica %d acked %d received bytes, want %d", i, ack.Offset, want)
 	}
-	if len(ack.Payload) == 8 {
-		g.ackCommits[i] = binary.LittleEndian.Uint64(ack.Payload)
+	if len(ack.Payload) != 8 {
+		return fmt.Errorf("repl: replica %d acked with a %d-byte payload, want its 8-byte commit count",
+			i, len(ack.Payload))
 	}
+	g.ackCommits[i] = binary.LittleEndian.Uint64(ack.Payload)
 	return nil
-}
-
-// shipErr prefers the replica's own protocol error — the root cause — over
-// the transport error its connection teardown produced.
-func (g *Group) shipErr(i int, rep *Replica, err error) error {
-	if rerr := rep.Err(); rerr != nil {
-		return rerr
-	}
-	return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 }
 
 // AckedCommits returns the last acked applied-commit count per replica: the

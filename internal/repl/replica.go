@@ -90,7 +90,6 @@ type Replica struct {
 	appends        int    // append frames received this epoch
 	reseeds        int
 	promoted       bool
-	serveErr       error
 }
 
 // NewReplica builds a follower over a fresh engine from factory.
@@ -116,13 +115,6 @@ func (r *Replica) DB() *engine.DB {
 	return r.db
 }
 
-// Err returns the protocol error that stopped the serve loop, if any.
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.serveErr
-}
-
 // tables maps table IDs to the replica engine's storage, the form the WAL
 // replayers consume. Callers hold r.mu.
 func (r *Replica) tables() map[int32]*storage.Table {
@@ -137,7 +129,8 @@ func (r *Replica) tables() map[int32]*storage.Table {
 
 // HandleFrame processes one shipped frame and returns the ack the primary
 // is waiting for: received byte count in Offset, applied commit count in
-// the payload.
+// the payload. An error refuses the frame; the serve loop relays it to the
+// primary as MsgError.
 func (r *Replica) HandleFrame(f ShipFrame) (ShipFrame, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -50,12 +50,8 @@ func (c *Client) roundTrip(req Frame) (Frame, error) {
 	if err != nil {
 		return Frame{}, err
 	}
-	if f.Type == MsgError {
-		msg, derr := decodeError(f.Payload)
-		if derr != nil {
-			return Frame{}, derr
-		}
-		return Frame{}, &RemoteError{Msg: msg}
+	if err := f.RemoteErr(); err != nil {
+		return Frame{}, err
 	}
 	return f, nil
 }

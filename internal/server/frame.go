@@ -8,7 +8,8 @@ import (
 	"io"
 )
 
-// Wire framing: every message travels as one frame.
+// Wire framing: every message — client protocol and replication alike —
+// travels as one frame.
 //
 //	offset 0  magic      0xB2
 //	offset 1  version    1
@@ -42,22 +43,38 @@ type Frame struct {
 }
 
 // frameCRC computes the header CRC: the type byte, then the payload.
-func frameCRC(typ byte, payload []byte) uint32 {
+func frameCRC(typ byte, payload ...[]byte) uint32 {
 	crc := crc32.Update(0, crcTable, []byte{typ})
-	return crc32.Update(crc, crcTable, payload)
+	for _, p := range payload {
+		crc = crc32.Update(crc, crcTable, p)
+	}
+	return crc
 }
 
 // AppendFrame appends the encoding of f to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
+	return AppendFrameParts(dst, f.Type, f.Payload)
+}
+
+// AppendFrameParts appends one frame of type typ whose payload is the
+// concatenation of parts, each copied once: repl's ship messages put their
+// own prefix before a large body without assembling the payload first.
+func AppendFrameParts(dst []byte, typ byte, parts ...[]byte) []byte {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	var hdr [HeaderSize]byte
 	hdr[0] = frameMagic
 	hdr[1] = frameVersion
-	hdr[2] = f.Type
-	hdr[3] = 0
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(f.Payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], frameCRC(f.Type, f.Payload))
+	hdr[2] = typ
+	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
+	binary.LittleEndian.PutUint32(hdr[8:12], frameCRC(typ, parts...))
 	dst = append(dst, hdr[:]...)
-	return append(dst, f.Payload...)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst
 }
 
 // Frame decoding errors.
@@ -70,26 +87,36 @@ var (
 	ErrFrameCRC       = errors.New("server: frame CRC mismatch")
 )
 
+// checkHeader validates a frame header — everything a reader can check
+// before it has (or allocates for) the payload — and returns the payload
+// byte count.
+func checkHeader(hdr []byte) (int, error) {
+	switch {
+	case hdr[0] != frameMagic:
+		return 0, ErrFrameMagic
+	case hdr[1] != frameVersion:
+		return 0, ErrFrameVersion
+	case hdr[3] != 0:
+		return 0, ErrFrameReserved
+	}
+	n := binary.LittleEndian.Uint32(hdr[4:8])
+	if n > MaxPayload {
+		return 0, ErrFrameTooLarge
+	}
+	return int(n), nil
+}
+
 // DecodeFrame decodes exactly one frame from the front of b, returning
 // it and the bytes consumed. The returned payload aliases b.
 func DecodeFrame(b []byte) (Frame, int, error) {
 	if len(b) < HeaderSize {
 		return Frame{}, 0, ErrFrameTruncated
 	}
-	if b[0] != frameMagic {
-		return Frame{}, 0, ErrFrameMagic
+	n, err := checkHeader(b)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if b[1] != frameVersion {
-		return Frame{}, 0, ErrFrameVersion
-	}
-	if b[3] != 0 {
-		return Frame{}, 0, ErrFrameReserved
-	}
-	n := binary.LittleEndian.Uint32(b[4:8])
-	if n > MaxPayload {
-		return Frame{}, 0, ErrFrameTooLarge
-	}
-	total := HeaderSize + int(n)
+	total := HeaderSize + n
 	if len(b) < total {
 		return Frame{}, 0, ErrFrameTruncated
 	}
@@ -130,24 +157,20 @@ func WriteFrame(w io.Writer, f Frame) error {
 }
 
 // ReadFrame reads one frame from r, blocking until a whole frame (or an
-// error) arrives. Stream corruption surfaces as a decode error.
+// error) arrives. A stream that ends between frames is a clean io.EOF, one
+// that ends inside a frame — header or payload — is ErrFrameTruncated, and
+// corruption surfaces as the decode error.
 func ReadFrame(r io.Reader) (Frame, error) {
 	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			err = fmt.Errorf("%w: %w", ErrFrameTruncated, err)
+		}
 		return Frame{}, err
 	}
-	if hdr[0] != frameMagic {
-		return Frame{}, ErrFrameMagic
-	}
-	if hdr[1] != frameVersion {
-		return Frame{}, ErrFrameVersion
-	}
-	if hdr[3] != 0 {
-		return Frame{}, ErrFrameReserved
-	}
-	n := binary.LittleEndian.Uint32(hdr[4:8])
-	if n > MaxPayload {
-		return Frame{}, ErrFrameTooLarge
+	n, err := checkHeader(hdr[:])
+	if err != nil {
+		return Frame{}, err
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

@@ -68,6 +68,9 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 		if _, _, err := DecodeFrame(b); !errors.Is(err, want) {
 			t.Fatalf("%s: got %v, want %v", name, err, want)
 		}
+		if _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, want) {
+			t.Fatalf("%s via reader: got %v, want %v", name, err, want)
+		}
 	}
 	check("bad magic", func(b []byte) { b[0] = 0x00 }, ErrFrameMagic)
 	check("bad version", func(b []byte) { b[1] = 99 }, ErrFrameVersion)
@@ -81,6 +84,19 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := DecodeFrame(good[:len(good)-1]); !errors.Is(err, ErrFrameTruncated) {
 		t.Fatalf("short payload: got %v", err)
+	}
+
+	// A stream that ends inside a frame is truncated wherever it ends —
+	// header or payload — and only a stream that ends between frames is a
+	// clean EOF.
+	for _, cut := range []int{1, 5, HeaderSize - 1, HeaderSize, HeaderSize + 2, len(good) - 1} {
+		_, err := ReadFrame(bytes.NewReader(good[:cut]))
+		if !errors.Is(err, ErrFrameTruncated) || !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("stream cut at byte %d: got %v, want ErrFrameTruncated wrapping io.ErrUnexpectedEOF", cut, err)
+		}
+	}
+	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+		t.Fatalf("empty stream: got %v, want io.EOF", err)
 	}
 }
 

@@ -36,12 +36,34 @@ const (
 	// MsgClose ends the session; MsgBye acks and the server hangs up.
 	MsgClose
 	MsgBye
+	// Types 0x41..0x43 are reserved for internal/repl's ship messages,
+	// which ride the same frames on their own connections.
 )
 
-// RemoteError is a server-side failure relayed over the wire.
+// RemoteError is the peer's failure relayed over the wire.
 type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return "server: remote error: " + e.Msg }
+
+// ErrorFrame is the MsgError response relaying err.
+func ErrorFrame(err error) Frame {
+	return Frame{Type: MsgError, Payload: appendString(nil, err.Error())}
+}
+
+// RemoteErr returns the failure f relays when it is a MsgError response —
+// a *RemoteError, or the decode error of a malformed one — and nil for any
+// other frame.
+func (f Frame) RemoteErr() error {
+	if f.Type != MsgError {
+		return nil
+	}
+	c := &cursor{b: f.Payload}
+	msg := c.str()
+	if err := c.done(); err != nil {
+		return err
+	}
+	return &RemoteError{Msg: msg}
+}
 
 // RowsResult is a statement's wire-visible outcome.
 type RowsResult struct {
@@ -181,14 +203,6 @@ func decodeRows(p []byte) (RowsResult, error) {
 	c := &cursor{b: p}
 	r := RowsResult{Count: c.u64(), Digest: c.u64()}
 	return r, c.done()
-}
-
-func encodeError(msg string) []byte { return appendString(nil, msg) }
-
-func decodeError(p []byte) (string, error) {
-	c := &cursor{b: p}
-	s := c.str()
-	return s, c.done()
 }
 
 func encodeKill(id uint64) []byte { return appendU64(nil, id) }

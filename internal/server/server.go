@@ -98,7 +98,7 @@ func reply(conn Conn, typ byte, payload []byte) error {
 
 // replyErr relays a statement failure without dropping the connection.
 func replyErr(conn Conn, err error) error {
-	return reply(conn, MsgError, encodeError(err.Error()))
+	return WriteFrame(conn, ErrorFrame(err))
 }
 
 // handleConn speaks the protocol for one connection's lifetime. The

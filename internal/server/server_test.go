@@ -74,6 +74,18 @@ func exerciseProtocol(t *testing.T, tr Transport, srv *Server) {
 		t.Fatalf("connection dead after statement error: %v", err)
 	}
 
+	// A ship-typed frame (the range proto.go reserves for internal/repl)
+	// that strays onto a client connection is refused like any unknown
+	// type, and the session stays usable.
+	var re *RemoteError
+	if _, err := cl.roundTrip(Frame{Type: 0x41, Payload: make([]byte, 24)}); !errors.As(err, &re) ||
+		!strings.Contains(re.Msg, "unknown frame type") {
+		t.Fatalf("ship-typed frame: got %v, want RemoteError \"unknown frame type\"", err)
+	}
+	if _, err := cl.Query("SELECT count(k) FROM t"); err != nil {
+		t.Fatalf("connection dead after a ship-typed frame: %v", err)
+	}
+
 	// Prepared statements execute by name and replay.
 	if err := cl.Prepare("pt", "SELECT * FROM t WHERE k = 2"); err != nil {
 		t.Fatal(err)
