@@ -10,14 +10,17 @@ GO ?= go
 tier1: vet build race fuzz smoke
 
 # vet also fails when gofmt would change any file, when any cmd/ binary
-# links the test harness internal/check, and when a non-test file other than
-# the wire codec (internal/server/frame.go) and the WAL imports hash/crc32:
-# a third CRC frame codec does not reappear unnoticed.
+# links the test harness internal/check, when a non-test file other than
+# the wire codec (internal/server/frame.go) and the WAL imports hash/crc32
+# (a third CRC frame codec does not reappear unnoticed), and when a non-test
+# file under internal/repl/ calls .Durable() or .Contents(): a whole-image
+# read does not come back into the ship path unnoticed.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
 	@! $(GO) list -deps ./cmd/... | grep -x mb2/internal/check || { echo "a cmd/ binary links internal/check"; exit 1; }
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"hash/crc32"' . | grep -v -e '^\./internal/server/frame\.go$$' -e '^\./internal/wal/' || { echo "hash/crc32 imported outside internal/server/frame.go and internal/wal/"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e '\.Durable()' -e '\.Contents()' internal/repl || { echo "whole-image read (.Durable() / .Contents()) in internal/repl: ship wal.Manager.DurableSince's suffix"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -43,6 +46,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=5s ./internal/server
 	$(GO) test -run=NONE -fuzz=FuzzClusterAssign -fuzztime=5s ./internal/forecast
 	$(GO) test -run=NONE -fuzz=FuzzShipFrame -fuzztime=5s ./internal/repl
+	$(GO) test -run=NONE -fuzz=FuzzReplicaChunks -fuzztime=5s ./internal/repl
 	$(GO) test -run=NONE -fuzz=FuzzEncodeKey -fuzztime=5s ./internal/index
 
 # smoke drives the CLIs (drive-smoke, cli-smoke) and executes every

@@ -16,14 +16,16 @@ type CheckpointStats struct {
 	SnapshotTS uint64
 	// Rows is the number of visible rows snapshotted.
 	Rows int
-	// ImageBytes is the encoded checkpoint size appended to the device.
+	// ImageBytes is the encoded checkpoint size: the device's whole
+	// contents once the checkpoint is published.
 	ImageBytes int
 	// LogBytesTruncated is how much durable log the truncation discarded.
 	LogBytesTruncated int
 }
 
 // Checkpoint snapshots all committed table state to the checkpoint device
-// and truncates the log, bounding both recovery time and device growth.
+// and truncates the log, bounding both recovery time and device growth: the
+// device holds exactly one image, the log only what committed after it.
 // The protocol is crash-safe at every step:
 //
 //  1. Quiesce: the caller must have no active transactions (error
@@ -32,14 +34,16 @@ type CheckpointStats struct {
 //     a complete image of the snapshot's history before it is replaced.
 //  3. Snapshot: scan every table at LastCommitTS in catalog order and
 //     encode one insert record per visible row.
-//  4. Publish: append the image (header + CRC-protected payload) to the
-//     checkpoint device. A crash during this append leaves a torn image
-//     that LastValidCheckpoint skips — recovery falls back to the previous
-//     checkpoint plus the still-intact log.
+//  4. Publish: switch the checkpoint device to the new image (header +
+//     CRC-protected payload) with the device's atomic Reset. A crash during
+//     the switch leaves the previous image whole, beside the log that
+//     extends it: recovery sees the old image with the old log.
 //  5. Truncate: reset the log to an empty segment at epoch+1. A crash
-//     before this step leaves the old log at the old epoch; recovery sees
-//     log epoch < checkpoint epoch and skips the log, which the new
-//     checkpoint fully covers.
+//     before this step leaves the new image with the old log at the old
+//     epoch; recovery sees log epoch < checkpoint epoch and skips the log,
+//     which the new checkpoint fully covers. A crash during the truncation
+//     leaves the old log (the log device's Reset is atomic too), and a torn
+//     first flush after it a log with no readable header: nothing to replay.
 //
 // Scan, encode, and device writes are charged to th.
 func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
@@ -82,7 +86,7 @@ func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
 	if th != nil {
 		th.SeqWrite(float64(len(img))/64, 64)
 	}
-	if _, err := db.ckptDev.Append(img); err != nil {
+	if err := db.ckptDev.Reset(img); err != nil {
 		return st, fmt.Errorf("engine: checkpoint write: %w", err)
 	}
 	if th != nil {
@@ -96,8 +100,8 @@ func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
 	return st, nil
 }
 
-// CheckpointImage returns a copy of the durable checkpoint-device contents:
-// the ckptImage input to RecoverImages.
+// CheckpointImage returns a copy of the durable checkpoint-device contents,
+// the last published image: the ckptImage input to RecoverImages.
 func (db *DB) CheckpointImage() []byte {
 	return db.ckptDev.Contents()
 }

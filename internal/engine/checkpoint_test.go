@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"testing"
 
 	"mb2/internal/catalog"
@@ -238,5 +239,68 @@ func TestRecoverToleratesTornTail(t *testing.T) {
 	}
 	if prevCommitted != 8 {
 		t.Fatalf("full image recovered %d committed txns, want 8", prevCommitted)
+	}
+}
+
+// The checkpoint device holds one image, the last: after each of three
+// checkpoints of a growing table its length is that checkpoint's image. A
+// checkpoint whose device dies inside the atomic switch leaves the previous
+// image whole beside the log that extends it, and recovery restores every
+// committed row from the two.
+func TestCheckpointDeviceHoldsOneImage(t *testing.T) {
+	// run checkpoints a table that grows by ten rows before each, on a
+	// checkpoint device that dies at crashAt bytes of one image (-1: never).
+	run := func(crashAt int64) (db *DB, dev *hw.FaultDevice, images []int, err error) {
+		plan := hw.NoFaults()
+		plan.CrashAtByte = crashAt
+		dev = hw.NewFaultDevice(nil, plan)
+		db = OpenOnDevices(catalog.DefaultKnobs(), nil, dev)
+		if _, err := db.CreateTable("kv", kvSchema()); err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 3; i++ {
+			kvWriter(t, db, db.Table("kv"), i*10, 10)
+			st, err := db.Checkpoint(nil)
+			if err != nil {
+				return db, dev, images, err
+			}
+			if dev.Len() != st.ImageBytes {
+				t.Fatalf("after checkpoint %d the device holds %d bytes, the image is %d", i+1, dev.Len(), st.ImageBytes)
+			}
+			images = append(images, st.ImageBytes)
+		}
+		return db, dev, images, nil
+	}
+	db, _, images, err := run(-1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(images[0] < images[1] && images[1] < images[2]) {
+		t.Fatalf("image sizes %v do not grow with the table", images)
+	}
+	ck, ok, err := wal.LastValidCheckpoint(db.CheckpointImage())
+	if err != nil || !ok || ck.Epoch != 3 || len(ck.Records) != 30 {
+		t.Fatalf("device image: epoch %d, %d records, ok=%v err=%v", ck.Epoch, len(ck.Records), ok, err)
+	}
+
+	// The first image fits below the crash point, the second does not.
+	db, dev, survived, err := run(int64(images[0]))
+	if !errors.Is(err, hw.ErrDeviceCrashed) || len(survived) != 1 {
+		t.Fatalf("second checkpoint: err = %v after %d checkpoints, want a crashed device after 1", err, len(survived))
+	}
+	if dev.Len() != images[0] || db.WAL.Epoch() != 1 {
+		t.Fatalf("failed switch left %d device bytes and log epoch %d, want the first image's %d and epoch 1",
+			dev.Len(), db.WAL.Epoch(), images[0])
+	}
+	replica := Open(catalog.DefaultKnobs())
+	if _, err := replica.CreateTable("kv", kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	rst, err := replica.RecoverImages(nil, db.CheckpointImage(), db.WAL.Durable())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.CheckpointRows != 10 || rst.Committed != 10 || rst.StaleLog || len(scanKV(replica)) != 20 {
+		t.Fatalf("recovery beside a failed switch: %+v, %d rows", rst, len(scanKV(replica)))
 	}
 }

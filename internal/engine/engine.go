@@ -48,8 +48,8 @@ type DB struct {
 	// when it moves (the online loop's cache-invalidation signal).
 	configVersion atomic.Uint64
 
-	// ckptDev holds checkpoint images (see Checkpoint); ckptMu serializes
-	// checkpoint attempts against each other.
+	// ckptDev holds the last checkpoint image (see Checkpoint); ckptMu
+	// serializes checkpoint attempts against each other.
 	ckptDev hw.BlockDevice
 	ckptMu  sync.Mutex
 }
@@ -332,8 +332,8 @@ func (db *DB) Recover(th *hw.Thread, walImage []byte) (int, error) {
 
 // RecoverImages rebuilds committed state from the durable checkpoint and
 // log images — what Checkpoint and the WAL device held at the crash. The
-// newest valid checkpoint (if any) restores its snapshot; the log tail is
-// replayed on top when its segment epoch matches the checkpoint's,
+// checkpoint image (if it is a valid one) restores its snapshot; the log tail
+// is replayed on top when its segment epoch matches the checkpoint's,
 // stopping cleanly at the first torn or corrupt frame so a crash mid-flush
 // loses only the unflushed suffix, never the committed prefix. Writes of
 // transactions without a durable commit record are discarded. The schema

@@ -15,9 +15,11 @@ var ErrDeviceCrashed = errors.New("hw: block device crashed")
 var ErrTransientWrite = errors.New("hw: transient write failure")
 
 // BlockDevice is the durable byte store WAL segments and checkpoint images
-// live on. It is append-only between Resets; Reset models an atomic segment
-// switch (in a real system: writing a fresh segment file and unlinking the
-// old one, which the filesystem makes atomic per file).
+// live on. It is append-only between Resets; Reset models an atomic switch
+// of the whole image (in a real system: writing a fresh file and renaming it
+// over the old one, which the filesystem makes atomic per file). The WAL
+// appends to its device and truncates it with Reset; a checkpoint device is
+// only ever Reset, so it holds exactly one image.
 //
 // Append returns how many bytes became durable before any injected fault, so
 // a crash mid-append leaves a torn tail — exactly the image recovery must
@@ -26,11 +28,18 @@ type BlockDevice interface {
 	// Append writes p after the current contents. n is the number of bytes
 	// that became durable (n < len(p) only when err != nil).
 	Append(p []byte) (n int, err error)
-	// Contents returns a copy of the durable image.
+	// Contents returns a copy of the durable image: the whole-image read of
+	// recovery and the drills.
 	Contents() []byte
+	// Suffix returns a copy of the durable image from byte off to its end
+	// (empty when off is at or past the end). It costs the bytes returned,
+	// not the image: the read of a log shipper that already holds the
+	// first off bytes.
+	Suffix(off int) []byte
 	// Len returns the durable image size in bytes.
 	Len() int
-	// Reset atomically replaces the contents with p (log truncation).
+	// Reset atomically replaces the contents with p (log truncation,
+	// checkpoint publication): a reader sees the old image or the new one.
 	Reset(p []byte) error
 }
 
@@ -57,6 +66,16 @@ func (d *MemDevice) Contents() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return append([]byte(nil), d.data...)
+}
+
+// Suffix implements BlockDevice.
+func (d *MemDevice) Suffix(off int) []byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if off >= len(d.data) {
+		return nil
+	}
+	return append([]byte(nil), d.data[max(off, 0):]...)
 }
 
 // Len implements BlockDevice.
@@ -182,6 +201,9 @@ func (d *FaultDevice) Append(p []byte) (int, error) {
 
 // Contents implements BlockDevice; the durable image survives a crash.
 func (d *FaultDevice) Contents() []byte { return d.inner.Contents() }
+
+// Suffix implements BlockDevice.
+func (d *FaultDevice) Suffix(off int) []byte { return d.inner.Suffix(off) }
 
 // Len implements BlockDevice.
 func (d *FaultDevice) Len() int { return d.inner.Len() }

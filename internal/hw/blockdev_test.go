@@ -20,6 +20,20 @@ func TestMemDeviceAppendResetContents(t *testing.T) {
 	if d.Len() != 6 {
 		t.Fatalf("len %d", d.Len())
 	}
+	// Suffix is the image from an offset on, empty at or past the end, and
+	// a copy like Contents; a FaultDevice forwards it to what is durable.
+	for off, want := range map[int]string{0: "abcdef", 4: "ef", 6: "", 9: ""} {
+		if got := d.Suffix(off); string(got) != want {
+			t.Fatalf("Suffix(%d) = %q, want %q", off, got, want)
+		}
+		if got := NewFaultDevice(d, NoFaults()).Suffix(off); string(got) != want {
+			t.Fatalf("FaultDevice Suffix(%d) = %q, want %q", off, got, want)
+		}
+	}
+	d.Suffix(4)[0] = 'Z'
+	if d.Contents()[4] != 'e' {
+		t.Fatal("Suffix aliases internal buffer")
+	}
 	if err := d.Reset([]byte("xy")); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // the body:
 //
 //	payload 0   epoch   u64 LE WAL segment epoch
-//	payload 8   offset  u64 LE byte offset of the body in the segment image
+//	payload 8   offset  u64 LE byte offset of the body in the segment (or checkpoint) image
 //	payload 16  body    raw segment (or checkpoint image) bytes
 //
 // The frame CRC covers the type and the whole payload: epoch, offset and body.
@@ -32,11 +32,15 @@ const (
 	// payload is the primary's durable image bytes [Offset, Offset+len).
 	ShipAppend = byte(iota + 0x41)
 	// ShipSnapshot re-seeds the replica at an epoch boundary: the payload
-	// is the primary's checkpoint-device image, Offset is zero.
+	// is the bytes [Offset, Offset+len) of the primary's checkpoint-device
+	// image, shipped in consecutive frames when it exceeds one. The image's
+	// own header gives its length; the replica re-seeds on the last byte.
 	ShipSnapshot
-	// ShipAck answers every accepted frame: Offset echoes the replica's
-	// received byte count and the payload is its applied commit count
-	// (u64 LE). A rejected frame is answered with server.MsgError instead.
+	// ShipAck answers every accepted frame: Offset is the byte count the
+	// replica now holds of what the frame extended (the segment for an
+	// append, the checkpoint image for a snapshot chunk) and the payload is
+	// its applied commit count (u64 LE). A rejected frame is answered with
+	// server.MsgError instead.
 	ShipAck
 )
 

@@ -42,3 +42,24 @@ func FuzzShipFrame(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReplicaChunks is the splitter of TestCursorMatchesWholeSegmentReplay
+// with the fuzzer choosing the cuts: byte i of cuts makes chunk i that many
+// bytes plus one, the rest of the golden log goes last, and the replica
+// applies on every every-th frame. Wherever the cuts fall, the cursor replica
+// and the whole-segment reference agree after every chunk and after
+// promotion (feedChunks).
+func FuzzReplicaChunks(f *testing.F) {
+	log := goldenLog(f, 1)
+	f.Add([]byte{}, uint8(1))
+	f.Add([]byte{6, 11, 0, 255, 40}, uint8(3))
+	f.Add(bytes.Repeat([]byte{52}, 80), uint8(0))
+	f.Add(bytes.Repeat([]byte{3, 200}, 60), uint8(255))
+	f.Fuzz(func(t *testing.T, cuts []byte, every uint8) {
+		sizes := make([]int, len(cuts))
+		for i, c := range cuts {
+			sizes[i] = 1 + int(c)
+		}
+		feedChunks(t, log, sizes, int(every))
+	})
+}

@@ -145,38 +145,63 @@ func serveReplica(r *Replica, c server.Conn) {
 func (g *Group) Replicas() []*Replica { return g.replicas }
 
 // Sync ships the primary's current durable state to every replica whose
-// cadence is due: a snapshot frame first when the primary's epoch moved
-// (checkpoint truncation), then the unsent suffix of the durable segment
-// image. Each frame blocks for its ack, and acks are validated against the
-// bytes shipped, so a lost or reordered frame cannot go unnoticed. Call it
-// after every primary log flush.
+// cadence is due: the checkpoint image first when the primary's epoch moved
+// (checkpoint truncation), then the unsent suffix of the durable segment.
+// The epoch and the suffix come from one locked read of the log
+// (wal.Manager.DurableSince), which returns only the suffix: a sync costs
+// what is new, however long the log. Each frame blocks for its ack, and acks
+// are validated against the bytes shipped, so a lost or reordered frame
+// cannot go unnoticed. Call it after every primary log flush.
 func (g *Group) Sync() error {
 	g.syncs++
-	durable := g.db.WAL.Durable()
-	epoch := g.db.WAL.Epoch()
 	for i := range g.replicas {
 		if g.syncs%g.cfg.cadence(i) != 0 {
 			continue
 		}
+		epoch, unsent := g.db.WAL.DurableSince(g.sentEpoch[i], g.sentBytes[i])
 		if g.sentEpoch[i] != epoch {
-			snap := ShipFrame{Type: ShipSnapshot, Epoch: epoch, Payload: g.db.CheckpointImage()}
-			if err := g.exchange(i, snap); err != nil {
+			if err := g.shipSnapshot(i, epoch); err != nil {
 				return err
 			}
 			g.sentEpoch[i] = epoch
 			g.sentBytes[i] = 0
 		}
-		if len(durable) > g.sentBytes[i] {
+		if len(unsent) > 0 {
 			app := ShipFrame{
 				Type:    ShipAppend,
 				Epoch:   epoch,
 				Offset:  uint64(g.sentBytes[i]),
-				Payload: durable[g.sentBytes[i]:],
+				Payload: unsent,
 			}
 			if err := g.exchange(i, app); err != nil {
 				return err
 			}
-			g.sentBytes[i] = len(durable)
+			g.sentBytes[i] += len(unsent)
+		}
+	}
+	return nil
+}
+
+// snapshotChunk is the most checkpoint-image bytes one ShipSnapshot frame
+// carries.
+var snapshotChunk = MaxShipPayload
+
+// shipSnapshot ships the primary's checkpoint image to replica i as
+// consecutive ShipSnapshot frames, each at its offset in the image. The
+// image is read after the epoch; should a checkpoint land between the two
+// reads, the replica finds the newer epoch in the image header and refuses
+// the transfer, and the next Sync ships that epoch whole.
+func (g *Group) shipSnapshot(i int, epoch uint64) error {
+	img := g.db.CheckpointImage()
+	for off := 0; off < len(img); off += snapshotChunk {
+		chunk := ShipFrame{
+			Type:    ShipSnapshot,
+			Epoch:   epoch,
+			Offset:  uint64(off),
+			Payload: img[off:min(off+snapshotChunk, len(img))],
+		}
+		if err := g.exchange(i, chunk); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -196,11 +221,7 @@ func (g *Group) exchange(i int, f ShipFrame) error {
 		return fmt.Errorf("repl: replica %d acked type %d epoch %d for epoch %d",
 			i, ack.Type, ack.Epoch, f.Epoch)
 	}
-	want := f.Offset + uint64(len(f.Payload))
-	if f.Type == ShipSnapshot {
-		want = 0
-	}
-	if ack.Offset != want {
+	if want := f.Offset + uint64(len(f.Payload)); ack.Offset != want {
 		return fmt.Errorf("repl: replica %d acked %d received bytes, want %d", i, ack.Offset, want)
 	}
 	if len(ack.Payload) != 8 {

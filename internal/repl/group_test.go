@@ -32,9 +32,13 @@ func kvFactory() (*engine.DB, error) {
 
 // commitKV runs one insert-and-commit transaction through the logged path.
 func commitKV(db *engine.DB, k, v int64) error {
-	tbl := db.Table("kv")
+	return commitRow(db, "kv", storage.Tuple{storage.NewInt(k), storage.NewInt(v)})
+}
+
+// commitRow inserts data into table and commits, through the logged path.
+func commitRow(db *engine.DB, table string, data storage.Tuple) error {
+	tbl := db.Table(table)
 	tx := db.Txns.Begin(nil)
-	data := storage.Tuple{storage.NewInt(k), storage.NewInt(v)}
 	row := tbl.Insert(nil, tx.ID, data)
 	tx.RecordWrite(tbl, row, data)
 	if err := db.WAL.Enqueue(nil, wal.Record{Type: wal.RecordInsert, TxnID: tx.ID,
@@ -93,7 +97,7 @@ func shipRun(t *testing.T, g func(db *engine.DB) *Group, txns, flushEvery, ckptA
 
 // stateDigest renders the committed kv rows at the engine's last commit
 // timestamp into an order-independent digest.
-func stateDigest(t *testing.T, db *engine.DB) uint64 {
+func stateDigest(t testing.TB, db *engine.DB) uint64 {
 	t.Helper()
 	tbl := db.Table("kv")
 	ts := db.Txns.LastCommitTS()

@@ -73,6 +73,13 @@ type PromoteStats struct {
 // order (eagerly or lazily per ReplicaConfig), and can be promoted to a
 // standalone primary. All methods are safe for concurrent use; the serve
 // loop and the control plane (Status, Promote) synchronize on one mutex.
+//
+// The replica follows the segment with a parse cursor, so every step costs
+// in proportion to the bytes that are new: the segment's first cursor bytes
+// are decoded — their commits applied, the writes of their still-open
+// transactions held by redo — and released, and tail holds the rest, up to
+// the last byte received. Offsets on the wire keep counting from the segment
+// start.
 type Replica struct {
 	ID      int
 	factory DBFactory
@@ -82,12 +89,13 @@ type Replica struct {
 	db             *engine.DB
 	th             *hw.Thread
 	epoch          uint64
-	segBase        uint64 // commit count below the current segment (its checkpoint's SnapshotTS)
-	recv           []byte // received bytes of the current segment image
+	cursor         int    // segment bytes decoded and released
+	tail           []byte // segment bytes [cursor, received)
+	redo           wal.Redo
+	unapplied      int    // records before cursor not applied as a write: commit records, writes redo holds
 	appliedCommits uint64 // absolute commit count applied
-	appliedRecords int    // write records applied from the current segment
-	appliedBytes   int    // valid-prefix bytes covered by the last apply
 	appends        int    // append frames received this epoch
+	snap           []byte // the chunks so far of a checkpoint image being received
 	reseeds        int
 	promoted       bool
 }
@@ -128,54 +136,96 @@ func (r *Replica) tables() map[int32]*storage.Table {
 }
 
 // HandleFrame processes one shipped frame and returns the ack the primary
-// is waiting for: received byte count in Offset, applied commit count in
-// the payload. An error refuses the frame; the serve loop relays it to the
-// primary as MsgError.
+// is waiting for: in Offset the byte count the replica now holds of what the
+// frame extended, in the payload the applied commit count. An error refuses
+// the frame — one refused for what it is (its epoch, its offset, the header
+// it carries) leaves the replica as it was — and the serve loop relays it to
+// the primary as MsgError.
 func (r *Replica) HandleFrame(f ShipFrame) (ShipFrame, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.promoted {
 		return ShipFrame{}, fmt.Errorf("repl: replica %d already promoted", r.ID)
 	}
+	var err error
 	switch f.Type {
 	case ShipSnapshot:
-		if err := r.reseed(f); err != nil {
-			return ShipFrame{}, err
-		}
+		err = r.snapshot(f)
 	case ShipAppend:
-		if err := r.append(f); err != nil {
-			return ShipFrame{}, err
-		}
+		err = r.append(f)
 	default:
-		return ShipFrame{}, fmt.Errorf("repl: replica %d: unexpected frame type %d", r.ID, f.Type)
+		err = fmt.Errorf("repl: replica %d: unexpected frame type %d", r.ID, f.Type)
+	}
+	if err != nil {
+		return ShipFrame{}, err
 	}
 	var applied [8]byte
 	binary.LittleEndian.PutUint64(applied[:], r.appliedCommits)
 	return ShipFrame{
 		Type:    ShipAck,
-		Epoch:   r.epoch,
-		Offset:  uint64(len(r.recv)),
+		Epoch:   f.Epoch,
+		Offset:  f.Offset + uint64(len(f.Payload)),
 		Payload: applied[:],
 	}, nil
+}
+
+// snapshot takes one chunk of a checkpoint image. The chunk at offset 0
+// opens a transfer (dropping an unfinished one) and carries the image's
+// header; every later chunk must continue the transfer exactly where it
+// stands. The header names the image's epoch — it must be the frame's, or
+// the image was read across a checkpoint — and its length: the replica
+// re-seeds when the last byte lands.
+func (r *Replica) snapshot(f ShipFrame) error {
+	img := f.Payload
+	if f.Offset != 0 {
+		if f.Offset != uint64(len(r.snap)) {
+			return fmt.Errorf("repl: replica %d holds %d bytes of a snapshot but got a chunk at %d",
+				r.ID, len(r.snap), f.Offset)
+		}
+		img = append(r.snap, f.Payload...)
+	}
+	h, ok, err := wal.ParseCheckpointHeader(img)
+	if err != nil {
+		return fmt.Errorf("repl: replica %d snapshot: %w", r.ID, err)
+	}
+	if !ok {
+		return fmt.Errorf("repl: replica %d: snapshot does not start with a whole checkpoint header", r.ID)
+	}
+	if h.Epoch != f.Epoch {
+		return fmt.Errorf("repl: replica %d: snapshot frame for epoch %d belongs to the image of epoch %d",
+			r.ID, f.Epoch, h.Epoch)
+	}
+	if len(img) > h.ImageLen {
+		return fmt.Errorf("repl: replica %d: snapshot chunk of %d bytes at %d overruns the %d-byte image",
+			r.ID, len(f.Payload), f.Offset, h.ImageLen)
+	}
+	if len(img) < h.ImageLen {
+		if f.Offset == 0 {
+			img = append(r.snap[:0], img...) // the frame's buffer is not ours to keep
+		}
+		r.snap = img
+		return nil
+	}
+	r.snap = nil
+	return r.reseed(img, f.Epoch)
 }
 
 // reseed replaces the replica's state from a shipped checkpoint image: the
 // crash-recovery path on a fresh engine, run because the primary truncated
 // the log history this replica was following.
-func (r *Replica) reseed(f ShipFrame) error {
+func (r *Replica) reseed(img []byte, epoch uint64) error {
 	db, err := r.factory()
 	if err != nil {
 		return fmt.Errorf("repl: replica %d reseed factory: %w", r.ID, err)
 	}
-	if _, err := db.RecoverImages(r.th, f.Payload, nil); err != nil {
+	if _, err := db.RecoverImages(r.th, img, nil); err != nil {
 		return fmt.Errorf("repl: replica %d reseed: %w", r.ID, err)
 	}
 	r.db = db
-	r.epoch = f.Epoch
-	r.segBase = db.Txns.LastCommitTS()
-	r.appliedCommits = r.segBase
-	r.recv = r.recv[:0]
-	r.appliedRecords, r.appliedBytes, r.appends = 0, 0, 0
+	r.epoch = epoch
+	r.appliedCommits = db.Txns.LastCommitTS()
+	r.cursor, r.tail, r.redo = 0, r.tail[:0], wal.Redo{}
+	r.unapplied, r.appends = 0, 0
 	r.reseeds++
 	return nil
 }
@@ -188,68 +238,97 @@ func (r *Replica) append(f ShipFrame) error {
 		return fmt.Errorf("repl: replica %d at epoch %d got append for epoch %d without a snapshot",
 			r.ID, r.epoch, f.Epoch)
 	}
-	if f.Offset != uint64(len(r.recv)) {
+	if received := r.cursor + len(r.tail); f.Offset != uint64(received) {
 		return fmt.Errorf("repl: replica %d received %d bytes but append starts at %d",
-			r.ID, len(r.recv), f.Offset)
+			r.ID, received, f.Offset)
+	}
+	// The frame that completes the segment header is where a segment of
+	// another epoch is caught: its records belong on another snapshot. The
+	// cursor is still 0 then, so tail starts at the segment's first byte.
+	if off := int(f.Offset); off < wal.SegmentHeaderLen && off+len(f.Payload) >= wal.SegmentHeaderLen {
+		hdr := append(r.tail[:off:off], f.Payload[:wal.SegmentHeaderLen-off]...)
+		epoch, _, torn, err := wal.ParseSegment(hdr)
+		if err != nil {
+			return fmt.Errorf("repl: replica %d segment parse: %w", r.ID, err)
+		}
+		if !torn && epoch != f.Epoch {
+			return fmt.Errorf("repl: replica %d: append for epoch %d carries the segment header of epoch %d",
+				r.ID, f.Epoch, epoch)
+		}
 	}
 	r.th.Alloc(float64(len(f.Payload)))
 	r.th.SeqWrite(float64(len(f.Payload))/64, 64)
-	r.recv = append(r.recv, f.Payload...)
+	r.tail = append(r.tail, f.Payload...)
 	r.appends++
 	if every := r.cfg.ApplyEvery; every <= 1 || r.appends%every == 0 {
-		return r.applyPending()
+		_, err := r.applyPending()
+		return err
 	}
 	return nil
 }
 
-// applyPending replays the unseen committed suffix of the received image
-// onto the replica's tables, charging the parse and every applied write to
-// the replica's thread. Callers hold r.mu.
-func (r *Replica) applyPending() error {
-	_, body, torn, err := wal.ParseSegment(r.recv)
-	if err != nil {
-		return fmt.Errorf("repl: replica %d segment parse: %w", r.ID, err)
-	}
-	if torn {
-		// The segment header is not complete yet: nothing to apply.
-		return nil
+// decodeTail parses the valid prefix of the bytes past the cursor — the
+// segment header first while the cursor is still at the segment start, then
+// whole record frames — with the tolerant parsers recovery uses. n is how
+// many bytes of tail that prefix spans; a header still torn yields nothing.
+func (r *Replica) decodeTail() (records []wal.Record, n int, err error) {
+	body := r.tail
+	if r.cursor == 0 {
+		var torn bool
+		if _, body, torn, err = wal.ParseSegment(r.tail); err != nil || torn {
+			return nil, 0, err
+		}
 	}
 	records, consumed, _ := wal.DeserializePrefix(body)
-	validBytes := len(r.recv) - len(body) + consumed
-	if newBytes := validBytes - r.appliedBytes; newBytes > 0 {
-		r.th.SeqRead(float64(newBytes)/64, 64)
-	}
-	applied, newBase, err := wal.ReplayRange(r.th, records, r.tables(), r.appliedCommits, r.segBase)
-	if err != nil {
-		return fmt.Errorf("repl: replica %d apply: %w", r.ID, err)
-	}
-	r.appliedRecords += applied
-	r.appliedBytes = validBytes
-	r.appliedCommits = newBase
-	r.db.Txns.AdvanceTo(newBase)
-	return nil
+	return records, len(r.tail) - len(body) + consumed, nil
 }
 
-// Status reports the replica's staleness. It parses the received image with
-// the same tolerant parsers the apply path uses, so the pending counts are
-// exact, but charges nothing: staleness inspection is control-plane work.
+// applyPending decodes the bytes past the cursor, replays the transactions
+// whose commit record is among them onto the replica's tables, and moves the
+// cursor over what it decoded, charging the parse and every applied write to
+// the replica's thread. It returns the write records applied. An error means
+// the log and the replica's schema do not meet; it is not retried past.
+// Callers hold r.mu.
+func (r *Replica) applyPending() (applied int, err error) {
+	records, n, err := r.decodeTail()
+	if err != nil {
+		return 0, fmt.Errorf("repl: replica %d segment parse: %w", r.ID, err)
+	}
+	if n == 0 {
+		return 0, nil
+	}
+	r.th.SeqRead(float64(n)/64, 64)
+	applied, commits, err := r.redo.Apply(r.th, records, r.tables(), r.appliedCommits)
+	if err != nil {
+		return applied, fmt.Errorf("repl: replica %d apply: %w", r.ID, err)
+	}
+	r.unapplied += len(records) - applied
+	r.cursor += n
+	r.tail = append(r.tail[:0], r.tail[n:]...)
+	r.appliedCommits += commits
+	r.db.Txns.AdvanceTo(r.appliedCommits)
+	return applied, nil
+}
+
+// Status reports the replica's staleness. It parses the bytes past the cursor
+// with the same tolerant parsers the apply path uses, so the pending counts
+// are exact, but charges nothing: staleness inspection is control-plane work.
 func (r *Replica) Status() Status {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	st := Status{
 		ID:              r.ID,
 		Epoch:           r.epoch,
-		ReceivedBytes:   len(r.recv),
-		ReceivedCommits: r.segBase,
+		ReceivedBytes:   r.cursor + len(r.tail),
+		ReceivedCommits: r.appliedCommits,
 		AppliedCommits:  r.appliedCommits,
 		Reseeds:         r.reseeds,
 		Metrics:         r.th.Since(hw.Counters{}),
 	}
-	if _, body, torn, err := wal.ParseSegment(r.recv); err == nil && !torn {
-		records, consumed, _ := wal.DeserializePrefix(body)
-		st.ReceivedCommits = r.segBase + wal.NumCommitted(records)
-		st.PendingRecords = len(records) - r.appliedRecords
-		st.PendingBytes = len(r.recv) - len(body) + consumed - r.appliedBytes
+	if records, n, err := r.decodeTail(); err == nil {
+		st.ReceivedCommits += wal.NumCommitted(records)
+		st.PendingRecords = r.unapplied + len(records)
+		st.PendingBytes = n
 	}
 	st.PendingCommits = st.ReceivedCommits - st.AppliedCommits
 	for _, name := range r.db.Catalog.Tables() {
@@ -280,11 +359,11 @@ func (r *Replica) Promote() (PromoteStats, error) {
 		return PromoteStats{}, fmt.Errorf("repl: replica %d already promoted", r.ID)
 	}
 	start := r.th.Counters()
-	before := r.appliedRecords
-	if err := r.applyPending(); err != nil {
+	applied, err := r.applyPending()
+	if err != nil {
 		return PromoteStats{}, err
 	}
-	st := PromoteStats{ID: r.ID, AppliedRecords: r.appliedRecords - before, Commits: r.appliedCommits}
+	st := PromoteStats{ID: r.ID, AppliedRecords: applied, Commits: r.appliedCommits}
 	st.IndexesRebuilt, st.IndexRows = r.db.RebuildIndexes(r.th)
 	ck, err := r.db.Checkpoint(r.th)
 	if err != nil {

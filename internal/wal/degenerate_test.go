@@ -77,7 +77,7 @@ func TestDeserializePrefixFrameBoundaryCut(t *testing.T) {
 // image whose trailing words happened to decode as "empty payload, CRC 0"
 // parsed as a valid checkpoint with garbage epoch/snapshotTS, because the
 // header carried no CRC of its own. With the header CRC, every corrupt or
-// torn header reads as ok=false (or falls back to the predecessor image).
+// torn header reads as ok=false.
 func TestLastValidCheckpointDegenerateImages(t *testing.T) {
 	valid := AppendCheckpointImage(nil, Checkpoint{Epoch: 2, SnapshotTS: 9,
 		Records: []Record{{Type: RecordInsert, TableID: 3, Row: 1,
@@ -86,7 +86,7 @@ func TestLastValidCheckpointDegenerateImages(t *testing.T) {
 	// A header-only forgery: magic followed by zeros. payloadLen=0 and
 	// payloadCRC=0 "match" an empty payload, so before the header CRC this
 	// returned ok=true with epoch 0 — a phantom checkpoint.
-	forged := make([]byte, checkpointHeaderLen)
+	forged := make([]byte, CheckpointHeaderLen)
 	copy(forged, ckptMagic)
 
 	cases := []struct {
@@ -100,7 +100,7 @@ func TestLastValidCheckpointDegenerateImages(t *testing.T) {
 		{name: "zero-length slice", img: []byte{}},
 		{name: "one magic byte", img: ckptMagic[:1]},
 		{name: "full magic only", img: append([]byte(nil), ckptMagic...)},
-		{name: "header minus one byte", img: valid[:checkpointHeaderLen-1]},
+		{name: "header minus one byte", img: valid[:CheckpointHeaderLen-1]},
 		{name: "header-only zeros (phantom)", img: forged},
 		{name: "valid image", img: valid, ok: true, epoch: 2},
 		{name: "valid then torn header", img: append(append([]byte(nil), valid...), ckptMagic[:4]...), ok: true, epoch: 2},
@@ -124,16 +124,17 @@ func TestLastValidCheckpointDegenerateImages(t *testing.T) {
 
 	// Flipping any single header byte of a lone image must yield ok=false,
 	// not a phantom with corrupt fields.
-	for i := 0; i < checkpointHeaderLen; i++ {
+	for i := 0; i < CheckpointHeaderLen; i++ {
 		bad := append([]byte(nil), valid...)
 		bad[i] ^= 0x40
 		if _, ok, _ := LastValidCheckpoint(bad); ok {
 			t.Fatalf("flip header byte %d: phantom checkpoint accepted", i)
 		}
 	}
-	// Flipping a header byte of a second image must fall back to the first.
+	// Flipping a header byte of a second image changes nothing: only the
+	// first is decoded.
 	two := AppendCheckpointImage(append([]byte(nil), valid...), Checkpoint{Epoch: 3, SnapshotTS: 20})
-	for i := len(valid); i < len(valid)+checkpointHeaderLen; i++ {
+	for i := len(valid); i < len(valid)+CheckpointHeaderLen; i++ {
 		bad := append([]byte(nil), two...)
 		bad[i] ^= 0x40
 		ck, ok, err := LastValidCheckpoint(bad)

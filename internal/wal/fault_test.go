@@ -270,31 +270,36 @@ func TestCheckpointImageRoundTripAndTornTail(t *testing.T) {
 		}
 		return ck
 	}
-	img := AppendCheckpointImage(nil, mk(1, 10, 3))
-	firstLen := len(img)
-	img = AppendCheckpointImage(img, mk(2, 25, 4))
+	img := AppendCheckpointImage(nil, mk(2, 25, 4))
 
 	ck, ok, err := LastValidCheckpoint(img)
 	if err != nil || !ok {
 		t.Fatalf("ok=%v err=%v", ok, err)
 	}
 	if ck.Epoch != 2 || ck.SnapshotTS != 25 || len(ck.Records) != 4 {
-		t.Fatalf("newest checkpoint: %+v", ck)
+		t.Fatalf("decoded checkpoint: %+v", ck)
 	}
 	if ck.Records[3].Payload[0].I != 203 {
 		t.Fatalf("payload corrupted: %v", ck.Records[3].Payload)
 	}
+	if h, ok, err := ParseCheckpointHeader(img[:CheckpointHeaderLen]); err != nil || !ok ||
+		h != (CheckpointHeader{Epoch: 2, SnapshotTS: 25, ImageLen: len(img)}) {
+		t.Fatalf("header alone: %+v ok=%v err=%v", h, ok, err)
+	}
 
-	// Tearing the second image at every byte falls back to the first.
-	for cut := firstLen; cut < len(img); cut++ {
-		ck, ok, err := LastValidCheckpoint(img[:cut])
-		if err != nil || !ok || ck.Epoch != 1 || len(ck.Records) != 3 {
+	// A device holds one image: whatever follows a whole one — here a
+	// second image torn at every byte, then whole — is not looked at.
+	firstLen := len(img)
+	two := AppendCheckpointImage(img, mk(3, 40, 2))
+	for cut := firstLen; cut <= len(two); cut++ {
+		ck, ok, err := LastValidCheckpoint(two[:cut])
+		if err != nil || !ok || ck.Epoch != 2 || len(ck.Records) != 4 {
 			t.Fatalf("cut=%d: epoch=%d ok=%v err=%v", cut, ck.Epoch, ok, err)
 		}
 	}
-	// Tearing inside the first image leaves no checkpoint, and that is not
-	// an error (except pure garbage, which is).
-	for _, cut := range []int{1, 7, 8, 20, firstLen - 1} {
+	// Tearing inside the image at any byte leaves no checkpoint, and that
+	// is not an error (except pure garbage, which is).
+	for cut := 1; cut < firstLen; cut++ {
 		if _, ok, err := LastValidCheckpoint(img[:cut]); err != nil || ok {
 			t.Fatalf("cut=%d: ok=%v err=%v", cut, ok, err)
 		}

@@ -142,9 +142,8 @@ func ReplayFrom(records []Record, tables map[int32]*storage.Table, base uint64) 
 
 // replayOrdered is the shared redo core: it computes the commit order of
 // the record stream, skips the first `skip` committed transactions (already
-// applied by the caller), and replays the rest at timestamps base+1 upward.
-// When th is non-nil every applied write is charged to it with the same
-// allocate-then-place cost Table.Insert charges on the primary.
+// applied by the caller), and replays the rest at timestamps base+1 upward,
+// charging th (which may be nil) as redoWrites does.
 func replayOrdered(th *hw.Thread, records []Record, tables map[int32]*storage.Table, base uint64, skip uint64) (int, error) {
 	// Pass 1: commit order and per-transaction write lists (in log order).
 	seq := make(map[uint64]uint64)
@@ -171,28 +170,83 @@ func replayOrdered(th *hw.Thread, records []Record, tables map[int32]*storage.Ta
 	// timestamp.
 	applied := 0
 	for _, txnID := range order {
-		ts := seq[txnID]
-		for _, r := range writes[txnID] {
-			t, ok := tables[r.TableID]
-			if !ok {
-				return applied, fmt.Errorf("wal: replay references unknown table %d", r.TableID)
-			}
-			switch r.Type {
-			case RecordInsert, RecordUpdate:
-				t.ReplayWrite(storage.RowID(r.Row), r.Payload, ts)
-			case RecordDelete:
-				t.ReplayWrite(storage.RowID(r.Row), nil, ts)
-			default:
-				return applied, fmt.Errorf("wal: unknown record type %d", r.Type)
-			}
-			if th != nil {
-				th.Alloc(float64(r.Payload.Bytes()) + 32)
-				th.RandWrite(1, t.HeapBytes())
-			}
-			applied++
+		n, err := redoWrites(th, writes[txnID], tables, seq[txnID])
+		applied += n
+		if err != nil {
+			return applied, err
 		}
 	}
 	return applied, nil
+}
+
+// redoWrites applies one committed transaction's write records at ts, in log
+// order, and returns how many it applied. When th is non-nil every write is
+// charged to it with the same allocate-then-place cost Table.Insert charges
+// on the primary.
+func redoWrites(th *hw.Thread, writes []Record, tables map[int32]*storage.Table, ts uint64) (applied int, err error) {
+	for _, r := range writes {
+		t, ok := tables[r.TableID]
+		if !ok {
+			return applied, fmt.Errorf("wal: replay references unknown table %d", r.TableID)
+		}
+		switch r.Type {
+		case RecordInsert, RecordUpdate:
+			t.ReplayWrite(storage.RowID(r.Row), r.Payload, ts)
+		case RecordDelete:
+			t.ReplayWrite(storage.RowID(r.Row), nil, ts)
+		default:
+			return applied, fmt.Errorf("wal: unknown record type %d", r.Type)
+		}
+		if th != nil {
+			th.Alloc(float64(r.Payload.Bytes()) + 32)
+			th.RandWrite(1, t.HeapBytes())
+		}
+		applied++
+	}
+	return applied, nil
+}
+
+// Redo is the incremental form of ReplayRange, for a follower that receives
+// one segment piece by piece: each Apply takes only the records decoded
+// since the last one and costs in proportion to them. Between calls it holds
+// the write records of transactions whose commit record has not arrived —
+// those of a transaction that aborted stay until the follower starts over on
+// a new segment with a zero Redo. Fed a whole segment in any number of
+// pieces, it replays exactly what ReplayRange replays from the whole: the
+// same writes, in the same order, at the same timestamps, with the same
+// charges. It relies on what engine.DB.CommitLogged guarantees of a log: a
+// transaction's writes precede its one commit record.
+type Redo struct {
+	open map[uint64][]Record
+}
+
+// Apply replays the transactions whose commit record is among records onto
+// state that has applied commits 1..base, stamping base+1 upward in commit
+// order, and keeps the writes of those still open. It returns the write
+// records applied and the transactions committed; applied writes are charged
+// to th (which may be nil).
+func (d *Redo) Apply(th *hw.Thread, records []Record, tables map[int32]*storage.Table, base uint64) (applied int, commits uint64, err error) {
+	if d.open == nil {
+		d.open = make(map[uint64][]Record)
+	}
+	for _, r := range records {
+		if r.Type != RecordCommit {
+			d.open[r.TxnID] = append(d.open[r.TxnID], r)
+		}
+	}
+	for _, r := range records {
+		if r.Type != RecordCommit {
+			continue
+		}
+		commits++
+		n, err := redoWrites(th, d.open[r.TxnID], tables, base+commits)
+		applied += n
+		if err != nil {
+			return applied, commits, err
+		}
+		delete(d.open, r.TxnID)
+	}
+	return applied, commits, nil
 }
 
 // ErrReplayGap is the sentinel a GapError unwraps to: the caller's applied
@@ -230,9 +284,10 @@ func (e *GapError) Unwrap() error { return ErrReplayGap }
 // of the checkpoint that opened it): committed transactions numbered
 // segBase+1..segBase+n in the segment, of which the first base-segBase are
 // skipped as already applied and the rest stamp base+1 upward. It is the
-// replication apply path — a replica repeatedly feeds its growing received
-// image through here — and it surfaces a typed *GapError instead of
-// silently applying zero records when base and the log do not meet:
+// whole-segment form — it walks every record however few are new, where a
+// follower of a growing segment uses Redo — and it surfaces a typed
+// *GapError instead of silently applying zero records when base and the log
+// do not meet:
 // base < segBase means the primary truncated history the replica never saw
 // (it must re-seed from a checkpoint), and base beyond the segment's last
 // commit means the stream rewound or the caller's state is from a different

@@ -20,14 +20,14 @@ var (
 // magic(8) + epoch(8) + CRC-32C over both (4).
 const SegmentHeaderLen = 20
 
-// checkpointHeaderLen is the byte size of a checkpoint-image header:
+// CheckpointHeaderLen is the byte size of a checkpoint-image header:
 // magic(8) + epoch(8) + snapshotTS(8) + payloadLen(4) + payload CRC-32C (4)
 // + header CRC-32C over the preceding 32 bytes (4). The header CRC is what
 // keeps a torn or bit-flipped header from reading as a phantom checkpoint:
 // without it, any 36 bytes starting with the magic whose length/CRC words
 // happened to say "empty payload" decoded as a valid checkpoint with
 // garbage epoch and snapshot timestamp.
-const checkpointHeaderLen = 36
+const CheckpointHeaderLen = 36
 
 // appendSegmentHeader appends a log-segment header for the given epoch.
 func appendSegmentHeader(dst []byte, epoch uint64) []byte {
@@ -81,10 +81,9 @@ type Checkpoint struct {
 	Records    []Record
 }
 
-// AppendCheckpointImage appends the encoded checkpoint to dst. Checkpoint
-// devices hold a sequence of these images; recovery takes the newest fully
-// valid one (LastValidCheckpoint), so a torn in-progress checkpoint write
-// simply falls back to its predecessor.
+// AppendCheckpointImage appends the encoded checkpoint to dst. A checkpoint
+// device holds one such image, published by an atomic Reset, so recovery
+// decodes it or finds none (LastValidCheckpoint).
 func AppendCheckpointImage(dst []byte, ck Checkpoint) []byte {
 	var payload []byte
 	for _, r := range ck.Records {
@@ -106,58 +105,54 @@ func AppendCheckpointImage(dst []byte, ck Checkpoint) []byte {
 	return append(dst, payload...)
 }
 
-// LastValidCheckpoint scans a checkpoint-device image and returns the newest
-// checkpoint that is fully durable and passes its CRC. Torn or corrupt data
-// at the tail (an interrupted checkpoint write) is ignored; ok=false means
-// no valid checkpoint exists. An image whose first bytes are not a (possibly
+// CheckpointHeader is what a checkpoint image says about itself before its
+// payload is read: enough for a receiver of the image in pieces to know
+// which checkpoint it is getting and when it has all of it.
+type CheckpointHeader struct {
+	Epoch      uint64
+	SnapshotTS uint64
+	// ImageLen is the byte size of the whole image, header included.
+	ImageLen int
+}
+
+// ParseCheckpointHeader reads the header at the front of img. ok=false means
+// the header is torn or corrupt (fewer than CheckpointHeaderLen bytes, or a
+// CRC mismatch); bytes that cannot be the start of a checkpoint image at all
+// (wrong magic) are an error.
+func ParseCheckpointHeader(img []byte) (h CheckpointHeader, ok bool, err error) {
+	if n := min(len(img), len(ckptMagic)); !bytes.Equal(img[:n], ckptMagic[:n]) {
+		return h, false, fmt.Errorf("wal: image is not a checkpoint (%d bytes, bad magic)", len(img))
+	}
+	if len(img) < CheckpointHeaderLen ||
+		crc32.Checksum(img[:32], crcTable) != binary.LittleEndian.Uint32(img[32:36]) {
+		return h, false, nil
+	}
+	return CheckpointHeader{
+		Epoch:      binary.LittleEndian.Uint64(img[8:16]),
+		SnapshotTS: binary.LittleEndian.Uint64(img[16:24]),
+		ImageLen:   CheckpointHeaderLen + int(binary.LittleEndian.Uint32(img[24:28])),
+	}, true, nil
+}
+
+// LastValidCheckpoint decodes the image a checkpoint device holds. The device
+// is switched atomically from one whole image to the next, so it holds the
+// last checkpoint or nothing; ok=false means no valid checkpoint exists (an
+// empty device, or an image that is torn or fails a CRC), and bytes after
+// the image are ignored. An image whose first bytes are not a (possibly
 // torn) checkpoint header is an error — the device holds something that was
 // never a checkpoint.
 func LastValidCheckpoint(img []byte) (ck Checkpoint, ok bool, err error) {
-	off := 0
-	for off < len(img) {
-		rest := img[off:]
-		if len(rest) < len(ckptMagic) {
-			if bytes.Equal(rest, ckptMagic[:len(rest)]) {
-				return ck, ok, nil // torn header at the tail
-			}
-			if off == 0 {
-				return ck, false, fmt.Errorf("wal: image is not a checkpoint (%d bytes, bad magic)", len(rest))
-			}
-			return ck, ok, nil
-		}
-		if !bytes.Equal(rest[:len(ckptMagic)], ckptMagic) {
-			if off == 0 {
-				return ck, false, fmt.Errorf("wal: image is not a checkpoint (bad magic)")
-			}
-			return ck, ok, nil
-		}
-		if len(rest) < checkpointHeaderLen {
-			return ck, ok, nil // torn header
-		}
-		wantHdrCRC := binary.LittleEndian.Uint32(rest[32:36])
-		if crc32.Checksum(rest[:32], crcTable) != wantHdrCRC {
-			return ck, ok, nil // corrupt header: stop, keep predecessor
-		}
-		payloadLen := int(binary.LittleEndian.Uint32(rest[24:28]))
-		if len(rest) < checkpointHeaderLen+payloadLen {
-			return ck, ok, nil // torn payload
-		}
-		payload := rest[checkpointHeaderLen : checkpointHeaderLen+payloadLen]
-		wantCRC := binary.LittleEndian.Uint32(rest[28:32])
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return ck, ok, nil // corrupt payload: stop, keep predecessor
-		}
-		records, derr := Deserialize(payload)
-		if derr != nil {
-			return ck, ok, nil
-		}
-		ck = Checkpoint{
-			Epoch:      binary.LittleEndian.Uint64(rest[8:16]),
-			SnapshotTS: binary.LittleEndian.Uint64(rest[16:24]),
-			Records:    records,
-		}
-		ok = true
-		off += checkpointHeaderLen + payloadLen
+	h, ok, err := ParseCheckpointHeader(img)
+	if !ok || len(img) < h.ImageLen {
+		return ck, false, err
 	}
-	return ck, ok, nil
+	payload := img[CheckpointHeaderLen:h.ImageLen]
+	if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(img[28:32]) {
+		return ck, false, nil
+	}
+	records, derr := Deserialize(payload)
+	if derr != nil {
+		return ck, false, nil
+	}
+	return Checkpoint{Epoch: h.Epoch, SnapshotTS: h.SnapshotTS, Records: records}, true, nil
 }

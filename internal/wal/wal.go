@@ -149,11 +149,38 @@ type Manager struct {
 	serMu   sync.Mutex
 	flushMu sync.Mutex
 
+	// Scratch reused across passes so a steady-state pass allocates
+	// nothing: spareQueue and serBuf belong to serMu (the drained queue's
+	// storage, handed back to Enqueue by the next drain, and the encode
+	// buffer), flushBuf to flushMu (the gathered device write). Storage a
+	// bulk pass grew past maxScratch is dropped, not kept on the heap.
+	spareQueue []Record
+	serBuf     []byte
+	flushBuf   []byte
+
 	// dev is the durable image; epoch/headerWritten (guarded by flushMu)
 	// track the current segment.
 	dev           hw.BlockDevice
 	epoch         uint64
 	headerWritten bool
+}
+
+// maxScratchBytes and maxScratchRecords bound the scratch a Manager keeps
+// between passes (about 256 KB each): several default log buffers, so
+// steady-state passes reuse it, and far below the one pass that drains a
+// bulk load, whose storage is garbage as it was before there was scratch.
+const (
+	maxScratchBytes   = 256 << 10
+	maxScratchRecords = 4 << 10
+)
+
+// scratch returns b's storage, emptied, for the next pass to reuse — or nil
+// when b outgrew limit.
+func scratch[T any](b []T, limit int) []T {
+	if cap(b) > limit {
+		return nil
+	}
+	return b[:0]
 }
 
 // Flush retry policy for transient device failures: bounded attempts with
@@ -229,17 +256,20 @@ func (m *Manager) Serialize(th *hw.Thread) SerializeStats {
 
 	m.mu.Lock()
 	queue := m.queue
-	m.queue = nil
+	m.queue = m.spareQueue
 	m.mu.Unlock()
 
 	var st SerializeStats
-	var local []byte
+	local := m.serBuf[:0]
 	for _, r := range queue {
 		before := len(local)
 		local = r.Serialize(local)
 		st.Bytes += len(local) - before
 		st.Records++
 	}
+	m.serBuf = scratch(local, maxScratchBytes)
+	clear(queue) // drop the payload references before the storage is reused
+	m.spareQueue = scratch(queue, maxScratchRecords)
 	if th != nil && st.Records > 0 {
 		th.SeqRead(float64(st.Records), 48)
 		th.SeqWrite(float64(st.Bytes)/8, 8)
@@ -307,13 +337,14 @@ func (m *Manager) Flush(th *hw.Thread) (FlushStats, error) {
 		return st, nil
 	}
 
-	write := make([]byte, 0, st.Bytes+SegmentHeaderLen)
+	write := m.flushBuf[:0]
 	if !m.headerWritten {
 		write = appendSegmentHeader(write, m.epoch)
 	}
 	for _, b := range buffers {
 		write = append(write, b...)
 	}
+	m.flushBuf = scratch(write, maxScratchBytes)
 	if th != nil {
 		th.SeqRead(float64(st.Bytes)/64, 64) // gather buffers
 	}
@@ -381,9 +412,25 @@ func (m *Manager) ResetLog(epoch uint64) error {
 }
 
 // Durable returns a copy of the flushed (crash-safe) log image: a segment
-// header plus record frames, the input to recovery.
+// header plus record frames, the input to recovery. It costs the whole log;
+// a reader that follows the log uses DurableSince.
 func (m *Manager) Durable() []byte {
 	return m.dev.Contents()
+}
+
+// DurableSince returns the current segment epoch and the durable bytes that
+// a follower holding the first off bytes of segment epoch has not seen: the
+// image from off on while epoch is still current, the whole new segment once
+// a checkpoint has truncated the one the follower knew. Epoch and bytes come
+// from one read under flushMu, so no flush or truncation can fall between
+// them, and the read costs the bytes returned, not the log.
+func (m *Manager) DurableSince(epoch uint64, off int) (cur uint64, unseen []byte) {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	if epoch != m.epoch {
+		off = 0
+	}
+	return m.epoch, m.dev.Suffix(off)
 }
 
 // PendingBytes returns how much serialized log data awaits flushing.

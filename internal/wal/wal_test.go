@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
@@ -123,5 +124,83 @@ func TestFlushChargesBlockWrites(t *testing.T) {
 	}
 	if metrics.ElapsedUS <= metrics.CPUTimeUS {
 		t.Fatal("flush must include IO wait")
+	}
+}
+
+// A steady-state pass reuses the manager's scratch: the drained queue's
+// storage goes back to Enqueue, and the encode buffer and the gathered
+// device write are kept, so what a pass still allocates is the log buffer it
+// hands to Flush, the sealed list and the device's own growth — a few
+// objects however many records it carries. A bulk pass's oversized scratch
+// is dropped, not kept on the heap.
+func TestSerializeFlushReuseScratch(t *testing.T) {
+	m := NewManager(64 * 1024)
+	payload := storage.Tuple{storage.NewInt(1), storage.NewInt(2)}
+	pass := func(records int) {
+		for i := 0; i < records; i++ {
+			if err := m.Enqueue(nil, rec(uint64(i), payload)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Serialize(nil)
+		if _, err := m.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass(200) // grow the scratch once
+	pass(200)
+	if allocs := testing.AllocsPerRun(50, func() { pass(200) }); allocs > 4 {
+		t.Fatalf("a steady-state pass of 200 records allocates %.0f objects", allocs)
+	}
+	// AllocsPerRun makes one warm-up call of its own: 53 passes so far.
+	records, serialized, flushed, _, _ := m.Stats()
+	if records != 53*200 || serialized != flushed {
+		t.Fatalf("%d records, %d bytes serialized, %d flushed", records, serialized, flushed)
+	}
+	if got, _, reason := DeserializePrefix(m.Durable()[SegmentHeaderLen:]); len(got) != int(records) || reason != "" {
+		t.Fatalf("durable image decodes to %d of %d records (%s)", len(got), records, reason)
+	}
+
+	pass(2 * maxScratchRecords)
+	if m.spareQueue != nil || m.serBuf != nil || m.flushBuf != nil {
+		t.Fatalf("bulk pass kept its scratch: queue cap %d, encode cap %d, write cap %d",
+			cap(m.spareQueue), cap(m.serBuf), cap(m.flushBuf))
+	}
+}
+
+// DurableSince answers a follower at (epoch, offset) with the current epoch
+// and exactly the bytes it lacks: the suffix while its epoch is current, the
+// whole new segment after ResetLog.
+func TestDurableSince(t *testing.T) {
+	m := NewManager(1024)
+	flush := func(n int) {
+		for i := 0; i < n; i++ {
+			m.Enqueue(nil, rec(uint64(i), storage.Tuple{storage.NewInt(int64(i))}))
+		}
+		m.Serialize(nil)
+		if _, err := m.Flush(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flush(5)
+	epoch, all := m.DurableSince(0, 0)
+	if epoch != 0 || !bytes.Equal(all, m.Durable()) {
+		t.Fatalf("from the start: epoch %d, %d of %d bytes", epoch, len(all), len(m.Durable()))
+	}
+	flush(3)
+	epoch, tail := m.DurableSince(0, len(all))
+	if epoch != 0 || !bytes.Equal(append(all, tail...), m.Durable()) {
+		t.Fatalf("suffix from %d: epoch %d, %d bytes of a %d-byte log", len(all), epoch, len(tail), len(m.Durable()))
+	}
+	if _, none := m.DurableSince(0, len(all)+len(tail)); len(none) != 0 {
+		t.Fatalf("a follower that has everything got %d bytes", len(none))
+	}
+	if err := m.ResetLog(4); err != nil {
+		t.Fatal(err)
+	}
+	flush(2)
+	epoch, seg := m.DurableSince(0, len(all)+len(tail))
+	if epoch != 4 || !bytes.Equal(seg, m.Durable()) {
+		t.Fatalf("after truncation: epoch %d, %d of %d bytes", epoch, len(seg), len(m.Durable()))
 	}
 }
