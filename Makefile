@@ -12,15 +12,21 @@ tier1: vet build race fuzz smoke
 # vet also fails when gofmt would change any file, when any cmd/ binary
 # links the test harness internal/check, when a non-test file other than
 # the wire codec (internal/server/frame.go) and the WAL imports hash/crc32
-# (a third CRC frame codec does not reappear unnoticed), and when a non-test
-# file under internal/repl/ calls .Durable() or .Contents(): a whole-image
-# read does not come back into the ship path unnoticed.
+# (a third CRC frame codec does not reappear unnoticed), when a non-test
+# file under internal/repl/ calls .Durable() or .Contents() (a whole-image
+# read does not come back into the ship path unnoticed), and when a non-test
+# file under internal/session/ names sql.Parse or NewPlanner outside
+# Session.miss: a second path from statement text to a plan does not grow
+# beside the plan cache.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
 	@! $(GO) list -deps ./cmd/... | grep -x mb2/internal/check || { echo "a cmd/ binary links internal/check"; exit 1; }
 	@! grep -rl --include='*.go' --exclude='*_test.go' '"hash/crc32"' . | grep -v -e '^\./internal/server/frame\.go$$' -e '^\./internal/wal/' || { echo "hash/crc32 imported outside internal/server/frame.go and internal/wal/"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e '\.Durable()' -e '\.Contents()' internal/repl || { echo "whole-image read (.Durable() / .Contents()) in internal/repl: ship wal.Manager.DurableSince's suffix"; exit 1; }
+	@awk 'FNR == 1 { miss = 0 } /^func \(s \*Session\) miss\(/ { miss = 1 } /^}/ { miss = 0 } \
+		/sql\.Parse|NewPlanner/ && !miss && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
+		$$(ls internal/session/*.go | grep -v _test.go) || { echo "sql.Parse / NewPlanner in internal/session outside Session.miss: execute through the plan cache"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -41,6 +47,7 @@ crash:
 
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime=5s ./internal/sql
+	$(GO) test -run=NONE -fuzz=FuzzTemplate -fuzztime=5s ./internal/sql
 	$(GO) test -run=NONE -fuzz=FuzzWALDeserialize -fuzztime=5s ./internal/wal
 	$(GO) test -run=NONE -fuzz=FuzzPartitionKey -fuzztime=5s ./internal/storage
 	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=5s ./internal/server

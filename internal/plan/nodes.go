@@ -253,6 +253,61 @@ func (n *OutputNode) Est() Estimates { return n.Rows }
 // Name implements Node.
 func (n *OutputNode) Name() string { return "Output" }
 
+// MapChildren returns a shallow copy of n whose children are f of n's
+// children, in Children order. Rewrites that replace part of a tree copy
+// the path to the replaced part with it and share the rest, so the
+// original tree is never written and stays valid.
+func MapChildren(n Node, f func(Node) Node) Node {
+	switch x := n.(type) {
+	case *SeqScanNode:
+		cp := *x
+		return &cp
+	case *IdxScanNode:
+		cp := *x
+		return &cp
+	case *HashJoinNode:
+		cp := *x
+		cp.Left, cp.Right = f(x.Left), f(x.Right)
+		return &cp
+	case *IndexJoinNode:
+		cp := *x
+		cp.Outer = f(x.Outer)
+		return &cp
+	case *AggNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *SortNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *ProjectNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *FilterNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *InsertNode:
+		cp := *x
+		return &cp
+	case *UpdateNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *DeleteNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	case *OutputNode:
+		cp := *x
+		cp.Child = f(x.Child)
+		return &cp
+	}
+	panic("plan: MapChildren of unknown node type " + n.Name())
+}
+
 // Walk visits the plan tree depth-first, children before parents.
 func Walk(n Node, fn func(Node)) {
 	if n == nil {

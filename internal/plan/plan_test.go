@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -217,5 +218,35 @@ func TestTruthyKinds(t *testing.T) {
 	}
 	if Truthy(storage.NewInt(0)) || !Truthy(storage.NewInt(-1)) {
 		t.Fatal("int truthiness broken")
+	}
+}
+
+// TestMapChildren: every node type comes back as a copy with f applied to
+// each child in Children order, and the original is not written.
+func TestMapChildren(t *testing.T) {
+	leaf := func() Node { return &SeqScanNode{Table: "t"} }
+	nodes := []Node{
+		&SeqScanNode{Table: "t"}, &IdxScanNode{Table: "t", Index: "i"}, &InsertNode{Table: "t"},
+		&HashJoinNode{Left: leaf(), Right: leaf()}, &IndexJoinNode{Outer: leaf()},
+		&AggNode{Child: leaf()}, &SortNode{Child: leaf()}, &ProjectNode{Child: leaf()},
+		&FilterNode{Child: leaf()}, &UpdateNode{Child: leaf()}, &DeleteNode{Child: leaf()},
+		&OutputNode{Child: leaf()},
+	}
+	for _, n := range nodes {
+		before := n.Children()
+		var seen []Node
+		marker := &SeqScanNode{Table: "mapped"}
+		cp := MapChildren(n, func(c Node) Node { seen = append(seen, c); return marker })
+		if cp == n || reflect.TypeOf(cp) != reflect.TypeOf(n) {
+			t.Fatalf("%s: MapChildren returned %T (same node: %v)", n.Name(), cp, cp == n)
+		}
+		if !reflect.DeepEqual(seen, before) || !reflect.DeepEqual(n.Children(), before) {
+			t.Fatalf("%s: visited %v of %v, original now has %v", n.Name(), seen, before, n.Children())
+		}
+		for _, c := range cp.Children() {
+			if c != marker {
+				t.Fatalf("%s: a child of the copy was not mapped", n.Name())
+			}
+		}
 	}
 }

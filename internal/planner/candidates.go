@@ -283,44 +283,10 @@ func (c IndexCandidate) Rewrite(n plan.Node) plan.Node {
 			Table: x.Table, Index: c.Name, Eq: eq,
 			Filter: conjoin(residual), Project: x.Project, Rows: x.Rows,
 		}
-	case *plan.HashJoinNode:
-		cp := *x
-		cp.Left, cp.Right = c.Rewrite(x.Left), c.Rewrite(x.Right)
-		return &cp
-	case *plan.IndexJoinNode:
-		cp := *x
-		cp.Outer = c.Rewrite(x.Outer)
-		return &cp
-	case *plan.AggNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.SortNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.ProjectNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.FilterNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.UpdateNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.DeleteNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	case *plan.OutputNode:
-		cp := *x
-		cp.Child = c.Rewrite(x.Child)
-		return &cp
-	default:
+	case *plan.IdxScanNode, *plan.InsertNode:
 		return n
+	default:
+		return plan.MapChildren(n, c.Rewrite)
 	}
 }
 

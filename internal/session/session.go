@@ -9,7 +9,6 @@ import (
 	"mb2/internal/exec"
 	"mb2/internal/hw"
 	"mb2/internal/plan"
-	"mb2/internal/sql"
 )
 
 // Sentinel errors of the session lifecycle.
@@ -76,6 +75,10 @@ type Session struct {
 	queries   uint64 // completed statements
 	failed    uint64 // failed or killed statements
 	prepared  map[string]*Prepared
+
+	// cache is the plan cache every SQL statement executes from. It belongs
+	// to whichever goroutine holds the running statement.
+	cache planCache
 }
 
 // Context returns the session context; it is cancelled by Kill and Close.
@@ -160,38 +163,36 @@ func (s *Session) endStatement(err error) {
 // embedded front ends' path (the selfdrive loop constructs plans
 // directly). The template name keys the observation stream; completed
 // queries are observed exactly once, killed or failed ones not at all.
+// A DML plan is auto-committed unless the caller opened a transaction on
+// the session's execution context.
 func (s *Session) ExecPlan(template string, fingerprint uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
 	if err := s.beginStatement(template); err != nil {
 		return nil, hw.Metrics{}, err
 	}
-	b, iso, err := exec.ExecuteObserved(s.ec, template, fingerprint, node)
-	if err == nil {
-		s.stats.observeRep(template, node)
-	}
+	b, iso, err := s.run(template, fingerprint, node)
 	s.endStatement(err)
 	return b, iso, err
 }
 
-// execDML wraps a DML plan in an auto-commit transaction when the
-// session has none open, mirroring a server's auto-commit semantics.
-func (s *Session) execDML(template string, fingerprint uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
-	if s.ec.Txn != nil {
-		return s.ExecPlan(template, fingerprint, node)
+// run executes a plan inside the statement the caller began. A DML plan
+// gets an auto-commit transaction when the session has none open,
+// mirroring a server's auto-commit semantics.
+func (s *Session) run(template string, fingerprint uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
+	auto := s.ec.Txn == nil && isDML(node)
+	if auto {
+		s.ec.Begin()
 	}
-	if err := s.beginStatement(template); err != nil {
-		return nil, hw.Metrics{}, err
-	}
-	s.ec.Begin()
 	b, iso, err := exec.ExecuteObserved(s.ec, template, fingerprint, node)
-	if err != nil {
-		_ = s.ec.Abort()
-	} else if cerr := s.ec.Commit(); cerr != nil {
-		err = cerr
+	if auto {
+		if err != nil {
+			_ = s.ec.Abort()
+		} else if cerr := s.ec.Commit(); cerr != nil {
+			err = cerr
+		}
 	}
 	if err == nil {
 		s.stats.observeRep(template, node)
 	}
-	s.endStatement(err)
 	return b, iso, err
 }
 
@@ -204,46 +205,24 @@ func isDML(n plan.Node) bool {
 	return false
 }
 
-// ExecSQL parses and executes one SQL statement. DDL runs against the
-// engine directly (and advances its ConfigVersion, invalidating plan
-// caches); queries and DML plan through the SQL planner, with DML
-// auto-committed when no transaction is open. The statement text is the
-// observation template, so ad-hoc traffic forecasts per distinct text.
+// ExecSQL executes one SQL statement from the session's plan cache (see
+// execEntry). DDL runs against the engine directly; DML is auto-committed
+// when no transaction is open. The statement's template key, not its
+// text, names the observation, so ad-hoc traffic forecasts per template
+// however many distinct literals it carries.
 func (s *Session) ExecSQL(query string) (*exec.Batch, hw.Metrics, error) {
-	// A killed or closed session refuses statements before even parsing
-	// them; beginStatement re-checks under the race.
-	switch s.State() {
-	case Killed:
-		return nil, hw.Metrics{}, ErrKilled
-	case Closed:
-		return nil, hw.Metrics{}, ErrClosed
+	if err := s.beginStatement(query); err != nil {
+		return nil, hw.Metrics{}, err
 	}
-	st, err := sql.Parse(query)
-	if err != nil {
-		return nil, hw.Metrics{}, s.fail(err)
-	}
-	switch st.(type) {
-	case sql.CreateTableStmt, sql.CreateIndexStmt, sql.DropIndexStmt:
-		if err := s.beginStatement(query); err != nil {
-			return nil, hw.Metrics{}, err
-		}
-		b, rerr := sql.Run(s.ec, query)
-		s.endStatement(rerr)
-		return b, hw.Metrics{}, rerr
-	}
-	node, err := sql.NewPlanner(s.ec.DB).Plan(st)
-	if err != nil {
-		return nil, hw.Metrics{}, s.fail(err)
-	}
-	fp := plan.Fingerprint(node)
-	if isDML(node) {
-		return s.execDML(query, fp, node)
-	}
-	return s.ExecPlan(query, fp, node)
+	e, lits := s.cache.lookup(query)
+	b, iso, err := s.execEntry(e.key, e, lits, query)
+	s.cache.keep(e)
+	s.endStatement(err)
+	return b, iso, err
 }
 
-// fail charges a statement that never reached execution (a parse or
-// plan failure) to the process-list failed counter.
+// fail charges a statement the session refused before it began to the
+// process-list failed counter.
 func (s *Session) fail(err error) error {
 	s.mu.Lock()
 	s.failed++

@@ -124,7 +124,7 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if p.Replans() != 0 {
 		t.Fatalf("plan replanned %d times with a stable configuration", p.Replans())
 	}
-	seqFP := p.fp
+	seqFP := p.e.fp
 
 	// Publishing an index advances ConfigVersion; the very next execution
 	// must replan onto it.
@@ -145,7 +145,7 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if p.Replans() != 1 {
 		t.Fatalf("replans = %d after ConfigVersion move, want 1", p.Replans())
 	}
-	if p.fp == seqFP {
+	if p.e.fp == seqFP {
 		t.Fatal("replanned statement kept the sequential-scan fingerprint (index not picked up)")
 	}
 

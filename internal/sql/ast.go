@@ -1,5 +1,10 @@
 package sql
 
+import (
+	"strconv"
+	"strings"
+)
+
 // AST node types for the supported statement subset.
 
 // Statement is any parsed SQL statement.
@@ -18,6 +23,50 @@ type Literal struct {
 	Num      float64
 	IsInt    bool
 	Int      int64
+	// Param is the literal's 1-based position among the statement's
+	// parameter literals (the ?i / ?f / ?s of its template key), 0 when it
+	// is not one; Neg records a sign the parser folded into the value. The
+	// two are what lets a cached plan take this literal from another
+	// statement's vector (Template.Bind).
+	Param int
+	Neg   bool
+}
+
+// numberLiteral converts an unsigned number token: a float when it has a
+// decimal point, an integer otherwise.
+func numberLiteral(text string) (Literal, error) {
+	if strings.Contains(text, ".") {
+		f, err := strconv.ParseFloat(text, 64)
+		return Literal{Num: f}, err
+	}
+	n, err := strconv.ParseInt(text, 10, 64)
+	return Literal{IsInt: true, Int: n, Num: float64(n)}, err
+}
+
+// negated returns the literal with a leading minus sign folded in.
+func (l Literal) negated() Literal {
+	l.Neg = true
+	if l.IsInt {
+		l.Int = -l.Int
+		l.Num = float64(l.Int)
+	} else {
+		l.Num = -l.Num
+	}
+	return l
+}
+
+// from returns the literal a plan site takes when the statement's
+// parameters come from vector lits: l itself when it is not a parameter,
+// or when lits is nil (the statement's own literals).
+func (l Literal) from(lits []Literal) Literal {
+	if l.Param == 0 || lits == nil {
+		return l
+	}
+	v := lits[l.Param-1]
+	if l.Neg {
+		v = v.negated()
+	}
+	return v
 }
 
 // BinaryExpr is an infix operation: arithmetic, comparison, AND/OR.

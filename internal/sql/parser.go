@@ -1,10 +1,6 @@
 package sql
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
@@ -539,36 +535,27 @@ func (p *parser) columnRef() (ColumnRef, error) {
 func (p *parser) literal() (Literal, error) {
 	neg := p.accept("-")
 	t := p.cur()
+	var lit Literal
 	switch t.kind {
 	case tkString:
 		if neg {
 			return Literal{}, p.errf("cannot negate a string")
 		}
-		p.pos++
-		return Literal{IsString: true, Str: t.text}, nil
+		lit = Literal{IsString: true, Str: t.text}
 	case tkNumber:
-		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return Literal{}, p.errf("bad number %q", t.text)
-			}
-			if neg {
-				f = -f
-			}
-			return Literal{Num: f}, nil
+		var err error
+		if lit, err = numberLiteral(t.text); err != nil {
+			return Literal{}, p.errf("bad number %q", t.text)
 		}
-		n, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
-			return Literal{}, p.errf("bad integer %q", t.text)
-		}
-		if neg {
-			n = -n
-		}
-		return Literal{IsInt: true, Int: n, Num: float64(n)}, nil
 	default:
 		return Literal{}, p.errf("expected literal, found %q", t.text)
 	}
+	p.pos++
+	lit.Param = t.param
+	if neg {
+		lit = lit.negated()
+	}
+	return lit, nil
 }
 
 func (p *parser) intLiteral() (int64, error) {

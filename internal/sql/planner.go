@@ -67,10 +67,58 @@ func (s *scope) resolve(c ColumnRef) (int, error) {
 // with cardinality estimates drawn from table statistics.
 type Planner struct {
 	DB *engine.DB
+	// sites, when non-nil, collects the AST sources of every literal slot
+	// of every node planned (PlanTemplate sets it; Plan leaves it nil).
+	sites map[plan.Node]*nodeSites
 }
 
 // NewPlanner returns a planner over the database.
 func NewPlanner(db *engine.DB) *Planner { return &Planner{DB: db} }
+
+// literalConst is the plan constant of a literal in an expression.
+func literalConst(l Literal) plan.Expr {
+	switch {
+	case l.IsString:
+		return plan.StrConst(l.Str)
+	case l.IsInt:
+		return plan.IntConst(l.Int)
+	default:
+		return plan.FloatConst(l.Num)
+	}
+}
+
+// binaryExpr is the plan expression of an infix operator over bound
+// operands.
+func binaryExpr(op string, l, r plan.Expr) (plan.Expr, error) {
+	switch op {
+	case "+":
+		return plan.Arith{Op: plan.Add, L: l, R: r}, nil
+	case "-":
+		return plan.Arith{Op: plan.Sub, L: l, R: r}, nil
+	case "*":
+		return plan.Arith{Op: plan.Mul, L: l, R: r}, nil
+	case "/":
+		return plan.Arith{Op: plan.Div, L: l, R: r}, nil
+	case "=":
+		return plan.Cmp{Op: plan.EQ, L: l, R: r}, nil
+	case "<>":
+		return plan.Cmp{Op: plan.NE, L: l, R: r}, nil
+	case "<":
+		return plan.Cmp{Op: plan.LT, L: l, R: r}, nil
+	case "<=":
+		return plan.Cmp{Op: plan.LE, L: l, R: r}, nil
+	case ">":
+		return plan.Cmp{Op: plan.GT, L: l, R: r}, nil
+	case ">=":
+		return plan.Cmp{Op: plan.GE, L: l, R: r}, nil
+	case "and":
+		return plan.And{L: l, R: r}, nil
+	case "or":
+		return plan.Or{L: l, R: r}, nil
+	default:
+		return nil, fmt.Errorf("sql: unsupported operator %q", op)
+	}
+}
 
 // bindExpr converts an AST expression into an executable plan expression.
 func (pl *Planner) bindExpr(s *scope, e Expr) (plan.Expr, error) {
@@ -82,14 +130,7 @@ func (pl *Planner) bindExpr(s *scope, e Expr) (plan.Expr, error) {
 		}
 		return plan.Col(i), nil
 	case Literal:
-		switch {
-		case v.IsString:
-			return plan.StrConst(v.Str), nil
-		case v.IsInt:
-			return plan.IntConst(v.Int), nil
-		default:
-			return plan.FloatConst(v.Num), nil
-		}
+		return literalConst(v), nil
 	case BinaryExpr:
 		l, err := pl.bindExpr(s, v.L)
 		if err != nil {
@@ -99,34 +140,7 @@ func (pl *Planner) bindExpr(s *scope, e Expr) (plan.Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		switch v.Op {
-		case "+":
-			return plan.Arith{Op: plan.Add, L: l, R: r}, nil
-		case "-":
-			return plan.Arith{Op: plan.Sub, L: l, R: r}, nil
-		case "*":
-			return plan.Arith{Op: plan.Mul, L: l, R: r}, nil
-		case "/":
-			return plan.Arith{Op: plan.Div, L: l, R: r}, nil
-		case "=":
-			return plan.Cmp{Op: plan.EQ, L: l, R: r}, nil
-		case "<>":
-			return plan.Cmp{Op: plan.NE, L: l, R: r}, nil
-		case "<":
-			return plan.Cmp{Op: plan.LT, L: l, R: r}, nil
-		case "<=":
-			return plan.Cmp{Op: plan.LE, L: l, R: r}, nil
-		case ">":
-			return plan.Cmp{Op: plan.GT, L: l, R: r}, nil
-		case ">=":
-			return plan.Cmp{Op: plan.GE, L: l, R: r}, nil
-		case "and":
-			return plan.And{L: l, R: r}, nil
-		case "or":
-			return plan.Or{L: l, R: r}, nil
-		default:
-			return nil, fmt.Errorf("sql: unsupported operator %q", v.Op)
-		}
+		return binaryExpr(v.Op, l, r)
 	default:
 		return nil, fmt.Errorf("sql: unsupported expression %T", e)
 	}
@@ -223,23 +237,22 @@ func (pl *Planner) scanPlan(table string, s *scope, where Expr) (plan.Node, floa
 			if pl.DB.Index(im.Name) == nil || len(im.KeyCols) == 0 {
 				continue
 			}
-			keys := make([]storage.Value, 0, len(im.KeyCols))
-			covered := true
+			key := make([]Literal, 0, len(im.KeyCols))
+			types := make([]catalog.Type, 0, len(im.KeyCols))
 			for _, ci := range im.KeyCols {
-				col := strings.ToLower(meta.Schema.Columns[ci].Name)
-				lit, ok := eqs[col]
+				lit, ok := eqs[strings.ToLower(meta.Schema.Columns[ci].Name)]
 				if !ok {
-					covered = false
 					break
 				}
-				keys = append(keys, literalValue(lit, meta.Schema.Columns[ci].Type))
+				key = append(key, lit)
+				types = append(types, meta.Schema.Columns[ci].Type)
 			}
-			if !covered {
+			if len(key) < len(im.KeyCols) {
 				continue
 			}
 			matches := rows / math.Max(1, pl.DB.DistinctCount(table, im.KeyCols))
 			node := &plan.IdxScanNode{
-				Table: table, Index: im.Name, Eq: keys,
+				Table: table, Index: im.Name, Eq: bindValues(key, types, nil),
 				Rows: plan.Estimates{Rows: matches, Distinct: matches},
 			}
 			// Residual predicates beyond the index key still apply.
@@ -247,15 +260,26 @@ func (pl *Planner) scanPlan(table string, s *scope, where Expr) (plan.Node, floa
 				node.Filter = pred
 				node.Rows.Rows = math.Max(1, outRows)
 			}
+			if pl.sites != nil {
+				ns := &nodeSites{vals: [][]Literal{key}, types: types}
+				if node.Filter != nil {
+					ns.exprs = []Expr{where}
+				}
+				pl.sites[node] = ns
+			}
 			return node, node.Rows.Rows, nil
 		}
 	}
 
-	return &plan.SeqScanNode{
+	node := &plan.SeqScanNode{
 		Table: table, Filter: pred,
 		Rows:      plan.Estimates{Rows: outRows},
 		TableRows: rows,
-	}, outRows, nil
+	}
+	if pl.sites != nil {
+		pl.sites[node] = &nodeSites{exprs: []Expr{where}}
+	}
+	return node, outRows, nil
 }
 
 func hasNonEq(e Expr) bool {
@@ -297,12 +321,21 @@ func (pl *Planner) Plan(st Statement) (plan.Node, error) {
 	}
 }
 
+var aggFns = map[string]plan.AggFn{"count": plan.Count, "sum": plan.Sum,
+	"min": plan.Min, "max": plan.Max, "avg": plan.Avg}
+
 func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 	s, err := scopeOf(pl.DB, st.From)
 	if err != nil {
 		return nil, err
 	}
-	node, rows, err := pl.scanPlan(st.From, s, nil)
+	// WHERE is pushed into the base scan for single-table queries and
+	// applied as a filter node above the joins otherwise.
+	var pushed Expr
+	if len(st.Joins) == 0 {
+		pushed = st.Where
+	}
+	node, rows, err := pl.scanPlan(st.From, s, pushed)
 	if err != nil {
 		return nil, err
 	}
@@ -332,9 +365,6 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 		}
 		rightRows := pl.DB.RowCount(j.Table)
 		buildDistinct := math.Max(1, rows/2)
-		if c, err2 := s.resolve(ColumnRef{Name: j.OnL.Name}); err2 == nil {
-			_ = c
-		}
 		outRows := rows * rightRows / math.Max(1, math.Max(buildDistinct, rightRows))
 		node = &plan.HashJoinNode{
 			Left:      node,
@@ -347,22 +377,16 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 		rows = math.Max(1, outRows)
 	}
 
-	// WHERE: pushed into the scan for single-table queries, applied as a
-	// filter node above joins.
-	if st.Where != nil {
-		if len(st.Joins) == 0 {
-			node, rows, err = pl.scanPlan(st.From, s, st.Where)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			pred, err := pl.bindExpr(s, st.Where)
-			if err != nil {
-				return nil, err
-			}
-			rows *= pl.selectivity(st.From, s, st.Where)
-			rows = math.Max(1, rows)
-			node = &plan.FilterNode{Child: node, Pred: pred, Rows: plan.Estimates{Rows: rows}}
+	if st.Where != nil && len(st.Joins) > 0 {
+		pred, err := pl.bindExpr(s, st.Where)
+		if err != nil {
+			return nil, err
+		}
+		rows *= pl.selectivity(st.From, s, st.Where)
+		rows = math.Max(1, rows)
+		node = &plan.FilterNode{Child: node, Pred: pred, Rows: plan.Estimates{Rows: rows}}
+		if pl.sites != nil {
+			pl.sites[node] = &nodeSites{exprs: []Expr{st.Where}}
 		}
 	}
 
@@ -373,7 +397,6 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 			hasAgg = true
 		}
 	}
-	outputCols := 0.0
 	if hasAgg || len(st.GroupBy) > 0 {
 		groupIdx := make([]int, 0, len(st.GroupBy))
 		for _, g := range st.GroupBy {
@@ -384,6 +407,7 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 			groupIdx = append(groupIdx, i)
 		}
 		var aggs []plan.AggSpec
+		var srcs []Expr // per aggregate, nil for COUNT(*)
 		for _, it := range st.Items {
 			if it.AggFn == "" {
 				if it.Star {
@@ -399,9 +423,8 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 					return nil, err
 				}
 			}
-			fn := map[string]plan.AggFn{"count": plan.Count, "sum": plan.Sum,
-				"min": plan.Min, "max": plan.Max, "avg": plan.Avg}[it.AggFn]
-			aggs = append(aggs, plan.AggSpec{Fn: fn, Arg: arg})
+			aggs = append(aggs, plan.AggSpec{Fn: aggFns[it.AggFn], Arg: arg})
+			srcs = append(srcs, it.Expr)
 		}
 		groups := 1.0
 		if len(groupIdx) > 0 {
@@ -409,8 +432,10 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 		}
 		node = &plan.AggNode{Child: node, GroupBy: groupIdx, Aggs: aggs,
 			Rows: plan.Estimates{Rows: groups, Distinct: groups}}
+		if pl.sites != nil {
+			pl.sites[node] = &nodeSites{exprs: srcs}
+		}
 		rows = groups
-		outputCols = float64(len(groupIdx) + len(aggs))
 	} else if !(len(st.Items) == 1 && st.Items[0].Star) {
 		// Plain projection list: column references use scan projection;
 		// computed expressions use a Project node.
@@ -435,15 +460,16 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 			case *plan.IdxScanNode:
 				sc.Project = cols
 			}
-			outputCols = float64(len(cols))
 		} else {
 			var exprs []plan.Expr
+			var srcs []Expr
 			for _, it := range st.Items {
 				e, err := pl.bindExpr(s, it.Expr)
 				if err != nil {
 					return nil, err
 				}
 				exprs = append(exprs, e)
+				srcs = append(srcs, it.Expr)
 			}
 			// Sorting happens on the pre-projection tuples so ORDER BY can
 			// reference any input column.
@@ -454,7 +480,9 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 				}
 			}
 			node = &plan.ProjectNode{Child: node, Exprs: exprs, Rows: plan.Estimates{Rows: rows}}
-			outputCols = float64(len(exprs))
+			if pl.sites != nil {
+				pl.sites[node] = &nodeSites{exprs: srcs}
+			}
 			st.OrderBy = nil
 		}
 	}
@@ -472,8 +500,6 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 			Rows: plan.Estimates{Rows: math.Min(rows, float64(st.Limit))}}
 		rows = math.Min(rows, float64(st.Limit))
 	}
-	_ = outputCols
-
 	return &plan.OutputNode{Child: node, Rows: plan.Estimates{Rows: rows}}, nil
 }
 
@@ -517,19 +543,21 @@ func (pl *Planner) planInsert(st InsertStmt) (plan.Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	tuples := make([]storage.Tuple, 0, len(st.Rows))
-	for _, row := range st.Rows {
-		if len(row) != meta.Schema.NumColumns() {
-			return nil, fmt.Errorf("sql: INSERT row has %d values, table %q has %d columns",
-				len(row), st.Table, meta.Schema.NumColumns())
-		}
-		t := make(storage.Tuple, len(row))
-		for i, lit := range row {
-			t[i] = literalValue(lit, meta.Schema.Columns[i].Type)
-		}
-		tuples = append(tuples, t)
+	types := make([]catalog.Type, meta.Schema.NumColumns())
+	for i, c := range meta.Schema.Columns {
+		types[i] = c.Type
 	}
-	return &plan.InsertNode{Table: st.Table, Tuples: tuples}, nil
+	for _, row := range st.Rows {
+		if len(row) != len(types) {
+			return nil, fmt.Errorf("sql: INSERT row has %d values, table %q has %d columns",
+				len(row), st.Table, len(types))
+		}
+	}
+	node := &plan.InsertNode{Table: st.Table, Tuples: bindRows(st.Rows, types, nil)}
+	if pl.sites != nil {
+		pl.sites[node] = &nodeSites{vals: st.Rows, types: types}
+	}
+	return node, nil
 }
 
 func (pl *Planner) planUpdate(st UpdateStmt) (plan.Node, error) {
@@ -542,6 +570,7 @@ func (pl *Planner) planUpdate(st UpdateStmt) (plan.Node, error) {
 		return nil, err
 	}
 	node := &plan.UpdateNode{Child: child, Table: st.Table, Rows: plan.Estimates{Rows: rows}}
+	var srcs []Expr
 	for _, set := range st.Set {
 		i, err := s.resolve(ColumnRef{Name: set.Col})
 		if err != nil {
@@ -553,6 +582,10 @@ func (pl *Planner) planUpdate(st UpdateStmt) (plan.Node, error) {
 		}
 		node.SetCols = append(node.SetCols, i)
 		node.SetExprs = append(node.SetExprs, e)
+		srcs = append(srcs, set.Expr)
+	}
+	if pl.sites != nil {
+		pl.sites[node] = &nodeSites{exprs: srcs}
 	}
 	return node, nil
 }
@@ -580,15 +613,19 @@ func sqlType(t string) catalog.Type {
 	}
 }
 
-// Run parses and executes one statement. DDL executes against the engine
-// directly; queries and DML run through the executor (DML requires
-// ctx.Txn). SELECT results are returned as a batch.
+// Run parses and executes one statement.
 func Run(ctx *exec.Ctx, query string) (*exec.Batch, error) {
 	st, err := Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	pl := NewPlanner(ctx.DB)
+	return RunStatement(ctx, st)
+}
+
+// RunStatement executes one parsed statement. DDL executes against the
+// engine directly; queries and DML run through the executor (DML requires
+// ctx.Txn). SELECT results are returned as a batch.
+func RunStatement(ctx *exec.Ctx, st Statement) (*exec.Batch, error) {
 	switch v := st.(type) {
 	case CreateTableStmt:
 		cols := make([]catalog.Column, len(v.Columns))
@@ -604,7 +641,7 @@ func Run(ctx *exec.Ctx, query string) (*exec.Batch, error) {
 	case DropIndexStmt:
 		return &exec.Batch{}, ctx.DB.DropIndex(v.Name)
 	default:
-		p, err := pl.Plan(st)
+		p, err := NewPlanner(ctx.DB).Plan(st)
 		if err != nil {
 			return nil, err
 		}

@@ -13,7 +13,7 @@ import (
 	"mb2/internal/plan"
 )
 
-func newCtx(t *testing.T) *exec.Ctx {
+func newCtx(t testing.TB) *exec.Ctx {
 	t.Helper()
 	db := engine.Open(catalog.DefaultKnobs())
 	return &exec.Ctx{
