@@ -16,8 +16,11 @@ tier1: vet build race fuzz smoke
 # file under internal/repl/ calls .Durable() or .Contents() (a whole-image
 # read does not come back into the ship path unnoticed), and when a non-test
 # file under internal/session/ names sql.Parse or NewPlanner outside
-# Session.miss: a second path from statement text to a plan does not grow
-# beside the plan cache.
+# Session.miss (a second path from statement text to a plan does not grow
+# beside the plan cache), and when a non-test file under internal/exec/ other
+# than dml.go names index.KeyFromTuple( — the allocating key encoder is for
+# the B+tree insert, which retains its key; a per-row key allocation does not
+# come back into a build or a probe unnoticed.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -27,6 +30,7 @@ vet:
 	@awk 'FNR == 1 { miss = 0 } /^func \(s \*Session\) miss\(/ { miss = 1 } /^}/ { miss = 0 } \
 		/sql\.Parse|NewPlanner/ && !miss && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(ls internal/session/*.go | grep -v _test.go) || { echo "sql.Parse / NewPlanner in internal/session outside Session.miss: execute through the plan cache"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude=dml.go -F 'index.KeyFromTuple(' internal/exec || { echo "index.KeyFromTuple( in internal/exec outside dml.go: encode into ctx.keyBuf with index.AppendKeyFromTuple"; exit 1; }
 
 build:
 	$(GO) build ./...

@@ -48,10 +48,36 @@ func (b *Batch) AvgWidth() float64 {
 	return float64(total) / float64(n)
 }
 
+// shape is what a breaker keeps of the rows fed to it (relational.go's feed)
+// instead of the rows themselves: enough to bill afterwards exactly what a
+// Batch of them is billed — rows, cols and width return NumRows, NumCols and
+// AvgWidth of that Batch, bit for bit.
+type shape struct {
+	widths *[]int // every row's width, pooled; AvgWidth samples by position
+	ncols  int    // the first row's column count
+}
+
+func newShape() shape { return shape{widths: getIntBuf()} }
+
+func (s *shape) release() { putIntBuf(s.widths) }
+
+func (s *shape) note(t storage.Tuple) {
+	if len(*s.widths) == 0 {
+		s.ncols = len(t)
+	}
+	*s.widths = append(*s.widths, t.Bytes())
+}
+
+func (s *shape) rows() float64 { return float64(len(*s.widths)) }
+
+func (s *shape) cols() float64 { return float64(s.ncols) }
+
+func (s *shape) width() float64 { return sampledWidth(*s.widths) }
+
 // sampledWidth computes AvgWidth's statistic over a pre-extracted width
-// list. The RowPass driver records per-row widths while streaming (tuples
-// are never materialized) and bills the exact charge the Materialize driver
-// would have made.
+// list. The streaming drivers record per-row widths as rows pass (tuples are
+// never materialized) and bill the exact charge the Materialize driver would
+// have made.
 func sampledWidth(widths []int) float64 {
 	if len(widths) == 0 {
 		return 0

@@ -51,12 +51,14 @@ type Ctx struct {
 	// usage for predicted-vs-actual accounting).
 	Observer QueryObserver
 
-	// Interrupt, when set, is polled at every operator boundary; a non-nil
-	// return aborts the plan with that error before the next operator runs.
-	// The session layer points it at the session context so a process-list
-	// kill lands mid-query instead of after the statement finishes. The
-	// poll itself charges nothing, so queries that complete are bit-for-bit
-	// identical whether or not an interrupt hook is installed.
+	// Interrupt, when set, is polled at every operator boundary and once per
+	// chunk of a sequential scan (a breaker fused into its chain has no
+	// boundary of its own); a non-nil return aborts the plan with that error
+	// before the next operator or chunk runs, and the aborted scan emits no
+	// OU record. The session layer points it at the session context so a
+	// process-list kill lands mid-query instead of after the statement
+	// finishes. The poll itself charges nothing, so queries that complete
+	// are bit-for-bit identical whether or not an interrupt hook is installed.
 	Interrupt func() error
 
 	// DisableFusion runs compiled-mode plans on the Materialize driver: the
@@ -76,8 +78,8 @@ type Ctx struct {
 	// FusedPipelines, for observability in the control loop and CLIs.
 	VecBatches int
 
-	// keyBuf is the worker-private scratch buffer join probes and DML
-	// index maintenance encode transient keys into. A Ctx is single-worker
+	// keyBuf is the worker-private scratch buffer join probes, aggregation
+	// folds and DML index maintenance encode transient keys into. A Ctx is single-worker
 	// by contract, so reuse needs no synchronization. Never handed to
 	// anything that retains keys (B+tree inserts get fresh allocations).
 	keyBuf []byte
@@ -109,6 +111,14 @@ func NewCtx(db *engine.DB, cpu hw.CPU) *Ctx {
 func (c *Ctx) Thread() *hw.Thread { return c.Tracker.Thread() }
 
 func (c *Ctx) compiled() bool { return c.Mode == catalog.Compile }
+
+// interrupted polls the Interrupt hook.
+func (c *Ctx) interrupted() error {
+	if c.Interrupt == nil {
+		return nil
+	}
+	return c.Interrupt()
+}
 
 // DriverMode, PartitionCount and PartitionKeyCols implement plan.Config over
 // the live engine.

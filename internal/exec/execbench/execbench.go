@@ -177,6 +177,38 @@ func Scenarios(n int) []Scenario {
 			},
 		},
 		{
+			// An aggregation build consuming its chain: half the table
+			// folds into the 100 groups.
+			Name: "seq_scan_filter_agg",
+			Plan: &plan.AggNode{
+				Child: &plan.SeqScanNode{
+					Table:     "items",
+					Filter:    plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(half)},
+					Rows:      est(float64(half)),
+					TableRows: float64(n),
+				},
+				GroupBy: []int{1},
+				Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}, {Fn: plan.Sum, Arg: plan.Col(2)}},
+				Rows:    est(100),
+			},
+		},
+		{
+			// A sort build consuming its chain: the ten largest val of half
+			// the table.
+			Name: "seq_scan_filter_topn",
+			Plan: &plan.SortNode{
+				Child: &plan.SeqScanNode{
+					Table:     "items",
+					Filter:    plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(half)},
+					Rows:      est(float64(half)),
+					TableRows: float64(n),
+				},
+				Keys:  []plan.SortKey{{Col: 2, Desc: true}},
+				Limit: 10,
+				Rows:  est(10),
+			},
+		},
+		{
 			// Index nested-loop join: n/10 outer rows, one point probe each.
 			Name: "index_join",
 			Plan: &plan.IndexJoinNode{

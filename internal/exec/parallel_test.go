@@ -75,14 +75,21 @@ func loadPartTables(db *engine.DB, rows int) error {
 }
 
 // chainShapes is the equivalence tests' extra benchmark: every way a scan
-// chain can wrap a sequential scan, and the hash joins that stream or
-// partition one, over loadPartTables' tables. The SmallBank/TATP/TPC-H
-// templates reach few of these shapes, and none on a partitioned table.
+// chain can wrap a scan, the hash joins that stream or partition one, and an
+// aggregation and a sort consuming each chain, over loadPartTables' tables.
+// The SmallBank/TATP/TPC-H templates reach few of these shapes, and none on
+// a partitioned table.
 type chainShapes struct{}
 
 func (chainShapes) Name() string { return "shapes" }
 
-func (chainShapes) Load(db *engine.DB, _ float64, _ int64) error { return loadPartTables(db, 2500) }
+func (chainShapes) Load(db *engine.DB, _ float64, _ int64) error {
+	if err := loadPartTables(db, 2500); err != nil {
+		return err
+	}
+	_, _, err := db.CreateIndex(nil, hw.DefaultCPU(), "part_items_id", "part_items", []string{"id"}, true, 1)
+	return err
+}
 
 func (chainShapes) Templates(*engine.DB, int64) []runner.QueryTemplate {
 	scan := func(table string) *plan.SeqScanNode { return &plan.SeqScanNode{Table: table} }
@@ -91,17 +98,51 @@ func (chainShapes) Templates(*engine.DB, int64) []runner.QueryTemplate {
 	join := func(right plan.Node) plan.Node {
 		return &plan.HashJoinNode{Left: scan("part_dim"), Right: right, LeftKeys: []int{0}, RightKeys: []int{0}}
 	}
-	return []runner.QueryTemplate{
-		{Name: "scan[filter]", Plan: &plan.SeqScanNode{Table: "part_items", Filter: lowGrp}},
-		{Name: "scan[project]", Plan: &plan.SeqScanNode{Table: "part_items", Project: []int{2, 0}}},
-		{Name: "scan[filter,project]", Plan: &plan.SeqScanNode{Table: "part_items", Filter: lowGrp, Project: []int{2, 0}}},
-		{Name: "filter(scan)", Plan: filtered()},
-		{Name: "project(filter(scan))", Plan: &plan.ProjectNode{Child: filtered(), Exprs: []plan.Expr{
-			plan.Col(0), plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)},
-		}}},
+	// Every chain shape, with the columns of its output a breaker above it
+	// groups by (low-cardinality) and sorts by / aggregates (unique, numeric).
+	chains := []struct {
+		name     string
+		plan     plan.Node
+		grp, val int
+	}{
+		{"scan", scan("part_items"), 1, 2},
+		{"scan[filter]", &plan.SeqScanNode{Table: "part_items", Filter: lowGrp}, 1, 2},
+		{"scan[project]", &plan.SeqScanNode{Table: "part_items", Project: []int{2, 1}}, 1, 0},
+		{"scan[filter,project]", &plan.SeqScanNode{Table: "part_items", Filter: lowGrp, Project: []int{2, 1}}, 1, 0},
+		{"filter(scan)", filtered(), 1, 2},
+		{"project(filter(scan))", &plan.ProjectNode{Child: filtered(), Exprs: []plan.Expr{
+			plan.Col(1), plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)},
+		}}, 0, 1},
+		{"idx[filter]", &plan.IdxScanNode{Table: "part_items", Index: "part_items_id", Filter: lowGrp,
+			Lo: []storage.Value{storage.NewInt(100)}, Hi: []storage.Value{storage.NewInt(900)}}, 1, 2},
+		{"empty", &plan.SeqScanNode{Table: "part_items",
+			Filter: plan.Cmp{Op: plan.LT, L: plan.Col(1), R: plan.IntConst(0)}}, 1, 2},
+	}
+	out := []runner.QueryTemplate{
 		{Name: "join(scan,scan)", Plan: join(scan("part_items"))},
 		{Name: "join(scan,filter(scan))", Plan: join(filtered())},
 	}
+	val := plan.Col(2)
+	for _, c := range chains {
+		keys := []plan.SortKey{{Col: c.val, Desc: true}}
+		out = append(out,
+			runner.QueryTemplate{Name: c.name, Plan: c.plan},
+			runner.QueryTemplate{Name: "agg(" + c.name + ")", Plan: &plan.AggNode{Child: c.plan, GroupBy: []int{c.grp},
+				Aggs: []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(c.grp)}, {Fn: plan.Sum, Arg: plan.Col(c.val)}}}},
+			runner.QueryTemplate{Name: "sort(" + c.name + ")", Plan: &plan.SortNode{Child: c.plan, Keys: keys}},
+			runner.QueryTemplate{Name: "top10(" + c.name + ")", Plan: &plan.SortNode{Child: c.plan, Keys: keys, Limit: 10}},
+		)
+	}
+	return append(out,
+		runner.QueryTemplate{Name: "agg[varchar key](scan)", Plan: &plan.AggNode{Child: scan("part_dim"), GroupBy: []int{1},
+			Aggs: []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}, {Fn: plan.Max, Arg: plan.Col(0)}}}},
+		runner.QueryTemplate{Name: "agg[all fns](filter(scan))", Plan: &plan.AggNode{Child: filtered(), GroupBy: []int{1},
+			Aggs: []plan.AggSpec{{Fn: plan.Count, Arg: val}, {Fn: plan.Sum, Arg: val}, {Fn: plan.Min, Arg: val},
+				{Fn: plan.Max, Arg: val}, {Fn: plan.Avg, Arg: plan.Arith{Op: plan.Add, L: val, R: plan.FloatConst(1)}}}}},
+		runner.QueryTemplate{Name: "agg[no group](scan[filter])", Plan: &plan.AggNode{
+			Child: &plan.SeqScanNode{Table: "part_items", Filter: lowGrp},
+			Aggs:  []plan.AggSpec{{Fn: plan.Count, Arg: val}, {Fn: plan.Avg, Arg: val}}}},
+	)
 }
 
 func runScan(t *testing.T, db *engine.DB, dop int, mode catalog.ExecutionMode) (*exec.Batch, []metrics.Record) {

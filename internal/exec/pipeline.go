@@ -16,16 +16,17 @@ import (
 // Each plan fragment the execution modes treat differently is written once.
 // A scan chain is a plan.ScanPipeline: one source (seqSource, idxSource, or
 // the partition exchange of parallel.go) pushing rows through the chain's
-// stages into a sink. A hash join is build → streamed probe → two OU
-// brackets. The execution mode never selects a different body; it selects,
-// in plan.ChooseDriver and nowhere else, the plan.Driver that runs the
-// fragment:
+// stages into a sink. The sink is a Batch, or a breaker that consumes the
+// chain through feed (relational.go): the hash-join probe, the aggregation
+// build, the sort build. A hash join is build → fed probe → two OU brackets.
+// The execution mode never selects a different body; it selects, in
+// plan.ChooseDriver and nowhere else, the plan.Driver that runs the fragment:
 //
 //   - Materialize: one operator at a time, every output a Batch, every
 //     charge made where the work happens. Interpreted mode, and the
 //     reference the other drivers are tested against.
-//   - RowPass: one tuple at a time through the whole fragment, no
-//     intermediate Batch. Compiled mode.
+//   - RowPass: one tuple at a time through the whole fragment, breaker
+//     included, no intermediate Batch. Compiled mode.
 //   - VecPass: one column batch at a time through selection-vector kernels
 //     (vectorized.go). Vectorized mode, sequential-scan sources only.
 //   - Exchange: Materialize, with the source fanned out over partition
@@ -37,8 +38,10 @@ import (
 // streaming drivers do their real work in one pass and bill each stage
 // afterwards, bracket by bracket, from the counts and width samples the
 // pass collected, through the same emitters Materialize calls as it goes.
-// Labels therefore agree to float rounding (bulk n-item charges versus n
-// single-item charges); features agree bit for bit. VecPass bills its own
+// A breaker on feed bills afterwards too, replaying per-row charges call for
+// call, so features and labels agree bit for bit — except from a streamed
+// hash join on, which bills in bulk and agrees to float rounding (one n-item
+// charge versus n single-item charges). VecPass bills its own
 // VEC_* kinds, so its stream is not record-equivalent, but every driver
 // returns bit-identical rows (equivalence_test.go, vec_equivalence_test.go).
 
@@ -143,7 +146,9 @@ func runSource(ctx *Ctx, src plan.Node, out rowSink) error {
 }
 
 // seqSource streams every visible row of the table into out inside the
-// SEQ_SCAN bracket, through a pooled scan-row buffer.
+// SEQ_SCAN bracket, through a pooled scan-row buffer. Each chunk is a
+// cancellation point: whatever consumes the rows may be a breaker fused into
+// the chain, which has no operator boundary of its own.
 func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
@@ -155,7 +160,11 @@ func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 	out.expect(tbl.NumRows())
 	buf := getScanBuf()
 	rows := 0
+	var err error
 	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(chunk []storage.ScanRow) bool {
+		if err = ctx.interrupted(); err != nil {
+			return false
+		}
 		rows += len(chunk)
 		for i := range chunk {
 			out.push(chunk[i].Row, chunk[i].Data)
@@ -163,6 +172,9 @@ func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 		return true
 	})
 	putScanBuf(buf)
+	if err != nil {
+		return err // an aborted pass bills nothing
+	}
 	scanned := float64(rows)
 	ctx.compute(scanned * 6)
 	width := float64(tbl.Meta.Schema.TupleBytes())
@@ -447,8 +459,8 @@ func (t *joinTable) probe(k []byte, fn func(row int32)) {
 }
 
 // streamHashJoin is the hash join of the streaming drivers. The build side
-// materializes (it must) into the Ctx-reused joinTable; the probe side
-// streams — when the right child is a chain on a streaming driver, its rows
+// materializes (it must) into the Ctx-reused joinTable; the probe side is
+// fed — when the right child is a chain on a streaming driver, its rows
 // flow from the storage layer through the probe into the join output with
 // no intermediate Batch. Keys encode into the worker's scratch buffer and
 // output tuples come from the context arena, so the steady-state hot path
@@ -468,37 +480,23 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, er
 		jt.insert(ctx.keyBuf, int32(i))
 	}
 
-	rightWidths := getIntBuf()
-	defer putIntBuf(rightWidths)
-	rightCols := 0
+	right := newShape()
+	defer right.release()
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
 	var cur storage.Tuple
 	emit := func(row int32) {
 		out = append(out, ctx.arena.join(left.Rows[row], cur))
 	}
-	probe := func(_ storage.RowID, r storage.Tuple) {
-		if len(*rightWidths) == 0 {
-			rightCols = len(r)
-		}
-		*rightWidths = append(*rightWidths, r.Bytes())
+	// The probe side's own OU records emit here, before the build and probe
+	// brackets: operator-at-a-time order.
+	err = feed(ctx, n.Right, nil, func(_ storage.RowID, r storage.Tuple) {
+		right.note(r)
 		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.RightKeys)
 		cur = r
 		jt.probe(ctx.keyBuf, emit)
-	}
-	// The probe side's own OU records emit here, before the build and probe
-	// brackets: operator-at-a-time order.
-	if rdrv, chain := plan.ChooseDriver(ctx, n.Right); chain != nil && rdrv.Streams() {
-		if err := streamChain(ctx, rdrv, chain, probe); err != nil {
-			return nil, err
-		}
-	} else {
-		right, err := Execute(ctx, n.Right)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range right.Rows {
-			probe(0, r)
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	buildRows := float64(len(left.Rows))
@@ -506,8 +504,7 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, er
 	htBytes := buildRows * entryBytes
 	card := float64(jt.distinct)
 	leftW := left.AvgWidth()
-	rightRows := float64(len(*rightWidths))
-	rightW := sampledWidth(*rightWidths)
+	rightRows, rightCols, rightW := right.rows(), right.cols(), right.width()
 	outRows := float64(len(out))
 
 	start := ctx.Tracker.Start()
@@ -525,14 +522,14 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, er
 		ctx.Thread().RandRead(rightRows, htBytes, 1)
 		ctx.vecCompute(rightRows*vecProbeCostPerRow + vecBatches(rightRows)*vecBatchOverhead)
 		ctx.Thread().SeqWrite(outRows, leftW+rightW)
-		probeFeats := ou.VecProbeFeatures(rightRows+outRows, float64(rightCols), rightW,
+		probeFeats := ou.VecProbeFeatures(rightRows+outRows, rightCols, rightW,
 			card, leftW+rightW, vec.BatchRows)
 		ctx.Tracker.Stop(ou.VecProbe, probeFeats, start)
 	} else {
 		ctx.compute(10 * rightRows)
 		ctx.Thread().RandRead(rightRows, htBytes, 1)
 		ctx.Thread().SeqWrite(outRows, leftW+rightW)
-		probeFeats := ou.ExecFeatures(rightRows+outRows, float64(rightCols), rightW,
+		probeFeats := ou.ExecFeatures(rightRows+outRows, rightCols, rightW,
 			card, leftW+rightW, 1, ctx.compiled())
 		ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)
 	}

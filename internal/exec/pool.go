@@ -9,15 +9,18 @@ import (
 // Hot-path scratch memory discipline. The streaming drivers draw three kinds
 // of buffers:
 //
-//   - pooled scratch (scan-row buffers, row-ID buffers, width buffers):
-//     returned to a sync.Pool before Execute returns; never escapes.
-//   - per-Ctx scratch (join key buffers): a Ctx is single-worker by
-//     contract, so its key buffer is reused probe-to-probe with no
+//   - pooled scratch (scan-row buffers, row-ID buffers, width buffers — a
+//     stage's and a breaker's shape's alike): returned to a sync.Pool
+//     before Execute returns; never escapes.
+//   - per-Ctx scratch (join and group key buffers): a Ctx is single-worker
+//     by contract, so its key buffer is reused row-to-row with no
 //     synchronization.
 //   - arena-backed output tuples: projected/joined tuples are carved out of
-//     chunked []storage.Value blocks owned by the returned Batch. The
-//     caller owns the Batch and everything it references; arena chunks are
-//     NOT pooled, because results legitimately outlive the query.
+//     chunked []storage.Value blocks owned by whoever holds the tuple — the
+//     returned Batch, or a breaker that kept what it was fed (a sort
+//     buffer). Each region is handed out exactly once, so keeping a fed
+//     tuple is safe; arena chunks are NOT pooled, because results
+//     legitimately outlive the query.
 //
 // See DESIGN.md "Execution: source → stages → sink" for the full retention
 // contract.

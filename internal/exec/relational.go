@@ -12,25 +12,69 @@ import (
 	"mb2/internal/storage"
 )
 
-// Execute runs a plan and returns the materialized result: it polls the
-// interrupt hook, has plan.ChooseDriver recognise the fragment rooted at node
-// and pick its driver, and runs the fragment on it (pipeline.go). Scan chains
-// and hash joins are each one definition run by whichever driver the mode
-// and the tables' partitioning select; every other operator has a single
-// body, run one operator at a time. All drivers return bit-identical rows,
-// and Materialize and RowPass emit identical OU record streams.
+// Execute runs a plan and returns the materialized result: it enters the
+// node (below) and runs the fragment rooted there on the driver
+// plan.ChooseDriver picked (pipeline.go). Scan chains, hash joins and the
+// builds that consume a chain — aggregation, sort, join probe — are each one
+// definition run by whichever driver the mode and the tables' partitioning
+// select; every other operator has a single body, run one operator at a time.
+// All drivers return bit-identical rows, and Materialize and RowPass emit
+// identical OU record streams.
 func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
-	// Operator-boundary cancellation point: a killed session aborts here
-	// before the next operator starts (see Ctx.Interrupt).
-	if ctx.Interrupt != nil {
-		if err := ctx.Interrupt(); err != nil {
-			return nil, err
-		}
+	drv, chain, err := enter(ctx, node)
+	if err != nil {
+		return nil, err
+	}
+	return runOn(ctx, node, drv, chain)
+}
+
+// enter is the operator boundary: the cancellation point where a killed
+// session aborts before the next operator starts (see Ctx.Interrupt), the one
+// plan.ChooseDriver call a node gets, and the FusedPipelines count.
+func enter(ctx *Ctx, node plan.Node) (plan.Driver, *plan.ScanPipeline, error) {
+	if err := ctx.interrupted(); err != nil {
+		return 0, nil, err
 	}
 	drv, chain := plan.ChooseDriver(ctx, node)
 	if drv == plan.RowPass {
 		ctx.FusedPipelines++
 	}
+	return drv, chain, nil
+}
+
+// feed hands every row of node's result to sink, in result order: streamed
+// through streamChain when node is a chain on a streaming driver, looped from
+// the materialized Batch otherwise. It is how a pipeline breaker consumes its
+// input, so each breaker has one body for every driver. A consumer that
+// buffers the rows passes expect, called once before the first row with the
+// row count (a Batch's) or the optimizer's estimate of it (a stream's). Row
+// identities are not fed (the loop passes 0): nothing above a breaker carries
+// them.
+func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.RowID, storage.Tuple)) error {
+	drv, chain, err := enter(ctx, node)
+	if err != nil {
+		return err
+	}
+	if expect == nil {
+		expect = func(int) {}
+	}
+	if chain != nil && drv.Streams() {
+		expect(capHint(chain.Source.Est().Rows))
+		return streamChain(ctx, drv, chain, sink)
+	}
+	b, err := runOn(ctx, node, drv, chain)
+	if err != nil {
+		return err
+	}
+	expect(len(b.Rows))
+	for _, r := range b.Rows {
+		sink(0, r)
+	}
+	return nil
+}
+
+// runOn runs the fragment rooted at node on the driver enter returned.
+func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline) (*Batch, error) {
 	if chain != nil {
 		return execChain(ctx, drv, chain)
 	}
@@ -74,10 +118,6 @@ func execStage(ctx *Ctx, child plan.Node, st chainStage) (*Batch, error) {
 	}
 	applyStage(ctx, b, &st)
 	return b, nil
-}
-
-func keyOf(t storage.Tuple, cols []int) string {
-	return string(index.KeyFromTuple(t, cols))
 }
 
 // mapJoin is the hash table of the joins that charge one row at a time: a
@@ -228,6 +268,7 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 
 type aggState struct {
 	group  storage.Tuple
+	first  int // index of the input row that opened the group
 	counts []float64
 	sums   []float64
 	mins   []float64
@@ -235,34 +276,32 @@ type aggState struct {
 	init   bool
 }
 
+// execAgg folds each row into its group as feed delivers it, keeping of the
+// input only its shape and the index of the row that opened each group, then
+// replays the build's per-row charges call for call inside the AGG_BUILD
+// bracket: records, features and labels are those of a build that charged as
+// it went, on every driver.
 func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
-	child, err := Execute(ctx, n.Child)
-	if err != nil {
-		return nil, err
-	}
-	entryBytes := 8.0*float64(len(n.GroupBy)) + 24*float64(len(n.Aggs)) + 16
-
-	// Build: aggregate hash table grows with inserted unique keys (Sec 4.3).
-	start := ctx.Tracker.Start()
+	in := newShape()
+	defer in.release()
 	groups := make(map[string]*aggState)
-	var order []string
-	for _, r := range child.Rows {
-		k := keyOf(r, n.GroupBy)
-		st, ok := groups[k]
+	var order []*aggState // first-seen order
+	err := feed(ctx, n.Child, nil, func(_ storage.RowID, r storage.Tuple) {
+		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.GroupBy)
+		st, ok := groups[string(ctx.keyBuf)]
 		if !ok {
 			st = &aggState{
 				group:  heap.projectCols(r, n.GroupBy),
+				first:  len(*in.widths),
 				counts: make([]float64, len(n.Aggs)),
 				sums:   make([]float64, len(n.Aggs)),
 				mins:   make([]float64, len(n.Aggs)),
 				maxs:   make([]float64, len(n.Aggs)),
 			}
-			groups[k] = st
-			order = append(order, k)
-			ctx.Thread().Alloc(entryBytes)
+			groups[string(ctx.keyBuf)] = st
+			order = append(order, st)
 		}
-		htBytes := float64(len(groups)) * entryBytes
-		ctx.Thread().RandRead(1, htBytes, 1)
+		in.note(r)
 		for ai, spec := range n.Aggs {
 			var v float64
 			if spec.Fn != plan.Count {
@@ -276,20 +315,36 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 			if !st.init || v > st.maxs[ai] {
 				st.maxs[ai] = v
 			}
-			ctx.compute(4 + spec.Arg.Ops())
 		}
 		st.init = true
+	})
+	if err != nil {
+		return nil, err
+	}
+	entryBytes := 8.0*float64(len(n.GroupBy)) + 24*float64(len(n.Aggs)) + 16
+
+	// Build: aggregate hash table grows with inserted unique keys (Sec 4.3).
+	start := ctx.Tracker.Start()
+	grown := 0
+	for i := range *in.widths {
+		if grown < len(order) && order[grown].first == i {
+			grown++
+			ctx.Thread().Alloc(entryBytes)
+		}
+		ctx.Thread().RandRead(1, float64(grown)*entryBytes, 1)
+		for _, spec := range n.Aggs {
+			ctx.compute(4 + spec.Arg.Ops())
+		}
 		ctx.compute(8)
 	}
-	card := float64(len(groups))
-	buildFeats := ou.ExecFeatures(child.NumRows(), child.NumCols(), child.AvgWidth(), card, entryBytes, 1, ctx.compiled())
+	card := float64(len(order))
+	buildFeats := ou.ExecFeatures(in.rows(), in.cols(), in.width(), card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.AggBuild, buildFeats, start)
 
 	// Probe/iterate: produce one output row per group.
 	start = ctx.Tracker.Start()
-	out := make([]storage.Tuple, 0, len(groups))
-	for _, k := range order {
-		st := groups[k]
+	out := make([]storage.Tuple, 0, len(order))
+	for _, st := range order {
 		row := make(storage.Tuple, 0, len(st.group)+len(n.Aggs))
 		row = append(row, st.group...)
 		for ai, spec := range n.Aggs {
@@ -324,18 +379,24 @@ func valueAsFloat(v storage.Value) float64 {
 	return float64(v.I)
 }
 
+// execSort's build appends the rows feed delivers straight into the sort
+// buffer, which the result then owns.
 func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
-	child, err := Execute(ctx, n.Child)
+	in := newShape()
+	defer in.release()
+	var buf []storage.Tuple
+	err := feed(ctx, n.Child, func(rows int) { buf = make([]storage.Tuple, 0, rows) },
+		func(_ storage.RowID, r storage.Tuple) {
+			in.note(r)
+			buf = append(buf, r)
+		})
 	if err != nil {
 		return nil, err
 	}
-	nrows := child.NumRows()
-	width := child.AvgWidth()
+	nrows, ncols, width := in.rows(), in.cols(), in.width()
 
-	// Build: copy into the sort buffer and sort — O(n log n).
+	// Build: fill the sort buffer and sort — O(n log n).
 	start := ctx.Tracker.Start()
-	buf := make([]storage.Tuple, len(child.Rows))
-	copy(buf, child.Rows)
 	ctx.Thread().Alloc(nrows * (width + 8))
 	ctx.Thread().SeqWrite(nrows, width)
 	comparisons := 0.0
@@ -353,7 +414,7 @@ func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 		return false
 	})
 	ctx.compute(comparisons * float64(len(n.Keys)) * 4)
-	buildFeats := ou.ExecFeatures(nrows, child.NumCols(), width, float64(len(n.Keys)), 0, 1, ctx.compiled())
+	buildFeats := ou.ExecFeatures(nrows, ncols, width, float64(len(n.Keys)), 0, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.SortBuild, buildFeats, start)
 
 	// Iterate: stream the sorted output (bounded by the limit).
@@ -364,7 +425,7 @@ func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 	}
 	ctx.Thread().SeqRead(float64(len(out)), width)
 	ctx.compute(float64(len(out)) * 2)
-	iterFeats := ou.ExecFeatures(float64(len(out)), child.NumCols(), width, float64(len(n.Keys)), 0, 1, ctx.compiled())
+	iterFeats := ou.ExecFeatures(float64(len(out)), ncols, width, float64(len(n.Keys)), 0, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.SortIter, iterFeats, start)
 
 	return &Batch{Rows: out}, nil

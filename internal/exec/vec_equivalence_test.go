@@ -60,7 +60,7 @@ func TestVectorizedInterpretedEquivalence(t *testing.T) {
 					}
 					totalBatches += vvb
 
-					irows, vrows := canonRows(ib), canonRows(vb)
+					irows, vrows := canonRows(q.Plan, ib), canonRows(q.Plan, vb)
 					if len(irows) != len(vrows) {
 						t.Fatalf("%s: vectorized returned %d rows, interpreted %d",
 							q.Name, len(vrows), len(irows))

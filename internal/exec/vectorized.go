@@ -16,12 +16,13 @@ import (
 // plan.ChooseDriver hands VecPass the scan chains rooted at an unpartitioned
 // sequential scan: up to vec.BatchRows tuples load into a column-major
 // vec.Batch, the chain's stages run as selection-vector kernels, and only
-// the surviving lanes materialize. Hash-join probes stream the right side
-// through the same pass into the Ctx-reused joinTable (streamHashJoin).
-// Everything else (index scans, aggregates, sorts, DML, output) runs on the
-// Materialize driver, paying interpreter charges — which is exactly what
-// the mode's OU decomposition tells the planner, since only VEC_* records
-// carry vectorized cost profiles.
+// the surviving lanes materialize — into the pass's sink, which is a Batch
+// or a breaker fed by the pass: hash-join probes look each lane up in the
+// Ctx-reused joinTable (streamHashJoin), aggregation and sort builds fold
+// and buffer the lanes as they come. Everything that is not a chain (index
+// scans, aggregate and sort brackets, DML, output) still pays interpreter
+// charges — which is exactly what the mode's OU decomposition tells the
+// planner, since only VEC_* records carry vectorized cost profiles.
 //
 // The bracket discipline is RowPass's: all real work happens inside the
 // VEC_SCAN source bracket, and the per-stage VEC_FILTER brackets are billed
@@ -93,7 +94,11 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 
 	start := ctx.Tracker.Start()
 	scanned := 0
+	var err error
 	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(rows []storage.ScanRow) bool {
+		if err = ctx.interrupted(); err != nil {
+			return false
+		}
 		scanned += len(rows)
 		ctx.VecBatches++
 		b.Load(rows)
@@ -133,6 +138,9 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 	})
 	vecScanBufPool.Put(buf)
 	vec.PutBatch(b)
+	if err != nil {
+		return err // an aborted pass bills nothing, like seqSource's
+	}
 
 	sc := float64(scanned)
 	ctx.vecCompute(sc*vecScanCostPerRow + vecBatches(sc)*vecBatchOverhead)

@@ -291,8 +291,10 @@ func (tr *Translator) visitPartitionJoin(v *plan.HashJoinNode, out *[]OUInvocati
 // visit translates the subtree rooted at n in Execute's shape: ChooseDriver
 // recognises the fragment and picks its driver, and the fragment's OUs are
 // the ones that driver bills. Operators outside scan chains and hash joins
-// have one body, run one operator at a time (a filter or projection that is
-// not part of a chain is always ARITHMETIC); in vectorized mode they run at
+// have one body that bills the same OUs however its input arrives (a filter
+// or projection that is not part of a chain is always ARITHMETIC; an
+// aggregation or sort build consuming a streamed chain replays the charges
+// of one consuming a batch); in vectorized mode they run at
 // interpreted cost, and their features — compiled flag false — already say
 // so.
 func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {

@@ -199,6 +199,26 @@ func parityQueries(n int) []parityQuery {
 			OuterKeys: []int{0},
 			Rows:      plan.Estimates{Rows: float64(n / 2)},
 		}},
+		// Breakers that consume a chain as it streams: the build prices the
+		// chain's surviving rows, whatever driver delivered them.
+		{name: "agg-over-chain", node: &plan.AggNode{
+			Child: &plan.FilterNode{
+				Child: &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(n)}},
+				Pred:  lowIDs,
+				Rows:  plan.Estimates{Rows: float64(n / 2)},
+			},
+			GroupBy: []int{1},
+			Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}, {Fn: plan.Sum, Arg: plan.Col(2)}},
+			Rows:    plan.Estimates{Rows: 20, Distinct: 20},
+		}},
+		{name: "topn-over-chain", node: &plan.SortNode{
+			Child: &plan.ProjectNode{
+				Child: &plan.SeqScanNode{Table: "items", Filter: lowIDs, Rows: plan.Estimates{Rows: float64(n / 2)}},
+				Exprs: []plan.Expr{plan.Col(0), plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)}},
+			},
+			Keys:  []plan.SortKey{{Col: 1, Desc: true}},
+			Limit: 10,
+		}},
 		// pairs.id joins the 20 group numbers: the probe side materializes.
 		{name: "hash-join-agg-probe", node: &plan.HashJoinNode{
 			Left:      &plan.SeqScanNode{Table: "pairs", Rows: plan.Estimates{Rows: float64(n / 2)}},
@@ -214,7 +234,8 @@ func parityQueries(n int) []parityQuery {
 // the executor's recorded OU stream in every execution mode — interpreted,
 // compiled (fused), and vectorized — over a filtered scan, scan chains with
 // wrapper filter/projection stages (seq- and idx-rooted), wrappers over an
-// aggregate, an index join, and hash joins with a streamed and a
+// aggregate, an aggregation and a top-n consuming a chain, an index join, and
+// hash joins with a streamed and a
 // materialized probe side, on an unpartitioned database and on one hashed
 // four ways (where every mode must take the partition exchange). This is the
 // parity contract that makes PredictQuery's three-way mode pricing

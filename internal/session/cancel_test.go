@@ -7,63 +7,85 @@ import (
 )
 
 // TestKillMidQueryObservesNothing is the observation-plumbing regression:
-// a kill landing mid-plan (between operator boundaries) must abort the
-// statement with ErrKilled and leave the observation buffer holding only
-// whole completed queries — the killed query contributes nothing, and
-// what was buffered before the kill drains exactly once.
+// a kill landing mid-plan — at an operator boundary (the plan's second poll)
+// or inside the scan the group-by consumes as it streams (its last poll, a
+// scan chunk) — must abort the statement with ErrKilled and leave the
+// observation buffer holding only whole completed queries: the killed query
+// contributes nothing, and what was buffered before the kill drains exactly
+// once.
 func TestKillMidQueryObservesNothing(t *testing.T) {
+	const query = "SELECT grp, count(grp) FROM t GROUP BY grp"
 	_, reg := testDB(t, 200)
-	s, err := reg.Open(Options{})
+
+	// How often a completed run of the query polls the interrupt hook.
+	probe, err := reg.Open(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	orig := probe.ExecCtx().Interrupt
+	lastPoll := 0
+	probe.ExecCtx().Interrupt = func() error { lastPoll++; return orig() }
+	if _, _, err := probe.ExecSQL(query); err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	if lastPoll < 3 {
+		t.Fatalf("the query polled the interrupt hook %d times; want both entries and a scan chunk", lastPoll)
+	}
 
-	// Two completed queries buffer normally first.
-	for i := 0; i < 2; i++ {
-		if _, _, err := s.ExecSQL("SELECT grp, count(grp) FROM t GROUP BY grp"); err != nil {
+	for _, killAt := range []int{2, lastPoll} {
+		s, err := reg.Open(Options{})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
 
-	// Deterministic mid-query kill: wrap the session's interrupt hook so
-	// the process-list kill is issued at the plan's second operator
-	// boundary — inside the group-by's scan, before the query can finish.
-	orig := s.ExecCtx().Interrupt
-	polls := 0
-	s.ExecCtx().Interrupt = func() error {
-		polls++
-		if polls == 2 {
-			reg.Kill(s.ID, nil)
+		// Two completed queries buffer normally first.
+		for i := 0; i < 2; i++ {
+			if _, _, err := s.ExecSQL(query); err != nil {
+				t.Fatal(err)
+			}
 		}
-		return orig()
-	}
-	_, _, err = s.ExecSQL("SELECT grp, count(grp) FROM t GROUP BY grp")
-	if !errors.Is(err, ErrKilled) {
-		t.Fatalf("mid-query kill returned %v, want ErrKilled", err)
-	}
-	if polls < 2 {
-		t.Fatalf("interrupt polled %d times; kill never landed mid-plan", polls)
-	}
 
-	// Exactly-once: the two completed queries drain once, the killed one
-	// never appears, and a second drain is empty.
-	obs := s.Stats().Drain()
-	total := 0.0
-	for _, c := range obs.Counts {
-		total += c
-	}
-	if total != 2 {
-		t.Fatalf("drained %v observations, want exactly the 2 completed queries (counts %v)", total, obs.Counts)
-	}
-	if again := s.Stats().Drain(); len(again.Counts) != 0 {
-		t.Fatalf("second drain not empty: %v", again.Counts)
-	}
+		// Deterministic mid-query kill: wrap the session's interrupt hook so
+		// the process-list kill is issued at the chosen poll, before the
+		// query can finish.
+		orig := s.ExecCtx().Interrupt
+		polls := 0
+		s.ExecCtx().Interrupt = func() error {
+			polls++
+			if polls == killAt {
+				reg.Kill(s.ID, nil)
+			}
+			return orig()
+		}
+		_, _, err = s.ExecSQL(query)
+		if !errors.Is(err, ErrKilled) {
+			t.Fatalf("kill at poll %d returned %v, want ErrKilled", killAt, err)
+		}
+		if polls != killAt {
+			t.Fatalf("interrupt polled %d times; the kill at poll %d did not stop the plan there", polls, killAt)
+		}
 
-	// The killed session is inert but its bookkeeping is consistent.
-	info := s.Info()
-	if info.Queries != 2 || info.Failed != 1 {
-		t.Fatalf("info after kill: %+v, want 2 completed / 1 failed", info)
+		// Exactly-once: the two completed queries drain once, the killed one
+		// never appears, and a second drain is empty.
+		obs := s.Stats().Drain()
+		total := 0.0
+		for _, c := range obs.Counts {
+			total += c
+		}
+		if total != 2 {
+			t.Fatalf("drained %v observations, want exactly the 2 completed queries (counts %v)", total, obs.Counts)
+		}
+		if again := s.Stats().Drain(); len(again.Counts) != 0 {
+			t.Fatalf("second drain not empty: %v", again.Counts)
+		}
+
+		// The killed session is inert but its bookkeeping is consistent.
+		info := s.Info()
+		if info.Queries != 2 || info.Failed != 1 {
+			t.Fatalf("info after kill: %+v, want 2 completed / 1 failed", info)
+		}
+		s.Close()
 	}
 }
 
