@@ -44,52 +44,88 @@ type BlockDevice interface {
 }
 
 // MemDevice is a fault-free in-memory block device: the default backing for
-// engines that do not inject failures.
+// engines that do not inject failures. The image is a list of chunks that
+// are never moved: an append allocates the bytes it adds and copies nothing
+// already written, and chunk boundaries fall at fixed offsets of the image —
+// a function of its length, never of how the writes were sized — so two runs
+// that log the same bytes in differently sized flushes allocate and retain
+// the same memory.
 type MemDevice struct {
-	mu   sync.Mutex
-	data []byte
+	mu     sync.Mutex
+	chunks [][]byte // every chunk but the last is full
+	n      int      // image length
 }
+
+// A chunk is as large as the image before it, between these limits: a small
+// device stays small, a large one wastes at most memChunkMax.
+const (
+	memChunkMin = 4 << 10
+	memChunkMax = 1 << 20
+)
 
 // NewMemDevice returns an empty fault-free device.
 func NewMemDevice() *MemDevice { return &MemDevice{} }
+
+// write appends p to the image. The caller holds d.mu.
+func (d *MemDevice) write(p []byte) {
+	for len(p) > 0 {
+		last := len(d.chunks) - 1
+		if last < 0 || len(d.chunks[last]) == cap(d.chunks[last]) {
+			d.chunks = append(d.chunks, make([]byte, 0, min(max(d.n, memChunkMin), memChunkMax)))
+			last++
+		}
+		c := d.chunks[last]
+		k := min(len(p), cap(c)-len(c))
+		d.chunks[last] = append(c, p[:k]...)
+		d.n += k
+		p = p[k:]
+	}
+}
 
 // Append implements BlockDevice.
 func (d *MemDevice) Append(p []byte) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.data = append(d.data, p...)
+	d.write(p)
 	return len(p), nil
 }
 
 // Contents implements BlockDevice.
-func (d *MemDevice) Contents() []byte {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return append([]byte(nil), d.data...)
-}
+func (d *MemDevice) Contents() []byte { return d.Suffix(0) }
 
 // Suffix implements BlockDevice.
 func (d *MemDevice) Suffix(off int) []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if off >= len(d.data) {
+	if off >= d.n {
 		return nil
 	}
-	return append([]byte(nil), d.data[max(off, 0):]...)
+	off = max(off, 0)
+	out := make([]byte, 0, d.n-off)
+	for _, c := range d.chunks {
+		if off >= len(c) {
+			off -= len(c)
+			continue
+		}
+		out = append(out, c[off:]...)
+		off = 0
+	}
+	return out
 }
 
 // Len implements BlockDevice.
 func (d *MemDevice) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.data)
+	return d.n
 }
 
 // Reset implements BlockDevice.
 func (d *MemDevice) Reset(p []byte) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.data = append(d.data[:0:0], p...)
+	d.chunks, d.n = nil, 0
+	d.write(p)
 	return nil
 }
 

@@ -48,6 +48,70 @@ func TestMemDeviceAppendResetContents(t *testing.T) {
 	}
 }
 
+// The image's chunks fall at fixed offsets: the same bytes written in pieces
+// of any size read back the same and occupy chunks of the same capacities,
+// and no append moves a byte already written (the first chunk's storage is
+// still the first chunk's after megabytes more).
+func TestMemDeviceLayoutIgnoresWriteSizes(t *testing.T) {
+	img := make([]byte, 3<<20+12345)
+	for i := range img {
+		img[i] = byte(i*7 + i>>9)
+	}
+	var layouts [][]int
+	for _, piece := range []int{1 << 30, 1 << 20, 87_001, 4097, 333} {
+		d := NewMemDevice()
+		var first *byte
+		for off := 0; off < len(img); off += piece {
+			if _, err := d.Append(img[off:min(off+piece, len(img))]); err != nil {
+				t.Fatal(err)
+			}
+			if first == nil {
+				first = &d.chunks[0][0]
+			}
+		}
+		if first != &d.chunks[0][0] {
+			t.Fatalf("pieces of %d: the first chunk moved", piece)
+		}
+		if d.Len() != len(img) || !bytes.Equal(d.Contents(), img) {
+			t.Fatalf("pieces of %d: image differs", piece)
+		}
+		for _, off := range []int{-1, 0, 1, memChunkMin - 1, memChunkMin, 2 * memChunkMin, memChunkMax + 1, len(img) - 1} {
+			if got := d.Suffix(off); !bytes.Equal(got, img[max(off, 0):]) {
+				t.Fatalf("pieces of %d: Suffix(%d) differs", piece, off)
+			}
+		}
+		var caps []int
+		total := 0
+		for _, c := range d.chunks {
+			caps = append(caps, cap(c))
+			total += cap(c)
+		}
+		if total-len(img) > memChunkMax {
+			t.Fatalf("pieces of %d: %d bytes held for an image of %d", piece, total, len(img))
+		}
+		layouts = append(layouts, caps)
+	}
+	for i, l := range layouts[1:] {
+		if len(l) != len(layouts[0]) {
+			t.Fatalf("layout %d has %d chunks, layout 0 has %d", i+1, len(l), len(layouts[0]))
+		}
+		for j := range l {
+			if l[j] != layouts[0][j] {
+				t.Fatalf("layout %d chunk %d holds %d, layout 0's holds %d", i+1, j, l[j], layouts[0][j])
+			}
+		}
+	}
+	// A Reset starts the layout over.
+	d := NewMemDevice()
+	d.Append(img)
+	if err := d.Reset(img[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if len(d.chunks) != 1 || cap(d.chunks[0]) != memChunkMin || !bytes.Equal(d.Contents(), img[:10]) {
+		t.Fatalf("after Reset: %d chunks, image %q", len(d.chunks), d.Contents())
+	}
+}
+
 func TestFaultDeviceCrashTearsAtByte(t *testing.T) {
 	plan := NoFaults()
 	plan.CrashAtByte = 5

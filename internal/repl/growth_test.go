@@ -40,6 +40,38 @@ func commitBlobs(t *testing.T, db *engine.DB, n int) {
 	}
 }
 
+// The tail's capacity depends on how many bytes it holds, not on the sizes of
+// the frames that brought them: the same 3 MB in frames of any size passes
+// only through rungs of the one ladder and ends on the same rung.
+func TestAppendTailCapacityIgnoresFrameSizes(t *testing.T) {
+	const total = 3<<20 + 4321
+	payload := make([]byte, total)
+	for i := range payload {
+		payload[i] = byte(i * 13)
+	}
+	rung := map[int]bool{}
+	last := tailMinCap
+	for ; last < total; last += last / 4 {
+		rung[last] = true
+	}
+	rung[last] = true
+	for _, frame := range []int{97, 4096, 87_001, 150_000, total} {
+		var tail []byte
+		for off := 0; off < total; off += frame {
+			tail = appendTail(tail, payload[off:min(off+frame, total)])
+			if !rung[cap(tail)] {
+				t.Fatalf("frames of %d: capacity %d is no rung of the ladder", frame, cap(tail))
+			}
+		}
+		if string(tail) != string(payload) {
+			t.Fatalf("frames of %d: bytes differ", frame)
+		}
+		if cap(tail) != last {
+			t.Fatalf("frames of %d: ends at capacity %d, want %d", frame, cap(tail), last)
+		}
+	}
+}
+
 // One Group.Sync and one eager apply cost what is new, not what was shipped
 // before: shipping the same eight-transaction suffix allocates the same
 // whether the log before it is 1 MB or 16 MB long. The replica is eager, so

@@ -230,6 +230,28 @@ func (r *Replica) reseed(img []byte, epoch uint64) error {
 	return nil
 }
 
+// tailMinCap is the first rung of the tail's capacity ladder.
+const tailMinCap = 64 << 10
+
+// appendTail appends p to tail. When tail must grow, the new capacity is the
+// first rung of a fixed ladder (tailMinCap, then a quarter more each rung)
+// that holds the bytes: a function of how much is held, never of how the
+// frames were sized, so the same log shipped in differently sized frames
+// costs the same allocation and retains the same memory. (The built-in
+// append sizes its first growth to the first frame and every later capacity
+// descends from that one.)
+func appendTail(tail, p []byte) []byte {
+	need := len(tail) + len(p)
+	if need > cap(tail) {
+		c := tailMinCap
+		for c < need {
+			c += c / 4
+		}
+		tail = append(make([]byte, 0, c), tail...)
+	}
+	return append(tail, p...)
+}
+
 // append extends the received segment image and applies the backlog when
 // the lazy-apply cadence says so. Receiving is charged as a buffered
 // sequential write of the shipped bytes.
@@ -258,7 +280,7 @@ func (r *Replica) append(f ShipFrame) error {
 	}
 	r.th.Alloc(float64(len(f.Payload)))
 	r.th.SeqWrite(float64(len(f.Payload))/64, 64)
-	r.tail = append(r.tail, f.Payload...)
+	r.tail = appendTail(r.tail, f.Payload)
 	r.appends++
 	if every := r.cfg.ApplyEvery; every <= 1 || r.appends%every == 0 {
 		_, err := r.applyPending()
