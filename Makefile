@@ -20,7 +20,10 @@ tier1: vet build race fuzz smoke
 # beside the plan cache), and when a non-test file under internal/exec/ other
 # than dml.go names index.KeyFromTuple( — the allocating key encoder is for
 # the B+tree insert, which retains its key; a per-row key allocation does not
-# come back into a build or a probe unnoticed.
+# come back into a build or a probe unnoticed — and unless exactly one
+# non-test line under internal/exec/ stops the HASHJOIN_BUILD bracket
+# (Tracker.Stop(ou.HashJoinBuild): a second hash-join body does not grow back
+# beside exec.hashJoin unnoticed.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -31,6 +34,7 @@ vet:
 		/sql\.Parse|NewPlanner/ && !miss && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(ls internal/session/*.go | grep -v _test.go) || { echo "sql.Parse / NewPlanner in internal/session outside Session.miss: execute through the plan cache"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude=dml.go -F 'index.KeyFromTuple(' internal/exec || { echo "index.KeyFromTuple( in internal/exec outside dml.go: encode into ctx.keyBuf with index.AppendKeyFromTuple"; exit 1; }
+	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'Tracker.Stop(ou.HashJoinBuild' internal/exec | wc -l); [ "$$n" -eq 1 ] || { echo "Tracker.Stop(ou.HashJoinBuild on $$n non-test lines under internal/exec, want 1: the hash join has one body, exec.hashJoin"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -74,10 +78,13 @@ drive-smoke:
 
 # cli-smoke exercises the CLI modes no test reaches: the seeded load
 # generator and the replication demo of mb2-server, each replayed by
-# -verify, and the mb2-train -data-out -> mb2-drive -data hand-off.
+# -verify, the mb2-train -data-out -> mb2-drive -data hand-off, and one
+# mb2-bench experiment — fig9a, whose subject is the join hash-table build
+# and its JHTSleepEvery path.
 cli-smoke:
 	$(GO) run ./cmd/mb2-server -loadgen -sessions 50 -verify
 	$(GO) run ./cmd/mb2-server -repl 2 -verify
+	$(GO) run ./cmd/mb2-bench -exp fig9a
 	tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 		$(GO) run ./cmd/mb2-train -data-out $$tmp/repo.jsonl && \
 		$(GO) run ./cmd/mb2-drive -data $$tmp/repo.jsonl -intervals 2 -verify

@@ -87,8 +87,8 @@ type Ctx struct {
 	// arena backs projected and joined output tuples (see pool.go).
 	arena valueArena
 
-	// jt is the streaming hash join's build table, reused build-to-build so
-	// steady-state builds allocate nothing (see pipeline.go).
+	// jt is the hash join's build table on the streaming drivers, reused
+	// build-to-build so steady-state builds allocate nothing (see hashJoin).
 	jt joinTable
 
 	// stages is the scratch list the running scan chain's stages live in,

@@ -10,14 +10,12 @@ package exec_test
 //
 // must return identical result multisets; (b) and (c) must emit identical
 // OU record streams (same kinds, same order, bit-identical features,
-// bit-identical labels up to a statement's first hash join and labels equal
-// to float rounding from there on); and (a) must match (c) on every feature
-// except the trailing execution-mode flag. This is the contract that keeps
-// models trained on either path valid for both.
+// bit-identical labels); and (a) must match (c) on every feature except the
+// trailing execution-mode flag. This is the contract that keeps models
+// trained on either path valid for both.
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"testing"
 
@@ -26,7 +24,6 @@ import (
 	"mb2/internal/exec"
 	"mb2/internal/hw"
 	"mb2/internal/metrics"
-	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/workload"
 )
@@ -40,16 +37,6 @@ func canonRows(root plan.Node, b *exec.Batch) []string {
 		sort.Strings(out)
 	}
 	return out
-}
-
-// relDiff is the symmetric relative difference, 0 when both are 0.
-func relDiff(a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	d := math.Abs(a - b)
-	m := math.Max(math.Abs(a), math.Abs(b))
-	return d / m
 }
 
 // equivalenceCase is one database the equivalence tests run every template
@@ -95,14 +82,6 @@ var equivalenceCases = []equivalenceCase{
 }
 
 func TestFusedUnfusedEquivalence(t *testing.T) {
-	// The streamed hash join bills its brackets in bulk, which differs from n
-	// accumulated per-row charges by float summation order — in its own
-	// labels and, through the thread's counters, in every bracket after it.
-	// Until a statement's first join, fused and unfused labels are
-	// bit-identical: a chain's brackets come from the same emitters and an
-	// aggregation's per-row charges are replayed call for call.
-	const joinLabelTol = 1e-9
-
 	for _, tc := range equivalenceCases {
 		for _, seed := range tc.seeds {
 			tc, seed := tc, seed
@@ -168,19 +147,14 @@ func TestFusedUnfusedEquivalence(t *testing.T) {
 					}
 
 					// OU record streams: fused vs unfused-compiled must agree
-					// exactly on kind order and features, and on labels to
-					// rounding; interpreted agrees on all features except the
-					// trailing mode flag.
+					// exactly on kind order, features and labels; interpreted
+					// agrees on all features except the trailing mode flag.
 					if len(i.recs) != len(f.recs) || len(u.recs) != len(f.recs) {
 						t.Fatalf("%s: OU record counts %d/%d/%d (interp/unfused/fused)",
 							q.Name, len(i.recs), len(u.recs), len(f.recs))
 					}
-					labelTol := 0.0
 					for k := range f.recs {
 						fr, ur, ir := f.recs[k], u.recs[k], i.recs[k]
-						if fr.Kind == ou.HashJoinBuild {
-							labelTol = joinLabelTol
-						}
 						if fr.Kind != ur.Kind || fr.Kind != ir.Kind {
 							t.Fatalf("%s: record %d kinds %v/%v/%v", q.Name, k, ir.Kind, ur.Kind, fr.Kind)
 						}
@@ -201,7 +175,7 @@ func TestFusedUnfusedEquivalence(t *testing.T) {
 						}
 						fv, uv := fr.Labels.Vec(), ur.Labels.Vec()
 						for j := range fv {
-							if relDiff(fv[j], uv[j]) > labelTol {
+							if fv[j] != uv[j] {
 								t.Errorf("%s: record %d (%v) label %d: fused %v vs unfused %v",
 									q.Name, k, fr.Kind, j, fv[j], uv[j])
 							}

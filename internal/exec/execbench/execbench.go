@@ -20,11 +20,9 @@ type Scenario struct {
 	Plan plan.Node
 }
 
-// NewDB loads the benchmark database: one "items" table with n rows
-// (id unique, grp = id % 100, val = float(id), name fixed) and a
-// primary-key index on id.
-func NewDB(n int) (*engine.DB, error) {
-	db := engine.Open(catalog.DefaultKnobs())
+// loadItems creates and fills the standard benchmark table: "items" with n
+// rows (id unique, grp = id % 100, val = float(id), name fixed).
+func loadItems(db *engine.DB, n int) error {
 	schema := catalog.NewSchema(
 		catalog.Column{Name: "id", Type: catalog.Int64},
 		catalog.Column{Name: "grp", Type: catalog.Int64},
@@ -32,7 +30,7 @@ func NewDB(n int) (*engine.DB, error) {
 		catalog.Column{Name: "name", Type: catalog.Varchar, Width: 12},
 	)
 	if _, err := db.CreateTable("items", schema); err != nil {
-		return nil, err
+		return err
 	}
 	rows := make([]storage.Tuple, n)
 	for i := 0; i < n; i++ {
@@ -43,7 +41,14 @@ func NewDB(n int) (*engine.DB, error) {
 			storage.NewString("bench-row"),
 		}
 	}
-	if err := db.BulkLoad("items", rows); err != nil {
+	return db.BulkLoad("items", rows)
+}
+
+// NewDB loads the benchmark database: the items table and a primary-key
+// index on id.
+func NewDB(n int) (*engine.DB, error) {
+	db := engine.Open(catalog.DefaultKnobs())
+	if err := loadItems(db, n); err != nil {
 		return nil, err
 	}
 	if _, _, err := db.CreateIndex(nil, hw.DefaultCPU(), "items_id", "items", []string{"id"}, false, 2); err != nil {
@@ -52,9 +57,10 @@ func NewDB(n int) (*engine.DB, error) {
 	return db, nil
 }
 
-// NewPartitionedDB loads the benchmark database hash-partitioned on id
-// with the scan DOP knob raised: the configuration the partition sweep
-// runs over. parts/dop <= 1 keep the serial defaults.
+// NewPartitionedDB loads the items table and a half-sized "pairs" table,
+// both hash-partitioned on id, with the scan DOP knob raised: the
+// configuration the partition sweep runs over. parts/dop <= 1 keep the
+// serial defaults.
 func NewPartitionedDB(n, parts, dop int) (*engine.DB, error) {
 	knobs := catalog.DefaultKnobs()
 	if parts > 1 {
@@ -64,25 +70,7 @@ func NewPartitionedDB(n, parts, dop int) (*engine.DB, error) {
 		knobs.ScanDOP = dop
 	}
 	db := engine.Open(knobs)
-	schema := catalog.NewSchema(
-		catalog.Column{Name: "id", Type: catalog.Int64},
-		catalog.Column{Name: "grp", Type: catalog.Int64},
-		catalog.Column{Name: "val", Type: catalog.Float64},
-		catalog.Column{Name: "name", Type: catalog.Varchar, Width: 12},
-	)
-	if _, err := db.CreateTable("items", schema); err != nil {
-		return nil, err
-	}
-	rows := make([]storage.Tuple, n)
-	for i := 0; i < n; i++ {
-		rows[i] = storage.Tuple{
-			storage.NewInt(int64(i)),
-			storage.NewInt(int64(i % 100)),
-			storage.NewFloat(float64(i)),
-			storage.NewString("bench-row"),
-		}
-	}
-	if err := db.BulkLoad("items", rows); err != nil {
+	if err := loadItems(db, n); err != nil {
 		return nil, err
 	}
 	if _, err := db.CreateTable("pairs", catalog.NewSchema(
@@ -174,6 +162,24 @@ func Scenarios(n int) []Scenario {
 				LeftKeys:  []int{0},
 				RightKeys: []int{0},
 				Rows:      est(float64(build)),
+			},
+		},
+		{
+			// Duplicate-heavy hash join: build the whole table under its 100
+			// grp values (n/100 rows per key), probe one row per key, emit n
+			// joined rows.
+			Name: "hash_join_dups",
+			Plan: &plan.HashJoinNode{
+				Left: &plan.SeqScanNode{Table: "items", Rows: est(float64(n)), TableRows: float64(n)},
+				Right: &plan.SeqScanNode{
+					Table:     "items",
+					Filter:    plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(100)},
+					Rows:      est(100),
+					TableRows: float64(n),
+				},
+				LeftKeys:  []int{1},
+				RightKeys: []int{1},
+				Rows:      est(float64(n)),
 			},
 		},
 		{

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mb2/internal/hw"
+	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/par"
 	"mb2/internal/plan"
@@ -11,12 +12,14 @@ import (
 )
 
 // Partitioned intra-query parallelism: exchange-style parallel scans and
-// partition-wise hash joins. Work fans out over min(DOP, partitions) worker
-// chains; partition p always runs on chain p % chains, each chain owns a
-// fresh hardware thread, and per-partition OU records are emitted after the
-// barrier in partition order — so the record stream, the merged result
-// order, and every charge are a pure function of (data, partition count,
-// DOP), independent of goroutine scheduling or the process's -j setting.
+// partition-wise hash joins (the serial join's joinTable and charge helpers,
+// pipeline.go, run per partition on a worker thread). Work fans out over
+// min(DOP, partitions) worker chains; partition p always runs on chain
+// p % chains, each chain owns a fresh hardware thread, and per-partition OU
+// records are emitted after the barrier in partition order — so the record
+// stream, the merged result order, and every charge are a pure function of
+// (data, partition count, DOP), independent of goroutine scheduling or the
+// process's -j setting.
 //
 // Elapsed-time accounting follows engine.CreateIndex's concurrent-build
 // pattern: the session thread absorbs only the critical-path chain (the one
@@ -146,8 +149,9 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch) error {
 
 // partitionJoin runs a hash join that plan.ChooseDriver found partition-wise
 // (two bare scans co-partitioned on the join keys): every partition builds a
-// private hash table over its stripe of the build side and probes it with
-// the co-located stripe of the probe side, one PARTITION_PROBE OU invocation
+// worker-local joinTable over its stripe of the build side and probes it with
+// the co-located stripe of the probe side, billing its worker thread through
+// the serial join's two charge helpers — one PARTITION_PROBE OU invocation
 // per partition (build plus probe of that partition), fanned over the worker
 // chains.
 func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
@@ -165,34 +169,38 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 
 	dop := fanOut(ctx, parts, ou.PartitionProbe, func(th *hw.Thread, p, dop int) []float64 {
 		// Build over this partition's stripe of the build side.
-		buildRows := make([]storage.Tuple, 0, counts[p])
+		build := make([]storage.Tuple, 0, counts[p])
 		left.ScanPartition(th, p, id, ts, func(_ storage.RowID, t storage.Tuple) bool {
-			buildRows = append(buildRows, t)
+			build = append(build, t)
 			return true
 		})
-		htBytes := float64(len(buildRows)) * entryBytes
-		th.Alloc(htBytes)
-		j := mapJoin{ctx: ctx, th: th, htBytes: htBytes}
-		j.insertAll(buildRows, n.LeftKeys, 0)
+		htBytes := float64(len(build)) * entryBytes
+		var jt joinTable
+		keyBuf := jt.build(build, n.LeftKeys, nil)
+		ctx.chargeJoinBuild(th, len(build), htBytes)
 
 		// Probe with the co-located stripe of the probe side.
+		var out []storage.Tuple
 		probed := 0.0
 		right.ScanPartition(th, p, id, ts, func(_ storage.RowID, r storage.Tuple) bool {
 			probed++
-			j.probe(r, n.RightKeys)
+			keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.RightKeys)
+			for row := jt.first(keyBuf); row >= 0; row = jt.next[row] {
+				out = append(out, heap.join(build[row], r))
+			}
 			return true
 		})
-		outRows := float64(len(j.out))
-		th.SeqWrite(outRows, leftW+rightW)
+		outRows := float64(len(out))
+		ctx.chargeJoinProbe(th, probed, htBytes, outRows, leftW+rightW)
 		th.Free(htBytes)
-		partOut[p] = j.out
+		partOut[p] = out
 		// One invocation covers the whole partition pair: the feature's
 		// tuple count is the total work volume (build + probe + emitted
 		// matches), its cardinality the partition's distinct build keys.
 		return ou.PartitionProbeFeatures(
-			float64(len(buildRows))+probed+outRows,
+			float64(len(build))+probed+outRows,
 			leftCols+rightCols, leftW+rightW,
-			float64(len(j.ht)), entryBytes,
+			float64(len(jt.entries)), entryBytes,
 			float64(dop), ctx.compiled())
 	})
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mb2/internal/exec/vec"
+	"mb2/internal/hw"
 	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
@@ -18,7 +19,8 @@ import (
 // the partition exchange of parallel.go) pushing rows through the chain's
 // stages into a sink. The sink is a Batch, or a breaker that consumes the
 // chain through feed (relational.go): the hash-join probe, the aggregation
-// build, the sort build. A hash join is build → fed probe → two OU brackets.
+// build, the sort build. A hash join is build → fed probe → two OU brackets
+// (hashJoin below; partition-wise over worker-local tables in parallel.go).
 // The execution mode never selects a different body; it selects, in
 // plan.ChooseDriver and nowhere else, the plan.Driver that runs the fragment:
 //
@@ -38,12 +40,13 @@ import (
 // streaming drivers do their real work in one pass and bill each stage
 // afterwards, bracket by bracket, from the counts and width samples the
 // pass collected, through the same emitters Materialize calls as it goes.
-// A breaker on feed bills afterwards too, replaying per-row charges call for
-// call, so features and labels agree bit for bit — except from a streamed
-// hash join on, which bills in bulk and agrees to float rounding (one n-item
-// charge versus n single-item charges). VecPass bills its own
-// VEC_* kinds, so its stream is not record-equivalent, but every driver
-// returns bit-identical rows (equivalence_test.go, vec_equivalence_test.go).
+// A breaker on feed bills afterwards too, on every driver alike: a per-row
+// charge that depends on the row is replayed call for call, one that is the
+// same for every row is billed once over the total (the sort, the hash
+// join). Features and labels therefore agree bit for bit throughout. VecPass
+// bills its own VEC_* kinds, so its stream is not record-equivalent, but
+// every driver returns bit-identical rows (equivalence_test.go,
+// vec_equivalence_test.go).
 
 // chainStage is one per-tuple step of a scan chain, plus what a streaming
 // driver records during its pass to bill the step afterwards. Exactly one of
@@ -362,138 +365,154 @@ func (rp *rowRun) push(rid storage.RowID, t storage.Tuple) {
 	rp.sink(rid, t)
 }
 
-// joinTable is the fused hash join's build structure: chained hashing with
-// all entries in one flat slice and all key bytes in one arena, reused
-// build-to-build on the same Ctx. A steady-state build therefore performs
-// zero allocations — the map[string] build of the operator-at-a-time path
-// still pays one string per distinct key. Chains keep insertion order, so
-// probes emit matches in build-row order exactly like the unfused path.
+// joinTable is the hash join's build structure, the same for every driver:
+// chained hashing with one entry per distinct key — key bytes stored once in
+// one arena, bucket chains linking distinct keys only — each entry heading
+// the list of build rows under its key, linked in insertion order through
+// next. Insert and probe therefore cost the distinct keys sharing a bucket,
+// however often a key repeats, and a probe emits its matches in build-row
+// order. All four slices are reused build to build, so a table that lives on
+// (the Ctx's) builds with zero allocations in steady state.
 type joinTable struct {
-	heads    []int32 // bucket → first entry, -1 empty
-	entries  []joinEntry
-	keys     []byte // concatenated key bytes of every entry
-	distinct int
+	heads   []int32     // bucket → first entry of its chain, -1 empty
+	entries []joinEntry // one per distinct key
+	keys    []byte      // concatenated key bytes of every entry
+	next    []int32     // build row → next build row under the same key, -1 last
 }
 
 type joinEntry struct {
-	off  int32
-	klen int32
-	row  int32
-	next int32 // next entry in the same bucket, insertion order
+	off, klen   int32 // the key's bytes in keys
+	first, last int32 // the key's build rows, linked through next
+	chain       int32 // next entry in the same bucket
 }
 
-// reset prepares the table for a build of n rows.
-func (t *joinTable) reset(n int) {
+// build fills the table from the key columns of rows, build row i being
+// rows[i]. Keys encode into keyBuf, which it returns (possibly grown).
+func (t *joinTable) build(rows []storage.Tuple, keyCols []int, keyBuf []byte) []byte {
 	size := 1
-	for size < 2*n {
+	for size < 2*len(rows) {
 		size <<= 1
 	}
-	if cap(t.heads) >= size {
-		t.heads = t.heads[:size]
-	} else {
-		t.heads = make([]int32, size)
-	}
+	t.heads, t.next = sized(t.heads, size), sized(t.next, len(rows))
 	for i := range t.heads {
 		t.heads[i] = -1
 	}
 	t.entries = t.entries[:0]
 	t.keys = t.keys[:0]
-	t.distinct = 0
+	for i, r := range rows {
+		keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, keyCols)
+		row := int32(i)
+		t.next[row] = -1
+		h, e := t.find(keyBuf)
+		if e >= 0 {
+			ent := &t.entries[e]
+			t.next[ent.last] = row
+			ent.last = row
+			continue
+		}
+		t.entries = append(t.entries, joinEntry{off: int32(len(t.keys)), klen: int32(len(keyBuf)),
+			first: row, last: row, chain: t.heads[h]})
+		t.heads[h] = int32(len(t.entries) - 1)
+		t.keys = append(t.keys, keyBuf...)
+	}
+	return keyBuf
 }
 
-// hashKey is FNV-1a over the key bytes.
-func hashKey(k []byte) uint32 {
+// sized returns s at length n, reallocated only when it is too small.
+func sized(s []int32, n int) []int32 {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]int32, n)
+}
+
+// find returns k's bucket and its entry, -1 when no build row has the key.
+// The hash is FNV-1a over the key bytes.
+func (t *joinTable) find(k []byte) (bucket int, entry int32) {
 	h := uint32(2166136261)
 	for _, c := range k {
 		h ^= uint32(c)
 		h *= 16777619
 	}
-	return h
-}
-
-func (t *joinTable) key(e *joinEntry) []byte {
-	return t.keys[e.off : e.off+e.klen]
-}
-
-// insert appends a build row under k (copied into the key arena).
-func (t *joinTable) insert(k []byte, row int32) {
-	h := int(hashKey(k)) & (len(t.heads) - 1)
-	idx := int32(len(t.entries))
-	off := int32(len(t.keys))
-	t.keys = append(t.keys, k...)
-	t.entries = append(t.entries, joinEntry{off: off, klen: int32(len(k)), row: row, next: -1})
-	e := t.heads[h]
-	if e < 0 {
-		t.heads[h] = idx
-		t.distinct++
-		return
-	}
-	// Walk to the chain tail; note on the way whether the key repeats.
-	seen := false
-	for {
+	bucket = int(h) & (len(t.heads) - 1)
+	for e := t.heads[bucket]; e >= 0; e = t.entries[e].chain {
 		ent := &t.entries[e]
-		if !seen && ent.klen == int32(len(k)) && bytes.Equal(t.key(ent), k) {
-			seen = true
+		if bytes.Equal(t.keys[ent.off:ent.off+ent.klen], k) {
+			return bucket, e
 		}
-		if ent.next < 0 {
-			ent.next = idx
-			break
-		}
-		e = ent.next
 	}
-	if !seen {
-		t.distinct++
+	return bucket, -1
+}
+
+// first returns the first build row stored under k, -1 when there is none;
+// next links the rest, in build-row order.
+func (t *joinTable) first(k []byte) int32 {
+	if _, e := t.find(k); e >= 0 {
+		return t.entries[e].first
+	}
+	return -1
+}
+
+// chargeJoinBuild bills th a hash-table build over rows build rows into a
+// table of htBytes. Every per-row charge of a join is the same call made once
+// per row, so it is billed as one call over the total — here and in
+// chargeJoinProbe, for the serial join and for each partition worker alike.
+func (c *Ctx) chargeJoinBuild(th *hw.Thread, rows int, htBytes float64) {
+	th.Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
+	c.computeOn(th, 10*float64(rows))
+	th.RandWrite(float64(rows), htBytes)
+	if c.JHTSleepEvery > 0 && rows > 0 {
+		th.Sleep(float64((rows-1)/c.JHTSleepEvery + 1)) // 1us every JHTSleepEvery rows
 	}
 }
 
-// probe calls fn for every build row stored under k, in insertion order.
-func (t *joinTable) probe(k []byte, fn func(row int32)) {
-	h := int(hashKey(k)) & (len(t.heads) - 1)
-	for e := t.heads[h]; e >= 0; {
-		ent := &t.entries[e]
-		if ent.klen == int32(len(k)) && bytes.Equal(t.key(ent), k) {
-			fn(ent.row)
-		}
-		e = ent.next
-	}
+// chargeJoinProbe bills th probed lookups into a table of htBytes and the
+// outRows matches of outWidth bytes they materialize.
+func (c *Ctx) chargeJoinProbe(th *hw.Thread, probed, htBytes, outRows, outWidth float64) {
+	c.computeOn(th, 10*probed)
+	th.RandRead(probed, htBytes, 1)
+	th.SeqWrite(outRows, outWidth)
 }
 
-// streamHashJoin is the hash join of the streaming drivers. The build side
-// materializes (it must) into the Ctx-reused joinTable; the probe side is
-// fed — when the right child is a chain on a streaming driver, its rows
-// flow from the storage layer through the probe into the join output with
-// no intermediate Batch. Keys encode into the worker's scratch buffer and
-// output tuples come from the context arena, so the steady-state hot path
-// allocates nothing per row. All real work comes first; the build and probe
-// brackets are billed afterwards, the probe as HASHJOIN_PROBE under RowPass
-// and as VEC_PROBE under VecPass (the build keeps its mode-flagged
-// HASHJOIN_BUILD: the kind carries no vectorized profile).
-func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
+// hashJoin is the hash join of every driver but Exchange. The build side
+// materializes (it must) into a joinTable; the probe side is fed — when the
+// right child is a chain on a streaming driver, its rows flow from the
+// storage layer through the probe into the join output with no intermediate
+// Batch. The driver selects only where the scratch lives: a streaming driver
+// builds in the Ctx's table and carves output tuples from its arena, so its
+// steady-state hot path allocates nothing per row; Materialize builds a
+// statement-local table and heap tuples, because interpreted sessions are too
+// many for each to pin either. All real work comes first; the build and probe
+// brackets are billed afterwards, the probe as VEC_PROBE under VecPass and as
+// HASHJOIN_PROBE otherwise (the build keeps its mode-flagged HASHJOIN_BUILD:
+// the kind carries no vectorized profile).
+func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	left, err := Execute(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	jt := &ctx.jt
-	jt.reset(len(left.Rows))
-	for i, r := range left.Rows {
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.LeftKeys)
-		jt.insert(ctx.keyBuf, int32(i))
+	var jt joinTable
+	arena := heap
+	if drv.Streams() {
+		// Taken, not borrowed: a join on the probe side finds the Ctx's table
+		// gone and builds its own instead of overwriting this one.
+		jt, ctx.jt = ctx.jt, joinTable{}
+		defer func() { ctx.jt = jt }()
+		arena = &ctx.arena
 	}
+	ctx.keyBuf = jt.build(left.Rows, n.LeftKeys, ctx.keyBuf)
 
 	right := newShape()
 	defer right.release()
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
-	var cur storage.Tuple
-	emit := func(row int32) {
-		out = append(out, ctx.arena.join(left.Rows[row], cur))
-	}
 	// The probe side's own OU records emit here, before the build and probe
 	// brackets: operator-at-a-time order.
 	err = feed(ctx, n.Right, nil, func(_ storage.RowID, r storage.Tuple) {
 		right.note(r)
 		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.RightKeys)
-		cur = r
-		jt.probe(ctx.keyBuf, emit)
+		for row := jt.first(ctx.keyBuf); row >= 0; row = jt.next[row] {
+			out = append(out, arena.join(left.Rows[row], r))
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -502,21 +521,21 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, er
 	buildRows := float64(len(left.Rows))
 	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
 	htBytes := buildRows * entryBytes
-	card := float64(jt.distinct)
+	card := float64(len(jt.entries))
 	leftW := left.AvgWidth()
 	rightRows, rightCols, rightW := right.rows(), right.cols(), right.width()
 	outRows := float64(len(out))
 
 	start := ctx.Tracker.Start()
-	ctx.Thread().Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
-	ctx.compute(10 * buildRows)
-	ctx.Thread().RandWrite(buildRows, htBytes)
-	if nb := len(left.Rows); ctx.JHTSleepEvery > 0 && nb > 0 {
-		ctx.Thread().Sleep(float64((nb-1)/ctx.JHTSleepEvery + 1))
-	}
+	ctx.chargeJoinBuild(ctx.Thread(), len(left.Rows), htBytes)
 	buildFeats := ou.ExecFeatures(buildRows, left.NumCols(), leftW, card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
 
+	// The probe's work volume covers both the probing input and the
+	// materialized matches, so its tuple-count feature is their sum —
+	// otherwise low-cardinality joins with large fan-out are invisible to
+	// the model. Its payload feature is the emitted tuple width, which
+	// drives the materialization cost.
 	start = ctx.Tracker.Start()
 	if drv == plan.VecPass {
 		ctx.Thread().RandRead(rightRows, htBytes, 1)
@@ -526,9 +545,7 @@ func streamHashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, er
 			card, leftW+rightW, vec.BatchRows)
 		ctx.Tracker.Stop(ou.VecProbe, probeFeats, start)
 	} else {
-		ctx.compute(10 * rightRows)
-		ctx.Thread().RandRead(rightRows, htBytes, 1)
-		ctx.Thread().SeqWrite(outRows, leftW+rightW)
+		ctx.chargeJoinProbe(ctx.Thread(), rightRows, htBytes, outRows, leftW+rightW)
 		probeFeats := ou.ExecFeatures(rightRows+outRows, rightCols, rightW,
 			card, leftW+rightW, 1, ctx.compiled())
 		ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)

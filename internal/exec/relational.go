@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"mb2/internal/catalog"
-	"mb2/internal/hw"
 	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
@@ -80,13 +79,10 @@ func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline) 
 	}
 	switch n := node.(type) {
 	case *plan.HashJoinNode:
-		switch drv {
-		case plan.Exchange:
+		if drv == plan.Exchange {
 			return partitionJoin(ctx, n)
-		case plan.Materialize:
-			return mapHashJoin(ctx, n)
 		}
-		return streamHashJoin(ctx, n, drv)
+		return hashJoin(ctx, n, drv)
 	case *plan.IndexJoinNode:
 		return execIndexJoin(ctx, n)
 	case *plan.AggNode:
@@ -118,105 +114,6 @@ func execStage(ctx *Ctx, child plan.Node, st chainStage) (*Batch, error) {
 	}
 	applyStage(ctx, b, &st)
 	return b, nil
-}
-
-// mapJoin is the hash table of the joins that charge one row at a time: a
-// map from encoded key to the build rows under it, charged to th — the
-// session's thread in mapHashJoin, a partition worker's in partitionJoin.
-// Keys encode into keyBuf; the map[string] index with an in-place
-// []byte→string conversion is allocation-free, and pointer-valued buckets
-// let repeat keys append without a map write. Only the first occurrence of
-// a distinct key allocates its string.
-type mapJoin struct {
-	ctx     *Ctx
-	th      *hw.Thread
-	htBytes float64
-	keyBuf  []byte
-	build   []storage.Tuple
-	ht      map[string]*[]int32
-	out     []storage.Tuple
-}
-
-// insertAll builds the table over rows, sleeping once every sleepEvery rows
-// when that is positive (Ctx.JHTSleepEvery).
-func (j *mapJoin) insertAll(rows []storage.Tuple, keys []int, sleepEvery int) {
-	j.build = rows
-	j.ht = make(map[string]*[]int32, len(rows))
-	for i, r := range rows {
-		j.keyBuf = index.AppendKeyFromTuple(j.keyBuf[:0], r, keys)
-		if b, ok := j.ht[string(j.keyBuf)]; ok {
-			*b = append(*b, int32(i))
-		} else {
-			bucket := make([]int32, 1, 4)
-			bucket[0] = int32(i)
-			j.ht[string(j.keyBuf)] = &bucket
-		}
-		j.ctx.computeOn(j.th, 10)
-		j.th.RandWrite(1, j.htBytes)
-		if sleepEvery > 0 && i%sleepEvery == 0 {
-			j.th.Sleep(1)
-		}
-	}
-}
-
-// probe appends to out the join of r with every build row under its key, in
-// build order.
-func (j *mapJoin) probe(r storage.Tuple, keys []int) {
-	j.keyBuf = index.AppendKeyFromTuple(j.keyBuf[:0], r, keys)
-	j.ctx.computeOn(j.th, 10)
-	j.th.RandRead(1, j.htBytes, 1)
-	if b, ok := j.ht[string(j.keyBuf)]; ok {
-		for _, li := range *b {
-			j.out = append(j.out, heap.join(j.build[li], r))
-		}
-	}
-}
-
-// mapHashJoin is the Materialize driver's hash join: both inputs
-// materialize, and the build and probe brackets charge row by row.
-func mapHashJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
-	left, err := Execute(ctx, n.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := Execute(ctx, n.Right)
-	if err != nil {
-		return nil, err
-	}
-
-	// Build phase: hash table over the left input.
-	buildRows := left.NumRows()
-	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
-	htBytes := buildRows * entryBytes
-
-	start := ctx.Tracker.Start()
-	ctx.Thread().Alloc(htBytes) // join hash tables pre-allocate (Sec 4.3)
-	j := mapJoin{ctx: ctx, th: ctx.Thread(), htBytes: htBytes, keyBuf: ctx.keyBuf,
-		out: make([]storage.Tuple, 0, capHint(n.Rows.Rows))}
-	j.insertAll(left.Rows, n.LeftKeys, ctx.JHTSleepEvery)
-	card := float64(len(j.ht))
-	buildFeats := ou.ExecFeatures(buildRows, left.NumCols(), left.AvgWidth(), card, entryBytes, 1, ctx.compiled())
-	ctx.Tracker.Stop(ou.HashJoinBuild, buildFeats, start)
-
-	// Probe phase.
-	start = ctx.Tracker.Start()
-	for _, r := range right.Rows {
-		j.probe(r, n.RightKeys)
-	}
-	ctx.keyBuf = j.keyBuf
-	outRows := float64(len(j.out))
-	ctx.Thread().SeqWrite(outRows, left.AvgWidth()+right.AvgWidth())
-	// The probe's work volume covers both the probing input and the
-	// materialized matches, so its tuple-count feature is their sum —
-	// otherwise low-cardinality joins with large fan-out are invisible to
-	// the model. Its payload feature is the emitted tuple width, which
-	// drives the materialization cost.
-	probeFeats := ou.ExecFeatures(right.NumRows()+outRows, right.NumCols(), right.AvgWidth(),
-		card, left.AvgWidth()+right.AvgWidth(), 1, ctx.compiled())
-	ctx.Tracker.Stop(ou.HashJoinProbe, probeFeats, start)
-
-	ctx.Thread().Free(htBytes) // the hash table is query-lifetime scratch
-	return &Batch{Rows: j.out}, nil
 }
 
 func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {

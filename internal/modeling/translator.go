@@ -319,7 +319,7 @@ func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 		outRows := tr.noisy(v.Rows.Rows)
 		if drv == plan.VecPass {
 			// Vectorized probes replace HASHJOIN_PROBE; the build keeps its
-			// interpreted-flagged HASHJOIN_BUILD (exec.streamHashJoin).
+			// interpreted-flagged HASHJOIN_BUILD (exec.hashJoin).
 			*out = append(*out, OUInvocation{Kind: ou.VecProbe,
 				Features: ou.VecProbeFeatures(right.rows+outRows, right.cols, right.width,
 					card, left.width+right.width, vec.BatchRows)})
