@@ -5,8 +5,8 @@ GO ?= go
 # tier1 is the full pre-merge gate: static checks, build, the whole test
 # suite under the race detector (including the internal/check concurrency
 # and crash-recovery harness matrices), a short pass of every fuzz target,
-# and smoke: a one-iteration run of the execution-pipeline benchmarks plus
-# one exercised path through every CLI's modes.
+# and smoke: a one-iteration run of the execution-pipeline benchmarks, one
+# exercised path through every CLI's modes and one run of every example.
 tier1: vet build race fuzz smoke
 
 # vet also fails when gofmt would change any file, when any cmd/ binary
@@ -23,7 +23,12 @@ tier1: vet build race fuzz smoke
 # come back into a build or a probe unnoticed — and unless exactly one
 # non-test line under internal/exec/ stops the HASHJOIN_BUILD bracket
 # (Tracker.Stop(ou.HashJoinBuild): a second hash-join body does not grow back
-# beside exec.hashJoin unnoticed.
+# beside exec.hashJoin unnoticed — and when a non-test file outside benchmark/
+# imports hash/fnv or names fnv.New64a (every digest, fingerprint and route
+# folds through internal/fold; a fifteenth hand-rolled byte packing does not
+# grow back unnoticed), and unless visible( is called on exactly two non-test
+# lines under internal/storage/, Table.Read and Table.walk: a fourth scan loop
+# does not grow back beside the one walk unnoticed.
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -35,6 +40,8 @@ vet:
 		$$(ls internal/session/*.go | grep -v _test.go) || { echo "sql.Parse / NewPlanner in internal/session outside Session.miss: execute through the plan cache"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude=dml.go -F 'index.KeyFromTuple(' internal/exec || { echo "index.KeyFromTuple( in internal/exec outside dml.go: encode into ctx.keyBuf with index.AppendKeyFromTuple"; exit 1; }
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'Tracker.Stop(ou.HashJoinBuild' internal/exec | wc -l); [ "$$n" -eq 1 ] || { echo "Tracker.Stop(ou.HashJoinBuild on $$n non-test lines under internal/exec, want 1: the hash join has one body, exec.hashJoin"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -e '"hash/fnv"' -e 'fnv\.New64a' . || { echo "hash/fnv outside benchmark/ and tests: fold through internal/fold"; exit 1; }
+	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'visible(' internal/storage | grep -vc '^func visible('); [ "$$n" -eq 2 ] || { echo "visible( called on $$n non-test lines under internal/storage, want 2 (Table.Read, Table.walk): scan through Table.walk"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -64,10 +71,12 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplicaChunks -fuzztime=5s ./internal/repl
 	$(GO) test -run=NONE -fuzz=FuzzEncodeKey -fuzztime=5s ./internal/index
 
-# smoke drives the CLIs (drive-smoke, cli-smoke) and executes every
-# (pipeline, variant) benchmark and every partition-sweep cell once — a
-# correctness smoke, not a measurement.
+# smoke drives the CLIs (drive-smoke, cli-smoke), runs each examples/ program
+# once (they are otherwise only built), and executes every (pipeline,
+# variant) benchmark and every partition-sweep cell once — a correctness
+# smoke, not a measurement.
 smoke: drive-smoke cli-smoke
+	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
 
 # drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a

@@ -2,11 +2,11 @@ package main
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/repl"
 	"mb2/internal/server"
 	"mb2/internal/storage"
@@ -50,9 +50,9 @@ func replCommit(db *engine.DB, k, v int64) error {
 // timestamp into an order-independent digest.
 func replStateDigest(db *engine.DB) uint64 {
 	tbl := db.Table("kv")
-	h := fnv.New64a()
+	h := fold.New()
 	tbl.Scan(nil, 0, db.Txns.LastCommitTS(), func(row storage.RowID, data storage.Tuple) bool {
-		fmt.Fprintf(h, "%d=%d,%d;", row, data[0].I, data[1].I)
+		fmt.Fprintf(&h, "%d=%d,%d;", row, data[0].I, data[1].I)
 		return true
 	})
 	return h.Sum64()

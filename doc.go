@@ -7,8 +7,8 @@
 // figure of the paper's evaluation.
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
-// substitutions, and EXPERIMENTS.md for paper-vs-measured results. The
-// benchmarks in bench_test.go regenerate each experiment:
+// substitutions, and EXPERIMENTS.md for paper-vs-measured results.
+// cmd/mb2-bench regenerates each experiment:
 //
-//	go test -bench . -benchtime 1x
+//	go run ./cmd/mb2-bench -exp all
 package mb2

@@ -3,13 +3,13 @@ package check
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sort"
 	"strings"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/hw"
 	"mb2/internal/storage"
 	"mb2/internal/wal"
@@ -517,9 +517,9 @@ func digestState(state map[string]string) uint64 {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	d := fnv.New64a()
+	d := fold.New()
 	for _, k := range keys {
-		fmt.Fprintf(d, "%s=%s\n", k, state[k])
+		fmt.Fprintf(&d, "%s=%s\n", k, state[k])
 	}
 	return d.Sum64()
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/par"
@@ -353,7 +353,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		Offsets: len(offsets), Checkpointed: cfg.CheckpointAfter > 0,
 		Promotions: make([]int, cfg.Replicas),
 	}
-	h := fnv.New64a()
+	h := fold.New()
 	for i, r := range results {
 		if r.crashed {
 			report.Crashes++
@@ -364,7 +364,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			report.MaxFailoverUS = r.failoverUS
 		}
 		report.MeanPendingBytes += float64(r.pendingBytes)
-		fmt.Fprintf(h, "%d:%d:%d:%#x:%x;", offsets[i], r.chosen, r.commits,
+		fmt.Fprintf(&h, "%d:%d:%d:%#x:%x;", offsets[i], r.chosen, r.commits,
 			r.stateDigest, math.Float64bits(r.failoverUS))
 	}
 	report.MeanFailoverUS /= float64(len(results))

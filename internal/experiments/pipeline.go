@@ -161,8 +161,8 @@ func interferenceCandidates(cfg Config) []string {
 	return []string{"random_forest"}
 }
 
-// sharedQuick caches one quick pipeline per process: the experiment benches
-// all reuse it, mirroring how MB2 trains once and serves every prediction.
+// sharedQuick caches one quick pipeline per process: the package's tests all
+// reuse it, mirroring how MB2 trains once and serves every prediction.
 var (
 	sharedMu    sync.Mutex
 	sharedQuick *Pipeline

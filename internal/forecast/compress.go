@@ -14,9 +14,10 @@
 package forecast
 
 import (
-	"hash/fnv"
 	"math"
 	"sync"
+
+	"mb2/internal/fold"
 )
 
 // DefaultClusterTolerance is the relative feature-space distance within
@@ -118,9 +119,7 @@ func (c *Clusterer) Assign(name string, fp uint64, feat []float64) int {
 // derived from the name, the feature vector is empty. Used for template
 // names that surface in observations before any plan is known.
 func (c *Clusterer) AssignOrphan(name string) int {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return c.Assign(name, h.Sum64(), nil)
+	return c.Assign(name, fold.New().Str(name).Sum64(), nil)
 }
 
 // place picks the cluster a new key lands in; founded reports that the ID

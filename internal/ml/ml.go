@@ -23,9 +23,6 @@ type Model interface {
 	SizeBytes() int
 }
 
-// Factory constructs a fresh model with the given deterministic seed.
-type Factory func(seed int64) Model
-
 // Dataset is a design matrix with multi-output targets.
 type Dataset struct {
 	X [][]float64
@@ -34,15 +31,6 @@ type Dataset struct {
 
 // Len returns the number of rows.
 func (d Dataset) Len() int { return len(d.X) }
-
-// Shuffle permutes the dataset in place, deterministically.
-func (d Dataset) Shuffle(seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	rng.Shuffle(len(d.X), func(i, j int) {
-		d.X[i], d.X[j] = d.X[j], d.X[i]
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-	})
-}
 
 // Split divides the dataset into train/test with the given train fraction
 // (the paper's 80/20 split) after a deterministic shuffle.

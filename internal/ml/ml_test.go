@@ -183,30 +183,6 @@ func TestSplitSizesAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestKFoldPartitions(t *testing.T) {
-	folds := KFold(103, 5, 7)
-	if len(folds) != 5 {
-		t.Fatalf("folds = %d", len(folds))
-	}
-	seen := map[int]int{}
-	for _, f := range folds {
-		for _, i := range f[1] {
-			seen[i]++
-		}
-		if len(f[0])+len(f[1]) != 103 {
-			t.Fatal("fold sizes do not cover dataset")
-		}
-	}
-	if len(seen) != 103 {
-		t.Fatalf("test folds cover %d rows, want 103", len(seen))
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("row %d in %d test folds", i, c)
-		}
-	}
-}
-
 func TestSelectAndTrainPicksReasonableModel(t *testing.T) {
 	d := synthDataset(600, 0.02, 23)
 	m, report, err := SelectAndTrain(d, []string{"linear", "random_forest", "gbm"}, 1, 1, 1)
@@ -223,17 +199,6 @@ func TestSelectAndTrainPicksReasonableModel(t *testing.T) {
 	test := synthDataset(100, 0, 24)
 	if e := AvgRelError(PredictAll(m, test.X), test.Y, 1); e > 0.25 {
 		t.Fatalf("selected model rel error = %v", e)
-	}
-}
-
-func TestCrossValidate(t *testing.T) {
-	d := synthDataset(300, 0.05, 25)
-	e, err := CrossValidate(d, "linear", 5, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e < 0 || math.IsNaN(e) {
-		t.Fatalf("cv error = %v", e)
 	}
 }
 
@@ -274,19 +239,6 @@ func TestParallelTrainingMatchesSerialML(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rs, rp) {
 		t.Fatalf("selection reports diverge:\nserial   %+v\nparallel %+v", rs, rp)
-	}
-
-	// Cross-validation: bit-identical score.
-	es, err := CrossValidate(d, "gbm", 4, 7, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ep, err := CrossValidate(d, "gbm", 4, 7, 1, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if es != ep {
-		t.Fatalf("cv scores diverge: %v vs %v", es, ep)
 	}
 }
 

@@ -48,43 +48,6 @@ type SelectionReport struct {
 	Candidates []CandidateResult
 }
 
-// KFold returns k (train, test) index splits after a deterministic shuffle.
-func KFold(n, k int, seed int64) [][2][]int {
-	if k < 2 {
-		k = 2
-	}
-	if k > n {
-		k = n
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	shuffleInts(idx, seed)
-	folds := make([][2][]int, 0, k)
-	for f := 0; f < k; f++ {
-		lo, hi := f*n/k, (f+1)*n/k
-		test := append([]int(nil), idx[lo:hi]...)
-		train := make([]int, 0, n-len(test))
-		train = append(train, idx[:lo]...)
-		train = append(train, idx[hi:]...)
-		folds = append(folds, [2][]int{train, test})
-	}
-	return folds
-}
-
-func shuffleInts(idx []int, seed int64) {
-	// xorshift-style deterministic shuffle without importing math/rand here.
-	s := uint64(seed)*2654435761 + 1
-	for i := len(idx) - 1; i > 0; i-- {
-		s ^= s << 13
-		s ^= s >> 7
-		s ^= s << 17
-		j := int(s % uint64(i+1))
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-}
-
 // jobsSetter is implemented by models whose training parallelizes
 // internally (the tree ensembles).
 type jobsSetter interface{ SetJobs(jobs int) }
@@ -155,45 +118,4 @@ func SelectAndTrain(data Dataset, candidates []string, seed int64, relFloor floa
 		return nil, report, err
 	}
 	return final, report, nil
-}
-
-// CrossValidate scores one family by k-fold average relative error. Folds
-// fit on jobs workers; per-fold errors reduce in fold order, so the score
-// is bit-identical at any worker count.
-func CrossValidate(data Dataset, name string, k int, seed int64, relFloor float64, jobs int) (float64, error) {
-	folds := KFold(data.Len(), k, seed)
-	foldErrs := make([]float64, len(folds))
-	errs := make([]error, len(folds))
-	par.Do(jobs, len(folds), func(fi int) {
-		trainIdx, testIdx := folds[fi][0], folds[fi][1]
-		sub := Dataset{}
-		for _, i := range trainIdx {
-			sub.X = append(sub.X, data.X[i])
-			sub.Y = append(sub.Y, data.Y[i])
-		}
-		m, err := NewByName(name, seed+int64(fi))
-		if err != nil {
-			errs[fi] = err
-			return
-		}
-		setJobs(m, jobs)
-		if err := m.Fit(sub.X, sub.Y); err != nil {
-			errs[fi] = err
-			return
-		}
-		var px, py [][]float64
-		for _, i := range testIdx {
-			px = append(px, data.X[i])
-			py = append(py, data.Y[i])
-		}
-		foldErrs[fi] = AvgRelError(PredictAll(m, px), py, relFloor)
-	})
-	total := 0.0
-	for fi := range folds {
-		if errs[fi] != nil {
-			return 0, errs[fi]
-		}
-		total += foldErrs[fi]
-	}
-	return total / float64(len(folds)), nil
 }

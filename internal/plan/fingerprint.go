@@ -1,11 +1,9 @@
 package plan
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"math"
 
+	"mb2/internal/fold"
 	"mb2/internal/storage"
 )
 
@@ -19,45 +17,32 @@ import (
 // index sizes) — those vary independently of the plan and are handled by
 // the cache's (mode, config-version) dimensions.
 func Fingerprint(n Node) uint64 {
-	h := fnv.New64a()
-	hashNode(h, n)
+	h := fold.New()
+	hashNode(&h, n)
 	return h.Sum64()
 }
 
-// hashWriter is the subset of hash.Hash64 we write through (Write on an
-// FNV hash never errors).
-type hashWriter interface {
-	Write(p []byte) (int, error)
-}
+// hashString folds a string behind its length, so adjacent fields cannot
+// run together.
+func hashString(h *fold.H, s string) { *h = h.U32(uint32(len(s))).Str(s) }
 
-func hashString(h hashWriter, s string) {
-	var n [4]byte
-	binary.LittleEndian.PutUint32(n[:], uint32(len(s)))
-	h.Write(n[:])
-	h.Write([]byte(s))
-}
+func hashFloat(h *fold.H, v float64) { *h = h.F64(v) }
 
-func hashFloat(h hashWriter, v float64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	h.Write(b[:])
-}
-
-func hashInts(h hashWriter, vs []int) {
+func hashInts(h *fold.H, vs []int) {
 	hashFloat(h, float64(len(vs)))
 	for _, v := range vs {
 		hashFloat(h, float64(v))
 	}
 }
 
-func hashValues(h hashWriter, vs []storage.Value) {
+func hashValues(h *fold.H, vs []storage.Value) {
 	hashFloat(h, float64(len(vs)))
 	for _, v := range vs {
 		hashString(h, v.String())
 	}
 }
 
-func hashExpr(h hashWriter, e Expr) {
+func hashExpr(h *fold.H, e Expr) {
 	if e == nil {
 		hashString(h, "<nil>")
 		return
@@ -67,12 +52,12 @@ func hashExpr(h hashWriter, e Expr) {
 	hashString(h, e.String())
 }
 
-func hashEst(h hashWriter, e Estimates) {
+func hashEst(h *fold.H, e Estimates) {
 	hashFloat(h, e.Rows)
 	hashFloat(h, e.Distinct)
 }
 
-func hashNode(h hashWriter, n Node) {
+func hashNode(h *fold.H, n Node) {
 	if n == nil {
 		hashString(h, "<nil-node>")
 		return

@@ -77,3 +77,35 @@ func TestFingerprintNilAndUnknown(t *testing.T) {
 		t.Fatal("nil plan collides with a real plan")
 	}
 }
+
+var fpText string
+
+// TestFingerprintPinned holds the fold's byte packing to values computed
+// before the fold moved into internal/fold: the prediction cache and every
+// drive-loop digest key on them, so a changed packing must fail here and not
+// as a re-pinned digest. It also bounds the hash's allocations: what is left
+// is the String() of each expression (3 for this plan), none for the fold.
+func TestFingerprintPinned(t *testing.T) {
+	scan := &SeqScanNode{Table: "orders", Filter: Cmp{Op: EQ, L: Col(1), R: IntConst(7)},
+		Project: []int{0, 2}, Rows: Estimates{Rows: 10, Distinct: 3}, TableRows: 1000}
+	top := &OutputNode{Child: &SortNode{Child: scan, Keys: []SortKey{{Col: 1, Desc: true}}, Limit: 5}}
+	for _, tc := range []struct {
+		name string
+		node Node
+		want uint64
+	}{
+		{"scan", scan, 0x1aaa7b8e56a30688},
+		{"output(sort(scan))", top, 0x8909fd49ade9f392},
+		{"nil", nil, 0xe3cdeca78268c0f3},
+	} {
+		if got := Fingerprint(tc.node); got != tc.want {
+			t.Errorf("Fingerprint(%s) = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+	// The bound is the filter's own String() — 3 allocations, 5 under the
+	// race detector — measured in this binary so it holds in both.
+	text := testing.AllocsPerRun(100, func() { fpText = scan.Filter.String() })
+	if allocs := testing.AllocsPerRun(100, func() { Fingerprint(top) }); allocs > text || allocs > 5 {
+		t.Errorf("Fingerprint of a three-node plan allocates %v times, its filter's String() %v: the fold must add none", allocs, text)
+	}
+}

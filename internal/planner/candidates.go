@@ -25,7 +25,6 @@ const (
 	ActionIndexBuild
 	ActionRepartition
 	ActionSetDOP
-	ActionCheckpoint
 )
 
 func (k ActionKind) String() string {
@@ -36,10 +35,10 @@ func (k ActionKind) String() string {
 		return "index-build"
 	case ActionRepartition:
 		return "repartition"
-	case ActionCheckpoint:
-		return "checkpoint"
-	default:
+	case ActionSetDOP:
 		return "set-dop"
+	default:
+		return fmt.Sprintf("action(%d)", int(k))
 	}
 }
 
@@ -76,10 +75,9 @@ type Action struct {
 	// query latency the action promises (0 = none; always finite).
 	PredictedImprovement float64
 
-	ModeDecision       *ModeDecision
-	IndexDecision      *IndexDecision
-	KnobDecision       *KnobDecision
-	CheckpointDecision *CheckpointDecision
+	ModeDecision  *ModeDecision
+	IndexDecision *IndexDecision
+	KnobDecision  *KnobDecision
 }
 
 // String renders the action for logs.
@@ -92,11 +90,11 @@ func (a Action) String() string {
 			a.Partitions, a.PredictedImprovement*100)
 	case ActionSetDOP:
 		return fmt.Sprintf("set-dop to %d (improvement %.1f%%)", a.DOP, a.PredictedImprovement*100)
-	case ActionCheckpoint:
-		return fmt.Sprintf("checkpoint (recovery improvement %.1f%%)", a.PredictedImprovement*100)
-	default:
+	case ActionIndexBuild:
 		return fmt.Sprintf("index-build %s on %s%v threads=%d (improvement %.1f%%)",
 			a.Index.Name, a.Index.Table, a.Index.KeyColNames, a.Threads, a.PredictedImprovement*100)
+	default:
+		return a.Kind.String()
 	}
 }
 
@@ -107,10 +105,6 @@ type CandidateConfig struct {
 	// MaxImpactRatio is the during-build impact budget passed to
 	// ChooseIndexThreads (0 = unbounded).
 	MaxImpactRatio float64
-	// Recovery, when set, describes the primary's current pending recovery
-	// work; PlanActions then also evaluates a checkpoint action against it
-	// (nil leaves the generated action set exactly as before).
-	Recovery *modeling.RecoveryEstimate
 }
 
 // partitionCandidates are the hash-partition counts PlanActions evaluates as
@@ -318,9 +312,7 @@ func (c IndexCandidate) RewriteForecast(f modeling.IntervalForecast) (modeling.I
 // vectorized all compete), an index build per hot predicate column set
 // evaluated at the configured thread counts, a repartition per candidate
 // partition count, and a DOP change per candidate scan DOP — the knob
-// actions evaluated with what-if translator overrides. When cfg.Recovery
-// describes the primary's pending recovery work, a checkpoint action
-// competes too (see EvaluateCheckpoint). Actions come back
+// actions evaluated with what-if translator overrides. Actions come back
 // sorted by predicted improvement, best first, deterministically
 // tie-broken; actions predicting no improvement are dropped.
 func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalForecast, cfg CandidateConfig) ([]Action, error) {
@@ -412,29 +404,6 @@ func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalFor
 		})
 	}
 
-	if cfg.Recovery != nil {
-		d, err := p.EvaluateCheckpoint(*cfg.Recovery)
-		if err != nil {
-			return nil, err
-		}
-		// The checkpoint's improvement is in recovery-time currency: the
-		// relative reduction of crash-recovery cost net of the checkpoint's
-		// own cost. It competes in the same ranked list because both
-		// currencies are predicted microseconds saved, relative to doing
-		// nothing.
-		if d.Worthwhile && d.RecoveryNowUS > 0 {
-			improvement := finiteOr(1-(d.CheckpointCostUS+d.RecoveryAfterUS)/d.RecoveryNowUS, 0)
-			if improvement > 0 {
-				cd := d
-				out = append(out, Action{
-					Kind:                 ActionCheckpoint,
-					PredictedImprovement: improvement,
-					CheckpointDecision:   &cd,
-				})
-			}
-		}
-	}
-
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].PredictedImprovement != out[j].PredictedImprovement {
 			return out[i].PredictedImprovement > out[j].PredictedImprovement
@@ -504,11 +473,6 @@ func (p *Planner) Apply(a Action, col *metrics.Collector) (*BuildHandle, error) 
 		k := p.DB.Knobs()
 		k.ScanDOP = a.DOP
 		p.DB.SetKnobs(k)
-		return nil, nil
-	case ActionCheckpoint:
-		if _, err := p.DB.Checkpoint(nil); err != nil {
-			return nil, fmt.Errorf("planner: checkpoint action: %w", err)
-		}
 		return nil, nil
 	case ActionIndexBuild:
 		if a.Index == nil {

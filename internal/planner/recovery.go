@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mb2/internal/modeling"
-	"mb2/internal/ou"
 )
 
 // PredictRecoveryUS prices a node's full recovery — replaying its pending
@@ -41,63 +40,4 @@ func (p *Planner) PickPromotion(ests []modeling.RecoveryEstimate) (int, []float6
 		}
 	}
 	return best, preds, nil
-}
-
-// CheckpointDecision is the planner's estimate of whether checkpointing now
-// pays for itself in recovery time: the cost of a crash-recovery today
-// against the checkpoint's own cost plus the (cheaper) recovery it leaves
-// behind.
-type CheckpointDecision struct {
-	// RecoveryNowUS is the predicted recovery cost with the current pending
-	// log suffix.
-	RecoveryNowUS float64
-	// CheckpointCostUS is the predicted cost of writing the checkpoint.
-	CheckpointCostUS float64
-	// RecoveryAfterUS is the predicted recovery cost immediately after the
-	// checkpoint (no pending suffix; indexes still rebuild).
-	RecoveryAfterUS float64
-	// Worthwhile reports RecoveryNowUS > CheckpointCostUS + RecoveryAfterUS.
-	Worthwhile bool
-}
-
-// String renders the decision for logs.
-func (d CheckpointDecision) String() string {
-	return fmt.Sprintf("recovery now=%.1fus ckpt=%.1fus after=%.1fus worthwhile=%v",
-		d.RecoveryNowUS, d.CheckpointCostUS, d.RecoveryAfterUS, d.Worthwhile)
-}
-
-// EvaluateCheckpoint compares recovering from the current state against
-// checkpointing first: a checkpoint truncates the log, so the post-checkpoint
-// recovery replays nothing, but the checkpoint write itself costs time. The
-// decision is total — degenerate estimates yield zero costs and
-// Worthwhile=false.
-func (p *Planner) EvaluateCheckpoint(e modeling.RecoveryEstimate) (CheckpointDecision, error) {
-	var d CheckpointDecision
-	now, err := p.PredictRecoveryUS(e)
-	if err != nil {
-		return d, err
-	}
-	d.RecoveryNowUS = now
-
-	var tr modeling.Translator
-	for _, inv := range tr.TranslateRecovery(e) {
-		if inv.Kind != ou.CheckpointWrite {
-			continue
-		}
-		m, err := p.Models.PredictOU(inv)
-		if err != nil {
-			return d, err
-		}
-		d.CheckpointCostUS = finiteOr(m.ElapsedUS, 0)
-	}
-
-	after := e
-	after.PendingRecords, after.PendingCommits, after.PendingBytes = 0, 0, 0
-	afterUS, err := p.PredictRecoveryUS(after)
-	if err != nil {
-		return d, err
-	}
-	d.RecoveryAfterUS = afterUS
-	d.Worthwhile = d.RecoveryNowUS > d.CheckpointCostUS+d.RecoveryAfterUS
-	return d, nil
 }

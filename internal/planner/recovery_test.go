@@ -68,89 +68,3 @@ func TestPredictRecoveryAndPromotionRanking(t *testing.T) {
 		t.Fatal("empty candidate set must fail")
 	}
 }
-
-// A huge pending suffix makes checkpointing now worthwhile; with nothing
-// pending a checkpoint can never pay for itself.
-func TestEvaluateCheckpoint(t *testing.T) {
-	ms := sharedModels(t)
-	db, _ := scanDB(t, 100)
-	p := New(db, ms)
-
-	heavy, err := p.EvaluateCheckpoint(recEst(1_000_000, 500_000, 80_000_000, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if heavy.RecoveryNowUS <= heavy.RecoveryAfterUS {
-		t.Fatalf("checkpoint must shrink recovery: %v", heavy)
-	}
-	if heavy.CheckpointCostUS <= 0 {
-		t.Fatalf("checkpoint cost not priced: %v", heavy)
-	}
-	if !heavy.Worthwhile {
-		t.Fatalf("huge pending suffix must make a checkpoint worthwhile: %v", heavy)
-	}
-
-	idle, err := p.EvaluateCheckpoint(recEst(0, 0, 0, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idle.Worthwhile {
-		t.Fatalf("nothing pending, yet worthwhile: %v", idle)
-	}
-}
-
-// PlanActions only generates a checkpoint action when cfg.Recovery is set,
-// and then exactly when the decision is worthwhile; the rest of the ranked
-// list is untouched.
-func TestPlanActionsCheckpointGate(t *testing.T) {
-	ms := sharedModels(t)
-	db, templates := scanDB(t, 1000)
-	p := New(db, ms)
-	f := modeling.IntervalForecast{
-		Queries:    []modeling.ForecastQuery{{Plan: templates[0].Plan, Count: 10}},
-		IntervalUS: 100000,
-		Threads:    2,
-	}
-
-	base, err := p.PlanActions(db.Knobs().ExecutionMode, f, CandidateConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range base {
-		if a.Kind == ActionCheckpoint {
-			t.Fatalf("checkpoint action without cfg.Recovery: %v", a)
-		}
-	}
-
-	heavy := recEst(1_000_000, 500_000, 80_000_000, 16)
-	withCkpt, err := p.PlanActions(db.Knobs().ExecutionMode, f, CandidateConfig{Recovery: &heavy})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ckpt *Action
-	var rest []Action
-	for i := range withCkpt {
-		if withCkpt[i].Kind == ActionCheckpoint {
-			ckpt = &withCkpt[i]
-		} else {
-			rest = append(rest, withCkpt[i])
-		}
-	}
-	if ckpt == nil {
-		t.Fatal("worthwhile recovery estimate must yield a checkpoint action")
-	}
-	if ckpt.CheckpointDecision == nil || !ckpt.CheckpointDecision.Worthwhile {
-		t.Fatalf("checkpoint action carries no worthwhile decision: %+v", ckpt)
-	}
-	if ckpt.PredictedImprovement <= 0 || ckpt.PredictedImprovement > 1 {
-		t.Fatalf("checkpoint improvement out of range: %v", ckpt.PredictedImprovement)
-	}
-	if len(rest) != len(base) {
-		t.Fatalf("checkpoint gating changed the other actions: %d vs %d", len(rest), len(base))
-	}
-	for i := range rest {
-		if rest[i].Kind != base[i].Kind || rest[i].PredictedImprovement != base[i].PredictedImprovement {
-			t.Fatalf("action %d changed: %v vs %v", i, rest[i], base[i])
-		}
-	}
-}

@@ -1,12 +1,12 @@
 package runner
 
 import (
-	"hash/fnv"
 	"math/rand"
 	"sync/atomic"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/hw"
 	"mb2/internal/metrics"
 	"mb2/internal/ou"
@@ -221,9 +221,7 @@ func (u SweepUnit) Run(repo *metrics.Repository, cfg Config) {
 // unitSeed derives a unit's seed as seed XOR fnv64a(name): stable across
 // processes, independent of unit execution order.
 func unitSeed(seed int64, name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return seed ^ int64(h.Sum64())
+	return seed ^ int64(fold.New().Str(name).Sum64())
 }
 
 // RunReport summarizes a data-generation run (the Table 2 accounting).

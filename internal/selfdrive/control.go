@@ -76,8 +76,11 @@ func (c *controller) applyBest(step int, actions []planner.Action) error {
 		if err != nil {
 			return fmt.Errorf("selfdrive: applying %v: %w", a, err)
 		}
-		kind, detail := "mode-change", a.Mode.String()
+		var kind, detail string
 		switch a.Kind {
+		case planner.ActionModeChange:
+			kind = "mode-change"
+			detail = a.Mode.String()
 		case planner.ActionIndexBuild:
 			kind = "index-build-start"
 			detail = fmt.Sprintf("%s threads=%d", a.Index.Name, a.Threads)
@@ -88,6 +91,8 @@ func (c *controller) applyBest(step int, actions []planner.Action) error {
 		case planner.ActionSetDOP:
 			kind = "set-dop"
 			detail = fmt.Sprintf("dop=%d", a.DOP)
+		default:
+			return fmt.Errorf("selfdrive: applied %v, which the action log cannot name", a)
 		}
 		c.actions = append(c.actions, AppliedAction{
 			Interval: step, Kind: kind, Detail: detail,

@@ -132,3 +132,51 @@ func TestControlStepSelectionRule(t *testing.T) {
 		t.Fatalf("idle publishIfDone: err %v, actions %+v", err, ctl.actions)
 	}
 }
+
+// TestAppliedActionKinds pins, per planner action family, the
+// AppliedAction.Kind and Detail strings the run digest folds and the family
+// name the planner prints; a kind outside the four is an error, not an
+// entry logged under another family's name.
+func TestAppliedActionKinds(t *testing.T) {
+	ctl, cand := newTestController(t)
+	cases := map[planner.ActionKind]struct {
+		action               planner.Action
+		family, kind, detail string
+	}{
+		planner.ActionModeChange:  {planner.Action{Mode: catalog.Compile}, "mode-change", "mode-change", catalog.Compile.String()},
+		planner.ActionIndexBuild:  {planner.Action{Index: cand, Threads: 2}, "index-build", "index-build-start", cand.Name + " threads=2"},
+		planner.ActionRepartition: {planner.Action{Partitions: 4}, "repartition", "repartition", "parts=4"},
+		planner.ActionSetDOP:      {planner.Action{DOP: 2}, "set-dop", "set-dop", "dop=2"},
+	}
+	for k := planner.ActionModeChange; k <= planner.ActionSetDOP; k++ {
+		tc, ok := cases[k]
+		if !ok {
+			t.Fatalf("action kind %v has no row", k)
+		}
+		if k.String() != tc.family {
+			t.Errorf("ActionKind(%d).String() = %q, want %q", int(k), k, tc.family)
+		}
+		a := tc.action
+		a.Kind, a.PredictedImprovement = k, 0.5
+		if err := ctl.applyBest(int(k), []planner.Action{a}); err != nil {
+			t.Fatal(err)
+		}
+		got := ctl.actions[len(ctl.actions)-1]
+		want := AppliedAction{Interval: int(k), Kind: tc.kind, Detail: tc.detail, PredictedImprovement: 0.5}
+		if got != want {
+			t.Errorf("%v logged %+v, want %+v", k, got, want)
+		}
+	}
+
+	unknown := planner.ActionSetDOP + 1
+	if got := unknown.String(); got != "action(4)" {
+		t.Errorf("unknown kind prints %q, want action(4)", got)
+	}
+	logged := len(ctl.actions)
+	if err := ctl.applyBest(9, []planner.Action{{Kind: unknown, PredictedImprovement: 0.5}}); err == nil {
+		t.Error("an action of unknown kind was applied without error")
+	}
+	if len(ctl.actions) != logged {
+		t.Errorf("unknown kind logged %+v", ctl.actions[logged:])
+	}
+}

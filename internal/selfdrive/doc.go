@@ -29,7 +29,7 @@
 //
 // A fixed-seed run is bit-for-bit reproducible at any session-parallelism
 // setting. Every session derives its RNG from the run seed and its own
-// identity (seed ^ fnv64a("drive/interval-i/session-s")), writes only
+// identity (seed ^ fold("drive/interval-i/session-s")), writes only
 // session-private observation buffers, and the loop merges them in session
 // index order — so every float reduction happens in a fixed order. Actions
 // apply at interval boundaries, on the loop goroutine, never concurrently

@@ -8,6 +8,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/forecast"
 	"mb2/internal/hw"
 	"mb2/internal/modeling"
@@ -223,7 +224,7 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	reg := session.NewRegistry(db, 0)
 
 	res := &Result{}
-	dig := newDigest()
+	dig := fold.New()
 	var predSeries, obsSeries []float64
 	predictedNext := 0.0
 	var volume volumeScore
@@ -332,7 +333,7 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			obsSeries = append(obsSeries, observed)
 		}
 
-		dig.interval(i, names, merged.Counts, observed, mode, ctl.actions)
+		dig = foldInterval(dig, i, names, merged.Counts, observed, mode, ctl.actions)
 
 		// Phase 5: forecast, plan, act, and predict the next interval.
 		predictedNext = 0
@@ -381,6 +382,6 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	} else {
 		res.TemplatesSeen = len(hist.Templates())
 	}
-	res.Digest = dig.h.Sum64()
+	res.Digest = dig.Sum64()
 	return res, nil
 }

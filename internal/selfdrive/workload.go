@@ -1,9 +1,9 @@
 package selfdrive
 
 import (
-	"hash/fnv"
 	"sort"
 
+	"mb2/internal/fold"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
 	"mb2/internal/storage"
@@ -32,11 +32,7 @@ type liveQuery struct {
 
 // nameHash is the FNV-1a hash every name-derived quantity (unit seeds,
 // variant perturbations, synthetic volumes) comes from.
-func nameHash(name string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return h.Sum64()
-}
+func nameHash(name string) uint64 { return fold.New().Str(name).Sum64() }
 
 // unitSeed derives a unit's private seed from the run seed and the unit's
 // identity (the PR 1 scheme: stable under any execution interleaving).

@@ -2,10 +2,11 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
+
+	"mb2/internal/fold"
 )
 
 // LoadConfig parameterizes one seeded load-generator run.
@@ -83,8 +84,8 @@ func splitmix64(state *uint64) uint64 {
 
 // sessionStream is one session's deterministic statement list.
 func sessionStream(cfg LoadConfig, idx int) []string {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "loadgen/session/%d", idx)
+	h := fold.New()
+	fmt.Fprintf(&h, "loadgen/session/%d", idx)
 	state := uint64(cfg.Seed) ^ h.Sum64()
 	base := cfg.ownBase(idx)
 	written := 0
@@ -120,21 +121,7 @@ type sessionOutcome struct {
 
 // foldOutcome hashes one statement's result into a session digest.
 func foldOutcome(digest uint64, stmt int, r RowsResult, failed bool) uint64 {
-	h := fnv.New64a()
-	var b [25]byte
-	putU64 := func(off int, v uint64) {
-		for i := 0; i < 8; i++ {
-			b[off+i] = byte(v >> (8 * i))
-		}
-	}
-	putU64(0, digest)
-	putU64(8, uint64(stmt)<<1|boolBit(failed))
-	putU64(16, r.Count)
-	b[24] = 0
-	h.Write(b[:])
-	putU64(0, r.Digest)
-	h.Write(b[:8])
-	return h.Sum64()
+	return fold.New().U64(digest).U64(uint64(stmt)<<1 | boolBit(failed)).U64(r.Count).Byte(0).U64(r.Digest).Sum64()
 }
 
 func boolBit(v bool) uint64 {
@@ -207,15 +194,7 @@ func RunLoad(tr Transport, cfg LoadConfig) (LoadResult, error) {
 		res.Errors += out.errs
 		// Session-index order: the digest is independent of which
 		// goroutine finished first.
-		h := fnv.New64a()
-		var b [16]byte
-		for j := 0; j < 8; j++ {
-			b[j] = byte(res.Digest >> (8 * j))
-			b[8+j] = byte(out.digest >> (8 * j))
-		}
-		h.Write(b[:])
-		_ = i
-		res.Digest = h.Sum64()
+		res.Digest = fold.New().U64(res.Digest).U64(out.digest).Sum64()
 		all = append(all, latencies[i]...)
 	}
 	if elapsed > 0 {

@@ -3,12 +3,12 @@ package server
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sync"
 
 	"mb2/internal/engine"
 	"mb2/internal/exec"
+	"mb2/internal/fold"
 	"mb2/internal/index"
 	"mb2/internal/session"
 )
@@ -215,9 +215,7 @@ func batchDigest(b *exec.Batch) uint64 {
 	buf := make([]byte, 0, 64)
 	for _, row := range b.Rows {
 		buf = index.AppendKeyFromTuple(buf[:0], row, cols)
-		h := fnv.New64a()
-		h.Write(buf)
-		acc ^= h.Sum64()
+		acc ^= fold.New().Bytes(buf).Sum64()
 	}
 	return acc
 }

@@ -2,10 +2,10 @@ package storage
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 
 	"mb2/internal/catalog"
+	"mb2/internal/fold"
 	"mb2/internal/hw"
 )
 
@@ -33,27 +33,17 @@ const partUnassigned = int32(-1)
 // PartitionHash hashes the partition-key columns of a tuple (FNV-64a over a
 // canonical value encoding). The same tuple always hashes identically.
 func PartitionHash(t Tuple, keyCols []int) uint64 {
-	h := fnv.New64a()
-	var buf [9]byte
+	h := fold.New()
 	for _, c := range keyCols {
 		if c < 0 || c >= len(t) {
 			continue
 		}
 		v := t[c]
-		buf[0] = byte(v.Kind)
-		var bits uint64
+		bits := uint64(v.I)
 		if v.Kind == catalog.Float64 {
 			bits = math.Float64bits(v.F)
-		} else {
-			bits = uint64(v.I)
 		}
-		for i := 0; i < 8; i++ {
-			buf[1+i] = byte(bits >> (8 * i))
-		}
-		h.Write(buf[:])
-		if len(v.S) > 0 {
-			h.Write([]byte(v.S))
-		}
+		h = h.Byte(byte(v.Kind)).U64(bits).Str(v.S)
 	}
 	return h.Sum64()
 }
@@ -213,75 +203,26 @@ func (t *Table) PartitionRowCounts() []int {
 // order. Charges a per-partition latch acquisition plus a streaming read of
 // the partition's stripe, mirroring Scan's accounting.
 func (t *Table) ScanPartition(th *hw.Thread, p int, txnID, readTS uint64, fn func(RowID, Tuple) bool) {
-	t.ScanPartitionBatch(th, p, txnID, readTS, nil, func(rows []ScanRow) bool {
-		for _, r := range rows {
-			if !fn(r.Row, r.Data) {
-				return false
-			}
-		}
-		return true
-	})
+	t.ScanPartitionBatch(th, p, txnID, readTS, nil, perRow(fn))
 }
 
 // ScanPartitionBatch is the batch variant of ScanPartition, with ScanBatch's
 // buffer-reuse contract. With a single partition (p == 0 on an unpartitioned
 // table) it degenerates to a full-table batch scan.
 func (t *Table) ScanPartitionBatch(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
-	if cap(buf) == 0 {
-		buf = make([]ScanRow, 0, 256)
-	}
-	buf = buf[:0]
 	t.partScanMu.RLock()
 	defer t.partScanMu.RUnlock()
 	t.mu.RLock()
 	slots := t.slots
 	dir := t.partOf
-	parts := t.parts
-	t.mu.RUnlock()
-	if parts < 1 {
-		parts = 1
+	if t.parts <= 1 {
+		dir = nil
 	}
+	t.mu.RUnlock()
 	if th != nil {
 		th.Latch(1) // the partition's scan latch
 	}
-	width := float64(t.Meta.Schema.TupleBytes())
-	scanned := 0.0
-	stopped := false
-	all := parts <= 1
-	for i, s := range slots {
-		if !all {
-			if i >= len(dir) || dir[i] != int32(p) {
-				continue
-			}
-		}
-		s.mu.Lock()
-		var data Tuple
-		for v := s.head; v != nil; v = v.Next {
-			if visible(v, txnID, readTS) {
-				data = v.Data
-				break
-			}
-		}
-		s.mu.Unlock()
-		scanned++
-		if data == nil {
-			continue
-		}
-		buf = append(buf, ScanRow{Row: RowID(i), Data: data})
-		if len(buf) == cap(buf) {
-			if !fn(buf) {
-				stopped = true
-				break
-			}
-			buf = buf[:0]
-		}
-	}
-	if !stopped && len(buf) > 0 {
-		fn(buf)
-	}
-	if th != nil && scanned > 0 {
-		th.SeqRead(scanned, width)
-	}
+	t.walk(th, slots, dir, p, txnID, readTS, buf, fn)
 }
 
 // CheckPartitionInvariants verifies the routing directory's structural

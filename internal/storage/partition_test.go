@@ -227,3 +227,25 @@ func FuzzPartitionKey(f *testing.F) {
 		}
 	})
 }
+
+// TestPartitionHashPinned holds the routing hash to values computed before
+// its byte packing moved into internal/fold. CheckPartitionInvariants routes
+// with the same function it checks, so only a pin can tell that a changed
+// hash would re-route every row.
+func TestPartitionHashPinned(t *testing.T) {
+	mixed := Tuple{NewFloat(1.5), NewString("abc"), NewInt(-7)}
+	for _, tc := range []struct {
+		name string
+		tup  Tuple
+		cols []int
+		want uint64
+	}{
+		{"int", Tuple{NewInt(42)}, []int{0}, 0x8f919d0115208895},
+		{"float, string, negative int", mixed, []int{0, 1, 2}, 0xc9d59eeb96ee7883},
+		{"out-of-range columns only", mixed, []int{-1, 3}, 0xcbf29ce484222325},
+	} {
+		if got := PartitionHash(tc.tup, tc.cols); got != tc.want {
+			t.Errorf("PartitionHash(%s) = %#x, want %#x", tc.name, got, tc.want)
+		}
+	}
+}

@@ -241,37 +241,6 @@ func (t *Table) AbortWrite(row RowID, txnID uint64) {
 	}
 }
 
-// Scan calls fn for every row version visible at (txnID, readTS), in RowID
-// order. The scan charges a streaming read of the touched tuples.
-func (t *Table) Scan(th *hw.Thread, txnID, readTS uint64, fn func(RowID, Tuple) bool) {
-	t.mu.RLock()
-	slots := t.slots
-	t.mu.RUnlock()
-	width := float64(t.Meta.Schema.TupleBytes())
-	scanned := 0.0
-	for i, s := range slots {
-		s.mu.Lock()
-		var data Tuple
-		for v := s.head; v != nil; v = v.Next {
-			if visible(v, txnID, readTS) {
-				data = v.Data
-				break
-			}
-		}
-		s.mu.Unlock()
-		scanned++
-		if data == nil {
-			continue
-		}
-		if !fn(RowID(i), data) {
-			break
-		}
-	}
-	if th != nil && scanned > 0 {
-		th.SeqRead(scanned, width)
-	}
-}
-
 // ScanRow is one visible row handed out by ScanBatch: the slot identity and
 // a reference to the visible version's tuple. The tuple is NOT copied; it is
 // the shared immutable version payload, valid for as long as the version is
@@ -281,26 +250,21 @@ type ScanRow struct {
 	Data Tuple
 }
 
-// ScanBatch is the read-only pipeline variant of Scan: it fills the
-// caller-provided buffer with visible rows and flushes it through fn each
-// time it runs full (and once at the end), reusing the buffer across
-// flushes. Compared with Scan it avoids per-row callback dispatch and lets
-// fused execution pipelines drive the whole scan from one pooled buffer
-// with zero per-row allocation or tuple copying. fn must not retain the
-// slice (it is reused), though it may retain the Tuple references inside.
-// Charges and visibility semantics match Scan exactly.
-func (t *Table) ScanBatch(th *hw.Thread, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
+// walk is the one scan loop; every scan form is a wrapper that takes the
+// snapshot it walks. It visits the slots dir routes to partition p (a nil
+// dir selects every slot) in RowID order, under ScanBatch's buffer contract,
+// and charges th a streaming read of the slots it visited.
+func (t *Table) walk(th *hw.Thread, slots []*slot, dir []int32, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
 	if cap(buf) == 0 {
 		buf = make([]ScanRow, 0, 256)
 	}
 	buf = buf[:0]
-	t.mu.RLock()
-	slots := t.slots
-	t.mu.RUnlock()
-	width := float64(t.Meta.Schema.TupleBytes())
 	scanned := 0.0
 	stopped := false
 	for i, s := range slots {
+		if dir != nil && (i >= len(dir) || dir[i] != int32(p)) {
+			continue
+		}
 		s.mu.Lock()
 		var data Tuple
 		for v := s.head; v != nil; v = v.Next {
@@ -327,8 +291,42 @@ func (t *Table) ScanBatch(th *hw.Thread, txnID, readTS uint64, buf []ScanRow, fn
 		fn(buf)
 	}
 	if th != nil && scanned > 0 {
-		th.SeqRead(scanned, width)
+		th.SeqRead(scanned, float64(t.Meta.Schema.TupleBytes()))
 	}
+}
+
+// perRow adapts a per-row callback to the batch form walk flushes through.
+func perRow(fn func(RowID, Tuple) bool) func([]ScanRow) bool {
+	return func(rows []ScanRow) bool {
+		for _, r := range rows {
+			if !fn(r.Row, r.Data) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// Scan calls fn for every row version visible at (txnID, readTS), in RowID
+// order. The scan charges a streaming read of the touched tuples; it reads a
+// buffer ahead of fn, so one that fn stops is charged for the slots read.
+func (t *Table) Scan(th *hw.Thread, txnID, readTS uint64, fn func(RowID, Tuple) bool) {
+	t.ScanBatch(th, txnID, readTS, nil, perRow(fn))
+}
+
+// ScanBatch is the read-only pipeline variant of Scan: it fills the
+// caller-provided buffer with visible rows and flushes it through fn each
+// time it runs full (and once at the end), reusing the buffer across
+// flushes. Compared with Scan it avoids per-row callback dispatch and lets
+// fused execution pipelines drive the whole scan from one pooled buffer
+// with zero per-row allocation or tuple copying. fn must not retain the
+// slice (it is reused), though it may retain the Tuple references inside.
+// Charges and visibility semantics match Scan exactly.
+func (t *Table) ScanBatch(th *hw.Thread, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
+	t.mu.RLock()
+	slots := t.slots
+	t.mu.RUnlock()
+	t.walk(th, slots, nil, 0, txnID, readTS, buf, fn)
 }
 
 // Vacuum prunes version chains: every version strictly older than the newest
