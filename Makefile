@@ -17,10 +17,15 @@ tier1: vet build race fuzz smoke
 # read does not come back into the ship path unnoticed), and when a non-test
 # file under internal/session/ names sql.Parse or NewPlanner outside
 # Session.miss (a second path from statement text to a plan does not grow
-# beside the plan cache), and when a non-test file under internal/exec/ other
-# than dml.go names index.KeyFromTuple( — the allocating key encoder is for
-# the B+tree insert, which retains its key; a per-row key allocation does not
-# come back into a build or a probe unnoticed — and unless exactly one
+# beside the plan cache), and when a non-test file under internal/exec/ names
+# index.KeyFromTuple( — the allocating key encoder is for the B+tree insert,
+# which retains its key, and that insert is the engine's write path; a
+# per-row key allocation does not come back into a build or a probe
+# unnoticed — and when a non-test file outside internal/txn/ and
+# internal/engine/write.go names RecordWrite( (every row write goes through
+# engine.Insert/Update/Delete, which index, record and log it; a sixth
+# hand-rolled write path with its own index policy does not grow back
+# unnoticed), and unless exactly one
 # non-test line under internal/exec/ stops the HASHJOIN_BUILD bracket
 # (Tracker.Stop(ou.HashJoinBuild): a second hash-join body does not grow back
 # beside exec.hashJoin unnoticed — and when a non-test file outside benchmark/
@@ -38,7 +43,8 @@ vet:
 	@awk 'FNR == 1 { miss = 0 } /^func \(s \*Session\) miss\(/ { miss = 1 } /^}/ { miss = 0 } \
 		/sql\.Parse|NewPlanner/ && !miss && !/^[ \t]*\/\// { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit bad }' \
 		$$(ls internal/session/*.go | grep -v _test.go) || { echo "sql.Parse / NewPlanner in internal/session outside Session.miss: execute through the plan cache"; exit 1; }
-	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude=dml.go -F 'index.KeyFromTuple(' internal/exec || { echo "index.KeyFromTuple( in internal/exec outside dml.go: encode into ctx.keyBuf with index.AppendKeyFromTuple"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' -F 'index.KeyFromTuple(' internal/exec || { echo "index.KeyFromTuple( in internal/exec: encode into ctx.keyBuf with index.AppendKeyFromTuple"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' -F 'RecordWrite(' . | grep -v -e '^\./internal/txn/' -e '^\./internal/engine/write\.go:' || { echo "RecordWrite( outside internal/txn/ and internal/engine/write.go: write rows through engine.Insert/Update/Delete"; exit 1; }
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'Tracker.Stop(ou.HashJoinBuild' internal/exec | wc -l); [ "$$n" -eq 1 ] || { echo "Tracker.Stop(ou.HashJoinBuild on $$n non-test lines under internal/exec, want 1: the hash join has one body, exec.hashJoin"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -e '"hash/fnv"' -e 'fnv\.New64a' . || { echo "hash/fnv outside benchmark/ and tests: fold through internal/fold"; exit 1; }
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'visible(' internal/storage | grep -vc '^func visible('); [ "$$n" -eq 2 ] || { echo "visible( called on $$n non-test lines under internal/storage, want 2 (Table.Read, Table.walk): scan through Table.walk"; exit 1; }

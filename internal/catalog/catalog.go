@@ -193,13 +193,14 @@ func (c *Catalog) DropIndex(name string) error {
 		return fmt.Errorf("catalog: index %q does not exist", name)
 	}
 	delete(c.indexes, name)
-	list := c.byTable[idx.TableID]
-	for i, m := range list {
-		if m.ID == idx.ID {
-			c.byTable[idx.TableID] = append(list[:i], list[i+1:]...)
-			break
+	// Copy-on-write: a slice TableIndexes handed out keeps its contents.
+	var kept []*IndexMeta
+	for _, m := range c.byTable[idx.TableID] {
+		if m.ID != idx.ID {
+			kept = append(kept, m)
 		}
 	}
+	c.byTable[idx.TableID] = kept
 	return nil
 }
 
@@ -232,13 +233,15 @@ func (c *Catalog) Index(name string) (*IndexMeta, error) {
 	return idx, nil
 }
 
-// TableIndexes returns the indexes defined over a table.
+// TableIndexes returns the indexes defined over a table, without copying:
+// the slice is capacity-capped, so a caller's append copies, and the list is
+// never changed in place (CreateIndex appends past every handed-out length,
+// DropIndex builds a fresh list). Callers must not write its elements.
 func (c *Catalog) TableIndexes(tableID int) []*IndexMeta {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	out := make([]*IndexMeta, len(c.byTable[tableID]))
-	copy(out, c.byTable[tableID])
-	return out
+	list := c.byTable[tableID]
+	return list[:len(list):len(list)]
 }
 
 // Tables returns all table names, sorted. Callers iterate the result to

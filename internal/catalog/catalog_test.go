@@ -97,6 +97,44 @@ func TestCreateDropIndex(t *testing.T) {
 	}
 }
 
+// TestTableIndexesIsCopyOnWrite pins the contract that lets TableIndexes
+// hand out its list without copying: a slice taken before DropIndex keeps
+// its contents, and appending to a returned slice cannot change the catalog.
+func TestTableIndexesIsCopyOnWrite(t *testing.T) {
+	c := New()
+	tbl, err := c.CreateTable("accounts", sampleSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := c.CreateIndex(name, "accounts", []string{"id"}, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := c.TableIndexes(tbl.ID)
+	if err := c.DropIndex("a"); err != nil {
+		t.Fatal(err)
+	}
+	if len(before) != 3 || before[0].Name != "a" || before[1].Name != "b" || before[2].Name != "c" {
+		t.Fatalf("slice taken before DropIndex changed: %v", before)
+	}
+	got := c.TableIndexes(tbl.ID)
+	if len(got) != 2 || got[0].Name != "b" || got[1].Name != "c" {
+		t.Fatalf("TableIndexes after drop = %v", got)
+	}
+	_ = append(got, &IndexMeta{Name: "ghost"})
+	if _, err := c.CreateIndex("d", "accounts", []string{"id"}, false); err != nil {
+		t.Fatal(err)
+	}
+	after := c.TableIndexes(tbl.ID)
+	if len(after) != 3 || after[0].Name != "b" || after[1].Name != "c" || after[2].Name != "d" {
+		t.Fatalf("appending to a returned slice changed the catalog: %v", after)
+	}
+	if len(got) != 2 || got[1].Name != "c" {
+		t.Fatalf("CreateIndex changed a handed-out slice: %v", got)
+	}
+}
+
 func TestDefaultKnobs(t *testing.T) {
 	k := DefaultKnobs()
 	if k.ExecutionMode != Interpret {

@@ -14,7 +14,9 @@
 //     repeatable reads and cross-table commit atomicity (checked live by
 //     the audit and balance operations inside the workload itself);
 //   - B+tree structure: fanout and depth bounds, key ordering, separator
-//     bounds, leaf chain integrity, plus exact index<->table agreement;
+//     bounds, leaf chain integrity, plus exact index<->table agreement
+//     (engine.CheckIndexes — the workload writes through the engine's one
+//     write path, the same calls SQL DML makes);
 //   - GC safety: a collection pass never changes any state visible to a
 //     live snapshot, and afterwards chains are pruned below the oldest
 //     active timestamp;

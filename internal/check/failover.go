@@ -319,18 +319,8 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		if err := diffStates(captureState(ntables, k), modelAfter(w, k)); err != nil {
 			return res, err
 		}
-		for i, name := range w.pkIndexes {
-			if name == "" {
-				continue
-			}
-			visible := 0
-			ntables[i].Scan(nil, 0, k, func(storage.RowID, storage.Tuple) bool {
-				visible++
-				return true
-			})
-			if got := ndb.Index(name).NumRows(); got != visible {
-				return res, fmt.Errorf("index %s rebuilt with %d rows, table has %d visible", name, got, visible)
-			}
+		if err := ndb.CheckIndexes(); err != nil {
+			return res, fmt.Errorf("rebuilt index: %w", err)
 		}
 		res.stateDigest = digestState(captureState(ntables, k))
 		return res, nil

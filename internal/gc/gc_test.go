@@ -26,7 +26,7 @@ func TestRunPrunesRetiredVersions(t *testing.T) {
 
 	ins := mgr.Begin(nil)
 	row := tbl.Insert(nil, ins.ID, storage.Tuple{storage.NewInt(1), storage.NewInt(0)})
-	ins.RecordWrite(tbl, row, nil)
+	ins.RecordWrite(txn.Write{Table: tbl, Row: row})
 	if _, err := ins.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRunPrunesRetiredVersions(t *testing.T) {
 		if err := tbl.Update(nil, row, tx.ID, tx.ReadTS, data); err != nil {
 			t.Fatal(err)
 		}
-		tx.RecordWrite(tbl, row, data)
+		tx.RecordWrite(txn.Write{Table: tbl, Row: row, New: data})
 		if _, err := tx.Commit(nil); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestRunRespectsActiveSnapshot(t *testing.T) {
 
 	ins := mgr.Begin(nil)
 	row := tbl.Insert(nil, ins.ID, storage.Tuple{storage.NewInt(1), storage.NewInt(0)})
-	ins.RecordWrite(tbl, row, nil)
+	ins.RecordWrite(txn.Write{Table: tbl, Row: row})
 	if _, err := ins.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestRunRespectsActiveSnapshot(t *testing.T) {
 		if err := tbl.Update(nil, row, tx.ID, tx.ReadTS, data); err != nil {
 			t.Fatal(err)
 		}
-		tx.RecordWrite(tbl, row, data)
+		tx.RecordWrite(txn.Write{Table: tbl, Row: row, New: data})
 		if _, err := tx.Commit(nil); err != nil {
 			t.Fatal(err)
 		}

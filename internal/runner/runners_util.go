@@ -160,7 +160,7 @@ func txnUnits(cfg Config) []SweepUnit {
 							}
 						}
 						for _, p := range pinned {
-							if err := p.Abort(nil); err != nil {
+							if err := db.Abort(p, nil); err != nil {
 								panic(err)
 							}
 						}
