@@ -315,6 +315,36 @@ func TestProjectAndOutput(t *testing.T) {
 	}
 }
 
+// TestCommitLabelExcludesIndexDrops: the index entries a commit retires are
+// dropped after its TXN_COMMIT bracket closes, so committing the same
+// DELETE labels that OU alike whether or not the table is indexed.
+func TestCommitLabelExcludesIndexDrops(t *testing.T) {
+	commitLabel := func(indexed bool) hw.Metrics {
+		db := newTestDB(t, 10, 2)
+		if indexed {
+			createIdx(t, db, "items_id2", []string{"id"})
+		}
+		ctx, col := testCtx(db)
+		ctx.Begin()
+		if _, err := Execute(ctx, &plan.DeleteNode{Table: "items", Child: &plan.SeqScanNode{Table: "items",
+			Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(5)}}}); err != nil {
+			t.Fatal(err)
+		}
+		col.Drain()
+		if err := ctx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		recs := col.Drain()
+		if len(recs) != 1 || recs[0].Kind != ou.TxnCommit {
+			t.Fatalf("commit OU records = %v", kindsOf(recs))
+		}
+		return recs[0].Labels
+	}
+	if with, without := commitLabel(true), commitLabel(false); with != without {
+		t.Fatalf("TXN_COMMIT label with index drops %+v, without %+v", with, without)
+	}
+}
+
 func TestInsertUpdateDeleteLifecycle(t *testing.T) {
 	db := newTestDB(t, 10, 2)
 	createIdx(t, db, "items_id2", []string{"id"})

@@ -191,7 +191,7 @@ func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 }
 
 // idxSource streams the index's matches into out inside the IDX_SCAN
-// bracket. Row IDs collect into a pooled buffer first (point lookups go
+// bracket. Postings collect into a pooled buffer first (point lookups go
 // through the copy-free SearchEQFunc), so version reads never nest inside
 // the tree's read lock and out learns the match count before the first row.
 func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
@@ -207,38 +207,25 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	}
 
 	start := ctx.Tracker.Start()
-	rowBuf := getRowIDBuf()
-	ids := *rowBuf
+	buf := getPostingBuf()
+	ps := *buf
 	if n.Eq != nil {
-		idx.SearchEQFunc(ctx.Thread(), index.EncodeKey(n.Eq...), loops, func(r storage.RowID) bool {
-			ids = append(ids, r)
+		key := index.EncodeKey(n.Eq...)
+		idx.SearchEQFunc(ctx.Thread(), key, loops, func(r storage.RowID) bool {
+			ps = append(ps, index.Entry{Key: key, Row: r})
 			return true
 		})
 	} else {
-		var lo, hi index.Key
-		if n.Lo != nil {
-			lo = index.EncodeKey(n.Lo...)
-		}
-		if n.Hi != nil {
-			hi = index.EncodeKey(n.Hi...)
-		}
-		idx.SearchRange(ctx.Thread(), lo, hi, func(_ index.Key, r storage.RowID) bool {
-			ids = append(ids, r)
+		// An open end encodes to a nil key.
+		idx.SearchRange(ctx.Thread(), index.EncodeKey(n.Lo...), index.EncodeKey(n.Hi...), func(k index.Key, r storage.RowID) bool {
+			ps = append(ps, index.Entry{Key: k, Row: r})
 			return true
 		})
 	}
-	out.expect(len(ids))
-	rows := 0
-	for _, r := range ids {
-		t, err := tbl.Read(ctx.Thread(), r, id, ts)
-		if err != nil {
-			continue // version not visible at this snapshot
-		}
-		rows++
-		out.push(r, t)
-	}
-	*rowBuf = ids
-	putRowIDBuf(rowBuf)
+	out.expect(len(ps))
+	rows := ctx.readPostings(tbl, idx.Meta.KeyCols, ps, id, ts, out.push)
+	*buf = ps
+	putPostingBuf(buf)
 
 	matched := float64(rows)
 	ctx.compute(matched * 8)
@@ -253,6 +240,42 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	feats := ou.ExecFeatures(matched, cols, width, float64(idx.NumRows()), 0, loops, ctx.compiled())
 	ctx.Tracker.Stop(ou.IdxScan, feats, start)
 	return nil
+}
+
+// readPostings pushes, once, each row a posting names whose version visible
+// at (id, ts) carries the posting's key, and returns how many it pushed. An
+// index keeps a key while any snapshot may see it (engine/write.go), so a
+// posting can name a row that has left the key here, and a row whose key
+// changed back to one it held has that posting twice. Postings come grouped
+// by key.
+func (c *Ctx) readPostings(tbl *storage.Table, cols []int, ps []index.Entry, id, ts uint64, push func(storage.RowID, storage.Tuple)) int {
+	var scratch [64]byte // compared, never retained
+	pushed := 0
+	for len(ps) > 0 {
+		n := 1 // postings under ps[0].Key: only several can repeat a row
+		for n < len(ps) && ps[n].Key.Equal(ps[0].Key) {
+			n++
+		}
+		if n > 1 && c.seen == nil {
+			c.seen = make(map[storage.RowID]bool)
+		}
+		for _, p := range ps[:n] {
+			t, err := tbl.Read(c.Thread(), p.Row, id, ts)
+			if err != nil || !p.Key.Equal(index.AppendKeyFromTuple(scratch[:0], t, cols)) || c.seen[p.Row] {
+				continue // not visible at this snapshot, under another key, or pushed
+			}
+			if n > 1 {
+				c.seen[p.Row] = true
+			}
+			pushed++
+			push(p.Row, t)
+		}
+		for _, p := range ps[:n] {
+			delete(c.seen, p.Row)
+		}
+		ps = ps[n:]
+	}
+	return pushed
 }
 
 // execChain runs a scan chain on its driver and returns its output.

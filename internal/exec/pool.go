@@ -3,13 +3,14 @@ package exec
 import (
 	"sync"
 
+	"mb2/internal/index"
 	"mb2/internal/storage"
 )
 
 // Hot-path scratch memory discipline. The streaming drivers draw three kinds
 // of buffers:
 //
-//   - pooled scratch (scan-row buffers, row-ID buffers, width buffers — a
+//   - pooled scratch (scan-row buffers, posting buffers, width buffers — a
 //     stage's and a breaker's shape's alike): returned to a sync.Pool
 //     before Execute returns; never escapes.
 //   - per-Ctx scratch (join and group key buffers): a Ctx is single-worker
@@ -35,8 +36,8 @@ var scanBufPool = sync.Pool{
 	New: func() any { b := make([]storage.ScanRow, 0, scanBatchSize); return &b },
 }
 
-var rowIDBufPool = sync.Pool{
-	New: func() any { b := make([]storage.RowID, 0, 1024); return &b },
+var postingBufPool = sync.Pool{
+	New: func() any { b := make([]index.Entry, 0, 256); return &b },
 }
 
 var intBufPool = sync.Pool{
@@ -50,11 +51,11 @@ func putScanBuf(b *[]storage.ScanRow) {
 	scanBufPool.Put(b)
 }
 
-func getRowIDBuf() *[]storage.RowID { return rowIDBufPool.Get().(*[]storage.RowID) }
+func getPostingBuf() *[]index.Entry { return postingBufPool.Get().(*[]index.Entry) }
 
-func putRowIDBuf(b *[]storage.RowID) {
+func putPostingBuf(b *[]index.Entry) {
 	*b = (*b)[:0]
-	rowIDBufPool.Put(b)
+	postingBufPool.Put(b)
 }
 
 func getIntBuf() *[]int { return intBufPool.Get().(*[]int) }

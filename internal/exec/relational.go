@@ -137,26 +137,22 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 	// Probe keys encode into the worker scratch buffer and postings collect
 	// into a pooled buffer via the copy-free lookup path; matches buffer
 	// outside the tree's read lock so version reads never nest inside it.
-	rowBuf := getRowIDBuf()
-	matches := *rowBuf
+	buf := getPostingBuf()
+	ps := *buf
 	for _, or := range outer.Rows {
 		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], or, n.OuterKeys)
-		matches = matches[:0]
+		ps = ps[:0]
 		idx.SearchEQFunc(ctx.Thread(), ctx.keyBuf, loops, func(r storage.RowID) bool {
-			matches = append(matches, r)
+			ps = append(ps, index.Entry{Key: ctx.keyBuf, Row: r})
 			return true
 		})
-		for _, r := range matches {
-			inner, err := tbl.Read(ctx.Thread(), r, id, ts)
-			if err != nil {
-				continue
-			}
+		ctx.readPostings(tbl, idx.Meta.KeyCols, ps, id, ts, func(_ storage.RowID, inner storage.Tuple) {
 			out = append(out, ctx.arena.join(or, inner))
-		}
+		})
 		ctx.compute(12)
 	}
-	*rowBuf = matches
-	putRowIDBuf(rowBuf)
+	*buf = ps
+	putPostingBuf(buf)
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	feats := ou.ExecFeatures(float64(len(out)), outer.NumCols(), width, float64(idx.NumRows()), 0, loops, ctx.compiled())
 	ctx.Tracker.Stop(ou.IdxScan, feats, start)
