@@ -33,7 +33,12 @@ tier1: vet build race fuzz smoke
 # folds through internal/fold; a fifteenth hand-rolled byte packing does not
 # grow back unnoticed), and unless visible( is called on exactly two non-test
 # lines under internal/storage/, Table.Read and Table.walk: a fourth scan loop
-# does not grow back beside the one walk unnoticed.
+# does not grow back beside the one walk unnoticed — and when a non-test file
+# outside internal/exec/tasks.go, internal/engine/checkpoint.go (the
+# checkpoint's own drain), internal/runner/ (the OU sweeps), internal/wal/,
+# internal/gc/ and benchmark/ calls WAL.Serialize(, WAL.Flush( or GC.Run(
+# (maintenance is an exec.Maintainer pass; an eighth hand-rolled
+# serialize/flush/GC cadence does not grow back unnoticed).
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -48,6 +53,7 @@ vet:
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'Tracker.Stop(ou.HashJoinBuild' internal/exec | wc -l); [ "$$n" -eq 1 ] || { echo "Tracker.Stop(ou.HashJoinBuild on $$n non-test lines under internal/exec, want 1: the hash join has one body, exec.hashJoin"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -e '"hash/fnv"' -e 'fnv\.New64a' . || { echo "hash/fnv outside benchmark/ and tests: fold through internal/fold"; exit 1; }
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'visible(' internal/storage | grep -vc '^func visible('); [ "$$n" -eq 2 ] || { echo "visible( called on $$n non-test lines under internal/storage, want 2 (Table.Read, Table.walk): scan through Table.walk"; exit 1; }
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e 'WAL\.Serialize(' -e 'WAL\.Flush(' -e 'GC\.Run(' . | grep -v -e '^\./internal/exec/tasks\.go:' -e '^\./internal/engine/checkpoint\.go:' -e '^\./internal/runner/' -e '^\./internal/wal/' -e '^\./internal/gc/' -e '^\./benchmark/' || { echo "WAL.Serialize( / WAL.Flush( / GC.Run( outside the maintainer: run an exec.Maintainer pass"; exit 1; }
 
 build:
 	$(GO) build ./...

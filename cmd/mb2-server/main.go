@@ -26,9 +26,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"time"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/exec"
 	"mb2/internal/server"
 )
 
@@ -70,18 +72,29 @@ func serveTCP(addr string, maxSessions int) error {
 		return err
 	}
 	srv := server.New(engine.Open(catalog.DefaultKnobs()), server.Config{MaxSessions: maxSessions})
+	// Sessions run a maintenance pass every so many write transactions; the
+	// ticker, running as long as the process serves, makes an idle server's
+	// last commits durable too.
+	go func() {
+		for range time.Tick(100 * time.Millisecond) {
+			if _, err := srv.Registry().Maintain(); err != nil {
+				log.Printf("mb2-server: maintenance pass: %v", err)
+			}
+		}
+	}()
 	fmt.Printf("mb2-server listening on %s (max sessions: %d, 0 = unlimited)\n", ln.Addr(), maxSessions)
 	return srv.Serve(ln)
 }
 
 // loadRun executes one seeded load-generator run against a fresh
-// in-process server and returns its result.
-func loadRun(cfg server.LoadConfig) (server.LoadResult, int, error) {
+// in-process server and returns its result and the registry maintainer's
+// counters after one final pass, the pass an idle server's ticker would run.
+func loadRun(cfg server.LoadConfig) (server.LoadResult, exec.MaintainerStats, error) {
 	tr := server.NewPipe()
 	srv := server.New(engine.Open(catalog.DefaultKnobs()), server.Config{})
 	ln, err := tr.Listen()
 	if err != nil {
-		return server.LoadResult{}, 0, err
+		return server.LoadResult{}, exec.MaintainerStats{}, err
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
@@ -92,24 +105,28 @@ func loadRun(cfg server.LoadConfig) (server.LoadResult, int, error) {
 
 	admin, err := server.Dial(tr)
 	if err != nil {
-		return server.LoadResult{}, 0, err
+		return server.LoadResult{}, exec.MaintainerStats{}, err
 	}
 	if err := server.SetupLoadSchema(admin); err != nil {
-		return server.LoadResult{}, 0, err
+		return server.LoadResult{}, exec.MaintainerStats{}, err
 	}
 	admin.Close()
 	res, err := server.RunLoad(tr, cfg)
 	if err != nil {
-		return server.LoadResult{}, 0, err
+		return server.LoadResult{}, exec.MaintainerStats{}, err
 	}
-	return res, srv.Registry().Peak(), nil
+	res.Peak = srv.Registry().Peak()
+	maint, err := srv.Registry().Maintain()
+	return res, maint, err
 }
 
-func printLoad(res server.LoadResult, peak int) {
-	fmt.Printf("sessions: %d (peak concurrent: %d)\n", res.Sessions, peak)
+func printLoad(res server.LoadResult, maint exec.MaintainerStats) {
+	fmt.Printf("sessions: %d (peak concurrent: %d)\n", res.Sessions, res.Peak)
 	fmt.Printf("statements: %d (%d errors)\n", res.Statements, res.Errors)
 	fmt.Printf("wall: %v  throughput: %.0f stmt/s\n", res.Elapsed.Round(0), res.Throughput)
 	fmt.Printf("latency p50: %v  p99: %v\n", res.P50, res.P99)
+	fmt.Printf("maintainer: %d passes, %d bytes flushed, %d versions pruned\n",
+		maint.Passes, maint.FlushedBytes, maint.VersionsPruned)
 	fmt.Printf("run digest: %#x\n", res.Digest)
 }
 
@@ -117,11 +134,11 @@ func runLoadgen(sessions, statements int, seed int64, verify bool) error {
 	cfg := server.LoadConfig{Sessions: sessions, Statements: statements, Seed: seed}
 	fmt.Printf("== seeded load generator (seed %d, %d sessions x %d statements, in-proc transport) ==\n",
 		seed, sessions, statements)
-	res, peak, err := loadRun(cfg)
+	res, maint, err := loadRun(cfg)
 	if err != nil {
 		return err
 	}
-	printLoad(res, peak)
+	printLoad(res, maint)
 	if res.Errors > 0 {
 		return fmt.Errorf("%d statements failed", res.Errors)
 	}

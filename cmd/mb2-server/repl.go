@@ -6,6 +6,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/exec"
 	"mb2/internal/fold"
 	"mb2/internal/repl"
 	"mb2/internal/server"
@@ -74,26 +75,19 @@ func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
 	}
 	defer grp.Close()
 
+	// Every third commit, and once at the end, a maintenance pass flushes
+	// the log and ships it.
+	m := exec.NewMaintainer(db, 3, grp.Sync)
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < txns; i++ {
 		if err := replCommit(db, int64(i), rng.Int63n(1_000_000)); err != nil {
 			return 0, err
 		}
-		if (i+1)%3 == 0 {
-			db.WAL.Serialize(nil)
-			if _, err := db.WAL.Flush(nil); err != nil {
-				return 0, err
-			}
-			if err := grp.Sync(); err != nil {
-				return 0, err
-			}
+		if err := m.Finished(); err != nil {
+			return 0, err
 		}
 	}
-	db.WAL.Serialize(nil)
-	if _, err := db.WAL.Flush(nil); err != nil {
-		return 0, err
-	}
-	if err := grp.Sync(); err != nil {
+	if err := m.Pass(); err != nil {
 		return 0, err
 	}
 

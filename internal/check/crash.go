@@ -9,6 +9,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/exec"
 	"mb2/internal/fold"
 	"mb2/internal/hw"
 	"mb2/internal/storage"
@@ -385,55 +386,45 @@ func applyCrashTxn(db *engine.DB, tables []*storage.Table, ct crashTxn) error {
 	return err
 }
 
-// runCrashWorkload executes the whole stream with periodic flushes (and the
-// optional mid-run checkpoint), stopping cleanly if the device crashes. It
-// returns the live database and how many transactions committed durably
-// before any device crash.
-func runCrashWorkload(cfg CrashConfig, w crashWorkload, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, uint64, error) {
-	db, tables, err := newCrashDB(cfg, w, logDev, ckptDev)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	commits := uint64(0)
+// runCrashWorkload executes the whole stream on db with a maintenance pass
+// every cfg.FlushEvery transactions, committed or aborted, and the optional
+// mid-run checkpoint. ship, when set, runs after every flush: a pass with
+// nothing to flush still ships, which is how the replicas receive a
+// checkpoint and, from the run's second final pass, a cadence-lagged tail.
+// A log-device crash ends the run cleanly — the crash is the point. It
+// returns how many transactions committed and whether the device crashed.
+func runCrashWorkload(cfg CrashConfig, w crashWorkload, db *engine.DB, tables []*storage.Table, ship func() error) (commits uint64, crashed bool, err error) {
+	m := exec.NewMaintainer(db, cfg.FlushEvery, ship)
 	checkpointed := false
-	for i, ct := range w.txns {
+	for _, ct := range w.txns {
 		if err := applyCrashTxn(db, tables, ct); err != nil {
-			return db, tables, commits, err
+			return commits, false, err
 		}
 		if !ct.abort {
 			commits++
 		}
-		if (i+1)%cfg.FlushEvery == 0 {
-			db.WAL.Serialize(nil)
-			if _, err := db.WAL.Flush(nil); err != nil {
-				if errors.Is(err, hw.ErrDeviceCrashed) {
-					return db, tables, commits, nil // the crash is the point
-				}
-				return db, tables, commits, err
-			}
+		if err = m.Finished(); err != nil {
+			break
 		}
 		if cfg.CheckpointAfter > 0 && !checkpointed && commits >= uint64(cfg.CheckpointAfter) {
 			checkpointed = true
-			db.WAL.Serialize(nil)
-			if _, err := db.WAL.Flush(nil); err != nil {
-				if errors.Is(err, hw.ErrDeviceCrashed) {
-					return db, tables, commits, nil
+			if err = m.Pass(); err == nil {
+				if _, err = db.Checkpoint(nil); err == nil {
+					err = m.Pass()
 				}
-				return db, tables, commits, err
 			}
-			if _, err := db.Checkpoint(nil); err != nil {
-				if errors.Is(err, hw.ErrDeviceCrashed) {
-					return db, tables, commits, nil
-				}
-				return db, tables, commits, err
+			if err != nil {
+				break
 			}
 		}
 	}
-	db.WAL.Serialize(nil)
-	if _, err := db.WAL.Flush(nil); err != nil && !errors.Is(err, hw.ErrDeviceCrashed) {
-		return db, tables, commits, err
+	for i := 0; i < 2 && err == nil; i++ {
+		err = m.Pass()
 	}
-	return db, tables, commits, nil
+	if errors.Is(err, hw.ErrDeviceCrashed) {
+		return commits, true, nil
+	}
+	return commits, false, err
 }
 
 // --- oracle ------------------------------------------------------------------
@@ -570,7 +561,11 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		return fmt.Errorf("crash: seed=%d workload=%s offset=%d: %w", cfg.Seed, w.name, offset, err)
 	}
 
-	golden, goldenTables, commits, err := runCrashWorkload(cfg, w, nil, nil)
+	golden, goldenTables, err := newCrashDB(cfg, w, nil, nil)
+	if err != nil {
+		return nil, fail(-1, err)
+	}
+	commits, _, err := runCrashWorkload(cfg, w, golden, goldenTables, nil)
 	if err != nil {
 		return nil, fail(-1, err)
 	}

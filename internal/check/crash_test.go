@@ -6,9 +6,21 @@ import (
 	"fmt"
 	"testing"
 
+	"mb2/internal/engine"
 	"mb2/internal/hw"
 	"mb2/internal/wal"
 )
+
+// runOn runs the workload, unshipped, on a fresh instance whose log lives on
+// logDev (nil: a clean MemDevice).
+func runOn(cfg CrashConfig, w crashWorkload, logDev hw.BlockDevice) (*engine.DB, uint64, error) {
+	db, tables, err := newCrashDB(cfg, w, logDev, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	commits, _, err := runCrashWorkload(cfg, w, db, tables, nil)
+	return db, commits, err
+}
 
 // Crash at every byte offset of the durable log: SmallBank-style workload.
 func TestCrashEveryByteSmallBank(t *testing.T) {
@@ -149,7 +161,7 @@ func TestFaultDeviceCrashMatchesSlicedPrefix(t *testing.T) {
 	cfg.FlushEvery = 3
 	w := genSmallBank(cfg.Seed, cfg.Txns)
 
-	golden, _, _, err := runCrashWorkload(cfg, w, nil, nil)
+	golden, _, err := runOn(cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +171,7 @@ func TestFaultDeviceCrashMatchesSlicedPrefix(t *testing.T) {
 		plan := hw.NoFaults()
 		plan.CrashAtByte = int64(at)
 		dev := hw.NewFaultDevice(nil, plan)
-		if _, _, _, err := runCrashWorkload(cfg, w, dev, nil); err != nil {
+		if _, _, err := runOn(cfg, w, dev); err != nil {
 			t.Fatalf("crash at %d: %v", at, err)
 		}
 		if !dev.Crashed() {
@@ -183,7 +195,7 @@ func TestCrashDropTailRecovers(t *testing.T) {
 	plan := hw.NoFaults()
 	plan.DropFromAppend = 5
 	dev := hw.NewFaultDevice(nil, plan)
-	if _, _, _, err := runCrashWorkload(cfg, w, dev, nil); err != nil {
+	if _, _, err := runOn(cfg, w, dev); err != nil {
 		t.Fatal(err)
 	}
 	img := dev.Contents()
@@ -214,7 +226,7 @@ func TestCrashBitFlipStopsReplay(t *testing.T) {
 	cfg.FlushEvery = 3
 	w := genSmallBank(cfg.Seed, cfg.Txns)
 
-	golden, _, _, err := runCrashWorkload(cfg, w, nil, nil)
+	golden, _, err := runOn(cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +235,7 @@ func TestCrashBitFlipStopsReplay(t *testing.T) {
 	plan := hw.NoFaults()
 	plan.FlipBitAtByte = flipAt
 	dev := hw.NewFaultDevice(nil, plan)
-	if _, _, _, err := runCrashWorkload(cfg, w, dev, nil); err != nil {
+	if _, _, err := runOn(cfg, w, dev); err != nil {
 		t.Fatal(err)
 	}
 
@@ -260,7 +272,7 @@ func TestCrashTransientRetriesComplete(t *testing.T) {
 	cfg.FlushEvery = 3
 	w := genSmallBank(cfg.Seed, cfg.Txns)
 
-	golden, _, commits, err := runCrashWorkload(cfg, w, nil, nil)
+	golden, commits, err := runOn(cfg, w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +280,7 @@ func TestCrashTransientRetriesComplete(t *testing.T) {
 	plan := hw.NoFaults()
 	plan.TransientEvery = 2
 	dev := hw.NewFaultDevice(nil, plan)
-	db, _, faultCommits, err := runCrashWorkload(cfg, w, dev, nil)
+	db, faultCommits, err := runOn(cfg, w, dev)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package check
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 
@@ -122,57 +121,6 @@ func estimateFromStatus(st repl.Status, tupleBytes float64) modeling.RecoveryEst
 	}
 }
 
-// runShippedWorkload executes the stream on the primary, shipping to the
-// group after every successful flush (and checkpoint). A log-device crash
-// ends the run cleanly — the crash is the point — with the replicas holding
-// whatever was shipped before it.
-func runShippedWorkload(cfg CrashConfig, w crashWorkload, db *engine.DB, tables []*storage.Table, grp *repl.Group) (commits uint64, crashed bool, err error) {
-	flushAndShip := func() (bool, error) {
-		db.WAL.Serialize(nil)
-		if _, err := db.WAL.Flush(nil); err != nil {
-			if errors.Is(err, hw.ErrDeviceCrashed) {
-				return true, nil
-			}
-			return false, err
-		}
-		return false, grp.Sync()
-	}
-	checkpointed := false
-	for i, ct := range w.txns {
-		if err := applyCrashTxn(db, tables, ct); err != nil {
-			return commits, false, err
-		}
-		if !ct.abort {
-			commits++
-		}
-		if (i+1)%cfg.FlushEvery == 0 {
-			if crashed, err := flushAndShip(); crashed || err != nil {
-				return commits, crashed, err
-			}
-		}
-		if cfg.CheckpointAfter > 0 && !checkpointed && commits >= uint64(cfg.CheckpointAfter) {
-			checkpointed = true
-			if crashed, err := flushAndShip(); crashed || err != nil {
-				return commits, crashed, err
-			}
-			if _, err := db.Checkpoint(nil); err != nil {
-				if errors.Is(err, hw.ErrDeviceCrashed) {
-					return commits, true, nil
-				}
-				return commits, false, err
-			}
-			if err := grp.Sync(); err != nil {
-				return commits, false, err
-			}
-		}
-	}
-	if crashed, err := flushAndShip(); crashed || err != nil {
-		return commits, crashed, err
-	}
-	// One extra sync so cadence-lagged replicas receive the tail.
-	return commits, false, grp.Sync()
-}
-
 // RunFailover executes one failover drill sweep: a golden run fixes the
 // durable log image, then every kill offset re-runs the workload against a
 // primary armed to crash there, ships to a fresh replica group, promotes one
@@ -223,7 +171,11 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	}
 	tupleBytes /= float64(len(w.schemas))
 
-	golden, _, goldenCommits, err := runCrashWorkload(crashCfg, w, nil, nil)
+	golden, goldenTables, err := newCrashDB(crashCfg, w, nil, nil)
+	if err != nil {
+		return nil, fail(-1, err)
+	}
+	goldenCommits, _, err := runCrashWorkload(crashCfg, w, golden, goldenTables, nil)
 	if err != nil {
 		return nil, fail(-1, err)
 	}
@@ -255,7 +207,7 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 			return res, err
 		}
 		defer grp.Close()
-		_, crashed, err := runShippedWorkload(crashCfg, w, db, tables, grp)
+		_, crashed, err := runCrashWorkload(crashCfg, w, db, tables, grp.Sync)
 		if err != nil {
 			return res, err
 		}

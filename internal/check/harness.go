@@ -12,6 +12,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/exec"
 	"mb2/internal/index"
 	"mb2/internal/par"
 	"mb2/internal/storage"
@@ -101,10 +102,10 @@ type harness struct {
 	ledger   []ledgerEntry
 
 	commits, aborts, conflicts atomic.Uint64
-	gcRuns, flushes            atomic.Uint64
 	checks                     atomic.Int64
 	indexBuilt                 bool
 	contenders                 float64 // index latch contenders: the worker count
+	maint                      *exec.Maintainer
 }
 
 // Run executes one full stress run and either returns a Report or the first
@@ -136,7 +137,8 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.DOP > 1 {
 		knobs.ScanDOP = cfg.DOP
 	}
-	h := &harness{cfg: cfg, db: engine.Open(knobs), contenders: float64(cfg.Workers)}
+	db := engine.Open(knobs)
+	h := &harness{cfg: cfg, db: db, contenders: float64(cfg.Workers), maint: exec.NewMaintainer(db, 0, nil)}
 	if err := h.setup(); err != nil {
 		return nil, h.fail(-1, "setup", err)
 	}
@@ -214,32 +216,26 @@ func (h *harness) setup() error {
 }
 
 // runPhase executes each worker's [lo,hi) slice of its operation stream,
-// with a maintenance goroutine racing GC passes and WAL serialize/flush
-// cycles against the workload. Serial mode instead interleaves the same
-// streams deterministically on the calling goroutine.
+// with a goroutine racing maintenance passes (serialize, flush, GC) against
+// the workload. Serial mode instead interleaves the same streams
+// deterministically on the calling goroutine.
 func (h *harness) runPhase(sched *Schedule, lo, hi int) error {
 	if h.cfg.Serial {
 		return h.runPhaseSerial(sched, lo, hi)
 	}
 	stop := make(chan struct{})
+	var maintErr error
 	var maintWG sync.WaitGroup
 	maintWG.Add(1)
 	go func() {
 		defer maintWG.Done()
-		for i := 0; ; i++ {
+		for maintErr == nil {
 			select {
 			case <-stop:
 				return
-			default:
+			case <-time.After(100 * time.Microsecond):
+				maintErr = h.maint.Pass()
 			}
-			h.db.GC.Run(nil)
-			h.gcRuns.Add(1)
-			h.db.WAL.Serialize(nil)
-			if i%2 == 1 {
-				h.db.WAL.Flush(nil)
-				h.flushes.Add(1)
-			}
-			time.Sleep(100 * time.Microsecond)
 		}
 	}()
 	errs := make([]error, len(sched.Workers))
@@ -259,6 +255,9 @@ func (h *harness) runPhase(sched *Schedule, lo, hi int) error {
 	wg.Wait()
 	close(stop)
 	maintWG.Wait()
+	if maintErr != nil {
+		errs = append(errs, fmt.Errorf("maintenance pass: %w", maintErr))
+	}
 	return errors.Join(errs...)
 }
 
@@ -270,13 +269,9 @@ func (h *harness) runPhaseSerial(sched *Schedule, lo, hi int) error {
 			}
 		}
 		if i%8 == 3 {
-			h.db.GC.Run(nil)
-			h.gcRuns.Add(1)
-			h.db.WAL.Serialize(nil)
-		}
-		if i%16 == 7 {
-			h.db.WAL.Flush(nil)
-			h.flushes.Add(1)
+			if err := h.maint.Pass(); err != nil {
+				return fmt.Errorf("maintenance pass after op %d: %w", i, err)
+			}
 		}
 	}
 	return nil
@@ -682,6 +677,7 @@ func (h *harness) report() *Report {
 	accounts := len(h.accounts)
 	h.mu.Unlock()
 	lastTS := h.db.Txns.LastCommitTS()
+	passes := h.maint.Stats().Passes // each one flushed the WAL and collected versions
 	return &Report{
 		Seed:         h.cfg.Seed,
 		Workers:      h.cfg.Workers,
@@ -689,8 +685,8 @@ func (h *harness) report() *Report {
 		Commits:      h.commits.Load(),
 		Aborts:       h.aborts.Load(),
 		Conflicts:    h.conflicts.Load(),
-		GCRuns:       h.gcRuns.Load(),
-		Flushes:      h.flushes.Load(),
+		GCRuns:       passes,
+		Flushes:      passes,
 		IndexBuilt:   h.indexBuilt,
 		Checks:       int(h.checks.Load()),
 		Accounts:     accounts,

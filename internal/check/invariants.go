@@ -136,15 +136,16 @@ func (h *harness) checkConservation() error {
 }
 
 // checkGC captures everything visible at the latest snapshot, runs a
-// collection pass, and requires the visible state to be untouched — GC may
+// maintenance pass, and requires the visible state to be untouched — GC may
 // only prune versions no live snapshot can reach. It then verifies chains
 // are actually pruned below the oldest active timestamp.
 func (h *harness) checkGC() error {
 	h.checks.Add(1)
 	snapTS := h.db.Txns.LastCommitTS()
 	before := captureState(h.tables(), snapTS)
-	h.db.GC.Run(nil)
-	h.gcRuns.Add(1)
+	if err := h.maint.Pass(); err != nil {
+		return fmt.Errorf("maintenance pass: %w", err)
+	}
 	after := captureState(h.tables(), snapTS)
 	for k, v := range before {
 		got, ok := after[k]
@@ -169,16 +170,15 @@ func (h *harness) checkGC() error {
 	return nil
 }
 
-// checkWALReplay flushes the log and replays the durable image into fresh
-// tables, requiring the replayed committed state to match the live tables
-// row for row (and itself satisfy the storage invariants).
+// checkWALReplay makes the log durable with a maintenance pass and replays
+// the durable image into fresh tables, requiring the replayed committed
+// state to match the live tables row for row (and itself satisfy the
+// storage invariants).
 func (h *harness) checkWALReplay() error {
 	h.checks.Add(1)
-	h.db.WAL.Serialize(nil)
-	if _, err := h.db.WAL.Flush(nil); err != nil {
-		return fmt.Errorf("flush: %w", err)
+	if err := h.maint.Pass(); err != nil {
+		return fmt.Errorf("maintenance pass: %w", err)
 	}
-	h.flushes.Add(1)
 	_, body, torn, err := wal.ParseSegment(h.db.WAL.Durable())
 	if err != nil || torn {
 		return fmt.Errorf("durable log segment corrupt (torn=%v): %w", torn, err)

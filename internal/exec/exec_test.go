@@ -1,6 +1,8 @@
 package exec
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"mb2/internal/catalog"
@@ -547,6 +549,59 @@ func TestBackgroundTasks(t *testing.T) {
 		if seen[k] != 1 {
 			t.Errorf("OU %v recorded %d times", k, seen[k])
 		}
+	}
+}
+
+// TestMaintainerCountsExactlyUnderConcurrency: Finished from racing
+// goroutines runs exactly one pass per `every` calls; a pass whose
+// after-flush hook fails returns that error to its caller and is not
+// counted, and the passes flush the queue and prune the old versions.
+func TestMaintainerCountsExactlyUnderConcurrency(t *testing.T) {
+	db := newTestDB(t, 50, 5)
+	ctx, _ := testCtx(db)
+	ctx.Begin()
+	if _, err := Execute(ctx, &plan.UpdateNode{
+		Child:    &plan.SeqScanNode{Table: "items"},
+		Table:    "items",
+		SetCols:  []int{2},
+		SetExprs: []plan.Expr{plan.Arith{Op: plan.Add, L: plan.Col(2), R: plan.FloatConst(1)}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	errShip := errors.New("ship failed")
+	hooks := 0 // guarded by the maintainer's log half
+	m := NewMaintainer(db, 10, func() error {
+		if hooks++; hooks == 3 {
+			return errShip
+		}
+		return nil
+	})
+	var mu sync.Mutex
+	var failed []error
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				if err := m.Finished(); err != nil {
+					mu.Lock()
+					failed = append(failed, err)
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	st := m.Stats()
+	if len(failed) != 1 || !errors.Is(failed[0], errShip) || hooks != 10 {
+		t.Fatalf("hook ran %d times, Finished returned %v; want 10 and one %v", hooks, failed, errShip)
+	}
+	if st.Passes != 9 || st.FlushedBytes == 0 || st.VersionsPruned != 50 || db.WAL.PendingRecords() != 0 {
+		t.Fatalf("after 100 Finished calls at every=10: %+v, %d records queued", st, db.WAL.PendingRecords())
 	}
 }
 

@@ -13,14 +13,14 @@ import (
 
 // Race-hammer for the checkpoint-quiesce vs. kill interplay (run under
 // -race): workers stream auto-commit DML through their sessions, a killer
-// hammers process-list kills, and a checkpointer drives Registry.Checkpoint
-// the whole time. The old engine-level quiesce was check-then-act — a
-// checkpoint could observe zero active transactions and then snapshot while
-// a freshly admitted statement (possibly one being killed that instant) was
-// mid-write. With the registry gate, every checkpoint must succeed, the
-// checkpoint epoch must advance exactly once per success, the admission
-// counters must balance, and the final checkpoint image must replay to the
-// exact surviving row set.
+// hammers process-list kills, a checkpointer drives Registry.Checkpoint and
+// a maintainer Registry.Maintain the whole time. The old engine-level
+// quiesce was check-then-act — a checkpoint could observe zero active
+// transactions and then snapshot while a freshly admitted statement
+// (possibly one being killed that instant) was mid-write. With the registry
+// gate, every checkpoint must succeed, the checkpoint epoch must advance
+// exactly once per success, the admission counters must balance, and the
+// final checkpoint image must replay to the exact surviving row set.
 func TestCheckpointQuiesceKillRaceHammer(t *testing.T) {
 	db, reg := testDB(t, 8)
 	const workers = 4
@@ -65,6 +65,25 @@ func TestCheckpointQuiesceKillRaceHammer(t *testing.T) {
 				return
 			}
 			ckptOK++
+			runtime.Gosched()
+		}
+	}()
+
+	// Maintainer: on-demand passes, as the -listen ticker runs them, racing
+	// the workers' Finished counts and the checkpoints for the same gate.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if _, err := reg.Maintain(); err != nil {
+				t.Errorf("maintenance pass: %v", err)
+				return
+			}
 			runtime.Gosched()
 		}
 	}()

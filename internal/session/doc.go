@@ -62,7 +62,10 @@
 // The self-driving loop consumes its live metrics stream from here:
 // what it forecasts and acts on is whatever traffic the process list
 // saw, whether that traffic arrived over a wire transport or from an
-// in-process harness.
+// in-process harness. The Registry also owns the database's maintainer
+// (exec.Maintainer): each auto-commit DML statement counts one finished
+// write transaction, and every 4 096th runs a serialize → flush → GC pass.
+// Commits are acknowledged before that pass makes them durable.
 //
 // # Concurrency contract
 //

@@ -60,12 +60,21 @@ type Registry struct {
 	gate sync.RWMutex
 
 	checkpoints uint64 // successful Checkpoint calls
+
+	// maint serializes, flushes and collects for every session, a pass per
+	// maintainEvery auto-commit DML statements.
+	maint *exec.Maintainer
 }
+
+// maintainEvery is sized against the wire benchmark's own cadence: a flush
+// per ~2 000 statements, GC per 20 000.
+const maintainEvery = 4096
 
 // NewRegistry returns a process list over db admitting at most
 // maxSessions concurrent sessions (<= 0 for unlimited).
 func NewRegistry(db *engine.DB, maxSessions int) *Registry {
-	return &Registry{db: db, max: maxSessions, sessions: make(map[uint64]*Session)}
+	return &Registry{db: db, max: maxSessions, sessions: make(map[uint64]*Session),
+		maint: exec.NewMaintainer(db, maintainEvery, nil)}
 }
 
 // DB returns the engine the registry's sessions execute against.
@@ -213,6 +222,16 @@ func (r *Registry) Kill(id uint64, cause error) bool {
 // two around every statement path).
 func (r *Registry) beginExec() { r.gate.RLock() }
 func (r *Registry) endExec()   { r.gate.RUnlock() }
+
+// Maintain runs one maintenance pass now, holding the checkpoint gate as a
+// statement does — how an idle server makes its last commits durable — and
+// returns the maintainer's counters.
+func (r *Registry) Maintain() (exec.MaintainerStats, error) {
+	r.beginExec()
+	defer r.endExec()
+	err := r.maint.Pass()
+	return r.maint.Stats(), err
+}
 
 // Checkpoint quiesces the process list and checkpoints the engine: it
 // blocks new statements, waits for every in-flight statement — including

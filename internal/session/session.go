@@ -134,18 +134,14 @@ func (s *Session) beginStatement(stmt string) error {
 	s.state = Active
 	s.statement = stmt
 	s.mu.Unlock()
-	if s.reg != nil {
-		s.reg.beginExec()
-	}
+	s.reg.beginExec()
 	return nil
 }
 
 // endStatement retires the running statement and releases the checkpoint
 // gate. A kill that landed while the statement ran leaves the state Killed.
 func (s *Session) endStatement(err error) {
-	if s.reg != nil {
-		s.reg.endExec()
-	}
+	s.reg.endExec()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err == nil {
@@ -189,6 +185,12 @@ func (s *Session) run(template string, fingerprint uint64, node plan.Node) (*exe
 		} else if cerr := s.ec.Commit(); cerr != nil {
 			err = cerr
 		}
+		// Commits are acknowledged before they are durable: a pass this
+		// count triggers makes them so. A failed pass does not fail the
+		// statement, whose outcome is decided; it leaves the instance
+		// non-durable (Maintainer.Pass), and only the passes
+		// Registry.Maintain runs report their error.
+		_ = s.reg.maint.Finished()
 	}
 	if err == nil {
 		s.stats.observeRep(template, node)
@@ -259,9 +261,7 @@ func (s *Session) Close() {
 	s.state = Closed
 	s.mu.Unlock()
 	s.cancel(ErrClosed)
-	if s.reg != nil {
-		s.reg.remove(s.ID)
-	}
+	s.reg.remove(s.ID)
 }
 
 // Info snapshots the session for the process list.
