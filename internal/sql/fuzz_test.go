@@ -16,6 +16,11 @@ func FuzzParse(f *testing.F) {
 		"SELECT id, price FROM products WHERE category = 3 AND price > 50",
 		"SELECT category, count(*), avg(price) FROM products GROUP BY category ORDER BY category DESC LIMIT 5",
 		"SELECT count(*) FROM products JOIN categories ON products.category = categories.cat_id",
+		"SELECT products.id, categories.label FROM products JOIN categories ON products.category = categories.cat_id WHERE products.price > 12 AND categories.label < 104",
+		"SELECT count(*) FROM products JOIN categories ON products.category = categories.cat_id WHERE categories.label = products.id + 100",
+		"SELECT products.id, categories.label FROM categories JOIN products ON categories.cat_id = products.category WHERE products.category = 3",
+		"SELECT categories.label, count(*), sum(products.price) FROM products JOIN categories ON products.category = categories.cat_id GROUP BY categories.label ORDER BY categories.label",
+		"SELECT products.id FROM products JOIN categories ON products.category = categories.cat_id WHERE products.price >= 20 ORDER BY categories.label DESC, products.id LIMIT 5",
 		"SELECT id * 2 + 1 FROM products WHERE name <> 'widget'",
 		"SELECT sum(price), min(price), max(price) FROM products WHERE price >= -1.5",
 		"INSERT INTO categories VALUES (0, 100), (1, 101), (2, 102)",

@@ -13,11 +13,13 @@ import (
 )
 
 // scope is the name-resolution environment: the ordered columns visible to
-// expressions, each tagged with its source table.
+// expressions, each tagged with its source table and its index in that
+// table's schema — the index table statistics are kept under.
 type scope struct {
 	tables []string // table per column
 	names  []string // column name per column
 	types  []catalog.Type
+	local  []int // the column's index in its table
 }
 
 func scopeOf(db *engine.DB, table string) (*scope, error) {
@@ -26,10 +28,11 @@ func scopeOf(db *engine.DB, table string) (*scope, error) {
 		return nil, err
 	}
 	s := &scope{}
-	for _, c := range meta.Schema.Columns {
+	for i, c := range meta.Schema.Columns {
 		s.tables = append(s.tables, table)
 		s.names = append(s.names, strings.ToLower(c.Name))
 		s.types = append(s.types, c.Type)
+		s.local = append(s.local, i)
 	}
 	return s, nil
 }
@@ -39,7 +42,39 @@ func (s *scope) concat(o *scope) *scope {
 		tables: append(append([]string(nil), s.tables...), o.tables...),
 		names:  append(append([]string(nil), s.names...), o.names...),
 		types:  append(append([]catalog.Type(nil), s.types...), o.types...),
+		local:  append(append([]int(nil), s.local...), o.local...),
 	}
+}
+
+// project returns the scope of the columns at positions cols, in that order.
+func (s *scope) project(cols []int) *scope {
+	p := &scope{}
+	for _, c := range cols {
+		p.tables = append(p.tables, s.tables[c])
+		p.names = append(p.names, s.names[c])
+		p.types = append(p.types, s.types[c])
+		p.local = append(p.local, s.local[c])
+	}
+	return p
+}
+
+// refs calls f with the position of every column e names, failing on the
+// first reference that does not resolve.
+func (s *scope) refs(e Expr, f func(int)) error {
+	switch v := e.(type) {
+	case ColumnRef:
+		i, err := s.resolve(v)
+		if err != nil {
+			return err
+		}
+		f(i)
+	case BinaryExpr:
+		if err := s.refs(v.L, f); err != nil {
+			return err
+		}
+		return s.refs(v.R, f)
+	}
+	return nil
 }
 
 // resolve finds the position of a column reference, erroring on ambiguity.
@@ -146,21 +181,43 @@ func (pl *Planner) bindExpr(s *scope, e Expr) (plan.Expr, error) {
 	}
 }
 
+// distinct estimates the number of distinct combinations of the scope
+// columns cols: each table's statistic over its own columns, under their
+// indices in that table, multiplied across the tables named.
+func (pl *Planner) distinct(s *scope, cols []int) float64 {
+	d := 1.0
+	done := make([]bool, len(cols))
+	for i, c := range cols {
+		if done[i] {
+			continue
+		}
+		var local []int
+		for j := i; j < len(cols); j++ {
+			if !done[j] && s.tables[cols[j]] == s.tables[c] {
+				local = append(local, s.local[cols[j]])
+				done[j] = true
+			}
+		}
+		d *= pl.DB.DistinctCount(s.tables[c], local)
+	}
+	return d
+}
+
 // selectivity estimates the fraction of rows a predicate keeps: the classic
 // System R magic numbers, with equality refined by distinct counts.
-func (pl *Planner) selectivity(table string, s *scope, e Expr) float64 {
+func (pl *Planner) selectivity(s *scope, e Expr) float64 {
 	switch v := e.(type) {
 	case BinaryExpr:
 		switch v.Op {
 		case "and":
-			return pl.selectivity(table, s, v.L) * pl.selectivity(table, s, v.R)
+			return pl.selectivity(s, v.L) * pl.selectivity(s, v.R)
 		case "or":
-			l, r := pl.selectivity(table, s, v.L), pl.selectivity(table, s, v.R)
+			l, r := pl.selectivity(s, v.L), pl.selectivity(s, v.R)
 			return math.Min(1, l+r-l*r)
 		case "=":
 			if c, ok := v.L.(ColumnRef); ok {
 				if i, err := s.resolve(c); err == nil {
-					if d := pl.DB.DistinctCount(table, []int{i}); d > 0 {
+					if d := pl.distinct(s, []int{i}); d > 0 {
 						return 1 / d
 					}
 				}
@@ -225,7 +282,7 @@ func (pl *Planner) scanPlan(table string, s *scope, where Expr) (plan.Node, floa
 		if err != nil {
 			return nil, 0, err
 		}
-		outRows = rows * pl.selectivity(table, s, where)
+		outRows = rows * pl.selectivity(s, where)
 	}
 
 	// Try index point access.
@@ -324,80 +381,33 @@ func (pl *Planner) Plan(st Statement) (plan.Node, error) {
 var aggFns = map[string]plan.AggFn{"count": plan.Count, "sum": plan.Sum,
 	"min": plan.Min, "max": plan.Max, "avg": plan.Avg}
 
+// aggregates reports whether a SELECT plans as an aggregation.
+func aggregates(st SelectStmt) bool {
+	for _, it := range st.Items {
+		if it.AggFn != "" {
+			return true
+		}
+	}
+	return len(st.GroupBy) > 0
+}
+
 func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
-	s, err := scopeOf(pl.DB, st.From)
+	b, err := pl.bindBlock(st)
 	if err != nil {
 		return nil, err
 	}
-	// WHERE is pushed into the base scan for single-table queries and
-	// applied as a filter node above the joins otherwise.
-	var pushed Expr
-	if len(st.Joins) == 0 {
-		pushed = st.Where
+	for _, rule := range selectRules {
+		if err := rule(b); err != nil {
+			return nil, err
+		}
 	}
-	node, rows, err := pl.scanPlan(st.From, s, pushed)
+	node, s, rows, err := pl.planBlock(b)
 	if err != nil {
 		return nil, err
-	}
-
-	// Left-deep hash joins.
-	for _, j := range st.Joins {
-		rs, err := scopeOf(pl.DB, j.Table)
-		if err != nil {
-			return nil, err
-		}
-		combined := s.concat(rs)
-		li, err := combined.resolve(j.OnL)
-		if err != nil {
-			return nil, err
-		}
-		ri, err := combined.resolve(j.OnR)
-		if err != nil {
-			return nil, err
-		}
-		// Orient keys: build side is the accumulated left input.
-		leftKey, rightKey := li, ri
-		if leftKey >= len(s.names) {
-			leftKey, rightKey = ri, li
-		}
-		if leftKey >= len(s.names) || rightKey < len(s.names) {
-			return nil, fmt.Errorf("sql: join condition must relate %s to %s", st.From, j.Table)
-		}
-		rightRows := pl.DB.RowCount(j.Table)
-		buildDistinct := math.Max(1, rows/2)
-		outRows := rows * rightRows / math.Max(1, math.Max(buildDistinct, rightRows))
-		node = &plan.HashJoinNode{
-			Left:      node,
-			Right:     &plan.SeqScanNode{Table: j.Table, Rows: plan.Estimates{Rows: rightRows}, TableRows: rightRows},
-			LeftKeys:  []int{leftKey},
-			RightKeys: []int{rightKey - len(s.names)},
-			Rows:      plan.Estimates{Rows: math.Max(1, outRows), Distinct: buildDistinct},
-		}
-		s = combined
-		rows = math.Max(1, outRows)
-	}
-
-	if st.Where != nil && len(st.Joins) > 0 {
-		pred, err := pl.bindExpr(s, st.Where)
-		if err != nil {
-			return nil, err
-		}
-		rows *= pl.selectivity(st.From, s, st.Where)
-		rows = math.Max(1, rows)
-		node = &plan.FilterNode{Child: node, Pred: pred, Rows: plan.Estimates{Rows: rows}}
-		if pl.sites != nil {
-			pl.sites[node] = &nodeSites{exprs: []Expr{st.Where}}
-		}
 	}
 
 	// Aggregation or projection.
-	hasAgg := false
-	for _, it := range st.Items {
-		if it.AggFn != "" {
-			hasAgg = true
-		}
-	}
-	if hasAgg || len(st.GroupBy) > 0 {
+	if aggregates(st) {
 		groupIdx := make([]int, 0, len(st.GroupBy))
 		for _, g := range st.GroupBy {
 			i, err := s.resolve(g)
@@ -428,7 +438,7 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 		}
 		groups := 1.0
 		if len(groupIdx) > 0 {
-			groups = math.Min(rows, math.Max(1, pl.DB.DistinctCount(st.From, groupIdx)))
+			groups = math.Min(rows, math.Max(1, pl.distinct(s, groupIdx)))
 		}
 		node = &plan.AggNode{Child: node, GroupBy: groupIdx, Aggs: aggs,
 			Rows: plan.Estimates{Rows: groups, Distinct: groups}}
@@ -454,12 +464,7 @@ func (pl *Planner) planSelect(st SelectStmt) (plan.Node, error) {
 			cols = append(cols, i)
 		}
 		if allCols && len(st.OrderBy) == 0 && len(st.Joins) == 0 {
-			switch sc := node.(type) {
-			case *plan.SeqScanNode:
-				sc.Project = cols
-			case *plan.IdxScanNode:
-				sc.Project = cols
-			}
+			setProject(node, cols)
 		} else {
 			var exprs []plan.Expr
 			var srcs []Expr

@@ -13,9 +13,12 @@ import (
 	"mb2/internal/plan"
 )
 
-func newCtx(t testing.TB) *exec.Ctx {
+func newCtx(t testing.TB) *exec.Ctx { return knobCtx(t, catalog.DefaultKnobs()) }
+
+// knobCtx is an interpreted context over a fresh engine opened with knobs.
+func knobCtx(t testing.TB, knobs catalog.Knobs) *exec.Ctx {
 	t.Helper()
-	db := engine.Open(catalog.DefaultKnobs())
+	db := engine.Open(knobs)
 	return &exec.Ctx{
 		DB:      db,
 		Tracker: metrics.NewTracker(metrics.NewCollector(), hw.NewThread(hw.DefaultCPU())),

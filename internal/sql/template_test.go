@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"mb2/internal/catalog"
 	"mb2/internal/exec"
 	"mb2/internal/plan"
 )
@@ -15,7 +16,13 @@ import (
 // INT and FLOAT key coercions are reached.
 func templateCtx(t testing.TB, indexed bool) *exec.Ctx {
 	t.Helper()
-	ctx := newCtx(t)
+	return fixtureCtx(t, catalog.DefaultKnobs(), indexed)
+}
+
+// fixtureCtx builds templateCtx's schema on an engine opened with knobs.
+func fixtureCtx(t testing.TB, knobs catalog.Knobs, indexed bool) *exec.Ctx {
+	t.Helper()
+	ctx := knobCtx(t, knobs)
 	run := func(q string) {
 		t.Helper()
 		ctx.Begin()
@@ -95,6 +102,17 @@ var templatePairs = [][2]string{
 	// a literal used by the index key and by the residual filter
 	{"SELECT * FROM products WHERE category = 3 AND name = 'widget' AND price > 2", "SELECT * FROM products WHERE category = 1 AND name = 'gadget' AND price > 40"},
 	{"UPDATE products SET name = 'a', price = price * 1.1 WHERE id = 3 AND category = 3", "UPDATE products SET name = 'b', price = price * 2.5 WHERE id = 4 AND category = 4"},
+	// joins: a conjunct pushed into each side, one pushed into an index
+	// scan, a residual over both tables, GROUP BY and ORDER BY on the
+	// joined table
+	{"SELECT products.id, categories.label FROM products JOIN categories ON products.category = categories.cat_id WHERE products.price > 12 AND categories.label < 104",
+		"SELECT products.id, categories.label FROM products JOIN categories ON products.category = categories.cat_id WHERE products.price > 30 AND categories.label < 102"},
+	{"SELECT products.id, categories.label FROM categories JOIN products ON categories.cat_id = products.category WHERE products.category = 3",
+		"SELECT products.id, categories.label FROM categories JOIN products ON categories.cat_id = products.category WHERE products.category = 1"},
+	{"SELECT count(*) FROM products JOIN categories ON products.category = categories.cat_id WHERE categories.label = products.id + 100",
+		"SELECT count(*) FROM products JOIN categories ON products.category = categories.cat_id WHERE categories.label = products.id + 98"},
+	{"SELECT categories.label, count(*) FROM products JOIN categories ON products.category = categories.cat_id WHERE products.id < 30 GROUP BY categories.label ORDER BY categories.label",
+		"SELECT categories.label, count(*) FROM products JOIN categories ON products.category = categories.cat_id WHERE products.id < 12 GROUP BY categories.label ORDER BY categories.label"},
 	// multi-row INSERT
 	{"INSERT INTO categories VALUES (10, 110), (11, 111), (12, 112)", "INSERT INTO categories VALUES (20, 1), (21, 2), (22, 3)"},
 	// aggregates and projections over literals, OR, a constant aggregate argument
