@@ -38,7 +38,12 @@ tier1: vet build race fuzz smoke
 # checkpoint's own drain), internal/runner/ (the OU sweeps), internal/wal/,
 # internal/gc/ and benchmark/ calls WAL.Serialize(, WAL.Flush( or GC.Run(
 # (maintenance is an exec.Maintainer pass; an eighth hand-rolled
-# serialize/flush/GC cadence does not grow back unnoticed).
+# serialize/flush/GC cadence does not grow back unnoticed) — and unless
+# DrainObservations( and .Advance( each appear on exactly one non-test line
+# under internal/selfdrive/, both in LiveController.ingest (the control loop
+# has one driver step: one drain of the process list and one contention rule
+# for an in-flight index build; a second driver with its own ingest or its
+# own build-advance rule does not grow back unnoticed).
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -54,6 +59,10 @@ vet:
 	@! grep -rn --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark -e '"hash/fnv"' -e 'fnv\.New64a' . || { echo "hash/fnv outside benchmark/ and tests: fold through internal/fold"; exit 1; }
 	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'visible(' internal/storage | grep -vc '^func visible('); [ "$$n" -eq 2 ] || { echo "visible( called on $$n non-test lines under internal/storage, want 2 (Table.Read, Table.walk): scan through Table.walk"; exit 1; }
 	@! grep -rn --include='*.go' --exclude='*_test.go' -e 'WAL\.Serialize(' -e 'WAL\.Flush(' -e 'GC\.Run(' . | grep -v -e '^\./internal/exec/tasks\.go:' -e '^\./internal/engine/checkpoint\.go:' -e '^\./internal/runner/' -e '^\./internal/wal/' -e '^\./internal/gc/' -e '^\./benchmark/' || { echo "WAL.Serialize( / WAL.Flush( / GC.Run( outside the maintainer: run an exec.Maintainer pass"; exit 1; }
+	@for f in 'DrainObservations(' '.Advance('; do \
+		n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F "$$f" internal/selfdrive | wc -l); \
+		[ "$$n" -eq 1 ] || { echo "$$f on $$n non-test lines under internal/selfdrive, want 1: drive the loop through LiveController.ingest"; exit 1; }; \
+	done
 
 build:
 	$(GO) build ./...

@@ -102,10 +102,16 @@ func TestFingerprintPinned(t *testing.T) {
 			t.Errorf("Fingerprint(%s) = %#x, want %#x", tc.name, got, tc.want)
 		}
 	}
-	// The bound is the filter's own String() — 3 allocations, 5 under the
-	// race detector — measured in this binary so it holds in both.
+	// The bound is the filter's own String(): 3 allocations. Under the race
+	// detector each measurement draws its own pool drops (4 or 5 apiece,
+	// independently), so there only the ceiling holds.
 	text := testing.AllocsPerRun(100, func() { fpText = scan.Filter.String() })
-	if allocs := testing.AllocsPerRun(100, func() { Fingerprint(top) }); allocs > text || allocs > 5 {
+	allocs := testing.AllocsPerRun(100, func() { Fingerprint(top) })
+	if raceEnabled {
+		if allocs > 5 {
+			t.Errorf("Fingerprint of a three-node plan allocates %v times under -race, want at most 5", allocs)
+		}
+	} else if allocs > text || allocs > 3 {
 		t.Errorf("Fingerprint of a three-node plan allocates %v times, its filter's String() %v: the fold must add none", allocs, text)
 	}
 }

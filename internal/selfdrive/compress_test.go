@@ -274,7 +274,7 @@ func TestCompressionBoundsPlannerInput(t *testing.T) {
 			if len(counts) != n {
 				t.Fatalf("population = %d, want %d", len(counts), n)
 			}
-			sc.registerTemplates(hist.Clusterer(), db, counts)
+			registerTemplates(hist.Clusterer(), db, counts, sc.repFor)
 			hist.Append(counts)
 		}
 		f := predictVolumes(hist, cfg.HistoryWindow).forecast(cfg.IntervalUS, cfg.Sessions,

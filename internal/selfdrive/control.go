@@ -3,10 +3,15 @@ package selfdrive
 import (
 	"fmt"
 
+	"mb2/internal/catalog"
+	"mb2/internal/engine"
 	"mb2/internal/forecast"
+	"mb2/internal/hw"
 	"mb2/internal/modeling"
+	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
+	"mb2/internal/session"
 )
 
 // minImprovement is the predicted relative latency reduction an action must
@@ -17,23 +22,142 @@ const (
 	maxImpactRatio = 2.0
 )
 
-// controller is the act half of the loop, the one control step Run and
-// LiveController both drive: it owns the in-flight index build, the
-// published indexes and the action log. A driver advances the build its own
-// way (contention ratios in Run, unit speed live), calls publishIfDone, and
-// on planning steps hands act the forecast.
-type controller struct {
+// LiveController is the loop's one control step over a process list. It
+// sees whatever feeds the registry — Run's sessions, the wire server, an
+// embedded harness — only by draining it, and owns the forecast history,
+// the in-flight index build, the published indexes and the action log.
+// ingest and plan are its two halves; Tick runs them back to back.
+type LiveController struct {
+	reg  *session.Registry
+	cfg  Config
 	p    *planner.Planner
 	cand planner.CandidateConfig
+	hist *forecast.History
+
+	// rep resolves a template name to its representative plan rewritten
+	// through the given published indexes (nil: the canonical plan the
+	// clusterer keys on). By default it is the newest plan live traffic
+	// surfaced (reps), which already runs through whatever is published;
+	// Run resolves through its scenario instead.
+	rep  func(name string, published []planner.IndexCandidate) plan.Node
+	reps map[string]plan.Node
+
+	ticks   int
+	threads int // sessions the last ingest drained: the forecast's concurrency
+	volume  volumeScore
 
 	build     *planner.BuildHandle
 	published []planner.IndexCandidate
 	actions   []AppliedAction
 }
 
+// NewLiveController attaches a controller, sized by the run's Config, to a
+// process list.
+func NewLiveController(reg *session.Registry, ms *modeling.ModelSet, cfg Config) *LiveController {
+	cfg = cfg.withDefaults()
+	p := planner.New(reg.DB(), ms)
+	if cfg.CacheEntries > 0 {
+		p.Cache = modeling.NewBoundedPredictionCache(cfg.CacheEntries)
+	} else {
+		p.Cache = modeling.NewPredictionCache()
+	}
+	c := &LiveController{
+		reg: reg,
+		cfg: cfg,
+		p:   p,
+		cand: planner.CandidateConfig{
+			ThreadCandidates: cfg.ThreadCandidates,
+			MaxImpactRatio:   cfg.MaxImpactRatio,
+		},
+		hist: newHistory(cfg.IntervalUS, cfg.HistoryWindow, cfg.Clusters),
+		reps: make(map[string]plan.Node),
+	}
+	c.rep = func(name string, _ []planner.IndexCandidate) plan.Node { return c.reps[name] }
+	return c
+}
+
+// Actions returns everything the controller has applied so far.
+func (c *LiveController) Actions() []AppliedAction { return c.actions }
+
+// History exposes the forecast store (observability).
+func (c *LiveController) History() *forecast.History { return c.hist }
+
+// Tick ingests one interval of traffic and runs one plan step. It returns
+// the actions applied this tick.
+func (c *LiveController) Tick() ([]AppliedAction, error) {
+	before := len(c.actions)
+	if _, _, _, err := c.ingest(); err != nil {
+		return nil, err
+	}
+	if _, _, err := c.plan(); err != nil {
+		return nil, err
+	}
+	return c.actions[before:], nil
+}
+
+// ingest is the step's first half: drain the registry, extend the history
+// and score the last volume forecast, charge whole-machine contention over
+// the drained per-session load plus the build's active threads, advance
+// each build thread by what contention left it, and publish a finished
+// build. It returns the observation, its template names sorted, and the
+// contention ratios: one per Load entry, then one per active build thread.
+func (c *LiveController) ingest() (session.Observation, []string, [][]float64, error) {
+	obs := c.reg.DrainObservations()
+	// Keep the newest representative plan the traffic surfaced per
+	// template: the plans that run now (after an index publish, the index
+	// scans) are the ones the forecast must predict over.
+	for name, node := range obs.Reps {
+		c.reps[name] = node
+	}
+	registerTemplates(c.hist.Clusterer(), c.p.DB, obs.Counts, c.rep)
+	c.hist.Append(obs.Counts)
+	names := obs.Templates()
+	c.volume.settle(obs.Counts, names)
+	c.threads = max(len(obs.Load), 1)
+
+	load := obs.Load
+	var active []int
+	if c.build != nil {
+		var work []hw.Metrics
+		work, active = c.build.ActiveWork(c.cfg.IntervalUS)
+		load = append(load, work...)
+	}
+	ratios := c.p.DB.Machine.ContentionRatios(load, c.cfg.IntervalUS)
+	for e, j := range active {
+		if r := ratios[len(obs.Load)+e][hw.LabelElapsedUS]; r > 0 {
+			c.build.Advance(j, c.cfg.IntervalUS/r)
+		}
+	}
+	err := c.publishIfDone(c.ticks)
+	c.ticks++
+	return obs, names, ratios, err
+}
+
+// plan is the step's second half: once the history holds two intervals it
+// forecasts the next one — held back for the volume scoring — and on every
+// PlanEvery-th step acts on it. ok reports whether a forecast was made.
+func (c *LiveController) plan() (f modeling.IntervalForecast, ok bool, err error) {
+	if c.hist.Len() < 2 {
+		return f, false, nil
+	}
+	f = c.forecast()
+	if c.ticks%c.cfg.PlanEvery == 0 {
+		err = c.act(c.ticks-1, f)
+	}
+	return f, true, err
+}
+
+// forecast predicts the next interval's volumes and builds the inference
+// input over the representative plans.
+func (c *LiveController) forecast() modeling.IntervalForecast {
+	c.volume.pending = predictVolumes(c.hist, c.cfg.HistoryWindow)
+	return c.volume.pending.forecast(c.cfg.IntervalUS, c.threads,
+		func(name string) plan.Node { return c.rep(name, c.published) })
+}
+
 // publishIfDone makes a finished build live and records the index-publish
 // at this step; an unfinished build stays in flight.
-func (c *controller) publishIfDone(step int) error {
+func (c *LiveController) publishIfDone(step int) error {
 	if c.build == nil || !c.build.Done() {
 		return nil
 	}
@@ -50,7 +174,7 @@ func (c *controller) publishIfDone(step int) error {
 
 // act ranks the planner's candidate actions against the forecast and
 // applies the winner (an empty forecast plans nothing).
-func (c *controller) act(step int, f modeling.IntervalForecast) error {
+func (c *LiveController) act(step int, f modeling.IntervalForecast) error {
 	if len(f.Queries) == 0 {
 		return nil
 	}
@@ -64,7 +188,7 @@ func (c *controller) act(step int, f modeling.IntervalForecast) error {
 // applyBest is the selection rule over a best-first action list: apply the
 // first action that clears minImprovement, passing over index builds while
 // one is in flight, and at most one action per step.
-func (c *controller) applyBest(step int, actions []planner.Action) error {
+func (c *LiveController) applyBest(step int, actions []planner.Action) error {
 	for _, a := range actions {
 		if a.PredictedImprovement < minImprovement {
 			break // sorted best-first: nothing further qualifies
@@ -110,6 +234,47 @@ func newHistory(intervalUS float64, window, clusters int) *forecast.History {
 		return forecast.NewClusteredHistory(intervalUS, window, forecast.NewClusterer(clusters, 0))
 	}
 	return forecast.NewWindowedHistory(intervalUS, window)
+}
+
+// clusterFeatures folds a representative plan's translated OU invocations
+// into a fixed-length feature vector — per OU kind, the invocation count
+// and the summed feature mass — the similarity key the clusterer groups
+// templates by. Mode is pinned to Interpret so cluster identity never
+// depends on the live execution-mode knob.
+func clusterFeatures(db *engine.DB, n plan.Node) []float64 {
+	tr := modeling.NewTranslator(db, catalog.Interpret)
+	vec := make([]float64, 2*ou.NumKinds)
+	for _, inv := range tr.TranslatePlan(n) {
+		k := int(inv.Kind)
+		if k < 0 || k >= ou.NumKinds {
+			continue
+		}
+		vec[2*k]++
+		for _, f := range inv.Features {
+			vec[2*k+1] += f
+		}
+	}
+	return vec
+}
+
+// registerTemplates assigns any unregistered observed template to a
+// cluster by the features of its canonical representative plan, in
+// sorted-name order so founding decisions are deterministic (nothing to do
+// without a clusterer).
+func registerTemplates(c *forecast.Clusterer, db *engine.DB, counts map[string]float64, rep func(string, []planner.IndexCandidate) plan.Node) {
+	if c == nil {
+		return
+	}
+	for _, name := range sortedTemplates(counts) {
+		if _, ok := c.Lookup(name); ok {
+			continue
+		}
+		if node := rep(name, nil); node != nil {
+			c.Assign(name, plan.Fingerprint(node), clusterFeatures(db, node))
+		} else {
+			c.AssignOrphan(name)
+		}
+	}
 }
 
 // volumes is one step's predicted next-interval query volume: per template,

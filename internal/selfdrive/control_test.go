@@ -8,12 +8,13 @@ import (
 	"mb2/internal/modeling"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
+	"mb2/internal/session"
 	"mb2/internal/workload"
 )
 
-// newTestController returns a controller over a fresh TPC-C database plus
-// the index candidate the by-last-name lookups surface.
-func newTestController(t *testing.T) (*controller, *planner.IndexCandidate) {
+// newTestController returns a controller over a fresh TPC-C database's
+// process list plus the index candidate the by-last-name lookups surface.
+func newTestController(t *testing.T, cfg Config) (*LiveController, *planner.IndexCandidate) {
 	t.Helper()
 	db := engine.Open(catalog.DefaultKnobs())
 	bench := workload.TPCC{CustomersPerDistrict: 300}
@@ -28,7 +29,7 @@ func newTestController(t *testing.T) (*controller, *planner.IndexCandidate) {
 	if len(cands) == 0 {
 		t.Fatal("by-last-name scan surfaced no index candidate")
 	}
-	return &controller{p: planner.New(db, sharedModels(t))}, &cands[0]
+	return NewLiveController(session.NewRegistry(db, 0), sharedModels(t), cfg), &cands[0]
 }
 
 // TestControlStepSelectionRule drives the shared control step with
@@ -73,7 +74,7 @@ func TestControlStepSelectionRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ctl, cand := newTestController(t)
+			ctl, cand := newTestController(t, DefaultConfig())
 			if tc.inFlight {
 				if err := ctl.applyBest(0, []planner.Action{build(cand, 0.9)}); err != nil {
 					t.Fatal(err)
@@ -105,7 +106,7 @@ func TestControlStepSelectionRule(t *testing.T) {
 	}
 
 	// Publish: recorded at the step where the build completes, not before.
-	ctl, cand := newTestController(t)
+	ctl, cand := newTestController(t, DefaultConfig())
 	if err := ctl.applyBest(0, []planner.Action{build(cand, 0.9)}); err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestControlStepSelectionRule(t *testing.T) {
 // name the planner prints; a kind outside the four is an error, not an
 // entry logged under another family's name.
 func TestAppliedActionKinds(t *testing.T) {
-	ctl, cand := newTestController(t)
+	ctl, cand := newTestController(t, DefaultConfig())
 	cases := map[planner.ActionKind]struct {
 		action               planner.Action
 		family, kind, detail string

@@ -11,19 +11,26 @@
 //     turns the predictions plus a name → representative-plan lookup into
 //     the modeling.IntervalForecast inference consumes, and
 //     volumes.perTemplate fans them back out for volume-MAPE accounting.
-//   - controller (control.go) is the control step: publish a finished index
-//     build, rank candidate actions with planner.PlanActions, apply the
-//     first that clears the improvement threshold (passing over index
-//     builds while one is in flight), and record one AppliedAction.
+//   - LiveController (control.go) is the control step over a process list,
+//     in two halves. ingest drains the session.Registry, extends the
+//     history, charges whole-machine contention over the drained
+//     per-session load plus an in-flight index build's active threads,
+//     advances the build by what contention left it and publishes it once
+//     done. plan forecasts the next interval and, on planning steps, ranks
+//     candidate actions with planner.PlanActions and applies the first that
+//     clears the improvement threshold (passing over index builds while one
+//     is in flight), recording one AppliedAction.
 //   - digest (digest.go) folds everything observable into the run's
 //     fingerprint.
 //
-// Run drives these over a TPC-C database it loads and a workload it
-// generates, charging an in-flight build the throughput whole-machine
-// contention leaves it and recording predicted-vs-observed interval
-// latency. LiveController drives the same controller and forecast builder
-// over whatever traffic a live session.Registry carries, forecasting over
-// the plans that traffic surfaced.
+// Run is a workload driver over one LiveController: each interval it
+// admits its sessions into the controller's registry, executes the
+// scenario on them, calls ingest, folds the interval into the digest, then
+// calls plan and predicts the next interval's latency (the
+// predicted-vs-observed MAPE). Its representative plans come from the
+// scenario. LiveController.Tick runs ingest and plan back to back over
+// whatever traffic a live registry carries, forecasting over the plans that
+// traffic surfaced.
 //
 // # Determinism
 //

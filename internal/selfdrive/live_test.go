@@ -8,7 +8,9 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/hw"
 	"mb2/internal/plan"
+	"mb2/internal/planner"
 	"mb2/internal/server"
 	"mb2/internal/session"
 	"mb2/internal/workload"
@@ -43,7 +45,7 @@ func TestLiveControllerDrivesFromServerTraffic(t *testing.T) {
 		}
 	}()
 
-	ctrl := NewLiveController(srv.Registry(), ms, LiveConfig{
+	ctrl := NewLiveController(srv.Registry(), ms, Config{
 		IntervalUS:    100_000,
 		HistoryWindow: 6,
 		PlanEvery:     1,
@@ -148,7 +150,7 @@ func TestLiveControllerTicksWhileSessionsBind(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := session.NewRegistry(db, 0)
-	ctrl := NewLiveController(reg, ms, LiveConfig{IntervalUS: 100_000, HistoryWindow: 6, PlanEvery: 1})
+	ctrl := NewLiveController(reg, ms, Config{IntervalUS: 100_000, HistoryWindow: 6, PlanEvery: 1})
 
 	const nSessions, ticks, perTick = 3, 8, 30
 	// Sessions run up to one tick's worth of statements ahead of the
@@ -204,6 +206,66 @@ func TestLiveControllerTicksWhileSessionsBind(t *testing.T) {
 	}
 	if len(ctrl.reps) != 2 {
 		t.Fatalf("controller keeps %d representative plans, want 2", len(ctrl.reps))
+	}
+}
+
+// TestLiveControllerAdvancesBuildUnderLoad ticks a controller with an index
+// build in flight over a process list whose sessions just ran a CPU-heavy
+// interval (and one that ran nothing): every active build thread must
+// advance by IntervalUS over its contention ratio — the ratio
+// ContentionRatios gives it over the drained per-session totals plus the
+// build's own active work — not by a whole interval.
+func TestLiveControllerAdvancesBuildUnderLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.IntervalUS = 500 // short enough that the sessions' scans oversubscribe the cores
+	ctl, cand := newTestController(t, cfg)
+	if err := ctl.applyBest(0, []planner.Action{{
+		Kind: planner.ActionIndexBuild, Index: cand, Threads: 2, PredictedImprovement: 0.9,
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	b := ctl.build
+	if b == nil {
+		t.Fatal("no build in flight")
+	}
+
+	var load []hw.Metrics
+	for s, scans := range []int{0, 40, 40} {
+		sess, err := ctl.reg.Open(session.Options{Contenders: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		var sum hw.Metrics
+		for q := 0; q < scans; q++ {
+			node := customerByLast(0, int64(q%10), int64(s*scans+q), 3)
+			_, iso, err := sess.ExecPlan(tmplCustomerByLast, plan.Fingerprint(node), node)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum.Add(iso)
+		}
+		load = append(load, sum)
+	}
+	work, active := b.ActiveWork(cfg.IntervalUS)
+	if len(active) != b.Threads {
+		t.Fatalf("%d of %d build threads active", len(active), b.Threads)
+	}
+	ratios := ctl.p.DB.Machine.ContentionRatios(append(load, work...), cfg.IntervalUS)
+	before := slices.Clone(b.Remaining)
+
+	if _, err := ctl.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	for e, j := range active {
+		r := ratios[len(load)+e][hw.LabelElapsedUS]
+		if r <= 1.1 {
+			t.Fatalf("build thread %d contention ratio %v: the interval is not loaded", j, r)
+		}
+		if want := before[j] - cfg.IntervalUS/r; b.Remaining[j] != want {
+			t.Errorf("build thread %d: %v µs remaining, want %v - %v/%v = %v",
+				j, b.Remaining[j], before[j], cfg.IntervalUS, r, want)
+		}
 	}
 }
 

@@ -13,8 +13,6 @@ import (
 	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/par"
-	"mb2/internal/plan"
-	"mb2/internal/planner"
 	"mb2/internal/session"
 	"mb2/internal/workload"
 )
@@ -206,28 +204,17 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		return nil, fmt.Errorf("selfdrive: loading workload: %w", err)
 	}
 
-	p := planner.New(db, ms)
-	if cfg.CacheEntries > 0 {
-		p.Cache = modeling.NewBoundedPredictionCache(cfg.CacheEntries)
-	} else {
-		p.Cache = modeling.NewPredictionCache()
-	}
-	ctl := &controller{p: p, cand: planner.CandidateConfig{
-		ThreadCandidates: cfg.ThreadCandidates,
-		MaxImpactRatio:   cfg.MaxImpactRatio,
-	}}
-	hist := newHistory(cfg.IntervalUS, cfg.HistoryWindow, cfg.Clusters)
-	rep := func(name string) plan.Node { return sc.repFor(name, ctl.published) }
 	// The run's process list: every interval's workers are real sessions
-	// admitted here, and the loop drains its observations from it — the
-	// same path a live server's traffic takes.
+	// admitted here, and the controller drains them — the same path a live
+	// server's traffic takes. Representative plans come from the scenario.
 	reg := session.NewRegistry(db, 0)
+	ctl := NewLiveController(reg, ms, cfg)
+	ctl.rep = sc.repFor
 
 	res := &Result{}
 	dig := fold.New()
 	var predSeries, obsSeries []float64
 	predictedNext := 0.0
-	var volume volumeScore
 
 	for i := 0; i < cfg.Intervals; i++ {
 		ivStart := time.Now()
@@ -248,7 +235,6 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			}
 			workers[s] = w
 		}
-		perThread := make([]hw.Metrics, cfg.Sessions)
 		queryIso := make([][]hw.Metrics, cfg.Sessions)
 		errs := make([]error, cfg.Sessions)
 		par.Do(cfg.Jobs, cfg.Sessions, func(s int) {
@@ -260,26 +246,29 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 					errs[s] = fmt.Errorf("selfdrive: session %d executing %s: %w", s, q.name, err)
 					return
 				}
-				perThread[s].Add(iso)
 				queryIso[s] = append(queryIso[s], iso)
 			}
 		})
 		if err := errors.Join(errs...); err != nil {
 			return nil, err
 		}
+
+		// Phase 2: the controller ingests the interval — drain (ascending
+		// session-ID merge, the serial-order reduction), history, contention
+		// over the sessions' load and the build's active threads, build
+		// advance and publish — then the interval's sessions retire.
+		obs, names, ratios, err := ctl.ingest()
+		if err != nil {
+			return nil, err
+		}
 		for _, w := range workers {
 			res.FusedPipelines += w.ExecCtx().FusedPipelines
 			res.VecBatches += w.ExecCtx().VecBatches
+			w.Close()
 		}
 
-		// Phase 2: whole-machine contention, including active build threads.
-		var extraIdx []int
-		if ctl.build != nil {
-			work, idx := ctl.build.ActiveWork(cfg.IntervalUS)
-			perThread = append(perThread, work...)
-			extraIdx = idx
-		}
-		ratios := db.Machine.ContentionRatios(perThread, cfg.IntervalUS)
+		// The observed latency: each query's isolated metrics inflated by
+		// its session's contention ratios.
 		var latSum float64
 		nq := 0
 		for s := 0; s < cfg.Sessions; s++ {
@@ -291,31 +280,6 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		observed := 0.0
 		if nq > 0 {
 			observed = latSum / float64(nq)
-		}
-
-		// Phase 3: drain the process list's observations (ascending
-		// session-ID merge — the serial-order reduction) into the windowed
-		// forecast store, score last interval's volume predictions against
-		// them, then retire the interval's sessions.
-		merged := reg.DrainObservations()
-		sc.registerTemplates(hist.Clusterer(), db, merged.Counts)
-		hist.Append(merged.Counts)
-		names := merged.Templates()
-		volume.settle(merged.Counts, names)
-		for _, w := range workers {
-			w.Close()
-		}
-
-		// Phase 4: advance an in-progress build by what contention left its
-		// threads, and publish it once done.
-		for e, j := range extraIdx {
-			r := ratios[cfg.Sessions+e][hw.LabelElapsedUS]
-			if r > 0 {
-				ctl.build.Advance(j, cfg.IntervalUS/r)
-			}
-		}
-		if err := ctl.publishIfDone(i); err != nil {
-			return nil, err
 		}
 
 		report := IntervalReport{
@@ -333,36 +297,35 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			obsSeries = append(obsSeries, observed)
 		}
 
-		dig = foldInterval(dig, i, names, merged.Counts, observed, mode, ctl.actions)
+		dig = foldInterval(dig, i, names, obs.Counts, observed, mode, ctl.actions)
 
-		// Phase 5: forecast, plan, act, and predict the next interval.
+		// Phase 3: forecast, plan, act, and predict the next interval.
 		predictedNext = 0
-		if hist.Len() >= 2 && i < cfg.Intervals-1 {
-			volume.pending = predictVolumes(hist, cfg.HistoryWindow)
-			f := volume.pending.forecast(cfg.IntervalUS, cfg.Sessions, rep)
-			if (i+1)%cfg.PlanEvery == 0 {
-				if err := ctl.act(i, f); err != nil {
-					return nil, err
-				}
-			}
-			// Predict the coming interval with whatever is now in effect.
-			tr := modeling.NewTranslator(db, db.Knobs().ExecutionMode)
-			tr.Cache = p.Cache
-			var af *modeling.ActionForecast
-			if b := ctl.build; b != nil {
-				af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
-					Table:   b.Candidate.Table,
-					KeyCols: b.Candidate.KeyColNames,
-					Threads: b.Threads,
-				}}
-			}
-			infStart := time.Now()
-			pred, err := ms.PredictInterval(tr, f, af)
+		if i < cfg.Intervals-1 {
+			f, ok, err := ctl.plan()
 			if err != nil {
 				return nil, err
 			}
-			res.InferenceUS = append(res.InferenceUS, float64(time.Since(infStart).Microseconds()))
-			predictedNext = pred.AvgQueryLatencyUS
+			if ok {
+				// Predict the coming interval with whatever is now in effect.
+				tr := modeling.NewTranslator(db, db.Knobs().ExecutionMode)
+				tr.Cache = ctl.p.Cache
+				var af *modeling.ActionForecast
+				if b := ctl.build; b != nil {
+					af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
+						Table:   b.Candidate.Table,
+						KeyCols: b.Candidate.KeyColNames,
+						Threads: b.Threads,
+					}}
+				}
+				infStart := time.Now()
+				pred, err := ms.PredictInterval(tr, f, af)
+				if err != nil {
+					return nil, err
+				}
+				res.InferenceUS = append(res.InferenceUS, float64(time.Since(infStart).Microseconds()))
+				predictedNext = pred.AvgQueryLatencyUS
+			}
 		}
 
 		report.WallUS = float64(time.Since(ivStart).Microseconds())
@@ -370,17 +333,18 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	}
 
 	res.Actions = ctl.actions
-	res.CacheHits, res.CacheMisses = p.Cache.Stats()
-	res.CacheHitRate = p.Cache.HitRate()
-	res.CacheEvictions = p.Cache.Evictions()
+	cache := ctl.p.Cache
+	res.CacheHits, res.CacheMisses = cache.Stats()
+	res.CacheHitRate = cache.HitRate()
+	res.CacheEvictions = cache.Evictions()
 	res.MAPE = forecast.MAPE(predSeries, obsSeries)
-	res.VolumeMAPE = forecast.MAPE(volume.pred, volume.obs)
-	res.HistoryEvicted = hist.Evicted()
-	if c := hist.Clusterer(); c != nil {
+	res.VolumeMAPE = forecast.MAPE(ctl.volume.pred, ctl.volume.obs)
+	res.HistoryEvicted = ctl.hist.Evicted()
+	if c := ctl.hist.Clusterer(); c != nil {
 		res.TemplatesSeen = c.Assigned()
 		res.Clusters = c.Len()
 	} else {
-		res.TemplatesSeen = len(hist.Templates())
+		res.TemplatesSeen = len(ctl.hist.Templates())
 	}
 	res.Digest = dig.Sum64()
 	return res, nil

@@ -7,11 +7,6 @@ import (
 	"strconv"
 	"strings"
 
-	"mb2/internal/catalog"
-	"mb2/internal/engine"
-	"mb2/internal/forecast"
-	"mb2/internal/modeling"
-	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
 )
@@ -274,44 +269,4 @@ func (sc *scenario) sessionQueries(rng *rand.Rand, interval int, published []pla
 		}
 	}
 	return out
-}
-
-// clusterFeatures folds a representative plan's translated OU invocations
-// into a fixed-length feature vector — per OU kind, the invocation count
-// and the summed feature mass — the similarity key the clusterer groups
-// templates by. Mode is pinned to Interpret so cluster identity never
-// depends on the live execution-mode knob.
-func clusterFeatures(db *engine.DB, n plan.Node) []float64 {
-	tr := modeling.NewTranslator(db, catalog.Interpret)
-	vec := make([]float64, 2*ou.NumKinds)
-	for _, inv := range tr.TranslatePlan(n) {
-		k := int(inv.Kind)
-		if k < 0 || k >= ou.NumKinds {
-			continue
-		}
-		vec[2*k]++
-		for _, f := range inv.Features {
-			vec[2*k+1] += f
-		}
-	}
-	return vec
-}
-
-// registerTemplates assigns any unregistered observed template to a
-// cluster, in sorted-name order so founding decisions are deterministic
-// (nothing to do without a clusterer).
-func (sc *scenario) registerTemplates(c *forecast.Clusterer, db *engine.DB, counts map[string]float64) {
-	if c == nil {
-		return
-	}
-	for _, name := range sortedTemplates(counts) {
-		if _, ok := c.Lookup(name); ok {
-			continue
-		}
-		if rep := sc.repFor(name, nil); rep != nil {
-			c.Assign(name, plan.Fingerprint(rep), clusterFeatures(db, rep))
-		} else {
-			c.AssignOrphan(name)
-		}
-	}
 }

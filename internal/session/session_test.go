@@ -3,10 +3,13 @@ package session
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/hw"
+	"mb2/internal/plan"
 )
 
 // testDB loads a small two-column table through the session layer itself.
@@ -73,6 +76,43 @@ func TestSessionExecSQLAndObservation(t *testing.T) {
 	}
 	if again := s.Stats().Drain(); len(again.Counts) != 0 {
 		t.Fatalf("second drain not empty: %v", again.Counts)
+	}
+
+	// Through the process list: Load holds one entry per session in
+	// ascending session ID, each the sum of the isolated metrics that
+	// session's statements returned (zero for one that ran nothing), and a
+	// second drain finds nothing left.
+	_, reg2 := testDB(t, 100)
+	idle, err := reg2.Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	busy, err := reg2.Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	var want hw.Metrics
+	for _, node := range []plan.Node{
+		&plan.SeqScanNode{Table: "t", Rows: plan.Estimates{Rows: 100, Distinct: 100}},
+		&plan.SeqScanNode{Table: "t", Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(10)},
+			Rows: plan.Estimates{Rows: 10, Distinct: 10}},
+	} {
+		_, iso, err := busy.ExecPlan("scan", plan.Fingerprint(node), node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Add(iso)
+	}
+	if want.ElapsedUS <= 0 {
+		t.Fatal("the busy session's scans measured no time")
+	}
+	if got := reg2.DrainObservations().Load; !reflect.DeepEqual(got, []hw.Metrics{{}, want}) {
+		t.Fatalf("drained load %v, want [idle: zero, busy: %v]", got, want)
+	}
+	if got := reg2.DrainObservations().Load; !reflect.DeepEqual(got, []hw.Metrics{{}, {}}) {
+		t.Fatalf("second drain's load %v, want two zero entries", got)
 	}
 }
 

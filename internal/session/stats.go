@@ -22,6 +22,7 @@ type Stats struct {
 	counts map[string]float64
 	iso    map[string]hw.Metrics
 	reps   map[string]plan.Node
+	load   hw.Metrics // every observed query's isolated metrics, summed
 }
 
 // NewStats returns an empty observation buffer.
@@ -42,6 +43,7 @@ func (s *Stats) ObserveQuery(template string, _ uint64, iso hw.Metrics) {
 	m := s.iso[template]
 	m.Add(iso)
 	s.iso[template] = m
+	s.load.Add(iso)
 }
 
 // observeRep records a representative plan for a template (first one
@@ -70,10 +72,11 @@ func (s *Stats) Queries() float64 {
 func (s *Stats) Drain() Observation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	obs := Observation{Counts: s.counts, Iso: s.iso, Reps: s.reps}
+	obs := Observation{Counts: s.counts, Iso: s.iso, Reps: s.reps, Load: []hw.Metrics{s.load}}
 	s.counts = make(map[string]float64)
 	s.iso = make(map[string]hw.Metrics)
 	s.reps = make(map[string]plan.Node)
+	s.load = hw.Metrics{}
 	return obs
 }
 
@@ -85,6 +88,11 @@ type Observation struct {
 	Counts map[string]float64
 	Iso    map[string]hw.Metrics
 	Reps   map[string]plan.Node
+	// Load is each drained session's isolated metrics summed over its
+	// queries, one entry per session (zero for one that ran nothing) in
+	// ascending session-ID order: the per-thread demand the control loop
+	// charges whole-machine contention over.
+	Load []hw.Metrics
 }
 
 // NewObservation returns an empty observation.
@@ -98,10 +106,11 @@ func NewObservation() Observation {
 
 // Merge folds another observation into o. Callers merge sessions in
 // ascending session-ID order: each template's count and metric sums then
-// accumulate session by session, so the result is independent of how the
-// sessions were scheduled — the serial-order reduction behind the
-// bit-for-bit replay digests.
+// accumulate session by session, and Load lists the sessions in that
+// order, so the result is independent of how the sessions were scheduled —
+// the serial-order reduction behind the bit-for-bit replay digests.
 func (o *Observation) Merge(other Observation) {
+	o.Load = append(o.Load, other.Load...)
 	for name, c := range other.Counts {
 		o.Counts[name] += c
 	}
