@@ -43,7 +43,12 @@ tier1: vet build race fuzz smoke
 # under internal/selfdrive/, both in LiveController.ingest (the control loop
 # has one driver step: one drain of the process list and one contention rule
 # for an in-flight index build; a second driver with its own ingest or its
-# own build-advance rule does not grow back unnoticed).
+# own build-advance rule does not grow back unnoticed) — and unless
+# make([]storage.RowID appears on exactly one non-test line under
+# internal/exec/, in Batch.reserve (row identities are sized in one place,
+# and only when a parent reads them; a source that allocates identities
+# unconditionally, for a breaker that throws them away, does not grow back
+# unnoticed).
 vet:
 	$(GO) vet ./...
 	@fmt=$$(gofmt -l .); [ -z "$$fmt" ] || { echo "gofmt -l lists:"; echo "$$fmt"; exit 1; }
@@ -63,6 +68,7 @@ vet:
 		n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F "$$f" internal/selfdrive | wc -l); \
 		[ "$$n" -eq 1 ] || { echo "$$f on $$n non-test lines under internal/selfdrive, want 1: drive the loop through LiveController.ingest"; exit 1; }; \
 	done
+	@n=$$(grep -rh --include='*.go' --exclude='*_test.go' -F 'make([]storage.RowID' internal/exec | wc -l); [ "$$n" -eq 1 ] || { echo "make([]storage.RowID on $$n non-test lines under internal/exec, want 1: size row identities through Batch.reserve"; exit 1; }
 
 build:
 	$(GO) build ./...

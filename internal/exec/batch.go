@@ -2,18 +2,35 @@ package exec
 
 import "mb2/internal/storage"
 
-// Batch is a materialized set of rows flowing between operators. Scans over
-// base tables also carry row identities so DML parents can write back.
+// Batch is a materialized set of rows flowing between operators. A scan
+// chain's batch also carries its rows' identities when its parent reads
+// them — a DML parent writing back, or Execute's caller — and never under a
+// breaker's feed, which drops them.
 type Batch struct {
 	Rows   []storage.Tuple
-	RowIDs []storage.RowID // nil once provenance is lost (joins, aggs)
+	RowIDs []storage.RowID // nil once provenance is lost (joins, aggs), or when no parent reads it
 }
 
-// expect sizes an empty batch for n rows with identities.
-func (b *Batch) expect(n int) {
+// reserve sizes an empty batch for up to n rows, and for their identities
+// only when ids is set. It is the one place exec allocates row identities:
+// the Materialize sink, the Exchange's single merged allocation and the
+// streaming execChain batch all size through it.
+func (b *Batch) reserve(n int, ids bool) {
 	b.Rows = make([]storage.Tuple, 0, n)
-	b.RowIDs = make([]storage.RowID, 0, n)
+	b.RowIDs = nil
+	if ids {
+		b.RowIDs = make([]storage.RowID, 0, n)
+	}
 }
+
+// A *Batch is the Materialize driver's sink for a parent that reads no row
+// identities; withIDs is the sink for one that does. Both are one pointer,
+// so handing either to a source as a rowSink allocates nothing.
+func (b *Batch) expect(n int) { b.reserve(n, false) }
+
+type withIDs struct{ *Batch }
+
+func (w withIDs) expect(n int) { w.reserve(n, true) }
 
 // push appends a row, and its identity while the batch still carries them.
 func (b *Batch) push(rid storage.RowID, t storage.Tuple) {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"mb2/internal/catalog"
+	"mb2/internal/engine"
 	"mb2/internal/hw"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
@@ -120,9 +121,11 @@ func measureAgg(t *testing.T, ctx *Ctx, q plan.Node) (allocs, bytes float64) {
 // TestAggregationAllocationsDoNotGrowWithInput counts what a filtered
 // aggregate over n and 4n rows with ten groups allocates. Streamed (RowPass,
 // VecPass) neither allocations nor bytes grow with the input: what a fold
-// keeps per row is one int in a pooled width buffer. Materialized, the child
-// batch grows (two slices, whatever their length) but nothing is allocated
-// per row: no key string, no key bytes.
+// keeps per row is one int in a pooled width buffer. Materialized — on one
+// partition, or through the Exchange over four at DOP 2 — the child batch
+// grows (its one row slice, whatever its length) but nothing is allocated
+// per row: no key string, no key bytes, no row identity, and the Exchange
+// merges in place instead of copying its stripes.
 func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// AllocsPerRun measures on one P; a sync.Pool forgets its contents when
@@ -130,17 +133,39 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const n, groups = 4000, 10
 	small, large := newTestDB(t, n, groups), newTestDB(t, 4*n, groups)
-	for _, mode := range []catalog.ExecutionMode{catalog.Interpret, catalog.Compile, catalog.Vectorize} {
-		t.Run(mode.String(), func(t *testing.T) {
-			sctx, lctx := NewCtx(small, hw.DefaultCPU()), NewCtx(large, hw.DefaultCPU())
-			sctx.Mode, lctx.Mode = mode, mode
+	partSmall, partLarge := newTestDB(t, n, groups), newTestDB(t, 4*n, groups)
+	for _, db := range []*engine.DB{partSmall, partLarge} {
+		knobs := db.Knobs()
+		knobs.PartitionCount = 4
+		db.SetKnobs(knobs)
+	}
+	for _, c := range []struct {
+		name         string
+		mode         catalog.ExecutionMode
+		small, large *engine.DB
+		dop          int
+	}{
+		{catalog.Interpret.String(), catalog.Interpret, small, large, 1},
+		{catalog.Compile.String(), catalog.Compile, small, large, 1},
+		{catalog.Vectorize.String(), catalog.Vectorize, small, large, 1},
+		{"EXCHANGE", catalog.Interpret, partSmall, partLarge, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			sctx, lctx := NewCtx(c.small, hw.DefaultCPU()), NewCtx(c.large, hw.DefaultCPU())
+			sctx.Mode, lctx.Mode = c.mode, c.mode
+			sctx.DOP, lctx.DOP = c.dop, c.dop
 			// Half of each table survives the filter.
 			sa, sb := measureAgg(t, sctx, filteredCount(n/2))
 			la, lb := measureAgg(t, lctx, filteredCount(2*n))
-			t.Logf("%v: %d rows %.0f allocs %.0f B; %d rows %.0f allocs %.0f B", mode, n, sa, sb, 4*n, la, lb)
+			t.Logf("%s: %d rows %.0f allocs %.0f B; %d rows %.0f allocs %.0f B", c.name, n, sa, sb, 4*n, la, lb)
 			// A constant, plus the group count: state, key, group columns,
 			// four accumulators and the output row of each group.
 			limit := float64(24 + 8*groups)
+			if c.dop > 1 {
+				// The fan-out's fixed structures: counts and windows, worker
+				// chains, their goroutines, a feature vector per partition.
+				limit += 32
+			}
 			if raceEnabled {
 				// A dropped width buffer regrows in a few dozen appends; a key
 				// per row would be thousands.
@@ -152,11 +177,11 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 			if la != sa || la > limit {
 				t.Errorf("%.0f allocations at %d rows, %.0f at %d, want the same and at most %.0f", sa, n, la, 4*n, limit)
 			}
-			// Materialized, the child batch grows: rows and row identities of
-			// the whole table.
+			// Materialized, the child batch grows: one tuple header per row of
+			// the whole table, and no row identities.
 			grow := 0.0
-			if mode == catalog.Interpret {
-				grow = 3 * n * (24 + 8)
+			if c.mode == catalog.Interpret {
+				grow = 3 * n * 24
 			}
 			// A tenth over for allocation size classes; a key per row would
 			// be three quarters over.

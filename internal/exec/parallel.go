@@ -94,7 +94,10 @@ func fanOut(ctx *Ctx, parts int, kind ou.Kind, work func(th *hw.Thread, p, dop i
 }
 
 // emitExchangeMerge bills concatenating the per-partition streams, in
-// partition order on the session thread, as the EXCHANGE_MERGE OU.
+// partition order on the session thread, as the EXCHANGE_MERGE OU. The bill
+// is a sequential write of every row; exchangeScan's real merge moves only
+// tuple headers, in place, and partitionJoin's copies them once — a
+// sim-to-real gap the trained models keep until labels are measured.
 func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 	start := ctx.Tracker.Start()
 	ctx.Thread().SeqWrite(total, width)
@@ -105,9 +108,16 @@ func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 
 // exchangeScan is the scan source over a partitioned table: every partition
 // scans on its worker chain (one PARALLEL_SCAN each) and the exchange merge
-// concatenates the stripes into b. Like the serial sources it bills, but
-// does not run, the source's own column projection.
-func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch) error {
+// concatenates the stripes into b, with row identities when ids. Like the
+// serial sources it bills, but does not run, the source's own column
+// projection.
+//
+// The rows materialize once. b is sized for the most rows every partition
+// can deliver (the latch-consistent counts of storage.ScanPartitions), each
+// worker appends into its own capacity-bounded window of that one array, and
+// the merge compacts the stripes leftward in partition order: a stripe never
+// outgrows its window, so a destination never passes its source.
+func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", n.Table)
@@ -115,35 +125,55 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch) error {
 	id, ts := ctx.snapshot()
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	cols := float64(tbl.Meta.Schema.NumColumns())
-	counts := tbl.PartitionRowCounts()
-	parts := len(counts)
-	stripes := make([]Batch, parts)
-
-	dop := fanOut(ctx, parts, ou.ParallelScan, func(th *hw.Thread, p, dop int) []float64 {
-		stripe := &stripes[p]
-		stripe.expect(counts[p])
-		tbl.ScanPartition(th, p, id, ts, func(r storage.RowID, t storage.Tuple) bool {
-			stripe.push(r, t)
-			return true
-		})
-		scanned := stripe.NumRows()
-		ctx.computeOn(th, scanned*6)
-		if n.Filter == nil && n.Project != nil {
-			ctx.computeOn(th, scanned*float64(len(n.Project))*2)
+	var stripes []Batch
+	var dop int
+	tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
+		parts := len(counts)
+		off := make([]int, parts+1)
+		for p, c := range counts {
+			off[p+1] = off[p] + c
 		}
-		return ou.ParallelScanFeatures(scanned, cols, width, float64(parts), float64(dop), ctx.compiled())
+		b.reserve(off[parts], ids)
+		stripes = make([]Batch, parts)
+		for p := range stripes {
+			stripes[p].Rows = b.Rows[off[p]:off[p]:off[p+1]]
+			if ids {
+				stripes[p].RowIDs = b.RowIDs[off[p]:off[p]:off[p+1]]
+			}
+		}
+		dop = fanOut(ctx, parts, ou.ParallelScan, func(th *hw.Thread, p, dop int) []float64 {
+			stripe := &stripes[p]
+			buf := getScanBuf()
+			scan(th, p, id, ts, *buf, func(chunk []storage.ScanRow) bool {
+				for i := range chunk {
+					stripe.push(chunk[i].Row, chunk[i].Data)
+				}
+				return true
+			})
+			putScanBuf(buf)
+			scanned := stripe.NumRows()
+			ctx.computeOn(th, scanned*6)
+			if n.Filter == nil && n.Project != nil {
+				ctx.computeOn(th, scanned*float64(len(n.Project))*2)
+			}
+			return ou.ParallelScanFeatures(scanned, cols, width, float64(parts), float64(dop), ctx.compiled())
+		})
 	})
 
 	total := 0
 	for p := range stripes {
-		total += len(stripes[p].Rows)
+		s := &stripes[p]
+		copy(b.Rows[total:cap(b.Rows)], s.Rows)
+		if ids {
+			copy(b.RowIDs[total:cap(b.RowIDs)], s.RowIDs)
+		}
+		total += len(s.Rows)
 	}
-	b.expect(total)
-	for p := range stripes {
-		b.Rows = append(b.Rows, stripes[p].Rows...)
-		b.RowIDs = append(b.RowIDs, stripes[p].RowIDs...)
+	b.Rows = b.Rows[:total]
+	if ids {
+		b.RowIDs = b.RowIDs[:total]
 	}
-	emitExchangeMerge(ctx, float64(total), width, parts, dop)
+	emitExchangeMerge(ctx, float64(total), width, len(stripes), dop)
 	return nil
 }
 

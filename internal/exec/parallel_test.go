@@ -231,6 +231,51 @@ func TestParallelScanMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestExchangeCountsExactUnderRepartition: a Repartition that lands in the
+// middle of an exchange scan must neither lose nor duplicate rows. One
+// goroutine flips a table between 2 and 4 partitions while another counts it
+// through the Exchange; every count is exact.
+func TestExchangeCountsExactUnderRepartition(t *testing.T) {
+	const rows, counts = 30000, 500
+	db := newPartitionedDB(t, 2, rows)
+	tbl := db.Table("part_items")
+	q := &plan.AggNode{Child: &plan.SeqScanNode{Table: "part_items"},
+		Aggs: []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}}}
+
+	done := make(chan struct{})
+	flipped := make(chan int)
+	go func() {
+		flips := 0
+		for parts := 4; ; parts = 6 - parts {
+			select {
+			case <-done:
+				flipped <- flips
+				return
+			default:
+			}
+			tbl.Repartition(nil, parts)
+			flips++
+		}
+	}()
+	ctx := exec.NewCtx(db, hw.DefaultCPU())
+	ctx.Mode, ctx.DOP = catalog.Interpret, 2
+	wrong := 0
+	for i := 0; i < counts; i++ {
+		b, err := exec.Execute(ctx, q)
+		if err != nil {
+			t.Error(err) // not Fatal: the flipper must still be stopped
+			break
+		}
+		if got := b.Rows[0][0].I; got != rows {
+			if wrong++; wrong <= 5 {
+				t.Errorf("count %d: %d rows, want %d", i, got, rows)
+			}
+		}
+	}
+	close(done)
+	t.Logf("%d repartitions during %d counts; %d wrong", <-flipped, counts, wrong)
+}
+
 // TestParallelScanDeterministicAcrossDOPAndRuns: for each DOP the execution
 // must be bit-for-bit reproducible, the merged row ORDER must be invariant
 // across DOP (it depends only on the partition directory), and per-partition

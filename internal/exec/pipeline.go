@@ -33,6 +33,11 @@ import (
 //     (vectorized.go). Vectorized mode, sequential-scan sources only.
 //   - Exchange: Materialize, with the source fanned out over partition
 //     worker chains. Every mode, whenever the source table is partitioned.
+//     The workers fill windows of one Batch allocation, and the merge
+//     compacts them in place.
+//
+// A chain materializes row identities only when its parent reads them:
+// Execute's caller (a DML child) does, a breaker on feed never does.
 //
 // The modeled-cost contract is strict: RowPass emits exactly the OU records
 // — same kinds, same order, same feature vectors — that Materialize emits
@@ -278,15 +283,13 @@ func (c *Ctx) readPostings(tbl *storage.Table, cols []int, ps []index.Entry, id,
 	return pushed
 }
 
-// execChain runs a scan chain on its driver and returns its output.
-func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline) (*Batch, error) {
+// execChain runs a scan chain on its driver and returns its output, with
+// row identities when the parent reads them (ids) and the chain keeps them.
+func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, ids bool) (*Batch, error) {
+	ids = ids && p.HasRowIDs()
 	b := &Batch{}
 	if drv.Streams() {
-		est := capHint(p.Source.Est().Rows)
-		b.Rows = make([]storage.Tuple, 0, est)
-		if p.HasRowIDs() {
-			b.RowIDs = make([]storage.RowID, 0, est)
-		}
+		b.reserve(capHint(p.Source.Est().Rows), ids)
 		if err := streamChain(ctx, drv, p, b.push); err != nil {
 			return nil, err
 		}
@@ -294,7 +297,9 @@ func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline) (*Batch, error) 
 	}
 	var err error
 	if drv == plan.Exchange {
-		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b)
+		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b, ids)
+	} else if ids {
+		err = runSource(ctx, p.Source, withIDs{b})
 	} else {
 		err = runSource(ctx, p.Source, b)
 	}

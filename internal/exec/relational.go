@@ -24,7 +24,7 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOn(ctx, node, drv, chain)
+	return runOn(ctx, node, drv, chain, true)
 }
 
 // enter is the operator boundary: the cancellation point where a killed
@@ -47,8 +47,8 @@ func enter(ctx *Ctx, node plan.Node) (plan.Driver, *plan.ScanPipeline, error) {
 // input, so each breaker has one body for every driver. A consumer that
 // buffers the rows passes expect, called once before the first row with the
 // row count (a Batch's) or the optimizer's estimate of it (a stream's). Row
-// identities are not fed (the loop passes 0): nothing above a breaker carries
-// them.
+// identities are not fed (the loop passes 0), so none are materialized:
+// nothing above a breaker carries them.
 func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.RowID, storage.Tuple)) error {
 	drv, chain, err := enter(ctx, node)
 	if err != nil {
@@ -61,7 +61,7 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 		expect(capHint(chain.Source.Est().Rows))
 		return streamChain(ctx, drv, chain, sink)
 	}
-	b, err := runOn(ctx, node, drv, chain)
+	b, err := runOn(ctx, node, drv, chain, false)
 	if err != nil {
 		return err
 	}
@@ -72,10 +72,12 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	return nil
 }
 
-// runOn runs the fragment rooted at node on the driver enter returned.
-func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline) (*Batch, error) {
+// runOn runs the fragment rooted at node on the driver enter returned. ids
+// says whether the caller reads row identities: a chain materializes them
+// only then.
+func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline, ids bool) (*Batch, error) {
 	if chain != nil {
-		return execChain(ctx, drv, chain)
+		return execChain(ctx, drv, chain, ids)
 	}
 	switch n := node.(type) {
 	case *plan.HashJoinNode:

@@ -212,13 +212,56 @@ func (t *Table) ScanPartition(th *hw.Thread, p int, txnID, readTS uint64, fn fun
 func (t *Table) ScanPartitionBatch(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
 	t.partScanMu.RLock()
 	defer t.partScanMu.RUnlock()
-	t.mu.RLock()
-	slots := t.slots
-	dir := t.partOf
-	if t.parts <= 1 {
-		dir = nil
+	slots, dir, _ := t.partitionView()
+	t.scanPartition(th, slots, dir, p, txnID, readTS, buf, fn)
+}
+
+// PartitionScan visits partition p of the snapshot ScanPartitions took,
+// exactly as ScanPartitionBatch does, without taking the latch again.
+type PartitionScan func(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool)
+
+// ScanPartitions runs one partitioned scan under a single hold of the
+// partition scan latch, so no Repartition can change the partition count or
+// any row's partition between the counts it reports and the scans it runs.
+// It calls run once with counts — one entry per partition, counts[p] the
+// most rows a scan of partition p can deliver, a hard upper bound — and
+// scan. run may call scan from several goroutines, but must not take the
+// latch again (no ScanPartition inside run): a second read hold queues
+// behind a waiting Repartition, which waits for the first, and deadlocks.
+func (t *Table) ScanPartitions(run func(counts []int, scan PartitionScan)) {
+	t.partScanMu.RLock()
+	defer t.partScanMu.RUnlock()
+	slots, dir, parts := t.partitionView()
+	counts := []int{len(slots)} // unpartitioned: the one scan visits every slot
+	if dir != nil {
+		counts = make([]int, parts)
+		for _, p := range dir {
+			if p >= 0 && int(p) < parts {
+				counts[p]++
+			}
+		}
 	}
-	t.mu.RUnlock()
+	run(counts, func(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
+		t.scanPartition(th, slots, dir, p, txnID, readTS, buf, fn)
+	})
+}
+
+// partitionView snapshots the slots, the routing directory and the
+// partition count a partition scan walks; the directory is nil on an
+// unpartitioned table. Callers hold partScanMu, which keeps all three
+// consistent with each other.
+func (t *Table) partitionView() ([]*slot, []int32, int) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if t.parts <= 1 {
+		return t.slots, nil, 1
+	}
+	return t.slots, t.partOf, t.parts
+}
+
+// scanPartition charges the partition's scan latch and walks its stripe of
+// the snapshot partitionView took.
+func (t *Table) scanPartition(th *hw.Thread, slots []*slot, dir []int32, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
 	if th != nil {
 		th.Latch(1) // the partition's scan latch
 	}
