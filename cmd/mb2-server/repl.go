@@ -92,11 +92,9 @@ func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
 	}
 
 	sts := grp.Status()
-	least := 0
-	for i, st := range sts {
-		if st.PendingBytes < sts[least].PendingBytes {
-			least = i
-		}
+	least, err := repl.PickPromotion(sts, func(st repl.Status) (float64, error) { return float64(st.PendingBytes), nil })
+	if err != nil {
+		return 0, err
 	}
 	if report {
 		fmt.Println("\n replica  epoch  recv bytes  recv commits  applied  pending bytes  replay us")

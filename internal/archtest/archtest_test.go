@@ -1,0 +1,237 @@
+// Package archtest holds the module's structural rules: each one is a check
+// over the source tree that keeps a mechanism the design merged into one
+// from growing a second copy unnoticed. The package is test-only; go test
+// ./... runs every rule against the module and, on a synthetic tree, proves
+// each rule still catches the violation it exists for.
+package archtest
+
+import (
+	"fmt"
+	"go/format"
+	"io/fs"
+	"path"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// A rule is one structural check. check returns one line per violation.
+type rule struct {
+	name   string
+	reason string
+	pr     int // the CHANGES.md entry ("PR N") that introduced the rule
+	check  func(*tree) []string
+}
+
+var rules = []rule{
+	{"gofmt", "every Go file is gofmt-formatted", 17, gofmtRule},
+	{"cmd-links-no-check",
+		"no cmd/ binary links the test harness internal/check: its drills run under go test, not in a shipped binary",
+		18, cmdLinksNoCheck},
+	{"two-crc-codecs",
+		"hash/crc32 is imported only by the wire codec (internal/server/frame.go) and the WAL: a third CRC frame codec does not reappear unnoticed",
+		19, forbid("", except("internal/server/frame.go", "internal/wal/"), `"hash/crc32"`)},
+	{"repl-ships-suffixes",
+		"internal/repl never calls .Durable() or .Contents(): a whole-image read does not come back into the ship path; ship wal.Manager.DurableSince's suffix",
+		20, forbid("internal/repl", nil, ".Durable()", ".Contents()")},
+	{"one-plan-path",
+		"internal/session names sql.Parse or NewPlanner only inside Session.miss: a second path from statement text to a plan does not grow beside the plan cache",
+		21, onePlanPath},
+	{"no-key-alloc-in-exec",
+		"internal/exec never names index.KeyFromTuple(: the allocating key encoder is for the B+tree insert, which retains its key; builds and probes encode into ctx.keyBuf with index.AppendKeyFromTuple",
+		22, forbid("internal/exec", nil, "index.KeyFromTuple(")},
+	{"one-hash-join-body",
+		"exactly one line under internal/exec stops the HASHJOIN_BUILD bracket (Tracker.Stop(ou.HashJoinBuild): a second hash-join body does not grow back beside exec.hashJoin",
+		23, exactly("internal/exec", 1, "Tracker.Stop(ou.HashJoinBuild", nil)},
+	{"one-digest-fold",
+		"nothing outside benchmark/ imports hash/fnv or names fnv.New64a: every digest, fingerprint and route folds through internal/fold",
+		24, forbid("", except("benchmark/"), `"hash/fnv"`, "fnv.New64a")},
+	{"one-scan-loop",
+		"visible( is called on exactly two lines under internal/storage, Table.Read and Table.walk: a further scan loop does not grow back beside the one walk",
+		24, exactly("internal/storage", 2, "visible(", regexp.MustCompile(`^func visible\(`))},
+	{"one-write-path",
+		"RecordWrite( is named only in internal/txn/ and internal/engine/write.go: every row write goes through engine.Insert/Update/Delete, which index, record and log it",
+		25, forbid("", except("internal/txn/", "internal/engine/write.go"), "RecordWrite(")},
+	{"one-maintainer",
+		"WAL.Serialize(, WAL.Flush( and GC.Run( are called only by exec/tasks.go, the checkpoint's own drain (engine/checkpoint.go), the OU sweeps (internal/runner/), internal/wal/, internal/gc/ and benchmark/: maintenance is an exec.Maintainer pass",
+		26, forbid("", except("internal/exec/tasks.go", "internal/engine/checkpoint.go", "internal/runner/", "internal/wal/", "internal/gc/", "benchmark/"),
+			"WAL.Serialize(", "WAL.Flush(", "GC.Run(")},
+	{"one-drain",
+		"DrainObservations( appears on exactly one line under internal/selfdrive, in LiveController.ingest: the control loop has one driver step and one drain of the process list",
+		28, exactly("internal/selfdrive", 1, "DrainObservations(", nil)},
+	{"one-build-advance",
+		".Advance( appears on exactly one line under internal/selfdrive, in LiveController.ingest: an in-flight index build has one contention rule",
+		28, exactly("internal/selfdrive", 1, ".Advance(", nil)},
+	{"row-ids-sized-once",
+		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
+		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
+	{"fuzz-targets-run",
+		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
+		31, fuzzTargetsRun},
+	{"reachable",
+		"every top-level func and method is referenced by non-test code, or listed in testonly.txt with its owner ROADMAP item or keep reason: code only tests reach is wired or deleted",
+		31, unreachable},
+}
+
+func TestRules(t *testing.T) {
+	tr := module(t)
+	for _, r := range rules {
+		t.Run(r.name, func(t *testing.T) {
+			if bad := r.check(tr); len(bad) > 0 {
+				t.Errorf("%s (rule since PR %d)\n\t%s", r.reason, r.pr, strings.Join(bad, "\n\t"))
+			}
+		})
+	}
+}
+
+// except returns a skip function for the files that are, or lie under,
+// one of prefixes (a prefix ending in "/" is a directory).
+func except(prefixes ...string) func(string) bool {
+	return func(file string) bool {
+		for _, p := range prefixes {
+			if file == p || (strings.HasSuffix(p, "/") && strings.HasPrefix(file, p)) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// forbid fails every non-test line under dir, outside the files skip
+// reports, that contains any of pats.
+func forbid(dir string, skip func(string) bool, pats ...string) func(*tree) []string {
+	return func(t *tree) []string {
+		return t.lines(dir, skip, func(l string) bool {
+			for _, p := range pats {
+				if strings.Contains(l, p) {
+					return true
+				}
+			}
+			return false
+		})
+	}
+}
+
+// exactly fails unless exactly want non-test lines under dir contain pat,
+// not counting lines that match ignore.
+func exactly(dir string, want int, pat string, ignore *regexp.Regexp) func(*tree) []string {
+	return func(t *tree) []string {
+		got := t.lines(dir, nil, func(l string) bool {
+			return strings.Contains(l, pat) && (ignore == nil || !ignore.MatchString(l))
+		})
+		if len(got) == want {
+			return nil
+		}
+		return append([]string{fmt.Sprintf("%s on %d non-test lines under %s/, want %d:", pat, len(got), dir, want)}, got...)
+	}
+}
+
+func gofmtRule(t *tree) []string {
+	var bad []string
+	for _, f := range t.goFiles {
+		src, err := fs.ReadFile(t.fsys, f)
+		if err == nil {
+			var out []byte
+			if out, err = format.Source(src); err == nil && string(out) != string(src) {
+				err = fmt.Errorf("not gofmt-formatted")
+			}
+		}
+		if err != nil {
+			bad = append(bad, f+": "+err.Error())
+		}
+	}
+	return bad
+}
+
+func cmdLinksNoCheck(t *tree) []string {
+	pkgs, err := t.packages()
+	if err != nil {
+		return []string{err.Error()}
+	}
+	var bad []string
+	for _, ip := range sortedKeys(pkgs) {
+		if strings.HasPrefix(ip, t.module+"/cmd/") && t.deps(ip)[t.module+"/internal/check"] {
+			bad = append(bad, ip+" links "+t.module+"/internal/check")
+		}
+	}
+	return bad
+}
+
+var (
+	missStart = regexp.MustCompile(`^func \(s \*Session\) miss\(`)
+	planEntry = regexp.MustCompile(`sql\.Parse|NewPlanner`)
+	comment   = regexp.MustCompile(`^[ \t]*//`)
+)
+
+// onePlanPath scans the non-test files directly in internal/session, from
+// the line that opens Session.miss to the next closing brace in column one
+// being inside it.
+func onePlanPath(t *tree) []string {
+	var bad []string
+	for _, f := range t.goFiles {
+		if isTest(f) || path.Dir(f) != "internal/session" {
+			continue
+		}
+		src, err := fs.ReadFile(t.fsys, f)
+		if err != nil {
+			bad = append(bad, f+": "+err.Error())
+			continue
+		}
+		inMiss := false
+		for i, l := range strings.Split(string(src), "\n") {
+			if missStart.MatchString(l) {
+				inMiss = true
+			}
+			if strings.HasPrefix(l, "}") {
+				inMiss = false
+			}
+			if planEntry.MatchString(l) && !inMiss && !comment.MatchString(l) {
+				bad = append(bad, fmt.Sprintf("%s:%d: %s", f, i+1, strings.TrimSpace(l)))
+			}
+		}
+	}
+	return bad
+}
+
+var (
+	fuzzFunc   = regexp.MustCompile(`(?m)^func (Fuzz\w*)\(`)
+	fuzzTarget = regexp.MustCompile(`(?m)-fuzz=(\w+)\b.*\s\./(\S+)\s*$`)
+)
+
+// fuzzTargetsRun compares the Fuzz functions of the tree's test files with
+// the (package, target) pairs the Makefile's fuzz recipe runs.
+func fuzzTargetsRun(t *tree) []string {
+	have := map[string]bool{}
+	for _, f := range t.goFiles {
+		if !isTest(f) {
+			continue
+		}
+		src, err := fs.ReadFile(t.fsys, f)
+		if err != nil {
+			return []string{err.Error()}
+		}
+		for _, m := range fuzzFunc.FindAllStringSubmatch(string(src), -1) {
+			have[path.Dir(f)+"."+m[1]] = true
+		}
+	}
+	mk, err := fs.ReadFile(t.fsys, "Makefile")
+	if err != nil {
+		return []string{err.Error()}
+	}
+	run := map[string]bool{}
+	for _, m := range fuzzTarget.FindAllStringSubmatch(string(mk), -1) {
+		run[m[2]+"."+m[1]] = true
+	}
+	var bad []string
+	for _, target := range sortedKeys(have) {
+		if !run[target] {
+			bad = append(bad, target+" is not run by make fuzz")
+		}
+	}
+	for _, target := range sortedKeys(run) {
+		if !have[target] {
+			bad = append(bad, "make fuzz runs "+target+", which no test file declares")
+		}
+	}
+	return bad
+}

@@ -1,0 +1,130 @@
+package archtest
+
+import (
+	"strings"
+	"testing"
+	"testing/fstest"
+)
+
+// A violation is a synthetic tree that must fail one rule with a report
+// containing want.
+type violation struct {
+	rule, name, want string
+	files            map[string]string
+}
+
+// Each "want N" rule gets a tree with one line too many, as a second copy of
+// the mechanism would add.
+var violations = []violation{
+	{"gofmt", "unformatted file", "internal/x/x.go: not gofmt-formatted", map[string]string{
+		"internal/x/x.go": "package x\nfunc  f( ) {}\n"}},
+	{"cmd-links-no-check", "cmd/ imports internal/check through a package", "mb2/cmd/tool links mb2/internal/check", map[string]string{
+		"cmd/tool/main.go":        "package main\n\nimport \"mb2/internal/y\"\n\nfunc main() { y.Y() }\n",
+		"internal/y/y.go":         "package y\n\nimport \"mb2/internal/check\"\n\nfunc Y() { check.Run() }\n",
+		"internal/check/check.go": "package check\n\nfunc Run() {}\n"}},
+	{"two-crc-codecs", "a third CRC codec", "internal/repl/frame.go:3:", map[string]string{
+		"internal/repl/frame.go": "package repl\n\nimport \"hash/crc32\"\n"}},
+	{"repl-ships-suffixes", "a whole-image read in repl", "internal/repl/ship.go:3:", map[string]string{
+		"internal/repl/ship.go": "package repl\n\nfunc f() { _ = dev.Durable() }\n"}},
+	{"one-plan-path", "a parse outside Session.miss", "internal/session/s.go:8:", map[string]string{
+		"internal/session/s.go": "package session\n\nfunc (s *Session) miss() {\n\tsql.Parse(q)\n}\n\nfunc (s *Session) run() {\n\tsql.Parse(q)\n}\n"}},
+	{"no-key-alloc-in-exec", "an allocating key encoder in a probe", "internal/exec/probe.go:3:", map[string]string{
+		"internal/exec/probe.go": "package exec\n\nfunc f() { k := index.KeyFromTuple(t, cols) }\n"}},
+	{"one-hash-join-body", "a second hash-join body", "on 2 non-test lines", map[string]string{
+		"internal/exec/join.go":  "package exec\n\nfunc a() { ctx.Tracker.Stop(ou.HashJoinBuild, f, s) }\n",
+		"internal/exec/join2.go": "package exec\n\nfunc b() { ctx.Tracker.Stop(ou.HashJoinBuild, f, s) }\n"}},
+	{"one-digest-fold", "a hand-rolled FNV packing", "internal/plan/fp.go:3:", map[string]string{
+		"internal/plan/fp.go": "package plan\n\nfunc f() { h := fnv.New64a() }\n"}},
+	{"one-scan-loop", "a third visibility check", "on 3 non-test lines", map[string]string{
+		"internal/storage/t.go": "package storage\n\nfunc visible(v *version) bool { return true }\n\nfunc (t *Table) Read() { visible(v) }\n\nfunc (t *Table) walk() { visible(v) }\n\nfunc (t *Table) scan2() { visible(v) }\n"}},
+	{"one-write-path", "a hand-rolled write path", "internal/check/harness.go:3:", map[string]string{
+		"internal/check/harness.go": "package check\n\nfunc f() { tx.RecordWrite(w) }\n"}},
+	{"one-maintainer", "a hand-rolled flush cadence", "internal/session/s.go:3:", map[string]string{
+		"internal/session/s.go": "package session\n\nfunc f() { db.WAL.Flush(th) }\n"}},
+	{"one-drain", "a second DrainObservations( line", "on 2 non-test lines", map[string]string{
+		"internal/selfdrive/control.go": "package selfdrive\n\nfunc (c *LiveController) ingest() { c.reg.DrainObservations() }\n",
+		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc run() { reg.DrainObservations() }\n"}},
+	{"one-build-advance", "a second build-advance rule", "on 2 non-test lines", map[string]string{
+		"internal/selfdrive/control.go": "package selfdrive\n\nfunc f() { b.Advance(us) }\n",
+		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc g() { b.Advance(us) }\n"}},
+	{"row-ids-sized-once", "a second make([]storage.RowID", "on 2 non-test lines", map[string]string{
+		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = make([]storage.RowID, 0, n) }\n",
+		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := make([]storage.RowID, n) }\n"}},
+	{"fuzz-targets-run", "a fuzz target make fuzz does not run", "internal/x.FuzzB is not run by make fuzz", map[string]string{
+		"Makefile":                "fuzz:\n\t$(GO) test -run=NONE -fuzz=FuzzA -fuzztime=5s ./internal/x\n",
+		"internal/x/fuzz_test.go": "package x\n\nfunc FuzzA(f *testing.F) {}\n\nfunc FuzzB(f *testing.F) {}\n"}},
+	{"fuzz-targets-run", "make fuzz runs a target nobody declares", "make fuzz runs internal/x.FuzzGone", map[string]string{
+		"Makefile":                "fuzz:\n\t$(GO) test -run=NONE -fuzz=FuzzA -fuzztime=5s ./internal/x\n\t$(GO) test -run=NONE -fuzz=FuzzGone -fuzztime=5s ./internal/x\n",
+		"internal/x/fuzz_test.go": "package x\n\nfunc FuzzA(f *testing.F) {}\n"}},
+	{"reachable", "a function only a test calls", "internal/x.onlyTests has no non-test reference", map[string]string{
+		"internal/x/x.go":      "package x\n\nfunc Used() {}\n\nfunc onlyTests() { Used() }\n",
+		"internal/x/x_test.go": "package x\n\nfunc TestX() { onlyTests() }\n",
+		"cmd/tool/main.go":     "package main\n\nimport \"mb2/internal/x\"\n\nfunc main() { x.Used() }\n"}},
+	{"reachable", "a function only it calls itself", "cmd/tool.loop has no non-test reference", map[string]string{
+		"cmd/tool/main.go": "package main\n\nfunc main() {}\n\nfunc loop(n int) { loop(n - 1) }\n"}},
+	{"reachable", "a listed symbol non-test code references", "cmd/tool.f is referenced", map[string]string{
+		"cmd/tool/main.go": "package main\n\nfunc main() { f() }\n\nfunc f() {}\n",
+		testOnlyFile:       "cmd/tool.f keep: a reason\n"}},
+	{"reachable", "a listed symbol that no longer exists", "cmd/tool.gone no longer exists", map[string]string{
+		"cmd/tool/main.go": "package main\n\nfunc main() {}\n",
+		testOnlyFile:       "cmd/tool.gone item 1: its owner\n"}},
+	{"reachable", "a listed symbol with no owner", "cmd/tool.f names no owner", map[string]string{
+		"cmd/tool/main.go": "package main\n\nfunc main() {}\n\nfunc f() {}\n",
+		testOnlyFile:       "cmd/tool.f because\n"}},
+}
+
+// mapTree is a synthetic module named mb2 holding files.
+func mapTree(t *testing.T, files map[string]string) *tree {
+	t.Helper()
+	fsys := fstest.MapFS{"go.mod": {Data: []byte("module mb2\n\ngo 1.22\n")}}
+	for name, src := range files {
+		fsys[name] = &fstest.MapFile{Data: []byte(src)}
+	}
+	tr, err := newTree(fsys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func TestEveryRuleCatchesItsViolation(t *testing.T) {
+	byRule := map[string]rule{}
+	covered := map[string]bool{}
+	for _, r := range rules {
+		byRule[r.name] = r
+	}
+	for _, v := range violations {
+		r, ok := byRule[v.rule]
+		if !ok {
+			t.Fatalf("violation %q names no rule %q", v.name, v.rule)
+		}
+		covered[v.rule] = true
+		t.Run(v.rule+"/"+v.name, func(t *testing.T) {
+			bad := strings.Join(r.check(mapTree(t, v.files)), "\n\t")
+			if !strings.Contains(bad, v.want) {
+				t.Errorf("rule %s on a tree with %s: want a report of %q, got\n\t%s", v.rule, v.name, v.want, bad)
+			}
+		})
+	}
+	for _, r := range rules {
+		if !covered[r.name] {
+			t.Errorf("rule %s has no violation case", r.name)
+		}
+	}
+}
+
+// The reachability rule's exemptions: main and init, a method an interface
+// of the module asks for, a listed symbol, and a function that is only
+// referenced from a package-level declaration.
+func TestReachableExemptions(t *testing.T) {
+	tr := mapTree(t, map[string]string{
+		"cmd/tool/main.go": "package main\n\nimport \"mb2/internal/x\"\n\nfunc init() {}\n\nfunc main() { x.Use(x.T{}) }\n",
+		"internal/x/x.go": "package x\n\ntype Namer interface{ Name() string }\n\ntype T struct{}\n\n" +
+			"func (T) Name() string { return \"t\" }\n\nfunc Use(n Namer) { _ = n.Name() }\n\n" +
+			"var hook = onInit\n\nfunc onInit() {}\n\nfunc Listed() {}\n",
+		testOnlyFile: "# comment\n\ninternal/x.Listed keep: a written reason\n",
+	})
+	if bad := unreachable(tr); len(bad) > 0 {
+		t.Errorf("exempt symbols failed the rule:\n\t%s", strings.Join(bad, "\n\t"))
+	}
+}

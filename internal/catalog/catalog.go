@@ -90,15 +90,6 @@ func (s Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// Project returns the schema restricted to the given column positions.
-func (s Schema) Project(cols []int) Schema {
-	out := Schema{Columns: make([]Column, len(cols))}
-	for i, c := range cols {
-		out.Columns[i] = s.Columns[c]
-	}
-	return out
-}
-
 // TableMeta is the catalog entry for a table.
 type TableMeta struct {
 	ID     int
@@ -220,17 +211,6 @@ func (c *Catalog) RenameIndex(old, new string) error {
 	idx.Name = new
 	c.indexes[new] = idx
 	return nil
-}
-
-// Index looks up an index by name.
-func (c *Catalog) Index(name string) (*IndexMeta, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	idx, ok := c.indexes[name]
-	if !ok {
-		return nil, fmt.Errorf("catalog: index %q does not exist", name)
-	}
-	return idx, nil
 }
 
 // TableIndexes returns the indexes defined over a table, without copying:

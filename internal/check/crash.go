@@ -483,12 +483,16 @@ func captureState(tables []*storage.Table, readTS uint64) map[string]string {
 func capturePartitioned(tables []*storage.Table, readTS uint64) map[string]string {
 	out := make(map[string]string)
 	for _, tbl := range tables {
-		for p := 0; p < tbl.PartitionCount(); p++ {
-			tbl.ScanPartition(nil, p, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-				out[fmt.Sprintf("%s/%d", tbl.Meta.Name, row)] = renderTuple(data)
-				return true
-			})
-		}
+		tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
+			for p := range counts {
+				scan(nil, p, 0, readTS, nil, func(rows []storage.ScanRow) bool {
+					for _, r := range rows {
+						out[fmt.Sprintf("%s/%d", tbl.Meta.Name, r.Row)] = renderTuple(r.Data)
+					}
+					return true
+				})
+			}
+		})
 	}
 	return out
 }

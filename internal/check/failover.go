@@ -227,18 +227,13 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		}
 
 		sts := grp.Status()
-		chosen := 0
+		cost := func(repl.Status) (float64, error) { return 0, nil } // "fixed": every tie goes to replica 0
 		if cfg.Policy == "predicted" {
-			bestUS := math.Inf(1)
-			for i, st := range sts {
-				us, err := cfg.Predict(estimateFromStatus(st, tupleBytes))
-				if err != nil {
-					return res, err
-				}
-				if us < bestUS {
-					bestUS, chosen = us, i
-				}
-			}
+			cost = func(st repl.Status) (float64, error) { return cfg.Predict(estimateFromStatus(st, tupleBytes)) }
+		}
+		chosen, err := repl.PickPromotion(sts, cost)
+		if err != nil {
+			return res, err
 		}
 		res.chosen = chosen
 		res.pendingBytes = sts[chosen].PendingBytes

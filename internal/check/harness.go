@@ -623,30 +623,27 @@ func (h *harness) balanceSum(txnID, readTS uint64) float64 {
 	return total
 }
 
-// balanceSumParallel computes the committed balance total by fanning the
-// per-partition scans of both balance tables over DOP goroutines. Each
-// (table, partition) cell accumulates into its own sum and the cells are
-// merged in enumeration order, so the total is independent of which
-// goroutine scanned which partition.
+// balanceSumParallel computes the committed balance total by fanning each
+// balance table's per-partition scans, under one hold of its partition
+// latch, over DOP goroutines. Each (table, partition) cell accumulates into
+// its own sum and the cells are merged in enumeration order, so the total is
+// independent of which goroutine scanned which partition.
 func (h *harness) balanceSumParallel(tables []*storage.Table, txnID, readTS uint64) float64 {
-	type cell struct {
-		tbl *storage.Table
-		p   int
-	}
-	var cells []cell
+	var sums []float64 // one per (table, partition), in that order
 	for _, tbl := range tables {
-		for p := 0; p < tbl.PartitionCount(); p++ {
-			cells = append(cells, cell{tbl, p})
-		}
-	}
-	sums := make([]float64, len(cells))
-	par.Do(h.cfg.DOP, len(cells), func(i int) {
-		c := cells[i]
-		c.tbl.ScanPartition(nil, c.p, txnID, readTS, func(_ storage.RowID, data storage.Tuple) bool {
-			sums[i] += data[1].F
-			return true
+		tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
+			part := make([]float64, len(counts))
+			par.Do(h.cfg.DOP, len(counts), func(p int) {
+				scan(nil, p, txnID, readTS, nil, func(rows []storage.ScanRow) bool {
+					for _, r := range rows {
+						part[p] += r.Data[1].F
+					}
+					return true
+				})
+			})
+			sums = append(sums, part...)
 		})
-	})
+	}
 	total := 0.0
 	for _, s := range sums {
 		total += s

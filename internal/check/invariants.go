@@ -85,21 +85,25 @@ func (h *harness) checkPartitions() error {
 		})
 		merged := make(map[storage.RowID]string, len(global))
 		var perr error
-		for p := 0; p < parts && perr == nil; p++ {
-			tbl.ScanPartition(nil, p, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-				if q := tbl.PartitionOfRow(row); q != p {
-					perr = fmt.Errorf("table %s row %d surfaced by partition %d but routed to %d",
-						tbl.Meta.Name, row, p, q)
-					return false
-				}
-				if _, dup := merged[row]; dup {
-					perr = fmt.Errorf("table %s row %d surfaced by two partition scans", tbl.Meta.Name, row)
-					return false
-				}
-				merged[row] = renderTuple(data)
-				return true
-			})
-		}
+		tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
+			for p := 0; p < len(counts) && perr == nil; p++ {
+				scan(nil, p, 0, readTS, nil, func(rows []storage.ScanRow) bool {
+					for _, r := range rows {
+						if q := tbl.PartitionOfRow(r.Row); q != p {
+							perr = fmt.Errorf("table %s row %d surfaced by partition %d but routed to %d",
+								tbl.Meta.Name, r.Row, p, q)
+							return false
+						}
+						if _, dup := merged[r.Row]; dup {
+							perr = fmt.Errorf("table %s row %d surfaced by two partition scans", tbl.Meta.Name, r.Row)
+							return false
+						}
+						merged[r.Row] = renderTuple(r.Data)
+					}
+					return true
+				})
+			}
+		})
 		if perr != nil {
 			return perr
 		}

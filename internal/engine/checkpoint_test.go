@@ -186,7 +186,7 @@ func TestRecoveryChargesIndexRebuild(t *testing.T) {
 			}
 		}
 		th := hw.NewThread(hw.DefaultCPU())
-		if _, err := replica.Recover(th, img); err != nil {
+		if _, err := replica.RecoverImages(th, nil, img); err != nil {
 			t.Fatal(err)
 		}
 		return th.Counters()

@@ -320,15 +320,6 @@ type RecoveryStats struct {
 	StaleLog bool
 }
 
-// Recover rebuilds committed state from a durable WAL image (no
-// checkpoint): it replays the longest valid committed prefix of the log
-// against this database's tables. See RecoverImages for the full contract.
-// It returns the number of redo records applied.
-func (db *DB) Recover(th *hw.Thread, walImage []byte) (int, error) {
-	st, err := db.RecoverImages(th, nil, walImage)
-	return st.Applied, err
-}
-
 // RecoverImages rebuilds committed state from the durable checkpoint and
 // log images — what Checkpoint and the WAL device held at the crash. The
 // checkpoint image (if it is a valid one) restores its snapshot; the log tail

@@ -206,12 +206,12 @@ func TestRecoverFromWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	rth := hw.NewThread(hw.DefaultCPU())
-	applied, err := replica.Recover(rth, primary.WAL.Durable())
+	st, err := replica.RecoverImages(rth, nil, primary.WAL.Durable())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 10 {
-		t.Fatalf("applied %d records, want 10", applied)
+	if st.Applied != 10 {
+		t.Fatalf("applied %d records, want 10", st.Applied)
 	}
 	if replica.RowCount("kv") != 10 {
 		t.Fatalf("recovered rows = %v", replica.RowCount("kv"))
@@ -237,7 +237,7 @@ func TestRecoverFromWAL(t *testing.T) {
 		t.Fatal("recovery must charge block reads")
 	}
 	// Corrupt image surfaces an error.
-	if _, err := replica.Recover(nil, []byte{1, 2, 3}); err == nil {
+	if _, err := replica.RecoverImages(nil, nil, []byte{1, 2, 3}); err == nil {
 		t.Fatal("corrupt image must error")
 	}
 }

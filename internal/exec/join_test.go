@@ -294,7 +294,8 @@ func TestJoinBuildSleepOnEveryDriver(t *testing.T) {
 					// The build rows each build record covers.
 					kind, stripes := ou.HashJoinBuild, []int{size}
 					if d.parts > 1 {
-						kind, stripes = ou.PartitionProbe, ctx.DB.Table("b").PartitionRowCounts()
+						kind = ou.PartitionProbe
+						ctx.DB.Table("b").ScanPartitions(func(c []int, _ storage.PartitionScan) { stripes = c })
 					}
 					for _, r := range col.Drain() {
 						if r.Kind == kind {

@@ -184,54 +184,86 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 // the serial join's two charge helpers — one PARTITION_PROBE OU invocation
 // per partition (build plus probe of that partition), fanned over the worker
 // chains.
+//
+// Both sides are read under one ScanPartitions hold per table (scanBoth), so
+// no Repartition moves a row between the counts and the scans. One that
+// landed after plan.ChooseDriver can still leave the sides with different
+// partition counts; their stripes then no longer co-locate equal keys, and
+// the join runs as a single job over every partition of each side.
 func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	left := ctx.DB.Table(n.Left.(*plan.SeqScanNode).Table)
 	right := ctx.DB.Table(n.Right.(*plan.SeqScanNode).Table)
-	counts := left.PartitionRowCounts()
-	parts := len(counts)
 	id, ts := ctx.snapshot()
 	leftW := float64(left.Meta.Schema.TupleBytes())
 	rightW := float64(right.Meta.Schema.TupleBytes())
 	leftCols := float64(left.Meta.Schema.NumColumns())
 	rightCols := float64(right.Meta.Schema.NumColumns())
 	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
-	partOut := make([][]storage.Tuple, parts)
+	var partOut [][]storage.Tuple
+	var dop int
 
-	dop := fanOut(ctx, parts, ou.PartitionProbe, func(th *hw.Thread, p, dop int) []float64 {
-		// Build over this partition's stripe of the build side.
-		build := make([]storage.Tuple, 0, counts[p])
-		left.ScanPartition(th, p, id, ts, func(_ storage.RowID, t storage.Tuple) bool {
-			build = append(build, t)
-			return true
-		})
-		htBytes := float64(len(build)) * entryBytes
-		var jt joinTable
-		keyBuf := jt.build(build, n.LeftKeys, nil)
-		ctx.chargeJoinBuild(th, len(build), htBytes)
-
-		// Probe with the co-located stripe of the probe side.
-		var out []storage.Tuple
-		probed := 0.0
-		right.ScanPartition(th, p, id, ts, func(_ storage.RowID, r storage.Tuple) bool {
-			probed++
-			keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.RightKeys)
-			for row := jt.first(keyBuf); row >= 0; row = jt.next[row] {
-				out = append(out, heap.join(build[row], r))
+	scanBoth(left, right, func(lc []int, lscan storage.PartitionScan, rc []int, rscan storage.PartitionScan) {
+		jobs := len(lc)
+		if len(rc) != jobs {
+			jobs = 1
+		}
+		// stripe scans job j's share of one side: partition j, or every
+		// partition when the sides are not co-partitioned.
+		stripe := func(th *hw.Thread, scan storage.PartitionScan, counts []int, j int, fn func([]storage.ScanRow) bool) {
+			if jobs == len(counts) {
+				scan(th, j, id, ts, nil, fn)
+				return
 			}
-			return true
+			for p := range counts {
+				scan(th, p, id, ts, nil, fn)
+			}
+		}
+		partOut = make([][]storage.Tuple, jobs)
+		dop = fanOut(ctx, jobs, ou.PartitionProbe, func(th *hw.Thread, j, dop int) []float64 {
+			// Build over this partition's stripe of the build side.
+			capacity := 0
+			if jobs == len(lc) {
+				capacity = lc[j]
+			}
+			build := make([]storage.Tuple, 0, capacity)
+			stripe(th, lscan, lc, j, func(rows []storage.ScanRow) bool {
+				for i := range rows {
+					build = append(build, rows[i].Data)
+				}
+				return true
+			})
+			htBytes := float64(len(build)) * entryBytes
+			var jt joinTable
+			keyBuf := jt.build(build, n.LeftKeys, nil)
+			ctx.chargeJoinBuild(th, len(build), htBytes)
+
+			// Probe with the co-located stripe of the probe side.
+			var out []storage.Tuple
+			probed := 0.0
+			stripe(th, rscan, rc, j, func(rows []storage.ScanRow) bool {
+				for i := range rows {
+					r := rows[i].Data
+					probed++
+					keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.RightKeys)
+					for row := jt.first(keyBuf); row >= 0; row = jt.next[row] {
+						out = append(out, heap.join(build[row], r))
+					}
+				}
+				return true
+			})
+			outRows := float64(len(out))
+			ctx.chargeJoinProbe(th, probed, htBytes, outRows, leftW+rightW)
+			th.Free(htBytes)
+			partOut[j] = out
+			// One invocation covers the whole partition pair: the feature's
+			// tuple count is the total work volume (build + probe + emitted
+			// matches), its cardinality the partition's distinct build keys.
+			return ou.PartitionProbeFeatures(
+				float64(len(build))+probed+outRows,
+				leftCols+rightCols, leftW+rightW,
+				float64(len(jt.entries)), entryBytes,
+				float64(dop), ctx.compiled())
 		})
-		outRows := float64(len(out))
-		ctx.chargeJoinProbe(th, probed, htBytes, outRows, leftW+rightW)
-		th.Free(htBytes)
-		partOut[p] = out
-		// One invocation covers the whole partition pair: the feature's
-		// tuple count is the total work volume (build + probe + emitted
-		// matches), its cardinality the partition's distinct build keys.
-		return ou.PartitionProbeFeatures(
-			float64(len(build))+probed+outRows,
-			leftCols+rightCols, leftW+rightW,
-			float64(len(jt.entries)), entryBytes,
-			float64(dop), ctx.compiled())
 	})
 
 	total := 0
@@ -242,6 +274,25 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	for _, rows := range partOut {
 		out = append(out, rows...)
 	}
-	emitExchangeMerge(ctx, float64(total), leftW+rightW, parts, dop)
+	emitExchangeMerge(ctx, float64(total), leftW+rightW, len(partOut), dop)
 	return &Batch{Rows: out}, nil
+}
+
+// scanBoth runs run under one ScanPartitions hold on each of a and b, taken
+// in table-name order: two joins taking their holds in opposite orders would
+// deadlock once a Repartition waits on each table. A self-join takes a
+// single hold — a second read hold on one table queues behind a waiting
+// Repartition, which waits for the first.
+func scanBoth(a, b *storage.Table, run func(ac []int, as storage.PartitionScan, bc []int, bs storage.PartitionScan)) {
+	if a == b {
+		a.ScanPartitions(func(c []int, s storage.PartitionScan) { run(c, s, c, s) })
+		return
+	}
+	if b.Meta.Name < a.Meta.Name {
+		scanBoth(b, a, func(bc []int, bs storage.PartitionScan, ac []int, as storage.PartitionScan) { run(ac, as, bc, bs) })
+		return
+	}
+	a.ScanPartitions(func(ac []int, as storage.PartitionScan) {
+		b.ScanPartitions(func(bc []int, bs storage.PartitionScan) { run(ac, as, bc, bs) })
+	})
 }

@@ -276,6 +276,62 @@ func TestExchangeCountsExactUnderRepartition(t *testing.T) {
 	t.Logf("%d repartitions during %d counts; %d wrong", <-flipped, counts, wrong)
 }
 
+// TestPartitionJoinCountsExactUnderRepartition is the shape above over the
+// partition-wise join: while another goroutine flips one input between 2 and
+// 4 partitions, every join of the two id-keyed tables (or of one with
+// itself) returns exactly one match per id. Each side is read under one
+// partition-latch hold, so no flip lands between a side's counts and its
+// scans; a flip that lands before the holds, leaving the sides with
+// different partition counts, still joins every row.
+func TestPartitionJoinCountsExactUnderRepartition(t *testing.T) {
+	const rows, joins = 5000, 60
+	for _, c := range []struct{ name, left, right string }{
+		{"flip_build", "part_items", "part_dim"}, // the build side sorts after the probe side
+		{"flip_probe", "part_dim", "part_items"},
+		{"self_join", "part_items", "part_items"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db := newPartitionedDB(t, 2, rows)
+			tbl := db.Table("part_items")
+			q := &plan.HashJoinNode{Left: &plan.SeqScanNode{Table: c.left}, Right: &plan.SeqScanNode{Table: c.right},
+				LeftKeys: []int{0}, RightKeys: []int{0}}
+
+			done := make(chan struct{})
+			flipped := make(chan int)
+			go func() {
+				flips := 0
+				for parts := 4; ; parts = 6 - parts {
+					select {
+					case <-done:
+						flipped <- flips
+						return
+					default:
+					}
+					tbl.Repartition(nil, parts)
+					flips++
+				}
+			}()
+			ctx := exec.NewCtx(db, hw.DefaultCPU())
+			ctx.Mode, ctx.DOP = catalog.Interpret, 2
+			wrong := 0
+			for i := 0; i < joins; i++ {
+				b, err := exec.Execute(ctx, q)
+				if err != nil {
+					t.Error(err) // not Fatal: the flipper must still be stopped
+					break
+				}
+				if got := len(b.Rows); got != rows {
+					if wrong++; wrong <= 5 {
+						t.Errorf("join %d: %d rows, want %d", i, got, rows)
+					}
+				}
+			}
+			close(done)
+			t.Logf("%d repartitions during %d joins; %d wrong", <-flipped, joins, wrong)
+		})
+	}
+}
+
 // TestParallelScanDeterministicAcrossDOPAndRuns: for each DOP the execution
 // must be bit-for-bit reproducible, the merged row ORDER must be invariant
 // across DOP (it depends only on the partition directory), and per-partition

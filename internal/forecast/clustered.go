@@ -120,16 +120,6 @@ func (h *History) ClusterSeries(id int) []float64 {
 	return append([]float64(nil), h.clusterCounts[id]...)
 }
 
-// Share returns a template's recency-weighted share of its cluster's
-// volume — the fan-out factor that turns a cluster-level prediction back
-// into a per-template prediction. Unknown templates and empty clusters
-// share 0.
-func (h *History) Share(name string) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.shareLocked(name)
-}
-
 func (h *History) shareLocked(name string) float64 {
 	if h.clusterer == nil {
 		return 0

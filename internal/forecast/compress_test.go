@@ -207,7 +207,7 @@ func TestClusteredHistorySharesAndFanOut(t *testing.T) {
 	h := NewClusteredHistory(1e6, 0, c)
 	h.Append(map[string]float64{"a1": 30, "a2": 10})
 
-	s1, s2 := h.Share("a1"), h.Share("a2")
+	s1, s2 := h.FanOut([]float64{1}, []string{"a1"})["a1"], h.FanOut([]float64{1}, []string{"a2"})["a2"]
 	if math.Abs(s1-0.75) > 1e-9 || math.Abs(s2-0.25) > 1e-9 {
 		t.Fatalf("shares = %g, %g, want 0.75, 0.25", s1, s2)
 	}
@@ -237,7 +237,7 @@ func TestClusteredHistorySharesTrackRecency(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Append(map[string]float64{"a1": 0, "a2": 100})
 	}
-	if s2 := h.Share("a2"); s2 < 0.8 {
+	if s2 := h.FanOut([]float64{1}, []string{"a2"})["a2"]; s2 < 0.8 {
 		t.Fatalf("post-shift share of a2 = %g, want > 0.8 (recency weighting)", s2)
 	}
 }
@@ -252,7 +252,7 @@ func TestClusteredHistoryWeightRenormalization(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		h.Append(map[string]float64{"a1": 30, "a2": 10})
 	}
-	s1, s2 := h.Share("a1"), h.Share("a2")
+	s1, s2 := h.FanOut([]float64{1}, []string{"a1"})["a1"], h.FanOut([]float64{1}, []string{"a2"})["a2"]
 	if math.IsNaN(s1) || math.IsInf(s1, 0) || math.Abs(s1-0.75) > 1e-6 {
 		t.Fatalf("share(a1) after renormalizations = %g, want 0.75", s1)
 	}

@@ -58,20 +58,6 @@ func (t *BTree) NumRows() int {
 	return t.numRows
 }
 
-// Height returns the tree height.
-func (t *BTree) Height() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.height
-}
-
-// SizeBytes returns the modeled resident size of the index.
-func (t *BTree) SizeBytes() float64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.sizeBytesLocked()
-}
-
 func (t *BTree) sizeBytesLocked() float64 {
 	return float64(t.numRows)*(float64(t.keySize)+16) + float64(t.numKeys)*8
 }

@@ -76,8 +76,8 @@ func TestInsertSearch(t *testing.T) {
 	if tr.NumKeys() != n || tr.NumRows() != n {
 		t.Fatalf("counts: keys=%d rows=%d", tr.NumKeys(), tr.NumRows())
 	}
-	if tr.Height() < 2 {
-		t.Fatalf("tree of %d keys should have split, height=%d", n, tr.Height())
+	if tr.height < 2 {
+		t.Fatalf("tree of %d keys should have split, height=%d", n, tr.height)
 	}
 	for _, probe := range []int64{0, 1, 17, 999, n - 1} {
 		rows := tr.SearchEQ(th(), intKey(probe), 1)

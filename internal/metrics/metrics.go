@@ -67,14 +67,6 @@ func (c *Collector) EnableOnly(kinds ...ou.Kind) {
 	}
 }
 
-// EnableAll re-enables tracking for every OU.
-func (c *Collector) EnableAll() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.all = true
-	c.enabled = nil
-}
-
 // SetNoise turns on multiplicative Gaussian measurement noise with the
 // given relative scale and deterministic seed.
 func (c *Collector) SetNoise(scale float64, seed int64) {
@@ -82,13 +74,6 @@ func (c *Collector) SetNoise(scale float64, seed int64) {
 	defer c.mu.Unlock()
 	c.noiseScale = scale
 	c.rng = rand.New(rand.NewSource(seed))
-}
-
-// Enabled reports whether the OU is currently tracked.
-func (c *Collector) Enabled(k ou.Kind) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.all || c.enabled[k]
 }
 
 // Emit records one OU invocation. Disabled OUs are dropped.
@@ -127,13 +112,6 @@ func (c *Collector) Drain() []Record {
 	out := c.records
 	c.records = nil
 	return out
-}
-
-// Len returns the number of buffered records.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.records)
 }
 
 // Tracker brackets one OU invocation on a thread: Start snapshots the
@@ -188,22 +166,6 @@ type Repository struct {
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{data: make(map[ou.Kind][]Record)}
-}
-
-// Aggregate drains the collectors into the repository (the dedicated
-// aggregator thread of Sec 6.1).
-func (r *Repository) Aggregate(collectors ...*Collector) int {
-	total := 0
-	for _, c := range collectors {
-		recs := c.Drain()
-		total += len(recs)
-		r.mu.Lock()
-		for _, rec := range recs {
-			r.data[rec.Kind] = append(r.data[rec.Kind], rec)
-		}
-		r.mu.Unlock()
-	}
-	return total
 }
 
 // Add inserts records directly (used by runners that pre-derive labels).

@@ -14,14 +14,11 @@ func TestCollectorEmitDrain(t *testing.T) {
 	c := NewCollector()
 	c.Emit(ou.SeqScan, []float64{10, 2}, hw.Metrics{ElapsedUS: 5})
 	c.Emit(ou.SortBuild, []float64{20}, hw.Metrics{ElapsedUS: 7})
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
-	}
 	recs := c.Drain()
 	if len(recs) != 2 || recs[0].Kind != ou.SeqScan || recs[1].Labels.ElapsedUS != 7 {
 		t.Fatalf("drain wrong: %+v", recs)
 	}
-	if c.Len() != 0 {
+	if len(c.Drain()) != 0 {
 		t.Fatal("drain must empty the collector")
 	}
 }
@@ -29,17 +26,10 @@ func TestCollectorEmitDrain(t *testing.T) {
 func TestEnableOnlyFilters(t *testing.T) {
 	c := NewCollector()
 	c.EnableOnly(ou.SeqScan)
-	if !c.Enabled(ou.SeqScan) || c.Enabled(ou.SortBuild) {
-		t.Fatal("EnableOnly filter wrong")
-	}
 	c.Emit(ou.SortBuild, nil, hw.Metrics{})
 	c.Emit(ou.SeqScan, nil, hw.Metrics{})
-	if c.Len() != 1 {
-		t.Fatalf("filtered Len = %d", c.Len())
-	}
-	c.EnableAll()
-	if !c.Enabled(ou.SortBuild) {
-		t.Fatal("EnableAll failed")
+	if recs := c.Drain(); len(recs) != 1 || recs[0].Kind != ou.SeqScan {
+		t.Fatalf("EnableOnly(SEQ_SCAN) kept %+v", recs)
 	}
 }
 
@@ -99,9 +89,10 @@ func TestRepositoryAggregate(t *testing.T) {
 	c1.Emit(ou.SeqScan, []float64{1}, hw.Metrics{})
 	c1.Emit(ou.GC, []float64{2}, hw.Metrics{})
 	c2.Emit(ou.SeqScan, []float64{3}, hw.Metrics{})
-	n := repo.Aggregate(c1, c2)
-	if n != 3 || repo.NumRecords() != 3 {
-		t.Fatalf("aggregate count %d, repo %d", n, repo.NumRecords())
+	repo.Add(c1.Drain()...)
+	repo.Add(c2.Drain()...)
+	if repo.NumRecords() != 3 {
+		t.Fatalf("repo holds %d records, want 3", repo.NumRecords())
 	}
 	if got := repo.Records(ou.SeqScan); len(got) != 2 {
 		t.Fatalf("SeqScan records = %d", len(got))

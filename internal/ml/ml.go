@@ -51,16 +51,6 @@ func (d Dataset) Split(trainFrac float64, seed int64) (train, test Dataset) {
 	return take(idx[:cut]), take(idx[cut:])
 }
 
-// Clone deep-copies the dataset.
-func (d Dataset) Clone() Dataset {
-	out := Dataset{X: make([][]float64, d.Len()), Y: make([][]float64, d.Len())}
-	for i := range d.X {
-		out.X[i] = append([]float64(nil), d.X[i]...)
-		out.Y[i] = append([]float64(nil), d.Y[i]...)
-	}
-	return out
-}
-
 // checkFit validates Fit inputs.
 func checkFit(X, Y [][]float64) error {
 	if len(X) == 0 || len(Y) != len(X) {
@@ -147,21 +137,6 @@ func AvgRelError(pred, actual [][]float64, floor float64) float64 {
 				denom = floor
 			}
 			total += math.Abs(actual[i][j]-pred[i][j]) / denom
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / float64(n)
-}
-
-// AvgAbsError is the paper's OLTP metric: mean |actual-pred|.
-func AvgAbsError(pred, actual [][]float64) float64 {
-	total, n := 0.0, 0
-	for i := range pred {
-		for j := range pred[i] {
-			total += math.Abs(actual[i][j] - pred[i][j])
 			n++
 		}
 	}

@@ -127,15 +127,15 @@ func TestNeuralNetworkFits(t *testing.T) {
 }
 
 func TestModelsDeterministic(t *testing.T) {
-	d := synthDataset(300, 0.1, 20)
 	x := []float64{3.3, 7.7}
 	for _, name := range AlgorithmNames {
 		m1, _ := NewByName(name, 99)
 		m2, _ := NewByName(name, 99)
-		if err := m1.Fit(d.Clone().X, d.Clone().Y); err != nil {
+		d1, d2 := synthDataset(300, 0.1, 20), synthDataset(300, 0.1, 20) // Fit may reorder its input
+		if err := m1.Fit(d1.X, d1.Y); err != nil {
 			t.Fatal(err)
 		}
-		if err := m2.Fit(d.Clone().X, d.Clone().Y); err != nil {
+		if err := m2.Fit(d2.X, d2.Y); err != nil {
 			t.Fatal(err)
 		}
 		p1, p2 := m1.Predict(x), m2.Predict(x)
@@ -248,10 +248,7 @@ func TestErrorMetrics(t *testing.T) {
 	if got := AvgRelError(pred, act, 1); math.Abs(got-0.25) > 1e-12 {
 		t.Fatalf("rel error = %v, want 0.25", got)
 	}
-	if got := AvgAbsError(pred, act); got != 5 {
-		t.Fatalf("abs error = %v, want 5", got)
-	}
-	if AvgRelError(nil, nil, 1) != 0 || AvgAbsError(nil, nil) != 0 {
+	if AvgRelError(nil, nil, 1) != 0 {
 		t.Fatal("empty metrics must be 0")
 	}
 }

@@ -33,7 +33,7 @@ type cacheEntry struct {
 // change or index create/rename/drop can alter both translation features
 // and plan choice, so stale entries must not survive).
 //
-// The cache is size-bounded: beyond MaxEntries live entries the least
+// The cache is size-bounded: beyond its bound of live entries the least
 // recently used entry is evicted, so a high-cardinality workload (10^5+
 // distinct plan fingerprints) cannot grow it without limit between
 // ConfigVersion bumps. Eviction only forgets memoized work — predictions
@@ -64,7 +64,7 @@ type lruEntry struct {
 	val cacheEntry
 }
 
-// DefaultCacheEntries is the default MaxEntries bound: generous for every
+// DefaultCacheEntries is the default entry bound: generous for every
 // realistic template population a single planning interval touches, small
 // enough that a million-template trace cannot exhaust memory.
 const DefaultCacheEntries = 1 << 16
@@ -171,9 +171,6 @@ func (c *PredictionCache) Stats() (hits, misses uint64) {
 func (c *PredictionCache) Evictions() uint64 {
 	return c.evictions.Load()
 }
-
-// MaxEntries returns the cache's size bound (0 = unbounded).
-func (c *PredictionCache) MaxEntries() int { return c.max }
 
 // HitRate returns hits/(hits+misses), or 0 before any probe.
 func (c *PredictionCache) HitRate() float64 {

@@ -264,8 +264,8 @@ func TestPredictionCacheUnbounded(t *testing.T) {
 	if c.Len() != 1000 || c.Evictions() != 0 {
 		t.Fatalf("unbounded cache: Len %d, Evictions %d, want 1000, 0", c.Len(), c.Evictions())
 	}
-	if NewPredictionCache().MaxEntries() != DefaultCacheEntries {
-		t.Fatalf("default bound = %d, want %d", NewPredictionCache().MaxEntries(), DefaultCacheEntries)
+	if NewPredictionCache().max != DefaultCacheEntries {
+		t.Fatalf("default bound = %d, want %d", NewPredictionCache().max, DefaultCacheEntries)
 	}
 }
 

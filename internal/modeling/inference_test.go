@@ -122,19 +122,6 @@ func TestPredictIntervalActionTranslatorOverride(t *testing.T) {
 	}
 }
 
-func TestInterferenceAdjustHelper(t *testing.T) {
-	ratios := make([]float64, hw.NumLabels)
-	for i := range ratios {
-		ratios[i] = 1
-	}
-	ratios[hw.LabelCPUTimeUS] = 1.5
-	im := &InterferenceModel{Model: constModel{out: ratios}}
-	got := im.Adjust(hw.Metrics{CPUTimeUS: 10, ElapsedUS: 10}, nil, 100)
-	if got.CPUTimeUS != 15 || got.ElapsedUS != 10 {
-		t.Fatalf("Adjust = %+v", got)
-	}
-}
-
 func TestTranslateIndexBuildCapsThreadsByCardinality(t *testing.T) {
 	db := newTestDB(t, 100, 3) // only 3 distinct grp values
 	tr := NewTranslator(db, catalog.Interpret)

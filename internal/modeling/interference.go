@@ -113,8 +113,3 @@ func (m *InterferenceModel) PredictRatios(target hw.Metrics, threadTotals []hw.M
 	}
 	return r
 }
-
-// Adjust applies the predicted ratios to an OU-model prediction.
-func (m *InterferenceModel) Adjust(target hw.Metrics, threadTotals []hw.Metrics, intervalUS float64) hw.Metrics {
-	return target.ScaleVec(m.PredictRatios(target, threadTotals, intervalUS))
-}

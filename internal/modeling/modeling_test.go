@@ -384,7 +384,7 @@ func TestPredictIntervalPipeline(t *testing.T) {
 			Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(cut)}}); err != nil {
 			t.Fatal(err)
 		}
-		repo.Aggregate(col)
+		repo.Add(col.Drain()...)
 	}
 	opts := DefaultTrainOptions()
 	opts.Candidates = []string{"huber"}

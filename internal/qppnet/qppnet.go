@@ -315,9 +315,3 @@ func (m *Model) Predict(p plan.Node) float64 {
 	}
 	return lat
 }
-
-// SizeBytes approximates the trained model's footprint.
-func (m *Model) SizeBytes() int {
-	perUnit := 8 * (hiddenDim*inDim + hiddenDim + outDim*hiddenDim + outDim)
-	return len(m.units) * perUnit
-}

@@ -24,7 +24,7 @@ func goldenLog(t testing.TB, seed int64) []byte {
 	}
 	tid := int32(db.Table("kv").Meta.ID)
 	rng := rand.New(rand.NewSource(seed))
-	m := wal.NewManager(512)
+	m := wal.NewManagerOn(512, hw.NewMemDevice())
 	enqueue := func(r wal.Record) {
 		if err := m.Enqueue(nil, r); err != nil {
 			t.Fatal(err)

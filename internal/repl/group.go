@@ -3,6 +3,7 @@ package repl
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sync"
 
 	"mb2/internal/engine"
@@ -245,6 +246,28 @@ func (g *Group) Status() []Status {
 		out[i] = rep.Status()
 	}
 	return out
+}
+
+// PickPromotion is the one promotion decision: the index of the replica
+// status that cost prices lowest. Exact ties go to the lowest index, as does
+// the pick when cost prices no replica below +Inf. The caller supplies the
+// price: mb2-server its backlog bytes, a failover drill its predicted
+// recovery time, a fixed policy a constant.
+func PickPromotion(sts []Status, cost func(Status) (float64, error)) (int, error) {
+	if len(sts) == 0 {
+		return -1, fmt.Errorf("repl: no replica to promote")
+	}
+	best, bestCost := 0, math.Inf(1)
+	for i, st := range sts {
+		c, err := cost(st)
+		if err != nil {
+			return -1, err
+		}
+		if c < bestCost {
+			best, bestCost = i, c
+		}
+	}
+	return best, nil
 }
 
 // Close tears down the ship connections and waits for the follower loops to

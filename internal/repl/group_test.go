@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
 
 	"mb2/internal/catalog"
@@ -257,5 +258,31 @@ func TestGroupDeterministicAcrossRunsAndTransports(t *testing.T) {
 		if s1[i] != s2[i] || s1[i] != s3[i] {
 			t.Fatalf("replica %d status diverges:\npipe1 %+v\npipe2 %+v\ntcp   %+v", i, s1[i], s2[i], s3[i])
 		}
+	}
+}
+
+// PickPromotion is an argmin over the caller's price: the cheapest replica
+// wins, exact ties and an all-+Inf slate go to the lowest index, and a
+// pricing error or an empty slate fails.
+func TestPickPromotion(t *testing.T) {
+	sts := []Status{{ID: 0, PendingBytes: 30}, {ID: 1, PendingBytes: 10}, {ID: 2, PendingBytes: 10}}
+	backlog := func(st Status) (float64, error) { return float64(st.PendingBytes), nil }
+	if got, err := PickPromotion(sts, backlog); err != nil || got != 1 {
+		t.Fatalf("least backlog: picked %d (%v), want 1", got, err)
+	}
+	fixed := func(Status) (float64, error) { return 0, nil }
+	if got, _ := PickPromotion(sts, fixed); got != 0 {
+		t.Fatalf("constant price: picked %d, want 0", got)
+	}
+	inf := func(Status) (float64, error) { return math.Inf(1), nil }
+	if got, _ := PickPromotion(sts, inf); got != 0 {
+		t.Fatalf("all +Inf: picked %d, want 0", got)
+	}
+	failing := func(st Status) (float64, error) { return 0, fmt.Errorf("no model for %d", st.ID) }
+	if _, err := PickPromotion(sts, failing); err == nil {
+		t.Fatal("a pricing error must fail the pick")
+	}
+	if _, err := PickPromotion(nil, backlog); err == nil {
+		t.Fatal("an empty slate must fail")
 	}
 }

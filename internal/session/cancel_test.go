@@ -68,7 +68,7 @@ func TestKillMidQueryObservesNothing(t *testing.T) {
 
 		// Exactly-once: the two completed queries drain once, the killed one
 		// never appears, and a second drain is empty.
-		obs := s.Stats().Drain()
+		obs := s.stats.Drain()
 		total := 0.0
 		for _, c := range obs.Counts {
 			total += c
@@ -76,7 +76,7 @@ func TestKillMidQueryObservesNothing(t *testing.T) {
 		if total != 2 {
 			t.Fatalf("drained %v observations, want exactly the 2 completed queries (counts %v)", total, obs.Counts)
 		}
-		if again := s.Stats().Drain(); len(again.Counts) != 0 {
+		if again := s.stats.Drain(); len(again.Counts) != 0 {
 			t.Fatalf("second drain not empty: %v", again.Counts)
 		}
 
@@ -116,7 +116,7 @@ func TestKillRollsBackAutoCommitDML(t *testing.T) {
 	if got := db.RowCount("t"); got != before {
 		t.Fatalf("killed insert changed row count %v -> %v", before, got)
 	}
-	if obs := s.Stats().Drain(); len(obs.Counts) != 0 {
+	if obs := s.stats.Drain(); len(obs.Counts) != 0 {
 		t.Fatalf("killed DML leaked observations: %v", obs.Counts)
 	}
 }

@@ -45,7 +45,7 @@ func TestAdHocStatementsObserveOneTemplate(t *testing.T) {
 			t.Fatalf("k = %d returned %v", i, b.Rows)
 		}
 	}
-	obs := s.Stats().Drain()
+	obs := s.stats.Drain()
 	const key = "select * from t where k = ?i"
 	if len(obs.Counts) != 1 || obs.Counts[key] != n {
 		t.Fatalf("observed %v, want one template %q with count %d", obs.Counts, key, n)
@@ -109,12 +109,12 @@ func TestAdHocReplansOnConfigVersion(t *testing.T) {
 	const key = "select * from t where k = ?i"
 	rep := func() plan.Node {
 		t.Helper()
-		return s.Stats().Drain().Reps[key].(*plan.OutputNode).Child
+		return s.stats.Drain().Reps[key].(*plan.OutputNode).Child
 	}
 	mustExec(t, s, "SELECT * FROM t WHERE k = 1")
 	mustExec(t, s, "SELECT * FROM t WHERE k = 2")
-	if _, ok := rep().(*plan.SeqScanNode); !ok || p.Replans() != 0 {
-		t.Fatalf("before the index: replans = %d", p.Replans())
+	if _, ok := rep().(*plan.SeqScanNode); !ok || p.e.replans != 0 {
+		t.Fatalf("before the index: replans = %d", p.e.replans)
 	}
 	fp := p.e.fp
 
@@ -126,8 +126,8 @@ func TestAdHocReplansOnConfigVersion(t *testing.T) {
 	if !ok || scan.Eq[0].I != 3 {
 		t.Fatalf("after the index the template still runs %T", scan)
 	}
-	if p.Replans() != 1 || p.e.fp == fp {
-		t.Fatalf("replans = %d, fingerprint moved: %v", p.Replans(), p.e.fp != fp)
+	if p.e.replans != 1 || p.e.fp == fp {
+		t.Fatalf("replans = %d, fingerprint moved: %v", p.e.replans, p.e.fp != fp)
 	}
 
 	k := db.Knobs()
@@ -137,8 +137,8 @@ func TestAdHocReplansOnConfigVersion(t *testing.T) {
 		t.Fatalf("after the knob change: %v, %v", b, err)
 	}
 	mustExec(t, s, "SELECT * FROM t WHERE k = 4")
-	if p.Replans() != 2 {
-		t.Fatalf("replans = %d after a knob change, want 2 (one per ConfigVersion, not per execution)", p.Replans())
+	if p.e.replans != 2 {
+		t.Fatalf("replans = %d after a knob change, want 2 (one per ConfigVersion, not per execution)", p.e.replans)
 	}
 }
 
@@ -213,7 +213,7 @@ func TestPlanCacheBounds(t *testing.T) {
 		fmt.Fprintf(&sb, ", (%d, %d, %d.5)", 1000+i, i%7, i)
 	}
 	entries, rows := s.PlanCache().Entries, db.RowCount("t")
-	s.Stats().Drain()
+	s.stats.Drain()
 	mustExec(t, s, sb.String())
 	if got := db.RowCount("t"); got != rows+10_000 {
 		t.Fatalf("bulk INSERT left %v rows, want %v", got, rows+10_000)
@@ -221,7 +221,7 @@ func TestPlanCacheBounds(t *testing.T) {
 	if got := s.PlanCache().Entries; got != entries {
 		t.Fatalf("bulk INSERT was cached: %d entries, had %d", got, entries)
 	}
-	for name := range s.Stats().Drain().Counts {
+	for name := range s.stats.Drain().Counts {
 		if len(name) > 16*sql.MaxTemplateLiterals {
 			t.Fatalf("bulk INSERT observed under a %d-byte name", len(name))
 		}

@@ -74,10 +74,6 @@ func (s *Session) Lookup(name string) *Prepared {
 	return s.prepared[name]
 }
 
-// Replans returns how many times the statement's template was replanned
-// after a ConfigVersion move (0 while its plan has stayed valid).
-func (p *Prepared) Replans() int { return p.e.replans }
-
 // ExecPrepared executes a prepared statement by name from the session's
 // plan cache, planning (or replanning, when the engine configuration
 // moved) as needed.

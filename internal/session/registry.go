@@ -147,13 +147,6 @@ func (r *Registry) remove(id uint64) {
 	r.mu.Unlock()
 }
 
-// Get returns a live session by ID, or nil.
-func (r *Registry) Get(id uint64) *Session {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sessions[id]
-}
-
 // Len returns the number of live sessions.
 func (r *Registry) Len() int {
 	r.mu.Lock()

@@ -81,22 +81,9 @@ type Session struct {
 	cache planCache
 }
 
-// Context returns the session context; it is cancelled by Kill and Close.
-func (s *Session) Context() context.Context { return s.ctx }
-
-// Stats returns the session's private observation buffer.
-func (s *Session) Stats() *Stats { return s.stats }
-
 // ExecCtx exposes the session's execution context. It is owned by the
 // session's worker goroutine; other goroutines must not touch it.
 func (s *Session) ExecCtx() *exec.Ctx { return s.ec }
-
-// State returns the session's current lifecycle state.
-func (s *Session) State() State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.state
-}
 
 // interrupted is the exec.Ctx.Interrupt hook: polled at every operator
 // boundary, it surfaces a kill as ErrKilled wrapping the cause.

@@ -59,7 +59,7 @@ func TestSessionExecSQLAndObservation(t *testing.T) {
 		t.Fatalf("group-by returned %d rows, want 7", len(b.Rows))
 	}
 
-	obs := s.Stats().Drain()
+	obs := s.stats.Drain()
 	if len(obs.Counts) != 2 {
 		t.Fatalf("observed %d templates, want 2: %v", len(obs.Counts), obs.Counts)
 	}
@@ -74,7 +74,7 @@ func TestSessionExecSQLAndObservation(t *testing.T) {
 			t.Errorf("template %q observed no elapsed time", name)
 		}
 	}
-	if again := s.Stats().Drain(); len(again.Counts) != 0 {
+	if again := s.stats.Drain(); len(again.Counts) != 0 {
 		t.Fatalf("second drain not empty: %v", again.Counts)
 	}
 
@@ -161,8 +161,8 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 			t.Fatalf("run %d: %d rows, want 1", i, len(b.Rows))
 		}
 	}
-	if p.Replans() != 0 {
-		t.Fatalf("plan replanned %d times with a stable configuration", p.Replans())
+	if p.e.replans != 0 {
+		t.Fatalf("plan replanned %d times with a stable configuration", p.e.replans)
 	}
 	seqFP := p.e.fp
 
@@ -182,8 +182,8 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if len(b.Rows) != 1 {
 		t.Fatalf("indexed run: %d rows, want 1", len(b.Rows))
 	}
-	if p.Replans() != 1 {
-		t.Fatalf("replans = %d after ConfigVersion move, want 1", p.Replans())
+	if p.e.replans != 1 {
+		t.Fatalf("replans = %d after ConfigVersion move, want 1", p.e.replans)
 	}
 	if p.e.fp == seqFP {
 		t.Fatal("replanned statement kept the sequential-scan fingerprint (index not picked up)")
@@ -193,8 +193,8 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if _, _, err := s.ExecPrepared("point"); err != nil {
 		t.Fatal(err)
 	}
-	if p.Replans() != 1 {
-		t.Fatalf("replans = %d with configuration stable again, want 1", p.Replans())
+	if p.e.replans != 1 {
+		t.Fatalf("replans = %d with configuration stable again, want 1", p.e.replans)
 	}
 }
 
@@ -304,8 +304,8 @@ func TestProcessListRows(t *testing.T) {
 	if reg.Kill(99999, nil) {
 		t.Fatal("kill of unknown ID reported true")
 	}
-	if b.State() != Killed {
-		t.Fatalf("killed session in state %v", b.State())
+	if b.Info().State != Killed {
+		t.Fatalf("killed session in state %v", b.Info().State)
 	}
 	if _, _, err := b.ExecSQL("SELECT * FROM t WHERE k = 1"); !errors.Is(err, ErrKilled) {
 		t.Fatalf("exec on killed session got %v, want ErrKilled", err)

@@ -57,17 +57,6 @@ func (s *Stats) observeRep(template string, node plan.Node) {
 	}
 }
 
-// Queries returns the number of observed (completed) queries.
-func (s *Stats) Queries() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0.0
-	for _, c := range s.counts {
-		total += c
-	}
-	return total
-}
-
 // Drain removes and returns everything observed so far.
 func (s *Stats) Drain() Observation {
 	s.mu.Lock()

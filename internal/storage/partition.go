@@ -181,43 +181,11 @@ func (t *Table) PartitionOfRow(row RowID) int {
 	return int(t.partOf[row])
 }
 
-// PartitionRowCounts returns the number of routed rows per partition.
-func (t *Table) PartitionRowCounts() []int {
-	t.mu.RLock()
-	slots := t.partOf
-	parts := t.parts
-	t.mu.RUnlock()
-	if parts < 1 {
-		parts = 1
-	}
-	counts := make([]int, parts)
-	for _, p := range slots {
-		if p >= 0 && int(p) < parts {
-			counts[p]++
-		}
-	}
-	return counts
-}
-
-// ScanPartition calls fn for every visible row of partition p, in RowID
-// order. Charges a per-partition latch acquisition plus a streaming read of
-// the partition's stripe, mirroring Scan's accounting.
-func (t *Table) ScanPartition(th *hw.Thread, p int, txnID, readTS uint64, fn func(RowID, Tuple) bool) {
-	t.ScanPartitionBatch(th, p, txnID, readTS, nil, perRow(fn))
-}
-
-// ScanPartitionBatch is the batch variant of ScanPartition, with ScanBatch's
-// buffer-reuse contract. With a single partition (p == 0 on an unpartitioned
-// table) it degenerates to a full-table batch scan.
-func (t *Table) ScanPartitionBatch(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool) {
-	t.partScanMu.RLock()
-	defer t.partScanMu.RUnlock()
-	slots, dir, _ := t.partitionView()
-	t.scanPartition(th, slots, dir, p, txnID, readTS, buf, fn)
-}
-
-// PartitionScan visits partition p of the snapshot ScanPartitions took,
-// exactly as ScanPartitionBatch does, without taking the latch again.
+// PartitionScan visits partition p of the snapshot ScanPartitions took
+// without taking the latch again: every row visible at (txnID, readTS), in
+// RowID order, through buf with ScanBatch's buffer-reuse contract. It
+// charges a per-partition latch acquisition plus a streaming read of the
+// partition's stripe; with a single partition it is a full-table scan.
 type PartitionScan func(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRow, fn func([]ScanRow) bool)
 
 // ScanPartitions runs one partitioned scan under a single hold of the
@@ -226,7 +194,7 @@ type PartitionScan func(th *hw.Thread, p int, txnID, readTS uint64, buf []ScanRo
 // It calls run once with counts — one entry per partition, counts[p] the
 // most rows a scan of partition p can deliver, a hard upper bound — and
 // scan. run may call scan from several goroutines, but must not take the
-// latch again (no ScanPartition inside run): a second read hold queues
+// latch again (no ScanPartitions of the same table inside run): a second read hold queues
 // behind a waiting Repartition, which waits for the first, and deadlocks.
 func (t *Table) ScanPartitions(run func(counts []int, scan PartitionScan)) {
 	t.partScanMu.RLock()

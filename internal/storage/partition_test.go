@@ -36,7 +36,8 @@ func TestPartitionRoutingCoversAndBalances(t *testing.T) {
 	const n, parts = 2000, 8
 	tbl := partitionedTable(parts)
 	loadKeys(tbl, n)
-	counts := tbl.PartitionRowCounts()
+	var counts []int
+	tbl.ScanPartitions(func(c []int, _ PartitionScan) { counts = c })
 	if len(counts) != parts {
 		t.Fatalf("got %d partitions, want %d", len(counts), parts)
 	}
@@ -61,20 +62,22 @@ func TestPartitionScanMatchesFullScan(t *testing.T) {
 	loadKeys(tbl, n)
 	full := rowMultiset(tbl)
 	var merged []string
-	for p := 0; p < parts; p++ {
-		prev := RowID(-1)
-		tbl.ScanPartition(nil, p, 0, MaxTS, func(r RowID, d Tuple) bool {
-			if r <= prev {
-				t.Fatalf("partition %d scan out of RowID order: %d after %d", p, r, prev)
-			}
-			prev = r
-			if got := tbl.PartitionOfRow(r); got != p {
-				t.Fatalf("row %d scanned by partition %d but routed to %d", r, p, got)
-			}
-			merged = append(merged, fmt.Sprintf("%d|%v", r, d))
-			return true
-		})
-	}
+	tbl.ScanPartitions(func(_ []int, scan PartitionScan) {
+		for p := 0; p < parts; p++ {
+			prev := RowID(-1)
+			scan(nil, p, 0, MaxTS, nil, perRow(func(r RowID, d Tuple) bool {
+				if r <= prev {
+					t.Fatalf("partition %d scan out of RowID order: %d after %d", p, r, prev)
+				}
+				prev = r
+				if got := tbl.PartitionOfRow(r); got != p {
+					t.Fatalf("row %d scanned by partition %d but routed to %d", r, p, got)
+				}
+				merged = append(merged, fmt.Sprintf("%d|%v", r, d))
+				return true
+			}))
+		}
+	})
 	sort.Strings(merged)
 	if len(merged) != len(full) {
 		t.Fatalf("partition scans saw %d rows, full scan %d", len(merged), len(full))

@@ -123,13 +123,20 @@ func batched(t *testing.T, bufCap int, fn func(RowID, Tuple) bool) func([]ScanRo
 	}
 }
 
+// scanPartition scans partition p alone through ScanPartitions, the one
+// partition-scan entry point; the "ScanPartition" forms below run it with a
+// per-row callback and with batch buffers of several capacities.
+func scanPartition(tbl *Table, th *hw.Thread, p int, buf []ScanRow, fn func([]ScanRow) bool) {
+	tbl.ScanPartitions(func(_ []int, scan PartitionScan) { scan(th, p, walkReader, walkReadTS, buf, fn) })
+}
+
 func scanForms(t *testing.T) []scanForm {
 	forms := []scanForm{
 		{"Scan", false, func(tbl *Table, th *hw.Thread, _ int, fn func(RowID, Tuple) bool) {
 			tbl.Scan(th, walkReader, walkReadTS, fn)
 		}},
 		{"ScanPartition", true, func(tbl *Table, th *hw.Thread, p int, fn func(RowID, Tuple) bool) {
-			tbl.ScanPartition(th, p, walkReader, walkReadTS, fn)
+			scanPartition(tbl, th, p, nil, perRow(fn))
 		}},
 		{"walk", false, func(tbl *Table, th *hw.Thread, _ int, fn func(RowID, Tuple) bool) {
 			tbl.walk(th, tbl.slots, nil, 0, walkReader, walkReadTS, nil, perRow(fn))
@@ -142,7 +149,7 @@ func scanForms(t *testing.T) []scanForm {
 				tbl.ScanBatch(th, walkReader, walkReadTS, make([]ScanRow, 0, c), batched(t, c, fn))
 			}},
 			scanForm{fmt.Sprintf("ScanPartitionBatch/cap%d", c), true, func(tbl *Table, th *hw.Thread, p int, fn func(RowID, Tuple) bool) {
-				tbl.ScanPartitionBatch(th, p, walkReader, walkReadTS, make([]ScanRow, 0, c), batched(t, c, fn))
+				scanPartition(tbl, th, p, make([]ScanRow, 0, c), batched(t, c, fn))
 			}})
 	}
 	return forms
@@ -223,10 +230,8 @@ func TestScanCharges(t *testing.T) {
 	for _, parts := range []int{1, 4} {
 		tbl := mvccTable(t, parts)
 		width := float64(tbl.Meta.Schema.TupleBytes())
-		stripes := tbl.PartitionRowCounts()
-		if parts == 1 {
-			stripes = []int{tbl.NumRows()} // one partition walks every slot, placeholders included
-		}
+		var stripes []int // one partition walks every slot, placeholders included
+		tbl.ScanPartitions(func(counts []int, _ PartitionScan) { stripes = counts })
 		for _, f := range scanForms(t) {
 			for p := range stripes {
 				if !f.part && p > 0 {

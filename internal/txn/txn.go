@@ -107,18 +107,6 @@ func (t *Txn) RecordWrite(w Write) {
 // made. The slice is the transaction's own; callers must not modify it.
 func (t *Txn) Writes() []Write { return t.writes }
 
-// RedoBytes returns the modeled size of the transaction's redo log payload.
-func (t *Txn) RedoBytes() int {
-	total := 0
-	for _, w := range t.writes {
-		total += 24 // header: table, row, type
-		if w.New != nil {
-			total += w.New.Bytes()
-		}
-	}
-	return total
-}
-
 // Commit assigns a commit timestamp, stamps every written version, and
 // retires the transaction. It returns the commit timestamp.
 //
@@ -185,9 +173,6 @@ func (t *Txn) Abort(th *hw.Thread) error {
 	}
 	return nil
 }
-
-// State returns the transaction's lifecycle state.
-func (t *Txn) State() State { return t.state }
 
 // OldestActiveTS returns the snapshot below which all versions are stable:
 // the read timestamp of the oldest active transaction, or the latest commit

@@ -88,7 +88,7 @@ func TestDoubleFinishErrors(t *testing.T) {
 	if err := tx.Abort(nil); err != ErrTxnFinished {
 		t.Fatalf("abort after commit: %v", err)
 	}
-	if tx.State() != Committed {
+	if tx.state != Committed {
 		t.Fatal("state must stay committed")
 	}
 }
@@ -112,21 +112,6 @@ func TestOldestActiveTS(t *testing.T) {
 	}
 	if got := m.OldestActiveTS(); got != m.LastCommitTS() {
 		t.Fatalf("idle OldestActiveTS = %d, want commitTS %d", got, m.LastCommitTS())
-	}
-}
-
-func TestRedoBytes(t *testing.T) {
-	m := NewManager()
-	tbl := testTable()
-	tx := m.Begin(nil)
-	data := storage.Tuple{storage.NewInt(1), storage.NewInt(2)}
-	tx.RecordWrite(Write{Table: tbl, Row: 0, New: data})
-	tx.RecordWrite(Write{Table: tbl, Row: 1, Old: data}) // delete: header only
-	if got := tx.RedoBytes(); got != 24+16+24 {
-		t.Fatalf("RedoBytes = %d, want 64", got)
-	}
-	if len(tx.Writes()) != 2 {
-		t.Fatal("Writes wrong")
 	}
 }
 

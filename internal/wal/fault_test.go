@@ -15,7 +15,7 @@ import (
 // varchar must round-trip intact through serialize/flush/deserialize.
 func TestOversizedVarcharRoundTrips(t *testing.T) {
 	big := strings.Repeat("x", 70*1024) // > 64KiB: the old encoding wrapped this to 4KiB
-	m := NewManager(1 << 20)
+	m := NewManagerOn(1<<20, hw.NewMemDevice())
 	r := Record{Type: RecordInsert, TxnID: 1, TableID: 3, Row: 0,
 		Payload: storage.Tuple{storage.NewString(big)}}
 	if err := m.Enqueue(nil, r); err != nil {
@@ -45,7 +45,7 @@ func TestOversizedVarcharRoundTrips(t *testing.T) {
 // Records beyond the (now explicit) encoding limits are rejected with an
 // error instead of being truncated into a corrupt log.
 func TestEnqueueRejectsUnencodableRecords(t *testing.T) {
-	m := NewManager(1024)
+	m := NewManagerOn(1024, hw.NewMemDevice())
 	huge := Record{Type: RecordInsert, TxnID: 1, TableID: 3,
 		Payload: storage.Tuple{storage.NewString(strings.Repeat("x", MaxVarcharBytes+1))}}
 	if err := m.Enqueue(nil, huge); !errors.Is(err, ErrRecordTooLarge) {
@@ -127,7 +127,7 @@ func TestFlushSurfacesCrash(t *testing.T) {
 // TxnIDs in exactly commit order. Run under -race.
 func TestFlushConcurrentOrdering(t *testing.T) {
 	const total = 4000
-	m := NewManager(256) // small buffers: many seals per flush
+	m := NewManagerOn(256, hw.NewMemDevice()) // small buffers: many seals per flush
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -179,7 +179,7 @@ func TestFlushConcurrentOrdering(t *testing.T) {
 }
 
 func TestResetLogRequiresDrain(t *testing.T) {
-	m := NewManager(1024)
+	m := NewManagerOn(1024, hw.NewMemDevice())
 	if err := m.Enqueue(nil, rec(1, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestReplayFromStampsAboveBase(t *testing.T) {
 }
 
 func TestEpochWrittenLazilyOnFirstFlush(t *testing.T) {
-	m := NewManager(1024)
+	m := NewManagerOn(1024, hw.NewMemDevice())
 	if m.Device().Len() != 0 {
 		t.Fatal("no header before the first flush")
 	}

@@ -3,6 +3,7 @@ package wal
 import (
 	"testing"
 
+	"mb2/internal/hw"
 	"mb2/internal/storage"
 )
 
@@ -14,7 +15,7 @@ import (
 // inputs DeserializePrefix consumes in full.
 func FuzzWALDeserialize(f *testing.F) {
 	seedImage := func(records ...Record) []byte {
-		m := NewManager(256)
+		m := NewManagerOn(256, hw.NewMemDevice())
 		for _, r := range records {
 			if err := m.Enqueue(nil, r); err != nil {
 				f.Fatal(err)

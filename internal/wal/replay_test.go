@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mb2/internal/catalog"
+	"mb2/internal/hw"
 	"mb2/internal/storage"
 )
 
@@ -144,7 +145,7 @@ func TestReplayUnknownTable(t *testing.T) {
 }
 
 func TestDurableImageRoundTrip(t *testing.T) {
-	m := NewManager(128)
+	m := NewManagerOn(128, hw.NewMemDevice())
 	for i := 0; i < 10; i++ {
 		m.Enqueue(nil, Record{Type: RecordInsert, TxnID: uint64(i), TableID: 3, Row: int64(i),
 			Payload: storage.Tuple{storage.NewInt(int64(i))}})

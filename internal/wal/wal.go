@@ -191,12 +191,6 @@ const (
 	flushRetryBackoffCap = 1600
 )
 
-// NewManager returns a WAL with the given log-buffer size on a fresh
-// fault-free in-memory device.
-func NewManager(bufferBytes int) *Manager {
-	return NewManagerOn(bufferBytes, hw.NewMemDevice())
-}
-
 // NewManagerOn returns a WAL writing to the given block device (a
 // hw.FaultDevice under fault injection). A nil device gets a MemDevice.
 func NewManagerOn(bufferBytes int, dev hw.BlockDevice) *Manager {

@@ -59,7 +59,7 @@ func TestSerializeAppendsMultiple(t *testing.T) {
 }
 
 func TestBufferRotation(t *testing.T) {
-	m := NewManager(256)
+	m := NewManagerOn(256, hw.NewMemDevice())
 	payload := storage.Tuple{storage.NewString("0123456789abcdef0123456789abcdef")}
 	for i := 0; i < 20; i++ {
 		m.Enqueue(th(), rec(uint64(i), payload))
@@ -97,7 +97,7 @@ func TestBufferRotation(t *testing.T) {
 }
 
 func TestFlushEmpty(t *testing.T) {
-	m := NewManager(0) // default size kicks in
+	m := NewManagerOn(0, hw.NewMemDevice()) // default size kicks in
 	st, err := m.Flush(th())
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestFlushEmpty(t *testing.T) {
 }
 
 func TestFlushChargesBlockWrites(t *testing.T) {
-	m := NewManager(64 * 1024)
+	m := NewManagerOn(64*1024, hw.NewMemDevice())
 	for i := 0; i < 100; i++ {
 		m.Enqueue(nil, rec(uint64(i), storage.Tuple{storage.NewInt(int64(i))}))
 	}
@@ -134,7 +134,7 @@ func TestFlushChargesBlockWrites(t *testing.T) {
 // objects however many records it carries. A bulk pass's oversized scratch
 // is dropped, not kept on the heap.
 func TestSerializeFlushReuseScratch(t *testing.T) {
-	m := NewManager(64 * 1024)
+	m := NewManagerOn(64*1024, hw.NewMemDevice())
 	payload := storage.Tuple{storage.NewInt(1), storage.NewInt(2)}
 	pass := func(records int) {
 		for i := 0; i < records; i++ {
@@ -172,7 +172,7 @@ func TestSerializeFlushReuseScratch(t *testing.T) {
 // and exactly the bytes it lacks: the suffix while its epoch is current, the
 // whole new segment after ResetLog.
 func TestDurableSince(t *testing.T) {
-	m := NewManager(1024)
+	m := NewManagerOn(1024, hw.NewMemDevice())
 	flush := func(n int) {
 		for i := 0; i < n; i++ {
 			m.Enqueue(nil, rec(uint64(i), storage.Tuple{storage.NewInt(int64(i))}))

@@ -25,27 +25,6 @@ type Benchmark interface {
 	Templates(db *engine.DB, seed int64) []runner.QueryTemplate
 }
 
-// ByName returns a benchmark by its name.
-func ByName(name string) (Benchmark, bool) {
-	switch name {
-	case "tpch":
-		return TPCH{}, true
-	case "tpcc":
-		return TPCC{}, true
-	case "tatp":
-		return TATP{}, true
-	case "smallbank":
-		return SmallBank{}, true
-	default:
-		return nil, false
-	}
-}
-
-// All returns every benchmark.
-func All() []Benchmark {
-	return []Benchmark{TPCH{}, TPCC{}, TATP{}, SmallBank{}}
-}
-
 // est builds an estimate pair.
 func est(rows, distinct float64) plan.Estimates {
 	if rows < 1 {

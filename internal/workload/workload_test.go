@@ -29,21 +29,6 @@ func execCtx(db *engine.DB) *exec.Ctx {
 	}
 }
 
-func TestByNameAndAll(t *testing.T) {
-	for _, name := range []string{"tpch", "tpcc", "tatp", "smallbank"} {
-		b, ok := ByName(name)
-		if !ok || b.Name() != name {
-			t.Fatalf("ByName(%s) failed", name)
-		}
-	}
-	if _, ok := ByName("nope"); ok {
-		t.Fatal("unknown benchmark resolved")
-	}
-	if len(All()) != 4 {
-		t.Fatal("All must list four benchmarks")
-	}
-}
-
 func TestTPCHLoadScales(t *testing.T) {
 	db := loadBench(t, TPCH{}, 0.02)
 	if got := db.RowCount("lineitem"); got != 1200 {
