@@ -65,6 +65,11 @@ var rules = []rule{
 	{"row-ids-sized-once",
 		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
 		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
+	{"one-row-pool",
+		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly three lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, execIndexJoin's outer: Execute's result never returns to the pool",
+		32, all(forbid("", except("internal/exec/pool.go"), "rowPools"),
+			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
+			exactly("internal/exec", 3, ".recycle()", nil))},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},
@@ -94,6 +99,17 @@ func except(prefixes ...string) func(string) bool {
 			}
 		}
 		return false
+	}
+}
+
+// all is the rule that fails wherever one of checks does.
+func all(checks ...func(*tree) []string) func(*tree) []string {
+	return func(t *tree) []string {
+		var bad []string
+		for _, c := range checks {
+			bad = append(bad, c(t)...)
+		}
+		return bad
 	}
 }
 

@@ -50,6 +50,12 @@ var violations = []violation{
 	{"row-ids-sized-once", "a second make([]storage.RowID", "on 2 non-test lines", map[string]string{
 		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = make([]storage.RowID, 0, n) }\n",
 		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := make([]storage.RowID, n) }\n"}},
+	{"one-row-pool", "a second row-array pool", "internal/exec/scratch.go:3:", map[string]string{
+		"internal/exec/pool.go":    "package exec\n\nvar rowPools [64]sync.Pool\n",
+		"internal/exec/scratch.go": "package exec\n\nfunc f() { rowPools[4].Put(p) }\n"}},
+	{"one-row-pool", "Execute's result recycled", ".recycle() on 4 non-test lines", map[string]string{
+		"internal/exec/relational.go": "package exec\n\nfunc feed() { b.recycle() }\n\nfunc execIndexJoin() { defer outer.recycle() }\n\nfunc Execute() { b.recycle() }\n",
+		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { defer left.recycle() }\n"}},
 	{"fuzz-targets-run", "a fuzz target make fuzz does not run", "internal/x.FuzzB is not run by make fuzz", map[string]string{
 		"Makefile":                "fuzz:\n\t$(GO) test -run=NONE -fuzz=FuzzA -fuzztime=5s ./internal/x\n",
 		"internal/x/fuzz_test.go": "package x\n\nfunc FuzzA(f *testing.F) {}\n\nfunc FuzzB(f *testing.F) {}\n"}},

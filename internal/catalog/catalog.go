@@ -6,6 +6,7 @@ package catalog
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -105,6 +106,15 @@ type IndexMeta struct {
 	KeyCols []int // positions of key columns in the table schema
 	Unique  bool
 }
+
+// BuildingSuffix ends the name of an index whose build is still in flight:
+// the self-driving planner builds it under name+BuildingSuffix and renames it
+// to name when the build completes. No query plan names a building index, because
+// the rename would pull it from under the plan.
+const BuildingSuffix = "__building"
+
+// Building reports whether the index is still being built.
+func (m *IndexMeta) Building() bool { return strings.HasSuffix(m.Name, BuildingSuffix) }
 
 // Catalog is the thread-safe registry of tables and indexes.
 type Catalog struct {

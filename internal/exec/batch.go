@@ -4,33 +4,67 @@ import "mb2/internal/storage"
 
 // Batch is a materialized set of rows flowing between operators. A scan
 // chain's batch also carries its rows' identities when its parent reads
-// them — a DML parent writing back, or Execute's caller — and never under a
-// breaker's feed, which drops them.
+// them — a DML parent writing back, or Execute's caller — and never when a
+// parent inside exec consumes it, which reads none. Batch is two slices and
+// nothing else: a third word moves it into a larger allocation size class,
+// which a point query pays on every statement.
 type Batch struct {
 	Rows   []storage.Tuple
 	RowIDs []storage.RowID // nil once provenance is lost (joins, aggs), or when no parent reads it
 }
 
-// reserve sizes an empty batch for up to n rows, and for their identities
-// only when ids is set. It is the one place exec allocates row identities:
-// the Materialize sink, the Exchange's single merged allocation and the
-// streaming execChain batch all size through it.
-func (b *Batch) reserve(n int, ids bool) {
-	b.Rows = make([]storage.Tuple, 0, n)
+// reader is who reads a batch, which decides how reserve sizes it.
+type reader uint8
+
+const (
+	// consumer is a parent inside exec that reads the rows once and then
+	// drops them — a breaker on feed, a hash join's build side, an index
+	// join's outer: the row array comes from the pool and is recycled, and
+	// no row identities are kept.
+	consumer  reader = iota
+	caller           // Execute's caller, reading no row identities
+	callerIDs        // Execute's caller reading row identities (a DML child)
+)
+
+// reserve sizes an empty batch for up to n rows, for r. It is the one place
+// exec allocates row identities: the Materialize sink, the Exchange's single
+// merged allocation and the streaming execChain batch all size through it.
+func (b *Batch) reserve(n int, r reader) {
 	b.RowIDs = nil
-	if ids {
+	switch r {
+	case consumer:
+		b.Rows = pooledRows(n)
+		return
+	case callerIDs:
 		b.RowIDs = make([]storage.RowID, 0, n)
 	}
+	b.Rows = make([]storage.Tuple, 0, n)
 }
 
-// A *Batch is the Materialize driver's sink for a parent that reads no row
-// identities; withIDs is the sink for one that does. Both are one pointer,
-// so handing either to a source as a rowSink allocates nothing.
-func (b *Batch) expect(n int) { b.reserve(n, false) }
+// The Materialize driver's sink is the Batch itself for a caller that reads
+// no row identities, withIDs for one that does, and pooled for a consumer.
+// Each is one pointer, so handing it to a source as a rowSink allocates
+// nothing.
+func (b *Batch) expect(n int) { b.reserve(n, caller) }
 
 type withIDs struct{ *Batch }
 
-func (w withIDs) expect(n int) { w.reserve(n, true) }
+func (w withIDs) expect(n int) { w.reserve(n, callerIDs) }
+
+type pooled struct{ *Batch }
+
+func (p pooled) expect(n int) { p.reserve(n, consumer) }
+
+// sink returns the Materialize sink that sizes b for r.
+func (b *Batch) sink(r reader) rowSink {
+	switch r {
+	case consumer:
+		return pooled{b}
+	case callerIDs:
+		return withIDs{b}
+	}
+	return b
+}
 
 // push appends a row, and its identity while the batch still carries them.
 func (b *Batch) push(rid storage.RowID, t storage.Tuple) {

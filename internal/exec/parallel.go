@@ -108,7 +108,8 @@ func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 
 // exchangeScan is the scan source over a partitioned table: every partition
 // scans on its worker chain (one PARALLEL_SCAN each) and the exchange merge
-// concatenates the stripes into b, with row identities when ids. Like the
+// concatenates the stripes into b, sized for r — with row identities for a
+// caller that reads them, from the row-array pool for a consumer. Like the
 // serial sources it bills, but does not run, the source's own column
 // projection.
 //
@@ -116,8 +117,10 @@ func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 // can deliver (the latch-consistent counts of storage.ScanPartitions), each
 // worker appends into its own capacity-bounded window of that one array, and
 // the merge compacts the stripes leftward in partition order: a stripe never
-// outgrows its window, so a destination never passes its source.
-func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
+// outgrows its window, so a destination never passes its source. The stale
+// headers the compaction leaves past the merged length are cleared when a
+// consumer recycles the array.
+func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", n.Table)
@@ -125,6 +128,7 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 	id, ts := ctx.snapshot()
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	cols := float64(tbl.Meta.Schema.NumColumns())
+	ids := r == callerIDs
 	var stripes []Batch
 	var dop int
 	tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
@@ -133,7 +137,7 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 		for p, c := range counts {
 			off[p+1] = off[p] + c
 		}
-		b.reserve(off[parts], ids)
+		b.reserve(off[parts], r)
 		stripes = make([]Batch, parts)
 		for p := range stripes {
 			stripes[p].Rows = b.Rows[off[p]:off[p]:off[p+1]]

@@ -37,7 +37,10 @@ import (
 //     compacts them in place.
 //
 // A chain materializes row identities only when its parent reads them:
-// Execute's caller (a DML child) does, a breaker on feed never does.
+// Execute's caller (a DML child) does, a parent that consumes the batch
+// inside exec never does. A consumed batch — fed to a breaker, a hash join's
+// build side, an index join's outer — draws its row array from the pool
+// (pool.go) and recycles it once the parent has read the last row.
 //
 // The modeled-cost contract is strict: RowPass emits exactly the OU records
 // — same kinds, same order, same feature vectors — that Materialize emits
@@ -283,13 +286,21 @@ func (c *Ctx) readPostings(tbl *storage.Table, cols []int, ps []index.Entry, id,
 	return pushed
 }
 
-// execChain runs a scan chain on its driver and returns its output, with
-// row identities when the parent reads them (ids) and the chain keeps them.
-func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, ids bool) (*Batch, error) {
-	ids = ids && p.HasRowIDs()
+// execChain runs a scan chain on its driver and returns its output. A
+// consumed batch draws its row array from the pool and carries no row
+// identities; Execute's caller gets a fresh array, with row identities when
+// the chain keeps them.
+func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, consumed bool) (*Batch, error) {
+	r := caller
+	switch {
+	case consumed:
+		r = consumer
+	case p.HasRowIDs():
+		r = callerIDs
+	}
 	b := &Batch{}
 	if drv.Streams() {
-		b.reserve(capHint(p.Source.Est().Rows), ids)
+		b.reserve(capHint(p.Source.Est().Rows), r)
 		if err := streamChain(ctx, drv, p, b.push); err != nil {
 			return nil, err
 		}
@@ -297,11 +308,9 @@ func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, ids bool) (*Batc
 	}
 	var err error
 	if drv == plan.Exchange {
-		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b, ids)
-	} else if ids {
-		err = runSource(ctx, p.Source, withIDs{b})
+		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b, r)
 	} else {
-		err = runSource(ctx, p.Source, b)
+		err = runSource(ctx, p.Source, b.sink(r))
 	}
 	if err != nil {
 		return nil, err
@@ -503,22 +512,24 @@ func (c *Ctx) chargeJoinProbe(th *hw.Thread, probed, htBytes, outRows, outWidth 
 }
 
 // hashJoin is the hash join of every driver but Exchange. The build side
-// materializes (it must) into a joinTable; the probe side is fed — when the
-// right child is a chain on a streaming driver, its rows flow from the
-// storage layer through the probe into the join output with no intermediate
-// Batch. The driver selects only where the scratch lives: a streaming driver
-// builds in the Ctx's table and carves output tuples from its arena, so its
-// steady-state hot path allocates nothing per row; Materialize builds a
-// statement-local table and heap tuples, because interpreted sessions are too
-// many for each to pin either. All real work comes first; the build and probe
-// brackets are billed afterwards, the probe as VEC_PROBE under VecPass and as
-// HASHJOIN_PROBE otherwise (the build keeps its mode-flagged HASHJOIN_BUILD:
-// the kind carries no vectorized profile).
+// materializes (it must) into a consumed batch, whose pooled row array the
+// join recycles as it returns, and into a joinTable; the probe side is fed —
+// when the right child is a chain on a streaming driver, its rows flow from
+// the storage layer through the probe into the join output with no
+// intermediate Batch. The driver selects only where the scratch lives: a
+// streaming driver builds in the Ctx's table and carves output tuples from
+// its arena, so its steady-state hot path allocates nothing per row;
+// Materialize builds a statement-local table and heap tuples, because
+// interpreted sessions are too many for each to pin either. All real work
+// comes first; the build and probe brackets are billed afterwards, the probe
+// as VEC_PROBE under VecPass and as HASHJOIN_PROBE otherwise (the build keeps
+// its mode-flagged HASHJOIN_BUILD: the kind carries no vectorized profile).
 func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
-	left, err := Execute(ctx, n.Left)
+	left, err := consume(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
+	defer left.recycle() // joined tuples copy their build half
 	var jt joinTable
 	arena := heap
 	if drv.Streams() {

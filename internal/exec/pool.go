@@ -1,14 +1,16 @@
 package exec
 
 import (
+	"math/bits"
 	"sync"
+	"unsafe"
 
 	"mb2/internal/index"
 	"mb2/internal/storage"
 )
 
-// Hot-path scratch memory discipline. The streaming drivers draw three kinds
-// of buffers:
+// Hot-path scratch memory discipline. The drivers draw four kinds of
+// buffers:
 //
 //   - pooled scratch (scan-row buffers, posting buffers, width buffers — a
 //     stage's and a breaker's shape's alike): returned to a sync.Pool
@@ -22,6 +24,12 @@ import (
 //     buffer). Each region is handed out exactly once, so keeping a fed
 //     tuple is safe; arena chunks are NOT pooled, because results
 //     legitimately outlive the query.
+//   - pooled row arrays (a consumed batch's []storage.Tuple): a batch that a
+//     parent reads once inside exec and then drops — a chain fed to a
+//     breaker, a hash join's build side, an index join's outer — draws its
+//     array from a size-classed pool and recycles it, cleared, once the
+//     parent has read the last row. Only the array of tuple headers is
+//     recycled, never a tuple. Execute's result never draws from the pool.
 //
 // See DESIGN.md "Execution: source → stages → sink" for the full retention
 // contract.
@@ -63,6 +71,41 @@ func getIntBuf() *[]int { return intBufPool.Get().(*[]int) }
 func putIntBuf(b *[]int) {
 	*b = (*b)[:0]
 	intBufPool.Put(b)
+}
+
+// rowPools[k] holds row arrays of capacity at least 1<<k, each kept as a
+// pointer to its first element, so that neither Get nor Put boxes a slice
+// header. minRowClass is capHint's floor.
+var rowPools [bits.UintSize]sync.Pool
+
+const minRowClass = 4
+
+// pooledRows returns an empty row array with room for n rows, at a power of
+// two capacity.
+func pooledRows(n int) []storage.Tuple {
+	k := minRowClass
+	if n > 1<<minRowClass {
+		k = bits.Len(uint(n - 1))
+	}
+	if first, _ := rowPools[k].Get().(*storage.Tuple); first != nil {
+		return unsafe.Slice(first, 1<<k)[:0]
+	}
+	return make([]storage.Tuple, 0, 1<<k)
+}
+
+// recycle empties a consumed batch and returns its row array to the pool,
+// cleared up to its capacity: a stale tuple header past the batch's length
+// (an Exchange window's, a filter's) would otherwise keep its tuple alive.
+// An array that grew past its class by append returns to the largest class
+// it covers.
+func (b *Batch) recycle() {
+	rows := b.Rows[:cap(b.Rows)]
+	*b = Batch{}
+	if len(rows) < 1<<minRowClass {
+		return
+	}
+	clear(rows)
+	rowPools[bits.Len(uint(len(rows)))-1].Put(&rows[0])
 }
 
 // valueArena hands out tuple backing storage in large chunks so building k

@@ -24,6 +24,17 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runOn(ctx, node, drv, chain, false)
+}
+
+// consume is Execute for a parent inside exec that reads the result's rows
+// once and then recycles the batch (pool.go): a hash join's build side, an
+// index join's outer. The result carries no row identities.
+func consume(ctx *Ctx, node plan.Node) (*Batch, error) {
+	drv, chain, err := enter(ctx, node)
+	if err != nil {
+		return nil, err
+	}
 	return runOn(ctx, node, drv, chain, true)
 }
 
@@ -46,7 +57,9 @@ func enter(ctx *Ctx, node plan.Node) (plan.Driver, *plan.ScanPipeline, error) {
 // the materialized Batch otherwise. It is how a pipeline breaker consumes its
 // input, so each breaker has one body for every driver. A consumer that
 // buffers the rows passes expect, called once before the first row with the
-// row count (a Batch's) or the optimizer's estimate of it (a stream's). Row
+// row count (a Batch's) or the optimizer's estimate of it (a stream's). The
+// Batch is consumed: its row array comes from the pool and is recycled after
+// the last row, so sink may keep a tuple but never the array. Row
 // identities are not fed (the loop passes 0), so none are materialized:
 // nothing above a breaker carries them.
 func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.RowID, storage.Tuple)) error {
@@ -61,7 +74,7 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 		expect(capHint(chain.Source.Est().Rows))
 		return streamChain(ctx, drv, chain, sink)
 	}
-	b, err := runOn(ctx, node, drv, chain, false)
+	b, err := runOn(ctx, node, drv, chain, true)
 	if err != nil {
 		return err
 	}
@@ -69,15 +82,17 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	for _, r := range b.Rows {
 		sink(0, r)
 	}
+	b.recycle()
 	return nil
 }
 
-// runOn runs the fragment rooted at node on the driver enter returned. ids
-// says whether the caller reads row identities: a chain materializes them
-// only then.
-func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline, ids bool) (*Batch, error) {
+// runOn runs the fragment rooted at node on the driver enter returned.
+// consumed says whether a parent inside exec reads the result once and
+// recycles it: a chain then draws its row array from the pool and
+// materializes no row identities.
+func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline, consumed bool) (*Batch, error) {
 	if chain != nil {
-		return execChain(ctx, drv, chain, ids)
+		return execChain(ctx, drv, chain, consumed)
 	}
 	switch n := node.(type) {
 	case *plan.HashJoinNode:
@@ -118,11 +133,14 @@ func execStage(ctx *Ctx, child plan.Node, st chainStage) (*Batch, error) {
 	return b, nil
 }
 
+// execIndexJoin probes the index once per row of its outer, a consumed batch
+// recycled as the join returns: joined tuples copy their outer half.
 func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
-	outer, err := Execute(ctx, n.Outer)
+	outer, err := consume(ctx, n.Outer)
 	if err != nil {
 		return nil, err
 	}
+	defer outer.recycle()
 	tbl := ctx.DB.Table(n.Table)
 	idx := ctx.DB.Index(n.Index)
 	if tbl == nil || idx == nil {

@@ -486,7 +486,7 @@ func (p *Planner) Apply(a Action, col *metrics.Collector) (*BuildHandle, error) 
 			col.EnableOnly(ou.IndexBuild)
 		}
 		_, build, err := p.DB.CreateIndex(col, p.DB.Machine.CPU,
-			a.Index.Name+buildingSuffix, a.Index.Table, a.Index.KeyColNames, false, threads)
+			a.Index.Name+catalog.BuildingSuffix, a.Index.Table, a.Index.KeyColNames, false, threads)
 		if err != nil {
 			return nil, fmt.Errorf("planner: starting build: %w", err)
 		}
@@ -544,5 +544,5 @@ func (h *BuildHandle) Done() bool {
 // visible to query planning (and bumping the config version, which
 // invalidates prediction caches).
 func (h *BuildHandle) Publish(db *engine.DB) error {
-	return db.RenameIndex(h.Candidate.Name+buildingSuffix, h.Candidate.Name)
+	return db.RenameIndex(h.Candidate.Name+catalog.BuildingSuffix, h.Candidate.Name)
 }

@@ -270,7 +270,7 @@ func TestApplyModeChangeAndIndexBuildLifecycle(t *testing.T) {
 	if db.Index("t_auto_grp") != nil {
 		t.Fatal("index visible before publish")
 	}
-	if db.Index("t_auto_grp"+buildingSuffix) == nil {
+	if db.Index("t_auto_grp"+catalog.BuildingSuffix) == nil {
 		t.Fatal("private build missing")
 	}
 	if h.Done() {
@@ -292,7 +292,7 @@ func TestApplyModeChangeAndIndexBuildLifecycle(t *testing.T) {
 	if err := h.Publish(db); err != nil {
 		t.Fatal(err)
 	}
-	if db.Index("t_auto_grp") == nil || db.Index("t_auto_grp"+buildingSuffix) != nil {
+	if db.Index("t_auto_grp") == nil || db.Index("t_auto_grp"+catalog.BuildingSuffix) != nil {
 		t.Fatal("publish did not rename the index")
 	}
 }

@@ -403,7 +403,7 @@ func TestSimulateBuildLifecycle(t *testing.T) {
 	if db.Index("t_grp") == nil {
 		t.Fatal("index not published under its real name")
 	}
-	if db.Index("t_grp"+buildingSuffix) != nil {
+	if db.Index("t_grp"+catalog.BuildingSuffix) != nil {
 		t.Fatal("private build name must be gone")
 	}
 	// Build CPU shows up only while building.

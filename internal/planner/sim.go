@@ -9,10 +9,6 @@ import (
 	"mb2/internal/runner"
 )
 
-// buildingSuffix hides an in-progress index from the workload's plan
-// chooser until the simulated build completes.
-const buildingSuffix = "__building"
-
 // SimConfig drives the end-to-end interval simulator behind Figs 1 and 11:
 // a fixed pool of worker threads executes a (possibly changing) workload
 // while an index build may run on extra threads, with shared-machine

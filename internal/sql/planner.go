@@ -271,7 +271,8 @@ func literalValue(l Literal, t catalog.Type) storage.Value {
 
 // scanPlan builds the access path for a single table: a point index scan
 // when an index's key columns are fully covered by equality conjuncts,
-// otherwise a filtered sequential scan.
+// otherwise a filtered sequential scan. A building index is never chosen:
+// publishing renames it, which would pull it from under the plan.
 func (pl *Planner) scanPlan(table string, s *scope, where Expr) (plan.Node, float64, error) {
 	rows := pl.DB.RowCount(table)
 	outRows := rows
@@ -291,7 +292,7 @@ func (pl *Planner) scanPlan(table string, s *scope, where Expr) (plan.Node, floa
 		eqConjuncts(where, eqs)
 		meta, _ := pl.DB.Catalog.Table(table)
 		for _, im := range pl.DB.Catalog.TableIndexes(meta.ID) {
-			if pl.DB.Index(im.Name) == nil || len(im.KeyCols) == 0 {
+			if im.Building() || pl.DB.Index(im.Name) == nil || len(im.KeyCols) == 0 {
 				continue
 			}
 			key := make([]Literal, 0, len(im.KeyCols))

@@ -272,6 +272,38 @@ func TestCreateIndexAndPointPlan(t *testing.T) {
 	}
 }
 
+// TestPlanNeverNamesBuildingIndex: an index whose build is in flight is
+// renamed from under any plan that names it when the build completes, so the
+// planner routes around it until then and uses it under its published name.
+func TestPlanNeverNamesBuildingIndex(t *testing.T) {
+	ctx := seededCtx(t)
+	building := "products_pk" + catalog.BuildingSuffix
+	if _, _, err := ctx.DB.CreateIndex(nil, hw.DefaultCPU(), building, "products", []string{"id"}, true, 1); err != nil {
+		t.Fatal(err)
+	}
+	pl := NewPlanner(ctx.DB)
+	st, err := Parse("SELECT * FROM products WHERE id = 42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := pl.Plan(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := p.(*plan.OutputNode).Child.(*plan.SeqScanNode); !ok {
+		t.Fatalf("a plan over a building index: %T", p.(*plan.OutputNode).Child)
+	}
+	if err := ctx.DB.RenameIndex(building, "products_pk"); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = pl.Plan(st); err != nil {
+		t.Fatal(err)
+	}
+	if idx, ok := p.(*plan.OutputNode).Child.(*plan.IdxScanNode); !ok || idx.Index != "products_pk" {
+		t.Fatalf("after publish: %T, want a scan of products_pk", p.(*plan.OutputNode).Child)
+	}
+}
+
 func TestIndexWithResidualFilter(t *testing.T) {
 	ctx := seededCtx(t)
 	mustRun(t, ctx, "CREATE INDEX products_cat ON products (category)")
