@@ -57,7 +57,9 @@ func main() {
 	}
 	run("CREATE INDEX orders_pk ON orders (o_id) WITH (threads = 2)")
 
-	// The application's two query templates.
+	// The application's two query templates, and the order the prediction
+	// lists them in.
+	names := []string{"point", "report"}
 	templates := map[string]string{
 		"point":  "SELECT * FROM orders WHERE o_id = 42",
 		"report": "SELECT customer, sum(total) FROM orders GROUP BY customer ORDER BY customer LIMIT 10",
@@ -84,8 +86,8 @@ func main() {
 	// interval's behavior.
 	planner := sql.NewPlanner(db)
 	iv := modeling.IntervalForecast{IntervalUS: hist.IntervalUS(), Threads: 2}
-	for name, q := range templates {
-		st, err := sql.Parse(q)
+	for _, name := range names {
+		st, err := sql.Parse(templates[name])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -102,7 +104,6 @@ func main() {
 	}
 
 	fmt.Println("\nMB2's prediction for the forecasted interval:")
-	names := []string{"point", "report"}
 	for i, q := range pred.Queries {
 		fmt.Printf("  %-7s %8.1fus per execution x %.0f executions\n",
 			names[i], q.Adjusted.ElapsedUS, iv.Queries[i].Count)

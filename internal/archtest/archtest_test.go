@@ -60,8 +60,13 @@ var rules = []rule{
 		"DrainObservations( appears on exactly one line under internal/selfdrive, in LiveController.ingest: the control loop has one driver step and one drain of the process list",
 		28, exactly("internal/selfdrive", 1, "DrainObservations(", nil)},
 	{"one-build-advance",
-		".Advance( appears on exactly one line under internal/selfdrive, in LiveController.ingest: an in-flight index build has one contention rule",
-		28, exactly("internal/selfdrive", 1, ".Advance(", nil)},
+		"a build thread's .Remaining[ is written only in internal/planner/candidates.go, and .Progress( appears on exactly one line under internal/selfdrive, in LiveController.ingest: an in-flight index build has one contention rule, BuildHandle.Progress",
+		28, all(func(t *tree) []string {
+			return t.lines("", except("internal/planner/candidates.go"), remainingWrite.MatchString)
+		}, exactly("internal/selfdrive", 1, ".Progress(", nil))},
+	{"one-observer",
+		"no non-test file under internal/exec names Observe, and the observation buffer is written (stats.record() on exactly one line under internal/session, in Session.run: executed traffic has one producer, the session",
+		33, all(forbid("internal/exec", nil, "Observe"), exactly("internal/session", 1, "stats.record(", nil))},
 	{"row-ids-sized-once",
 		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
 		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
@@ -174,9 +179,10 @@ func cmdLinksNoCheck(t *tree) []string {
 }
 
 var (
-	missStart = regexp.MustCompile(`^func \(s \*Session\) miss\(`)
-	planEntry = regexp.MustCompile(`sql\.Parse|NewPlanner`)
-	comment   = regexp.MustCompile(`^[ \t]*//`)
+	remainingWrite = regexp.MustCompile(`\.Remaining\[[^\]]*\]\s*([-+*/]?=[^=]|\+\+|--)`)
+	missStart      = regexp.MustCompile(`^func \(s \*Session\) miss\(`)
+	planEntry      = regexp.MustCompile(`sql\.Parse|NewPlanner`)
+	comment        = regexp.MustCompile(`^[ \t]*//`)
 )
 
 // onePlanPath scans the non-test files directly in internal/session, from

@@ -45,8 +45,18 @@ var violations = []violation{
 		"internal/selfdrive/control.go": "package selfdrive\n\nfunc (c *LiveController) ingest() { c.reg.DrainObservations() }\n",
 		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc run() { reg.DrainObservations() }\n"}},
 	{"one-build-advance", "a second build-advance rule", "on 2 non-test lines", map[string]string{
-		"internal/selfdrive/control.go": "package selfdrive\n\nfunc f() { b.Advance(us) }\n",
-		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc g() { b.Advance(us) }\n"}},
+		"internal/selfdrive/control.go": "package selfdrive\n\nfunc f() { c.build.Progress(ratios, us) }\n",
+		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc g() { b.Progress(r, us) }\n"}},
+	{"one-build-advance", "a second progress formula", "internal/planner/sim.go:3:", map[string]string{
+		"internal/planner/candidates.go": "package planner\n\nfunc (h *BuildHandle) Progress() { h.Remaining[j] -= us / r }\n",
+		"internal/planner/sim.go":        "package planner\n\nfunc f() { build.Remaining[j] -= us / r }\n",
+		"internal/selfdrive/control.go":  "package selfdrive\n\nfunc f() { c.build.Progress(ratios, us) }\n"}},
+	{"one-observer", "an observer hook back in exec", "internal/exec/observed.go:3:", map[string]string{
+		"internal/exec/observed.go":   "package exec\n\ntype QueryObserver interface{ ObserveQuery(string) }\n",
+		"internal/session/session.go": "package session\n\nfunc (s *Session) run() { s.stats.record(t, n, iso) }\n"}},
+	{"one-observer", "a second write of the observation buffer", "on 2 non-test lines", map[string]string{
+		"internal/session/session.go":   "package session\n\nfunc (s *Session) run() { s.stats.record(t, n, iso) }\n",
+		"internal/session/plancache.go": "package session\n\nfunc (s *Session) execEntry() { s.stats.record(t, n, iso) }\n"}},
 	{"row-ids-sized-once", "a second make([]storage.RowID", "on 2 non-test lines", map[string]string{
 		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = make([]storage.RowID, 0, n) }\n",
 		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := make([]storage.RowID, n) }\n"}},

@@ -5,6 +5,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -218,15 +219,21 @@ func (c *Catalog) RenameIndex(old, new string) error {
 		return fmt.Errorf("catalog: index %q already exists", new)
 	}
 	delete(c.indexes, old)
-	idx.Name = new
-	c.indexes[new] = idx
+	// Copy-on-write, entry and list: an entry handed out keeps its name.
+	renamed := *idx
+	renamed.Name = new
+	c.indexes[new] = &renamed
+	list := slices.Clone(c.byTable[idx.TableID])
+	list[slices.Index(list, idx)] = &renamed
+	c.byTable[idx.TableID] = list
 	return nil
 }
 
 // TableIndexes returns the indexes defined over a table, without copying:
 // the slice is capacity-capped, so a caller's append copies, and the list is
-// never changed in place (CreateIndex appends past every handed-out length,
-// DropIndex builds a fresh list). Callers must not write its elements.
+// never changed in place (CreateIndex appends past every handed-out length;
+// DropIndex and RenameIndex build fresh lists and RenameIndex a fresh entry).
+// Callers must not write its elements.
 func (c *Catalog) TableIndexes(tableID int) []*IndexMeta {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -47,12 +47,6 @@ type Ctx struct {
 	// experiment (Sec 8.5). Zero disables it.
 	JHTSleepEvery int
 
-	// Observer, when set, receives one event per query executed through
-	// ExecuteObserved: the live-path metrics stream feeding the online
-	// control loop (template counts for forecasting, observed resource
-	// usage for predicted-vs-actual accounting).
-	Observer QueryObserver
-
 	// Interrupt, when set, is polled at every operator boundary and once per
 	// chunk of a sequential scan (a breaker fused into its chain has no
 	// boundary of its own); a non-nil return aborts the plan with that error

@@ -27,16 +27,11 @@ func filteredCount(keep int) *plan.AggNode {
 	}
 }
 
-type countingObserver struct{ n int }
-
-func (o *countingObserver) ObserveQuery(string, uint64, hw.Metrics) { o.n++ }
-
 // TestInterruptInsideFusedFragment: a breaker fused into its chain has no
 // operator boundary, so the scan's chunks are the cancellation points. A hook
 // that fails on its third poll (node entry, first chunk, second chunk) stops
 // the pass after one chunk: the statement returns the hook's error, the sink
-// saw one chunk of the table, the aborted fragment left no OU record and the
-// observer never hears of the statement.
+// saw one chunk of the table and the aborted fragment left no OU record.
 func TestInterruptInsideFusedFragment(t *testing.T) {
 	const rows = 5000
 	db := newTestDB(t, rows, 10)
@@ -45,8 +40,6 @@ func TestInterruptInsideFusedFragment(t *testing.T) {
 		t.Run(mode.String(), func(t *testing.T) {
 			ctx, col := testCtx(db)
 			ctx.Mode = mode
-			obs := &countingObserver{}
-			ctx.Observer = obs
 			polls, failAt := 0, 3
 			ctx.Interrupt = func() error {
 				if polls++; polls == failAt {
@@ -72,20 +65,17 @@ func TestInterruptInsideFusedFragment(t *testing.T) {
 			// The same kill through a whole statement: entry polls of the
 			// aggregation and of its child, then the chunks.
 			polls, failAt = 0, 4
-			if _, _, err := ExecuteObserved(ctx, "q", 1, filteredCount(rows)); !errors.Is(err, stop) {
+			if _, err := Execute(ctx, filteredCount(rows)); !errors.Is(err, stop) {
 				t.Fatalf("statement returned %v, want the hook's error", err)
 			}
 			if recs := col.Drain(); len(recs) != 0 {
 				t.Fatalf("aborted statement emitted %v", kindsOf(recs))
 			}
-			if obs.n != 0 {
-				t.Fatalf("observer saw %d aborted statements", obs.n)
-			}
 
 			// Without a failing hook the same context completes the statement.
 			ctx.Interrupt = func() error { return nil }
-			if b, _, err := ExecuteObserved(ctx, "q", 1, filteredCount(rows)); err != nil || len(b.Rows) != 10 || obs.n != 1 {
-				t.Fatalf("uninterrupted statement: %v, %d groups, %d observations", err, len(b.Rows), obs.n)
+			if b, err := Execute(ctx, filteredCount(rows)); err != nil || len(b.Rows) != 10 {
+				t.Fatalf("uninterrupted statement: %v, %d groups", err, len(b.Rows))
 			}
 		})
 	}

@@ -25,6 +25,9 @@ type node struct {
 
 // BTree is a latch-protected B+tree mapping composite keys to row IDs.
 type BTree struct {
+	// Meta is the catalog entry the tree was built from. Its KeyCols and
+	// Unique never change; its Name is the build-time name, since a rename
+	// gives the catalog a fresh entry.
 	Meta *catalog.IndexMeta
 
 	mu      sync.RWMutex

@@ -501,33 +501,40 @@ func (p *Planner) Apply(a Action, col *metrics.Collector) (*BuildHandle, error) 
 	}
 }
 
-// ActiveWork returns the per-thread work the build demands over the next
-// intervalUS of wall clock (each unfinished thread asks for up to one
-// interval of its isolated rate), plus the indices of the demanding
-// threads for Advance.
-func (h *BuildHandle) ActiveWork(intervalUS float64) ([]hw.Metrics, []int) {
+// Demand returns the work the build's unfinished threads ask for over the
+// next intervalUS of wall clock, in thread order: each asks for up to one
+// interval of its isolated rate.
+func (h *BuildHandle) Demand(intervalUS float64) []hw.Metrics {
 	var work []hw.Metrics
-	var idx []int
 	for j, m := range h.PerThread {
-		if h.Remaining[j] <= 0 || m.ElapsedUS <= 0 {
-			continue
+		if h.demands(j) {
+			work = append(work, m.Scale(min(intervalUS, h.Remaining[j])/m.ElapsedUS))
 		}
-		frac := intervalUS / m.ElapsedUS
-		if frac > h.Remaining[j]/m.ElapsedUS {
-			frac = h.Remaining[j] / m.ElapsedUS
-		}
-		work = append(work, m.Scale(frac))
-		idx = append(idx, j)
 	}
-	return work, idx
+	return work
 }
 
-// Advance subtracts achieved progress (isolated-equivalent microseconds)
-// from thread j.
-func (h *BuildHandle) Advance(j int, progressUS float64) {
-	if j >= 0 && j < len(h.Remaining) {
-		h.Remaining[j] -= progressUS
+// Progress is the build's one contention rule: each thread Demand returned
+// covers intervalUS of wall clock divided by its elapsed-time contention
+// ratio (ratios[e] is the e-th demanding thread's label ratios, as
+// hw.Machine.ContentionRatios returns them) in isolated-equivalent
+// microseconds. A thread with no positive ratio makes no progress.
+func (h *BuildHandle) Progress(ratios [][]float64, intervalUS float64) {
+	e := 0
+	for j := range h.PerThread {
+		if !h.demands(j) {
+			continue
+		}
+		if r := ratios[e][hw.LabelElapsedUS]; r > 0 {
+			h.Remaining[j] -= intervalUS / r
+		}
+		e++
 	}
+}
+
+// demands reports whether thread j still has work to do.
+func (h *BuildHandle) demands(j int) bool {
+	return h.Remaining[j] > 0 && h.PerThread[j].ElapsedUS > 0
 }
 
 // Done reports whether every build thread has covered its work.

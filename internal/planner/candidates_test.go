@@ -6,6 +6,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/plan"
 	"mb2/internal/workload"
@@ -276,17 +277,28 @@ func TestApplyModeChangeAndIndexBuildLifecycle(t *testing.T) {
 	if h.Done() {
 		t.Fatal("fresh build already done")
 	}
-	work, idx := h.ActiveWork(1e6)
-	if len(work) == 0 || len(work) != len(idx) {
-		t.Fatalf("active work = %v %v", work, idx)
+	// One uncontended interval longer than every thread's work finishes it.
+	var interval float64
+	for _, m := range h.PerThread {
+		interval = max(interval, m.ElapsedUS+1)
 	}
-	for _, j := range idx {
-		h.Advance(j, h.PerThread[j].ElapsedUS+1)
+	work := h.Demand(interval)
+	if len(work) != len(h.PerThread) {
+		t.Fatalf("%d of %d threads demand work", len(work), len(h.PerThread))
 	}
+	uncontended := make([][]float64, len(work))
+	for e, m := range work {
+		if m != h.PerThread[e] {
+			t.Fatalf("thread %d demands %v, want its whole work %v", e, m, h.PerThread[e])
+		}
+		uncontended[e] = make([]float64, hw.NumLabels)
+		uncontended[e][hw.LabelElapsedUS] = 1
+	}
+	h.Progress(uncontended, interval)
 	if !h.Done() {
 		t.Fatalf("build not done after covering work: %v", h.Remaining)
 	}
-	if w, _ := h.ActiveWork(1e6); w != nil {
+	if w := h.Demand(interval); w != nil {
 		t.Fatal("finished build still demands work")
 	}
 	if err := h.Publish(db); err != nil {

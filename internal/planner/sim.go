@@ -112,9 +112,8 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 		assignment := runner.RoundRobinAssignment(subset, cfg.Threads, perThread)
 
 		var extra []hw.Metrics
-		var extraIdx []int
 		if build != nil {
-			extra, extraIdx = build.ActiveWork(intervalUS)
+			extra = build.Demand(intervalUS)
 		}
 
 		run, err := runner.ExecuteInterval(db, ccfg, templates, assignment, extra)
@@ -142,11 +141,8 @@ func Simulate(cfg SimConfig) (SimResult, error) {
 			iv.BuildCPUUtil += extra[e].CPUTimeUS / capacity
 		}
 
-		// Advance the build by each thread's achieved progress.
 		if build != nil {
-			for e, j := range extraIdx {
-				build.Advance(j, intervalUS/run.Ratios[cfg.Threads+e][hw.LabelElapsedUS])
-			}
+			build.Progress(run.Ratios[cfg.Threads:], intervalUS)
 			iv.Building = true
 			if build.Done() {
 				if err := build.Publish(cfg.DB); err != nil {

@@ -6,7 +6,6 @@ import (
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/forecast"
-	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
@@ -116,17 +115,12 @@ func (c *LiveController) ingest() (session.Observation, []string, [][]float64, e
 	c.threads = max(len(obs.Load), 1)
 
 	load := obs.Load
-	var active []int
 	if c.build != nil {
-		var work []hw.Metrics
-		work, active = c.build.ActiveWork(c.cfg.IntervalUS)
-		load = append(load, work...)
+		load = append(load, c.build.Demand(c.cfg.IntervalUS)...)
 	}
 	ratios := c.p.DB.Machine.ContentionRatios(load, c.cfg.IntervalUS)
-	for e, j := range active {
-		if r := ratios[len(obs.Load)+e][hw.LabelElapsedUS]; r > 0 {
-			c.build.Advance(j, c.cfg.IntervalUS/r)
-		}
+	if c.build != nil {
+		c.build.Progress(ratios[len(obs.Load):], c.cfg.IntervalUS)
 	}
 	err := c.publishIfDone(c.ticks)
 	c.ticks++

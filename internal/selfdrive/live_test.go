@@ -247,9 +247,9 @@ func TestLiveControllerAdvancesBuildUnderLoad(t *testing.T) {
 		}
 		load = append(load, sum)
 	}
-	work, active := b.ActiveWork(cfg.IntervalUS)
-	if len(active) != b.Threads {
-		t.Fatalf("%d of %d build threads active", len(active), b.Threads)
+	work := b.Demand(cfg.IntervalUS)
+	if len(work) != b.Threads {
+		t.Fatalf("%d of %d build threads active", len(work), b.Threads)
 	}
 	ratios := ctl.p.DB.Machine.ContentionRatios(append(load, work...), cfg.IntervalUS)
 	before := slices.Clone(b.Remaining)
@@ -257,8 +257,8 @@ func TestLiveControllerAdvancesBuildUnderLoad(t *testing.T) {
 	if _, err := ctl.Tick(); err != nil {
 		t.Fatal(err)
 	}
-	for e, j := range active {
-		r := ratios[len(load)+e][hw.LabelElapsedUS]
+	for j := range work {
+		r := ratios[len(load)+j][hw.LabelElapsedUS]
 		if r <= 1.1 {
 			t.Fatalf("build thread %d contention ratio %v: the interval is not loaded", j, r)
 		}

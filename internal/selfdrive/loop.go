@@ -241,7 +241,7 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 			rng := rand.New(rand.NewSource(unitSeed(cfg.Seed,
 				fmt.Sprintf("drive/interval-%d/session-%d", i, s))))
 			for _, q := range sc.sessionQueries(rng, i, ctl.published) {
-				_, iso, err := workers[s].ExecPlan(q.name, q.fp, q.node)
+				_, iso, err := workers[s].ExecPlan(q.name, 0, q.node)
 				if err != nil {
 					errs[s] = fmt.Errorf("selfdrive: session %d executing %s: %w", s, q.name, err)
 					return

@@ -253,7 +253,7 @@ func (sc *scenario) sessionQueries(rng *rand.Rand, interval int, published []pla
 			node = scaleEstimates(node, variantFactor(name))
 		}
 		node = rewritePublished(node, published)
-		out = append(out, liveQuery{name: name, fp: plan.Fingerprint(node), node: node})
+		out = append(out, liveQuery{name: name, node: node})
 	}
 	for i := 0; i < qn; i++ {
 		d := rng.Int63n(10)

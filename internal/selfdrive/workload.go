@@ -26,7 +26,6 @@ const tpccLastNames = 100
 // liveQuery is one query instance a session executes.
 type liveQuery struct {
 	name string
-	fp   uint64
 	node plan.Node
 }
 

@@ -7,7 +7,7 @@
 // execution context (one worker thread, arena, and join-table per
 // session), a plan cache that every SQL statement — ad-hoc text or
 // prepared — executes from, and a private observation buffer (Stats)
-// that implements exec.QueryObserver.
+// that the session records every statement it completed into.
 //
 // # The plan cache
 //
@@ -24,9 +24,9 @@
 //
 // A cache entry holds the statement parsed from the first text of its
 // template, the tree planned from it (a sql.Template, which knows where
-// each literal landed), that tree's fingerprint, and the ConfigVersion it
-// was planned at. Executing a statement is: scan the text into key and
-// literal vector (no allocation), look the key up, replan if the engine's
+// each literal landed), and the ConfigVersion it was planned at.
+// Executing a statement is: scan the text into key and literal vector
+// (no allocation), look the key up, replan if the engine's
 // ConfigVersion has moved — a knob change, repartition or index publish
 // anywhere invalidates every entry of every session this way, and nothing
 // else does — bind the vector, run. Bind copies the nodes on the way to a
@@ -38,8 +38,8 @@
 // skips even that copy.
 //
 // A Prepared is a name and a literal vector pointing at such an entry; it
-// has no plan, version or fingerprint of its own, and ExecSQL and
-// ExecPrepared run the same body (execEntry). What stays out of the
+// has no plan or version of its own, and ExecSQL and ExecPrepared run
+// the same body (execEntry). What stays out of the
 // cache: DDL, which runs against the engine directly; text that does not
 // lex; and a statement with more than sql.MaxTemplateLiterals literals.
 // A template one of whose literals the planner dropped or read
@@ -75,6 +75,6 @@
 // takes effect at the executor's next operator boundary, and the Stats
 // buffer is mutex-guarded with an exactly-once Emit-vs-Drain contract —
 // every completed query's observation appears in exactly one drain,
-// and a killed query contributes nothing (exec.ExecuteObserved only
-// observes whole completed queries).
+// and a killed query contributes nothing (Session.run records only
+// statements that succeeded).
 package session

@@ -21,10 +21,9 @@ const (
 )
 
 // entry is one statement template of a session's plan cache: the statement
-// parsed from the first text that had this key, its plan at one
-// ConfigVersion, and the fingerprint of that plan. Ad-hoc statements reach
-// it by key, prepared statements hold a pointer to it; both execute through
-// Session.execEntry.
+// parsed from the first text that had this key and its plan at one
+// ConfigVersion. Ad-hoc statements reach it by key, prepared statements
+// hold a pointer to it; both execute through Session.execEntry.
 type entry struct {
 	// key is the literal-normalised text (sql.Normalize): the cache key and
 	// the observation template of ad-hoc executions.
@@ -35,7 +34,6 @@ type entry struct {
 	stmt    sql.Statement
 	lits    []sql.Literal
 	tmpl    *sql.Template
-	fp      uint64
 	version uint64
 	// replans counts plannings after the first: the ConfigVersion
 	// invalidations Prepared.Replans reports.
@@ -147,7 +145,7 @@ func (s *Session) miss(e *entry, text string) error {
 	if e.tmpl != nil {
 		e.replans++
 	}
-	e.tmpl, e.fp, e.version = t, plan.Fingerprint(t.Root()), v
+	e.tmpl, e.version = t, v
 	return nil
 }
 
@@ -196,5 +194,5 @@ func (s *Session) execEntry(template string, e *entry, lits []sql.Literal, text 
 		}
 		e, node = own, own.tmpl.Root()
 	}
-	return s.run(template, e.fp, node)
+	return s.run(template, node)
 }

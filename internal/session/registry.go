@@ -110,7 +110,7 @@ func (r *Registry) Open(opts Options) (*Session, error) {
 		reg:    r,
 		ctx:    ctx,
 		cancel: cancel,
-		stats:  NewStats(),
+		stats:  newStats(),
 	}
 	s.ec = &exec.Ctx{
 		DB:         r.db,
@@ -118,7 +118,6 @@ func (r *Registry) Open(opts Options) (*Session, error) {
 		Mode:       knobs.ExecutionMode,
 		Contenders: contenders,
 		DOP:        dop,
-		Observer:   s.stats,
 		Interrupt:  s.interrupted,
 	}
 

@@ -147,25 +147,33 @@ func (s *Session) endStatement(err error) {
 // directly). The template name keys the observation stream; completed
 // queries are observed exactly once, killed or failed ones not at all.
 // A DML plan is auto-committed unless the caller opened a transaction on
-// the session's execution context.
-func (s *Session) ExecPlan(template string, fingerprint uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
+// the session's execution context. The fingerprint argument is not read.
+func (s *Session) ExecPlan(template string, _ uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
 	if err := s.beginStatement(template); err != nil {
 		return nil, hw.Metrics{}, err
 	}
-	b, iso, err := s.run(template, fingerprint, node)
+	b, iso, err := s.run(template, node)
 	s.endStatement(err)
 	return b, iso, err
 }
 
 // run executes a plan inside the statement the caller began. A DML plan
 // gets an auto-commit transaction when the session has none open,
-// mirroring a server's auto-commit semantics.
-func (s *Session) run(template string, fingerprint uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
+// mirroring a server's auto-commit semantics. The metrics bracket the
+// whole plan — every operator OU plus tracker overhead — measured on the
+// session's thread in isolation; contention across sessions is charged in
+// the control loop's interval reduction. Observation is all-or-nothing: a
+// statement is recorded once its outcome is decided and only if it
+// succeeded, so a query that fails — a process-list kill included — leaves
+// the buffer untouched.
+func (s *Session) run(template string, node plan.Node) (*exec.Batch, hw.Metrics, error) {
 	auto := s.ec.Txn == nil && isDML(node)
 	if auto {
 		s.ec.Begin()
 	}
-	b, iso, err := exec.ExecuteObserved(s.ec, template, fingerprint, node)
+	before := s.ec.Thread().Counters()
+	b, err := exec.Execute(s.ec, node)
+	iso := s.ec.Thread().Since(before)
 	if auto {
 		if err != nil {
 			_ = s.ec.Abort()
@@ -179,10 +187,11 @@ func (s *Session) run(template string, fingerprint uint64, node plan.Node) (*exe
 		// Registry.Maintain runs report their error.
 		_ = s.reg.maint.Finished()
 	}
-	if err == nil {
-		s.stats.observeRep(template, node)
+	if err != nil {
+		return nil, iso, err
 	}
-	return b, iso, err
+	s.stats.record(template, node, iso)
+	return b, iso, nil
 }
 
 // isDML reports whether a plan mutates the database.

@@ -10,6 +10,7 @@ import (
 	"mb2/internal/engine"
 	"mb2/internal/hw"
 	"mb2/internal/plan"
+	"mb2/internal/storage"
 )
 
 // testDB loads a small two-column table through the session layer itself.
@@ -114,6 +115,79 @@ func TestSessionExecSQLAndObservation(t *testing.T) {
 	if got := reg2.DrainObservations().Load; !reflect.DeepEqual(got, []hw.Metrics{{}, {}}) {
 		t.Fatalf("second drain's load %v, want two zero entries", got)
 	}
+
+	// Per entry point, on a fresh session: a completed read or auto-commit
+	// DML leaves one count whose Iso and Load are exactly the metrics the
+	// call returned, under the tree that ran; a statement that fails to
+	// execute leaves nothing.
+	type run func(*Session) (template string, ran plan.Node, iso hw.Metrics, err error)
+	execPlan := func(template string, node plan.Node) run {
+		return func(s *Session) (string, plan.Node, hw.Metrics, error) {
+			_, iso, err := s.ExecPlan(template, 0, node)
+			return template, node, iso, err
+		}
+	}
+	execSQL := func(query string) run {
+		return func(s *Session) (string, plan.Node, hw.Metrics, error) {
+			_, iso, err := s.ExecSQL(query)
+			for key, e := range s.cache.entries {
+				return key, e.tmpl.Root(), iso, err
+			}
+			return "", nil, iso, err
+		}
+	}
+	execPrepared := func(query string) run {
+		return func(s *Session) (string, plan.Node, hw.Metrics, error) {
+			p, err := s.Prepare("p", query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, iso, err := s.ExecPrepared("p")
+			return "p", p.e.tmpl.Root(), iso, err
+		}
+	}
+	row := []storage.Tuple{{storage.NewInt(500), storage.NewInt(3), storage.NewFloat(2.5)}}
+	for _, tc := range []struct {
+		name  string
+		run   run
+		fails bool
+	}{
+		{"ExecPlan/read", execPlan("scan", &plan.SeqScanNode{Table: "t", Rows: plan.Estimates{Rows: 100, Distinct: 100}}), false},
+		{"ExecPlan/dml", execPlan("insert", &plan.InsertNode{Table: "t", Tuples: row}), false},
+		{"ExecSQL/read", execSQL("SELECT * FROM t WHERE k = 5"), false},
+		{"ExecSQL/dml", execSQL("UPDATE t SET v = 3.5 WHERE k = 7"), false},
+		{"ExecPrepared/read", execPrepared("SELECT grp, count(grp) FROM t GROUP BY grp"), false},
+		{"ExecPrepared/dml", execPrepared("DELETE FROM t WHERE k = 9"), false},
+		{"ExecPlan/read fails", execPlan("scan", &plan.SeqScanNode{Table: "missing"}), true},
+		{"ExecPlan/dml fails", execPlan("insert", &plan.InsertNode{Table: "missing", Tuples: row}), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, reg)
+			template, ran, iso, err := tc.run(s)
+			obs := s.stats.Drain()
+			if tc.fails {
+				if err == nil {
+					t.Fatal("statement succeeded")
+				}
+				if len(obs.Counts)+len(obs.Iso)+len(obs.Reps) != 0 || obs.Load[0] != (hw.Metrics{}) {
+					t.Fatalf("failed statement observed: %+v", obs)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(obs.Counts) != 1 || obs.Counts[template] != 1 {
+				t.Fatalf("counts %v, want %q once", obs.Counts, template)
+			}
+			if obs.Iso[template] != iso || obs.Load[0] != iso || iso.ElapsedUS <= 0 {
+				t.Fatalf("iso %+v and load %+v, want the returned %+v", obs.Iso[template], obs.Load[0], iso)
+			}
+			if obs.Reps[template] != ran {
+				t.Fatalf("representative %v, want the executed tree %v", obs.Reps[template], ran)
+			}
+		})
+	}
 }
 
 func TestSessionAutoCommitDML(t *testing.T) {
@@ -164,7 +238,9 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if p.e.replans != 0 {
 		t.Fatalf("plan replanned %d times with a stable configuration", p.e.replans)
 	}
-	seqFP := p.e.fp
+	if _, ok := planned(p.e).(*plan.SeqScanNode); !ok {
+		t.Fatalf("before the index the entry holds %T", planned(p.e))
+	}
 
 	// Publishing an index advances ConfigVersion; the very next execution
 	// must replan onto it.
@@ -185,8 +261,8 @@ func TestPreparedPlanCacheKeyedToConfigVersion(t *testing.T) {
 	if p.e.replans != 1 {
 		t.Fatalf("replans = %d after ConfigVersion move, want 1", p.e.replans)
 	}
-	if p.e.fp == seqFP {
-		t.Fatal("replanned statement kept the sequential-scan fingerprint (index not picked up)")
+	if _, ok := planned(p.e).(*plan.IdxScanNode); !ok {
+		t.Fatalf("replanned statement holds %T, want the index scan", planned(p.e))
 	}
 
 	// Stable again: no further replanning.

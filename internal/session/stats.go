@@ -8,25 +8,25 @@ import (
 	"mb2/internal/plan"
 )
 
-// Stats is one session's private observation buffer. It implements
-// exec.QueryObserver: the execution engine emits one event per completed
-// query, and the control plane drains the accumulated view per interval.
+// Stats is one session's private observation buffer: the session records
+// each statement it completed, and the control plane drains the
+// accumulated view per interval.
 //
 // The buffer is mutex-guarded because drains (and the kill path) may race
 // the session's worker. The Emit-vs-Drain contract is exactly-once: each
-// observed query is reflected in the result of exactly one Drain call —
+// recorded query is reflected in the result of exactly one Drain call —
 // never lost, never duplicated — because Drain atomically takes the maps
-// and resets them under the same lock ObserveQuery updates under.
+// and resets them under the same lock record updates under.
 type Stats struct {
 	mu     sync.Mutex
 	counts map[string]float64
 	iso    map[string]hw.Metrics
 	reps   map[string]plan.Node
-	load   hw.Metrics // every observed query's isolated metrics, summed
+	load   hw.Metrics // every recorded query's isolated metrics, summed
 }
 
-// NewStats returns an empty observation buffer.
-func NewStats() *Stats {
+// newStats returns an empty observation buffer.
+func newStats() *Stats {
 	return &Stats{
 		counts: make(map[string]float64),
 		iso:    make(map[string]hw.Metrics),
@@ -34,9 +34,12 @@ func NewStats() *Stats {
 	}
 }
 
-// ObserveQuery implements exec.QueryObserver: one completed query's
-// template count and isolated resource usage.
-func (s *Stats) ObserveQuery(template string, _ uint64, iso hw.Metrics) {
+// record adds one completed query: its template's count and isolated
+// resource usage, the session's load, and — first one wins — the
+// template's representative plan, the canonical plan forecast-driven
+// inference predicts with when the control loop runs off live traffic it
+// did not itself construct.
+func (s *Stats) record(template string, node plan.Node, iso hw.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[template]++
@@ -44,14 +47,6 @@ func (s *Stats) ObserveQuery(template string, _ uint64, iso hw.Metrics) {
 	m.Add(iso)
 	s.iso[template] = m
 	s.load.Add(iso)
-}
-
-// observeRep records a representative plan for a template (first one
-// wins): the canonical plan forecast-driven inference predicts with when
-// the control loop runs off live traffic it did not itself construct.
-func (s *Stats) observeRep(template string, node plan.Node) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if _, ok := s.reps[template]; !ok {
 		s.reps[template] = node
 	}

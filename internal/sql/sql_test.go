@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -301,6 +302,61 @@ func TestPlanNeverNamesBuildingIndex(t *testing.T) {
 	}
 	if idx, ok := p.(*plan.OutputNode).Child.(*plan.IdxScanNode); !ok || idx.Index != "products_pk" {
 		t.Fatalf("after publish: %T, want a scan of products_pk", p.(*plan.OutputNode).Child)
+	}
+}
+
+// TestPlanningRacesIndexPublish: planners read the catalog's index entries
+// without its lock while an index is built, published and dropped over and
+// over. Run under -race, it fails if the publish writes an entry a planner
+// may hold.
+func TestPlanningRacesIndexPublish(t *testing.T) {
+	ctx := seededCtx(t)
+	st, err := Parse("SELECT * FROM products WHERE id = 42")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	for range 3 {
+		go func() {
+			pl := NewPlanner(ctx.DB)
+			for {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				p, err := pl.Plan(st)
+				if err == nil {
+					if idx, ok := p.(*plan.OutputNode).Child.(*plan.IdxScanNode); ok && idx.Index != "products_pk" {
+						err = fmt.Errorf("a plan over %s", idx.Index)
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	building := "products_pk" + catalog.BuildingSuffix
+	for range 3000 {
+		if _, _, err := ctx.DB.CreateIndex(nil, hw.DefaultCPU(), building, "products", []string{"id"}, true, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.DB.RenameIndex(building, "products_pk"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctx.DB.DropIndex("products_pk"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	for range 3 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
