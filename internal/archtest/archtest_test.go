@@ -75,6 +75,10 @@ var rules = []rule{
 		32, all(forbid("", except("internal/exec/pool.go"), "rowPools"),
 			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
 			exactly("internal/exec", 3, ".recycle()", nil))},
+	{"one-frame-io",
+		"under internal/server and internal/repl, a connection's bytes are read (io.ReadFull() and written (.Write() only in internal/server/frame.go, by FrameConn: every frame goes through one pair of per-connection buffers",
+		34, all(forbid("internal/server", except("internal/server/frame.go"), "io.ReadFull(", ".Write("),
+			forbid("internal/repl", nil, "io.ReadFull(", ".Write("))},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},

@@ -24,7 +24,7 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOn(ctx, node, drv, chain, false)
+	return runOn(ctx, node, drv, &chain, false)
 }
 
 // consume is Execute for a parent inside exec that reads the result's rows
@@ -35,15 +35,15 @@ func consume(ctx *Ctx, node plan.Node) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return runOn(ctx, node, drv, chain, true)
+	return runOn(ctx, node, drv, &chain, true)
 }
 
 // enter is the operator boundary: the cancellation point where a killed
 // session aborts before the next operator starts (see Ctx.Interrupt), the one
 // plan.ChooseDriver call a node gets, and the FusedPipelines count.
-func enter(ctx *Ctx, node plan.Node) (plan.Driver, *plan.ScanPipeline, error) {
+func enter(ctx *Ctx, node plan.Node) (plan.Driver, plan.ScanPipeline, error) {
 	if err := ctx.interrupted(); err != nil {
-		return 0, nil, err
+		return 0, plan.ScanPipeline{}, err
 	}
 	drv, chain := plan.ChooseDriver(ctx, node)
 	if drv == plan.RowPass {
@@ -70,11 +70,11 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	if expect == nil {
 		expect = func(int) {}
 	}
-	if chain != nil && drv.Streams() {
+	if chain.Source != nil && drv.Streams() {
 		expect(capHint(chain.Source.Est().Rows))
-		return streamChain(ctx, drv, chain, sink)
+		return streamChain(ctx, drv, &chain, sink)
 	}
-	b, err := runOn(ctx, node, drv, chain, true)
+	b, err := runOn(ctx, node, drv, &chain, true)
 	if err != nil {
 		return err
 	}
@@ -86,12 +86,13 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	return nil
 }
 
-// runOn runs the fragment rooted at node on the driver enter returned.
-// consumed says whether a parent inside exec reads the result once and
-// recycles it: a chain then draws its row array from the pool and
-// materializes no row identities.
+// runOn runs the fragment rooted at node on the driver and chain enter
+// returned (a chain with a nil Source: node is not one). consumed says
+// whether a parent inside exec reads the result once and recycles it: a
+// chain then draws its row array from the pool and materializes no row
+// identities.
 func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline, consumed bool) (*Batch, error) {
-	if chain != nil {
+	if chain.Source != nil {
 		return execChain(ctx, drv, chain, consumed)
 	}
 	switch n := node.(type) {

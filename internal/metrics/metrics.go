@@ -7,6 +7,7 @@ package metrics
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,6 +38,9 @@ type Record struct {
 // measurement repetition its own, which also fixes the global record
 // order); multiple concurrent writers are memory-safe but interleave in
 // an unspecified order.
+//
+// A record owns its features: Emit copies the caller's vector, which the
+// caller may then reuse or keep on its stack.
 type Collector struct {
 	mu      sync.Mutex
 	enabled map[ou.Kind]bool // nil means everything enabled
@@ -76,7 +80,10 @@ func (c *Collector) SetNoise(scale float64, seed int64) {
 	c.rng = rand.New(rand.NewSource(seed))
 }
 
-// Emit records one OU invocation. Disabled OUs are dropped.
+// Emit records one OU invocation. Disabled OUs are dropped. The record
+// holds its own copy of features, so a caller may build the vector on its
+// stack and reuse it: with no collector attached, a tracked invocation
+// allocates nothing for its features.
 func (c *Collector) Emit(k ou.Kind, features []float64, labels hw.Metrics) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -102,7 +109,7 @@ func (c *Collector) Emit(k ou.Kind, features []float64, labels hw.Metrics) {
 		}
 		labels = hw.MetricsFromVec(v)
 	}
-	c.records = append(c.records, Record{Kind: k, Features: features, Labels: labels})
+	c.records = append(c.records, Record{Kind: k, Features: slices.Clone(features), Labels: labels})
 }
 
 // Drain removes and returns everything collected so far.

@@ -212,3 +212,30 @@ func TestRepositoryJSONErrors(t *testing.T) {
 		t.Fatal("garbage must error")
 	}
 }
+
+// TestTrackerFeaturesStayWithTheCaller: a feature vector belongs to the code
+// that built it. With no collector attached, a tracked invocation allocates
+// nothing, the vector included; with one, the record holds a copy, so the
+// caller may reuse its slice.
+func TestTrackerFeaturesStayWithTheCaller(t *testing.T) {
+	th := hw.NewThread(hw.DefaultMachine().CPU)
+	if !raceEnabled {
+		bare := NewTracker(nil, th)
+		allocs := testing.AllocsPerRun(100, func() {
+			start := bare.Start()
+			bare.Stop(ou.IdxScan, ou.ExecFeatures(1, 2, 16, 1000, 0, 1, true), start)
+		})
+		if allocs != 0 {
+			t.Errorf("a collector-less Stop allocates %v times", allocs)
+		}
+	}
+	c := NewCollector()
+	tr := NewTracker(c, th)
+	feats := ou.ExecFeatures(1, 2, 16, 1000, 0, 1, true)
+	tr.Stop(ou.IdxScan, feats, tr.Start())
+	feats[0] = -1
+	recs := c.Drain()
+	if len(recs) != 1 || recs[0].Features[0] != 1 || &recs[0].Features[0] == &feats[0] {
+		t.Fatalf("the record's features alias the caller's slice: %+v", recs)
+	}
+}

@@ -299,8 +299,8 @@ func (tr *Translator) visitPartitionJoin(v *plan.HashJoinNode, out *[]OUInvocati
 // so.
 func (tr *Translator) visit(n plan.Node, out *[]OUInvocation) subtreeInfo {
 	drv, chain := plan.ChooseDriver(tr, n)
-	if chain != nil {
-		return tr.visitChain(drv, chain, out)
+	if chain.Source != nil {
+		return tr.visitChain(drv, &chain, out)
 	}
 	switch v := n.(type) {
 	case *plan.HashJoinNode:

@@ -59,10 +59,11 @@ func (p *ScanPipeline) HasRowIDs() bool {
 
 // FuseScan recognizes a scan-rooted streaming chain: a SeqScanNode or
 // IdxScanNode optionally wrapped in FilterNode/ProjectNode layers. It
-// returns nil when the tree rooted at n is not such a chain (the caller
-// falls back to operator-at-a-time execution, which will retry fusion on
-// the subtrees).
-func FuseScan(n Node) *ScanPipeline {
+// returns the zero ScanPipeline, whose Source is nil, when the tree rooted at
+// n is not such a chain (the caller falls back to operator-at-a-time
+// execution, which will retry fusion on the subtrees). The pipeline is a
+// value, so a caller that keeps it on its stack allocates nothing for it.
+func FuseScan(n Node) ScanPipeline {
 	var stages []PipelineStage
 	for {
 		switch t := n.(type) {
@@ -71,7 +72,7 @@ func FuseScan(n Node) *ScanPipeline {
 			for i, j := 0, len(stages)-1; i < j; i, j = i+1, j-1 {
 				stages[i], stages[j] = stages[j], stages[i]
 			}
-			return &ScanPipeline{Source: n, Stages: stages}
+			return ScanPipeline{Source: n, Stages: stages}
 		case *FilterNode:
 			stages = append(stages, PipelineStage{Pred: t.Pred, OutRows: t.Rows.Rows})
 			n = t.Child
@@ -79,7 +80,7 @@ func FuseScan(n Node) *ScanPipeline {
 			stages = append(stages, PipelineStage{Exprs: t.Exprs})
 			n = t.Child
 		default:
-			return nil
+			return ScanPipeline{}
 		}
 	}
 }
@@ -121,8 +122,9 @@ type Config interface {
 // ChooseDriver recognises the fragment rooted at node — a scan chain, which
 // it returns as a pipeline, or a hash join — and picks its driver. It is the
 // one place the execution mode and table partitioning decide how a plan runs,
-// and the only caller of FuseScan. Every other node runs on Materialize.
-func ChooseDriver(cfg Config, node Node) (Driver, *ScanPipeline) {
+// and the only caller of FuseScan. Every other node runs on Materialize; the
+// pipeline returned for anything but a scan chain is the zero one.
+func ChooseDriver(cfg Config, node Node) (Driver, ScanPipeline) {
 	drv := Materialize
 	switch cfg.DriverMode() {
 	case catalog.Compile:
@@ -132,13 +134,13 @@ func ChooseDriver(cfg Config, node Node) (Driver, *ScanPipeline) {
 	}
 	if join, ok := node.(*HashJoinNode); ok {
 		if coPartitioned(cfg, join) {
-			return Exchange, nil
+			return Exchange, ScanPipeline{}
 		}
-		return drv, nil
+		return drv, ScanPipeline{}
 	}
 	p := FuseScan(node)
-	if p == nil {
-		return Materialize, nil
+	if p.Source == nil {
+		return Materialize, p
 	}
 	seq, ok := p.Source.(*SeqScanNode)
 	if !ok {

@@ -12,7 +12,7 @@ func TestFuseScanRecognizesChains(t *testing.T) {
 
 	// Bare scans fuse with no stages.
 	p := FuseScan(&SeqScanNode{Table: "t"})
-	if p == nil || len(p.Stages) != 0 {
+	if p.Source == nil || len(p.Stages) != 0 {
 		t.Fatalf("bare seq scan: %+v", p)
 	}
 	if !p.HasRowIDs() {
@@ -28,7 +28,7 @@ func TestFuseScanRecognizesChains(t *testing.T) {
 		},
 	}
 	p = FuseScan(chain)
-	if p == nil || len(p.Stages) != 2 {
+	if p.Source == nil || len(p.Stages) != 2 {
 		t.Fatalf("chain: %+v", p)
 	}
 	if p.Stages[0].Exprs == nil || p.Stages[1].Pred == nil {
@@ -40,15 +40,15 @@ func TestFuseScanRecognizesChains(t *testing.T) {
 
 	// A projecting source also loses identities.
 	p = FuseScan(&SeqScanNode{Table: "t", Project: []int{0}})
-	if p == nil || p.HasRowIDs() {
+	if p.Source == nil || p.HasRowIDs() {
 		t.Fatal("source projection must lose row identities")
 	}
 
 	// Non-chains don't fuse.
-	if FuseScan(&SortNode{Child: scanT()}) != nil {
+	if FuseScan(&SortNode{Child: scanT()}).Source != nil {
 		t.Fatal("sort must not fuse as a scan chain")
 	}
-	if FuseScan(&FilterNode{Pred: pred, Child: &AggNode{Child: scanT()}}) != nil {
+	if FuseScan(&FilterNode{Pred: pred, Child: &AggNode{Child: scanT()}}).Source != nil {
 		t.Fatal("filter over agg must not fuse")
 	}
 }
@@ -115,7 +115,7 @@ func TestChooseDriver(t *testing.T) {
 			if drv != want {
 				t.Errorf("%s/%s/parts%d: driver %d, want %d", c.mode, c.shape, parts, drv, want)
 			}
-			if (p != nil) != (c.shape != "non-chain") {
+			if (p.Source != nil) != (c.shape != "non-chain") {
 				t.Errorf("%s/%s/parts%d: pipeline %+v", c.mode, c.shape, parts, p)
 			}
 			if c.shape == "wrapped" && (len(p.Stages) != 2 || p.Stages[0].Pred == nil ||
@@ -155,7 +155,7 @@ func TestChooseDriver(t *testing.T) {
 			parts: map[string]int{"t": c.tParts, "u": c.uParts},
 			keys:  map[string][]int{"t": {0}, "u": {0}}}
 		drv, p := ChooseDriver(cfg, c.node)
-		if drv != c.want || p != nil {
+		if drv != c.want || p.Source != nil {
 			t.Errorf("join %s: driver %d pipeline %v, want %d and none", c.name, drv, p, c.want)
 		}
 		if (cfg.keyReads > 0) != c.readKeys {

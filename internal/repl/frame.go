@@ -3,7 +3,6 @@ package repl
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 
 	"mb2/internal/server"
 )
@@ -57,10 +56,38 @@ var ErrShipShort = errors.New("repl: frame shorter than the ship prefix")
 
 // AppendShipFrame appends the encoding of f to dst and returns the result.
 func AppendShipFrame(dst []byte, f ShipFrame) []byte {
-	var pre [shipPrefixSize]byte
-	binary.LittleEndian.PutUint64(pre[0:8], f.Epoch)
-	binary.LittleEndian.PutUint64(pre[8:16], f.Offset)
-	return server.AppendFrameParts(dst, f.Type, pre[:], f.Payload)
+	start := len(dst)
+	dst = appendShipPayload(append(dst, make([]byte, server.HeaderSize)...), f)
+	server.SealFrame(dst[start:], f.Type)
+	return dst
+}
+
+// appendShipPayload appends f's frame payload to dst: the ship prefix, then
+// the body.
+func appendShipPayload(dst []byte, f ShipFrame) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, f.Epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, f.Offset)
+	return append(dst, f.Payload...)
+}
+
+// sendShip writes f through fc, copying its body once, into fc's write
+// buffer.
+func sendShip(fc *server.FrameConn, f ShipFrame) error {
+	if len(f.Payload) > MaxShipPayload {
+		return server.ErrFrameTooLarge
+	}
+	return fc.End(f.Type, appendShipPayload(fc.Begin(), f))
+}
+
+// recvShip reads one message from fc, blocking until a whole frame (or an
+// error) arrives. Stream corruption surfaces as the server's decode error.
+// The payload is fc's read buffer: valid until fc's next receive.
+func recvShip(fc *server.FrameConn) (ShipFrame, error) {
+	f, err := fc.Recv()
+	if err != nil {
+		return ShipFrame{}, err
+	}
+	return shipMessage(f)
 }
 
 // shipMessage reads the ship prefix off a decoded frame; the returned payload
@@ -93,24 +120,4 @@ func DecodeShipFrame(b []byte) (ShipFrame, int, error) {
 		return ShipFrame{}, 0, err
 	}
 	return sf, n, nil
-}
-
-// WriteShipFrame writes one message to w, copying its body once.
-func WriteShipFrame(w io.Writer, f ShipFrame) error {
-	if len(f.Payload) > MaxShipPayload {
-		return server.ErrFrameTooLarge
-	}
-	buf := AppendShipFrame(make([]byte, 0, server.HeaderSize+shipPrefixSize+len(f.Payload)), f)
-	_, err := w.Write(buf)
-	return err
-}
-
-// ReadShipFrame reads one message from r, blocking until a whole frame (or
-// an error) arrives. Stream corruption surfaces as the server's decode error.
-func ReadShipFrame(r io.Reader) (ShipFrame, error) {
-	f, err := server.ReadFrame(r)
-	if err != nil {
-		return ShipFrame{}, err
-	}
-	return shipMessage(f)
 }

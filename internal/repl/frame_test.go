@@ -58,16 +58,17 @@ func TestShipFrameRoundTrip(t *testing.T) {
 
 	// io round trip.
 	var buf bytes.Buffer
+	fc := server.NewFrameConn(&buf)
 	for _, f := range frames {
-		if err := WriteShipFrame(&buf, f); err != nil {
+		if err := sendShip(fc, f); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if !bytes.Equal(buf.Bytes(), stream) {
-		t.Fatal("WriteShipFrame and AppendShipFrame disagree on the wire bytes")
+		t.Fatal("sendShip and AppendShipFrame disagree on the wire bytes")
 	}
 	for i, want := range frames {
-		got, err := ReadShipFrame(&buf)
+		got, err := recvShip(fc)
 		if err != nil {
 			t.Fatalf("read frame %d: %v", i, err)
 		}
@@ -76,7 +77,7 @@ func TestShipFrameRoundTrip(t *testing.T) {
 			t.Fatalf("io frame %d: got %+v want %+v", i, got, want)
 		}
 	}
-	if _, err := ReadShipFrame(&buf); err != io.EOF {
+	if _, err := recvShip(fc); err != io.EOF {
 		t.Fatalf("drained stream: err = %v, want io.EOF", err)
 	}
 }
@@ -119,14 +120,14 @@ func TestShipFrameCorruption(t *testing.T) {
 		if _, n, err := DecodeShipFrame(tc.buf); !errors.Is(err, tc.want) || n != 0 {
 			t.Errorf("%s: decoder consumed %d, err = %v, want %v", tc.name, n, err, tc.want)
 		}
-		if _, err := ReadShipFrame(bytes.NewReader(tc.buf)); !errors.Is(err, tc.want) {
+		if _, err := recvShip(server.NewFrameConn(bytes.NewBuffer(tc.buf))); !errors.Is(err, tc.want) {
 			t.Errorf("%s: reader err = %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
 	// A body over the cap is refused before anything is written.
 	var w bytes.Buffer
-	if err := WriteShipFrame(&w, ShipFrame{Type: ShipSnapshot, Payload: make([]byte, MaxShipPayload+1)}); !errors.Is(err, server.ErrFrameTooLarge) || w.Len() != 0 {
+	if err := sendShip(server.NewFrameConn(&w), ShipFrame{Type: ShipSnapshot, Payload: make([]byte, MaxShipPayload+1)}); !errors.Is(err, server.ErrFrameTooLarge) || w.Len() != 0 {
 		t.Fatalf("oversize body: err = %v, %d bytes written", err, w.Len())
 	}
 }

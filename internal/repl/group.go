@@ -48,6 +48,7 @@ type Group struct {
 
 	replicas   []*Replica
 	conns      []server.Conn
+	wire       []*server.FrameConn // conns[i]'s frame reader and writer
 	sentEpoch  []uint64
 	sentBytes  []int
 	ackCommits []uint64
@@ -105,6 +106,7 @@ func NewGroup(db *engine.DB, factory DBFactory, tr server.Transport, cfg GroupCo
 		}
 		g.replicas = append(g.replicas, rep)
 		g.conns = append(g.conns, pc)
+		g.wire = append(g.wire, server.NewFrameConn(pc))
 		g.wg.Add(1)
 		go func(rep *Replica, c server.Conn) {
 			defer g.wg.Done()
@@ -118,11 +120,13 @@ func NewGroup(db *engine.DB, factory DBFactory, tr server.Transport, cfg GroupCo
 // one answer, the ack or — for a frame the replica rejects — the server's
 // MsgError carrying the reason, so the primary learns the cause over the
 // wire. A transport or framing error (the primary closed the group, the
-// stream is corrupt) ends the loop.
+// stream is corrupt) ends the loop. A frame's payload is the connection's
+// read buffer, rewritten by the next frame: HandleFrame keeps none of it.
 func serveReplica(r *Replica, c server.Conn) {
 	defer c.Close()
+	fc := server.NewFrameConn(c)
 	for {
-		req, err := server.ReadFrame(c)
+		req, err := fc.Recv()
 		if err != nil {
 			return
 		}
@@ -132,9 +136,9 @@ func serveReplica(r *Replica, c server.Conn) {
 			ack, err = r.HandleFrame(f)
 		}
 		if err != nil {
-			err = server.WriteFrame(c, server.ErrorFrame(err))
+			err = fc.Send(server.ErrorFrame(err))
 		} else {
-			err = WriteShipFrame(c, ack)
+			err = sendShip(fc, ack)
 		}
 		if err != nil {
 			return
@@ -209,12 +213,12 @@ func (g *Group) shipSnapshot(i int, epoch uint64) error {
 }
 
 // exchange ships one frame and validates its ack. A replica that rejected
-// the frame answered MsgError, which ReadShipFrame returns as the error.
+// the frame answered MsgError, which recvShip returns as the error.
 func (g *Group) exchange(i int, f ShipFrame) error {
-	if err := WriteShipFrame(g.conns[i], f); err != nil {
+	if err := sendShip(g.wire[i], f); err != nil {
 		return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 	}
-	ack, err := ReadShipFrame(g.conns[i])
+	ack, err := recvShip(g.wire[i])
 	if err != nil {
 		return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 	}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -101,10 +102,10 @@ func TestReplicaRejectionsTravelTheWire(t *testing.T) {
 
 				bad := row.arrange(t, db, grp)
 				before := grp.Status()[0]
-				if err := WriteShipFrame(grp.conns[0], bad); err != nil {
+				if err := sendShip(grp.wire[0], bad); err != nil {
 					t.Fatal(err)
 				}
-				reply, err := server.ReadFrame(grp.conns[0])
+				reply, err := grp.wire[0].Recv()
 				if err != nil {
 					t.Fatalf("no answer to the rejected frame: %v", err)
 				}
@@ -148,10 +149,10 @@ func TestReplicaRefusesClientFrames(t *testing.T) {
 	} {
 		// The replica never reads a query payload, only its length matters.
 		query := server.Frame{Type: server.MsgQuery, Payload: []byte(tc.payload)}
-		if err := server.WriteFrame(grp.conns[0], query); err != nil {
+		if err := grp.wire[0].Send(query); err != nil {
 			t.Fatal(err)
 		}
-		reply, err := server.ReadFrame(grp.conns[0])
+		reply, err := grp.wire[0].Recv()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,17 +187,19 @@ func TestGroupRejectsMalformedAck(t *testing.T) {
 			cfg:        GroupConfig{Replicas: 1},
 			replicas:   make([]*Replica, 1),
 			conns:      []server.Conn{primary},
+			wire:       []*server.FrameConn{server.NewFrameConn(primary)},
 			sentEpoch:  []uint64{db.WAL.Epoch()},
 			sentBytes:  []int{0},
 			ackCommits: []uint64{0},
 		}
 		go func() {
 			defer follower.Close()
-			f, err := ReadShipFrame(follower)
+			fc := server.NewFrameConn(follower)
+			f, err := recvShip(fc)
 			if err != nil {
 				return
 			}
-			WriteShipFrame(follower, ShipFrame{
+			sendShip(fc, ShipFrame{
 				Type: ShipAck, Epoch: f.Epoch, Offset: f.Offset + uint64(len(f.Payload)), Payload: payload,
 			})
 		}()
@@ -206,5 +209,90 @@ func TestGroupRejectsMalformedAck(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "replica 0") || !strings.Contains(err.Error(), length) {
 			t.Fatalf("Sync = %v, want an error naming replica 0 and its %s ack payload", err, length)
 		}
+	}
+}
+
+// The follower's serve loop hands HandleFrame payloads that alias its
+// connection's read buffer, which the next frame overwrites: no consumer may
+// keep any of it. A replica fed through a FrameConn whose buffer is
+// scribbled over after every HandleFrame must end exactly as one fed fresh
+// copies, and promote to the primary's state — after a snapshot in one chunk
+// (a re-seed straight from the read buffer), after one in several chunks,
+// and across the appends behind each.
+func TestReplicaKeepsNoFramePayload(t *testing.T) {
+	db, err := kvFactory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flushKV(t, db, 8)
+	if _, err := db.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	flushKV(t, db, 9)
+	img := bytes.Clone(db.CheckpointImage())
+	epoch, seg := db.WAL.DurableSince(0, 0)
+	seg = bytes.Clone(seg)
+	if len(img) == 0 || len(seg) < 3 {
+		t.Fatalf("primary: %d image bytes, %d segment bytes", len(img), len(seg))
+	}
+	frames := func(chunk int) []ShipFrame {
+		var fs []ShipFrame
+		for off := 0; off < len(img); off += chunk {
+			fs = append(fs, ShipFrame{Type: ShipSnapshot, Epoch: epoch, Offset: uint64(off), Payload: img[off:min(off+chunk, len(img))]})
+		}
+		third := len(seg) / 3
+		for _, cut := range [][2]int{{0, third}, {third, 2 * third}, {2 * third, len(seg)}} {
+			fs = append(fs, ShipFrame{Type: ShipAppend, Epoch: epoch, Offset: uint64(cut[0]), Payload: seg[cut[0]:cut[1]]})
+		}
+		return fs
+	}
+	for _, tc := range []struct {
+		name  string
+		chunk int
+	}{{"one-chunk snapshot", len(img)}, {"chunked snapshot", len(img)/4 + 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := frames(tc.chunk)
+			fresh, err := NewReplica(0, kvFactory, ReplicaConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scribbled, err := NewReplica(1, kvFactory, ReplicaConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stream []byte
+			for _, f := range fs {
+				stream = AppendShipFrame(stream, f)
+				f.Payload = bytes.Clone(f.Payload)
+				if _, err := fresh.HandleFrame(f); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fc := server.NewFrameConn(bytes.NewBuffer(stream))
+			for i := range fs {
+				f, err := recvShip(fc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := scribbled.HandleFrame(f); err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				buf := f.Payload[:cap(f.Payload)]
+				for j := range buf {
+					buf[j] = 0xEE
+				}
+			}
+			want, got := fresh.Status(), scribbled.Status()
+			want.ID, got.ID = 0, 0
+			if got != want {
+				t.Fatalf("replica fed from the read buffer:\n got  %+v\n want %+v", got, want)
+			}
+			if _, err := scribbled.Promote(); err != nil {
+				t.Fatal(err)
+			}
+			if g, w := stateDigest(t, scribbled.DB()), stateDigest(t, db); g != w {
+				t.Fatalf("promoted state %#x, primary %#x", g, w)
+			}
+		})
 	}
 }

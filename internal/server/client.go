@@ -11,6 +11,7 @@ import (
 // use.
 type Client struct {
 	conn Conn
+	fc   *FrameConn
 	// SessionID is the process-list ID the server assigned at HELLO.
 	SessionID uint64
 }
@@ -21,8 +22,8 @@ func Dial(tr Transport) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn}
-	f, err := c.roundTrip(Frame{Type: MsgHello})
+	c := &Client{conn: conn, fc: NewFrameConn(conn)}
+	f, err := c.roundTrip(MsgHello, c.fc.Begin())
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -40,13 +41,15 @@ func Dial(tr Transport) (*Client, error) {
 	return c, nil
 }
 
-// roundTrip sends one request and reads its one response, surfacing
-// MsgError responses as *RemoteError.
-func (c *Client) roundTrip(req Frame) (Frame, error) {
-	if err := WriteFrame(c.conn, req); err != nil {
+// roundTrip sends one request — req, a c.fc.Begin buffer with the payload
+// appended, as a frame of type typ — and reads its one response, surfacing
+// MsgError responses as *RemoteError. The response payload is valid until
+// the next round trip.
+func (c *Client) roundTrip(typ byte, req []byte) (Frame, error) {
+	if err := c.fc.End(typ, req); err != nil {
 		return Frame{}, err
 	}
-	f, err := ReadFrame(c.conn)
+	f, err := c.fc.Recv()
 	if err != nil {
 		return Frame{}, err
 	}
@@ -66,7 +69,7 @@ func expectRows(f Frame) (RowsResult, error) {
 
 // Query executes one SQL statement.
 func (c *Client) Query(sql string) (RowsResult, error) {
-	f, err := c.roundTrip(Frame{Type: MsgQuery, Payload: encodeQuery(sql)})
+	f, err := c.roundTrip(MsgQuery, appendString(c.fc.Begin(), sql))
 	if err != nil {
 		return RowsResult{}, err
 	}
@@ -75,7 +78,7 @@ func (c *Client) Query(sql string) (RowsResult, error) {
 
 // Prepare registers a named prepared statement on the server session.
 func (c *Client) Prepare(name, sql string) error {
-	f, err := c.roundTrip(Frame{Type: MsgPrepare, Payload: encodePrepare(name, sql)})
+	f, err := c.roundTrip(MsgPrepare, appendString(appendString(c.fc.Begin(), name), sql))
 	if err != nil {
 		return err
 	}
@@ -87,7 +90,7 @@ func (c *Client) Prepare(name, sql string) error {
 
 // ExecPrepared executes a prepared statement by name.
 func (c *Client) ExecPrepared(name string) (RowsResult, error) {
-	f, err := c.roundTrip(Frame{Type: MsgExec, Payload: encodeExec(name)})
+	f, err := c.roundTrip(MsgExec, appendString(c.fc.Begin(), name))
 	if err != nil {
 		return RowsResult{}, err
 	}
@@ -96,7 +99,7 @@ func (c *Client) ExecPrepared(name string) (RowsResult, error) {
 
 // List fetches the server's process list.
 func (c *Client) List() ([]session.ProcessInfo, error) {
-	f, err := c.roundTrip(Frame{Type: MsgList})
+	f, err := c.roundTrip(MsgList, c.fc.Begin())
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +112,7 @@ func (c *Client) List() ([]session.ProcessInfo, error) {
 // Kill cancels a session by process-list ID, reporting whether the ID
 // was live.
 func (c *Client) Kill(id uint64) (bool, error) {
-	f, err := c.roundTrip(Frame{Type: MsgKill, Payload: encodeKill(id)})
+	f, err := c.roundTrip(MsgKill, appendU64(c.fc.Begin(), id))
 	if err != nil {
 		return false, err
 	}
@@ -121,6 +124,6 @@ func (c *Client) Kill(id uint64) (bool, error) {
 
 // Close says goodbye and hangs up. Safe to call after errors.
 func (c *Client) Close() error {
-	_, _ = c.roundTrip(Frame{Type: MsgClose})
+	_, _ = c.roundTrip(MsgClose, c.fc.Begin())
 	return c.conn.Close()
 }

@@ -24,6 +24,12 @@ import (
 // truncated frame. DecodePrefix mirrors the WAL's tolerant parser: it
 // consumes the longest valid frame prefix and reports why it stopped,
 // so a torn or corrupted stream loses only its tail.
+//
+// A live connection reads and writes its frames through one FrameConn, the
+// only code in this package and internal/repl that touches a connection's
+// bytes: it owns a read and a write buffer, a received payload aliases the
+// read buffer until the next receive, and a buffer a frame grew past keepBuf
+// is dropped with that frame.
 const (
 	frameMagic   = 0xB2
 	frameVersion = 1
@@ -42,38 +48,27 @@ type Frame struct {
 	Payload []byte
 }
 
-// frameCRC computes the header CRC: the type byte, then the payload.
-func frameCRC(typ byte, payload ...[]byte) uint32 {
-	crc := crc32.Update(0, crcTable, []byte{typ})
-	for _, p := range payload {
-		crc = crc32.Update(crc, crcTable, p)
-	}
-	return crc
+// frameCRC computes the header CRC of the frame whose header is hdr: the
+// header's own type byte, then the payload.
+func frameCRC(hdr, payload []byte) uint32 {
+	return crc32.Update(crc32.Update(0, crcTable, hdr[2:3]), crcTable, payload)
+}
+
+// SealFrame writes the header of frame — HeaderSize bytes of room followed
+// by the whole payload — as a frame of type typ. Encoders append the room
+// (append(dst, make([]byte, HeaderSize)...)), then the payload, then seal, so
+// a payload is built in place and copied nowhere.
+func SealFrame(frame []byte, typ byte) {
+	frame[0], frame[1], frame[2], frame[3] = frameMagic, frameVersion, typ, 0
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(frame)-HeaderSize))
+	binary.LittleEndian.PutUint32(frame[8:12], frameCRC(frame, frame[HeaderSize:]))
 }
 
 // AppendFrame appends the encoding of f to dst and returns the result.
 func AppendFrame(dst []byte, f Frame) []byte {
-	return AppendFrameParts(dst, f.Type, f.Payload)
-}
-
-// AppendFrameParts appends one frame of type typ whose payload is the
-// concatenation of parts, each copied once: repl's ship messages put their
-// own prefix before a large body without assembling the payload first.
-func AppendFrameParts(dst []byte, typ byte, parts ...[]byte) []byte {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	var hdr [HeaderSize]byte
-	hdr[0] = frameMagic
-	hdr[1] = frameVersion
-	hdr[2] = typ
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(n))
-	binary.LittleEndian.PutUint32(hdr[8:12], frameCRC(typ, parts...))
-	dst = append(dst, hdr[:]...)
-	for _, p := range parts {
-		dst = append(dst, p...)
-	}
+	start := len(dst)
+	dst = append(append(dst, make([]byte, HeaderSize)...), f.Payload...)
+	SealFrame(dst[start:], f.Type)
 	return dst
 }
 
@@ -121,7 +116,7 @@ func DecodeFrame(b []byte) (Frame, int, error) {
 		return Frame{}, 0, ErrFrameTruncated
 	}
 	payload := b[HeaderSize:total]
-	if frameCRC(b[2], payload) != binary.LittleEndian.Uint32(b[8:12]) {
+	if frameCRC(b, payload) != binary.LittleEndian.Uint32(b[8:12]) {
 		return Frame{}, 0, ErrFrameCRC
 	}
 	return Frame{Type: b[2], Payload: payload}, total, nil
@@ -146,41 +141,93 @@ func DecodePrefix(b []byte) ([]Frame, int, string) {
 	return frames, consumed, ""
 }
 
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > MaxPayload {
-		return ErrFrameTooLarge
-	}
-	buf := AppendFrame(make([]byte, 0, HeaderSize+len(f.Payload)), f)
-	_, err := w.Write(buf)
-	return err
+// keepBuf caps the buffers a FrameConn keeps from frame to frame. A larger
+// frame — a checkpoint snapshot, a bulk INSERT — gets a buffer of its own
+// that is dropped with the frame, so one big message never stays pinned to a
+// long-lived connection.
+const keepBuf = 64 << 10
+
+// firstBuf is the capacity a FrameConn's buffers start at: a point
+// statement, its reply and a replication ack all fit.
+const firstBuf = 512
+
+// FrameConn reads and writes one connection's frames through two buffers it
+// owns, so a request/response exchange allocates nothing for its framing.
+// A payload Recv returns lives in the read buffer: it is valid until the next
+// Recv, and a caller that keeps any of it copies it out. One goroutine may
+// receive while another sends, but neither method may run on two at once.
+type FrameConn struct {
+	rw   io.ReadWriter
+	hdr  [HeaderSize]byte
+	rbuf []byte
+	wbuf []byte
 }
 
-// ReadFrame reads one frame from r, blocking until a whole frame (or an
-// error) arrives. A stream that ends between frames is a clean io.EOF, one
-// that ends inside a frame — header or payload — is ErrFrameTruncated, and
-// corruption surfaces as the decode error.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// NewFrameConn returns the frame reader and writer of one connection.
+func NewFrameConn(rw io.ReadWriter) *FrameConn { return &FrameConn{rw: rw} }
+
+// Recv reads one frame, blocking until a whole frame (or an error) arrives.
+// A stream that ends between frames is a clean io.EOF, one that ends inside
+// a frame — header or payload — is ErrFrameTruncated, and corruption
+// surfaces as the decode error.
+func (c *FrameConn) Recv() (Frame, error) {
+	if _, err := io.ReadFull(c.rw, c.hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			err = fmt.Errorf("%w: %w", ErrFrameTruncated, err)
 		}
 		return Frame{}, err
 	}
-	n, err := checkHeader(hdr[:])
+	n, err := checkHeader(c.hdr[:])
 	if err != nil {
 		return Frame{}, err
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := c.rbuf
+	if n > cap(payload) {
+		payload = make([]byte, n, max(n, firstBuf))
+		if cap(payload) <= keepBuf {
+			c.rbuf = payload
+		}
+	}
+	payload = payload[:n]
+	if _, err := io.ReadFull(c.rw, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return Frame{}, fmt.Errorf("%w: %w", ErrFrameTruncated, err)
 	}
-	if frameCRC(hdr[2], payload) != binary.LittleEndian.Uint32(hdr[8:12]) {
+	if frameCRC(c.hdr[:], payload) != binary.LittleEndian.Uint32(c.hdr[8:12]) {
 		return Frame{}, ErrFrameCRC
 	}
-	return Frame{Type: hdr[2], Payload: payload}, nil
+	return Frame{Type: c.hdr[2], Payload: payload}, nil
+}
+
+// Begin starts the next outgoing frame in the write buffer: append the
+// payload to what it returns and hand the result to End.
+func (c *FrameConn) Begin() []byte {
+	if c.wbuf == nil {
+		c.wbuf = make([]byte, 0, firstBuf)
+	}
+	return append(c.wbuf[:0], make([]byte, HeaderSize)...)
+}
+
+// End seals frame — a Begin buffer with its payload appended — as a frame of
+// type typ and writes it. A payload over MaxPayload is refused unwritten.
+func (c *FrameConn) End(typ byte, frame []byte) error {
+	if len(frame)-HeaderSize > MaxPayload {
+		return ErrFrameTooLarge
+	}
+	SealFrame(frame, typ)
+	if cap(frame) <= keepBuf {
+		c.wbuf = frame[:0]
+	}
+	_, err := c.rw.Write(frame)
+	return err
+}
+
+// Send writes one frame whose payload is already encoded.
+func (c *FrameConn) Send(f Frame) error {
+	if len(f.Payload) > MaxPayload {
+		return ErrFrameTooLarge
+	}
+	return c.End(f.Type, append(c.Begin(), f.Payload...))
 }

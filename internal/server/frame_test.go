@@ -35,17 +35,21 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameStreamRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
+	fc := NewFrameConn(&buf)
 	want := []Frame{
 		{Type: MsgHello},
 		{Type: MsgQuery, Payload: []byte("SELECT * FROM kv")},
 	}
 	for _, f := range want {
-		if err := WriteFrame(&buf, f); err != nil {
+		if err := fc.Send(f); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if !bytes.Equal(buf.Bytes(), AppendFrame(AppendFrame(nil, want[0]), want[1])) {
+		t.Fatal("FrameConn.Send and AppendFrame disagree on the wire bytes")
+	}
 	for i, w := range want {
-		got, err := ReadFrame(&buf)
+		got, err := fc.Recv()
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -53,7 +57,7 @@ func TestFrameStreamRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d: mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(&buf); err != io.EOF {
+	if _, err := fc.Recv(); err != io.EOF {
 		t.Fatalf("expected EOF at stream end, got %v", err)
 	}
 }
@@ -68,7 +72,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 		if _, _, err := DecodeFrame(b); !errors.Is(err, want) {
 			t.Fatalf("%s: got %v, want %v", name, err, want)
 		}
-		if _, err := ReadFrame(bytes.NewReader(b)); !errors.Is(err, want) {
+		if _, err := recv(b); !errors.Is(err, want) {
 			t.Fatalf("%s via reader: got %v, want %v", name, err, want)
 		}
 	}
@@ -90,12 +94,12 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	// header or payload — and only a stream that ends between frames is a
 	// clean EOF.
 	for _, cut := range []int{1, 5, HeaderSize - 1, HeaderSize, HeaderSize + 2, len(good) - 1} {
-		_, err := ReadFrame(bytes.NewReader(good[:cut]))
+		_, err := recv(good[:cut])
 		if !errors.Is(err, ErrFrameTruncated) || !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("stream cut at byte %d: got %v, want ErrFrameTruncated wrapping io.ErrUnexpectedEOF", cut, err)
 		}
 	}
-	if _, err := ReadFrame(bytes.NewReader(nil)); err != io.EOF {
+	if _, err := recv(nil); err != io.EOF {
 		t.Fatalf("empty stream: got %v, want io.EOF", err)
 	}
 }
@@ -127,8 +131,57 @@ func TestDecodePrefixStopsAtCorruption(t *testing.T) {
 
 func TestWriteFrameRejectsOversizedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	err := WriteFrame(&buf, Frame{Type: MsgQuery, Payload: make([]byte, MaxPayload+1)})
-	if !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("got %v, want ErrFrameTooLarge", err)
+	fc := NewFrameConn(&buf)
+	err := fc.Send(Frame{Type: MsgQuery, Payload: make([]byte, MaxPayload+1)})
+	if !errors.Is(err, ErrFrameTooLarge) || buf.Len() != 0 {
+		t.Fatalf("got %v with %d bytes written, want ErrFrameTooLarge and nothing written", err, buf.Len())
+	}
+	err = fc.End(MsgQuery, append(fc.Begin(), make([]byte, MaxPayload+1)...))
+	if !errors.Is(err, ErrFrameTooLarge) || buf.Len() != 0 {
+		t.Fatalf("End: got %v with %d bytes written, want ErrFrameTooLarge and nothing written", err, buf.Len())
+	}
+}
+
+// recv reads one frame from b through a fresh FrameConn.
+func recv(b []byte) (Frame, error) {
+	return NewFrameConn(bytes.NewBuffer(b)).Recv()
+}
+
+// TestFrameConnKeepsNoBufferOverTheCap: a frame above keepBuf — a checkpoint
+// snapshot, a bulk INSERT — is read into and written from a buffer of its
+// own, and the small frames after it reuse the connection's buffers without
+// the big one staying pinned.
+func TestFrameConnKeepsNoBufferOverTheCap(t *testing.T) {
+	var stream bytes.Buffer
+	fc := NewFrameConn(&stream)
+	big := bytes.Repeat([]byte{0x5A}, 4*keepBuf)
+	small := []Frame{{Type: MsgQuery, Payload: []byte("SELECT 1")}, {Type: MsgRows, Payload: make([]byte, 16)}}
+	for _, f := range append([]Frame{small[0], {Type: MsgQuery, Payload: big}}, small...) {
+		if err := fc.Send(f); err != nil {
+			t.Fatal(err)
+		}
+		if cap(fc.wbuf) > keepBuf {
+			t.Fatalf("after sending %d payload bytes the write buffer keeps %d bytes, cap %d", len(f.Payload), cap(fc.wbuf), keepBuf)
+		}
+	}
+	first, err := fc.Recv()
+	if err != nil || !bytes.Equal(first.Payload, small[0].Payload) {
+		t.Fatalf("first frame: %v", err)
+	}
+	got, err := fc.Recv()
+	if err != nil || !bytes.Equal(got.Payload, big) {
+		t.Fatalf("big frame: %v", err)
+	}
+	if cap(fc.rbuf) > keepBuf {
+		t.Fatalf("the read buffer keeps %d bytes after a %d-byte frame, cap %d", cap(fc.rbuf), len(big), keepBuf)
+	}
+	for i, want := range small {
+		got, err := fc.Recv()
+		if err != nil || got.Type != want.Type || !bytes.Equal(got.Payload, want.Payload) {
+			t.Fatalf("small frame %d after the big one: %v", i, err)
+		}
+		if &got.Payload[0] != &fc.rbuf[:1][0] || cap(fc.rbuf) > keepBuf {
+			t.Fatalf("small frame %d not read into the kept buffer (cap %d)", i, cap(fc.rbuf))
+		}
 	}
 }

@@ -159,8 +159,9 @@ func (c *cursor) done() error {
 }
 
 // --- message payloads ---------------------------------------------------
-
-func encodeHelloOK(id uint64) []byte { return appendU64(nil, id) }
+//
+// A payload is appended straight into a FrameConn's write buffer: HELLO_OK
+// and KILL are one appendU64, QUERY and EXEC one appendString, PREPARE two.
 
 func decodeHelloOK(p []byte) (uint64, error) {
 	c := &cursor{b: p}
@@ -168,16 +169,10 @@ func decodeHelloOK(p []byte) (uint64, error) {
 	return id, c.done()
 }
 
-func encodeQuery(sql string) []byte { return appendString(nil, sql) }
-
 func decodeQuery(p []byte) (string, error) {
 	c := &cursor{b: p}
 	s := c.str()
 	return s, c.done()
-}
-
-func encodePrepare(name, sql string) []byte {
-	return appendString(appendString(nil, name), sql)
 }
 
 func decodePrepare(p []byte) (name, sql string, err error) {
@@ -187,16 +182,14 @@ func decodePrepare(p []byte) (name, sql string, err error) {
 	return name, sql, c.done()
 }
 
-func encodeExec(name string) []byte { return appendString(nil, name) }
-
 func decodeExec(p []byte) (string, error) {
 	c := &cursor{b: p}
 	s := c.str()
 	return s, c.done()
 }
 
-func encodeRows(r RowsResult) []byte {
-	return appendU64(appendU64(nil, r.Count), r.Digest)
+func appendRows(dst []byte, r RowsResult) []byte {
+	return appendU64(appendU64(dst, r.Count), r.Digest)
 }
 
 func decodeRows(p []byte) (RowsResult, error) {
@@ -205,19 +198,17 @@ func decodeRows(p []byte) (RowsResult, error) {
 	return r, c.done()
 }
 
-func encodeKill(id uint64) []byte { return appendU64(nil, id) }
-
 func decodeKill(p []byte) (uint64, error) {
 	c := &cursor{b: p}
 	id := c.u64()
 	return id, c.done()
 }
 
-func encodeKillOK(found bool) []byte {
+func appendKillOK(dst []byte, found bool) []byte {
 	if found {
-		return []byte{1}
+		return append(dst, 1)
 	}
-	return []byte{0}
+	return append(dst, 0)
 }
 
 func decodeKillOK(p []byte) (bool, error) {
@@ -226,8 +217,8 @@ func decodeKillOK(p []byte) (bool, error) {
 	return v != 0, c.done()
 }
 
-func encodeProcs(rows []session.ProcessInfo) []byte {
-	dst := appendU32(nil, uint32(len(rows)))
+func appendProcs(dst []byte, rows []session.ProcessInfo) []byte {
+	dst = appendU32(dst, uint32(len(rows)))
 	for _, r := range rows {
 		dst = appendU64(dst, r.ID)
 		dst = append(dst, byte(r.State))

@@ -1,0 +1,8 @@
+//go:build race
+
+package server
+
+// raceEnabled: the race detector's instrumentation and sync.Pool's random
+// drops under it move allocation counts, which are pinned outside race
+// builds only.
+const raceEnabled = true

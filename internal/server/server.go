@@ -91,99 +91,89 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-// reply sends one response frame, reporting any transport error.
-func reply(conn Conn, typ byte, payload []byte) error {
-	return WriteFrame(conn, Frame{Type: typ, Payload: payload})
-}
-
-// replyErr relays a statement failure without dropping the connection.
-func replyErr(conn Conn, err error) error {
-	return WriteFrame(conn, ErrorFrame(err))
-}
-
 // handleConn speaks the protocol for one connection's lifetime. The
 // session opens at MsgHello and closes when the client hangs up or says
 // MsgClose — including abnormal disconnects, so a dead client never
-// leaks a process-list entry.
+// leaks a process-list entry. A statement failure is relayed as MsgError
+// without dropping the connection.
 func (s *Server) handleConn(conn Conn) {
 	defer conn.Close()
+	fc := NewFrameConn(conn)
 
 	// Handshake: the first frame must be MsgHello.
-	f, err := ReadFrame(conn)
+	f, err := fc.Recv()
 	if err != nil || f.Type != MsgHello {
 		if err == nil {
-			_ = replyErr(conn, fmt.Errorf("expected HELLO, got frame type %d", f.Type))
+			_ = fc.Send(ErrorFrame(fmt.Errorf("expected HELLO, got frame type %d", f.Type)))
 		}
 		return
 	}
 	sess, err := s.reg.Open(session.Options{Contenders: s.cfg.Contenders})
 	if err != nil {
-		_ = replyErr(conn, err)
+		_ = fc.Send(ErrorFrame(err))
 		return
 	}
 	defer sess.Close()
-	if err := reply(conn, MsgHelloOK, encodeHelloOK(sess.ID)); err != nil {
+	if err := fc.End(MsgHelloOK, appendU64(fc.Begin(), sess.ID)); err != nil {
 		return
 	}
 
+	var dg digester
 	for {
-		f, err := ReadFrame(conn)
+		f, err := fc.Recv()
 		if err != nil {
 			return // disconnect (clean EOF or otherwise): session closes
 		}
+		var fail error
 		switch f.Type {
 		case MsgQuery:
 			q, derr := decodeQuery(f.Payload)
-			if derr != nil {
-				err = replyErr(conn, derr)
+			if fail = derr; fail != nil {
 				break
 			}
 			b, _, xerr := sess.ExecSQL(q)
-			if xerr != nil {
-				err = replyErr(conn, xerr)
+			if fail = xerr; fail != nil {
 				break
 			}
-			err = reply(conn, MsgRows, encodeRows(rowsResult(b)))
+			err = fc.End(MsgRows, appendRows(fc.Begin(), dg.rowsResult(b)))
 		case MsgPrepare:
 			name, sql, derr := decodePrepare(f.Payload)
-			if derr != nil {
-				err = replyErr(conn, derr)
+			if fail = derr; fail != nil {
 				break
 			}
-			if _, perr := sess.Prepare(name, sql); perr != nil {
-				err = replyErr(conn, perr)
+			if _, fail = sess.Prepare(name, sql); fail != nil {
 				break
 			}
-			err = reply(conn, MsgPrepareOK, nil)
+			err = fc.End(MsgPrepareOK, fc.Begin())
 		case MsgExec:
 			name, derr := decodeExec(f.Payload)
-			if derr != nil {
-				err = replyErr(conn, derr)
+			if fail = derr; fail != nil {
 				break
 			}
 			b, _, xerr := sess.ExecPrepared(name)
-			if xerr != nil {
-				err = replyErr(conn, xerr)
+			if fail = xerr; fail != nil {
 				break
 			}
-			err = reply(conn, MsgRows, encodeRows(rowsResult(b)))
+			err = fc.End(MsgRows, appendRows(fc.Begin(), dg.rowsResult(b)))
 		case MsgList:
-			err = reply(conn, MsgProcs, encodeProcs(s.reg.List()))
+			err = fc.End(MsgProcs, appendProcs(fc.Begin(), s.reg.List()))
 		case MsgKill:
 			id, derr := decodeKill(f.Payload)
-			if derr != nil {
-				err = replyErr(conn, derr)
+			if fail = derr; fail != nil {
 				break
 			}
-			err = reply(conn, MsgKillOK, encodeKillOK(s.reg.Kill(id, nil)))
+			err = fc.End(MsgKillOK, appendKillOK(fc.Begin(), s.reg.Kill(id, nil)))
 		case MsgClose:
 			// Reap the session before saying goodbye: once Client.Close
 			// returns, the process list no longer shows it.
 			sess.Close()
-			_ = reply(conn, MsgBye, nil)
+			_ = fc.End(MsgBye, fc.Begin())
 			return
 		default:
-			err = replyErr(conn, fmt.Errorf("unknown frame type %d", f.Type))
+			fail = fmt.Errorf("unknown frame type %d", f.Type)
+		}
+		if fail != nil {
+			err = fc.Send(ErrorFrame(fail))
 		}
 		if err != nil {
 			return
@@ -191,31 +181,38 @@ func (s *Server) handleConn(conn Conn) {
 	}
 }
 
+// digester is one connection's scratch for result digests: the column list
+// and key buffer batchDigest encodes every row with, reused from result to
+// result.
+type digester struct {
+	cols []int
+	buf  []byte
+}
+
 // rowsResult summarizes a result batch for the wire.
-func rowsResult(b *exec.Batch) RowsResult {
+func (d *digester) rowsResult(b *exec.Batch) RowsResult {
 	if b == nil {
 		return RowsResult{}
 	}
-	return RowsResult{Count: uint64(len(b.Rows)), Digest: batchDigest(b)}
+	return RowsResult{Count: uint64(len(b.Rows)), Digest: d.batchDigest(b)}
 }
 
 // batchDigest hashes a result batch order-insensitively: the XOR of
 // per-row canonical-encoding hashes. Replays compare equal regardless
 // of operator scheduling or row order, which is what lets seeded
 // load-generator digests stay bit-exact.
-func batchDigest(b *exec.Batch) uint64 {
+func (d *digester) batchDigest(b *exec.Batch) uint64 {
 	if len(b.Rows) == 0 {
 		return 0
 	}
-	cols := make([]int, len(b.Rows[0]))
-	for i := range cols {
-		cols[i] = i
+	for i := len(d.cols); i < len(b.Rows[0]); i++ {
+		d.cols = append(d.cols, i)
 	}
+	cols := d.cols[:len(b.Rows[0])]
 	var acc uint64
-	buf := make([]byte, 0, 64)
 	for _, row := range b.Rows {
-		buf = index.AppendKeyFromTuple(buf[:0], row, cols)
-		acc ^= fold.New().Bytes(buf).Sum64()
+		d.buf = index.AppendKeyFromTuple(d.buf[:0], row, cols)
+		acc ^= fold.New().Bytes(d.buf).Sum64()
 	}
 	return acc
 }

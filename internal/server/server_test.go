@@ -78,7 +78,7 @@ func exerciseProtocol(t *testing.T, tr Transport, srv *Server) {
 	// that strays onto a client connection is refused like any unknown
 	// type, and the session stays usable.
 	var re *RemoteError
-	if _, err := cl.roundTrip(Frame{Type: 0x41, Payload: make([]byte, 24)}); !errors.As(err, &re) ||
+	if _, err := cl.roundTrip(0x41, append(cl.fc.Begin(), make([]byte, 24)...)); !errors.As(err, &re) ||
 		!strings.Contains(re.Msg, "unknown frame type") {
 		t.Fatalf("ship-typed frame: got %v, want RemoteError \"unknown frame type\"", err)
 	}
@@ -229,3 +229,51 @@ func TestServerDisconnectFreesProcessList(t *testing.T) {
 		}
 	}
 }
+
+// TestPointQueryRoundTripAllocations pins what one Client.Query round trip
+// of a cached point SELECT allocates over PipeTransport, counted
+// process-wide — client, pipe and server goroutine together. Framing and the
+// plan bind allocate nothing; what is left is the statement's own work.
+func TestPointQueryRoundTripAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned outside race builds")
+	}
+	tr := NewPipe()
+	startServer(t, tr, Config{})
+	cl, err := Dial(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	for _, q := range []string{
+		"CREATE TABLE acct (id INT, bal INT)",
+		"INSERT INTO acct VALUES (1, 10), (2, 20), (3, 30), (4, 40)",
+		"CREATE UNIQUE INDEX acct_pk ON acct (id)",
+		"SELECT id, bal FROM acct WHERE id = 1",
+		"SELECT id, bal FROM acct WHERE id = 2",
+	} {
+		if _, err := cl.Query(q); err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+	}
+	// Keys other than the one the template was planned with: every round
+	// trip binds.
+	texts := []string{"SELECT id, bal FROM acct WHERE id = 2", "SELECT id, bal FROM acct WHERE id = 3", "SELECT id, bal FROM acct WHERE id = 4"}
+	i := 0
+	allocs := testing.AllocsPerRun(300, func() {
+		if r, err := cl.Query(texts[i%len(texts)]); err != nil || r.Count != 1 {
+			t.Fatalf("point query: %+v, %v", r, err)
+		}
+		i++
+	})
+	t.Logf("%v allocations per round trip", allocs)
+	if allocs > pointRoundTripAllocs {
+		t.Errorf("a cached point SELECT round trip allocates %v times, want at most %d", allocs, pointRoundTripAllocs)
+	}
+}
+
+// pointRoundTripAllocs is the measured count (26 before the per-connection
+// frame buffers, the in-place Bind and the stack-held OU features): the
+// statement text copied out of the read buffer, the result Batch, its row
+// array, the value arena of its one tuple, and the encoded index key.
+const pointRoundTripAllocs = 5

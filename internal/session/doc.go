@@ -29,13 +29,17 @@
 // (no allocation), look the key up, replan if the engine's
 // ConfigVersion has moved — a knob change, repartition or index publish
 // anywhere invalidates every entry of every session this way, and nothing
-// else does — bind the vector, run. Bind copies the nodes on the way to a
-// literal and shares the rest of the tree, so what reaches the executor,
-// the observation buffer and, through it, a concurrently ticking
-// LiveController is an ordinary immutable plan, never the cached tree
-// with other literals written into it. A statement sent again with the
-// literals its tree was planned from (fixed texts, prepared statements)
-// skips even that copy.
+// else does — bind the vector, run. The first Bind of a template copies
+// the nodes on the way to a literal and shares the rest of the tree; every
+// Bind then rewrites that copy's literal slots in place, so a point
+// statement binds without allocating. The bound tree belongs to the
+// session and lives until its template's next Bind: the executor runs it
+// inside the statement, and what the observation buffer keeps — and,
+// through it, a concurrently ticking LiveController sees — is
+// Template.Snapshot, a fresh immutable tree with the same literals, taken
+// only when the buffer keeps a new representative. A statement sent again
+// with the literals its tree was planned from (fixed texts, prepared
+// statements) runs the cached tree itself.
 //
 // A Prepared is a name and a literal vector pointing at such an entry; it
 // has no plan or version of its own, and ExecSQL and ExecPrepared run

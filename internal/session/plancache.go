@@ -6,7 +6,6 @@ import (
 
 	"mb2/internal/exec"
 	"mb2/internal/hw"
-	"mb2/internal/plan"
 	"mb2/internal/sql"
 )
 
@@ -177,14 +176,14 @@ func (s *Session) execEntry(template string, e *entry, lits []sql.Literal, text 
 			return b, hw.Metrics{}, err
 		}
 	}
-	var node plan.Node
+	var r ran
 	switch {
 	case slices.Equal(lits, e.lits):
 		// The very literals the tree was planned with (a repeated text, a
-		// prepared statement): nothing to copy.
-		node = e.tmpl.Root()
+		// prepared statement): nothing to bind.
+		r.node = e.tmpl.Root()
 	case e.tmpl.Bindable():
-		node = e.tmpl.Bind(lits)
+		r = ran{node: e.tmpl.Bind(lits), tmpl: e.tmpl, lits: lits}
 	default:
 		// The planner read one of the literals to shape this tree, so it
 		// serves no other vector: run this text on its own.
@@ -192,7 +191,7 @@ func (s *Session) execEntry(template string, e *entry, lits []sql.Literal, text 
 		if err := s.miss(own, text); err != nil {
 			return nil, hw.Metrics{}, err
 		}
-		e, node = own, own.tmpl.Root()
+		r.node = own.tmpl.Root()
 	}
-	return s.run(template, node)
+	return s.run(template, r)
 }

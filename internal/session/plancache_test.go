@@ -264,3 +264,94 @@ func TestCachedStatementAllocations(t *testing.T) {
 		}
 	}
 }
+
+// TestRepresentativesSurviveInPlaceBind: a template's Bind rewrites one tree
+// in place, statement after statement, while the observation buffer keeps
+// representatives a drain hands to another goroutine. One session runs
+// point SELECTs and UPDATEs on distinct keys, every one a bound execution
+// after the first of its template, while a drainer fingerprints each
+// representative it receives and checks it against a fresh plan of the one
+// text it can have come from (the key names the text). Under -race a
+// representative that is the live bound tree is a data race; without it,
+// the final re-check catches the tree having moved on since its drain.
+func TestRepresentativesSurviveInPlaceBind(t *testing.T) {
+	const statements = 10_000
+	db, reg := testDB(t, 100)
+	s := open(t, reg)
+	mustExec(t, s, "CREATE UNIQUE INDEX t_k ON t (k)")
+	text := func(update bool, k int64) string {
+		if update {
+			return fmt.Sprintf("UPDATE t SET v = %d.5 WHERE k = %d", 3*k, k)
+		}
+		return fmt.Sprintf("SELECT k, v FROM t WHERE k = %d", k)
+	}
+	fresh := func(q string) plan.Node {
+		st, err := sql.Parse(q)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		n, err := sql.NewPlanner(db).Plan(st)
+		if err != nil {
+			t.Error(err)
+		}
+		return n
+	}
+	type kept struct {
+		rep  plan.Node
+		text string
+	}
+	var reps []kept
+	check := func(obs Observation) {
+		for _, rep := range obs.Reps {
+			_ = plan.Fingerprint(rep)
+			var idx *plan.IdxScanNode
+			plan.Walk(rep, func(n plan.Node) {
+				if v, ok := n.(*plan.IdxScanNode); ok {
+					idx = v
+				}
+			})
+			if idx == nil || len(idx.Eq) != 1 {
+				t.Errorf("representative %#x is not a point plan", plan.Fingerprint(rep))
+				continue
+			}
+			_, update := rep.(*plan.UpdateNode)
+			q := text(update, idx.Eq[0].I)
+			if !reflect.DeepEqual(rep, fresh(q)) {
+				t.Errorf("representative drained for %q differs from a fresh plan of it", q)
+			}
+			reps = append(reps, kept{rep, q})
+		}
+	}
+
+	done := make(chan struct{})
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for {
+			select {
+			case <-done:
+				check(reg.DrainObservations())
+				return
+			default:
+				check(reg.DrainObservations())
+			}
+		}
+	}()
+	for i := int64(0); i < statements; i++ {
+		if _, _, err := s.ExecSQL(text(i%2 == 1, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	<-drained
+	t.Logf("%d representatives drained over %d statements", len(reps), statements)
+	if len(reps) <= 2 {
+		t.Fatalf("%d representatives drained over %d statements: no bound execution was observed", len(reps), statements)
+	}
+	for _, r := range reps {
+		if !reflect.DeepEqual(r.rep, fresh(r.text)) {
+			t.Fatalf("representative of %q changed after its drain", r.text)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"mb2/internal/exec"
 	"mb2/internal/hw"
 	"mb2/internal/plan"
+	"mb2/internal/sql"
 )
 
 // Sentinel errors of the session lifecycle.
@@ -152,9 +153,26 @@ func (s *Session) ExecPlan(template string, _ uint64, node plan.Node) (*exec.Bat
 	if err := s.beginStatement(template); err != nil {
 		return nil, hw.Metrics{}, err
 	}
-	b, iso, err := s.run(template, node)
+	b, iso, err := s.run(template, ran{node: node})
 	s.endStatement(err)
 	return b, iso, err
+}
+
+// ran is the plan a statement executed, as the observation buffer may keep
+// it: node itself, or — when node is tmpl's bound tree, which tmpl's next
+// Bind rewrites in place — the tree tmpl.Snapshot(lits) builds afresh.
+type ran struct {
+	node plan.Node
+	tmpl *sql.Template
+	lits []sql.Literal
+}
+
+// keep returns the immutable plan the observation buffer keeps for r.
+func (r ran) keep() plan.Node {
+	if r.tmpl == nil {
+		return r.node
+	}
+	return r.tmpl.Snapshot(r.lits)
 }
 
 // run executes a plan inside the statement the caller began. A DML plan
@@ -166,13 +184,13 @@ func (s *Session) ExecPlan(template string, _ uint64, node plan.Node) (*exec.Bat
 // statement is recorded once its outcome is decided and only if it
 // succeeded, so a query that fails — a process-list kill included — leaves
 // the buffer untouched.
-func (s *Session) run(template string, node plan.Node) (*exec.Batch, hw.Metrics, error) {
-	auto := s.ec.Txn == nil && isDML(node)
+func (s *Session) run(template string, r ran) (*exec.Batch, hw.Metrics, error) {
+	auto := s.ec.Txn == nil && isDML(r.node)
 	if auto {
 		s.ec.Begin()
 	}
 	before := s.ec.Thread().Counters()
-	b, err := exec.Execute(s.ec, node)
+	b, err := exec.Execute(s.ec, r.node)
 	iso := s.ec.Thread().Since(before)
 	if auto {
 		if err != nil {
@@ -190,7 +208,7 @@ func (s *Session) run(template string, node plan.Node) (*exec.Batch, hw.Metrics,
 	if err != nil {
 		return nil, iso, err
 	}
-	s.stats.record(template, node, iso)
+	s.stats.record(template, r, iso)
 	return b, iso, nil
 }
 

@@ -38,8 +38,11 @@ func newStats() *Stats {
 // resource usage, the session's load, and — first one wins — the
 // template's representative plan, the canonical plan forecast-driven
 // inference predicts with when the control loop runs off live traffic it
-// did not itself construct.
-func (s *Stats) record(template string, node plan.Node, iso hw.Metrics) {
+// did not itself construct. The representative is r.keep(): never a bound
+// tree the session's next statement rewrites, so a drain hands the control
+// loop immutable plans only, and only the first query of a template per
+// drain pays for a snapshot.
+func (s *Stats) record(template string, r ran, iso hw.Metrics) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.counts[template]++
@@ -48,7 +51,7 @@ func (s *Stats) record(template string, node plan.Node, iso hw.Metrics) {
 	s.iso[template] = m
 	s.load.Add(iso)
 	if _, ok := s.reps[template]; !ok {
-		s.reps[template] = node
+		s.reps[template] = r.keep()
 	}
 }
 

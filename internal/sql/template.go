@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"slices"
+
 	"mb2/internal/catalog"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
@@ -89,12 +91,27 @@ type nodeSites struct {
 // Template is a planned statement that remembers where each parameter
 // literal of its text landed in the tree, so the same tree can serve any
 // statement with the same template key.
+//
+// A Template belongs to one goroutine: Bind rewrites the template's bound
+// tree in place.
 type Template struct {
 	root plan.Node
 	// sites holds every node on a path from the root to a parameter site,
 	// with a nil value for nodes that are only on the way to one.
 	sites    map[plan.Node]*nodeSites
 	bindable bool
+	// bound is the tree Bind rewrites: root's nodes on the way to a
+	// parameter site, copied on the first Bind, over every other subtree of
+	// root. slots are its nodes that hold a site.
+	bound plan.Node
+	slots []slot
+}
+
+// slot is a node of a copied tree that holds parameter sites, and the AST
+// sources of those sites.
+type slot struct {
+	node plan.Node
+	ns   *nodeSites
 }
 
 // PlanTemplate plans st, a statement with nlits parameter literals (the
@@ -174,45 +191,88 @@ func (t *Template) Root() plan.Node { return t.root }
 func (t *Template) Bindable() bool { return t.bindable }
 
 // Bind returns the plan for a statement with t's template key and
-// parameter literals lits. It copies the nodes on the way to a literal and
-// shares every other subtree with t, which is never written: the result
-// is an ordinary immutable plan, equal to planning the statement afresh.
-func (t *Template) Bind(lits []Literal) plan.Node { return t.bind(t.root, lits) }
+// parameter literals lits, equal to planning that statement afresh. The
+// first call copies the nodes on the way to a literal, sharing every other
+// subtree with the tree as planned, which is never written; every call
+// rewrites the copy's literal slots in place. The result is therefore valid
+// until t's next Bind: a caller that keeps the plan beyond that keeps
+// Snapshot(lits) instead.
+func (t *Template) Bind(lits []Literal) plan.Node {
+	if t.bound == nil {
+		t.bound = t.copyPath(t.root, &t.slots)
+	}
+	for _, s := range t.slots {
+		s.rebind(lits)
+	}
+	return t.bound
+}
 
-func (t *Template) bind(n plan.Node, lits []Literal) plan.Node {
+// Snapshot returns what Bind(lits) returns, as a tree of its own that no
+// later Bind writes: the copy and the rebinding Bind does, made fresh.
+func (t *Template) Snapshot(lits []Literal) plan.Node {
+	var slots []slot
+	n := t.copyPath(t.root, &slots)
+	for _, s := range slots {
+		s.rebind(lits)
+	}
+	return n
+}
+
+// copyPath copies the nodes of the subtree under n that are on the way to a
+// parameter site, shares the rest, and appends the copies that hold sites to
+// slots. A copy owns the slices rebind writes into.
+func (t *Template) copyPath(n plan.Node, slots *[]slot) plan.Node {
 	ns, on := t.sites[n]
 	if !on {
 		return n
 	}
-	c := plan.MapChildren(n, func(k plan.Node) plan.Node { return t.bind(k, lits) })
+	c := plan.MapChildren(n, func(k plan.Node) plan.Node { return t.copyPath(k, slots) })
 	if ns == nil {
 		return c
 	}
 	switch c := c.(type) {
+	case *plan.IdxScanNode:
+		c.Eq = make([]storage.Value, len(ns.vals[0]))
+	case *plan.ProjectNode:
+		c.Exprs = slices.Clone(c.Exprs)
+	case *plan.UpdateNode:
+		c.SetExprs = slices.Clone(c.SetExprs)
+	case *plan.AggNode:
+		c.Aggs = slices.Clone(c.Aggs)
+	}
+	*slots = append(*slots, slot{node: c, ns: ns})
+	return c
+}
+
+// rebind writes the literal slots of s.node with the parameters taken from
+// lits.
+func (s slot) rebind(lits []Literal) {
+	ns := s.ns
+	switch c := s.node.(type) {
 	case *plan.SeqScanNode:
 		c.Filter, _ = rebindExpr(c.Filter, ns.exprs[0], lits)
 	case *plan.IdxScanNode:
-		c.Eq = bindValues(ns.vals[0], ns.types, lits)
+		fillValues(c.Eq, ns.vals[0], ns.types, lits)
 		if c.Filter != nil {
 			c.Filter, _ = rebindExpr(c.Filter, ns.exprs[0], lits)
 		}
 	case *plan.FilterNode:
 		c.Pred, _ = rebindExpr(c.Pred, ns.exprs[0], lits)
 	case *plan.ProjectNode:
-		c.Exprs = rebindExprs(c.Exprs, ns.exprs, lits)
-	case *plan.UpdateNode:
-		c.SetExprs = rebindExprs(c.SetExprs, ns.exprs, lits)
-	case *plan.AggNode:
-		aggs := make([]plan.AggSpec, len(c.Aggs))
-		for i, a := range c.Aggs {
-			a.Arg, _ = rebindExpr(a.Arg, ns.exprs[i], lits)
-			aggs[i] = a
+		for i := range c.Exprs {
+			c.Exprs[i], _ = rebindExpr(c.Exprs[i], ns.exprs[i], lits)
 		}
-		c.Aggs = aggs
+	case *plan.UpdateNode:
+		for i := range c.SetExprs {
+			c.SetExprs[i], _ = rebindExpr(c.SetExprs[i], ns.exprs[i], lits)
+		}
+	case *plan.AggNode:
+		for i := range c.Aggs {
+			c.Aggs[i].Arg, _ = rebindExpr(c.Aggs[i].Arg, ns.exprs[i], lits)
+		}
 	case *plan.InsertNode:
 		c.Tuples = bindRows(ns.vals, ns.types, lits)
 	}
-	return c
 }
 
 // bindValues converts one row of literals, parameters taken from lits, to
@@ -220,9 +280,7 @@ func (t *Template) bind(n plan.Node, lits []Literal) plan.Node {
 // tuples with it too (lits nil), so planning and binding coerce alike.
 func bindValues(row []Literal, types []catalog.Type, lits []Literal) []storage.Value {
 	out := make([]storage.Value, len(row))
-	for i, l := range row {
-		out[i] = literalValue(l.from(lits), types[i])
-	}
+	fillValues(out, row, types, lits)
 	return out
 }
 
@@ -236,12 +294,11 @@ func bindRows(rows [][]Literal, types []catalog.Type, lits []Literal) []storage.
 	return out
 }
 
-func rebindExprs(bound []plan.Expr, src []Expr, lits []Literal) []plan.Expr {
-	out := make([]plan.Expr, len(bound))
-	for i, e := range bound {
-		out[i], _ = rebindExpr(e, src[i], lits)
+// fillValues is bindValues into out.
+func fillValues(out []storage.Value, row []Literal, types []catalog.Type, lits []Literal) {
+	for i, l := range row {
+		out[i] = literalValue(l.from(lits), types[i])
 	}
-	return out
 }
 
 // rebindExpr returns bound — the plan expression of AST source src — with

@@ -166,16 +166,12 @@ func TestBindEqualsFreshPlan(t *testing.T) {
 			if !reflect.DeepEqual(tmpl.Root(), fresh1) {
 				t.Errorf("indexed=%v %q: recording sites changed the plan", indexed, pair[0])
 			}
+			// A bound tree is valid until the template's next Bind: it is
+			// compared and executed before the re-bind below.
 			bound := tmpl.Bind(lits2)
 			if !reflect.DeepEqual(bound, fresh2) {
 				t.Errorf("indexed=%v: %q bound to %q differs from a fresh plan:\n bound %s\n fresh %s",
 					indexed, pair[0], pair[1], describe(bound), describe(fresh2))
-			}
-			if !reflect.DeepEqual(tmpl.Bind(lits1), fresh1) {
-				t.Errorf("indexed=%v %q: bound to its own literals differs from a fresh plan", indexed, pair[0])
-			}
-			if !reflect.DeepEqual(tmpl.Root(), fresh1) {
-				t.Errorf("indexed=%v %q: Bind wrote to the template", indexed, pair[0])
 			}
 			if _, ok := fresh2.(*plan.OutputNode); ok {
 				got, err := exec.Execute(ctx, bound)
@@ -189,6 +185,19 @@ func TestBindEqualsFreshPlan(t *testing.T) {
 				if !reflect.DeepEqual(got.Rows, want.Rows) {
 					t.Errorf("indexed=%v %q: bound plan returned %d rows, fresh plan %d", indexed, pair[1], len(got.Rows), len(want.Rows))
 				}
+			}
+			snap := tmpl.Snapshot(lits2)
+			if !reflect.DeepEqual(snap, fresh2) {
+				t.Errorf("indexed=%v: %q snapshotted with the literals of %q differs from a fresh plan", indexed, pair[0], pair[1])
+			}
+			if !reflect.DeepEqual(tmpl.Bind(lits1), fresh1) {
+				t.Errorf("indexed=%v %q: bound to its own literals differs from a fresh plan", indexed, pair[0])
+			}
+			if !reflect.DeepEqual(snap, fresh2) {
+				t.Errorf("indexed=%v %q: a later Bind wrote to a snapshot", indexed, pair[0])
+			}
+			if !reflect.DeepEqual(tmpl.Root(), fresh1) {
+				t.Errorf("indexed=%v %q: Bind wrote to the template", indexed, pair[0])
 			}
 		}
 	}
@@ -293,5 +302,30 @@ func TestNormalizeRefuses(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Normalize into warm scratch allocates %v times per call", allocs)
+	}
+}
+
+// TestPointBindAllocatesNothing pins the in-place Bind: once a point SELECT
+// or DELETE template has bound once, binding it to other literals writes the
+// index key of its copied path in place and allocates nothing.
+func TestPointBindAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are pinned outside race builds")
+	}
+	ctx := templateCtx(t, true)
+	pl := NewPlanner(ctx.DB)
+	for _, pair := range [][2]string{
+		{"SELECT id, price FROM products WHERE id = 17", "SELECT id, price FROM products WHERE id = 33"},
+		{"DELETE FROM products WHERE id = 12", "DELETE FROM products WHERE id = 13"},
+	} {
+		tmpl, _, lits1, _ := planBoth(t, pl, pair[0])
+		_, fresh2, lits2, _ := planBoth(t, pl, pair[1])
+		tmpl.Bind(lits1)
+		if allocs := testing.AllocsPerRun(100, func() { tmpl.Bind(lits2) }); allocs != 0 {
+			t.Errorf("%q: Bind after the first allocates %v times", pair[0], allocs)
+		}
+		if !reflect.DeepEqual(tmpl.Bind(lits2), fresh2) {
+			t.Errorf("%q bound to %q differs from a fresh plan", pair[0], pair[1])
+		}
 	}
 }
