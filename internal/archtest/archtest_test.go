@@ -71,14 +71,17 @@ var rules = []rule{
 		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
 		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
 	{"one-row-pool",
-		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly three lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, execIndexJoin's outer: Execute's result never returns to the pool",
+		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly four lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, a partitionJoin worker's build side, execIndexJoin's outer: Execute's result never returns to the pool",
 		32, all(forbid("", except("internal/exec/pool.go"), "rowPools"),
 			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
-			exactly("internal/exec", 3, ".recycle()", nil))},
+			exactly("internal/exec", 4, ".recycle()", nil))},
 	{"one-frame-io",
 		"under internal/server and internal/repl, a connection's bytes are read (io.ReadFull() and written (.Write() only in internal/server/frame.go, by FrameConn: every frame goes through one pair of per-connection buffers",
 		34, all(forbid("internal/server", except("internal/server/frame.go"), "io.ReadFull(", ".Write("),
 			forbid("internal/repl", nil, "io.ReadFull(", ".Write("))},
+	{"one-float-layout",
+		"under internal/, math.Float64bits( and math.Float64frombits( appear only in internal/storage/value.go (NewFloat, Value.Float), internal/fold/ (H.F64) and internal/check/ (the failover digest folds a float64 statistic): a storage.Value keeps a float's bits in I, and no other layer re-derives them",
+		35, forbid("internal", except("internal/storage/value.go", "internal/fold/", "internal/check/"), "math.Float64bits(", "math.Float64frombits(")},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},

@@ -445,7 +445,7 @@ func (h *harness) opDeposit(op Op) error {
 	if !ok {
 		return h.abort(st)
 	}
-	if err := h.db.Update(st.tx, nil, h.chkT, a.chk, chk, withBal(chk, chk[1].F+op.Amount), h.contenders); err != nil {
+	if err := h.db.Update(st.tx, nil, h.chkT, a.chk, chk, withBal(chk, chk[1].Float()+op.Amount), h.contenders); err != nil {
 		return h.abortOnConflict(st, err)
 	}
 	if op.Abort {
@@ -473,10 +473,10 @@ func (h *harness) opTransfer(op Op) error {
 	if !ok {
 		return h.abort(st)
 	}
-	if err := h.db.Update(st.tx, nil, h.savT, a.sav, sav, withBal(sav, sav[1].F-op.Amount), h.contenders); err != nil {
+	if err := h.db.Update(st.tx, nil, h.savT, a.sav, sav, withBal(sav, sav[1].Float()-op.Amount), h.contenders); err != nil {
 		return h.abortOnConflict(st, err)
 	}
-	if err := h.db.Update(st.tx, nil, h.chkT, b.chk, chk, withBal(chk, chk[1].F+op.Amount), h.contenders); err != nil {
+	if err := h.db.Update(st.tx, nil, h.chkT, b.chk, chk, withBal(chk, chk[1].Float()+op.Amount), h.contenders); err != nil {
 		return h.abortOnConflict(st, err)
 	}
 	if op.Abort {
@@ -503,10 +503,10 @@ func (h *harness) opWriteCheck(op Op) error {
 		return h.abort(st)
 	}
 	amount := op.Amount
-	if sav[1].F+chk[1].F < amount {
+	if sav[1].Float()+chk[1].Float() < amount {
 		amount++ // overdraft penalty
 	}
-	if err := h.db.Update(st.tx, nil, h.chkT, a.chk, chk, withBal(chk, chk[1].F-amount), h.contenders); err != nil {
+	if err := h.db.Update(st.tx, nil, h.chkT, a.chk, chk, withBal(chk, chk[1].Float()-amount), h.contenders); err != nil {
 		return h.abortOnConflict(st, err)
 	}
 	if op.Abort {
@@ -583,7 +583,7 @@ func (h *harness) opDelete(op Op) error {
 	if op.Abort {
 		return h.abort(st)
 	}
-	st.delta = -(savData[1].F + chkData[1].F)
+	st.delta = -(savData[1].Float() + chkData[1].Float())
 	return h.commit(st)
 }
 
@@ -616,7 +616,7 @@ func (h *harness) balanceSum(txnID, readTS uint64) float64 {
 	total := 0.0
 	for _, tbl := range tables {
 		tbl.Scan(nil, txnID, readTS, func(_ storage.RowID, data storage.Tuple) bool {
-			total += data[1].F
+			total += data[1].Float()
 			return true
 		})
 	}
@@ -636,7 +636,7 @@ func (h *harness) balanceSumParallel(tables []*storage.Table, txnID, readTS uint
 			par.Do(h.cfg.DOP, len(counts), func(p int) {
 				scan(nil, p, txnID, readTS, nil, func(rows []storage.ScanRow) bool {
 					for _, r := range rows {
-						part[p] += r.Data[1].F
+						part[p] += r.Data[1].Float()
 					}
 					return true
 				})

@@ -265,7 +265,7 @@ func TestAggregation(t *testing.T) {
 	// Group 0 holds ids 0,10,...,90: count 10, sum 450, min 0, max 90, avg 45.
 	for _, r := range b.Rows {
 		if r[0].I == 0 {
-			if r[1].I != 10 || r[2].F != 450 || r[3].F != 0 || r[4].F != 90 || r[5].F != 45 {
+			if r[1].I != 10 || r[2].Float() != 450 || r[3].Float() != 0 || r[4].Float() != 90 || r[5].Float() != 45 {
 				t.Fatalf("group 0 aggs wrong: %v", r)
 			}
 		}
@@ -393,7 +393,7 @@ func TestInsertUpdateDeleteLifecycle(t *testing.T) {
 	}
 	b, _ := Execute(ctx, &plan.IdxScanNode{Table: "items", Index: "items_id2",
 		Eq: []storage.Value{storage.NewInt(100)}})
-	if b.Rows[0][2].F != 99 {
+	if b.Rows[0][2].Float() != 99 {
 		t.Fatalf("update lost: %v", b.Rows[0])
 	}
 
@@ -477,7 +477,7 @@ func TestAbortRollsBackDML(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := Execute(ctx, &plan.SeqScanNode{Table: "items", Filter: plan.Cmp{Op: plan.EQ, L: plan.Col(0), R: plan.IntConst(3)}})
-	if b.Rows[0][2].F != 3 {
+	if b.Rows[0][2].Float() != 3 {
 		t.Fatalf("abort did not roll back: %v", b.Rows[0])
 	}
 }

@@ -91,6 +91,13 @@ func filteredSelfJoin(keep int) *plan.HashJoinNode {
 	return &plan.HashJoinNode{Left: side(), Right: side(), LeftKeys: []int{0}, RightKeys: []int{0}}
 }
 
+// coPartitionedJoin joins items, the build side, to probe on id: two bare
+// scans of tables partitioned on id, which the planner runs partition-wise.
+func coPartitionedJoin() *plan.HashJoinNode {
+	return &plan.HashJoinNode{Left: &plan.SeqScanNode{Table: "items"}, Right: &plan.SeqScanNode{Table: "probe"},
+		LeftKeys: []int{0}, RightKeys: []int{0}}
+}
+
 // measureRuns runs the plan a few times on a warm context with the collector
 // off and returns allocations and bytes per run. The garbage collector is
 // off for the measurement, so a pooled buffer, once grown, stays in its pool;
@@ -139,7 +146,10 @@ func TestBatchIsTwoSlices(t *testing.T) {
 // comes from the row-array pool and goes back to it, and nothing is
 // allocated per row: no key string, no key bytes, no row identity, and the
 // Exchange merges in place instead of copying its stripes. The join's build
-// side is consumed the same way on every driver.
+// side is consumed the same way on every driver. On the partitioned tables,
+// a co-partitioned join of the whole table to a probe table of joined rows
+// builds over n and 4n rows: each worker's build array comes from the
+// row-array pool and its join table from the worker pool.
 func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// AllocsPerRun measures on one P; a sync.Pool forgets its contents when
@@ -152,6 +162,16 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		knobs := db.Knobs()
 		knobs.PartitionCount = 4
 		db.SetKnobs(knobs)
+		if _, err := db.CreateTable("probe", db.Table("items").Meta.Schema); err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]storage.Tuple, joined)
+		for i := range rows {
+			rows[i] = storage.Tuple{storage.NewInt(int64(i)), storage.NewInt(0), storage.NewFloat(0), storage.NewString("probe")}
+		}
+		if err := db.BulkLoad("probe", rows); err != nil {
+			t.Fatal(err)
+		}
 	}
 	queries := []struct {
 		name         string
@@ -160,13 +180,18 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		// the plan runs.
 		limit float64
 		scans int
+		// Whether only the partitioned tables run the query: unpartitioned,
+		// a bare join builds a statement-local table over the whole input.
+		partitioned bool
 	}{
 		// A constant, plus the group count: state, key, group columns, four
 		// accumulators and the output row of each group.
-		{"agg", filteredCount(n / 2), filteredCount(2 * n), 24 + 8*groups, 1},
+		{"agg", filteredCount(n / 2), filteredCount(2 * n), 24 + 8*groups, 1, false},
 		// A constant, plus the joined rows: a heap tuple each under
 		// Materialize.
-		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 40 + joined, 2},
+		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 40 + joined, 2, false},
+		// A constant, plus the joined rows: a heap tuple each.
+		{"copartitioned_join", coPartitionedJoin(), coPartitionedJoin(), 40 + joined, 2, true},
 	}
 	for _, c := range []struct {
 		name         string
@@ -181,6 +206,9 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, q := range queries {
+				if q.partitioned && c.dop == 1 {
+					continue
+				}
 				t.Run(q.name, func(t *testing.T) {
 					sctx, lctx := NewCtx(c.small, hw.DefaultCPU()), NewCtx(c.large, hw.DefaultCPU())
 					sctx.Mode, lctx.Mode = c.mode, c.mode

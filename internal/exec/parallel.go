@@ -224,22 +224,29 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 		}
 		partOut = make([][]storage.Tuple, jobs)
 		dop = fanOut(ctx, jobs, ou.PartitionProbe, func(th *hw.Thread, j, dop int) []float64 {
-			// Build over this partition's stripe of the build side.
+			// Build over this partition's stripe of the build side. The row
+			// array and the table are pooled and go back once the probe is
+			// done: joined tuples copy their build half, and the table keeps
+			// key bytes and row numbers, no tuple.
 			capacity := 0
 			if jobs == len(lc) {
 				capacity = lc[j]
 			}
-			build := make([]storage.Tuple, 0, capacity)
+			var build Batch
+			build.reserve(capacity, consumer)
 			stripe(th, lscan, lc, j, func(rows []storage.ScanRow) bool {
 				for i := range rows {
-					build = append(build, rows[i].Data)
+					build.Rows = append(build.Rows, rows[i].Data)
 				}
 				return true
 			})
-			htBytes := float64(len(build)) * entryBytes
-			var jt joinTable
-			keyBuf := jt.build(build, n.LeftKeys, nil)
-			ctx.chargeJoinBuild(th, len(build), htBytes)
+			buildRows := len(build.Rows)
+			htBytes := float64(buildRows) * entryBytes
+			w := joinWorkerPool.Get().(*joinWorker)
+			defer joinWorkerPool.Put(w)
+			jt := &w.jt
+			w.keyBuf = jt.build(build.Rows, n.LeftKeys, w.keyBuf)
+			ctx.chargeJoinBuild(th, buildRows, htBytes)
 
 			// Probe with the co-located stripe of the probe side.
 			var out []storage.Tuple
@@ -248,13 +255,14 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 				for i := range rows {
 					r := rows[i].Data
 					probed++
-					keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, n.RightKeys)
-					for row := jt.first(keyBuf); row >= 0; row = jt.next[row] {
-						out = append(out, heap.join(build[row], r))
+					w.keyBuf = index.AppendKeyFromTuple(w.keyBuf[:0], r, n.RightKeys)
+					for row := jt.first(w.keyBuf); row >= 0; row = jt.next[row] {
+						out = append(out, heap.join(build.Rows[row], r))
 					}
 				}
 				return true
 			})
+			build.recycle()
 			outRows := float64(len(out))
 			ctx.chargeJoinProbe(th, probed, htBytes, outRows, leftW+rightW)
 			th.Free(htBytes)
@@ -263,7 +271,7 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 			// tuple count is the total work volume (build + probe + emitted
 			// matches), its cardinality the partition's distinct build keys.
 			return ou.PartitionProbeFeatures(
-				float64(len(build))+probed+outRows,
+				float64(buildRows)+probed+outRows,
 				leftCols+rightCols, leftW+rightW,
 				float64(len(jt.entries)), entryBytes,
 				float64(dop), ctx.compiled())

@@ -26,7 +26,8 @@ import (
 //     legitimately outlive the query.
 //   - pooled row arrays (a consumed batch's []storage.Tuple): a batch that a
 //     parent reads once inside exec and then drops — a chain fed to a
-//     breaker, a hash join's build side, an index join's outer — draws its
+//     breaker, a hash join's build side, a partition-wise join worker's
+//     build side, an index join's outer — draws its
 //     array from a size-classed pool and recycles it, cleared, once the
 //     parent has read the last row. Only the array of tuple headers is
 //     recycled, never a tuple. Execute's result never draws from the pool.
@@ -51,6 +52,17 @@ var postingBufPool = sync.Pool{
 var intBufPool = sync.Pool{
 	New: func() any { b := make([]int, 0, 1024); return &b },
 }
+
+// joinWorker is a partition-wise join worker's build state: its join table
+// and key scratch. Neither keeps a tuple — the table holds key bytes and
+// row numbers — so a worker reuses whatever an earlier join left, and a
+// build allocates nothing once the pool holds a table its size.
+type joinWorker struct {
+	jt     joinTable
+	keyBuf []byte
+}
+
+var joinWorkerPool = sync.Pool{New: func() any { return new(joinWorker) }}
 
 func getScanBuf() *[]storage.ScanRow { return scanBufPool.Get().(*[]storage.ScanRow) }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mb2/internal/catalog"
 	"mb2/internal/index"
 	"mb2/internal/ou"
 	"mb2/internal/plan"
@@ -219,7 +218,7 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 		for ai, spec := range n.Aggs {
 			var v float64
 			if spec.Fn != plan.Count {
-				v = valueAsFloat(spec.Arg.Eval(r))
+				v = spec.Arg.Eval(r).AsFloat()
 			}
 			st.counts[ai]++
 			st.sums[ai] += v
@@ -284,13 +283,6 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 
 	ctx.Thread().Free(card * entryBytes)
 	return &Batch{Rows: out}, nil
-}
-
-func valueAsFloat(v storage.Value) float64 {
-	if v.Kind == catalog.Float64 {
-		return v.F
-	}
-	return float64(v.I)
 }
 
 // execSort's build appends the rows feed delivers straight into the sort

@@ -3,7 +3,6 @@ package vec
 import (
 	"sync"
 
-	"mb2/internal/catalog"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
 )
@@ -260,7 +259,7 @@ func (b *Batch) cmpMask(op plan.CmpOp, l, r operand, m []bool) {
 		if lv.Kind == rv.Kind {
 			cv = lv.Compare(rv)
 		} else {
-			lf, rf := asFloat(lv), asFloat(rv)
+			lf, rf := lv.AsFloat(), rv.AsFloat()
 			switch {
 			case lf < rf:
 				cv = -1
@@ -270,13 +269,6 @@ func (b *Batch) cmpMask(op plan.CmpOp, l, r operand, m []bool) {
 		}
 		m[i] = cmpHolds(op, cv)
 	}
-}
-
-func asFloat(v storage.Value) float64 {
-	if v.Kind == catalog.Float64 {
-		return v.F
-	}
-	return float64(v.I)
 }
 
 func cmpHolds(op plan.CmpOp, cv int) bool {

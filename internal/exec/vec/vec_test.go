@@ -151,7 +151,7 @@ func TestProjectExprsRebasesSelection(t *testing.T) {
 		if got := b.Value(0, lane); got.I != int64(src+1) {
 			t.Fatalf("row %d col0 = %v", i, got)
 		}
-		if got := b.Value(1, lane); got.F != float64(src)/2 {
+		if got := b.Value(1, lane); got.Float() != float64(src)/2 {
 			t.Fatalf("row %d col1 = %v", i, got)
 		}
 	}

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,7 +33,10 @@ func TestKeyEncodingOrdersLikeValues(t *testing.T) {
 }
 
 func TestKeyEncodingFloatOrder(t *testing.T) {
-	vals := []float64{-1e9, -3.5, -0.0001, 0, 0.0001, 1.5, 2.5, 1e12}
+	// -0 orders just below +0: the encoding orders bits, and -0's sign bit
+	// is set.
+	vals := []float64{math.Inf(-1), -1e9, -3.5, -0.0001, math.Copysign(0, -1), 0,
+		math.SmallestNonzeroFloat64, 0.0001, 1.5, 2.5, 1e12, math.Inf(1)}
 	for i := 1; i < len(vals); i++ {
 		a := EncodeKey(storage.NewFloat(vals[i-1]))
 		b := EncodeKey(storage.NewFloat(vals[i]))

@@ -6,7 +6,6 @@ package index
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 
 	"mb2/internal/catalog"
 	"mb2/internal/storage"
@@ -47,7 +46,7 @@ func appendValue(out []byte, v storage.Value) []byte {
 		binary.BigEndian.PutUint64(b[:], uint64(v.I)^(1<<63))
 		return append(out, b[:]...)
 	case catalog.Float64:
-		bits := math.Float64bits(v.F)
+		bits := uint64(v.I) // a Float64 value's I is its IEEE-754 bits
 		if bits&(1<<63) != 0 {
 			bits = ^bits // negative floats: flip everything
 		} else {

@@ -84,7 +84,7 @@ func (a Arith) Eval(t storage.Tuple) storage.Value {
 			return storage.NewInt(l.I / r.I)
 		}
 	}
-	lf, rf := asFloat(l), asFloat(r)
+	lf, rf := l.AsFloat(), r.AsFloat()
 	switch a.Op {
 	case Add:
 		return storage.NewFloat(lf + rf)
@@ -98,13 +98,6 @@ func (a Arith) Eval(t storage.Tuple) storage.Value {
 		}
 		return storage.NewFloat(lf / rf)
 	}
-}
-
-func asFloat(v storage.Value) float64 {
-	if v.Kind == catalog.Float64 {
-		return v.F
-	}
-	return float64(v.I)
 }
 
 // Ops implements Expr.
@@ -143,7 +136,7 @@ func (c Cmp) Eval(t storage.Tuple) storage.Value {
 	if l.Kind == r.Kind {
 		cv = l.Compare(r)
 	} else {
-		lf, rf := asFloat(l), asFloat(r)
+		lf, rf := l.AsFloat(), r.AsFloat()
 		switch {
 		case lf < rf:
 			cv = -1
@@ -217,7 +210,7 @@ func (o Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
 // Truthy interprets a value as a boolean.
 func Truthy(v storage.Value) bool {
 	if v.Kind == catalog.Float64 {
-		return v.F != 0
+		return v.Float() != 0
 	}
 	return v.I != 0
 }

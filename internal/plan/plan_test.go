@@ -37,7 +37,7 @@ func TestArithInt(t *testing.T) {
 func TestArithFloatPromotion(t *testing.T) {
 	row := storage.Tuple{storage.NewInt(3), storage.NewFloat(1.5)}
 	got := Arith{Op: Mul, L: Col(0), R: Col(1)}.Eval(row)
-	if got.F != 4.5 {
+	if got.Float() != 4.5 {
 		t.Fatalf("promotion failed: %v", got)
 	}
 }
@@ -207,7 +207,7 @@ func TestFloatAndStringCompare(t *testing.T) {
 func TestFloatDivisionByZero(t *testing.T) {
 	row := storage.Tuple{storage.NewFloat(4)}
 	got := Arith{Op: Div, L: Col(0), R: FloatConst(0)}.Eval(row)
-	if got.F != 0 {
+	if got.Float() != 0 {
 		t.Fatalf("float div by zero = %v", got)
 	}
 }

@@ -162,7 +162,7 @@ var joinCases = []struct {
 	{"SELECT products.id, categories.label FROM categories JOIN products ON categories.cat_id = products.category WHERE products.price < 30",
 		func(p, c []storage.Tuple) (out []storage.Tuple) {
 			joined(p, c, func(p, c storage.Tuple) {
-				if p[2].F < 30 {
+				if p[2].Float() < 30 {
 					out = append(out, ints(p[0].I, c[1].I))
 				}
 			})
@@ -191,7 +191,7 @@ var joinCases = []struct {
 	{"SELECT products.id FROM products JOIN categories ON products.category = categories.cat_id WHERE categories.label = 103 AND products.price > 10 AND products.id < categories.label - 80",
 		func(p, c []storage.Tuple) (out []storage.Tuple) {
 			joined(p, c, func(p, c storage.Tuple) {
-				if c[1].I == 103 && p[2].F > 10 && p[0].I < c[1].I-80 {
+				if c[1].I == 103 && p[2].Float() > 10 && p[0].I < c[1].I-80 {
 					out = append(out, ints(p[0].I))
 				}
 			})
@@ -201,7 +201,7 @@ var joinCases = []struct {
 		func(p, c []storage.Tuple) []storage.Tuple {
 			n := int64(0)
 			joined(p, c, func(p, c storage.Tuple) {
-				if p[2].F < 5 || c[1].I == 101 {
+				if p[2].Float() < 5 || c[1].I == 101 {
 					n++
 				}
 			})
@@ -212,7 +212,7 @@ var joinCases = []struct {
 			count, sum := map[int64]int64{}, map[int64]float64{}
 			joined(p, c, func(p, c storage.Tuple) {
 				count[c[1].I]++
-				sum[c[1].I] += p[2].F
+				sum[c[1].I] += p[2].Float()
 			})
 			for label, n := range count {
 				out = append(out, storage.Tuple{storage.NewInt(label), storage.NewInt(n), storage.NewFloat(sum[label])})
@@ -222,7 +222,7 @@ var joinCases = []struct {
 	{"SELECT products.id, categories.label FROM products JOIN categories ON products.category = categories.cat_id WHERE products.price >= 20 ORDER BY categories.label DESC, products.id LIMIT 5",
 		func(p, c []storage.Tuple) (out []storage.Tuple) {
 			joined(p, c, func(p, c storage.Tuple) {
-				if p[2].F >= 20 {
+				if p[2].Float() >= 20 {
 					out = append(out, ints(p[0].I, c[1].I))
 				}
 			})

@@ -152,7 +152,7 @@ func TestSelectWhereAndProjection(t *testing.T) {
 		if r[0].I%10 != 3 {
 			t.Fatalf("category filter broken: %v", r)
 		}
-		if r[1].F <= 50 {
+		if r[1].Float() <= 50 {
 			t.Fatalf("price filter broken: %v", r)
 		}
 		if len(r) != 2 {
@@ -188,7 +188,7 @@ func TestScalarAggregate(t *testing.T) {
 	if len(b.Rows) != 1 {
 		t.Fatalf("rows = %d", len(b.Rows))
 	}
-	if b.Rows[0][1].F != 0.5 || b.Rows[0][2].F != 198.5 {
+	if b.Rows[0][1].Float() != 0.5 || b.Rows[0][2].Float() != 198.5 {
 		t.Fatalf("min/max wrong: %v", b.Rows[0])
 	}
 }

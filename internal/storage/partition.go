@@ -2,9 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"math"
 
-	"mb2/internal/catalog"
 	"mb2/internal/fold"
 	"mb2/internal/hw"
 )
@@ -38,12 +36,10 @@ func PartitionHash(t Tuple, keyCols []int) uint64 {
 		if c < 0 || c >= len(t) {
 			continue
 		}
+		// A Float64 value's I is its IEEE-754 bits, so one fold covers
+		// every kind.
 		v := t[c]
-		bits := uint64(v.I)
-		if v.Kind == catalog.Float64 {
-			bits = math.Float64bits(v.F)
-		}
-		h = h.Byte(byte(v.Kind)).U64(bits).Str(v.S)
+		h = h.Byte(byte(v.Kind)).U64(uint64(v.I)).Str(v.S)
 	}
 	return h.Sum64()
 }

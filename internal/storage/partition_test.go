@@ -232,9 +232,10 @@ func FuzzPartitionKey(f *testing.F) {
 }
 
 // TestPartitionHashPinned holds the routing hash to values computed before
-// its byte packing moved into internal/fold. CheckPartitionInvariants routes
-// with the same function it checks, so only a pin can tell that a changed
-// hash would re-route every row.
+// its byte packing moved into internal/fold, and its float keys to values
+// computed while Value still had a separate float field.
+// CheckPartitionInvariants routes with the same function it checks, so only
+// a pin can tell that a changed hash would re-route every row.
 func TestPartitionHashPinned(t *testing.T) {
 	mixed := Tuple{NewFloat(1.5), NewString("abc"), NewInt(-7)}
 	for _, tc := range []struct {
@@ -246,6 +247,16 @@ func TestPartitionHashPinned(t *testing.T) {
 		{"int", Tuple{NewInt(42)}, []int{0}, 0x8f919d0115208895},
 		{"float, string, negative int", mixed, []int{0, 1, 2}, 0xc9d59eeb96ee7883},
 		{"out-of-range columns only", mixed, []int{-1, 3}, 0xcbf29ce484222325},
+		// A float key folds its IEEE-754 bits: -0 and 0 route apart, and so
+		// do two NaN payloads.
+		{"float -0", Tuple{NewFloat(math.Copysign(0, -1))}, []int{0}, 0x5299acdc8ff45a2c},
+		{"float 0", Tuple{NewFloat(0)}, []int{0}, 0x529a2cdc8ff533ac},
+		{"float NaN", Tuple{NewFloat(math.NaN())}, []int{0}, 0x74df74e59db00748},
+		{"float NaN payload", Tuple{NewFloat(math.Float64frombits(0x7ff8dead00beef01))}, []int{0}, 0x5a74159e2ad81de0},
+		{"float +Inf", Tuple{NewFloat(math.Inf(1))}, []int{0}, 0x50b063dc8e54ba31},
+		{"float -Inf", Tuple{NewFloat(math.Inf(-1))}, []int{0}, 0x50afe3dc8e53e0b1},
+		{"float smallest subnormal", Tuple{NewFloat(math.SmallestNonzeroFloat64)}, []int{0}, 0x7194f3e59ae47dcd},
+		{"float 1e300, int", Tuple{NewInt(3), NewFloat(1e300)}, []int{1, 0}, 0x50d7f226b56a353d},
 	} {
 		if got := PartitionHash(tc.tup, tc.cols); got != tc.want {
 			t.Errorf("PartitionHash(%s) = %#x, want %#x", tc.name, got, tc.want)

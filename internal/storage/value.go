@@ -5,15 +5,19 @@ package storage
 
 import (
 	"fmt"
+	"math"
 
 	"mb2/internal/catalog"
 )
 
-// Value is one typed attribute value.
+// Value is one typed attribute value, four machine words (32 bytes): Kind,
+// I and S. An Int64 value keeps its integer in I; a Float64 value keeps its
+// IEEE-754 bits in I, written by NewFloat and read back only through Float;
+// a Varchar value keeps its text in S. No value uses more than one of I and
+// S, so a tuple costs 32 bytes per attribute however its kinds mix.
 type Value struct {
 	Kind catalog.Type
 	I    int64
-	F    float64
 	S    string
 }
 
@@ -21,7 +25,22 @@ type Value struct {
 func NewInt(v int64) Value { return Value{Kind: catalog.Int64, I: v} }
 
 // NewFloat returns a Float64 value.
-func NewFloat(v float64) Value { return Value{Kind: catalog.Float64, F: v} }
+func NewFloat(v float64) Value {
+	return Value{Kind: catalog.Float64, I: int64(math.Float64bits(v))}
+}
+
+// Float decodes a Float64 value's bits: the one place they become a
+// float64 again. For any other kind the result is meaningless.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
+
+// AsFloat widens a numeric value: a Float64 value's float, any other
+// kind's I as a float64.
+func (v Value) AsFloat() float64 {
+	if v.Kind == catalog.Float64 {
+		return v.Float()
+	}
+	return float64(v.I)
+}
 
 // NewString returns a Varchar value.
 func NewString(v string) Value { return Value{Kind: catalog.Varchar, S: v} }
@@ -38,10 +57,11 @@ func (v Value) Compare(o Value) int {
 		}
 		return 0
 	case catalog.Float64:
+		f, g := v.Float(), o.Float()
 		switch {
-		case v.F < o.F:
+		case f < g:
 			return -1
-		case v.F > o.F:
+		case f > g:
 			return 1
 		}
 		return 0
@@ -65,7 +85,7 @@ func (v Value) String() string {
 	case catalog.Int64:
 		return fmt.Sprintf("%d", v.I)
 	case catalog.Float64:
-		return fmt.Sprintf("%g", v.F)
+		return fmt.Sprintf("%g", v.Float())
 	default:
 		return v.S
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 
 	"mb2/internal/catalog"
 	"mb2/internal/hw"
@@ -96,17 +95,13 @@ func decodeRecord(b []byte) (Record, error) {
 			}
 			r.Payload = append(r.Payload, storage.NewString(string(b[off:off+sl])))
 			off += sl
-		case catalog.Float64:
+		case catalog.Int64, catalog.Float64:
 			if off+8 > len(b) {
-				return r, fmt.Errorf("wal: truncated float")
+				return r, fmt.Errorf("wal: truncated %s", kind)
 			}
-			r.Payload = append(r.Payload, storage.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b[off:off+8]))))
-			off += 8
-		case catalog.Int64:
-			if off+8 > len(b) {
-				return r, fmt.Errorf("wal: truncated int")
-			}
-			r.Payload = append(r.Payload, storage.NewInt(int64(binary.LittleEndian.Uint64(b[off:off+8]))))
+			// The eight bytes are the value's I: an integer, or a
+			// float's IEEE-754 bits.
+			r.Payload = append(r.Payload, storage.Value{Kind: kind, I: int64(binary.LittleEndian.Uint64(b[off : off+8]))})
 			off += 8
 		default:
 			return r, fmt.Errorf("wal: unknown value kind %d", kind)

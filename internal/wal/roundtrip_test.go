@@ -9,9 +9,10 @@ import (
 )
 
 // TestRecordRoundTrip is a randomized serialization property test: any
-// stream of records — every type, payloads mixing ints, finite floats, and
-// strings (empty, embedded NULs, non-UTF8 bytes) — must survive
-// Serialize -> Deserialize exactly, including record order.
+// stream of records — every type, payloads mixing ints, floats (finite, -0,
+// ±Inf and NaNs with random payloads), and strings (empty, embedded NULs,
+// non-UTF8 bytes) — must survive Serialize -> Deserialize bit for bit,
+// including record order.
 func TestRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
 	for trial := 0; trial < 25; trial++ {
@@ -54,7 +55,7 @@ func randRecord(rng *rand.Rand) Record {
 			case 0:
 				r.Payload[i] = storage.NewInt(int64(rng.Uint64()))
 			case 1:
-				r.Payload[i] = storage.NewFloat(rng.NormFloat64() * math.Ldexp(1, rng.Intn(100)-50))
+				r.Payload[i] = storage.NewFloat(randFloat(rng))
 			default:
 				b := make([]byte, rng.Intn(100))
 				rng.Read(b)
@@ -65,6 +66,25 @@ func randRecord(rng *rand.Rand) Record {
 	return r
 }
 
+// randFloat draws a finite float most of the time, and otherwise one of
+// the values whose bits an arithmetic round trip would not keep: -0, ±Inf,
+// or a quiet NaN with a random payload.
+func randFloat(rng *rand.Rand) float64 {
+	switch rng.Intn(8) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return math.Float64frombits(0x7ff8<<48 | rng.Uint64()&(1<<51-1))
+	}
+	return rng.NormFloat64() * math.Ldexp(1, rng.Intn(100)-50)
+}
+
+// recordEqual compares payload values as structs: a float's IEEE-754 bits
+// are its I, so -0 differs from 0 and a NaN equals only its own bits.
 func recordEqual(a, b Record) bool {
 	if a.Type != b.Type || a.TxnID != b.TxnID || a.TableID != b.TableID || a.Row != b.Row {
 		return false
@@ -73,7 +93,7 @@ func recordEqual(a, b Record) bool {
 		return false
 	}
 	for i := range a.Payload {
-		if !a.Payload[i].Equal(b.Payload[i]) {
+		if a.Payload[i] != b.Payload[i] {
 			return false
 		}
 	}

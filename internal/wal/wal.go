@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"sync"
 
 	"mb2/internal/catalog"
@@ -105,10 +104,9 @@ func (r Record) Serialize(dst []byte) []byte {
 			binary.LittleEndian.PutUint32(scratch[:4], uint32(len(v.S)))
 			dst = append(dst, scratch[:4]...)
 			dst = append(dst, v.S...)
-		case catalog.Float64:
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v.F))
-			dst = append(dst, scratch[:8]...)
 		default:
+			// Int64 and Float64 alike: I holds the integer or the
+			// float's IEEE-754 bits.
 			binary.LittleEndian.PutUint64(scratch[:], uint64(v.I))
 			dst = append(dst, scratch[:8]...)
 		}
