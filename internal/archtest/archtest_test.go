@@ -38,7 +38,7 @@ var rules = []rule{
 		"internal/session names sql.Parse or NewPlanner only inside Session.miss: a second path from statement text to a plan does not grow beside the plan cache",
 		21, onePlanPath},
 	{"no-key-alloc-in-exec",
-		"internal/exec never names index.KeyFromTuple(: the allocating key encoder is for the B+tree insert, which retains its key; builds and probes encode into ctx.keyBuf with index.AppendKeyFromTuple",
+		"internal/exec never names index.KeyFromTuple(: the allocating key encoder is for callers that keep the key, and no tree call keeps one (Insert copies); builds and probes encode into ctx.keyBuf with index.AppendKeyFromTuple",
 		22, forbid("internal/exec", nil, "index.KeyFromTuple(")},
 	{"one-hash-join-body",
 		"exactly one line under internal/exec stops the HASHJOIN_BUILD bracket (Tracker.Stop(ou.HashJoinBuild): a second hash-join body does not grow back beside exec.hashJoin",

@@ -208,11 +208,13 @@ func (db *DB) BulkLoad(name string, rows []storage.Tuple) error {
 		return fmt.Errorf("engine: table %q does not exist", name)
 	}
 	idxs := db.Catalog.TableIndexes(t.Meta.ID)
+	var key []byte // Insert copies its key
 	for _, data := range rows {
 		row := t.AppendCommitted(data, 0)
 		for _, im := range idxs {
 			if bt := db.Index(im.Name); bt != nil {
-				bt.Insert(nil, index.KeyFromTuple(data, im.KeyCols), row, 1)
+				key = index.AppendKeyFromTuple(key[:0], data, im.KeyCols)
+				bt.Insert(nil, key, row, 1)
 			}
 		}
 	}
@@ -235,11 +237,24 @@ func (db *DB) CreateIndex(col *metrics.Collector, cpu hw.CPU, name, table string
 	t := db.Table(table)
 	snapshot := db.Txns.LastCommitTS()
 
-	var entries []index.Entry
+	// Every key is encoded into one shared buffer; the build copies them
+	// into its leaves, so the buffer goes with entries.
+	entries := make([]index.Entry, 0, t.NumRows())
+	keys := make([]byte, 0, 8*len(meta.KeyCols)*t.NumRows())
 	t.Scan(nil, 0, snapshot, func(row storage.RowID, data storage.Tuple) bool {
-		entries = append(entries, index.Entry{Key: index.KeyFromTuple(data, meta.KeyCols), Row: row})
+		from := len(keys)
+		keys = index.AppendKeyFromTuple(keys, data, meta.KeyCols)
+		entries = append(entries, index.Entry{Key: keys[from:], Row: row})
 		return true
 	})
+	// A buffer that outgrew its estimate moved: point every key at the
+	// final one.
+	off := 0
+	for i := range entries {
+		n := len(entries[i].Key)
+		entries[i].Key = keys[off : off+n : off+n]
+		off += n
+	}
 
 	bt, res := index.BulkBuild(meta, cpu, threads, entries)
 
@@ -412,8 +427,10 @@ func (db *DB) RebuildIndexes(th *hw.Thread) (indexes, rows int) {
 		}
 		for _, im := range db.Catalog.TableIndexes(t.Meta.ID) {
 			bt := index.NewBTree(im)
+			var key []byte // Insert copies its key
 			t.Scan(th, 0, snapshot, func(row storage.RowID, data storage.Tuple) bool {
-				bt.Insert(th, index.KeyFromTuple(data, im.KeyCols), row, 1)
+				key = index.AppendKeyFromTuple(key[:0], data, im.KeyCols)
+				bt.Insert(th, key, row, 1)
 				rows++
 				return true
 			})

@@ -45,11 +45,10 @@ func (db *DB) Delete(tx *txn.Txn, th *hw.Thread, tbl *storage.Table, row storage
 // record. w is recorded before the enqueue can fail, so the caller's abort
 // undoes it either way.
 func (db *DB) logWrite(tx *txn.Txn, th *hw.Thread, typ wal.RecordType, w txn.Write, contenders float64) error {
-	var scratch [64]byte
+	var scratch [64]byte // Insert copies its key
 	for _, im := range db.Catalog.TableIndexes(w.Table.Meta.ID) {
-		if bt := db.Index(im.Name); bt != nil && introduced(scratch[:0], w.Old, w.New, im.KeyCols) != nil {
-			// Fresh key: the tree retains inserted keys.
-			bt.Insert(th, index.KeyFromTuple(w.New, im.KeyCols), w.Row, contenders)
+		if bt, k := db.Index(im.Name), introduced(scratch[:0], w.Old, w.New, im.KeyCols); bt != nil && k != nil {
+			bt.Insert(th, k, w.Row, contenders)
 		}
 	}
 	tx.RecordWrite(w)

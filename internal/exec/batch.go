@@ -104,40 +104,65 @@ func (b *Batch) AvgWidth() float64 {
 // Batch of them is billed — rows, cols and width return NumRows, NumCols and
 // AvgWidth of that Batch, bit for bit.
 type shape struct {
-	widths *[]int // every row's width, pooled; AvgWidth samples by position
-	ncols  int    // the first row's column count
+	widths widthLog
+	ncols  int // the first row's column count
 }
-
-func newShape() shape { return shape{widths: getIntBuf()} }
-
-func (s *shape) release() { putIntBuf(s.widths) }
 
 func (s *shape) note(t storage.Tuple) {
-	if len(*s.widths) == 0 {
+	if s.widths.n == 0 {
 		s.ncols = len(t)
 	}
-	*s.widths = append(*s.widths, t.Bytes())
+	s.widths.add(t.Bytes())
 }
 
-func (s *shape) rows() float64 { return float64(len(*s.widths)) }
+func (s *shape) rows() float64 { return float64(s.widths.n) }
 
 func (s *shape) cols() float64 { return float64(s.ncols) }
 
-func (s *shape) width() float64 { return sampledWidth(*s.widths) }
+func (s *shape) width() float64 { return s.widths.sampled() }
 
-// sampledWidth computes AvgWidth's statistic over a pre-extracted width
-// list. The streaming drivers record per-row widths as rows pass (tuples are
-// never materialized) and bill the exact charge the Materialize driver would
-// have made.
-func sampledWidth(widths []int) float64 {
-	if len(widths) == 0 {
+// widthLog records the widths of a stream of rows as runs of equal width,
+// which is what the streaming drivers keep instead of the rows (tuples are
+// never materialized) to bill the exact charge the Materialize driver
+// would have made. A fixed-width row stream is one run, held inline.
+type widthLog struct {
+	n    int        // rows recorded
+	cur  widthRun   // the open run
+	done []widthRun // the closed runs, in order
+}
+
+type widthRun struct{ w, n int }
+
+func (l *widthLog) add(w int) {
+	if l.cur.n > 0 && l.cur.w != w {
+		l.done = append(l.done, l.cur)
+		l.cur = widthRun{}
+	}
+	l.cur.w = w
+	l.cur.n++
+	l.n++
+}
+
+// sampled returns AvgWidth's statistic over the recorded widths: the mean
+// of the widths at positions 0, step, 2*step, ..., step = n/64+1.
+func (l *widthLog) sampled() float64 {
+	if l.n == 0 {
 		return 0
 	}
-	step := len(widths)/64 + 1
-	total, n := 0, 0
-	for i := 0; i < len(widths); i += step {
-		total += widths[i]
-		n++
+	step := l.n/64 + 1
+	total, count, pos, next := 0, 0, 0, 0 // next: the next sampled position
+	for i := 0; i <= len(l.done); i++ {
+		r := l.cur
+		if i < len(l.done) {
+			r = l.done[i]
+		}
+		pos += r.n
+		if next < pos {
+			k := (pos-1-next)/step + 1 // sampled positions inside this run
+			total += k * r.w
+			count += k
+			next += k * step
+		}
 	}
-	return float64(total) / float64(n)
+	return float64(total) / float64(count)
 }

@@ -81,6 +81,21 @@ func TestInterruptInsideFusedFragment(t *testing.T) {
 	}
 }
 
+// filteredChainCount is filteredCount behind a RowPass chain of three
+// filter stages — the scan's own and two wrapper filters — each of which
+// records the widths of the rows entering it.
+func filteredChainCount(keep int) *plan.AggNode {
+	agg := filteredCount(keep)
+	agg.Child = &plan.FilterNode{
+		Pred: plan.Cmp{Op: plan.GE, L: plan.Col(1), R: plan.IntConst(0)},
+		Child: &plan.FilterNode{
+			Pred:  plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(int64(keep))},
+			Child: &plan.SeqScanNode{Table: "items", Filter: plan.Cmp{Op: plan.GE, L: plan.Col(0), R: plan.IntConst(0)}},
+		},
+	}
+	return agg
+}
+
 // filteredSelfJoin joins the rows of items with id < keep to themselves on id:
 // a build side and a probe side that scan the whole table and keep keep rows.
 func filteredSelfJoin(keep int) *plan.HashJoinNode {
@@ -102,7 +117,7 @@ func coPartitionedJoin() *plan.HashJoinNode {
 // off and returns allocations and bytes per run. The garbage collector is
 // off for the measurement, so a pooled buffer, once grown, stays in its pool;
 // two collections first empty the pools of what earlier tests left there, and
-// the warm-up runs are as many as it takes every width buffer the plan then
+// the warm-up runs are as many as it takes every pooled buffer the plan then
 // draws to have served the largest stage once (sync.Pool hands them out in
 // rotation).
 func measureRuns(t *testing.T, ctx *Ctx, q plan.Node) (allocs, bytes float64) {
@@ -140,7 +155,8 @@ func TestBatchIsTwoSlices(t *testing.T) {
 // aggregate over n and 4n rows with ten groups allocates, and what a join of
 // two filtered scans that keep the same rows at both sizes allocates. Neither
 // allocations nor bytes grow with the input on any driver. Streamed (RowPass,
-// VecPass), what a fold keeps per row is one int in a pooled width buffer.
+// VecPass), a fold keeps nothing per row: a stage's or a breaker's row
+// widths are runs of equal width, one run for these fixed-width rows.
 // Materialized — on one partition, or through the Exchange over four at DOP
 // 2 — the child batch is consumed: its row array, sized for the whole table,
 // comes from the row-array pool and goes back to it, and nothing is
@@ -187,6 +203,8 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		// A constant, plus the group count: state, key, group columns, four
 		// accumulators and the output row of each group.
 		{"agg", filteredCount(n / 2), filteredCount(2 * n), 24 + 8*groups, 1, false},
+		// The same, each chain stage keeping its input's widths as one run.
+		{"filter_chain", filteredChainCount(n / 2), filteredChainCount(2 * n), 24 + 8*groups, 1, false},
 		// A constant, plus the joined rows: a heap tuple each under
 		// Materialize.
 		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 40 + joined, 2, false},
@@ -225,7 +243,7 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 					}
 					if raceEnabled {
 						// sync.Pool drops Puts at random under the race
-						// detector, so a row array or width buffer sometimes
+						// detector, so a row array or posting buffer sometimes
 						// regrows: a few allocations each, where a key per
 						// row would be thousands.
 						if la > limit+100 {

@@ -66,10 +66,10 @@ type chainStage struct {
 	cols  []int
 	exprs []plan.Expr
 
-	inRows int    // rows entering the stage
-	widths *[]int // RowPass: the width of every entering row (pooled)
-	chunks int    // VecPass: chunks entering the stage, and the summed
-	wSum   int    // width of one sampled live lane per chunk
+	inRows int      // rows entering the stage
+	widths widthLog // RowPass: the width of every entering row
+	chunks int      // VecPass: chunks entering the stage, and the summed
+	wSum   int      // width of one sampled live lane per chunk
 }
 
 // chainStages lists a chain's stages in application order: the source's own
@@ -355,24 +355,16 @@ func streamChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, sink func(stor
 	if drv == plan.VecPass {
 		return runVecPass(ctx, p.Source.(*plan.SeqScanNode), stages, p.HasRowIDs(), sink)
 	}
-	for i := range stages {
-		if stages[i].cols == nil {
-			stages[i].widths = getIntBuf()
-		}
-	}
 	err := runSource(ctx, p.Source, &rowRun{ctx: ctx, stages: stages, sink: sink})
-	for i := range stages {
-		st := &stages[i]
-		if st.cols != nil {
-			continue
-		}
-		if err == nil {
-			emitArithmetic(ctx, float64(st.inRows), sampledWidth(*st.widths), st.opsPerRow())
-		}
-		putIntBuf(st.widths)
-		st.widths = nil
+	if err != nil {
+		return err
 	}
-	return err
+	for i := range stages {
+		if st := &stages[i]; st.cols == nil {
+			emitArithmetic(ctx, float64(st.inRows), st.widths.sampled(), st.opsPerRow())
+		}
+	}
+	return nil
 }
 
 // rowRun is the RowPass driver's per-tuple machine: the sink its source
@@ -392,7 +384,7 @@ func (rp *rowRun) push(rid storage.RowID, t storage.Tuple) {
 		st := &rp.stages[i]
 		if st.cols == nil {
 			st.inRows++
-			*st.widths = append(*st.widths, t.Bytes())
+			st.widths.add(t.Bytes())
 		}
 		var keep bool
 		if t, keep = st.step(t, &rp.ctx.arena); !keep {
@@ -541,8 +533,7 @@ func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	}
 	ctx.keyBuf = jt.build(left.Rows, n.LeftKeys, ctx.keyBuf)
 
-	right := newShape()
-	defer right.release()
+	var right shape
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
 	// The probe side's own OU records emit here, before the build and probe
 	// brackets: operator-at-a-time order.

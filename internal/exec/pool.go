@@ -12,9 +12,10 @@ import (
 // Hot-path scratch memory discipline. The drivers draw four kinds of
 // buffers:
 //
-//   - pooled scratch (scan-row buffers, posting buffers, width buffers — a
-//     stage's and a breaker's shape's alike): returned to a sync.Pool
-//     before Execute returns; never escapes.
+//   - pooled scratch (scan-row buffers, posting buffers): returned to a
+//     sync.Pool before Execute returns; never escapes. Row widths are not
+//     buffered at all: a stage and a breaker's shape keep them as a
+//     run-length widthLog, one inline run for a fixed-width stream.
 //   - per-Ctx scratch (join and group key buffers): a Ctx is single-worker
 //     by contract, so its key buffer is reused row-to-row with no
 //     synchronization.
@@ -49,10 +50,6 @@ var postingBufPool = sync.Pool{
 	New: func() any { b := make([]index.Entry, 0, 256); return &b },
 }
 
-var intBufPool = sync.Pool{
-	New: func() any { b := make([]int, 0, 1024); return &b },
-}
-
 // joinWorker is a partition-wise join worker's build state: its join table
 // and key scratch. Neither keeps a tuple — the table holds key bytes and
 // row numbers — so a worker reuses whatever an earlier join left, and a
@@ -76,13 +73,6 @@ func getPostingBuf() *[]index.Entry { return postingBufPool.Get().(*[]index.Entr
 func putPostingBuf(b *[]index.Entry) {
 	*b = (*b)[:0]
 	postingBufPool.Put(b)
-}
-
-func getIntBuf() *[]int { return intBufPool.Get().(*[]int) }
-
-func putIntBuf(b *[]int) {
-	*b = (*b)[:0]
-	intBufPool.Put(b)
 }
 
 // rowPools[k] holds row arrays of capacity at least 1<<k, each kept as a

@@ -195,8 +195,7 @@ type aggState struct {
 // bracket: records, features and labels are those of a build that charged as
 // it went, on every driver.
 func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
-	in := newShape()
-	defer in.release()
+	var in shape
 	groups := make(map[string]*aggState)
 	var order []*aggState // first-seen order
 	err := feed(ctx, n.Child, nil, func(_ storage.RowID, r storage.Tuple) {
@@ -205,7 +204,7 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 		if !ok {
 			st = &aggState{
 				group:  heap.projectCols(r, n.GroupBy),
-				first:  len(*in.widths),
+				first:  in.widths.n,
 				counts: make([]float64, len(n.Aggs)),
 				sums:   make([]float64, len(n.Aggs)),
 				mins:   make([]float64, len(n.Aggs)),
@@ -239,7 +238,7 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 	// Build: aggregate hash table grows with inserted unique keys (Sec 4.3).
 	start := ctx.Tracker.Start()
 	grown := 0
-	for i := range *in.widths {
+	for i := range in.widths.n {
 		if grown < len(order) && order[grown].first == i {
 			grown++
 			ctx.Thread().Alloc(entryBytes)
@@ -288,8 +287,7 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 // execSort's build appends the rows feed delivers straight into the sort
 // buffer, which the result then owns.
 func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
-	in := newShape()
-	defer in.release()
+	var in shape
 	var buf []storage.Tuple
 	err := feed(ctx, n.Child, func(rows int) { buf = make([]storage.Tuple, 0, rows) },
 		func(_ storage.RowID, r storage.Tuple) {

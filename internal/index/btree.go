@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"sort"
 	"sync"
 
@@ -15,12 +16,29 @@ const fanout = 64
 // bulkFill is the leaf fill factor used by bulk builds.
 const bulkFill = 48
 
+// span locates one leaf key's bytes in the leaf's slab.
+type span struct{ off, n uint32 }
+
+// node is one B+tree node. An internal node's keys[i] is the minimum key of
+// children[i]; every separator is the node's own copy, so no internal node
+// pins a leaf's slab.
+//
+// A leaf stores an entry as its key bytes and its row: key i is
+// slab[spans[i]], its first row first[i], its later rows, in posting order,
+// more[i]. more stays nil until a key of the leaf repeats. The slab is
+// append-only: a key byte, once handed out, is never rewritten — growth,
+// compaction and split write a fresh slab — so a key SearchRange passed out
+// stays valid after the read latch is released.
 type node struct {
 	leaf     bool
 	keys     []Key
-	children []*node           // internal nodes
-	rows     [][]storage.RowID // leaf postings (duplicates allowed)
-	next     *node             // leaf sibling chain
+	children []*node
+
+	slab  []byte
+	spans []span
+	first []storage.RowID
+	more  [][]storage.RowID
+	next  *node // leaf sibling chain
 }
 
 // BTree is a latch-protected B+tree mapping composite keys to row IDs.
@@ -73,20 +91,60 @@ func (t *BTree) chargeDescent(th *hw.Thread, loops float64) {
 	th.Compute(float64(t.height) * 12) // binary search per node
 }
 
-func searchNode(n *node, k Key) int {
-	return sort.Search(len(n.keys), func(i int) bool { return n.keys[i].Compare(k) >= 0 })
+// key returns leaf key i, capped so that appending to it cannot reach the
+// slab bytes behind it.
+func (n *node) key(i int) Key {
+	s := n.spans[i]
+	return Key(n.slab[s.off : s.off+s.n : s.off+s.n])
+}
+
+// moreRows returns leaf key i's rows after its first.
+func (n *node) moreRows(i int) []storage.RowID {
+	if n.more == nil {
+		return nil
+	}
+	return n.more[i]
+}
+
+// search returns the position of the first leaf key >= k.
+func (n *node) search(k Key) int {
+	lo, hi := 0, len(n.spans)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if n.key(m).Compare(k) < 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// find returns the position of leaf key k, or -1.
+func (n *node) find(k Key) int {
+	if i := n.search(k); i < len(n.spans) && n.key(i).Equal(k) {
+		return i
+	}
+	return -1
 }
 
 // childIndex returns the child to descend into for key k under the
-// convention that keys[i] is the minimum key of children[i].
+// convention that keys[i] is the minimum key of children[i]: the number of
+// separators after the first that are <= k. keys[0] is never read: keys
+// below the tree's minimum descend into child 0 and can leave its
+// separator stale-high, and one read would send a lookup of child 1's
+// minimum into child 0.
 func childIndex(n *node, k Key) int {
-	i := searchNode(n, k)
-	if i == len(n.keys) || n.keys[i].Compare(k) > 0 {
-		if i > 0 {
-			i--
-		}
+	return sort.Search(len(n.keys)-1, func(i int) bool { return n.keys[i+1].Compare(k) > 0 })
+}
+
+// leafFor descends to the leaf that holds or would hold k.
+func (t *BTree) leafFor(k Key) *node {
+	n := t.root
+	for !n.leaf {
+		n = n.children[childIndex(n, k)]
 	}
-	return i
+	return n
 }
 
 // SearchEQ returns all rows indexed under the key. loops conveys whether the
@@ -96,17 +154,16 @@ func (t *BTree) SearchEQ(th *hw.Thread, k Key, loops float64) []storage.RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.chargeDescent(th, loops)
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n, k)]
+	n := t.leafFor(k)
+	i := n.find(k)
+	if i < 0 {
+		return nil
 	}
-	i := searchNode(n, k)
-	if i < len(n.keys) && n.keys[i].Equal(k) {
-		out := make([]storage.RowID, len(n.rows[i]))
-		copy(out, n.rows[i])
-		return out
-	}
-	return nil
+	more := n.moreRows(i)
+	out := make([]storage.RowID, 1+len(more))
+	out[0] = n.first[i]
+	copy(out[1:], more)
+	return out
 }
 
 // SearchEQFunc calls fn for every row indexed under the key, in posting
@@ -118,16 +175,16 @@ func (t *BTree) SearchEQFunc(th *hw.Thread, k Key, loops float64, fn func(storag
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.chargeDescent(th, loops)
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n, k)]
-	}
-	i := searchNode(n, k)
-	if i >= len(n.keys) || !n.keys[i].Equal(k) {
+	n := t.leafFor(k)
+	i := n.find(k)
+	if i < 0 {
 		return 0
 	}
-	visited := 0
-	for _, r := range n.rows[i] {
+	if !fn(n.first[i]) {
+		return 1
+	}
+	visited := 1
+	for _, r := range n.moreRows(i) {
 		visited++
 		if !fn(r) {
 			break
@@ -137,34 +194,37 @@ func (t *BTree) SearchEQFunc(th *hw.Thread, k Key, loops float64, fn func(storag
 }
 
 // SearchRange calls fn for every entry with lo <= key <= hi, in key order,
-// until fn returns false. It returns the number of entries visited.
+// until fn returns false. It returns the number of entries visited. The
+// keys fn receives are the tree's own bytes, which are never rewritten: fn
+// may keep them past the call, but must not modify them.
 func (t *BTree) SearchRange(th *hw.Thread, lo, hi Key, fn func(Key, storage.RowID) bool) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	t.chargeDescent(th, 1)
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n, lo)]
-	}
 	visited := 0
-	for n != nil {
-		for i := range n.keys {
-			if n.keys[i].Compare(lo) < 0 {
+	for n := t.leafFor(lo); n != nil; n = n.next {
+		for i := range n.spans {
+			k := n.key(i)
+			if k.Compare(lo) < 0 {
 				continue
 			}
-			if hi != nil && n.keys[i].Compare(hi) > 0 {
+			if hi != nil && k.Compare(hi) > 0 {
 				t.chargeLeafScan(th, visited)
 				return visited
 			}
-			for _, r := range n.rows[i] {
+			visited++
+			if !fn(k, n.first[i]) {
+				t.chargeLeafScan(th, visited)
+				return visited
+			}
+			for _, r := range n.moreRows(i) {
 				visited++
-				if !fn(n.keys[i], r) {
+				if !fn(k, r) {
 					t.chargeLeafScan(th, visited)
 					return visited
 				}
 			}
 		}
-		n = n.next
 	}
 	t.chargeLeafScan(th, visited)
 	return visited
@@ -178,7 +238,8 @@ func (t *BTree) chargeLeafScan(th *hw.Thread, entries int) {
 }
 
 // Insert adds a (key,row) entry. contenders is the number of threads
-// concurrently mutating the index; it scales the latch charge.
+// concurrently mutating the index; it scales the latch charge. The tree
+// copies k, so callers may pass scratch.
 func (t *BTree) Insert(th *hw.Thread, k Key, row storage.RowID, contenders float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -201,42 +262,42 @@ func (t *BTree) Insert(th *hw.Thread, k Key, row storage.RowID, contenders float
 	}
 }
 
+// minKey returns a copy of the subtree's minimum leaf key, or nil for an
+// empty leaf.
 func (n *node) minKey() Key {
 	for !n.leaf {
 		n = n.children[0]
 	}
-	if len(n.keys) == 0 {
+	if len(n.spans) == 0 {
 		return nil
 	}
-	return n.keys[0]
+	return bytes.Clone(n.key(0))
 }
 
 // insertRec inserts into the subtree and returns a promoted separator key
 // and new right sibling when the child split.
 func (t *BTree) insertRec(n *node, k Key, row storage.RowID, th *hw.Thread) (Key, *node) {
 	if n.leaf {
-		i := searchNode(n, k)
-		if i < len(n.keys) && n.keys[i].Equal(k) {
-			n.rows[i] = append(n.rows[i], row)
+		i := n.search(k)
+		if i < len(n.spans) && n.key(i).Equal(k) {
+			if n.more == nil {
+				n.more = make([][]storage.RowID, len(n.spans), cap(n.spans))
+			}
+			n.more[i] = append(n.more[i], row)
 			t.numRows++
 			if th != nil {
 				th.RandWrite(1, t.sizeBytesLocked())
 			}
 			return nil, nil
 		}
-		n.keys = append(n.keys, nil)
-		copy(n.keys[i+1:], n.keys[i:])
-		n.keys[i] = k
-		n.rows = append(n.rows, nil)
-		copy(n.rows[i+1:], n.rows[i:])
-		n.rows[i] = []storage.RowID{row}
+		n.insertKey(i, k, row)
 		t.numKeys++
 		t.numRows++
 		if th != nil {
 			th.RandWrite(1, t.sizeBytesLocked())
 			th.Alloc(float64(len(k)) + 16)
 		}
-		if len(n.keys) > fanout {
+		if len(n.spans) > fanout {
 			return t.splitLeaf(n, th)
 		}
 		return nil, nil
@@ -259,22 +320,103 @@ func (t *BTree) insertRec(n *node, k Key, row storage.RowID, th *hw.Thread) (Key
 	return nil, nil
 }
 
-func (t *BTree) splitLeaf(n *node, th *hw.Thread) (Key, *node) {
-	mid := len(n.keys) / 2
-	right := &node{
-		leaf: true,
-		keys: append([]Key(nil), n.keys[mid:]...),
-		rows: append([][]storage.RowID(nil), n.rows[mid:]...),
-		next: n.next,
+// insertKey places a new key at leaf position i with row as its only
+// posting, copying k's bytes to the end of the slab.
+func (n *node) insertKey(i int, k Key, row storage.RowID) {
+	if len(n.slab)+len(k) > cap(n.slab) {
+		n.compact(len(k))
 	}
-	n.keys = n.keys[:mid]
-	n.rows = n.rows[:mid]
-	n.next = right
+	s := span{uint32(len(n.slab)), uint32(len(k))}
+	n.slab = append(n.slab, k...)
+	n.spans = insertAt(n.spans, i, s)
+	n.first = insertAt(n.first, i, row)
+	if n.more != nil {
+		n.more = insertAt(n.more, i, nil)
+	}
+}
+
+// compact moves the leaf's live keys into a fresh slab with room for extra
+// more bytes, dropping the bytes of deleted keys. The old slab is left as
+// it was for whoever still holds one of its keys. The fresh slab doubles
+// what is needed, up to what the leaf needs once full at its current
+// average key width.
+func (n *node) compact(extra int) {
+	need := extra
+	for _, s := range n.spans {
+		need += int(s.n)
+	}
+	full := (fanout + 1) * need / (len(n.spans) + 1)
+	slab := make([]byte, 0, max(need, min(2*need, full)))
+	for i, s := range n.spans {
+		n.spans[i].off = uint32(len(slab))
+		slab = append(slab, n.slab[s.off:s.off+s.n]...)
+	}
+	n.slab = slab
+}
+
+// insertAt inserts v at position i of s. A full s grows by doubling, and
+// straight to fanout+1 once doubling would pass fanout, so a leaf's arrays
+// never hold more room than the split point needs.
+func insertAt[T any](s []T, i int, v T) []T {
+	if len(s) == cap(s) {
+		c := max(2*cap(s), 4)
+		if c >= fanout {
+			c = max(fanout+1, len(s)+1)
+		}
+		grown := make([]T, len(s), c)
+		copy(grown, s)
+		s = grown
+	}
+	s = s[:len(s)+1]
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+// removeAt removes position i of s, clearing the vacated last slot.
+func removeAt[T any](s []T, i int) []T {
+	copy(s[i:], s[i+1:])
+	var zero T
+	s[len(s)-1] = zero
+	return s[:len(s)-1]
+}
+
+// slice returns a fresh leaf holding keys [lo, hi) of n, every array sized
+// exactly.
+func (n *node) slice(lo, hi int) *node {
+	bytes := 0
+	for _, s := range n.spans[lo:hi] {
+		bytes += int(s.n)
+	}
+	m := &node{
+		leaf:  true,
+		slab:  make([]byte, 0, bytes),
+		spans: make([]span, hi-lo),
+		first: append([]storage.RowID(nil), n.first[lo:hi]...),
+	}
+	for i, s := range n.spans[lo:hi] {
+		m.spans[i] = span{uint32(len(m.slab)), s.n}
+		m.slab = append(m.slab, n.slab[s.off:s.off+s.n]...)
+	}
+	for i := lo; i < hi; i++ {
+		if len(n.moreRows(i)) > 0 {
+			m.more = append([][]storage.RowID(nil), n.more[lo:hi]...)
+			break
+		}
+	}
+	return m
+}
+
+func (t *BTree) splitLeaf(n *node, th *hw.Thread) (Key, *node) {
+	mid := len(n.spans) / 2
+	left, right := n.slice(0, mid), n.slice(mid, len(n.spans))
+	left.next, right.next = right, n.next
+	*n = *left
 	if th != nil {
 		th.Alloc(float64(fanout) * (float64(t.keySize) + 16))
-		th.SeqWrite(float64(len(right.keys)), float64(t.keySize)+16)
+		th.SeqWrite(float64(len(right.spans)), float64(t.keySize)+16)
 	}
-	return right.keys[0], right
+	return bytes.Clone(right.key(0)), right
 }
 
 func (t *BTree) splitInternal(n *node, th *hw.Thread) (Key, *node) {
@@ -302,28 +444,56 @@ func (t *BTree) Delete(th *hw.Thread, k Key, row storage.RowID, contenders float
 		th.Latch(contenders)
 	}
 	t.chargeDescent(th, 1)
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n, k)]
-	}
-	i := searchNode(n, k)
-	if i >= len(n.keys) || !n.keys[i].Equal(k) {
+	n := t.leafFor(k)
+	i := n.find(k)
+	if i < 0 {
 		return false
 	}
-	for j, r := range n.rows[i] {
-		if r == row {
-			n.rows[i] = append(n.rows[i][:j], n.rows[i][j+1:]...)
-			t.numRows--
-			if len(n.rows[i]) == 0 {
-				n.keys = append(n.keys[:i], n.keys[i+1:]...)
-				n.rows = append(n.rows[:i], n.rows[i+1:]...)
-				t.numKeys--
-			}
-			if th != nil {
-				th.RandWrite(1, t.sizeBytesLocked())
-			}
-			return true
-		}
+	removed, keyGone := n.removeRow(i, row)
+	if !removed {
+		return false
 	}
-	return false
+	t.numRows--
+	if keyGone {
+		t.numKeys--
+	}
+	if th != nil {
+		th.RandWrite(1, t.sizeBytesLocked())
+	}
+	return true
+}
+
+// removeRow removes row's first posting under leaf key i, keeping posting
+// order, and the key with its last posting. It reports whether row was
+// there and whether the key went.
+func (n *node) removeRow(i int, row storage.RowID) (removed, keyGone bool) {
+	more := n.moreRows(i)
+	if n.first[i] != row {
+		j := 0
+		for j < len(more) && more[j] != row {
+			j++
+		}
+		if j == len(more) {
+			return false, false
+		}
+		more = removeAt(more, j)
+	} else if len(more) > 0 {
+		n.first[i] = more[0]
+		more = removeAt(more, 0)
+	} else {
+		n.spans = removeAt(n.spans, i)
+		n.first = removeAt(n.first, i)
+		if n.more != nil {
+			n.more = removeAt(n.more, i)
+		}
+		if len(n.spans) == 0 {
+			n.slab = nil
+		}
+		return true, true
+	}
+	if len(more) == 0 {
+		more = nil
+	}
+	n.more[i] = more
+	return true, false
 }

@@ -15,9 +15,10 @@ type Entry struct {
 	Row storage.RowID
 }
 
-// KeyFromTuple encodes the key columns of a tuple into a fresh key (safe
-// to retain, e.g. by B+tree inserts). Hot paths that only look keys up
-// should use AppendKeyFromTuple with a reusable scratch buffer instead.
+// KeyFromTuple encodes the key columns of a tuple into a fresh key, for a
+// caller that keeps it (a map key, a checker's entry). Every tree call
+// copies or only compares its key, so writes and probes encode into a
+// reusable scratch buffer with AppendKeyFromTuple instead.
 func KeyFromTuple(t storage.Tuple, cols []int) Key {
 	return AppendKeyFromTuple(make([]byte, 0, 8*len(cols)), t, cols)
 }
@@ -132,38 +133,71 @@ func splitEntries(sorted []Entry, threads int) [][]Entry {
 // work and per-node installation latches to th.
 func buildLeaves(t *BTree, th *hw.Thread, shard []Entry, contenders float64) []*node {
 	var leaves []*node
-	var cur *node
 	keyBytes := float64(t.keySize)
-	for i := 0; i < len(shard); {
-		if cur == nil || len(cur.keys) >= bulkFill {
-			cur = &node{leaf: true}
-			leaves = append(leaves, cur)
-			th.Alloc(float64(bulkFill) * (keyBytes + 16))
-			th.Latch(contenders) // install node into the shared tree
+	for len(shard) > 0 {
+		cur, took := bulkLeaf(shard)
+		shard = shard[took:]
+		leaves = append(leaves, cur)
+		th.Alloc(float64(bulkFill) * (keyBytes + 16))
+		th.Latch(contenders) // install node into the shared tree
+		for i := range cur.spans {
+			rows := 1 + len(cur.moreRows(i))
+			t.numKeys++
+			t.numRows += rows
+			// Each entry pays the concurrent-insert path of a production build:
+			// key extraction and comparison work plus a descent through the
+			// already-built portion of the tree (which is what makes large
+			// builds memory-bound and expensive — the paper's builds run
+			// minutes, ~10us/row/thread).
+			built := float64(t.numRows) * (keyBytes + 16)
+			for range rows {
+				th.Compute(2000)
+				th.RandRead(4, built, 1)
+			}
+			th.SeqWrite(float64(rows), keyBytes+16)
 		}
-		k := shard[i].Key
-		var rows []storage.RowID
-		for i < len(shard) && shard[i].Key.Equal(k) {
-			rows = append(rows, shard[i].Row)
-			i++
-		}
-		cur.keys = append(cur.keys, k)
-		cur.rows = append(cur.rows, rows)
-		t.numKeys++
-		t.numRows += len(rows)
-		// Each entry pays the concurrent-insert path of a production build:
-		// key extraction and comparison work plus a descent through the
-		// already-built portion of the tree (which is what makes large
-		// builds memory-bound and expensive — the paper's builds run
-		// minutes, ~10us/row/thread).
-		built := float64(t.numRows) * (keyBytes + 16)
-		for range rows {
-			th.Compute(2000)
-			th.RandRead(4, built, 1)
-		}
-		th.SeqWrite(float64(len(rows)), keyBytes+16)
 	}
 	return leaves
+}
+
+// bulkLeaf builds one leaf from the first bulkFill distinct keys of a sorted
+// shard, every array sized exactly, and returns it with the number of
+// entries it took. The rows after each key's first share one array.
+func bulkLeaf(shard []Entry) (*node, int) {
+	keys, bytes, dups, took := 0, 0, 0, 0
+	for took < len(shard) && keys < bulkFill {
+		k := shard[took].Key
+		keys++
+		bytes += len(k)
+		for took++; took < len(shard) && shard[took].Key.Equal(k); took++ {
+			dups++
+		}
+	}
+	n := &node{
+		leaf:  true,
+		slab:  make([]byte, 0, bytes),
+		spans: make([]span, 0, keys),
+		first: make([]storage.RowID, 0, keys),
+	}
+	var rest []storage.RowID
+	if dups > 0 {
+		n.more = make([][]storage.RowID, keys)
+		rest = make([]storage.RowID, 0, dups)
+	}
+	for i := 0; i < took; {
+		k := shard[i].Key
+		n.spans = append(n.spans, span{uint32(len(n.slab)), uint32(len(k))})
+		n.slab = append(n.slab, k...)
+		n.first = append(n.first, shard[i].Row)
+		from := len(rest)
+		for i++; i < took && shard[i].Key.Equal(k); i++ {
+			rest = append(rest, shard[i].Row)
+		}
+		if len(rest) > from {
+			n.more[len(n.spans)-1] = rest[from:len(rest):len(rest)]
+		}
+	}
+	return n, took
 }
 
 // buildInternal builds the internal levels bottom-up and returns the root

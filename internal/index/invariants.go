@@ -11,15 +11,18 @@ import (
 //
 //   - every leaf sits at the same depth (matching the recorded height);
 //   - node fanout stays within bounds;
-//   - keys are strictly increasing within every node and across the whole
-//     leaf chain;
+//   - keys are strictly increasing within every leaf and across the whole
+//     leaf chain, and an internal node's separators after its first are
+//     strictly increasing (the first is never read, and inserts below the
+//     tree's minimum leave it stale-high);
 //   - an internal node's separator keys bound its children: for i >= 1
 //     every key in child i is >= keys[i], and every key in child i is
 //     < keys[i+1] (separators may be stale-low after deletions, never
 //     stale-high);
 //   - the leaf sibling chain enumerates exactly the leaves reachable from
 //     the root, in order;
-//   - every leaf key has a non-empty posting list, and the numKeys/numRows
+//   - a leaf's first rows and later-row lists parallel its keys, every
+//     key's span lies inside the leaf's slab, and the numKeys/numRows
 //     counters match the tree's contents.
 //
 // The concurrency harness (internal/check) runs this between stress phases
@@ -73,41 +76,15 @@ type treeValidator struct {
 // subtree may contain: lo is inclusive (nil for the leftmost spine, which
 // absorbs below-minimum inserts), hi exclusive (nil for unbounded).
 func (v *treeValidator) node(n *node, depth, height int, lo, hi Key) error {
-	for i := 1; i < len(n.keys); i++ {
+	if n.leaf {
+		return v.leaf(n, depth, height, lo, hi)
+	}
+	// keys[0] is not ordered: routing never reads it (childIndex).
+	for i := 2; i < len(n.keys); i++ {
 		if n.keys[i-1].Compare(n.keys[i]) >= 0 {
 			return fmt.Errorf("index %q: keys out of order at depth %d: %x >= %x",
 				v.name, depth, n.keys[i-1], n.keys[i])
 		}
-	}
-	if n.leaf {
-		if depth != height {
-			return fmt.Errorf("index %q: leaf at depth %d, tree height %d", v.name, depth, height)
-		}
-		if len(n.keys) > fanout {
-			return fmt.Errorf("index %q: leaf holds %d keys, fanout %d", v.name, len(n.keys), fanout)
-		}
-		if len(n.rows) != len(n.keys) {
-			return fmt.Errorf("index %q: leaf has %d posting lists for %d keys", v.name, len(n.rows), len(n.keys))
-		}
-		for i, k := range n.keys {
-			if lo != nil && k.Compare(lo) < 0 {
-				return fmt.Errorf("index %q: leaf key %x below separator %x", v.name, k, lo)
-			}
-			if hi != nil && k.Compare(hi) >= 0 {
-				return fmt.Errorf("index %q: leaf key %x at or above next separator %x", v.name, k, hi)
-			}
-			if v.haveKey && v.lastKey.Compare(k) >= 0 {
-				return fmt.Errorf("index %q: leaf chain not strictly increasing at key %x", v.name, k)
-			}
-			v.lastKey, v.haveKey = k, true
-			if len(n.rows[i]) == 0 {
-				return fmt.Errorf("index %q: key %x has an empty posting list", v.name, k)
-			}
-			v.rows += len(n.rows[i])
-		}
-		v.keys += len(n.keys)
-		v.leaves = append(v.leaves, n)
-		return nil
 	}
 	if depth >= height {
 		return fmt.Errorf("index %q: internal node at depth %d, tree height %d", v.name, depth, height)
@@ -137,6 +114,41 @@ func (v *treeValidator) node(n *node, depth, height int, lo, hi Key) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// leaf validates one leaf: its parallel arrays, every key's span inside
+// the slab, and its keys' order and bounds.
+func (v *treeValidator) leaf(n *node, depth, height int, lo, hi Key) error {
+	if depth != height {
+		return fmt.Errorf("index %q: leaf at depth %d, tree height %d", v.name, depth, height)
+	}
+	if len(n.spans) > fanout {
+		return fmt.Errorf("index %q: leaf holds %d keys, fanout %d", v.name, len(n.spans), fanout)
+	}
+	if len(n.first) != len(n.spans) || (n.more != nil && len(n.more) != len(n.spans)) {
+		return fmt.Errorf("index %q: leaf has %d first rows and %d later-row lists for %d keys",
+			v.name, len(n.first), len(n.more), len(n.spans))
+	}
+	for i, s := range n.spans {
+		if uint64(s.off)+uint64(s.n) > uint64(len(n.slab)) {
+			return fmt.Errorf("index %q: leaf key %d spans [%d,+%d) past its %d-byte slab", v.name, i, s.off, s.n, len(n.slab))
+		}
+		k := n.key(i)
+		if lo != nil && k.Compare(lo) < 0 {
+			return fmt.Errorf("index %q: leaf key %x below separator %x", v.name, k, lo)
+		}
+		if hi != nil && k.Compare(hi) >= 0 {
+			return fmt.Errorf("index %q: leaf key %x at or above next separator %x", v.name, k, hi)
+		}
+		if v.haveKey && v.lastKey.Compare(k) >= 0 {
+			return fmt.Errorf("index %q: leaf keys not strictly increasing at key %x", v.name, k)
+		}
+		v.lastKey, v.haveKey = k, true
+		v.rows += 1 + len(n.moreRows(i))
+	}
+	v.keys += len(n.spans)
+	v.leaves = append(v.leaves, n)
 	return nil
 }
 

@@ -30,7 +30,8 @@ func EncodeKey(vals ...storage.Value) Key {
 // (dst[:0]) makes per-probe key construction allocation-free once the
 // buffer has grown to its steady-state size — the hot-path idiom the join
 // operators use. Callers must not hand the result to anything that retains
-// it (the B+tree retains inserted keys; lookups and deletes do not).
+// it; the B+tree does not (Insert copies its key, lookups and deletes only
+// compare).
 func AppendKeyFromTuple(dst []byte, t storage.Tuple, cols []int) Key {
 	for _, c := range cols {
 		dst = appendValue(dst, t[c])
