@@ -32,8 +32,8 @@ var rules = []rule{
 		"hash/crc32 is imported only by the wire codec (internal/server/frame.go) and the WAL: a third CRC frame codec does not reappear unnoticed",
 		19, forbid("", except("internal/server/frame.go", "internal/wal/"), `"hash/crc32"`)},
 	{"repl-ships-suffixes",
-		"internal/repl never calls .Durable() or .Contents(): a whole-image read does not come back into the ship path; ship wal.Manager.DurableSince's suffix",
-		20, forbid("internal/repl", nil, ".Durable()", ".Contents()")},
+		"internal/repl never calls .Durable(), .Contents(), .Suffix( or CheckpointImage(): neither a whole-image read nor a copying one comes back into the ship path; ship the device views wal.Manager.DurableSince and engine.DB.CheckpointViews return",
+		20, forbid("internal/repl", nil, ".Durable()", ".Contents()", ".Suffix(", "CheckpointImage()")},
 	{"one-plan-path",
 		"internal/session names sql.Parse or NewPlanner only inside Session.miss: a second path from statement text to a plan does not grow beside the plan cache",
 		21, onePlanPath},

@@ -26,6 +26,10 @@ var violations = []violation{
 		"internal/repl/frame.go": "package repl\n\nimport \"hash/crc32\"\n"}},
 	{"repl-ships-suffixes", "a whole-image read in repl", "internal/repl/ship.go:3:", map[string]string{
 		"internal/repl/ship.go": "package repl\n\nfunc f() { _ = dev.Durable() }\n"}},
+	{"repl-ships-suffixes", "a copied checkpoint image in repl", "internal/repl/ship.go:3:", map[string]string{
+		"internal/repl/ship.go": "package repl\n\nfunc f() { img := g.db.CheckpointImage() }\n"}},
+	{"repl-ships-suffixes", "a copying suffix read in repl", "internal/repl/ship.go:3:", map[string]string{
+		"internal/repl/ship.go": "package repl\n\nfunc f() { b := dev.Suffix(off) }\n"}},
 	{"one-plan-path", "a parse outside Session.miss", "internal/session/s.go:8:", map[string]string{
 		"internal/session/s.go": "package session\n\nfunc (s *Session) miss() {\n\tsql.Parse(q)\n}\n\nfunc (s *Session) run() {\n\tsql.Parse(q)\n}\n"}},
 	{"no-key-alloc-in-exec", "an allocating key encoder in a probe", "internal/exec/probe.go:3:", map[string]string{

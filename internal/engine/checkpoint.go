@@ -105,3 +105,10 @@ func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
 func (db *DB) CheckpointImage() []byte {
 	return db.ckptDev.Contents()
 }
+
+// CheckpointViews appends the last published image to dst as read-only
+// views of the checkpoint device's chunks (hw.BlockDevice.Views): the read of
+// a shipper that sends the image without copying it.
+func (db *DB) CheckpointViews(dst [][]byte) [][]byte {
+	return db.ckptDev.Views(dst, 0)
+}

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"mb2/internal/ou"
 	"mb2/internal/plan"
 	"mb2/internal/storage"
+	"mb2/internal/wal"
 )
 
 // newTestDB builds a database with one "items" table (id, grp, val, name)
@@ -631,5 +633,34 @@ func TestWriteConflictSurfacesFromUpdate(t *testing.T) {
 	}
 	if err := ctx1.Commit(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A maintainer's cadence bounds the WAL queue a pass drains, and the WAL
+// keeps that queue's storage for the next cycle: once warm, enqueueing a
+// cycle's records allocates nothing, even past the 4 096 records of spare
+// a manager keeps on its own.
+func TestMaintainerCadenceKeepsWALQueue(t *testing.T) {
+	db := newTestDB(t, 10, 2)
+	m := NewMaintainer(db, 4096, nil)
+	const records = 4200 // about what 2 100 single-row write transactions log
+	r := wal.Record{Type: wal.RecordInsert, TableID: int32(db.Table("items").Meta.ID),
+		Payload: storage.Tuple{storage.NewInt(1)}}
+	for cycle := 0; cycle < 4; cycle++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < records; i++ {
+			if err := db.WAL.Enqueue(nil, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		// The first two cycles grow the queue and the spare it alternates with.
+		if n := after.Mallocs - before.Mallocs; cycle > 1 && n > 0 {
+			t.Fatalf("cycle %d: enqueueing %d records allocated %d objects", cycle, records, n)
+		}
+		if err := m.Pass(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -72,8 +72,12 @@ type MaintainerStats struct {
 // NewMaintainer returns a maintainer over db that passes every `every`
 // finished write transactions (0: only on demand), calling afterFlush, if
 // set, once each flush succeeds. Each half of a pass has its own context:
-// its own thread and a tracker with no collector.
+// its own thread and a tracker with no collector. The WAL learns the
+// cadence (wal.Manager.DrainEvery), so the queue a pass drains is reused.
 func NewMaintainer(db *engine.DB, every int, afterFlush func() error) *Maintainer {
+	if every > 0 {
+		db.WAL.DrainEvery(every)
+	}
 	return &Maintainer{every: uint64(every), afterFlush: afterFlush,
 		logCtx: NewCtx(db, db.Machine.CPU), gcCtx: NewCtx(db, db.Machine.CPU)}
 }

@@ -31,11 +31,15 @@ type BlockDevice interface {
 	// Contents returns a copy of the durable image: the whole-image read of
 	// recovery and the drills.
 	Contents() []byte
-	// Suffix returns a copy of the durable image from byte off to its end
-	// (empty when off is at or past the end). It costs the bytes returned,
-	// not the image: the read of a log shipper that already holds the
-	// first off bytes.
-	Suffix(off int) []byte
+	// Views appends to dst read-only views of the durable image from byte
+	// off to its end (none when off is at or past the end) and returns the
+	// result: the read of a log shipper that already holds the first off
+	// bytes, which copies nothing. A view's bytes never change — the device
+	// never rewrites a byte it holds, and Reset moves to new storage — so a
+	// view stays valid after the call returns, across later appends and
+	// resets; its capacity ends where its bytes do, so a caller's append
+	// cannot reach the device.
+	Views(dst [][]byte, off int) [][]byte
 	// Len returns the durable image size in bytes.
 	Len() int
 	// Reset atomically replaces the contents with p (log truncation,
@@ -91,26 +95,34 @@ func (d *MemDevice) Append(p []byte) (int, error) {
 }
 
 // Contents implements BlockDevice.
-func (d *MemDevice) Contents() []byte { return d.Suffix(0) }
-
-// Suffix implements BlockDevice.
-func (d *MemDevice) Suffix(off int) []byte {
+func (d *MemDevice) Contents() []byte {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if off >= d.n {
+	if d.n == 0 {
 		return nil
 	}
+	out := make([]byte, 0, d.n)
+	for _, c := range d.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// Views implements BlockDevice. Only the last chunk still grows, and only
+// past the end of any view of it.
+func (d *MemDevice) Views(dst [][]byte, off int) [][]byte {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	off = max(off, 0)
-	out := make([]byte, 0, d.n-off)
 	for _, c := range d.chunks {
 		if off >= len(c) {
 			off -= len(c)
 			continue
 		}
-		out = append(out, c[off:]...)
+		dst = append(dst, c[off:len(c):len(c)])
 		off = 0
 	}
-	return out
+	return dst
 }
 
 // Len implements BlockDevice.
@@ -238,8 +250,8 @@ func (d *FaultDevice) Append(p []byte) (int, error) {
 // Contents implements BlockDevice; the durable image survives a crash.
 func (d *FaultDevice) Contents() []byte { return d.inner.Contents() }
 
-// Suffix implements BlockDevice.
-func (d *FaultDevice) Suffix(off int) []byte { return d.inner.Suffix(off) }
+// Views implements BlockDevice.
+func (d *FaultDevice) Views(dst [][]byte, off int) [][]byte { return d.inner.Views(dst, off) }
 
 // Len implements BlockDevice.
 func (d *FaultDevice) Len() int { return d.inner.Len() }

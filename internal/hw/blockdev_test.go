@@ -20,22 +20,30 @@ func TestMemDeviceAppendResetContents(t *testing.T) {
 	if d.Len() != 6 {
 		t.Fatalf("len %d", d.Len())
 	}
-	// Suffix is the image from an offset on, empty at or past the end, and
-	// a copy like Contents; a FaultDevice forwards it to what is durable.
-	for off, want := range map[int]string{0: "abcdef", 4: "ef", 6: "", 9: ""} {
-		if got := d.Suffix(off); string(got) != want {
-			t.Fatalf("Suffix(%d) = %q, want %q", off, got, want)
+	// Views are the image from an offset on, none at or past the end; a
+	// FaultDevice forwards them to what is durable.
+	for off, want := range map[int]string{-1: "abcdef", 0: "abcdef", 4: "ef", 6: "", 9: ""} {
+		if got := d.Views(nil, off); string(bytes.Join(got, nil)) != want || (want == "") != (len(got) == 0) {
+			t.Fatalf("Views(%d) = %q, want %q", off, got, want)
 		}
-		if got := NewFaultDevice(d, NoFaults()).Suffix(off); string(got) != want {
-			t.Fatalf("FaultDevice Suffix(%d) = %q, want %q", off, got, want)
+		if got := NewFaultDevice(d, NoFaults()).Views(nil, off); string(bytes.Join(got, nil)) != want {
+			t.Fatalf("FaultDevice Views(%d) = %q, want %q", off, got, want)
 		}
 	}
-	d.Suffix(4)[0] = 'Z'
-	if d.Contents()[4] != 'e' {
-		t.Fatal("Suffix aliases internal buffer")
+	// A view is capped at its own bytes, and neither a later append nor a
+	// reset changes what it reads.
+	views := d.Views([][]byte{[]byte("kept")}, 4)
+	if len(views) != 2 || string(views[0]) != "kept" || cap(views[1]) != len(views[1]) {
+		t.Fatalf("Views appended %q (cap %d) to dst", views, cap(views[len(views)-1]))
+	}
+	if _, err := d.Append([]byte("ghi")); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Reset([]byte("xy")); err != nil {
 		t.Fatal(err)
+	}
+	if string(views[1]) != "ef" {
+		t.Fatalf("a view reads %q after an append and a reset, want %q", views[1], "ef")
 	}
 	if got := d.Contents(); !bytes.Equal(got, []byte("xy")) {
 		t.Fatalf("after reset: %q", got)
@@ -76,8 +84,8 @@ func TestMemDeviceLayoutIgnoresWriteSizes(t *testing.T) {
 			t.Fatalf("pieces of %d: image differs", piece)
 		}
 		for _, off := range []int{-1, 0, 1, memChunkMin - 1, memChunkMin, 2 * memChunkMin, memChunkMax + 1, len(img) - 1} {
-			if got := d.Suffix(off); !bytes.Equal(got, img[max(off, 0):]) {
-				t.Fatalf("pieces of %d: Suffix(%d) differs", piece, off)
+			if got := bytes.Join(d.Views(nil, off), nil); !bytes.Equal(got, img[max(off, 0):]) {
+				t.Fatalf("pieces of %d: Views(%d) differs", piece, off)
 			}
 		}
 		var caps []int

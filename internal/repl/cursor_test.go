@@ -234,11 +234,23 @@ func feedChunks(t testing.TB, log []byte, sizes []int, every int) uint64 {
 // eager, every third frame, and lazy until promotion.
 var applyCadences = []int{1, 3, 1 << 30}
 
+// tailChunks are the tail chunk sizes the equivalence is checked for: the
+// shipped one, one a record or two long, and one so short that every record,
+// and the segment header, straddles chunk boundaries.
+var tailChunks = []int{tailChunk, 97, 13}
+
+// withTailChunk runs f with the replica's tail cut into chunks of n bytes.
+func withTailChunk(n int, f func()) {
+	defer func(was int) { tailChunk = was }(tailChunk)
+	tailChunk = n
+	f()
+}
+
 // However the golden log is cut — inside the segment header, inside a frame,
 // between a transaction's writes and its commit record, before the torn
-// tail — an eager, an every-third-frame and a fully lazy cursor replica each
-// match the whole-segment reference at every step, and all end in the same
-// state.
+// tail — and however the replica's tail chunks cut it, an eager, an
+// every-third-frame and a fully lazy cursor replica each match the
+// whole-segment reference at every step, and all end in the same state.
 func TestCursorMatchesWholeSegmentReplay(t *testing.T) {
 	log := goldenLog(t, 1)
 	_, body, _, err := wal.ParseSegment(log)
@@ -271,16 +283,21 @@ func TestCursorMatchesWholeSegmentReplay(t *testing.T) {
 		chunkings = append(chunkings, sizes)
 	}
 	var digest uint64
-	for i, sizes := range chunkings {
-		for _, every := range applyCadences {
-			d := feedChunks(t, log, sizes, every)
-			if digest == 0 {
-				digest = d
+	for _, chunk := range tailChunks {
+		withTailChunk(chunk, func() {
+			for i, sizes := range chunkings {
+				for _, every := range applyCadences {
+					d := feedChunks(t, log, sizes, every)
+					if digest == 0 {
+						digest = d
+					}
+					if d != digest {
+						t.Fatalf("tail chunks of %d, chunking %d, apply every %d: promoted digest %#x, others %#x",
+							chunk, i, every, d, digest)
+					}
+				}
 			}
-			if d != digest {
-				t.Fatalf("chunking %d, apply every %d: promoted digest %#x, others %#x", i, every, d, digest)
-			}
-		}
+		})
 	}
 }
 

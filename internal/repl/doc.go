@@ -9,16 +9,19 @@
 // epoch and starting offset (frame.go) — the wire header, CRC, payload cap
 // and decoding errors are the server's, and a frame the replica rejects is
 // answered with the server's MsgError. Every step costs in proportion to what
-// is new, not to what was shipped or applied before: the primary reads only
-// the unsent suffix of its log, together with the epoch it belongs to
-// (wal.Manager.DurableSince); the replica keeps a parse cursor, decodes only
-// the bytes past it with the same tolerant parsers recovery uses
-// (wal.ParseSegment, wal.DeserializePrefix), replays the transactions whose
-// commit record arrived with wal.Redo, and releases what it has decoded. When
-// the primary checkpoints — truncating the log and opening a new epoch — it
-// ships the checkpoint-device image, in as many snapshot frames as its size
-// takes, and the replica re-seeds from it when the last one lands: exactly
-// the crash-recovery path on a fresh engine.
+// is new, not to what was shipped or applied before, and a shipped byte is
+// copied once, into the replica's tail: the primary reads only the unsent
+// suffix of its log, together with the epoch it belongs to
+// (wal.Manager.DurableSince), as views of the log device's chunks that it
+// sends where they lie; the replica keeps the bytes in fixed chunks behind a
+// parse cursor, decodes only the bytes past the cursor with the same tolerant
+// parsers recovery uses (wal.ParseSegment, wal.DeserializeParts), replays
+// the transactions whose commit record arrived with wal.Redo, and releases
+// the chunks it has decoded. When the primary checkpoints — truncating the
+// log and opening a new epoch — it ships the checkpoint-device image from the
+// device's chunks, in as many snapshot frames as its size takes, and the
+// replica re-seeds from it when the last one lands: exactly the
+// crash-recovery path on a fresh engine.
 //
 // Everything is deterministic by construction: frames travel over a
 // server.Transport (the in-proc pipe for drills, TCP for real wires), the

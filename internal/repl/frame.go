@@ -57,26 +57,25 @@ var ErrShipShort = errors.New("repl: frame shorter than the ship prefix")
 // AppendShipFrame appends the encoding of f to dst and returns the result.
 func AppendShipFrame(dst []byte, f ShipFrame) []byte {
 	start := len(dst)
-	dst = appendShipPayload(append(dst, make([]byte, server.HeaderSize)...), f)
+	dst = appendShipPrefix(append(dst, make([]byte, server.HeaderSize)...), f.Epoch, f.Offset)
+	dst = append(dst, f.Payload...)
 	server.SealFrame(dst[start:], f.Type)
 	return dst
 }
 
-// appendShipPayload appends f's frame payload to dst: the ship prefix, then
-// the body.
-func appendShipPayload(dst []byte, f ShipFrame) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, f.Epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, f.Offset)
-	return append(dst, f.Payload...)
+// appendShipPrefix appends the ship prefix to dst.
+func appendShipPrefix(dst []byte, epoch, offset uint64) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, epoch)
+	return binary.LittleEndian.AppendUint64(dst, offset)
 }
 
-// sendShip writes f through fc, copying its body once, into fc's write
-// buffer.
-func sendShip(fc *server.FrameConn, f ShipFrame) error {
-	if len(f.Payload) > MaxShipPayload {
-		return server.ErrFrameTooLarge
-	}
-	return fc.End(f.Type, appendShipPayload(fc.Begin(), f))
+// sendShip writes one message through fc whose body is f.Payload followed
+// by rest's parts: the ship prefix and f.Payload from fc's write buffer,
+// then each part of rest where it lies (server.FrameConn.End), so a body
+// shipped as rest — a log device's chunks — is copied nowhere. The wire
+// carries AppendShipFrame's bytes for the whole body.
+func sendShip(fc *server.FrameConn, f ShipFrame, rest ...[]byte) error {
+	return fc.End(f.Type, append(appendShipPrefix(fc.Begin(), f.Epoch, f.Offset), f.Payload...), rest...)
 }
 
 // recvShip reads one message from fc, blocking until a whole frame (or an

@@ -52,6 +52,8 @@ type Group struct {
 	sentEpoch  []uint64
 	sentBytes  []int
 	ackCommits []uint64
+	views      [][]byte // the log chunks one Sync reads, reused
+	frame      [][]byte // the parts of one frame's body, reused
 	syncs      int
 	closed     bool
 	wg         sync.WaitGroup
@@ -153,17 +155,21 @@ func (g *Group) Replicas() []*Replica { return g.replicas }
 // cadence is due: the checkpoint image first when the primary's epoch moved
 // (checkpoint truncation), then the unsent suffix of the durable segment.
 // The epoch and the suffix come from one locked read of the log
-// (wal.Manager.DurableSince), which returns only the suffix: a sync costs
-// what is new, however long the log. Each frame blocks for its ack, and acks
-// are validated against the bytes shipped, so a lost or reordered frame
-// cannot go unnoticed. Call it after every primary log flush.
+// (wal.Manager.DurableSince), which returns only the suffix, as views of the
+// log device's chunks: a sync costs what is new, however long the log, and
+// sends it from where it lies. A suffix ships as one frame, or — past
+// shipChunk — as consecutive frames of at most that. Each frame blocks for
+// its ack, and acks are validated against the bytes shipped, so a lost or
+// reordered frame cannot go unnoticed. Call it after every primary log
+// flush.
 func (g *Group) Sync() error {
 	g.syncs++
 	for i := range g.replicas {
 		if g.syncs%g.cfg.cadence(i) != 0 {
 			continue
 		}
-		epoch, unsent := g.db.WAL.DurableSince(g.sentEpoch[i], g.sentBytes[i])
+		epoch, unsent := g.db.WAL.DurableSince(g.views[:0], g.sentEpoch[i], g.sentBytes[i])
+		g.views = unsent
 		if g.sentEpoch[i] != epoch {
 			if err := g.shipSnapshot(i, epoch); err != nil {
 				return err
@@ -171,51 +177,61 @@ func (g *Group) Sync() error {
 			g.sentEpoch[i] = epoch
 			g.sentBytes[i] = 0
 		}
-		if len(unsent) > 0 {
-			app := ShipFrame{
-				Type:    ShipAppend,
-				Epoch:   epoch,
-				Offset:  uint64(g.sentBytes[i]),
-				Payload: unsent,
-			}
-			if err := g.exchange(i, app); err != nil {
-				return err
-			}
-			g.sentBytes[i] += len(unsent)
-		}
-	}
-	return nil
-}
-
-// snapshotChunk is the most checkpoint-image bytes one ShipSnapshot frame
-// carries.
-var snapshotChunk = MaxShipPayload
-
-// shipSnapshot ships the primary's checkpoint image to replica i as
-// consecutive ShipSnapshot frames, each at its offset in the image. The
-// image is read after the epoch; should a checkpoint land between the two
-// reads, the replica finds the newer epoch in the image header and refuses
-// the transfer, and the next Sync ships that epoch whole.
-func (g *Group) shipSnapshot(i int, epoch uint64) error {
-	img := g.db.CheckpointImage()
-	for off := 0; off < len(img); off += snapshotChunk {
-		chunk := ShipFrame{
-			Type:    ShipSnapshot,
-			Epoch:   epoch,
-			Offset:  uint64(off),
-			Payload: img[off:min(off+snapshotChunk, len(img))],
-		}
-		if err := g.exchange(i, chunk); err != nil {
+		n, err := g.ship(i, ShipAppend, epoch, g.sentBytes[i], unsent)
+		clear(unsent) // hold no log chunk past the Sync
+		g.sentBytes[i] += n
+		if err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// exchange ships one frame and validates its ack. A replica that rejected
-// the frame answered MsgError, which recvShip returns as the error.
-func (g *Group) exchange(i int, f ShipFrame) error {
-	if err := sendShip(g.wire[i], f); err != nil {
+// shipChunk is the most body bytes one ship frame carries.
+var shipChunk = MaxShipPayload
+
+// shipSnapshot ships the primary's checkpoint image to replica i from the
+// checkpoint device's chunks. The image is read after the epoch; should a
+// checkpoint land between the two reads, the replica finds the newer epoch
+// in the image header and refuses the transfer, and the next Sync ships that
+// epoch whole.
+func (g *Group) shipSnapshot(i int, epoch uint64) error {
+	_, err := g.ship(i, ShipSnapshot, epoch, 0, g.db.CheckpointViews(nil))
+	return err
+}
+
+// ship sends the bytes of parts, which start at body offset off, to replica
+// i as consecutive frames of type typ, each of at most shipChunk bytes, at
+// its offset and acked before the next. It returns the body bytes acked. A
+// frame's body is views of parts, which ship consumes: no body byte is
+// copied.
+func (g *Group) ship(i int, typ byte, epoch uint64, off int, parts [][]byte) (acked int, err error) {
+	for len(parts) > 0 {
+		frame, n := g.frame[:0], 0
+		for len(parts) > 0 && n < shipChunk {
+			p := parts[0]
+			k := min(len(p), shipChunk-n)
+			frame, n = append(frame, p[:k]), n+k
+			if parts[0] = p[k:]; k == len(p) {
+				parts = parts[1:]
+			}
+		}
+		err := g.exchange(i, ShipFrame{Type: typ, Epoch: epoch, Offset: uint64(off + acked)}, n, frame)
+		clear(frame)
+		g.frame = frame
+		if err != nil {
+			return acked, err
+		}
+		acked += n
+	}
+	return acked, nil
+}
+
+// exchange ships one frame whose body is the n bytes of parts and validates
+// its ack. A replica that rejected the frame answered MsgError, which
+// recvShip returns as the error.
+func (g *Group) exchange(i int, f ShipFrame, n int, parts [][]byte) error {
+	if err := sendShip(g.wire[i], f, parts...); err != nil {
 		return fmt.Errorf("repl: shipping to replica %d: %w", i, err)
 	}
 	ack, err := recvShip(g.wire[i])
@@ -226,7 +242,7 @@ func (g *Group) exchange(i int, f ShipFrame) error {
 		return fmt.Errorf("repl: replica %d acked type %d epoch %d for epoch %d",
 			i, ack.Type, ack.Epoch, f.Epoch)
 	}
-	if want := f.Offset + uint64(len(f.Payload)); ack.Offset != want {
+	if want := f.Offset + uint64(n); ack.Offset != want {
 		return fmt.Errorf("repl: replica %d acked %d received bytes, want %d", i, ack.Offset, want)
 	}
 	if len(ack.Payload) != 8 {

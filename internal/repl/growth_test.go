@@ -1,6 +1,10 @@
 package repl
 
 import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net"
 	"runtime"
 	"strings"
 	"testing"
@@ -40,34 +44,43 @@ func commitBlobs(t *testing.T, db *engine.DB, n int) {
 	}
 }
 
-// The tail's capacity depends on how many bytes it holds, not on the sizes of
-// the frames that brought them: the same 3 MB in frames of any size passes
-// only through rungs of the one ladder and ends on the same rung.
-func TestAppendTailCapacityIgnoresFrameSizes(t *testing.T) {
+// The tail's chunks are a function of the bytes it holds, not of the sizes
+// of the frames that brought them: the same 3 MB in frames of any size lands
+// in the same chunks of tailChunk bytes, none of which ever moves, and moving
+// the cursor drops exactly the chunks it passed, so what a replica retains is
+// the chunks that hold [cursor, received).
+func TestTailLayoutIgnoresFrameSizes(t *testing.T) {
 	const total = 3<<20 + 4321
 	payload := make([]byte, total)
 	for i := range payload {
 		payload[i] = byte(i * 13)
 	}
-	rung := map[int]bool{}
-	last := tailMinCap
-	for ; last < total; last += last / 4 {
-		rung[last] = true
-	}
-	rung[last] = true
+	chunks := func(from, to int) int { return (to+tailChunk-1)/tailChunk - from/tailChunk }
 	for _, frame := range []int{97, 4096, 87_001, 150_000, total} {
-		var tail []byte
+		var r Replica
+		var first *byte
 		for off := 0; off < total; off += frame {
-			tail = appendTail(tail, payload[off:min(off+frame, total)])
-			if !rung[cap(tail)] {
-				t.Fatalf("frames of %d: capacity %d is no rung of the ladder", frame, cap(tail))
+			r.receive(payload[off:min(off+frame, total)])
+			if first == nil {
+				first = &r.tail[0][0]
 			}
 		}
-		if string(tail) != string(payload) {
-			t.Fatalf("frames of %d: bytes differ", frame)
+		if first != &r.tail[0][0] {
+			t.Fatalf("frames of %d: the first chunk moved", frame)
 		}
-		if cap(tail) != last {
-			t.Fatalf("frames of %d: ends at capacity %d, want %d", frame, cap(tail), last)
+		for i, c := range r.tail {
+			if cap(c) != tailChunk {
+				t.Fatalf("frames of %d: chunk %d has capacity %d, want %d", frame, i, cap(c), tailChunk)
+			}
+		}
+		for _, cursor := range []int{0, 1, tailChunk - 1, tailChunk, 5*tailChunk + 3, total - 10, total} {
+			r.release(cursor - r.cursor)
+			if got, want := len(r.tail), chunks(cursor, total); got != want || r.received != total {
+				t.Fatalf("frames of %d, cursor %d: %d chunks held, want %d", frame, cursor, got, want)
+			}
+			if !bytes.Equal(bytes.Join(r.tail, nil), payload[cursor:]) {
+				t.Fatalf("frames of %d, cursor %d: the tail's bytes differ", frame, cursor)
+			}
 		}
 	}
 }
@@ -96,7 +109,8 @@ func TestSyncAndApplyCostOnlyWhatIsNew(t *testing.T) {
 	}
 	soloBytes := 0
 	feedSolo := func() (mallocs uint64) {
-		_, unsent := db.WAL.DurableSince(0, soloBytes)
+		_, views := db.WAL.DurableSince(nil, 0, soloBytes)
+		unsent := bytes.Join(views, nil)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		_, err := solo.HandleFrame(ShipFrame{Type: ShipAppend, Offset: uint64(soloBytes), Payload: unsent})
@@ -160,8 +174,8 @@ func TestSyncAndApplyCostOnlyWhatIsNew(t *testing.T) {
 // chunks and re-seeds the replica to the primary's state, and a second
 // checkpoint in the same run does so again.
 func TestGroupShipsSnapshotInChunks(t *testing.T) {
-	defer func(n int) { snapshotChunk = n }(snapshotChunk)
-	snapshotChunk = 64
+	defer func(n int) { shipChunk = n }(shipChunk)
+	shipChunk = 64
 
 	db, err := kvFactory()
 	if err != nil {
@@ -181,8 +195,8 @@ func TestGroupShipsSnapshotInChunks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ck.ImageBytes <= 3*snapshotChunk {
-			t.Fatalf("checkpoint image of %d bytes does not span several %d-byte chunks", ck.ImageBytes, snapshotChunk)
+		if ck.ImageBytes <= 3*shipChunk {
+			t.Fatalf("checkpoint image of %d bytes does not span several %d-byte chunks", ck.ImageBytes, shipChunk)
 		}
 		flushKV(t, db, 4)
 		if err := grp.Sync(); err != nil {
@@ -304,7 +318,8 @@ func TestSyncAcrossCheckpointBetweenFlushAndSync(t *testing.T) {
 
 	// The one read: a follower of the old epoch gets the new epoch and its
 	// whole (header-only) segment, not the old segment's unsent suffix.
-	epoch, unseen := db.WAL.DurableSince(oldEpoch, shipped)
+	epoch, views := db.WAL.DurableSince(nil, oldEpoch, shipped)
+	unseen := bytes.Join(views, nil)
 	if epoch != oldEpoch+1 || len(unseen) != wal.SegmentHeaderLen {
 		t.Fatalf("DurableSince(%d, %d) = epoch %d, %d bytes; want epoch %d and the %d-byte header",
 			oldEpoch, shipped, epoch, len(unseen), oldEpoch+1, wal.SegmentHeaderLen)
@@ -335,5 +350,121 @@ func TestSyncAcrossCheckpointBetweenFlushAndSync(t *testing.T) {
 	}
 	if got, want := stateDigest(t, fresh.DB()), stateDigest(t, db); got != want {
 		t.Fatalf("replica state digest %#x, primary %#x", got, want)
+	}
+}
+
+// ackPeer answers every ship frame on c with the ack a replica would send,
+// reading each frame into buffers it allocated up front and acking from
+// another, so a Sync against it allocates only on the primary's side.
+func ackPeer(c net.Conn, maxFrame int) {
+	defer c.Close()
+	hdr := make([]byte, server.HeaderSize)
+	payload := make([]byte, maxFrame)
+	ack := make([]byte, 0, server.HeaderSize+shipPrefixSize+8)
+	commits := make([]byte, 8)
+	for {
+		if _, err := io.ReadFull(c, hdr); err != nil {
+			return
+		}
+		n := int(binary.LittleEndian.Uint32(hdr[4:8]))
+		if _, err := io.ReadFull(c, payload[:n]); err != nil {
+			return
+		}
+		ack = AppendShipFrame(ack[:0], ShipFrame{
+			Type:    ShipAck,
+			Epoch:   binary.LittleEndian.Uint64(payload[0:8]),
+			Offset:  binary.LittleEndian.Uint64(payload[8:16]) + uint64(n-shipPrefixSize),
+			Payload: commits,
+		})
+		if _, err := c.Write(ack); err != nil {
+			return
+		}
+	}
+}
+
+// One Sync costs the primary the same few objects and bytes however long the
+// suffix it ships: the suffix goes out as views of the log device's chunks,
+// with no copy of it and no frame-sized write buffer. The replica end is
+// ackPeer, so every allocation counted is the primary's.
+func TestSyncAllocatesConstantOnPrimary(t *testing.T) {
+	db, err := blobFactory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, follower := net.Pipe()
+	defer primary.Close()
+	go ackPeer(follower, 4<<20)
+	grp := &Group{
+		db:         db,
+		cfg:        GroupConfig{Replicas: 1},
+		replicas:   make([]*Replica, 1),
+		conns:      []server.Conn{primary},
+		wire:       []*server.FrameConn{server.NewFrameConn(primary)},
+		sentEpoch:  []uint64{0},
+		sentBytes:  []int{0},
+		ackCommits: []uint64{0},
+	}
+	sync := func(txns int) (suffix int, mallocs, bytes uint64) {
+		commitBlobs(t, db, txns)
+		before := grp.sentBytes[0]
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := grp.Sync()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grp.sentBytes[0] != db.WAL.Device().Len() {
+			t.Fatalf("shipped %d of %d log bytes", grp.sentBytes[0], db.WAL.Device().Len())
+		}
+		return grp.sentBytes[0] - before, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+	}
+	sync(2048) // grow the Sync's reused view lists and frame buffers once
+	for _, txns := range []int{1, 64, 2048} {
+		suffix, mallocs, bytes := sync(txns)
+		if mallocs > 2 || bytes > 512 {
+			t.Fatalf("a Sync of a %d-byte suffix allocated %d objects, %d bytes on the primary", suffix, mallocs, bytes)
+		}
+		t.Logf("%d-byte suffix: %d objects, %d bytes", suffix, mallocs, bytes)
+	}
+}
+
+// A suffix larger than a frame can carry ships as consecutive append frames
+// of at most MaxShipPayload bytes, and the promoted replica ends in the
+// primary's state. A Sync used to refuse such a suffix as too large for one
+// frame and, never advancing, to refuse it again on every later Sync.
+func TestSyncShipsSuffixLargerThanAFrame(t *testing.T) {
+	db, err := kvFactory()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp, err := NewGroup(db, kvFactory, server.NewPipe(), GroupConfig{Replicas: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer grp.Close()
+	flushKV(t, db, 300_020)
+	if n := db.WAL.Device().Len(); n <= MaxShipPayload {
+		t.Fatalf("the durable log is %d bytes, not past one frame's %d", n, MaxShipPayload)
+	}
+	if err := grp.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st := grp.Status()[0]
+	if st.ReceivedBytes != db.WAL.Device().Len() || st.AppliedCommits != db.Txns.LastCommitTS() {
+		t.Fatalf("after the Sync: %+v (primary: %d log bytes, %d commits)", st, db.WAL.Device().Len(), db.Txns.LastCommitTS())
+	}
+	if frames := grp.replicas[0].appends; frames != 2 {
+		t.Fatalf("a %d-byte suffix arrived in %d frames, want 2", st.ReceivedBytes, frames)
+	}
+	if err := grp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rep := grp.Replicas()[0]
+	if _, err := rep.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stateDigest(t, rep.DB()), stateDigest(t, db); got != want {
+		t.Fatalf("promoted state digest %#x, primary %#x", got, want)
 	}
 }

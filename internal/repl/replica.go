@@ -3,6 +3,7 @@ package repl
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mb2/internal/engine"
@@ -78,8 +79,8 @@ type PromoteStats struct {
 // in proportion to the bytes that are new: the segment's first cursor bytes
 // are decoded — their commits applied, the writes of their still-open
 // transactions held by redo — and released, and tail holds the rest, up to
-// the last byte received. Offsets on the wire keep counting from the segment
-// start.
+// the last byte received, in chunks that never move (see receive). Offsets
+// on the wire keep counting from the segment start.
 type Replica struct {
 	ID      int
 	factory DBFactory
@@ -89,8 +90,9 @@ type Replica struct {
 	db             *engine.DB
 	th             *hw.Thread
 	epoch          uint64
-	cursor         int    // segment bytes decoded and released
-	tail           []byte // segment bytes [cursor, received)
+	cursor         int      // segment bytes decoded and released
+	received       int      // segment bytes received
+	tail           [][]byte // segment bytes [cursor, received), in chunks
 	redo           wal.Redo
 	unapplied      int    // records before cursor not applied as a write: commit records, writes redo holds
 	appliedCommits uint64 // absolute commit count applied
@@ -224,32 +226,52 @@ func (r *Replica) reseed(img []byte, epoch uint64) error {
 	r.db = db
 	r.epoch = epoch
 	r.appliedCommits = db.Txns.LastCommitTS()
-	r.cursor, r.tail, r.redo = 0, r.tail[:0], wal.Redo{}
+	clear(r.tail)
+	r.cursor, r.received, r.tail, r.redo = 0, 0, r.tail[:0], wal.Redo{}
 	r.unapplied, r.appends = 0, 0
 	r.reseeds++
 	return nil
 }
 
-// tailMinCap is the first rung of the tail's capacity ladder.
-const tailMinCap = 64 << 10
+// tailChunk is the capacity of every chunk of a replica's tail. Chunks are
+// cut at the segment offsets that are multiples of it, so the chunks that
+// hold a range of the segment are a function of the range, never of how the
+// frames that brought it were sized, and a byte once received is never
+// moved.
+var tailChunk = 64 << 10
 
-// appendTail appends p to tail. When tail must grow, the new capacity is the
-// first rung of a fixed ladder (tailMinCap, then a quarter more each rung)
-// that holds the bytes: a function of how much is held, never of how the
-// frames were sized, so the same log shipped in differently sized frames
-// costs the same allocation and retains the same memory. (The built-in
-// append sizes its first growth to the first frame and every later capacity
-// descends from that one.)
-func appendTail(tail, p []byte) []byte {
-	need := len(tail) + len(p)
-	if need > cap(tail) {
-		c := tailMinCap
-		for c < need {
-			c += c / 4
+// receive appends p to the tail: into the last chunk while it has room, then
+// into new ones.
+func (r *Replica) receive(p []byte) {
+	r.received += len(p)
+	for len(p) > 0 {
+		last := len(r.tail) - 1
+		if last < 0 || len(r.tail[last]) == cap(r.tail[last]) {
+			r.tail = append(r.tail, make([]byte, 0, tailChunk))
+			last++
 		}
-		tail = append(make([]byte, 0, c), tail...)
+		c := r.tail[last]
+		k := min(len(p), cap(c)-len(c))
+		r.tail[last] = append(c, p[:k]...)
+		p = p[k:]
 	}
-	return append(tail, p...)
+}
+
+// release moves the cursor over the tail's first n bytes and drops the
+// chunks it passed. A chunk keeps only its bytes past the cursor, so it is
+// full — and passed once empty — exactly when its capacity is used up.
+func (r *Replica) release(n int) {
+	r.cursor += n
+	passed := 0
+	for ; n > 0; passed++ {
+		c := r.tail[passed]
+		k := min(n, len(c))
+		n -= k
+		if r.tail[passed] = c[k:]; cap(c) > k {
+			break
+		}
+	}
+	r.tail = slices.Delete(r.tail, 0, passed)
 }
 
 // append extends the received segment image and applies the backlog when
@@ -260,16 +282,15 @@ func (r *Replica) append(f ShipFrame) error {
 		return fmt.Errorf("repl: replica %d at epoch %d got append for epoch %d without a snapshot",
 			r.ID, r.epoch, f.Epoch)
 	}
-	if received := r.cursor + len(r.tail); f.Offset != uint64(received) {
+	if f.Offset != uint64(r.received) {
 		return fmt.Errorf("repl: replica %d received %d bytes but append starts at %d",
-			r.ID, received, f.Offset)
+			r.ID, r.received, f.Offset)
 	}
 	// The frame that completes the segment header is where a segment of
 	// another epoch is caught: its records belong on another snapshot. The
 	// cursor is still 0 then, so tail starts at the segment's first byte.
 	if off := int(f.Offset); off < wal.SegmentHeaderLen && off+len(f.Payload) >= wal.SegmentHeaderLen {
-		hdr := append(r.tail[:off:off], f.Payload[:wal.SegmentHeaderLen-off]...)
-		epoch, _, torn, err := wal.ParseSegment(hdr)
+		epoch, torn, err := wal.ParseSegmentParts(append(slices.Clip(r.tail), f.Payload)...)
 		if err != nil {
 			return fmt.Errorf("repl: replica %d segment parse: %w", r.ID, err)
 		}
@@ -280,7 +301,7 @@ func (r *Replica) append(f ShipFrame) error {
 	}
 	r.th.Alloc(float64(len(f.Payload)))
 	r.th.SeqWrite(float64(len(f.Payload))/64, 64)
-	r.tail = appendTail(r.tail, f.Payload)
+	r.receive(f.Payload)
 	r.appends++
 	if every := r.cfg.ApplyEvery; every <= 1 || r.appends%every == 0 {
 		_, err := r.applyPending()
@@ -291,18 +312,18 @@ func (r *Replica) append(f ShipFrame) error {
 
 // decodeTail parses the valid prefix of the bytes past the cursor — the
 // segment header first while the cursor is still at the segment start, then
-// whole record frames — with the tolerant parsers recovery uses. n is how
-// many bytes of tail that prefix spans; a header still torn yields nothing.
+// whole record frames — with the tolerant parsers recovery uses, reading the
+// frames where they lie in the tail's chunks. n is how many bytes of tail
+// that prefix spans; a header still torn yields nothing.
 func (r *Replica) decodeTail() (records []wal.Record, n int, err error) {
-	body := r.tail
 	if r.cursor == 0 {
-		var torn bool
-		if _, body, torn, err = wal.ParseSegment(r.tail); err != nil || torn {
+		if _, torn, err := wal.ParseSegmentParts(r.tail...); err != nil || torn || r.received == 0 {
 			return nil, 0, err
 		}
+		n = wal.SegmentHeaderLen
 	}
-	records, consumed, _ := wal.DeserializePrefix(body)
-	return records, len(r.tail) - len(body) + consumed, nil
+	records, consumed := wal.DeserializeParts(nil, r.tail, n)
+	return records, n + consumed, nil
 }
 
 // applyPending decodes the bytes past the cursor, replays the transactions
@@ -325,8 +346,7 @@ func (r *Replica) applyPending() (applied int, err error) {
 		return applied, fmt.Errorf("repl: replica %d apply: %w", r.ID, err)
 	}
 	r.unapplied += len(records) - applied
-	r.cursor += n
-	r.tail = append(r.tail[:0], r.tail[n:]...)
+	r.release(n)
 	r.appliedCommits += commits
 	r.db.Txns.AdvanceTo(r.appliedCommits)
 	return applied, nil
@@ -341,7 +361,7 @@ func (r *Replica) Status() Status {
 	st := Status{
 		ID:              r.ID,
 		Epoch:           r.epoch,
-		ReceivedBytes:   r.cursor + len(r.tail),
+		ReceivedBytes:   r.received,
 		ReceivedCommits: r.appliedCommits,
 		AppliedCommits:  r.appliedCommits,
 		Reseeds:         r.reseeds,

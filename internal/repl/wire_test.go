@@ -230,8 +230,8 @@ func TestReplicaKeepsNoFramePayload(t *testing.T) {
 	}
 	flushKV(t, db, 9)
 	img := bytes.Clone(db.CheckpointImage())
-	epoch, seg := db.WAL.DurableSince(0, 0)
-	seg = bytes.Clone(seg)
+	epoch, views := db.WAL.DurableSince(nil, 0, 0)
+	seg := bytes.Join(views, nil)
 	if len(img) == 0 || len(seg) < 3 {
 		t.Fatalf("primary: %d image bytes, %d segment bytes", len(img), len(seg))
 	}

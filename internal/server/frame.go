@@ -29,7 +29,9 @@ import (
 // only code in this package and internal/repl that touches a connection's
 // bytes: it owns a read and a write buffer, a received payload aliases the
 // read buffer until the next receive, and a buffer a frame grew past keepBuf
-// is dropped with that frame.
+// is dropped with that frame. A payload that already lies in memory — a log
+// shipper's device chunks — is sent in parts behind the write buffer's head,
+// copied nowhere.
 const (
 	frameMagic   = 0xB2
 	frameVersion = 1
@@ -55,13 +57,20 @@ func frameCRC(hdr, payload []byte) uint32 {
 }
 
 // SealFrame writes the header of frame — HeaderSize bytes of room followed
-// by the whole payload — as a frame of type typ. Encoders append the room
-// (append(dst, make([]byte, HeaderSize)...)), then the payload, then seal, so
-// a payload is built in place and copied nowhere.
-func SealFrame(frame []byte, typ byte) {
+// by the payload, or by its head when body holds the rest — as a frame of
+// type typ whose payload is frame's bytes past the header, then body's parts
+// in order. Encoders append the room
+// (append(dst, make([]byte, HeaderSize)...)), then the payload, then seal,
+// so a payload is built in place and copied nowhere.
+func SealFrame(frame []byte, typ byte, body ...[]byte) {
 	frame[0], frame[1], frame[2], frame[3] = frameMagic, frameVersion, typ, 0
-	binary.LittleEndian.PutUint32(frame[4:8], uint32(len(frame)-HeaderSize))
-	binary.LittleEndian.PutUint32(frame[8:12], frameCRC(frame, frame[HeaderSize:]))
+	n, crc := len(frame)-HeaderSize, frameCRC(frame, frame[HeaderSize:])
+	for _, p := range body {
+		n += len(p)
+		crc = crc32.Update(crc, crcTable, p)
+	}
+	binary.LittleEndian.PutUint32(frame[4:8], uint32(n))
+	binary.LittleEndian.PutUint32(frame[8:12], crc)
 }
 
 // AppendFrame appends the encoding of f to dst and returns the result.
@@ -152,7 +161,9 @@ const keepBuf = 64 << 10
 const firstBuf = 512
 
 // FrameConn reads and writes one connection's frames through two buffers it
-// owns, so a request/response exchange allocates nothing for its framing.
+// owns, so a request/response exchange allocates nothing for its framing,
+// and a payload that already lies in memory is written from where it lies
+// (End's body parts), so shipping it copies nothing either.
 // A payload Recv returns lives in the read buffer: it is valid until the next
 // Recv, and a caller that keeps any of it copies it out. One goroutine may
 // receive while another sends, but neither method may run on two at once.
@@ -210,18 +221,36 @@ func (c *FrameConn) Begin() []byte {
 	return append(c.wbuf[:0], make([]byte, HeaderSize)...)
 }
 
-// End seals frame — a Begin buffer with its payload appended — as a frame of
-// type typ and writes it. A payload over MaxPayload is refused unwritten.
-func (c *FrameConn) End(typ byte, frame []byte) error {
-	if len(frame)-HeaderSize > MaxPayload {
+// End seals frame — a Begin buffer with the payload appended, or its head
+// when body holds the rest — as a frame of type typ (SealFrame) and writes
+// it: the buffer, then each part of body where it lies, so a payload part
+// already in memory is copied nowhere. The bytes on the wire are those of
+// the whole payload in one buffer. A payload over MaxPayload is refused
+// unwritten.
+func (c *FrameConn) End(typ byte, frame []byte, body ...[]byte) error {
+	n := len(frame) - HeaderSize
+	for _, p := range body {
+		n += len(p)
+	}
+	if n > MaxPayload {
 		return ErrFrameTooLarge
 	}
-	SealFrame(frame, typ)
+	SealFrame(frame, typ, body...)
 	if cap(frame) <= keepBuf {
 		c.wbuf = frame[:0]
 	}
-	_, err := c.rw.Write(frame)
-	return err
+	if _, err := c.rw.Write(frame); err != nil {
+		return err
+	}
+	for _, p := range body {
+		if len(p) == 0 {
+			continue
+		}
+		if _, err := c.rw.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Send writes one frame whose payload is already encoded.

@@ -31,6 +31,11 @@ func Deserialize(buf []byte) ([]Record, error) {
 // error) for the stop. It never fails: a torn or corrupt tail simply ends
 // the prefix, which is exactly the contract crash recovery needs.
 func DeserializePrefix(buf []byte) (records []Record, consumed int, reason string) {
+	return appendRecords(nil, buf)
+}
+
+// appendRecords is DeserializePrefix appending to records.
+func appendRecords(records []Record, buf []byte) ([]Record, int, string) {
 	off := 0
 	for off < len(buf) {
 		if off+frameOverhead > len(buf) {
@@ -54,6 +59,86 @@ func DeserializePrefix(buf []byte) (records []Record, consumed int, reason strin
 		off = bodyStart + n
 	}
 	return records, off, ""
+}
+
+// DeserializeParts is DeserializePrefix over the bytes from off on of the
+// concatenation of parts — a log held in pieces that never move, as a
+// replica holds what it received — appending the records to records and
+// returning how many bytes past off the valid prefix spans. Frames are
+// decoded where they lie; only a frame that straddles two parts is copied,
+// and only that frame.
+func DeserializeParts(records []Record, parts [][]byte, off int) ([]Record, int) {
+	var cur []byte // the rest of the part being parsed
+	cur, parts = skipParts(nil, parts, off)
+	consumed := 0
+	for len(cur) > 0 || len(parts) > 0 {
+		if len(cur) == 0 {
+			cur, parts = parts[0], parts[1:]
+		}
+		var n int
+		records, n, _ = appendRecords(records, cur)
+		consumed += n
+		if cur = cur[n:]; len(cur) == 0 {
+			continue
+		}
+		// The frame at cur is corrupt or runs on into the parts after it:
+		// decode a whole copy of it, if there is a whole one.
+		frame := gatherFrame(cur, parts)
+		if frame == nil {
+			break
+		}
+		if records, n, _ = appendRecords(records, frame); n == 0 {
+			break
+		}
+		consumed += n
+		cur, parts = skipParts(cur, parts, n)
+	}
+	return records, consumed
+}
+
+// skipParts drops the first n bytes of cur followed by parts.
+func skipParts(cur []byte, parts [][]byte, n int) ([]byte, [][]byte) {
+	for n > len(cur) && len(parts) > 0 {
+		n -= len(cur)
+		cur, parts = parts[0], parts[1:]
+	}
+	return cur[min(n, len(cur)):], parts
+}
+
+// gatherFrame copies the frame that starts at cur and may continue into
+// parts, or returns nil when the bytes end before it does.
+func gatherFrame(cur []byte, parts [][]byte) []byte {
+	var hdr [frameOverhead]byte
+	if gatherParts(hdr[:], cur, parts) < frameOverhead {
+		return nil
+	}
+	n := frameOverhead + int(binary.LittleEndian.Uint32(hdr[:4]))
+	avail := len(cur)
+	for _, p := range parts {
+		if avail >= n {
+			break
+		}
+		avail += len(p)
+	}
+	if avail < n {
+		return nil
+	}
+	frame := make([]byte, n)
+	gatherParts(frame, cur, parts)
+	return frame
+}
+
+// gatherParts copies into dst the first bytes of cur followed by parts and
+// returns how many it copied.
+func gatherParts(dst, cur []byte, parts [][]byte) int {
+	n := copy(dst, cur)
+	for _, p := range parts {
+		if n == len(dst) {
+			break
+		}
+		n += copy(dst[n:], p)
+	}
+	return n
 }
 
 // recordHeaderLen is the fixed-size prefix of a record body:

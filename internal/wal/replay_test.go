@@ -176,3 +176,39 @@ func TestDurableImageRoundTrip(t *testing.T) {
 		t.Fatal("committed row missing after end-to-end replay")
 	}
 }
+
+// DeserializeParts is DeserializePrefix over a log held in pieces: however
+// the pieces cut it — through frame headers and bodies, one byte at a time
+// — and from whatever offset, it decodes the same records and spans the same
+// prefix, stopping at a corrupt frame and at a torn tail as the whole-buffer
+// parse does.
+func TestDeserializePartsMatchesPrefix(t *testing.T) {
+	var log []byte
+	for i := 0; i < 12; i++ {
+		log = rec(uint64(i), storage.Tuple{storage.NewInt(int64(i)), storage.NewString(string(make([]byte, i*5)))}).Serialize(log)
+	}
+	corrupt := append([]byte(nil), log...)
+	corrupt[len(log)/2] ^= 0x40
+	for name, img := range map[string][]byte{"clean": log, "corrupt": corrupt, "torn": log[:len(log)-3]} {
+		for _, size := range []int{1, 2, 3, 7, 8, 9, 40, len(img)} {
+			var parts [][]byte
+			for off := 0; off < len(img); off += size {
+				parts = append(parts, img[off:min(off+size, len(img))])
+			}
+			for _, off := range []int{0, 5, 8, len(img) / 3} {
+				want, wantN, _ := DeserializePrefix(img[off:])
+				got, gotN := DeserializeParts(nil, parts, off)
+				if gotN != wantN || len(got) != len(want) {
+					t.Fatalf("%s log in parts of %d from %d: %d records over %d bytes, want %d over %d",
+						name, size, off, len(got), gotN, len(want), wantN)
+				}
+				for i := range got {
+					if got[i].TxnID != want[i].TxnID || len(got[i].Payload) != len(want[i].Payload) ||
+						got[i].Payload[1].S != want[i].Payload[1].S {
+						t.Fatalf("%s log in parts of %d from %d: record %d differs", name, size, off, i)
+					}
+				}
+			}
+		}
+	}
+}

@@ -72,6 +72,15 @@ func ParseSegment(img []byte) (epoch uint64, body []byte, torn bool, err error) 
 	return epoch, img[SegmentHeaderLen:], false, nil
 }
 
+// ParseSegmentParts is ParseSegment's header check over the concatenation
+// of parts: a log held in pieces (DeserializeParts reads the frames after
+// the header). It reads only the header's bytes.
+func ParseSegmentParts(parts ...[]byte) (epoch uint64, torn bool, err error) {
+	var hdr [SegmentHeaderLen]byte
+	epoch, _, torn, err = ParseSegment(hdr[:gatherParts(hdr[:], nil, parts)])
+	return epoch, torn, err
+}
+
 // Checkpoint is a decoded checkpoint image: a snapshot of all committed rows
 // at SnapshotTS, stored as insert records (one per visible row) plus the
 // epoch the snapshot starts.

@@ -150,11 +150,14 @@ type Manager struct {
 	// Scratch reused across passes so a steady-state pass allocates
 	// nothing: spareQueue and serBuf belong to serMu (the drained queue's
 	// storage, handed back to Enqueue by the next drain, and the encode
-	// buffer), flushBuf to flushMu (the gathered device write). Storage a
-	// bulk pass grew past maxScratch is dropped, not kept on the heap.
-	spareQueue []Record
-	serBuf     []byte
-	flushBuf   []byte
+	// buffer), flushBuf to flushMu (the gathered device write); Flush hands
+	// the log buffer's storage back to current once it is copied out.
+	// Storage a bulk pass grew past maxScratch (for the queue, past
+	// keepRecords) is dropped, not kept on the heap.
+	spareQueue  []Record
+	serBuf      []byte
+	flushBuf    []byte
+	keepRecords int // guarded by serMu; see DrainEvery
 
 	// dev is the durable image; epoch/headerWritten (guarded by flushMu)
 	// track the current segment.
@@ -171,6 +174,22 @@ const (
 	maxScratchBytes   = 256 << 10
 	maxScratchRecords = 4 << 10
 )
+
+// recordsPerWriteTxn is the fewest records a write transaction logs: one
+// write and its commit record.
+const recordsPerWriteTxn = 2
+
+// DrainEvery tells the manager that its queue is drained about every
+// writeTxns write transactions — the back-pressure of a maintenance cadence
+// (exec.Maintainer) — so a queue that size is steady state, not a bulk load:
+// the drained queue's storage is kept for Enqueue up to twice those
+// transactions' records (append grows a slice past its last element), where
+// it would be dropped past maxScratchRecords.
+func (m *Manager) DrainEvery(writeTxns int) {
+	m.serMu.Lock()
+	defer m.serMu.Unlock()
+	m.keepRecords = max(m.keepRecords, 2*recordsPerWriteTxn*writeTxns)
+}
 
 // scratch returns b's storage, emptied, for the next pass to reuse — or nil
 // when b outgrew limit.
@@ -261,7 +280,7 @@ func (m *Manager) Serialize(th *hw.Thread) SerializeStats {
 	}
 	m.serBuf = scratch(local, maxScratchBytes)
 	clear(queue) // drop the payload references before the storage is reused
-	m.spareQueue = scratch(queue, maxScratchRecords)
+	m.spareQueue = scratch(queue, max(maxScratchRecords, m.keepRecords))
 	if th != nil && st.Records > 0 {
 		th.SeqRead(float64(st.Records), 48)
 		th.SeqWrite(float64(st.Bytes)/8, 8)
@@ -354,6 +373,17 @@ func (m *Manager) Flush(th *hw.Thread) (FlushStats, error) {
 	m.flushedBuffers += uint64(st.Buffers)
 	m.flushes++
 	m.flushRetries += uint64(st.Retries)
+	// The buffers are on the device. The first one starts the storage
+	// Serialize grew since the last flush: it becomes the next log buffer,
+	// and the sealed list's storage the next list, unless a Serialize that
+	// ran meanwhile started its own.
+	if cap(m.current) == 0 {
+		m.current = scratch(buffers[0][:0], maxScratchBytes)
+	}
+	if m.sealed == nil {
+		clear(buffers)
+		m.sealed = buffers[:0]
+	}
 	m.mu.Unlock()
 	return st, nil
 }
@@ -410,19 +440,21 @@ func (m *Manager) Durable() []byte {
 	return m.dev.Contents()
 }
 
-// DurableSince returns the current segment epoch and the durable bytes that
-// a follower holding the first off bytes of segment epoch has not seen: the
-// image from off on while epoch is still current, the whole new segment once
-// a checkpoint has truncated the one the follower knew. Epoch and bytes come
-// from one read under flushMu, so no flush or truncation can fall between
-// them, and the read costs the bytes returned, not the log.
-func (m *Manager) DurableSince(epoch uint64, off int) (cur uint64, unseen []byte) {
+// DurableSince returns the current segment epoch and, appended to dst, the
+// durable bytes that a follower holding the first off bytes of segment epoch
+// has not seen: the image from off on while epoch is still current, the
+// whole new segment once a checkpoint has truncated the one the follower
+// knew. Epoch and bytes come from one read under flushMu, so no flush or
+// truncation can fall between them. The bytes are the device's own chunks
+// (hw.BlockDevice.Views), read-only and never rewritten: the read copies
+// nothing, and costs the chunks it returns, not the log.
+func (m *Manager) DurableSince(dst [][]byte, epoch uint64, off int) (cur uint64, unseen [][]byte) {
 	m.flushMu.Lock()
 	defer m.flushMu.Unlock()
 	if epoch != m.epoch {
 		off = 0
 	}
-	return m.epoch, m.dev.Suffix(off)
+	return m.epoch, m.dev.Views(dst, off)
 }
 
 // PendingBytes returns how much serialized log data awaits flushing.
