@@ -42,6 +42,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReplicaChunks -fuzztime=5s ./internal/repl
 	$(GO) test -run=NONE -fuzz=FuzzEncodeKey -fuzztime=5s ./internal/index
 	$(GO) test -run=NONE -fuzz=FuzzBTree -fuzztime=5s ./internal/index
+	$(GO) test -run=NONE -fuzz=FuzzKeyTable -fuzztime=5s ./internal/exec
 
 # smoke drives the CLIs (drive-smoke, cli-smoke), runs each examples/ program
 # once (they are otherwise only built), and executes every (pipeline,

@@ -71,10 +71,14 @@ var rules = []rule{
 		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
 		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
 	{"one-row-pool",
-		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly four lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, a partitionJoin worker's build side, execIndexJoin's outer: Execute's result never returns to the pool",
+		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly five lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, a partitionJoin worker's build side, execIndexJoin's outer, execSort's top-n buffer once its first rows are copied out: Execute's result never returns to the pool",
 		32, all(forbid("", except("internal/exec/pool.go"), "rowPools"),
 			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
-			exactly("internal/exec", 4, ".recycle()", nil))},
+			exactly("internal/exec", 5, ".recycle()", nil))},
+	{"one-hash-table",
+		"no non-test line under internal/exec names map[string], and the build scratch pool is drawn from (buildScratchPool.Get() on exactly three lines, in hashJoin, partitionJoin and execAgg: every build — join or aggregation, on every driver — is one keyTable from one pool",
+		38, all(forbid("internal/exec", nil, "map[string]"),
+			exactly("internal/exec", 3, "buildScratchPool.Get(", nil))},
 	{"one-frame-io",
 		"under internal/server and internal/repl, a connection's bytes are read (io.ReadFull() and written (.Write() only in internal/server/frame.go, by FrameConn: every frame goes through one pair of per-connection buffers",
 		34, all(forbid("internal/server", except("internal/server/frame.go"), "io.ReadFull(", ".Write("),

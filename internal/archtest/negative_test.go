@@ -67,10 +67,16 @@ var violations = []violation{
 	{"one-row-pool", "a second row-array pool", "internal/exec/scratch.go:3:", map[string]string{
 		"internal/exec/pool.go":    "package exec\n\nvar rowPools [64]sync.Pool\n",
 		"internal/exec/scratch.go": "package exec\n\nfunc f() { rowPools[4].Put(p) }\n"}},
-	{"one-row-pool", "Execute's result recycled", ".recycle() on 5 non-test lines", map[string]string{
-		"internal/exec/relational.go": "package exec\n\nfunc feed() { b.recycle() }\n\nfunc execIndexJoin() { defer outer.recycle() }\n\nfunc Execute() { b.recycle() }\n",
+	{"one-row-pool", "Execute's result recycled", ".recycle() on 6 non-test lines", map[string]string{
+		"internal/exec/relational.go": "package exec\n\nfunc feed() { b.recycle() }\n\nfunc execIndexJoin() { defer outer.recycle() }\n\nfunc execSort() { sb.recycle() }\n\nfunc Execute() { b.recycle() }\n",
 		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { defer left.recycle() }\n",
 		"internal/exec/parallel.go":   "package exec\n\nfunc partitionJoin() { build.recycle() }\n"}},
+	{"one-hash-table", "a group map back in the aggregation", "internal/exec/relational.go:3:", map[string]string{
+		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { groups := make(map[string]*aggState) }\n"}},
+	{"one-hash-table", "a build scratch drawn a fourth time", "on 4 non-test lines", map[string]string{
+		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { s := buildScratchPool.Get().(*buildScratch) }\n",
+		"internal/exec/parallel.go":   "package exec\n\nfunc partitionJoin() { s := buildScratchPool.Get().(*buildScratch) }\n",
+		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { s := buildScratchPool.Get().(*buildScratch) }\n\nfunc execSort() { s := buildScratchPool.Get().(*buildScratch) }\n"}},
 	{"one-frame-io", "a reply written past the frame buffers", "internal/server/server.go:3:", map[string]string{
 		"internal/server/frame.go":  "package server\n\nfunc (c *FrameConn) End() { c.rw.Write(frame) }\n",
 		"internal/server/server.go": "package server\n\nfunc reply(conn Conn, f Frame) { conn.Write(AppendFrame(nil, f)) }\n"}},

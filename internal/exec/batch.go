@@ -19,8 +19,8 @@ type reader uint8
 const (
 	// consumer is a parent inside exec that reads the rows once and then
 	// drops them — a breaker on feed, a hash join's build side, an index
-	// join's outer: the row array comes from the pool and is recycled, and
-	// no row identities are kept.
+	// join's outer, a top-n sort's buffer: the row array comes from the pool
+	// and is recycled, and no row identities are kept.
 	consumer  reader = iota
 	caller           // Execute's caller, reading no row identities
 	callerIDs        // Execute's caller reading row identities (a DML child)
@@ -28,7 +28,8 @@ const (
 
 // reserve sizes an empty batch for up to n rows, for r. It is the one place
 // exec allocates row identities: the Materialize sink, the Exchange's single
-// merged allocation and the streaming execChain batch all size through it.
+// merged allocation, the streaming execChain batch and the sort buffer all
+// size through it.
 func (b *Batch) reserve(n int, r reader) {
 	b.RowIDs = nil
 	switch r {

@@ -74,10 +74,11 @@ type Ctx struct {
 	// FusedPipelines, for observability in the control loop and CLIs.
 	VecBatches int
 
-	// keyBuf is the worker-private scratch buffer join probes and
-	// aggregation folds encode transient keys into (DML index maintenance is
-	// the engine's). A Ctx is single-worker by contract, so reuse needs no
-	// synchronization. Never handed to anything that retains keys.
+	// keyBuf is the worker-private scratch buffer index-join probes encode
+	// transient keys into (a hash join's and an aggregation's keys live in
+	// their build scratch, pool.go; DML index maintenance is the engine's).
+	// A Ctx is single-worker by contract, so reuse needs no synchronization.
+	// Never handed to anything that retains keys.
 	keyBuf []byte
 
 	// seen is readPostings' scratch set, empty between keys.
@@ -85,10 +86,6 @@ type Ctx struct {
 
 	// arena backs projected and joined output tuples (see pool.go).
 	arena valueArena
-
-	// jt is the hash join's build table on the streaming drivers, reused
-	// build-to-build so steady-state builds allocate nothing (see hashJoin).
-	jt joinTable
 
 	// stages is the scratch list the running scan chain's stages live in,
 	// reused chain to chain (see chainStages).

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -296,6 +297,51 @@ func TestSortAndLimit(t *testing.T) {
 	recs := kindsOf(col.Drain())
 	if recs[len(recs)-2] != ou.SortBuild || recs[len(recs)-1] != ou.SortIter {
 		t.Fatalf("OU records = %v", recs)
+	}
+}
+
+// TestTopNResultIsRightSized: a sort with a limit returns exactly its first
+// Limit rows in an array of that capacity on every driver, so the result
+// keeps neither the sort buffer nor the input tuples past the limit. Without
+// a limit the result is the whole sort buffer.
+func TestTopNResultIsRightSized(t *testing.T) {
+	const rows, limit = 500, 10
+	plain, parted := newTestDB(t, rows, 10), newTestDB(t, rows, 10)
+	knobs := parted.Knobs()
+	knobs.PartitionCount = 4
+	parted.SetKnobs(knobs)
+	for _, c := range []struct {
+		name string
+		db   *engine.DB
+		mode catalog.ExecutionMode
+		dop  int
+	}{
+		{"Materialize", plain, catalog.Interpret, 1},
+		{"RowPass", plain, catalog.Compile, 1},
+		{"VecPass", plain, catalog.Vectorize, 1},
+		{"Exchange", parted, catalog.Interpret, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, _ := testCtx(c.db)
+			ctx.Mode, ctx.DOP = c.mode, c.dop
+			for _, lim := range []int{limit, rows + 1, 0} {
+				s := &plan.SortNode{Child: &plan.SeqScanNode{Table: "items"}, Keys: []plan.SortKey{{Col: 0, Desc: true}}, Limit: lim}
+				b, err := Execute(ctx, s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := min(rows, lim)
+				if lim == 0 {
+					want = rows
+				}
+				if len(b.Rows) != want || b.Rows[0][0].I != rows-1 || b.Rows[want-1][0].I != int64(rows-want) {
+					t.Fatalf("limit %d: %d rows from %v to %v, want %d from %d", lim, len(b.Rows), b.Rows[0], b.Rows[len(b.Rows)-1], want, rows-1)
+				}
+				if lim > 0 && cap(b.Rows) != want {
+					t.Fatalf("limit %d: %d rows in an array of capacity %d", lim, want, cap(b.Rows))
+				}
+			}
+		})
 	}
 }
 
@@ -639,8 +685,14 @@ func TestWriteConflictSurfacesFromUpdate(t *testing.T) {
 // A maintainer's cadence bounds the WAL queue a pass drains, and the WAL
 // keeps that queue's storage for the next cycle: once warm, enqueueing a
 // cycle's records allocates nothing, even past the 4 096 records of spare
-// a manager keeps on its own.
+// a manager keeps on its own. The collector is off: a collection whose mark
+// phase ends inside the measured window makes the runtime allocate on its
+// own account (the mark worker draws a sudog in gcMarkDone, and every
+// collection empties the central sudog cache), which the process-wide
+// Mallocs count would charge to Enqueue. SetGCPercent(-1) returns only once
+// a running mark has finished.
 func TestMaintainerCadenceKeepsWALQueue(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	db := newTestDB(t, 10, 2)
 	m := NewMaintainer(db, 4096, nil)
 	const records = 4200 // about what 2 100 single-row write transactions log

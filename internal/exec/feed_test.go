@@ -107,9 +107,14 @@ func filteredSelfJoin(keep int) *plan.HashJoinNode {
 }
 
 // coPartitionedJoin joins items, the build side, to probe on id: two bare
-// scans of tables partitioned on id, which the planner runs partition-wise.
-func coPartitionedJoin() *plan.HashJoinNode {
-	return &plan.HashJoinNode{Left: &plan.SeqScanNode{Table: "items"}, Right: &plan.SeqScanNode{Table: "probe"},
+// scans, which the planner runs partition-wise when both tables are
+// partitioned on id and as a serial hash join otherwise. The build scan
+// carries the estimate a planner gives a bare scan, the table's rows: a
+// streamed build side is sized from it (one whose estimate falls short
+// still grows by append, ROADMAP item 7).
+func coPartitionedJoin(rows int) *plan.HashJoinNode {
+	build := &plan.SeqScanNode{Table: "items", Rows: plan.Estimates{Rows: float64(rows)}}
+	return &plan.HashJoinNode{Left: build, Right: &plan.SeqScanNode{Table: "probe"},
 		LeftKeys: []int{0}, RightKeys: []int{0}}
 }
 
@@ -154,18 +159,21 @@ func TestBatchIsTwoSlices(t *testing.T) {
 // TestAggregationAllocationsDoNotGrowWithInput counts what a filtered
 // aggregate over n and 4n rows with ten groups allocates, and what a join of
 // two filtered scans that keep the same rows at both sizes allocates. Neither
-// allocations nor bytes grow with the input on any driver. Streamed (RowPass,
-// VecPass), a fold keeps nothing per row: a stage's or a breaker's row
-// widths are runs of equal width, one run for these fixed-width rows.
-// Materialized — on one partition, or through the Exchange over four at DOP
-// 2 — the child batch is consumed: its row array, sized for the whole table,
-// comes from the row-array pool and goes back to it, and nothing is
-// allocated per row: no key string, no key bytes, no row identity, and the
-// Exchange merges in place instead of copying its stripes. The join's build
-// side is consumed the same way on every driver. On the partitioned tables,
-// a co-partitioned join of the whole table to a probe table of joined rows
-// builds over n and 4n rows: each worker's build array comes from the
-// row-array pool and its join table from the worker pool.
+// allocations nor bytes grow with the input on any driver, and an
+// aggregation's do not grow with its groups either: its table, accumulators
+// and group columns come from the build scratch pool, and its output is one
+// value slab and one row array. Streamed (RowPass, VecPass), a fold keeps
+// nothing per row: a stage's or a breaker's row widths are runs of equal
+// width, one run for these fixed-width rows. Materialized — on one
+// partition, or through the Exchange over four at DOP 2 — the child batch is
+// consumed: its row array, sized for the whole table, comes from the
+// row-array pool and goes back to it, and nothing is allocated per row: no
+// key, no row identity, and the Exchange merges in place instead of copying
+// its stripes. The join's build side is consumed the same way on every
+// driver. A join of the whole table to a probe table of joined rows builds
+// over n and 4n rows — serially on one partition, partition-wise on four —
+// and every build array comes from the row-array pool and every join table
+// from the build scratch pool.
 func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	// AllocsPerRun measures on one P; a sync.Pool forgets its contents when
@@ -178,6 +186,8 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		knobs := db.Knobs()
 		knobs.PartitionCount = 4
 		db.SetKnobs(knobs)
+	}
+	for _, db := range []*engine.DB{small, large, partSmall, partLarge} {
 		if _, err := db.CreateTable("probe", db.Table("items").Meta.Schema); err != nil {
 			t.Fatal(err)
 		}
@@ -196,20 +206,16 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		// the plan runs.
 		limit float64
 		scans int
-		// Whether only the partitioned tables run the query: unpartitioned,
-		// a bare join builds a statement-local table over the whole input.
-		partitioned bool
 	}{
-		// A constant, plus the group count: state, key, group columns, four
-		// accumulators and the output row of each group.
-		{"agg", filteredCount(n / 2), filteredCount(2 * n), 24 + 8*groups, 1, false},
+		// A constant: the output's slab and row array, whatever the groups.
+		{"agg", filteredCount(n / 2), filteredCount(2 * n), 12, 1},
 		// The same, each chain stage keeping its input's widths as one run.
-		{"filter_chain", filteredChainCount(n / 2), filteredChainCount(2 * n), 24 + 8*groups, 1, false},
+		{"filter_chain", filteredChainCount(n / 2), filteredChainCount(2 * n), 12, 1},
 		// A constant, plus the joined rows: a heap tuple each under
 		// Materialize.
-		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 40 + joined, 2, false},
-		// A constant, plus the joined rows: a heap tuple each.
-		{"copartitioned_join", coPartitionedJoin(), coPartitionedJoin(), 40 + joined, 2, true},
+		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 20 + joined, 2},
+		// The same.
+		{"copartitioned_join", coPartitionedJoin(n), coPartitionedJoin(4 * n), 20 + joined, 2},
 	}
 	for _, c := range []struct {
 		name         string
@@ -224,9 +230,6 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, q := range queries {
-				if q.partitioned && c.dop == 1 {
-					continue
-				}
 				t.Run(q.name, func(t *testing.T) {
 					sctx, lctx := NewCtx(c.small, hw.DefaultCPU()), NewCtx(c.large, hw.DefaultCPU())
 					sctx.Mode, lctx.Mode = c.mode, c.mode

@@ -1,8 +1,8 @@
 package exec
 
 // Tests of the one hash join: its rows against a reference that is not a
-// hash table, its build's cost in the number of rows per key, where its
-// scratch lives per driver, and the JHTSleepEvery charge on every driver.
+// hash table, its build's cost in the number of rows per key, and the
+// JHTSleepEvery charge on every driver.
 
 import (
 	"fmt"
@@ -85,7 +85,7 @@ func tupleStrings(rows []storage.Tuple) []string {
 }
 
 // longestChain is the most distinct keys any bucket of t holds.
-func longestChain(t *joinTable) int {
+func longestChain(t *keyTable) int {
 	longest := 0
 	for _, e := range t.heads {
 		n := 0
@@ -153,6 +153,13 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 			probe: intRows(20, func(i int) []int64 { return []int64{int64(i%9) + 50, 0} })},
 	}
 	for _, tc := range cases {
+		if tc.collide {
+			var kt keyTable
+			kt.build(tc.build, tc.keyCols, nil)
+			if n := longestChain(&kt); n < 2 {
+				t.Fatalf("%s: longest bucket chain holds %d keys, want several", tc.name, n)
+			}
+		}
 		for _, d := range joinDrivers {
 			t.Run(tc.name+"/"+d.name, func(t *testing.T) {
 				ctx, col := newJoinDB(t, d, tc.schema, tc.keyCols, tc.build, tc.probe)
@@ -182,11 +189,6 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 				if ran := slices.Contains(kindsOf(col.Drain()), ou.PartitionProbe); ran != exchange {
 					t.Fatalf("partition-wise = %v, want %v", ran, exchange)
 				}
-				if tc.collide && d.mode == catalog.Compile {
-					if n := longestChain(&ctx.jt); n < 2 {
-						t.Fatalf("longest bucket chain holds %d keys, want several", n)
-					}
-				}
 			})
 		}
 	}
@@ -195,10 +197,10 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 // TestJoinBuildLinearInRowsPerKey counts rather than times: a build of n and
 // of 4n rows under five keys keeps one entry per key and one link per row,
 // and the bucket chains its inserts walk — every find compares at most its
-// bucket's chain — grow with the rows, not with the rows per key. A streaming
-// driver's table lives on in the Ctx, where a second build of the same size
-// allocates nothing; Materialize leaves the Ctx's table untouched, so its
-// statement-local build is repeated here through the same joinTable.build.
+// bucket's chain — grow with the rows, not with the rows per key. Every
+// driver builds in a table drawn from the build scratch pool, so after each
+// driver's join the build is repeated here through a pooled table, where a
+// second build of the same size allocates nothing.
 func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
 	const n, keys = 2000, 5
 	schema := catalog.NewSchema(
@@ -228,13 +230,9 @@ func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
 				if len(b.Rows) != size {
 					t.Fatalf("%d build rows joined to %d, want one match each", size, len(b.Rows))
 				}
-				jt := &ctx.jt
-				if d.mode == catalog.Interpret {
-					if jt.heads != nil || jt.entries != nil || jt.keys != nil || jt.next != nil {
-						t.Fatal("a Materialize join built in the Ctx's table")
-					}
-					jt.build(build, keyCols, nil)
-				}
+				s := buildScratchPool.Get().(*buildScratch)
+				jt := &s.kt
+				s.keyBuf = jt.build(build, keyCols, s.keyBuf)
 				if len(jt.entries) != keys || len(jt.next) != size {
 					t.Fatalf("%d entries and %d row links for %d rows under %d keys", len(jt.entries), len(jt.next), size, keys)
 				}
@@ -249,9 +247,10 @@ func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
 						steps[i]++
 					}
 				}
-				if allocs := testing.AllocsPerRun(3, func() { keyBuf = jt.build(build, keyCols, keyBuf) }); allocs != 0 {
+				if allocs := testing.AllocsPerRun(3, func() { s.keyBuf = jt.build(build, keyCols, s.keyBuf) }); allocs != 0 {
 					t.Errorf("rebuilding a table of %d rows allocates %.0f times", size, allocs)
 				}
+				buildScratchPool.Put(s)
 			}
 			if steps[0] > 2*n || steps[1] > 4*steps[0] {
 				t.Fatalf("chain steps %d at %d rows, %d at %d: want at most %d and 4x", steps[0], n, steps[1], 4*n, 2*n)

@@ -12,7 +12,7 @@ import (
 )
 
 // Partitioned intra-query parallelism: exchange-style parallel scans and
-// partition-wise hash joins (the serial join's joinTable and charge helpers,
+// partition-wise hash joins (the serial join's keyTable and charge helpers,
 // pipeline.go, run per partition on a worker thread). Work fans out over
 // min(DOP, partitions) worker chains; partition p always runs on chain
 // p % chains, each chain owns a fresh hardware thread, and per-partition OU
@@ -183,7 +183,7 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
 
 // partitionJoin runs a hash join that plan.ChooseDriver found partition-wise
 // (two bare scans co-partitioned on the join keys): every partition builds a
-// worker-local joinTable over its stripe of the build side and probes it with
+// worker-local keyTable over its stripe of the build side and probes it with
 // the co-located stripe of the probe side, billing its worker thread through
 // the serial join's two charge helpers — one PARTITION_PROBE OU invocation
 // per partition (build plus probe of that partition), fanned over the worker
@@ -242,10 +242,10 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 			})
 			buildRows := len(build.Rows)
 			htBytes := float64(buildRows) * entryBytes
-			w := joinWorkerPool.Get().(*joinWorker)
-			defer joinWorkerPool.Put(w)
-			jt := &w.jt
-			w.keyBuf = jt.build(build.Rows, n.LeftKeys, w.keyBuf)
+			s := buildScratchPool.Get().(*buildScratch)
+			defer buildScratchPool.Put(s)
+			jt := &s.kt
+			s.keyBuf = jt.build(build.Rows, n.LeftKeys, s.keyBuf)
 			ctx.chargeJoinBuild(th, buildRows, htBytes)
 
 			// Probe with the co-located stripe of the probe side.
@@ -255,8 +255,8 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 				for i := range rows {
 					r := rows[i].Data
 					probed++
-					w.keyBuf = index.AppendKeyFromTuple(w.keyBuf[:0], r, n.RightKeys)
-					for row := jt.first(w.keyBuf); row >= 0; row = jt.next[row] {
+					s.keyBuf = index.AppendKeyFromTuple(s.keyBuf[:0], r, n.RightKeys)
+					for row := jt.first(s.keyBuf); row >= 0; row = jt.next[row] {
 						out = append(out, heap.join(build.Rows[row], r))
 					}
 				}

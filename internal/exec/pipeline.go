@@ -394,76 +394,110 @@ func (rp *rowRun) push(rid storage.RowID, t storage.Tuple) {
 	rp.sink(rid, t)
 }
 
-// joinTable is the hash join's build structure, the same for every driver:
-// chained hashing with one entry per distinct key — key bytes stored once in
-// one arena, bucket chains linking distinct keys only — each entry heading
-// the list of build rows under its key, linked in insertion order through
-// next. Insert and probe therefore cost the distinct keys sharing a bucket,
-// however often a key repeats, and a probe emits its matches in build-row
-// order. All four slices are reused build to build, so a table that lives on
-// (the Ctx's) builds with zero allocations in steady state.
-type joinTable struct {
-	heads   []int32     // bucket → first entry of its chain, -1 empty
-	entries []joinEntry // one per distinct key
-	keys    []byte      // concatenated key bytes of every entry
-	next    []int32     // build row → next build row under the same key, -1 last
+// keyTable is the one build structure of the hash join and the aggregation,
+// the same for every driver: chained hashing with one entry per distinct key
+// — key bytes stored once in one arena, bucket chains linking distinct keys
+// only — entries in first-seen order, each heading the list of rows inserted
+// under its key, linked in insertion order through next. Insert and probe
+// therefore cost the distinct keys sharing a bucket, however often a key
+// repeats, and a probe emits its matches in build-row order. All four slices
+// are reused build to build, so a pooled table (buildScratch, pool.go) builds
+// with zero allocations once it has held a build its size.
+type keyTable struct {
+	heads   []int32    // bucket → first entry of its chain, -1 empty
+	entries []keyEntry // one per distinct key, in first-seen order
+	keys    []byte     // concatenated key bytes of every entry
+	next    []int32    // row → next row under the same key, -1 last
 }
 
-type joinEntry struct {
+type keyEntry struct {
 	off, klen   int32 // the key's bytes in keys
-	first, last int32 // the key's build rows, linked through next
+	first, last int32 // the key's rows, linked through next
 	chain       int32 // next entry in the same bucket
 }
 
-// build fills the table from the key columns of rows, build row i being
-// rows[i]. Keys encode into keyBuf, which it returns (possibly grown).
-func (t *joinTable) build(rows []storage.Tuple, keyCols []int, keyBuf []byte) []byte {
+// reset empties the table, with at least heads bucket heads (a power of two)
+// and room for rows row links.
+func (t *keyTable) reset(heads, rows int) {
 	size := 1
-	for size < 2*len(rows) {
+	for size < heads {
 		size <<= 1
 	}
-	t.heads, t.next = sized(t.heads, size), sized(t.next, len(rows))
-	for i := range t.heads {
-		t.heads[i] = -1
-	}
+	t.clearHeads(size)
 	t.entries = t.entries[:0]
 	t.keys = t.keys[:0]
-	for i, r := range rows {
+	if cap(t.next) < rows {
+		t.next = make([]int32, 0, rows)
+	}
+	t.next = t.next[:0]
+}
+
+// build fills the table from the key columns of rows, build row i being
+// rows[i]. The heads are sized to twice the rows up front, so a build never
+// regrows them. Keys encode into keyBuf, which it returns (possibly grown).
+func (t *keyTable) build(rows []storage.Tuple, keyCols []int, keyBuf []byte) []byte {
+	t.reset(2*len(rows), len(rows))
+	for _, r := range rows {
 		keyBuf = index.AppendKeyFromTuple(keyBuf[:0], r, keyCols)
-		row := int32(i)
-		t.next[row] = -1
-		h, e := t.find(keyBuf)
-		if e >= 0 {
-			ent := &t.entries[e]
-			t.next[ent.last] = row
-			ent.last = row
-			continue
-		}
-		t.entries = append(t.entries, joinEntry{off: int32(len(t.keys)), klen: int32(len(keyBuf)),
-			first: row, last: row, chain: t.heads[h]})
-		t.heads[h] = int32(len(t.entries) - 1)
-		t.keys = append(t.keys, keyBuf...)
+		t.insert(keyBuf)
 	}
 	return keyBuf
 }
 
-// sized returns s at length n, reallocated only when it is too small.
-func sized(s []int32, n int) []int32 {
-	if cap(s) >= n {
-		return s[:n]
+// insert adds the next row — row len(t.next) — under k, and returns k's
+// entry, fresh when the row opened it. Once the entries pass half the heads,
+// the heads double and relink from the stored key bytes.
+func (t *keyTable) insert(k []byte) (e int32, fresh bool) {
+	row := int32(len(t.next))
+	t.next = append(t.next, -1)
+	h, e := t.find(k)
+	if e >= 0 {
+		ent := &t.entries[e]
+		t.next[ent.last] = row
+		ent.last = row
+		return e, false
 	}
-	return make([]int32, n)
+	e = int32(len(t.entries))
+	t.entries = append(t.entries, keyEntry{off: int32(len(t.keys)), klen: int32(len(k)),
+		first: row, last: row, chain: t.heads[h]})
+	t.heads[h] = e
+	t.keys = append(t.keys, k...)
+	if len(t.entries) > len(t.heads)/2 {
+		t.clearHeads(2 * len(t.heads))
+		for i := range t.entries {
+			ent := &t.entries[i]
+			b := t.bucket(t.keys[ent.off : ent.off+ent.klen])
+			ent.chain, t.heads[b] = t.heads[b], int32(i)
+		}
+	}
+	return e, true
 }
 
-// find returns k's bucket and its entry, -1 when no build row has the key.
-// The hash is FNV-1a over the key bytes.
-func (t *joinTable) find(k []byte) (bucket int, entry int32) {
+// clearHeads sizes the heads to n, every bucket empty, reallocating them
+// only when they are too small.
+func (t *keyTable) clearHeads(n int) {
+	if cap(t.heads) < n {
+		t.heads = make([]int32, n)
+	}
+	t.heads = t.heads[:n]
+	for i := range t.heads {
+		t.heads[i] = -1
+	}
+}
+
+// bucket returns k's bucket: FNV-1a over the key bytes, masked to the heads.
+func (t *keyTable) bucket(k []byte) int {
 	h := uint32(2166136261)
 	for _, c := range k {
 		h ^= uint32(c)
 		h *= 16777619
 	}
-	bucket = int(h) & (len(t.heads) - 1)
+	return int(h) & (len(t.heads) - 1)
+}
+
+// find returns k's bucket and its entry, -1 when no row has the key.
+func (t *keyTable) find(k []byte) (bucket int, entry int32) {
+	bucket = t.bucket(k)
 	for e := t.heads[bucket]; e >= 0; e = t.entries[e].chain {
 		ent := &t.entries[e]
 		if bytes.Equal(t.keys[ent.off:ent.off+ent.klen], k) {
@@ -473,9 +507,9 @@ func (t *joinTable) find(k []byte) (bucket int, entry int32) {
 	return bucket, -1
 }
 
-// first returns the first build row stored under k, -1 when there is none;
-// next links the rest, in build-row order.
-func (t *joinTable) first(k []byte) int32 {
+// first returns the first row stored under k, -1 when there is none; next
+// links the rest, in insertion order.
+func (t *keyTable) first(k []byte) int32 {
 	if _, e := t.find(k); e >= 0 {
 		return t.entries[e].first
 	}
@@ -505,33 +539,32 @@ func (c *Ctx) chargeJoinProbe(th *hw.Thread, probed, htBytes, outRows, outWidth 
 
 // hashJoin is the hash join of every driver but Exchange. The build side
 // materializes (it must) into a consumed batch, whose pooled row array the
-// join recycles as it returns, and into a joinTable; the probe side is fed —
-// when the right child is a chain on a streaming driver, its rows flow from
-// the storage layer through the probe into the join output with no
-// intermediate Batch. The driver selects only where the scratch lives: a
-// streaming driver builds in the Ctx's table and carves output tuples from
-// its arena, so its steady-state hot path allocates nothing per row;
-// Materialize builds a statement-local table and heap tuples, because
-// interpreted sessions are too many for each to pin either. All real work
-// comes first; the build and probe brackets are billed afterwards, the probe
-// as VEC_PROBE under VecPass and as HASHJOIN_PROBE otherwise (the build keeps
-// its mode-flagged HASHJOIN_BUILD: the kind carries no vectorized profile).
+// join recycles as it returns, and into a keyTable drawn from the build
+// scratch pool — its own, so a join on the probe side, or an aggregation
+// above, builds in another; the probe side is fed — when the right child is
+// a chain on a streaming driver, its rows flow from the storage layer
+// through the probe into the join output with no intermediate Batch. The
+// driver selects only where output tuples live: a streaming driver carves
+// them from the Ctx's arena, so its steady-state hot path allocates nothing
+// per row; Materialize makes heap tuples, because interpreted sessions are
+// too many for each to pin an arena chunk. All real work comes first; the
+// build and probe brackets are billed afterwards, the probe as VEC_PROBE
+// under VecPass and as HASHJOIN_PROBE otherwise (the build keeps its
+// mode-flagged HASHJOIN_BUILD: the kind carries no vectorized profile).
 func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	left, err := consume(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
 	defer left.recycle() // joined tuples copy their build half
-	var jt joinTable
+	s := buildScratchPool.Get().(*buildScratch)
+	defer buildScratchPool.Put(s) // the table keeps key bytes and row numbers, no tuple
+	jt := &s.kt
 	arena := heap
 	if drv.Streams() {
-		// Taken, not borrowed: a join on the probe side finds the Ctx's table
-		// gone and builds its own instead of overwriting this one.
-		jt, ctx.jt = ctx.jt, joinTable{}
-		defer func() { ctx.jt = jt }()
 		arena = &ctx.arena
 	}
-	ctx.keyBuf = jt.build(left.Rows, n.LeftKeys, ctx.keyBuf)
+	s.keyBuf = jt.build(left.Rows, n.LeftKeys, s.keyBuf)
 
 	var right shape
 	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
@@ -539,8 +572,8 @@ func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	// brackets: operator-at-a-time order.
 	err = feed(ctx, n.Right, nil, func(_ storage.RowID, r storage.Tuple) {
 		right.note(r)
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.RightKeys)
-		for row := jt.first(ctx.keyBuf); row >= 0; row = jt.next[row] {
+		s.keyBuf = index.AppendKeyFromTuple(s.keyBuf[:0], r, n.RightKeys)
+		for row := jt.first(s.keyBuf); row >= 0; row = jt.next[row] {
 			out = append(out, arena.join(left.Rows[row], r))
 		}
 	})

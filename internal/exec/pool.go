@@ -9,15 +9,18 @@ import (
 	"mb2/internal/storage"
 )
 
-// Hot-path scratch memory discipline. The drivers draw four kinds of
+// Hot-path scratch memory discipline. The drivers draw five kinds of
 // buffers:
 //
 //   - pooled scratch (scan-row buffers, posting buffers): returned to a
 //     sync.Pool before Execute returns; never escapes. Row widths are not
 //     buffered at all: a stage and a breaker's shape keep them as a
 //     run-length widthLog, one inline run for a fixed-width stream.
-//   - per-Ctx scratch (join and group key buffers): a Ctx is single-worker
-//     by contract, so its key buffer is reused row-to-row with no
+//   - build scratch (a hash join's or an aggregation's keyTable, key buffer
+//     and group slabs): one pool for every build on every driver, returned
+//     before the build's operator returns; never escapes.
+//   - per-Ctx scratch (the index join's key buffer, the stage list): a Ctx
+//     is single-worker by contract, so it is reused with no
 //     synchronization.
 //   - arena-backed output tuples: projected/joined tuples are carved out of
 //     chunked []storage.Value blocks owned by whoever holds the tuple — the
@@ -28,7 +31,7 @@ import (
 //   - pooled row arrays (a consumed batch's []storage.Tuple): a batch that a
 //     parent reads once inside exec and then drops — a chain fed to a
 //     breaker, a hash join's build side, a partition-wise join worker's
-//     build side, an index join's outer — draws its
+//     build side, an index join's outer, a top-n sort's buffer — draws its
 //     array from a size-classed pool and recycles it, cleared, once the
 //     parent has read the last row. Only the array of tuple headers is
 //     recycled, never a tuple. Execute's result never draws from the pool.
@@ -50,16 +53,23 @@ var postingBufPool = sync.Pool{
 	New: func() any { b := make([]index.Entry, 0, 256); return &b },
 }
 
-// joinWorker is a partition-wise join worker's build state: its join table
-// and key scratch. Neither keeps a tuple — the table holds key bytes and
-// row numbers — so a worker reuses whatever an earlier join left, and a
-// build allocates nothing once the pool holds a table its size.
-type joinWorker struct {
-	jt     joinTable
-	keyBuf []byte
+// buildScratch is a build's hash table and scratch — a hash join's, a
+// partition-wise join worker's, an aggregation's — drawn from one pool on
+// every driver. The table holds key bytes and row numbers and the
+// accumulators float64s, so a build reuses whatever an earlier one left, and
+// allocates nothing once the pool holds scratch its size. Only vals, an
+// aggregation's group columns, holds values; execAgg clears it before the
+// scratch goes back, so no pooled scratch keeps a string alive. Every Get is
+// a distinct scratch: a build nested under another (a join on a join's probe
+// side, a join under an aggregation) never shares one.
+type buildScratch struct {
+	kt     keyTable
+	keyBuf []byte          // build and probe keys, encoded
+	acc    []float64       // execAgg: each group's accumulators
+	vals   []storage.Value // execAgg: each group's columns
 }
 
-var joinWorkerPool = sync.Pool{New: func() any { return new(joinWorker) }}
+var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
 
 func getScanBuf() *[]storage.ScanRow { return scanBufPool.Get().(*[]storage.ScanRow) }
 

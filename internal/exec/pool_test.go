@@ -15,17 +15,24 @@ import (
 // consumedShapes is one plan for each parent that consumes a batch inside
 // exec — an aggregation and a top-n sort on feed, a hash join's build side
 // (and its fed probe) and an index join's outer — over the rows of items
-// with id < k. Every result depends on every consumed row.
+// with id < k, and the builds that draw from the build scratch pool nested
+// in one another: an aggregation over a hash join, and a hash join on a hash
+// join's probe side. Every result depends on every consumed row.
 func consumedShapes(k int) []plan.Node {
 	scan := func(k int) plan.Node {
 		return &plan.SeqScanNode{Table: "items", Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(int64(k))}}
 	}
+	join := func(left, right plan.Node) plan.Node {
+		return &plan.HashJoinNode{Left: left, Right: right, LeftKeys: []int{0}, RightKeys: []int{0}}
+	}
+	sums := []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}, {Fn: plan.Sum, Arg: plan.Col(2)}}
 	return []plan.Node{
-		&plan.AggNode{Child: scan(k), GroupBy: []int{1},
-			Aggs: []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(0)}, {Fn: plan.Sum, Arg: plan.Col(2)}}},
+		&plan.AggNode{Child: scan(k), GroupBy: []int{1}, Aggs: sums},
 		&plan.SortNode{Child: scan(k), Keys: []plan.SortKey{{Col: 2, Desc: true}}, Limit: 10},
-		&plan.HashJoinNode{Left: scan(k), Right: scan(k / 2), LeftKeys: []int{0}, RightKeys: []int{0}},
+		join(scan(k), scan(k/2)),
 		&plan.IndexJoinNode{Outer: scan(k / 3), Table: "items", Index: "items_id", OuterKeys: []int{0}},
+		&plan.AggNode{Child: join(scan(k), scan(k/2)), GroupBy: []int{5, 3}, Aggs: sums},
+		join(scan(k/2), join(scan(k), scan(k/4))),
 	}
 }
 

@@ -179,67 +179,65 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 	return &Batch{Rows: out}, nil
 }
 
-type aggState struct {
-	group  storage.Tuple
-	first  int // index of the input row that opened the group
-	counts []float64
-	sums   []float64
-	mins   []float64
-	maxs   []float64
-	init   bool
-}
-
 // execAgg folds each row into its group as feed delivers it, keeping of the
-// input only its shape and the index of the row that opened each group, then
-// replays the build's per-row charges call for call inside the AGG_BUILD
-// bracket: records, features and labels are those of a build that charged as
-// it went, on every driver.
+// input only its shape, then replays the build's per-row charges call for
+// call inside the AGG_BUILD bracket: records, features and labels are those
+// of a build that charged as it went, on every driver. A group is one entry
+// of a pooled keyTable — entries in first-seen order, each remembering the
+// row that opened it — with its accumulators (the counts, sums, mins and
+// maxs of every aggregate) at stride 4·len(Aggs) in a pooled float64 slab
+// and its columns copied into a pooled value slab; nothing is allocated per
+// group but the output.
 func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
+	s := buildScratchPool.Get().(*buildScratch)
+	defer func() {
+		clear(s.vals) // group columns may hold strings: the pool must not keep them
+		s.vals = s.vals[:0]
+		buildScratchPool.Put(s)
+	}()
+	kt := &s.kt
+	kt.reset(aggHeads, 0)
+	s.acc, s.vals = s.acc[:0], s.vals[:0]
+	nAggs, nKeys := len(n.Aggs), len(n.GroupBy)
+	stride := 4 * nAggs
 	var in shape
-	groups := make(map[string]*aggState)
-	var order []*aggState // first-seen order
 	err := feed(ctx, n.Child, nil, func(_ storage.RowID, r storage.Tuple) {
-		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], r, n.GroupBy)
-		st, ok := groups[string(ctx.keyBuf)]
-		if !ok {
-			st = &aggState{
-				group:  heap.projectCols(r, n.GroupBy),
-				first:  in.widths.n,
-				counts: make([]float64, len(n.Aggs)),
-				sums:   make([]float64, len(n.Aggs)),
-				mins:   make([]float64, len(n.Aggs)),
-				maxs:   make([]float64, len(n.Aggs)),
+		s.keyBuf = index.AppendKeyFromTuple(s.keyBuf[:0], r, n.GroupBy)
+		e, fresh := kt.insert(s.keyBuf)
+		if fresh {
+			s.acc = append(s.acc, make([]float64, stride)...)
+			for _, c := range n.GroupBy {
+				s.vals = append(s.vals, r[c])
 			}
-			groups[string(ctx.keyBuf)] = st
-			order = append(order, st)
 		}
 		in.note(r)
+		acc := s.acc[int(e)*stride : int(e+1)*stride]
+		counts, sums, mins, maxs := acc[:nAggs], acc[nAggs:2*nAggs], acc[2*nAggs:3*nAggs], acc[3*nAggs:]
 		for ai, spec := range n.Aggs {
 			var v float64
 			if spec.Fn != plan.Count {
 				v = spec.Arg.Eval(r).AsFloat()
 			}
-			st.counts[ai]++
-			st.sums[ai] += v
-			if !st.init || v < st.mins[ai] {
-				st.mins[ai] = v
+			if counts[ai] == 0 || v < mins[ai] {
+				mins[ai] = v
 			}
-			if !st.init || v > st.maxs[ai] {
-				st.maxs[ai] = v
+			if counts[ai] == 0 || v > maxs[ai] {
+				maxs[ai] = v
 			}
+			counts[ai]++
+			sums[ai] += v
 		}
-		st.init = true
 	})
 	if err != nil {
 		return nil, err
 	}
-	entryBytes := 8.0*float64(len(n.GroupBy)) + 24*float64(len(n.Aggs)) + 16
+	entryBytes := 8.0*float64(nKeys) + 24*float64(nAggs) + 16
 
 	// Build: aggregate hash table grows with inserted unique keys (Sec 4.3).
 	start := ctx.Tracker.Start()
 	grown := 0
 	for i := range in.widths.n {
-		if grown < len(order) && order[grown].first == i {
+		if grown < len(kt.entries) && int(kt.entries[grown].first) == i {
 			grown++
 			ctx.Thread().Alloc(entryBytes)
 		}
@@ -249,54 +247,74 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 		}
 		ctx.compute(8)
 	}
-	card := float64(len(order))
+	groups := len(kt.entries)
+	card := float64(groups)
 	buildFeats := ou.ExecFeatures(in.rows(), in.cols(), in.width(), card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.AggBuild, buildFeats, start)
 
-	// Probe/iterate: produce one output row per group.
+	// Probe/iterate: produce one output row per group, every row cut from
+	// one value slab.
 	start = ctx.Tracker.Start()
-	out := make([]storage.Tuple, 0, len(order))
-	for _, st := range order {
-		row := make(storage.Tuple, 0, len(st.group)+len(n.Aggs))
-		row = append(row, st.group...)
+	width := nKeys + nAggs
+	slab := make([]storage.Value, groups*width)
+	out := make([]storage.Tuple, groups)
+	for g := range out {
+		row := slab[g*width : (g+1)*width : (g+1)*width]
+		copy(row, s.vals[g*nKeys:(g+1)*nKeys])
+		acc := s.acc[g*stride : (g+1)*stride]
 		for ai, spec := range n.Aggs {
+			count, sum := acc[ai], acc[nAggs+ai]
+			var v storage.Value
 			switch spec.Fn {
 			case plan.Count:
-				row = append(row, storage.NewInt(int64(st.counts[ai])))
+				v = storage.NewInt(int64(count))
 			case plan.Sum:
-				row = append(row, storage.NewFloat(st.sums[ai]))
+				v = storage.NewFloat(sum)
 			case plan.Min:
-				row = append(row, storage.NewFloat(st.mins[ai]))
+				v = storage.NewFloat(acc[2*nAggs+ai])
 			case plan.Max:
-				row = append(row, storage.NewFloat(st.maxs[ai]))
+				v = storage.NewFloat(acc[3*nAggs+ai])
 			default: // Avg
-				row = append(row, storage.NewFloat(st.sums[ai]/st.counts[ai]))
+				v = storage.NewFloat(sum / count)
 			}
+			row[nKeys+ai] = v
 			ctx.compute(3)
 		}
-		out = append(out, row)
+		out[g] = row
 	}
 	ctx.Thread().SeqWrite(card, entryBytes)
-	probeFeats := ou.ExecFeatures(card, float64(len(n.GroupBy)+len(n.Aggs)), entryBytes, card, entryBytes, 1, ctx.compiled())
+	probeFeats := ou.ExecFeatures(card, float64(width), entryBytes, card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.AggProbe, probeFeats, start)
 
 	ctx.Thread().Free(card * entryBytes)
 	return &Batch{Rows: out}, nil
 }
 
+// aggHeads is the bucket heads an aggregation's table starts from; it
+// doubles as the groups arrive.
+const aggHeads = 16
+
 // execSort's build appends the rows feed delivers straight into the sort
-// buffer, which the result then owns.
+// buffer. Without a limit the result owns the buffer. With one, the buffer
+// is a consumed array: the first Limit rows are copied into a right-sized
+// result and the buffer goes back to the pool, so a top-n result does not
+// keep its whole input alive.
 func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 	var in shape
-	var buf []storage.Tuple
-	err := feed(ctx, n.Child, func(rows int) { buf = make([]storage.Tuple, 0, rows) },
-		func(_ storage.RowID, r storage.Tuple) {
-			in.note(r)
-			buf = append(buf, r)
+	var sb Batch
+	r := caller
+	if n.Limit > 0 {
+		r = consumer
+	}
+	err := feed(ctx, n.Child, func(rows int) { sb.reserve(rows, r) },
+		func(_ storage.RowID, t storage.Tuple) {
+			in.note(t)
+			sb.Rows = append(sb.Rows, t)
 		})
 	if err != nil {
-		return nil, err
+		return nil, err // a pooled buffer is dropped, not recycled: nothing reads it
 	}
+	buf := sb.Rows
 	nrows, ncols, width := in.rows(), in.cols(), in.width()
 
 	// Build: fill the sort buffer and sort — O(n log n).
@@ -324,8 +342,10 @@ func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 	// Iterate: stream the sorted output (bounded by the limit).
 	start = ctx.Tracker.Start()
 	out := buf
-	if n.Limit > 0 && n.Limit < len(buf) {
-		out = buf[:n.Limit]
+	if r == consumer {
+		out = make([]storage.Tuple, min(n.Limit, len(buf)))
+		copy(out, buf)
+		sb.recycle()
 	}
 	ctx.Thread().SeqRead(float64(len(out)), width)
 	ctx.compute(float64(len(out)) * 2)

@@ -18,8 +18,8 @@ import (
 // vec.Batch, the chain's stages run as selection-vector kernels, and only
 // the surviving lanes materialize — into the pass's sink, which is a Batch
 // or a breaker fed by the pass: hash-join probes look each lane up in the
-// Ctx's joinTable (hashJoin), aggregation and sort builds fold and buffer
-// the lanes as they come. Everything that is not a chain (index
+// join's pooled keyTable (hashJoin), aggregation and sort builds fold and
+// buffer the lanes as they come. Everything that is not a chain (index
 // scans, aggregate and sort brackets, DML, output) still pays interpreter
 // charges — which is exactly what the mode's OU decomposition tells the
 // planner, since only VEC_* records carry vectorized cost profiles.
