@@ -86,6 +86,14 @@ var rules = []rule{
 	{"one-float-layout",
 		"under internal/, math.Float64bits( and math.Float64frombits( appear only in internal/storage/value.go (NewFloat, Value.Float), internal/fold/ (H.F64) and internal/check/ (the failover digest folds a float64 statistic): a storage.Value keeps a float's bits in I, and no other layer re-derives them",
 		35, forbid("internal", except("internal/storage/value.go", "internal/fold/", "internal/check/"), "math.Float64bits(", "math.Float64frombits(")},
+	{"one-redo",
+		"outside tests, ReplayWrite( is called only by wal.Redo's redoWrites (internal/wal/replay.go) and, on exactly one line, by engine.RecoverImages' checkpoint install, and no file outside internal/wal tests a record's type against wal.RecordCommit: a log becomes tables one way, through wal.Redo",
+		39, all(func(t *tree) []string {
+			return t.lines("", except("internal/wal/replay.go", "internal/engine/"), func(l string) bool {
+				return strings.Contains(l, "ReplayWrite(") && !replayWriteDecl.MatchString(l)
+			})
+		}, exactly("internal/engine", 1, "ReplayWrite(", nil),
+			func(t *tree) []string { return t.lines("", except("internal/wal/"), commitTest.MatchString) })},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},
@@ -190,10 +198,12 @@ func cmdLinksNoCheck(t *tree) []string {
 }
 
 var (
-	remainingWrite = regexp.MustCompile(`\.Remaining\[[^\]]*\]\s*([-+*/]?=[^=]|\+\+|--)`)
-	missStart      = regexp.MustCompile(`^func \(s \*Session\) miss\(`)
-	planEntry      = regexp.MustCompile(`sql\.Parse|NewPlanner`)
-	comment        = regexp.MustCompile(`^[ \t]*//`)
+	remainingWrite  = regexp.MustCompile(`\.Remaining\[[^\]]*\]\s*([-+*/]?=[^=]|\+\+|--)`)
+	missStart       = regexp.MustCompile(`^func \(s \*Session\) miss\(`)
+	planEntry       = regexp.MustCompile(`sql\.Parse|NewPlanner`)
+	comment         = regexp.MustCompile(`^[ \t]*//`)
+	replayWriteDecl = regexp.MustCompile(`^func \(t \*Table\) ReplayWrite\(`)
+	commitTest      = regexp.MustCompile(`[=!]=\s*wal\.RecordCommit\b|\bwal\.RecordCommit\s*[=!]=|\bcase\b.*\bwal\.RecordCommit\b`)
 )
 
 // onePlanPath scans the non-test files directly in internal/session, from

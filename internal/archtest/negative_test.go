@@ -85,6 +85,15 @@ var violations = []violation{
 	{"one-float-layout", "a WAL encoder that derives a value's bits again", "internal/wal/wal.go:3:", map[string]string{
 		"internal/storage/value.go": "package storage\n\nfunc (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }\n",
 		"internal/wal/wal.go":       "package wal\n\nfunc put(b []byte, v storage.Value) { binary.LittleEndian.PutUint64(b, math.Float64bits(v.Float())) }\n"}},
+	{"one-redo", "a replay loop outside wal.Redo", "internal/check/invariants.go:3:", map[string]string{
+		"internal/storage/table.go":    "package storage\n\nfunc (t *Table) ReplayWrite(row RowID, data Tuple, ts uint64) {}\n",
+		"internal/check/invariants.go": "package check\n\nfunc f() { fresh.ReplayWrite(storage.RowID(r.Row), r.Payload, ts) }\n"}},
+	{"one-redo", "a second replay loop in engine", "on 2 non-test lines", map[string]string{
+		"internal/engine/engine.go": "package engine\n\nfunc install() { t.ReplayWrite(row, data, ck.SnapshotTS) }\n\nfunc redo() { t.ReplayWrite(row, data, ts) }\n"}},
+	{"one-redo", "a commit order computed outside wal", "internal/runner/r.go:3:", map[string]string{
+		"internal/runner/r.go": "package runner\n\nfunc f() { if r.Type == wal.RecordCommit { order = append(order, r.TxnID) } }\n"}},
+	{"one-redo", "a switch on the commit record outside wal", "internal/repl/r.go:5:", map[string]string{
+		"internal/repl/r.go": "package repl\n\nfunc f() {\n\tswitch r.Type {\n\tcase wal.RecordCommit:\n\t}\n}\n"}},
 	{"fuzz-targets-run", "a fuzz target make fuzz does not run", "internal/x.FuzzB is not run by make fuzz", map[string]string{
 		"Makefile":                "fuzz:\n\t$(GO) test -run=NONE -fuzz=FuzzA -fuzztime=5s ./internal/x\n",
 		"internal/x/fuzz_test.go": "package x\n\nfunc FuzzA(f *testing.F) {}\n\nfunc FuzzB(f *testing.F) {}\n"}},

@@ -93,16 +93,67 @@ type crashTxn struct {
 	abort   bool
 }
 
+// ddl is a workload's schema: its tables, and a unique index on each
+// table's first column, maintained by the live run and rebuilt by recovery.
+type ddl struct {
+	tables    []string
+	schemas   []catalog.Schema
+	pkIndexes []string // one per table, "" for none
+}
+
+// smallBank is the SmallBank schema the stress harness and the SmallBank
+// crash workload run against.
+var smallBank = ddl{
+	tables: []string{"accounts", "savings", "checking"},
+	schemas: []catalog.Schema{
+		catalog.NewSchema(
+			catalog.Column{Name: "custid", Type: catalog.Int64},
+			catalog.Column{Name: "name", Type: catalog.Varchar},
+		),
+		catalog.NewSchema(
+			catalog.Column{Name: "custid", Type: catalog.Int64},
+			catalog.Column{Name: "bal", Type: catalog.Float64},
+		),
+		catalog.NewSchema(
+			catalog.Column{Name: "custid", Type: catalog.Int64},
+			catalog.Column{Name: "bal", Type: catalog.Float64},
+		),
+	},
+	pkIndexes: []string{"accounts_pk", "savings_pk", "checking_pk"},
+}
+
+// open creates an empty database on the given devices (nil: a fresh
+// MemDevice) and materializes the schema in it: every table, then every
+// index, before any data, so the write path maintains the indexes from the
+// first row. It returns the tables in schema order.
+func (d ddl) open(knobs catalog.Knobs, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, error) {
+	db := engine.OpenOnDevices(knobs, logDev, ckptDev)
+	tables := make([]*storage.Table, len(d.tables))
+	for i, name := range d.tables {
+		t, err := db.CreateTable(name, d.schemas[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		tables[i] = t
+	}
+	for i, name := range d.pkIndexes {
+		if name == "" {
+			continue
+		}
+		if _, _, err := db.CreateIndex(nil, db.Machine.CPU, name, d.tables[i],
+			[]string{d.schemas[i].Columns[0].Name}, true, 1); err != nil {
+			return nil, nil, err
+		}
+	}
+	return db, tables, nil
+}
+
 // crashWorkload is a deterministic serial transaction stream plus the DDL
 // it runs against.
 type crashWorkload struct {
-	name    string
-	tables  []string
-	schemas []catalog.Schema
-	// pkIndexes names a unique index per table ("" = none), maintained by
-	// the live run and rebuilt by recovery.
-	pkIndexes []string
-	txns      []crashTxn
+	ddl
+	name string
+	txns []crashTxn
 }
 
 // --- workload generators ----------------------------------------------------
@@ -113,25 +164,7 @@ type crashWorkload struct {
 // deletes rows that are live, and predicts every RowID (serial inserts
 // allocate sequentially).
 func genSmallBank(seed int64, txns int) crashWorkload {
-	w := crashWorkload{
-		name:   "smallbank",
-		tables: []string{"accounts", "savings", "checking"},
-		schemas: []catalog.Schema{
-			catalog.NewSchema(
-				catalog.Column{Name: "custid", Type: catalog.Int64},
-				catalog.Column{Name: "name", Type: catalog.Varchar},
-			),
-			catalog.NewSchema(
-				catalog.Column{Name: "custid", Type: catalog.Int64},
-				catalog.Column{Name: "bal", Type: catalog.Float64},
-			),
-			catalog.NewSchema(
-				catalog.Column{Name: "custid", Type: catalog.Int64},
-				catalog.Column{Name: "bal", Type: catalog.Float64},
-			),
-		},
-		pkIndexes: []string{"accounts_pk", "savings_pk", "checking_pk"},
-	}
+	w := crashWorkload{ddl: smallBank, name: "smallbank"}
 	type acct struct {
 		id             int64
 		acc, sav, chk  storage.RowID
@@ -234,8 +267,7 @@ func genSmallBank(seed int64, txns int) crashWorkload {
 // location updates, forwarding-entry churn (insert/delete with varchar
 // payloads), and deliberate aborts.
 func genTATP(seed int64, txns int) crashWorkload {
-	w := crashWorkload{
-		name:   "tatp",
+	w := crashWorkload{name: "tatp", ddl: ddl{
 		tables: []string{"subscriber", "call_forwarding"},
 		schemas: []catalog.Schema{
 			catalog.NewSchema(
@@ -249,7 +281,7 @@ func genTATP(seed int64, txns int) crashWorkload {
 			),
 		},
 		pkIndexes: []string{"subscriber_pk", ""},
-	}
+	}}
 	type sub struct {
 		id       int64
 		row      storage.RowID
@@ -320,32 +352,14 @@ func genTATP(seed int64, txns int) crashWorkload {
 
 // --- execution ---------------------------------------------------------------
 
-// newCrashDB materializes the workload's DDL on the given devices,
+// newCrashDB opens the workload's schema on the given devices,
 // hash-partitioning every table when the config asks for it.
 func newCrashDB(cfg CrashConfig, w crashWorkload, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, error) {
 	knobs := catalog.DefaultKnobs()
 	if cfg.Partitions > 1 {
 		knobs.PartitionCount = cfg.Partitions
 	}
-	db := engine.OpenOnDevices(knobs, logDev, ckptDev)
-	tables := make([]*storage.Table, len(w.tables))
-	for i, name := range w.tables {
-		t, err := db.CreateTable(name, w.schemas[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		tables[i] = t
-	}
-	for i, name := range w.pkIndexes {
-		if name == "" {
-			continue
-		}
-		if _, _, err := db.CreateIndex(nil, db.Machine.CPU, name, w.tables[i],
-			[]string{w.schemas[i].Columns[0].Name}, true, 1); err != nil {
-			return nil, nil, err
-		}
-	}
-	return db, tables, nil
+	return w.open(knobs, logDev, ckptDev)
 }
 
 // applyCrashTxn executes one generated transaction through the engine's
@@ -455,10 +469,13 @@ func modelAfter(w crashWorkload, k uint64) map[string]string {
 	return state
 }
 
+// renderTuple renders a tuple as its values with their kinds (INT64:7), so
+// two renderings are equal only if every value has the same kind and the
+// same printed form.
 func renderTuple(data storage.Tuple) string {
 	parts := make([]string, len(data))
 	for i, v := range data {
-		parts[i] = v.String()
+		parts[i] = v.Kind.String() + ":" + v.String()
 	}
 	return strings.Join(parts, ",")
 }
@@ -471,27 +488,6 @@ func captureState(tables []*storage.Table, readTS uint64) map[string]string {
 		tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
 			out[fmt.Sprintf("%s/%d", tbl.Meta.Name, row)] = renderTuple(data)
 			return true
-		})
-	}
-	return out
-}
-
-// capturePartitioned snapshots every visible tuple at readTS by merging
-// each table's per-partition scan streams in partition order — the same
-// rendering captureState produces from the global scan, so the two must
-// expose identical states.
-func capturePartitioned(tables []*storage.Table, readTS uint64) map[string]string {
-	out := make(map[string]string)
-	for _, tbl := range tables {
-		tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
-			for p := range counts {
-				scan(nil, p, 0, readTS, nil, func(rows []storage.ScanRow) bool {
-					for _, r := range rows {
-						out[fmt.Sprintf("%s/%d", tbl.Meta.Name, r.Row)] = renderTuple(r.Data)
-					}
-					return true
-				})
-			}
 		})
 	}
 	return out
@@ -600,7 +596,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	// The golden run's partitioning must itself be sound before any
 	// recovered instance is compared against it.
 	for _, tbl := range goldenTables {
-		if err := tbl.CheckPartitionInvariants(); err != nil {
+		if err := checkPartitionScan(tbl, golden.Txns.LastCommitTS()); err != nil {
 			return nil, fail(-1, err)
 		}
 	}
@@ -644,16 +640,13 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		if err := diffStates(captureState(freshTables, k), modelAfter(w, k)); err != nil {
 			return err
 		}
-		// Recovery must re-route every replayed row: the directory
-		// invariants hold at every crash offset, and the merged partition
-		// stripes expose exactly the oracle's committed state.
+		// Recovery must re-route every replayed row: at every crash offset
+		// the merged partition stripes expose exactly the global scan's
+		// state, which is the oracle's.
 		for _, tbl := range freshTables {
-			if err := tbl.CheckPartitionInvariants(); err != nil {
+			if err := checkPartitionScan(tbl, k); err != nil {
 				return err
 			}
-		}
-		if err := diffStates(capturePartitioned(freshTables, k), modelAfter(w, k)); err != nil {
-			return fmt.Errorf("partition-merged state: %w", err)
 		}
 		// Index rebuild agreement: every index holds exactly the visible
 		// rows of its table.

@@ -20,8 +20,11 @@
 //   - GC safety: a collection pass never changes any state visible to a
 //     live snapshot, and afterwards chains are pruned below the oldest
 //     active timestamp;
-//   - WAL-replay equivalence: replaying the durable log image into fresh
-//     tables reproduces the live tables' committed state exactly.
+//   - WAL-replay equivalence: recovering the durable log image with
+//     engine.DB.RecoverImages onto a fresh engine of the same schema and
+//     knobs reproduces every commit and the live committed state exactly,
+//     and the recovered engine passes the storage, partition and index
+//     checks.
 //
 // # Concurrency contract
 //

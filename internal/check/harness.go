@@ -137,9 +137,8 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.DOP > 1 {
 		knobs.ScanDOP = cfg.DOP
 	}
-	db := engine.Open(knobs)
-	h := &harness{cfg: cfg, db: db, contenders: float64(cfg.Workers), maint: exec.NewMaintainer(db, 0, nil)}
-	if err := h.setup(); err != nil {
+	h := &harness{cfg: cfg, contenders: float64(cfg.Workers)}
+	if err := h.setup(knobs); err != nil {
 		return nil, h.fail(-1, "setup", err)
 	}
 	sched := BuildSchedule(cfg.Seed, cfg.Workers, cfg.OpsPerWorker*cfg.Phases)
@@ -173,38 +172,17 @@ func (h *harness) tables() []*storage.Table {
 	return []*storage.Table{h.accT, h.savT, h.chkT}
 }
 
-// setup creates the three SmallBank tables, their primary-key indexes
-// (before any data, so the workload's insert path maintains them from the
-// first row), and loads the initial accounts through the real transactional
-// path so the WAL image covers every committed state transition.
-func (h *harness) setup() error {
-	balSchema := catalog.NewSchema(
-		catalog.Column{Name: "custid", Type: catalog.Int64},
-		catalog.Column{Name: "bal", Type: catalog.Float64},
-	)
-	var err error
-	if h.accT, err = h.db.CreateTable("accounts", catalog.NewSchema(
-		catalog.Column{Name: "custid", Type: catalog.Int64},
-		catalog.Column{Name: "name", Type: catalog.Varchar},
-	)); err != nil {
+// setup opens the SmallBank schema (the primary-key indexes exist before
+// any data, so the workload's insert path maintains them from the first
+// row), and loads the initial accounts through the real transactional path
+// so the WAL image covers every committed state transition.
+func (h *harness) setup(knobs catalog.Knobs) error {
+	db, tables, err := smallBank.open(knobs, nil, nil)
+	if err != nil {
 		return err
 	}
-	if h.savT, err = h.db.CreateTable("savings", balSchema); err != nil {
-		return err
-	}
-	if h.chkT, err = h.db.CreateTable("checking", balSchema); err != nil {
-		return err
-	}
-	for _, spec := range []struct{ name, table string }{
-		{"accounts_pk", "accounts"},
-		{"savings_pk", "savings"},
-		{"checking_pk", "checking"},
-	} {
-		if _, _, err := h.db.CreateIndex(nil, h.db.Machine.CPU, spec.name, spec.table,
-			[]string{"custid"}, true, 1); err != nil {
-			return err
-		}
-	}
+	h.db, h.maint = db, exec.NewMaintainer(db, 0, nil)
+	h.accT, h.savT, h.chkT = tables[0], tables[1], tables[2]
 	rng := rand.New(rand.NewSource(h.cfg.Seed ^ 0x5eed))
 	for i := 0; i < h.cfg.Accounts; i++ {
 		op := Op{Kind: OpInsert, Amount: float64(rng.Intn(100_000)) / 100}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"mb2/internal/storage"
-	"mb2/internal/wal"
 )
 
 // checkAll runs the four invariant families at a quiesce point (no active
@@ -61,65 +60,74 @@ func (h *harness) checkStorage() error {
 	return nil
 }
 
-// checkPartitions validates the hash-partitioning layer of every table:
-// the routing directory's structural invariants hold, and the merged
-// per-partition scan streams expose exactly the global scan's visible rows
-// — every row surfacing in precisely the one partition the directory
-// routes it to, with identical tuples. On an unpartitioned table this
-// degenerates to scan self-consistency.
+// checkPartitions validates the hash-partitioning layer of every table at
+// the latest snapshot, and that each table has the partition count the
+// config asks for.
 func (h *harness) checkPartitions() error {
 	h.checks.Add(1)
 	readTS := h.db.Txns.LastCommitTS()
 	for _, tbl := range h.tables() {
-		if err := tbl.CheckPartitionInvariants(); err != nil {
+		if err := checkPartitionScan(tbl, readTS); err != nil {
 			return err
 		}
 		parts := tbl.PartitionCount()
 		if want := h.cfg.Partitions; want > 1 && parts != want {
 			return fmt.Errorf("table %s has %d partitions, config wants %d", tbl.Meta.Name, parts, want)
 		}
-		global := make(map[storage.RowID]string)
-		tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-			global[row] = renderTuple(data)
-			return true
-		})
-		merged := make(map[storage.RowID]string, len(global))
-		var perr error
-		tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
-			for p := 0; p < len(counts) && perr == nil; p++ {
-				scan(nil, p, 0, readTS, nil, func(rows []storage.ScanRow) bool {
-					for _, r := range rows {
-						if q := tbl.PartitionOfRow(r.Row); q != p {
-							perr = fmt.Errorf("table %s row %d surfaced by partition %d but routed to %d",
-								tbl.Meta.Name, r.Row, p, q)
-							return false
-						}
-						if _, dup := merged[r.Row]; dup {
-							perr = fmt.Errorf("table %s row %d surfaced by two partition scans", tbl.Meta.Name, r.Row)
-							return false
-						}
-						merged[r.Row] = renderTuple(r.Data)
+	}
+	return nil
+}
+
+// checkPartitionScan requires the routing directory's structural invariants
+// to hold and the merged per-partition scan streams at readTS to expose
+// exactly the global scan's visible rows — every row surfacing in precisely
+// the one partition the directory routes it to, with identical tuples. On
+// an unpartitioned table this degenerates to scan self-consistency.
+func checkPartitionScan(tbl *storage.Table, readTS uint64) error {
+	if err := tbl.CheckPartitionInvariants(); err != nil {
+		return err
+	}
+	global := make(map[storage.RowID]string)
+	tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
+		global[row] = renderTuple(data)
+		return true
+	})
+	merged := make(map[storage.RowID]string, len(global))
+	var perr error
+	tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
+		for p := 0; p < len(counts) && perr == nil; p++ {
+			scan(nil, p, 0, readTS, nil, func(rows []storage.ScanRow) bool {
+				for _, r := range rows {
+					if q := tbl.PartitionOfRow(r.Row); q != p {
+						perr = fmt.Errorf("table %s row %d surfaced by partition %d but routed to %d",
+							tbl.Meta.Name, r.Row, p, q)
+						return false
 					}
-					return true
-				})
-			}
-		})
-		if perr != nil {
-			return perr
+					if _, dup := merged[r.Row]; dup {
+						perr = fmt.Errorf("table %s row %d surfaced by two partition scans", tbl.Meta.Name, r.Row)
+						return false
+					}
+					merged[r.Row] = renderTuple(r.Data)
+				}
+				return true
+			})
 		}
-		for row, want := range global {
-			got, ok := merged[row]
-			if !ok {
-				return fmt.Errorf("table %s row %d visible globally but in no partition stripe", tbl.Meta.Name, row)
-			}
-			if got != want {
-				return fmt.Errorf("table %s row %d: partition scan read %q, global scan %q", tbl.Meta.Name, row, got, want)
-			}
+	})
+	if perr != nil {
+		return perr
+	}
+	for row, want := range global {
+		got, ok := merged[row]
+		if !ok {
+			return fmt.Errorf("table %s row %d visible globally but in no partition stripe", tbl.Meta.Name, row)
 		}
-		for row := range merged {
-			if _, ok := global[row]; !ok {
-				return fmt.Errorf("table %s row %d visible in a partition stripe but not globally", tbl.Meta.Name, row)
-			}
+		if got != want {
+			return fmt.Errorf("table %s row %d: partition scan read %q, global scan %q", tbl.Meta.Name, row, got, want)
+		}
+	}
+	for row := range merged {
+		if _, ok := global[row]; !ok {
+			return fmt.Errorf("table %s row %d visible in a partition stripe but not globally", tbl.Meta.Name, row)
 		}
 	}
 	return nil
@@ -150,20 +158,8 @@ func (h *harness) checkGC() error {
 	if err := h.maint.Pass(); err != nil {
 		return fmt.Errorf("maintenance pass: %w", err)
 	}
-	after := captureState(h.tables(), snapTS)
-	for k, v := range before {
-		got, ok := after[k]
-		if !ok {
-			return fmt.Errorf("GC pruned reachable tuple %s (was %q) at snapshot %d", k, v, snapTS)
-		}
-		if got != v {
-			return fmt.Errorf("GC changed visible tuple %s at snapshot %d: %q -> %q", k, snapTS, v, got)
-		}
-	}
-	for k := range after {
-		if _, ok := before[k]; !ok {
-			return fmt.Errorf("GC resurrected tuple %s at snapshot %d", k, snapTS)
-		}
+	if err := diffStates(captureState(h.tables(), snapTS), before); err != nil {
+		return fmt.Errorf("GC changed the state visible at snapshot %d: %w", snapTS, err)
 	}
 	oldest := h.db.Txns.OldestActiveTS()
 	for _, tbl := range h.tables() {
@@ -174,79 +170,42 @@ func (h *harness) checkGC() error {
 	return nil
 }
 
-// checkWALReplay makes the log durable with a maintenance pass and replays
-// the durable image into fresh tables, requiring the replayed committed
-// state to match the live tables row for row (and itself satisfy the
-// storage invariants).
+// checkWALReplay makes the log durable with a maintenance pass and recovers
+// the durable image, through engine.DB.RecoverImages, onto a fresh engine
+// opened from the same schema under the same knobs. The recovered engine
+// must hold every commit and expose exactly the live committed state, and
+// its version chains, partition routing and rebuilt indexes must pass the
+// same checks as the live engine's.
 func (h *harness) checkWALReplay() error {
 	h.checks.Add(1)
 	if err := h.maint.Pass(); err != nil {
 		return fmt.Errorf("maintenance pass: %w", err)
 	}
-	_, body, torn, err := wal.ParseSegment(h.db.WAL.Durable())
-	if err != nil || torn {
-		return fmt.Errorf("durable log segment corrupt (torn=%v): %w", torn, err)
-	}
-	records, err := wal.Deserialize(body)
+	fresh, tables, err := smallBank.open(h.db.Knobs(), nil, nil)
 	if err != nil {
-		return fmt.Errorf("durable log image corrupt: %w", err)
+		return err
 	}
-	fresh := make(map[int32]*storage.Table, 3)
-	for _, tbl := range h.tables() {
-		ft := storage.NewTable(tbl.Meta)
-		ft.SetPartitioning(tbl.PartitionKeyCols(), tbl.PartitionCount())
-		fresh[int32(tbl.Meta.ID)] = ft
+	st, err := fresh.RecoverImages(nil, nil, h.db.WAL.Durable())
+	if err != nil {
+		return fmt.Errorf("recovery: %w", err)
 	}
-	if _, err := wal.Replay(records, fresh); err != nil {
-		return fmt.Errorf("replay: %w", err)
+	last := h.db.Txns.LastCommitTS()
+	if st.TornTail || st.Committed != last {
+		return fmt.Errorf("recovered %d commits (torn tail: %t), live engine committed %d", st.Committed, st.TornTail, last)
 	}
-	for _, live := range h.tables() {
-		replayed := fresh[int32(live.Meta.ID)]
-		if err := compareTables(live, replayed); err != nil {
-			return err
+	if err := diffStates(captureState(tables, last), captureState(h.tables(), last)); err != nil {
+		return fmt.Errorf("recovered state: %w", err)
+	}
+	for _, tbl := range tables {
+		if err := tbl.CheckInvariants(nil); err != nil {
+			return fmt.Errorf("recovered %s: %w", tbl.Meta.Name, err)
 		}
-		if err := replayed.CheckInvariants(nil); err != nil {
-			return fmt.Errorf("replayed %s: %w", live.Meta.Name, err)
-		}
-		if err := replayed.CheckPartitionInvariants(); err != nil {
-			return fmt.Errorf("replayed %s: %w", live.Meta.Name, err)
+		if err := checkPartitionScan(tbl, last); err != nil {
+			return fmt.Errorf("recovered %s: %w", tbl.Meta.Name, err)
 		}
 	}
-	return nil
-}
-
-// compareTables requires the replayed table to expose exactly the live
-// table's committed state: same visible rows, same tuples. Replay may leave
-// fewer slots (rows only ever touched by aborted transactions are not in
-// the log), and those missing slots must be invisible in the live table too
-// — which the row loop enforces, since reading past the replayed slot array
-// yields not-visible.
-func compareTables(live, replayed *storage.Table) error {
-	if replayed.NumRows() > live.NumRows() {
-		return fmt.Errorf("replay of %s created %d rows, live table has %d",
-			live.Meta.Name, replayed.NumRows(), live.NumRows())
-	}
-	for row := 0; row < live.NumRows(); row++ {
-		lt, lerr := live.Read(nil, storage.RowID(row), 0, storage.MaxTS)
-		rt, rerr := replayed.Read(nil, storage.RowID(row), 0, storage.MaxTS)
-		lok, rok := lerr == nil, rerr == nil
-		if lok != rok {
-			return fmt.Errorf("%s row %d: live visible=%t, replayed visible=%t",
-				live.Meta.Name, row, lok, rok)
-		}
-		if !lok {
-			continue
-		}
-		if len(lt) != len(rt) {
-			return fmt.Errorf("%s row %d: live has %d columns, replayed %d",
-				live.Meta.Name, row, len(lt), len(rt))
-		}
-		for i := range lt {
-			if !lt[i].Equal(rt[i]) {
-				return fmt.Errorf("%s row %d col %d: live %s, replayed %s",
-					live.Meta.Name, row, i, lt[i], rt[i])
-			}
-		}
+	if err := fresh.CheckIndexes(); err != nil {
+		return fmt.Errorf("recovered index: %w", err)
 	}
 	return nil
 }

@@ -198,6 +198,69 @@ func TestRecoveryChargesIndexRebuild(t *testing.T) {
 	}
 }
 
+// Recovery charges exactly what it does: reading the log image, one
+// wal.Redo of its records, and the index rebuild over what the redo
+// applied — each the charge the same work costs on its own, on an identical
+// fresh engine.
+func TestRecoveryChargesExactlyReadRedoAndRebuild(t *testing.T) {
+	primary := Open(catalog.DefaultKnobs())
+	if _, err := primary.CreateTable("kv", kvSchema()); err != nil {
+		t.Fatal(err)
+	}
+	kvWriter(t, primary, primary.Table("kv"), 0, 50)
+	tx := primary.Txns.Begin(nil)
+	if _, err := primary.Insert(tx, nil, primary.Table("kv"), storage.Tuple{storage.NewInt(99), storage.NewInt(0)}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := primary.Abort(tx, nil); err != nil {
+		t.Fatal(err)
+	}
+	primary.WAL.Serialize(nil)
+	if _, err := primary.WAL.Flush(nil); err != nil {
+		t.Fatal(err)
+	}
+	img := primary.WAL.Durable()
+	fresh := func() *DB {
+		db := Open(catalog.DefaultKnobs())
+		if _, err := db.CreateTable("kv", kvSchema()); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := db.CreateIndex(nil, hw.DefaultCPU(), "kv_pk", "kv", []string{"id"}, true, 1); err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+
+	got := hw.NewThread(hw.DefaultCPU())
+	st, err := fresh().RecoverImages(got, nil, img)
+	if err != nil || st.Committed != 50 {
+		t.Fatalf("recovered %d commits, err %v; want 50", st.Committed, err)
+	}
+
+	want := hw.NewThread(hw.DefaultCPU())
+	want.ReadBlocks(float64((len(img) + hw.BlockBytes - 1) / hw.BlockBytes))
+	want.SeqRead(float64(len(img))/64, 64)
+	db := fresh()
+	_, body, _, err := wal.ParseSegment(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, _, _ := wal.DeserializePrefix(body)
+	kv := db.Table("kv")
+	var redo wal.Redo
+	applied, commits, err := redo.Apply(want, records, map[int32]*storage.Table{int32(kv.Meta.ID): kv}, 0)
+	if err != nil || applied != st.Applied || commits != st.Committed {
+		t.Fatalf("standalone redo applied %d of %d commits (err %v), recovery %d of %d",
+			applied, commits, err, st.Applied, st.Committed)
+	}
+	db.Txns.AdvanceTo(commits)
+	db.RebuildIndexes(want)
+
+	if got.Counters() != want.Counters() {
+		t.Fatalf("recovery charged %+v\nread + redo + rebuild cost %+v", got.Counters(), want.Counters())
+	}
+}
+
 // Recovery tolerates a torn log tail: for every crash offset into the
 // durable image, it must succeed and recover exactly the transactions whose
 // commit record survived intact.

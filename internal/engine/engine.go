@@ -340,11 +340,12 @@ type RecoveryStats struct {
 // checkpoint image (if it is a valid one) restores its snapshot; the log tail
 // is replayed on top when its segment epoch matches the checkpoint's,
 // stopping cleanly at the first torn or corrupt frame so a crash mid-flush
-// loses only the unflushed suffix, never the committed prefix. Writes of
-// transactions without a durable commit record are discarded. The schema
-// (DDL) must already exist — as in most systems, catalog recovery is a
-// separate concern. Reading the images, replaying, and rebuilding indexes
-// are all charged to th when one is provided.
+// loses only the unflushed suffix, never the committed prefix. The tail is
+// applied by one wal.Redo, so writes of transactions without a durable
+// commit record are discarded. The schema (DDL) must already exist — as in
+// most systems, catalog recovery is a separate concern. Reading the images,
+// the redo, and rebuilding indexes are all charged to th when one is
+// provided; installing the checkpoint snapshot is not.
 func (db *DB) RecoverImages(th *hw.Thread, ckptImage, logImage []byte) (RecoveryStats, error) {
 	var st RecoveryStats
 	if th != nil {
@@ -396,15 +397,14 @@ func (db *DB) RecoverImages(th *hw.Thread, ckptImage, logImage []byte) (Recovery
 			return st, fmt.Errorf("engine: log epoch %d is newer than checkpoint epoch %d", epoch, ck.Epoch)
 		}
 	}
-	applied, err := wal.ReplayFrom(records, tables, base)
-	st.Applied = applied
+	var redo wal.Redo
+	st.Applied, st.Committed, err = redo.Apply(th, records, tables, base)
 	if err != nil {
 		return st, err
 	}
-	st.Committed = wal.NumCommitted(records)
-	// Replay stamps one timestamp per committed transaction, in commit
-	// order, on top of the checkpoint snapshot timestamp; make them all
-	// visible to new snapshots.
+	// Redo stamps one timestamp per committed transaction, in commit order,
+	// on top of the checkpoint snapshot timestamp; make them all visible to
+	// new snapshots.
 	db.Txns.AdvanceTo(base + st.Committed)
 	// Rebuild indexes over the recovered tables, charging the build to the
 	// recovering thread like the log reads above.

@@ -66,7 +66,7 @@ func nestedLoop(build, probe []storage.Tuple, keyCols []int) []storage.Tuple {
 	next:
 		for _, b := range build {
 			for _, c := range keyCols {
-				if !b[c].Equal(p[c]) {
+				if b[c] != p[c] {
 					continue next
 				}
 			}

@@ -78,7 +78,8 @@ func goldenLog(t testing.TB, seed int64) []byte {
 // wholeSegmentReplica is the from-scratch reference the cursor is held to:
 // the follower as it was before the cursor, which keeps every received byte
 // and on each apply re-parses the whole segment (wal.ParseSegment +
-// wal.DeserializePrefix) and replays through wal.ReplayRange.
+// wal.DeserializePrefix) and replays it with a two-pass redo of its own,
+// independent of wal.Redo.
 type wholeSegmentReplica struct {
 	id             int
 	every          int
@@ -121,17 +122,42 @@ func (r *wholeSegmentReplica) applyPending() error {
 	if newBytes := validBytes - r.appliedBytes; newBytes > 0 {
 		r.th.SeqRead(float64(newBytes)/64, 64)
 	}
+	// Redo each committed transaction past appliedCommits at its commit
+	// timestamp, charged as a primary's insert: allocate, then place.
 	kv := r.db.Table("kv")
-	tables := map[int32]*storage.Table{int32(kv.Meta.ID): kv}
-	applied, newBase, err := wal.ReplayRange(r.th, records, tables, r.appliedCommits, 0)
-	if err != nil {
-		return err
+	order, writes := commitOrder(records)
+	for i, txn := range order[r.appliedCommits:] {
+		ts := r.appliedCommits + uint64(i) + 1
+		for _, w := range writes[txn] {
+			data := w.Payload
+			if w.Type == wal.RecordDelete {
+				data = nil
+			}
+			kv.ReplayWrite(storage.RowID(w.Row), data, ts)
+			r.th.Alloc(float64(w.Payload.Bytes()) + 32)
+			r.th.RandWrite(1, kv.HeapBytes())
+			r.appliedRecords++
+		}
 	}
-	r.appliedRecords += applied
 	r.appliedBytes = validBytes
-	r.appliedCommits = newBase
-	r.db.Txns.AdvanceTo(newBase)
+	r.appliedCommits = uint64(len(order))
+	r.db.Txns.AdvanceTo(r.appliedCommits)
 	return nil
+}
+
+// commitOrder is the reference redo's first pass: the committed
+// transactions in the order of their commit records, and every
+// transaction's write records in log order.
+func commitOrder(records []wal.Record) (order []uint64, writes map[uint64][]wal.Record) {
+	writes = make(map[uint64][]wal.Record)
+	for _, rec := range records {
+		if rec.Type == wal.RecordCommit {
+			order = append(order, rec.TxnID)
+		} else {
+			writes[rec.TxnID] = append(writes[rec.TxnID], rec)
+		}
+	}
+	return order, writes
 }
 
 func (r *wholeSegmentReplica) status() Status {
@@ -143,7 +169,8 @@ func (r *wholeSegmentReplica) status() Status {
 	}
 	if _, body, torn, err := wal.ParseSegment(r.recv); err == nil && !torn {
 		records, consumed, _ := wal.DeserializePrefix(body)
-		st.ReceivedCommits = wal.NumCommitted(records)
+		order, _ := commitOrder(records)
+		st.ReceivedCommits = uint64(len(order))
 		st.PendingRecords = len(records) - r.appliedRecords
 		st.PendingBytes = len(r.recv) - len(body) + consumed - r.appliedBytes
 	}

@@ -16,8 +16,9 @@
 // sends where they lie; the replica keeps the bytes in fixed chunks behind a
 // parse cursor, decodes only the bytes past the cursor with the same tolerant
 // parsers recovery uses (wal.ParseSegment, wal.DeserializeParts), replays
-// the transactions whose commit record arrived with wal.Redo, and releases
-// the chunks it has decoded. When the primary checkpoints — truncating the
+// the transactions whose commit record arrived with wal.Redo — the redo
+// crash recovery runs, fed piece by piece — and releases the chunks it has
+// decoded. When the primary checkpoints — truncating the
 // log and opening a new epoch — it ships the checkpoint-device image from the
 // device's chunks, in as many snapshot frames as its size takes, and the
 // replica re-seeds from it when the last one lands: exactly the

@@ -100,11 +100,13 @@ func recoveryUnits(cfg Config) []SweepUnit {
 						tables[int32(t.Meta.ID)] = t
 						th := hw.NewThread(cfg.CPU)
 						start := th.Counters()
-						if _, _, err := wal.ReplayRange(th, records, tables, 0, 0); err != nil {
+						var redo wal.Redo
+						_, commits, err := redo.Apply(th, records, tables, 0)
+						if err != nil {
 							panic(err)
 						}
 						col.Emit(ou.Replay, ou.ReplayFeatures(
-							float64(len(records)), float64(wal.NumCommitted(records)), float64(len(body))),
+							float64(len(records)), float64(commits), float64(len(body))),
 							th.Since(start))
 					})
 					// INDEX_REBUILD: rebuild secondary structures over the heap.

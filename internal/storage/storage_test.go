@@ -38,8 +38,8 @@ func TestValueCompare(t *testing.T) {
 			t.Errorf("Compare(%v,%v) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}
-	if !NewInt(7).Equal(NewInt(7)) || NewInt(7).Equal(NewFloat(7)) {
-		t.Fatal("Equal wrong")
+	if NewInt(7) != NewInt(7) || NewInt(7) == NewFloat(7) {
+		t.Fatal("== on values wrong")
 	}
 }
 

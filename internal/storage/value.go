@@ -76,9 +76,6 @@ func (v Value) Compare(o Value) int {
 	}
 }
 
-// Equal reports whether two values compare equal.
-func (v Value) Equal(o Value) bool { return v.Kind == o.Kind && v.Compare(o) == 0 }
-
 // String implements fmt.Stringer.
 func (v Value) String() string {
 	switch v.Kind {

@@ -312,33 +312,6 @@ func TestCheckpointImageRoundTripAndTornTail(t *testing.T) {
 	}
 }
 
-func TestReplayFromStampsAboveBase(t *testing.T) {
-	records := []Record{
-		{Type: RecordInsert, TxnID: 1, TableID: 3, Row: 0,
-			Payload: storage.Tuple{storage.NewInt(1), storage.NewFloat(0), storage.NewString("a")}},
-		{Type: RecordCommit, TxnID: 1},
-		{Type: RecordUpdate, TxnID: 2, TableID: 3, Row: 0,
-			Payload: storage.Tuple{storage.NewInt(2), storage.NewFloat(0), storage.NewString("b")}},
-		{Type: RecordCommit, TxnID: 2},
-	}
-	tbl := storage.NewTable(testMeta())
-	// Pretend a checkpoint already owns timestamps 1..50.
-	tbl.ReplayWrite(0, storage.Tuple{storage.NewInt(0), storage.NewFloat(0), storage.NewString("ckpt")}, 50)
-	if _, err := ReplayFrom(records, map[int32]*storage.Table{3: tbl}, 50); err != nil {
-		t.Fatal(err)
-	}
-	// Tail commits stamp 51 and 52, on top of the snapshot's 50.
-	for _, want := range []struct {
-		ts uint64
-		s  string
-	}{{50, "ckpt"}, {51, "a"}, {52, "b"}, {storage.MaxTS, "b"}} {
-		data, err := tbl.Read(nil, 0, 0, want.ts)
-		if err != nil || data[2].S != want.s {
-			t.Fatalf("row 0 at ts %d = %v, %v (want %q)", want.ts, data, err, want.s)
-		}
-	}
-}
-
 func TestEpochWrittenLazilyOnFirstFlush(t *testing.T) {
 	m := NewManagerOn(1024, hw.NewMemDevice())
 	if m.Device().Len() != 0 {

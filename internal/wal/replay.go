@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -198,67 +197,6 @@ func decodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// Replay applies the redo records of committed transactions to the given
-// tables (keyed by table ID): the recovery path. Records of transactions
-// without a commit record are discarded, exactly as a crash would lose
-// uncommitted work. It returns how many write records were applied.
-//
-// Transactions are applied in commit order — the position of each
-// transaction's commit record in the log — with a distinct timestamp per
-// transaction (1, 2, ...), so the rebuilt version chains carry the same
-// newest-wins ordering as the live tables. The commit record itself is
-// written under the engine's commit-order mutex (engine.DB.CommitLogged),
-// which is what guarantees log order matches commit-timestamp order.
-func Replay(records []Record, tables map[int32]*storage.Table) (int, error) {
-	return ReplayFrom(records, tables, 0)
-}
-
-// ReplayFrom is Replay with commit timestamps starting at base+1: the form
-// recovery uses to replay a log tail on top of a checkpoint whose snapshot
-// already owns timestamps 1..base.
-func ReplayFrom(records []Record, tables map[int32]*storage.Table, base uint64) (int, error) {
-	return replayOrdered(nil, records, tables, base, 0)
-}
-
-// replayOrdered is the shared redo core: it computes the commit order of
-// the record stream, skips the first `skip` committed transactions (already
-// applied by the caller), and replays the rest at timestamps base+1 upward,
-// charging th (which may be nil) as redoWrites does.
-func replayOrdered(th *hw.Thread, records []Record, tables map[int32]*storage.Table, base uint64, skip uint64) (int, error) {
-	// Pass 1: commit order and per-transaction write lists (in log order).
-	seq := make(map[uint64]uint64)
-	writes := make(map[uint64][]Record)
-	var order []uint64
-	for _, r := range records {
-		if r.Type == RecordCommit {
-			if _, ok := seq[r.TxnID]; !ok {
-				order = append(order, r.TxnID)
-				seq[r.TxnID] = 0
-			}
-			continue
-		}
-		writes[r.TxnID] = append(writes[r.TxnID], r)
-	}
-	if skip > uint64(len(order)) {
-		skip = uint64(len(order))
-	}
-	order = order[skip:]
-	for i, txnID := range order {
-		seq[txnID] = base + uint64(i+1)
-	}
-	// Pass 2: redo each committed transaction at its commit-sequence
-	// timestamp.
-	applied := 0
-	for _, txnID := range order {
-		n, err := redoWrites(th, writes[txnID], tables, seq[txnID])
-		applied += n
-		if err != nil {
-			return applied, err
-		}
-	}
-	return applied, nil
-}
-
 // redoWrites applies one committed transaction's write records at ts, in log
 // order, and returns how many it applied. When th is non-nil every write is
 // charged to it with the same allocate-then-place cost Table.Insert charges
@@ -286,16 +224,19 @@ func redoWrites(th *hw.Thread, writes []Record, tables map[int32]*storage.Table,
 	return applied, nil
 }
 
-// Redo is the incremental form of ReplayRange, for a follower that receives
-// one segment piece by piece: each Apply takes only the records decoded
-// since the last one and costs in proportion to them. Between calls it holds
-// the write records of transactions whose commit record has not arrived —
-// those of a transaction that aborted stay until the follower starts over on
-// a new segment with a zero Redo. Fed a whole segment in any number of
-// pieces, it replays exactly what ReplayRange replays from the whole: the
-// same writes, in the same order, at the same timestamps, with the same
-// charges. It relies on what engine.DB.CommitLogged guarantees of a log: a
-// transaction's writes precede its one commit record.
+// Redo applies a log's records to tables. It is the one redo path:
+// recovery (engine.DB.RecoverImages), a replica (repl.Replica) and the
+// REPLAY OU runner all apply logs through it. A log is fed whole or in
+// pieces, in order, and each Apply costs in proportion to the records it is
+// given. A transaction's writes are held until its commit record arrives,
+// then applied in log order at the next commit timestamp; a transaction
+// whose commit record never arrives is never applied, as a crash loses
+// uncommitted work. engine.DB.CommitLogged writes commit records in
+// commit-timestamp order, and a transaction's writes before its one commit
+// record, so the rebuilt version chains carry the live tables' newest-wins
+// order — and however the log is cut into pieces, the same writes are
+// applied in the same order at the same timestamps with the same charges.
+// The zero Redo starts a new log.
 type Redo struct {
 	open map[uint64][]Record
 }
@@ -329,69 +270,15 @@ func (d *Redo) Apply(th *hw.Thread, records []Record, tables map[int32]*storage.
 	return applied, commits, nil
 }
 
-// ErrReplayGap is the sentinel a GapError unwraps to: the caller's applied
-// state and the log it was asked to replay do not meet. The replication
-// layer matches it with errors.Is to decide between "request a snapshot"
-// (history truncated away underneath a restarted replica) and "refuse a
-// rewound stream" (the state claims more commits than the log tail holds).
-var ErrReplayGap = errors.New("wal: replay gap")
-
-// GapError describes exactly how a replay request missed the log: Base is
-// the commit count the caller has already applied, SegmentBase the commit
-// timestamp the segment starts above (its checkpoint's SnapshotTS), and
-// SegmentCommits how many committed transactions the segment contains.
-type GapError struct {
-	Base           uint64
-	SegmentBase    uint64
-	SegmentCommits uint64
-}
-
-// Error implements error.
-func (e *GapError) Error() string {
-	if e.Base < e.SegmentBase {
-		return fmt.Sprintf("wal: replay gap: applied state at commit %d predates segment base %d (history truncated)",
-			e.Base, e.SegmentBase)
-	}
-	return fmt.Sprintf("wal: replay gap: applied state at commit %d is ahead of log tail %d (segment base %d + %d commits)",
-		e.Base, e.SegmentBase+e.SegmentCommits, e.SegmentBase, e.SegmentCommits)
-}
-
-// Unwrap makes errors.Is(err, ErrReplayGap) match.
-func (e *GapError) Unwrap() error { return ErrReplayGap }
-
-// ReplayRange replays onto state that has already applied commits 1..base
-// the tail of a segment whose history starts above segBase (the SnapshotTS
-// of the checkpoint that opened it): committed transactions numbered
-// segBase+1..segBase+n in the segment, of which the first base-segBase are
-// skipped as already applied and the rest stamp base+1 upward. It is the
-// whole-segment form — it walks every record however few are new, where a
-// follower of a growing segment uses Redo — and it surfaces a typed
-// *GapError instead of silently applying zero records when base and the log
-// do not meet:
-// base < segBase means the primary truncated history the replica never saw
-// (it must re-seed from a checkpoint), and base beyond the segment's last
-// commit means the stream rewound or the caller's state is from a different
-// history. Applied writes are charged to th (which may be nil), so a
-// replica's apply work shows up on its own simulated thread. It returns the
-// write records applied and the new commit count.
-func ReplayRange(th *hw.Thread, records []Record, tables map[int32]*storage.Table, base, segBase uint64) (applied int, newBase uint64, err error) {
-	commits := NumCommitted(records)
-	if base < segBase || base > segBase+commits {
-		return 0, base, &GapError{Base: base, SegmentBase: segBase, SegmentCommits: commits}
-	}
-	applied, err = replayOrdered(th, records, tables, base, base-segBase)
-	return applied, segBase + commits, err
-}
-
-// NumCommitted returns the number of distinct committed transactions in the
-// record stream: the highest timestamp Replay will stamp, which recovery
-// must advance the transaction manager to.
+// NumCommitted returns the number of commit records in the record stream:
+// how many transactions Redo.Apply commits when fed the stream, and so the
+// highest timestamp it stamps above its base.
 func NumCommitted(records []Record) uint64 {
-	seen := make(map[uint64]struct{})
+	n := uint64(0)
 	for _, r := range records {
 		if r.Type == RecordCommit {
-			seen[r.TxnID] = struct{}{}
+			n++
 		}
 	}
-	return uint64(len(seen))
+	return n
 }

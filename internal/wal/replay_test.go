@@ -47,7 +47,7 @@ func TestSerializeDeserializeRoundTrip(t *testing.T) {
 			t.Fatalf("record %d payload length %d vs %d", i, len(g.Payload), len(r.Payload))
 		}
 		for j := range r.Payload {
-			if !g.Payload[j].Equal(r.Payload[j]) {
+			if g.Payload[j] != r.Payload[j] {
 				t.Fatalf("record %d value %d: %v vs %v", i, j, g.Payload[j], r.Payload[j])
 			}
 		}
@@ -94,12 +94,13 @@ func TestReplayAppliesOnlyCommitted(t *testing.T) {
 	}
 
 	tbl := storage.NewTable(testMeta())
-	applied, err := Replay(records, map[int32]*storage.Table{3: tbl})
+	var redo Redo
+	applied, commits, err := redo.Apply(nil, records, map[int32]*storage.Table{3: tbl}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if applied != 3 {
-		t.Fatalf("applied %d records, want 3", applied)
+	if applied != 3 || commits != 2 {
+		t.Fatalf("applied %d records of %d commits, want 3 of 2", applied, commits)
 	}
 	// Row 0 carries txn 1's final update.
 	got, err := tbl.Read(nil, 0, 99, storage.MaxTS)
@@ -125,7 +126,8 @@ func TestReplayDelete(t *testing.T) {
 		{Type: RecordCommit, TxnID: 2},
 	}
 	tbl := storage.NewTable(testMeta())
-	if _, err := Replay(records, map[int32]*storage.Table{3: tbl}); err != nil {
+	var redo Redo
+	if _, _, err := redo.Apply(nil, records, map[int32]*storage.Table{3: tbl}, 0); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tbl.Read(nil, 0, 99, storage.MaxTS); err == nil {
@@ -139,7 +141,8 @@ func TestReplayUnknownTable(t *testing.T) {
 			Payload: storage.Tuple{storage.NewInt(1)}},
 		{Type: RecordCommit, TxnID: 1},
 	}
-	if _, err := Replay(records, map[int32]*storage.Table{}); err == nil {
+	var redo Redo
+	if _, _, err := redo.Apply(nil, records, map[int32]*storage.Table{}, 0); err == nil {
 		t.Fatal("unknown table must error")
 	}
 }
@@ -168,7 +171,8 @@ func TestDurableImageRoundTrip(t *testing.T) {
 		t.Fatalf("durable image has %d records, want 11", len(recs))
 	}
 	tbl := storage.NewTable(testMeta())
-	applied, err := Replay(recs, map[int32]*storage.Table{3: tbl})
+	var redo Redo
+	applied, _, err := redo.Apply(nil, recs, map[int32]*storage.Table{3: tbl}, 0)
 	if err != nil || applied != 1 {
 		t.Fatalf("applied=%d err=%v (only txn 4 committed)", applied, err)
 	}
