@@ -68,13 +68,25 @@ var rules = []rule{
 		"no non-test file under internal/exec names Observe, and the observation buffer is written (stats.record() on exactly one line under internal/session, in Session.run: executed traffic has one producer, the session",
 		33, all(forbid("internal/exec", nil, "Observe"), exactly("internal/session", 1, "stats.record(", nil))},
 	{"row-ids-sized-once",
-		"make([]storage.RowID appears on exactly one line under internal/exec, in Batch.reserve: row identities are sized in one place, and only when a parent reads them",
-		30, exactly("internal/exec", 1, "make([]storage.RowID", nil)},
+		"row identities are drawn (pooledRowIDs() on exactly one line under internal/exec, in Batch.reserve, and no non-test line there makes a []storage.RowID: row identities are sized in one place, from their pool, and only when a parent reads them",
+		30, all(exactly("internal/exec", 1, "pooledRowIDs(", regexp.MustCompile(`^func pooledRowIDs\(`)),
+			forbid("internal/exec", nil, "make([]storage.RowID"))},
 	{"one-row-pool",
-		"the row-array pool is named (rowPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve, and arrays return to it (.recycle()) on exactly five lines under internal/exec, where a consumed batch ends — feed, hashJoin's build side, a partitionJoin worker's build side, execIndexJoin's outer, execSort's top-n buffer once its first rows are copied out: Execute's result never returns to the pool",
-		32, all(forbid("", except("internal/exec/pool.go"), "rowPools"),
+		"the row-array pools are named (rowPools, idPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve; arrays return to them (.recycle()) on exactly four lines under internal/exec — Ctx.drop, Batch.grow's outgrown arrays, a partitionJoin worker's build side and its output once merged — and a batch is dropped (.drop() on exactly seven, where it ends — feed, hashJoin's build side, execIndexJoin's outer, execSort's buffer under a limit, an UPDATE's and a DELETE's child, and Ctx.ReleaseStatement: a statement's result returns to the pools only when its owner releases it",
+		32, all(forbid("", except("internal/exec/pool.go"), "rowPools", "idPools"),
 			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
-			exactly("internal/exec", 5, ".recycle()", nil))},
+			exactly("internal/exec", 4, ".recycle()", nil),
+			exactly("internal/exec", 7, ".drop(", nil))},
+	{"one-statement-arena",
+		"the arena chunk pool is named (chunkPool) only in internal/exec/pool.go; outside internal/exec/context.go, .Statement( and .ReleaseStatement( are called only under internal/session; and the nil arena heap is named only in internal/exec/parallel.go: a statement's chunks go back to the pool only when its owner, the session, releases it, and only the partition workers, off the statement's goroutine, allocate a tuple apiece",
+		40, all(forbid("", except("internal/exec/pool.go"), "chunkPool"),
+			forbid("", except("internal/exec/context.go", "internal/session/"), ".Statement(", ".ReleaseStatement("),
+			func(t *tree) []string {
+				return t.lines("internal/exec", except("internal/exec/parallel.go"), func(l string) bool {
+					code, _, _ := strings.Cut(l, "//")
+					return heapArena.MatchString(code)
+				})
+			})},
 	{"one-hash-table",
 		"no non-test line under internal/exec names map[string], and the build scratch pool is drawn from (buildScratchPool.Get() on exactly three lines, in hashJoin, partitionJoin and execAgg: every build — join or aggregation, on every driver — is one keyTable from one pool",
 		38, all(forbid("internal/exec", nil, "map[string]"),
@@ -203,6 +215,7 @@ var (
 	planEntry       = regexp.MustCompile(`sql\.Parse|NewPlanner`)
 	comment         = regexp.MustCompile(`^[ \t]*//`)
 	replayWriteDecl = regexp.MustCompile(`^func \(t \*Table\) ReplayWrite\(`)
+	heapArena       = regexp.MustCompile(`\bheap\b`)
 	commitTest      = regexp.MustCompile(`[=!]=\s*wal\.RecordCommit\b|\bwal\.RecordCommit\s*[=!]=|\bcase\b.*\bwal\.RecordCommit\b`)
 )
 

@@ -61,16 +61,27 @@ var violations = []violation{
 	{"one-observer", "a second write of the observation buffer", "on 2 non-test lines", map[string]string{
 		"internal/session/session.go":   "package session\n\nfunc (s *Session) run() { s.stats.record(t, n, iso) }\n",
 		"internal/session/plancache.go": "package session\n\nfunc (s *Session) execEntry() { s.stats.record(t, n, iso) }\n"}},
-	{"row-ids-sized-once", "a second make([]storage.RowID", "on 2 non-test lines", map[string]string{
-		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = make([]storage.RowID, 0, n) }\n",
+	{"row-ids-sized-once", "a second make([]storage.RowID", "internal/exec/scan.go:3:", map[string]string{
+		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = pooledRowIDs(n) }\n",
 		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := make([]storage.RowID, n) }\n"}},
+	{"row-ids-sized-once", "a second draw of row identities", "on 2 non-test lines", map[string]string{
+		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = pooledRowIDs(n) }\n",
+		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := pooledRowIDs(n) }\n"}},
 	{"one-row-pool", "a second row-array pool", "internal/exec/scratch.go:3:", map[string]string{
-		"internal/exec/pool.go":    "package exec\n\nvar rowPools [64]sync.Pool\n",
+		"internal/exec/pool.go":    "package exec\n\nvar rowPools classPool[storage.Tuple]\n",
 		"internal/exec/scratch.go": "package exec\n\nfunc f() { rowPools[4].Put(p) }\n"}},
-	{"one-row-pool", "Execute's result recycled", ".recycle() on 6 non-test lines", map[string]string{
-		"internal/exec/relational.go": "package exec\n\nfunc feed() { b.recycle() }\n\nfunc execIndexJoin() { defer outer.recycle() }\n\nfunc execSort() { sb.recycle() }\n\nfunc Execute() { b.recycle() }\n",
-		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { defer left.recycle() }\n",
-		"internal/exec/parallel.go":   "package exec\n\nfunc partitionJoin() { build.recycle() }\n"}},
+	{"one-row-pool", "Execute's result recycled", ".drop( on 8 non-test lines", map[string]string{
+		"internal/exec/relational.go": "package exec\n\nfunc feed() { ctx.drop(b) }\n\nfunc execIndexJoin() { defer ctx.drop(outer) }\n\nfunc execSort() { ctx.drop(sb) }\n\nfunc Execute() { ctx.drop(b) }\n",
+		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { defer ctx.drop(left) }\n",
+		"internal/exec/dml.go":        "package exec\n\nfunc execUpdate() { defer ctx.drop(child) }\n\nfunc execDelete() { defer ctx.drop(child) }\n",
+		"internal/exec/context.go":    "package exec\n\nfunc (c *Ctx) ReleaseStatement() { c.drop(c.result) }\n"}},
+	{"one-statement-arena", "a chunk pooled outside pool.go", "internal/exec/vectorized.go:3:", map[string]string{
+		"internal/exec/vectorized.go": "package exec\n\nfunc f(c []storage.Value) { chunkPool.Put(&c[0]) }\n"}},
+	{"one-statement-arena", "a statement released outside its session", "internal/selfdrive/loop.go:3:", map[string]string{
+		"internal/selfdrive/loop.go": "package selfdrive\n\nfunc f(w *session.Session) { w.ExecCtx().ReleaseStatement() }\n"}},
+	{"one-statement-arena", "heap tuples back in the Materialize driver", "internal/exec/pipeline.go:3:", map[string]string{
+		"internal/exec/parallel.go": "package exec\n\nvar heap *valueArena\n",
+		"internal/exec/pipeline.go": "package exec\n\nfunc applyStage() { t, keep := st.step(r, heap) } // not the arena\n"}},
 	{"one-hash-table", "a group map back in the aggregation", "internal/exec/relational.go:3:", map[string]string{
 		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { groups := make(map[string]*aggState) }\n"}},
 	{"one-hash-table", "a build scratch drawn a fourth time", "on 4 non-test lines", map[string]string{

@@ -13,66 +13,57 @@ type Batch struct {
 	RowIDs []storage.RowID // nil once provenance is lost (joins, aggs), or when no parent reads it
 }
 
-// reader is who reads a batch, which decides how reserve sizes it.
-type reader uint8
-
-const (
-	// consumer is a parent inside exec that reads the rows once and then
-	// drops them — a breaker on feed, a hash join's build side, an index
-	// join's outer, a top-n sort's buffer: the row array comes from the pool
-	// and is recycled, and no row identities are kept.
-	consumer  reader = iota
-	caller           // Execute's caller, reading no row identities
-	callerIDs        // Execute's caller reading row identities (a DML child)
-)
-
-// reserve sizes an empty batch for up to n rows, for r. It is the one place
-// exec allocates row identities: the Materialize sink, the Exchange's single
-// merged allocation, the streaming execChain batch and the sort buffer all
-// size through it.
-func (b *Batch) reserve(n int, r reader) {
+// reserve sizes an empty batch for up to n rows, with row identities when
+// ids is set: only Execute's caller reads them (a DML child), never a parent
+// that consumes the batch inside exec. It is the one place exec draws row
+// arrays and row identities from their pools: every batch, a result or a
+// consumed one, on every driver, sizes through it.
+func (b *Batch) reserve(n int, ids bool) {
+	b.Rows = pooledRows(n)
 	b.RowIDs = nil
-	switch r {
-	case consumer:
-		b.Rows = pooledRows(n)
-		return
-	case callerIDs:
-		b.RowIDs = make([]storage.RowID, 0, n)
+	if ids {
+		b.RowIDs = pooledRowIDs(n)
 	}
-	b.Rows = make([]storage.Tuple, 0, n)
 }
 
-// The Materialize driver's sink is the Batch itself for a caller that reads
-// no row identities, withIDs for one that does, and pooled for a consumer.
-// Each is one pointer, so handing it to a source as a rowSink allocates
-// nothing.
-func (b *Batch) expect(n int) { b.reserve(n, caller) }
+// The Materialize driver's sink is the Batch itself for a batch without row
+// identities and withIDs for one with them. Each is one pointer, so handing
+// it to a source as a rowSink allocates nothing.
+func (b *Batch) expect(n int) { b.reserve(n, false) }
 
 type withIDs struct{ *Batch }
 
-func (w withIDs) expect(n int) { w.reserve(n, callerIDs) }
+func (w withIDs) expect(n int) { w.reserve(n, true) }
 
-type pooled struct{ *Batch }
-
-func (p pooled) expect(n int) { p.reserve(n, consumer) }
-
-// sink returns the Materialize sink that sizes b for r.
-func (b *Batch) sink(r reader) rowSink {
-	switch r {
-	case consumer:
-		return pooled{b}
-	case callerIDs:
+// sink returns the Materialize sink that sizes b, with row identities when
+// ids is set.
+func (b *Batch) sink(ids bool) rowSink {
+	if ids {
 		return withIDs{b}
 	}
 	return b
 }
 
 // push appends a row, and its identity while the batch still carries them.
+// A batch that outgrows its reservation grows through the pools.
 func (b *Batch) push(rid storage.RowID, t storage.Tuple) {
+	if len(b.Rows) == cap(b.Rows) {
+		b.grow()
+	}
 	b.Rows = append(b.Rows, t)
 	if b.RowIDs != nil {
 		b.RowIDs = append(b.RowIDs, rid)
 	}
+}
+
+// grow moves b's rows, and its identities, into pooled arrays of the next
+// size class and recycles the outgrown ones.
+func (b *Batch) grow() {
+	old := *b
+	b.reserve(2*cap(old.Rows), old.RowIDs != nil)
+	b.Rows = append(b.Rows, old.Rows...)
+	b.RowIDs = append(b.RowIDs, old.RowIDs...)
+	old.recycle()
 }
 
 // NumRows returns the row count.

@@ -12,6 +12,7 @@ import (
 	"mb2/internal/hw"
 	"mb2/internal/metrics"
 	"mb2/internal/ou"
+	"mb2/internal/plan"
 	"mb2/internal/storage"
 	"mb2/internal/txn"
 )
@@ -74,8 +75,8 @@ type Ctx struct {
 	// FusedPipelines, for observability in the control loop and CLIs.
 	VecBatches int
 
-	// keyBuf is the worker-private scratch buffer index-join probes encode
-	// transient keys into (a hash join's and an aggregation's keys live in
+	// keyBuf is the worker-private scratch buffer index-join probes and an
+	// index source's point lookup encode transient keys into (a hash join's and an aggregation's keys live in
 	// their build scratch, pool.go; DML index maintenance is the engine's).
 	// A Ctx is single-worker by contract, so reuse needs no synchronization.
 	// Never handed to anything that retains keys.
@@ -84,8 +85,16 @@ type Ctx struct {
 	// seen is readPostings' scratch set, empty between keys.
 	seen map[storage.RowID]bool
 
-	// arena backs projected and joined output tuples (see pool.go).
+	// arena backs projected, joined and aggregated output tuples (see
+	// pool.go).
 	arena valueArena
+
+	// result is the last Statement's result, held until ReleaseStatement.
+	result *Batch
+	// spare keeps the Batch structs of released batches — a statement's
+	// result, a DML child — for the next batches this Ctx makes.
+	spare  [2]*Batch
+	nspare int
 
 	// stages is the scratch list the running scan chain's stages live in,
 	// reused chain to chain (see chainStages).
@@ -100,6 +109,58 @@ func NewCtx(db *engine.DB, cpu hw.CPU) *Ctx {
 		Tracker:    metrics.NewTracker(nil, hw.NewThread(cpu)),
 		Mode:       db.Knobs().ExecutionMode,
 		Contenders: 1,
+	}
+}
+
+// Statement runs node as the next statement of the Ctx's owner, a session,
+// and returns its result, valid until the owner's next Statement or
+// ReleaseStatement. It releases the previous statement first, so the new one
+// reuses that one's row arrays, Batch struct and arena chunks, and marks
+// where its own arena region starts. A caller that runs plans through
+// Execute alone never releases: its results own their memory.
+func (c *Ctx) Statement(node plan.Node) (*Batch, error) {
+	c.ReleaseStatement()
+	c.arena.mark()
+	b, err := Execute(c, node)
+	c.arena.end()
+	if err != nil {
+		c.arena.release() // nothing holds what a failed statement carved
+		return nil, err
+	}
+	c.result = b
+	return b, nil
+}
+
+// ReleaseStatement gives the last Statement's memory back: its result's
+// arrays to the row pools, its Batch struct to the Ctx, and the arena region
+// it carved, cleared, to the chunk pool. The result must not be read
+// afterwards. Without a statement to release it does nothing.
+func (c *Ctx) ReleaseStatement() {
+	if c.result != nil {
+		c.drop(c.result)
+		c.result = nil
+	}
+	c.arena.release()
+}
+
+// batch returns an empty Batch: a kept struct when the Ctx has one.
+func (c *Ctx) batch() *Batch {
+	if c.nspare == 0 {
+		return new(Batch)
+	}
+	c.nspare--
+	b := c.spare[c.nspare]
+	c.spare[c.nspare] = nil
+	return b
+}
+
+// drop recycles the arrays of a batch nobody reads any more and keeps its
+// struct for the next batch.
+func (c *Ctx) drop(b *Batch) {
+	b.recycle()
+	if c.nspare < len(c.spare) {
+		c.spare[c.nspare] = b
+		c.nspare++
 	}
 }
 

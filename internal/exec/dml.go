@@ -31,6 +31,7 @@ func execUpdate(ctx *Ctx, n *plan.UpdateNode) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.drop(child)
 	return writeRows(ctx, ou.Update, tbl, child.Rows, 20, func(i int, old storage.Tuple) error {
 		updated := old.Clone()
 		for j, col := range n.SetCols {
@@ -46,13 +47,15 @@ func execDelete(ctx *Ctx, n *plan.DeleteNode) (*Batch, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer ctx.drop(child)
 	return writeRows(ctx, ou.Delete, tbl, child.Rows, 15, func(i int, old storage.Tuple) error {
 		return ctx.DB.Delete(ctx.Txn, ctx.Thread(), tbl, child.RowIDs[i], old, ctx.Contenders)
 	})
 }
 
 // dmlTarget executes an UPDATE's or DELETE's child — the rows to write,
-// with their identities — and resolves the target table.
+// with their identities — and resolves the target table. The caller drops
+// the child once the rows are written: nothing keeps its arrays.
 func dmlTarget(ctx *Ctx, stmt, table string, childPlan plan.Node) (*storage.Table, *Batch, error) {
 	if ctx.Txn == nil {
 		return nil, nil, fmt.Errorf("exec: %s requires an open transaction", stmt)
@@ -73,7 +76,8 @@ func dmlTarget(ctx *Ctx, stmt, table string, childPlan plan.Node) (*storage.Tabl
 
 // writeRows writes rows one by one inside kind's OU bracket, charging
 // perRow operator logic after each write, and closes the bracket over the
-// rows written: all of them, or those before the write that failed.
+// rows written: all of them, or those before the write that failed. The
+// result is empty.
 func writeRows(ctx *Ctx, kind ou.Kind, tbl *storage.Table, rows []storage.Tuple, perRow float64, write func(i int, r storage.Tuple) error) (*Batch, error) {
 	start := ctx.Tracker.Start()
 	var err error
@@ -90,5 +94,5 @@ func writeRows(ctx *Ctx, kind ou.Kind, tbl *storage.Table, rows []storage.Tuple,
 	if err != nil {
 		return nil, err
 	}
-	return &Batch{}, nil
+	return ctx.batch(), nil
 }

@@ -207,12 +207,13 @@ func TestAggregationAllocationsDoNotGrowWithInput(t *testing.T) {
 		limit float64
 		scans int
 	}{
-		// A constant: the output's slab and row array, whatever the groups.
+		// A constant, whatever the groups: the output's rows are carved
+		// from the arena into a pooled row array.
 		{"agg", filteredCount(n / 2), filteredCount(2 * n), 12, 1},
 		// The same, each chain stage keeping its input's widths as one run.
 		{"filter_chain", filteredChainCount(n / 2), filteredChainCount(2 * n), 12, 1},
-		// A constant, plus the joined rows: a heap tuple each under
-		// Materialize.
+		// A constant, plus the joined rows where a partition worker joins
+		// them: a heap tuple each.
 		{"join", filteredSelfJoin(joined), filteredSelfJoin(joined), 20 + joined, 2},
 		// The same.
 		{"copartitioned_join", coPartitionedJoin(n), coPartitionedJoin(4 * n), 20 + joined, 2},

@@ -28,6 +28,11 @@ import (
 // chains. The exchange merge itself runs on the session thread and is
 // recorded as the EXCHANGE_MERGE OU.
 
+// heap is the nil arena: every tuple it hands out is its own allocation.
+// The partition workers carve from it, because they run on goroutines of
+// their own and a Ctx's arena is single-worker.
+var heap *valueArena
+
 // partChains returns the number of worker chains for a partitioned operator.
 func partChains(dop, parts int) int {
 	if dop < 1 {
@@ -108,19 +113,19 @@ func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 
 // exchangeScan is the scan source over a partitioned table: every partition
 // scans on its worker chain (one PARALLEL_SCAN each) and the exchange merge
-// concatenates the stripes into b, sized for r — with row identities for a
-// caller that reads them, from the row-array pool for a consumer. Like the
-// serial sources it bills, but does not run, the source's own column
-// projection.
+// concatenates the stripes into b, with row identities when ids is set.
+// Like the serial sources it bills, but does not run, the source's own
+// column projection.
 //
 // The rows materialize once. b is sized for the most rows every partition
 // can deliver (the latch-consistent counts of storage.ScanPartitions), each
 // worker appends into its own capacity-bounded window of that one array, and
 // the merge compacts the stripes leftward in partition order: a stripe never
 // outgrows its window, so a destination never passes its source. The stale
-// headers the compaction leaves past the merged length are cleared when a
-// consumer recycles the array.
-func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
+// headers the compaction leaves past the merged length are cleared when the
+// array is recycled. A stripe appends, never pushes: it must not grow
+// through the pools, which would recycle its window of b.
+func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", n.Table)
@@ -128,7 +133,6 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
 	id, ts := ctx.snapshot()
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	cols := float64(tbl.Meta.Schema.NumColumns())
-	ids := r == callerIDs
 	var stripes []Batch
 	var dop int
 	tbl.ScanPartitions(func(counts []int, scan storage.PartitionScan) {
@@ -137,7 +141,7 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
 		for p, c := range counts {
 			off[p+1] = off[p] + c
 		}
-		b.reserve(off[parts], r)
+		b.reserve(off[parts], ids)
 		stripes = make([]Batch, parts)
 		for p := range stripes {
 			stripes[p].Rows = b.Rows[off[p]:off[p]:off[p+1]]
@@ -150,7 +154,10 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, r reader) error {
 			buf := getScanBuf()
 			scan(th, p, id, ts, *buf, func(chunk []storage.ScanRow) bool {
 				for i := range chunk {
-					stripe.push(chunk[i].Row, chunk[i].Data)
+					stripe.Rows = append(stripe.Rows, chunk[i].Data)
+					if ids {
+						stripe.RowIDs = append(stripe.RowIDs, chunk[i].Row)
+					}
 				}
 				return true
 			})
@@ -203,7 +210,7 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	leftCols := float64(left.Meta.Schema.NumColumns())
 	rightCols := float64(right.Meta.Schema.NumColumns())
 	entryBytes := 8.0*float64(len(n.LeftKeys)) + 8 + 16
-	var partOut [][]storage.Tuple
+	var partOut []Batch
 	var dop int
 
 	scanBoth(left, right, func(lc []int, lscan storage.PartitionScan, rc []int, rscan storage.PartitionScan) {
@@ -222,7 +229,7 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 				scan(th, p, id, ts, nil, fn)
 			}
 		}
-		partOut = make([][]storage.Tuple, jobs)
+		partOut = make([]Batch, jobs)
 		dop = fanOut(ctx, jobs, ou.PartitionProbe, func(th *hw.Thread, j, dop int) []float64 {
 			// Build over this partition's stripe of the build side. The row
 			// array and the table are pooled and go back once the probe is
@@ -233,10 +240,10 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 				capacity = lc[j]
 			}
 			var build Batch
-			build.reserve(capacity, consumer)
+			build.reserve(capacity, false)
 			stripe(th, lscan, lc, j, func(rows []storage.ScanRow) bool {
 				for i := range rows {
-					build.Rows = append(build.Rows, rows[i].Data)
+					build.push(0, rows[i].Data)
 				}
 				return true
 			})
@@ -248,8 +255,9 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 			s.keyBuf = jt.build(build.Rows, n.LeftKeys, s.keyBuf)
 			ctx.chargeJoinBuild(th, buildRows, htBytes)
 
-			// Probe with the co-located stripe of the probe side.
-			var out []storage.Tuple
+			// Probe with the co-located stripe of the probe side, into a
+			// pooled array the merge copies out of and recycles.
+			out := &partOut[j]
 			probed := 0.0
 			stripe(th, rscan, rc, j, func(rows []storage.ScanRow) bool {
 				for i := range rows {
@@ -257,16 +265,15 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 					probed++
 					s.keyBuf = index.AppendKeyFromTuple(s.keyBuf[:0], r, n.RightKeys)
 					for row := jt.first(s.keyBuf); row >= 0; row = jt.next[row] {
-						out = append(out, heap.join(build.Rows[row], r))
+						out.push(0, heap.join(build.Rows[row], r))
 					}
 				}
 				return true
 			})
 			build.recycle()
-			outRows := float64(len(out))
+			outRows := out.NumRows()
 			ctx.chargeJoinProbe(th, probed, htBytes, outRows, leftW+rightW)
 			th.Free(htBytes)
-			partOut[j] = out
 			// One invocation covers the whole partition pair: the feature's
 			// tuple count is the total work volume (build + probe + emitted
 			// matches), its cardinality the partition's distinct build keys.
@@ -279,15 +286,17 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 	})
 
 	total := 0
-	for _, rows := range partOut {
-		total += len(rows)
+	for p := range partOut {
+		total += len(partOut[p].Rows)
 	}
-	out := make([]storage.Tuple, 0, total)
-	for _, rows := range partOut {
-		out = append(out, rows...)
+	out := ctx.batch()
+	out.reserve(total, false)
+	for p := range partOut {
+		out.Rows = append(out.Rows, partOut[p].Rows...)
+		partOut[p].recycle()
 	}
 	emitExchangeMerge(ctx, float64(total), leftW+rightW, len(partOut), dop)
-	return &Batch{Rows: out}, nil
+	return out, nil
 }
 
 // scanBoth runs run under one ScanPartitions hold on each of a and b, taken

@@ -38,9 +38,10 @@ import (
 //
 // A chain materializes row identities only when its parent reads them:
 // Execute's caller (a DML child) does, a parent that consumes the batch
-// inside exec never does. A consumed batch — fed to a breaker, a hash join's
-// build side, an index join's outer — draws its row array from the pool
-// (pool.go) and recycles it once the parent has read the last row.
+// inside exec never does. Every batch draws its row array from the pool
+// (pool.go); a consumed one — fed to a breaker, a hash join's build side, an
+// index join's outer — recycles it once the parent has read the last row,
+// and a statement's result when its owner releases the statement.
 //
 // The modeled-cost contract is strict: RowPass emits exactly the OU records
 // — same kinds, same order, same feature vectors — that Materialize emits
@@ -137,13 +138,22 @@ func emitArithmetic(ctx *Ctx, nrows, width, opsPerRow float64) {
 }
 
 // rowSink consumes a source's rows in scan order. *Batch collects them;
-// *rowRun pushes them through a chain's stages.
+// *rowRun pushes them through a chain's stages; a breaker's function takes
+// them as a sinkFunc.
 type rowSink interface {
 	// expect is called once, before the first push, with the most rows the
 	// source can deliver.
 	expect(n int)
 	push(rid storage.RowID, t storage.Tuple)
 }
+
+// sinkFunc is a breaker's row function as a rowSink, which needs no notice
+// of the row count.
+type sinkFunc func(storage.RowID, storage.Tuple)
+
+func (f sinkFunc) expect(int) {}
+
+func (f sinkFunc) push(rid storage.RowID, t storage.Tuple) { f(rid, t) }
 
 // runSource streams a chain's source into out.
 func runSource(ctx *Ctx, src plan.Node, out rowSink) error {
@@ -218,7 +228,10 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	buf := getPostingBuf()
 	ps := *buf
 	if n.Eq != nil {
-		key := index.EncodeKey(n.Eq...)
+		// The point key encodes into the worker's key buffer: a source is a
+		// leaf, and no index-join probe, its other user, runs while it reads.
+		key := index.AppendKey(ctx.keyBuf[:0], n.Eq...)
+		ctx.keyBuf = key
 		idx.SearchEQFunc(ctx.Thread(), key, loops, func(r storage.RowID) bool {
 			ps = append(ps, index.Entry{Key: key, Row: r})
 			return true
@@ -286,31 +299,24 @@ func (c *Ctx) readPostings(tbl *storage.Table, cols []int, ps []index.Entry, id,
 	return pushed
 }
 
-// execChain runs a scan chain on its driver and returns its output. A
-// consumed batch draws its row array from the pool and carries no row
-// identities; Execute's caller gets a fresh array, with row identities when
-// the chain keeps them.
+// execChain runs a scan chain on its driver and returns its output, with
+// row identities when Execute's caller reads them (a consumed batch never
+// carries them).
 func execChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, consumed bool) (*Batch, error) {
-	r := caller
-	switch {
-	case consumed:
-		r = consumer
-	case p.HasRowIDs():
-		r = callerIDs
-	}
-	b := &Batch{}
+	ids := !consumed && p.HasRowIDs()
+	b := ctx.batch()
 	if drv.Streams() {
-		b.reserve(capHint(p.Source.Est().Rows), r)
-		if err := streamChain(ctx, drv, p, b.push); err != nil {
+		b.reserve(capHint(p.Source.Est().Rows), ids)
+		if err := streamChain(ctx, drv, p, b); err != nil {
 			return nil, err
 		}
 		return b, nil
 	}
 	var err error
 	if drv == plan.Exchange {
-		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b, r)
+		err = exchangeScan(ctx, p.Source.(*plan.SeqScanNode), b, ids)
 	} else {
-		err = runSource(ctx, p.Source, b.sink(r))
+		err = runSource(ctx, p.Source, b.sink(ids))
 	}
 	if err != nil {
 		return nil, err
@@ -330,7 +336,7 @@ func applyStage(ctx *Ctx, b *Batch, st *chainStage) {
 	}
 	k := 0
 	for i, r := range b.Rows {
-		t, keep := st.step(r, heap)
+		t, keep := st.step(r, &ctx.arena)
 		if !keep {
 			continue
 		}
@@ -350,7 +356,7 @@ func applyStage(ctx *Ctx, b *Batch, st *chainStage) {
 
 // streamChain runs a scan chain on a streaming driver, handing every
 // surviving row to sink.
-func streamChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, sink func(storage.RowID, storage.Tuple)) error {
+func streamChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, sink rowSink) error {
 	stages := ctx.chainStages(p)
 	if drv == plan.VecPass {
 		return runVecPass(ctx, p.Source.(*plan.SeqScanNode), stages, p.HasRowIDs(), sink)
@@ -374,7 +380,7 @@ func streamChain(ctx *Ctx, drv plan.Driver, p *plan.ScanPipeline, sink func(stor
 type rowRun struct {
 	ctx    *Ctx
 	stages []chainStage
-	sink   func(storage.RowID, storage.Tuple)
+	sink   rowSink
 }
 
 func (rp *rowRun) expect(int) {}
@@ -391,7 +397,7 @@ func (rp *rowRun) push(rid storage.RowID, t storage.Tuple) {
 			return
 		}
 	}
-	rp.sink(rid, t)
+	rp.sink.push(rid, t)
 }
 
 // keyTable is the one build structure of the hash join and the aggregation,
@@ -543,38 +549,33 @@ func (c *Ctx) chargeJoinProbe(th *hw.Thread, probed, htBytes, outRows, outWidth 
 // scratch pool — its own, so a join on the probe side, or an aggregation
 // above, builds in another; the probe side is fed — when the right child is
 // a chain on a streaming driver, its rows flow from the storage layer
-// through the probe into the join output with no intermediate Batch. The
-// driver selects only where output tuples live: a streaming driver carves
-// them from the Ctx's arena, so its steady-state hot path allocates nothing
-// per row; Materialize makes heap tuples, because interpreted sessions are
-// too many for each to pin an arena chunk. All real work comes first; the
-// build and probe brackets are billed afterwards, the probe as VEC_PROBE
-// under VecPass and as HASHJOIN_PROBE otherwise (the build keeps its
-// mode-flagged HASHJOIN_BUILD: the kind carries no vectorized profile).
+// through the probe into the join output with no intermediate Batch. Output
+// tuples are carved from the Ctx's arena on every driver, so the
+// steady-state hot path allocates nothing per row. All real work comes
+// first; the build and probe brackets are billed afterwards, the probe as
+// VEC_PROBE under VecPass and as HASHJOIN_PROBE otherwise (the build keeps
+// its mode-flagged HASHJOIN_BUILD: the kind carries no vectorized profile).
 func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	left, err := consume(ctx, n.Left)
 	if err != nil {
 		return nil, err
 	}
-	defer left.recycle() // joined tuples copy their build half
+	defer ctx.drop(left) // joined tuples copy their build half
 	s := buildScratchPool.Get().(*buildScratch)
 	defer buildScratchPool.Put(s) // the table keeps key bytes and row numbers, no tuple
 	jt := &s.kt
-	arena := heap
-	if drv.Streams() {
-		arena = &ctx.arena
-	}
 	s.keyBuf = jt.build(left.Rows, n.LeftKeys, s.keyBuf)
 
 	var right shape
-	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
+	out := ctx.batch()
+	out.reserve(capHint(n.Rows.Rows), false)
 	// The probe side's own OU records emit here, before the build and probe
 	// brackets: operator-at-a-time order.
 	err = feed(ctx, n.Right, nil, func(_ storage.RowID, r storage.Tuple) {
 		right.note(r)
 		s.keyBuf = index.AppendKeyFromTuple(s.keyBuf[:0], r, n.RightKeys)
 		for row := jt.first(s.keyBuf); row >= 0; row = jt.next[row] {
-			out = append(out, arena.join(left.Rows[row], r))
+			out.push(0, ctx.arena.join(left.Rows[row], r))
 		}
 	})
 	if err != nil {
@@ -587,7 +588,7 @@ func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	card := float64(len(jt.entries))
 	leftW := left.AvgWidth()
 	rightRows, rightCols, rightW := right.rows(), right.cols(), right.width()
-	outRows := float64(len(out))
+	outRows := out.NumRows()
 
 	start := ctx.Tracker.Start()
 	ctx.chargeJoinBuild(ctx.Thread(), len(left.Rows), htBytes)
@@ -615,7 +616,7 @@ func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 	}
 
 	ctx.Thread().Free(htBytes) // the hash table is query-lifetime scratch
-	return &Batch{Rows: out}, nil
+	return out, nil
 }
 
 // capHint converts an optimizer row estimate into a sane preallocation

@@ -19,22 +19,27 @@ import (
 //   - build scratch (a hash join's or an aggregation's keyTable, key buffer
 //     and group slabs): one pool for every build on every driver, returned
 //     before the build's operator returns; never escapes.
-//   - per-Ctx scratch (the index join's key buffer, the stage list): a Ctx
-//     is single-worker by contract, so it is reused with no
-//     synchronization.
-//   - arena-backed output tuples: projected/joined tuples are carved out of
-//     chunked []storage.Value blocks owned by whoever holds the tuple — the
-//     returned Batch, or a breaker that kept what it was fed (a sort
-//     buffer). Each region is handed out exactly once, so keeping a fed
-//     tuple is safe; arena chunks are NOT pooled, because results
-//     legitimately outlive the query.
-//   - pooled row arrays (a consumed batch's []storage.Tuple): a batch that a
-//     parent reads once inside exec and then drops — a chain fed to a
-//     breaker, a hash join's build side, a partition-wise join worker's
-//     build side, an index join's outer, a top-n sort's buffer — draws its
-//     array from a size-classed pool and recycles it, cleared, once the
-//     parent has read the last row. Only the array of tuple headers is
-//     recycled, never a tuple. Execute's result never draws from the pool.
+//   - per-Ctx scratch (the index join's key buffer, the stage list, the
+//     Batch structs of released results): a Ctx is single-worker by
+//     contract, so it is reused with no synchronization.
+//   - arena-backed output tuples: projected, joined and aggregated tuples
+//     are carved out of pooled 4 096-value chunks by the Ctx's valueArena,
+//     on every driver; only a partition worker, which runs on another
+//     goroutine, makes its own through the nil arena heap. Each region is
+//     handed out exactly once, so keeping a fed tuple is safe. A chunk
+//     returns to the pool only when the statement that drew it is released
+//     (Ctx.Statement, Ctx.ReleaseStatement), cleared first; a result of a
+//     caller that never releases owns its chunks.
+//   - pooled row arrays (a batch's []storage.Tuple and []storage.RowID):
+//     every batch draws its arrays from size-classed pools, and an array
+//     that outgrows its estimate grows into the next class, recycling the
+//     outgrown one. A batch that a parent reads once inside exec and then
+//     drops — a chain fed to a breaker, a hash join's build side, a
+//     partition-wise join worker's build side and output, an index join's
+//     outer, a top-n sort's buffer, a DML child — recycles its arrays,
+//     cleared, once the parent has read the last row; a statement's result
+//     recycles them when the statement is released. Only arrays of tuple
+//     headers and row identities are recycled, never a tuple.
 //
 // See DESIGN.md "Execution: source → stages → sink" for the full retention
 // contract.
@@ -85,72 +90,167 @@ func putPostingBuf(b *[]index.Entry) {
 	postingBufPool.Put(b)
 }
 
-// rowPools[k] holds row arrays of capacity at least 1<<k, each kept as a
-// pointer to its first element, so that neither Get nor Put boxes a slice
-// header. minRowClass is capHint's floor.
-var rowPools [bits.UintSize]sync.Pool
+// classPool holds arrays of T in power-of-two size classes: class k holds
+// arrays of capacity at least 1<<k, each kept as a pointer to its first
+// element, so that neither Get nor Put boxes a slice header. minRowClass is
+// capHint's floor.
+type classPool[T any] [bits.UintSize]sync.Pool
 
 const minRowClass = 4
 
-// pooledRows returns an empty row array with room for n rows, at a power of
-// two capacity.
-func pooledRows(n int) []storage.Tuple {
+// get returns an empty array with room for n elements, at a power of two
+// capacity.
+func (p *classPool[T]) get(n int) []T {
 	k := minRowClass
 	if n > 1<<minRowClass {
 		k = bits.Len(uint(n - 1))
 	}
-	if first, _ := rowPools[k].Get().(*storage.Tuple); first != nil {
+	if first, _ := p[k].Get().(*T); first != nil {
 		return unsafe.Slice(first, 1<<k)[:0]
 	}
-	return make([]storage.Tuple, 0, 1<<k)
+	return make([]T, 0, 1<<k)
 }
 
-// recycle empties a consumed batch and returns its row array to the pool,
-// cleared up to its capacity: a stale tuple header past the batch's length
-// (an Exchange window's, a filter's) would otherwise keep its tuple alive.
-// An array that grew past its class by append returns to the largest class
-// it covers.
-func (b *Batch) recycle() {
-	rows := b.Rows[:cap(b.Rows)]
-	*b = Batch{}
-	if len(rows) < 1<<minRowClass {
+// put returns a, whose elements the caller has cleared where they hold
+// pointers, to the largest class its capacity covers.
+func (p *classPool[T]) put(a []T) {
+	a = a[:cap(a)]
+	if len(a) < 1<<minRowClass {
 		return
 	}
+	p[bits.Len(uint(len(a)))-1].Put(&a[0])
+}
+
+// rowPools and idPools hold a batch's row arrays and row identities.
+var (
+	rowPools classPool[storage.Tuple]
+	idPools  classPool[storage.RowID]
+)
+
+// pooledRows returns an empty row array with room for n rows.
+func pooledRows(n int) []storage.Tuple { return rowPools.get(n) }
+
+// pooledRowIDs returns an empty row-identity array with room for n rows.
+func pooledRowIDs(n int) []storage.RowID { return idPools.get(n) }
+
+// recycle empties a batch nobody reads any more and returns its arrays to
+// the pools, the row array cleared up to its capacity: a stale tuple header
+// past the batch's length (an Exchange window's, a filter's) would otherwise
+// keep its tuple alive.
+func (b *Batch) recycle() {
+	rows := b.Rows[:cap(b.Rows)]
 	clear(rows)
-	rowPools[bits.Len(uint(len(rows)))-1].Put(&rows[0])
+	rowPools.put(rows)
+	if b.RowIDs != nil {
+		idPools.put(b.RowIDs)
+	}
+	*b = Batch{}
 }
 
-// valueArena hands out tuple backing storage in large chunks so building k
-// output tuples costs ~k*width/arenaChunkVals allocations instead of k.
-// Tuples are carved with a full slice expression, so appending to one can
-// never bleed into its neighbor. The arena never reclaims: handed-out
-// memory belongs to whoever holds the tuple, and the in-progress chunk is
-// safely reusable across queries on the same Ctx because each region is
-// handed out exactly once.
+// chunkPool holds cleared arena chunks of arenaChunkVals values, each kept
+// as a pointer to its first value.
+var chunkPool sync.Pool
+
+func getChunk() []storage.Value {
+	if first, _ := chunkPool.Get().(*storage.Value); first != nil {
+		return unsafe.Slice(first, arenaChunkVals)
+	}
+	return make([]storage.Value, arenaChunkVals)
+}
+
+// valueArena hands out tuple backing storage carved from pooled chunks, so
+// building k output tuples costs ~k*width/arenaChunkVals chunk draws instead
+// of k allocations. Tuples are carved with a full slice expression, so
+// appending to one can never bleed into its neighbor; a tuple wider than a
+// chunk is its own allocation.
+//
+// Handed-out memory belongs to whoever holds the tuple until the statement
+// that carved it is released. The arena knows the region one statement
+// carved — the chunk and offset at its mark, the chunks it drew, the carve
+// count when it ended — and release clears exactly those values, gives the
+// drawn chunks back to the pool and rewinds the chunk current at the mark,
+// which may be shared with an earlier result nobody released. If anything
+// was carved after the statement ended (a caller running Execute on the
+// statement's Ctx in between), those values follow the region in the
+// arena, so release forgets the region instead: its chunks stay with
+// whoever holds them.
 type valueArena struct {
-	buf []storage.Value
+	chunk  []storage.Value // the chunk being carved, whole; nil before the first draw
+	off    int             // the next value to carve in chunk
+	carved uint64          // tuples carved so far
+
+	region    region
+	markChunk []storage.Value // chunk at the mark
+	markOff   int             // off at the mark
+	drawn     [][]storage.Value
+	endCarved uint64 // carved when the statement ended
 }
 
-// heap is the nil arena: every tuple it hands out is its own allocation.
-// The Materialize driver uses it, because interpreted sessions are too many
-// for each to pin an arena chunk.
-var heap *valueArena
+// region is the state of the statement region a valueArena tracks.
+type region uint8
 
-// alloc returns a zeroed tuple of n values backed by the arena.
+const (
+	noRegion    region = iota
+	openRegion         // between mark and end: chunks drawn are recorded
+	endedRegion        // between end and release
+)
+
+// alloc returns a tuple of n values backed by the arena (its own allocation
+// from the nil arena). Its values are zero, and the caller overwrites every
+// one.
 func (a *valueArena) alloc(n int) storage.Tuple {
-	if a == nil {
+	if a == nil || n > arenaChunkVals {
 		return make(storage.Tuple, n)
 	}
-	if n > len(a.buf) {
-		size := arenaChunkVals
-		if n > size {
-			size = n
+	if n > len(a.chunk)-a.off {
+		a.chunk, a.off = getChunk(), 0
+		if a.region == openRegion {
+			a.drawn = append(a.drawn, a.chunk)
 		}
-		a.buf = make([]storage.Value, size)
 	}
-	t := storage.Tuple(a.buf[:n:n])
-	a.buf = a.buf[n:]
+	t := storage.Tuple(a.chunk[a.off : a.off+n : a.off+n])
+	a.off += n
+	a.carved++
 	return t
+}
+
+// mark opens a statement's region at the arena's current position.
+func (a *valueArena) mark() {
+	a.region = openRegion
+	a.markChunk, a.markOff = a.chunk, a.off
+}
+
+// end closes the open region: the statement carves nothing more.
+func (a *valueArena) end() {
+	a.region = endedRegion
+	a.endCarved = a.carved
+}
+
+// release gives the region back — cleared, its drawn chunks to the pool —
+// when nothing was carved after it ended, and forgets it otherwise.
+func (a *valueArena) release() {
+	if a.region == endedRegion && a.carved == a.endCarved {
+		if len(a.drawn) == 0 {
+			clear(a.chunk[a.markOff:a.off])
+		} else {
+			clear(a.markChunk[a.markOff:])
+			last := len(a.drawn) - 1
+			for i, c := range a.drawn {
+				if i == last {
+					clear(c[:a.off])
+				} else {
+					clear(c)
+				}
+				chunkPool.Put(&c[0])
+			}
+			a.chunk = a.markChunk
+		}
+		a.off = a.markOff
+	}
+	clear(a.drawn)
+	a.drawn = a.drawn[:0]
+	a.markChunk = nil
+	a.region = noRegion
 }
 
 // projectCols builds the column projection of r in arena storage.

@@ -27,7 +27,7 @@ func Execute(ctx *Ctx, node plan.Node) (*Batch, error) {
 }
 
 // consume is Execute for a parent inside exec that reads the result's rows
-// once and then recycles the batch (pool.go): a hash join's build side, an
+// once and then drops the batch (Ctx.drop): a hash join's build side, an
 // index join's outer. The result carries no row identities.
 func consume(ctx *Ctx, node plan.Node) (*Batch, error) {
 	drv, chain, err := enter(ctx, node)
@@ -71,7 +71,7 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	}
 	if chain.Source != nil && drv.Streams() {
 		expect(capHint(chain.Source.Est().Rows))
-		return streamChain(ctx, drv, &chain, sink)
+		return streamChain(ctx, drv, &chain, sinkFunc(sink))
 	}
 	b, err := runOn(ctx, node, drv, &chain, true)
 	if err != nil {
@@ -81,15 +81,14 @@ func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.Row
 	for _, r := range b.Rows {
 		sink(0, r)
 	}
-	b.recycle()
+	ctx.drop(b)
 	return nil
 }
 
 // runOn runs the fragment rooted at node on the driver and chain enter
 // returned (a chain with a nil Source: node is not one). consumed says
-// whether a parent inside exec reads the result once and recycles it: a
-// chain then draws its row array from the pool and materializes no row
-// identities.
+// whether a parent inside exec reads the result once and drops it: a chain
+// then materializes no row identities.
 func runOn(ctx *Ctx, node plan.Node, drv plan.Driver, chain *plan.ScanPipeline, consumed bool) (*Batch, error) {
 	if chain.Source != nil {
 		return execChain(ctx, drv, chain, consumed)
@@ -134,13 +133,13 @@ func execStage(ctx *Ctx, child plan.Node, st chainStage) (*Batch, error) {
 }
 
 // execIndexJoin probes the index once per row of its outer, a consumed batch
-// recycled as the join returns: joined tuples copy their outer half.
+// dropped as the join returns: joined tuples copy their outer half.
 func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 	outer, err := consume(ctx, n.Outer)
 	if err != nil {
 		return nil, err
 	}
-	defer outer.recycle()
+	defer ctx.drop(outer)
 	tbl := ctx.DB.Table(n.Table)
 	idx := ctx.DB.Index(n.Index)
 	if tbl == nil || idx == nil {
@@ -153,7 +152,8 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 	}
 
 	start := ctx.Tracker.Start()
-	out := make([]storage.Tuple, 0, capHint(n.Rows.Rows))
+	out := ctx.batch()
+	out.reserve(capHint(n.Rows.Rows), false)
 	// Probe keys encode into the worker scratch buffer and postings collect
 	// into a pooled buffer via the copy-free lookup path; matches buffer
 	// outside the tree's read lock so version reads never nest inside it.
@@ -167,16 +167,16 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 			return true
 		})
 		ctx.readPostings(tbl, idx.Meta.KeyCols, ps, id, ts, func(_ storage.RowID, inner storage.Tuple) {
-			out = append(out, ctx.arena.join(or, inner))
+			out.push(0, ctx.arena.join(or, inner))
 		})
 		ctx.compute(12)
 	}
 	*buf = ps
 	putPostingBuf(buf)
 	width := float64(tbl.Meta.Schema.TupleBytes())
-	feats := ou.ExecFeatures(float64(len(out)), outer.NumCols(), width, float64(idx.NumRows()), 0, loops, ctx.compiled())
+	feats := ou.ExecFeatures(out.NumRows(), outer.NumCols(), width, float64(idx.NumRows()), 0, loops, ctx.compiled())
 	ctx.Tracker.Stop(ou.IdxScan, feats, start)
-	return &Batch{Rows: out}, nil
+	return out, nil
 }
 
 // execAgg folds each row into its group as feed delivers it, keeping of the
@@ -187,7 +187,7 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 // row that opened it — with its accumulators (the counts, sums, mins and
 // maxs of every aggregate) at stride 4·len(Aggs) in a pooled float64 slab
 // and its columns copied into a pooled value slab; nothing is allocated per
-// group but the output.
+// group: the output rows are carved from the Ctx's arena.
 func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 	s := buildScratchPool.Get().(*buildScratch)
 	defer func() {
@@ -252,14 +252,13 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 	buildFeats := ou.ExecFeatures(in.rows(), in.cols(), in.width(), card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.AggBuild, buildFeats, start)
 
-	// Probe/iterate: produce one output row per group, every row cut from
-	// one value slab.
+	// Probe/iterate: produce one output row per group.
 	start = ctx.Tracker.Start()
 	width := nKeys + nAggs
-	slab := make([]storage.Value, groups*width)
-	out := make([]storage.Tuple, groups)
-	for g := range out {
-		row := slab[g*width : (g+1)*width : (g+1)*width]
+	out := ctx.batch()
+	out.reserve(groups, false)
+	for g := range groups {
+		row := ctx.arena.alloc(width)
 		copy(row, s.vals[g*nKeys:(g+1)*nKeys])
 		acc := s.acc[g*stride : (g+1)*stride]
 		for ai, spec := range n.Aggs {
@@ -280,14 +279,14 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 			row[nKeys+ai] = v
 			ctx.compute(3)
 		}
-		out[g] = row
+		out.push(0, row)
 	}
 	ctx.Thread().SeqWrite(card, entryBytes)
 	probeFeats := ou.ExecFeatures(card, float64(width), entryBytes, card, entryBytes, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.AggProbe, probeFeats, start)
 
 	ctx.Thread().Free(card * entryBytes)
-	return &Batch{Rows: out}, nil
+	return out, nil
 }
 
 // aggHeads is the bucket heads an aggregation's table starts from; it
@@ -295,24 +294,19 @@ func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
 const aggHeads = 16
 
 // execSort's build appends the rows feed delivers straight into the sort
-// buffer. Without a limit the result owns the buffer. With one, the buffer
-// is a consumed array: the first Limit rows are copied into a right-sized
-// result and the buffer goes back to the pool, so a top-n result does not
-// keep its whole input alive.
+// buffer. Without a limit the result is the buffer. With one, the first
+// Limit rows are copied into a result of their size class and the buffer is
+// dropped, so a top-n result does not keep its whole input alive.
 func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 	var in shape
-	var sb Batch
-	r := caller
-	if n.Limit > 0 {
-		r = consumer
-	}
-	err := feed(ctx, n.Child, func(rows int) { sb.reserve(rows, r) },
+	sb := ctx.batch()
+	err := feed(ctx, n.Child, func(rows int) { sb.reserve(rows, false) },
 		func(_ storage.RowID, t storage.Tuple) {
 			in.note(t)
-			sb.Rows = append(sb.Rows, t)
+			sb.push(0, t)
 		})
 	if err != nil {
-		return nil, err // a pooled buffer is dropped, not recycled: nothing reads it
+		return nil, err
 	}
 	buf := sb.Rows
 	nrows, ncols, width := in.rows(), in.cols(), in.width()
@@ -341,18 +335,20 @@ func execSort(ctx *Ctx, n *plan.SortNode) (*Batch, error) {
 
 	// Iterate: stream the sorted output (bounded by the limit).
 	start = ctx.Tracker.Start()
-	out := buf
-	if r == consumer {
-		out = make([]storage.Tuple, min(n.Limit, len(buf)))
-		copy(out, buf)
-		sb.recycle()
+	out := sb
+	if n.Limit > 0 {
+		k := min(n.Limit, len(buf))
+		out = ctx.batch()
+		out.reserve(k, false)
+		out.Rows = append(out.Rows, buf[:k]...)
+		ctx.drop(sb)
 	}
-	ctx.Thread().SeqRead(float64(len(out)), width)
-	ctx.compute(float64(len(out)) * 2)
-	iterFeats := ou.ExecFeatures(float64(len(out)), ncols, width, float64(len(n.Keys)), 0, 1, ctx.compiled())
+	ctx.Thread().SeqRead(out.NumRows(), width)
+	ctx.compute(out.NumRows() * 2)
+	iterFeats := ou.ExecFeatures(out.NumRows(), ncols, width, float64(len(n.Keys)), 0, 1, ctx.compiled())
 	ctx.Tracker.Stop(ou.SortIter, iterFeats, start)
 
-	return &Batch{Rows: out}, nil
+	return out, nil
 }
 
 func execOutput(ctx *Ctx, n *plan.OutputNode) (*Batch, error) {

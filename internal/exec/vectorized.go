@@ -83,7 +83,7 @@ func emitVecFilter(ctx *Ctx, inRows, width, opsPerRow float64) {
 // emitted tuples are the storage layer's own (bit-identical to the
 // Materialize driver's, zero copies); otherwise survivors materialize from
 // the batch into arena storage.
-func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows bool, sink func(storage.RowID, storage.Tuple)) error {
+func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows bool, sink rowSink) error {
 	tbl := ctx.DB.Table(src.Table)
 	if tbl == nil {
 		return fmt.Errorf("exec: table %q does not exist", src.Table)
@@ -122,7 +122,7 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 			// No projection anywhere in the chain: lanes still map to the
 			// loaded chunk, so survivors are the storage rows themselves.
 			for _, lane := range b.Sel() {
-				sink(rows[lane].Row, rows[lane].Data)
+				sink.push(rows[lane].Row, rows[lane].Data)
 			}
 		} else {
 			ncols := b.NumCols()
@@ -131,7 +131,7 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 				for c := 0; c < ncols; c++ {
 					t[c] = b.Value(c, lane)
 				}
-				sink(0, t)
+				sink.push(0, t)
 			}
 		}
 		return true

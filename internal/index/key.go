@@ -17,12 +17,15 @@ import (
 type Key []byte
 
 // EncodeKey encodes the given values into a composite key.
-func EncodeKey(vals ...storage.Value) Key {
-	var out []byte
+func EncodeKey(vals ...storage.Value) Key { return AppendKey(nil, vals...) }
+
+// AppendKey appends the encoding of vals to dst and returns the extended
+// slice: EncodeKey into a reusable scratch buffer.
+func AppendKey(dst []byte, vals ...storage.Value) Key {
 	for _, v := range vals {
-		out = appendValue(out, v)
+		dst = appendValue(dst, v)
 	}
-	return out
+	return dst
 }
 
 // AppendKeyFromTuple appends the encoding of the tuple's key columns to

@@ -136,6 +136,7 @@ func (s *Server) handleConn(conn Conn) {
 				break
 			}
 			err = fc.End(MsgRows, appendRows(fc.Begin(), dg.rowsResult(b)))
+			sess.Release() // an idle connection pins no result
 		case MsgPrepare:
 			name, sql, derr := decodePrepare(f.Payload)
 			if fail = derr; fail != nil {
@@ -155,6 +156,7 @@ func (s *Server) handleConn(conn Conn) {
 				break
 			}
 			err = fc.End(MsgRows, appendRows(fc.Begin(), dg.rowsResult(b)))
+			sess.Release()
 		case MsgList:
 			err = fc.End(MsgProcs, appendProcs(fc.Begin(), s.reg.List()))
 		case MsgKill:

@@ -273,7 +273,8 @@ func TestPointQueryRoundTripAllocations(t *testing.T) {
 }
 
 // pointRoundTripAllocs is the measured count (26 before the per-connection
-// frame buffers, the in-place Bind and the stack-held OU features): the
-// statement text copied out of the read buffer, the result Batch, its row
-// array, the value arena of its one tuple, and the encoded index key.
-const pointRoundTripAllocs = 5
+// frame buffers, the in-place Bind and the stack-held OU features; 5 before
+// results were released to the next statement and the point key encoded
+// into the worker's key buffer): the statement text copied out of the read
+// buffer.
+const pointRoundTripAllocs = 1

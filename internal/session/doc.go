@@ -71,6 +71,19 @@
 // write transaction, and every 4 096th runs a serialize → flush → GC pass.
 // Commits are acknowledged before that pass makes them durable.
 //
+// # Result lifetime
+//
+// A result a Session returns — from ExecSQL, ExecPrepared or ExecPlan — is
+// valid until that session's next statement, its Release, or its Close.
+// Then the session gives the result's row arrays, its Batch and the arena
+// region its statement carved back to exec (exec.Ctx.Statement and
+// ReleaseStatement), and the next statement reuses them: what a statement
+// allocates does not grow with its result. A caller that keeps rows past
+// that point copies them. The wire server releases each result as soon as
+// it has answered with it, so an idle connection pins none. Rows taken with
+// exec.Execute on ExecCtx between two statements are not the session's:
+// they own their memory, and no release reaches them.
+//
 // # Concurrency contract
 //
 // A Session executes one statement at a time (ErrBusy otherwise) from a

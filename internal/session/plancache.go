@@ -171,7 +171,9 @@ func (s *Session) execEntry(template string, e *entry, lits []sql.Literal, text 
 		if e.tmpl == nil {
 			// DDL runs against the engine directly and is never cached; an
 			// index it creates or drops advances ConfigVersion, which is
-			// what invalidates every cached template.
+			// what invalidates every cached template. It is the session's
+			// next statement all the same.
+			s.Release()
 			b, err := sql.RunStatement(s.ec, e.stmt)
 			return b, hw.Metrics{}, err
 		}

@@ -86,10 +86,11 @@ func TestCachedStatementsMatchFreshOnes(t *testing.T) {
 	for _, q := range script {
 		fresh := open(t, freshReg)
 		got, want := mustExec(t, cached, q), mustExec(t, fresh, q)
-		fresh.Close()
 		if !reflect.DeepEqual(got.Rows, want.Rows) {
 			t.Fatalf("%s:\n cached %v\n fresh  %v", q, got.Rows, want.Rows)
 		}
+		fresh.Close() // releases want
+
 	}
 	if st := cached.PlanCache(); st.Entries != 9 || st.Hits < 70 {
 		t.Fatalf("plan cache %+v: the script has 9 templates (LIMIT 1 and LIMIT 2 are two) and should mostly hit", st)

@@ -76,7 +76,8 @@ func (s *Session) Lookup(name string) *Prepared {
 
 // ExecPrepared executes a prepared statement by name from the session's
 // plan cache, planning (or replanning, when the engine configuration
-// moved) as needed.
+// moved) as needed. The result is valid until the session's next statement,
+// Release or Close.
 func (s *Session) ExecPrepared(name string) (*exec.Batch, hw.Metrics, error) {
 	p := s.Lookup(name)
 	if p == nil {

@@ -73,6 +73,7 @@ type Session struct {
 	mu        sync.Mutex
 	state     State
 	statement string // currently-running statement, for the process list
+	running   bool   // a statement holds the worker (a kill leaves it running)
 	queries   uint64 // completed statements
 	failed    uint64 // failed or killed statements
 	prepared  map[string]*Prepared
@@ -83,7 +84,9 @@ type Session struct {
 }
 
 // ExecCtx exposes the session's execution context. It is owned by the
-// session's worker goroutine; other goroutines must not touch it.
+// session's worker goroutine; other goroutines must not touch it. A plan run
+// on it with exec.Execute between two statements returns a result that owns
+// its memory: the session's release never reaches it.
 func (s *Session) ExecCtx() *exec.Ctx { return s.ec }
 
 // interrupted is the exec.Ctx.Interrupt hook: polled at every operator
@@ -121,6 +124,7 @@ func (s *Session) beginStatement(stmt string) error {
 	}
 	s.state = Active
 	s.statement = stmt
+	s.running = true
 	s.mu.Unlock()
 	s.reg.beginExec()
 	return nil
@@ -138,6 +142,7 @@ func (s *Session) endStatement(err error) {
 		s.failed++
 	}
 	s.statement = ""
+	s.running = false
 	if s.state == Active {
 		s.state = Idle
 	}
@@ -149,6 +154,7 @@ func (s *Session) endStatement(err error) {
 // queries are observed exactly once, killed or failed ones not at all.
 // A DML plan is auto-committed unless the caller opened a transaction on
 // the session's execution context. The fingerprint argument is not read.
+// The result is valid until the session's next statement, Release or Close.
 func (s *Session) ExecPlan(template string, _ uint64, node plan.Node) (*exec.Batch, hw.Metrics, error) {
 	if err := s.beginStatement(template); err != nil {
 		return nil, hw.Metrics{}, err
@@ -175,7 +181,9 @@ func (r ran) keep() plan.Node {
 	return r.tmpl.Snapshot(r.lits)
 }
 
-// run executes a plan inside the statement the caller began. A DML plan
+// run executes a plan inside the statement the caller began, as the
+// execution context's next statement: the previous result is released
+// first (exec.Ctx.Statement). A DML plan
 // gets an auto-commit transaction when the session has none open,
 // mirroring a server's auto-commit semantics. The metrics bracket the
 // whole plan — every operator OU plus tracker overhead — measured on the
@@ -190,7 +198,7 @@ func (s *Session) run(template string, r ran) (*exec.Batch, hw.Metrics, error) {
 		s.ec.Begin()
 	}
 	before := s.ec.Thread().Counters()
-	b, err := exec.Execute(s.ec, r.node)
+	b, err := s.ec.Statement(r.node)
 	iso := s.ec.Thread().Since(before)
 	if auto {
 		if err != nil {
@@ -225,7 +233,8 @@ func isDML(n plan.Node) bool {
 // execEntry). DDL runs against the engine directly; DML is auto-committed
 // when no transaction is open. The statement's template key, not its
 // text, names the observation, so ad-hoc traffic forecasts per template
-// however many distinct literals it carries.
+// however many distinct literals it carries. The result is valid until the
+// session's next statement, Release or Close.
 func (s *Session) ExecSQL(query string) (*exec.Batch, hw.Metrics, error) {
 	if err := s.beginStatement(query); err != nil {
 		return nil, hw.Metrics{}, err
@@ -263,9 +272,16 @@ func (s *Session) Kill(cause error) {
 	s.cancel(cause)
 }
 
-// Close releases the session and removes it from the process list. The
-// caller keeps the Stats handle: observations buffered at close remain
-// drainable exactly once.
+// Release gives the memory of the session's last result back to exec now —
+// its row arrays, its Batch and the arena region its statement carved — so
+// an idle session pins none of it. The result must not be read afterwards.
+// The session's next statement and Close release it too. Like the Exec
+// methods, it is called from the session's worker goroutine.
+func (s *Session) Release() { s.ec.ReleaseStatement() }
+
+// Close releases the session and its last result, and removes it from the
+// process list. The caller keeps the Stats handle: observations buffered at
+// close remain drainable exactly once.
 func (s *Session) Close() {
 	s.mu.Lock()
 	if s.state == Closed {
@@ -273,8 +289,14 @@ func (s *Session) Close() {
 		return
 	}
 	s.state = Closed
+	idle := !s.running
 	s.mu.Unlock()
 	s.cancel(ErrClosed)
+	if idle {
+		// No statement can begin on a closed session; one still running
+		// owns the execution context, and its memory goes with the session.
+		s.Release()
+	}
 	s.reg.remove(s.ID)
 }
 
