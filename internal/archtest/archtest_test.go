@@ -72,15 +72,13 @@ var rules = []rule{
 		30, all(exactly("internal/exec", 1, "pooledRowIDs(", regexp.MustCompile(`^func pooledRowIDs\(`)),
 			forbid("internal/exec", nil, "make([]storage.RowID"))},
 	{"one-row-pool",
-		"the row-array pools are named (rowPools, idPools) only in internal/exec/pool.go and drawn from (pooledRows() only by Batch.reserve; arrays return to them (.recycle()) on exactly four lines under internal/exec — Ctx.drop, Batch.grow's outgrown arrays, a partitionJoin worker's build side and its output once merged — and a batch is dropped (.drop() on exactly seven, where it ends — feed, hashJoin's build side, execIndexJoin's outer, execSort's buffer under a limit, an UPDATE's and a DELETE's child, and Ctx.ReleaseStatement: a statement's result returns to the pools only when its owner releases it",
-		32, all(forbid("", except("internal/exec/pool.go"), "rowPools", "idPools"),
-			exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
+		"row arrays are drawn (pooledRows() only by Batch.reserve; arrays go back (.recycle()) on exactly four lines under internal/exec — Ctx.drop, Batch.grow's outgrown arrays, a partitionJoin worker's build side and its output once merged — and a batch is dropped (.drop() on exactly seven, where it ends — feed, hashJoin's build side, execIndexJoin's outer, execSort's buffer under a limit, an UPDATE's and a DELETE's child, and Ctx.ReleaseStatement: a statement's result goes back only when its owner releases it",
+		32, all(exactly("internal/exec", 1, "pooledRows(", regexp.MustCompile(`^func pooledRows\(`)),
 			exactly("internal/exec", 4, ".recycle()", nil),
 			exactly("internal/exec", 7, ".drop(", nil))},
 	{"one-statement-arena",
-		"the arena chunk pool is named (chunkPool) only in internal/exec/pool.go; outside internal/exec/context.go, .Statement( and .ReleaseStatement( are called only under internal/session; and the nil arena heap is named only in internal/exec/parallel.go: a statement's chunks go back to the pool only when its owner, the session, releases it, and only the partition workers, off the statement's goroutine, allocate a tuple apiece",
-		40, all(forbid("", except("internal/exec/pool.go"), "chunkPool"),
-			forbid("", except("internal/exec/context.go", "internal/session/"), ".Statement(", ".ReleaseStatement("),
+		"outside internal/exec/context.go, .Statement( and .ReleaseStatement( are called only under internal/session; and the nil arena heap is named only in internal/exec/parallel.go: a statement's chunks go back only when its owner, the session, releases it, and only the partition workers, off the statement's goroutine, allocate a tuple apiece",
+		40, all(forbid("", except("internal/exec/context.go", "internal/session/"), ".Statement(", ".ReleaseStatement("),
 			func(t *tree) []string {
 				return t.lines("internal/exec", except("internal/exec/parallel.go"), func(l string) bool {
 					code, _, _ := strings.Cut(l, "//")
@@ -88,9 +86,13 @@ var rules = []rule{
 				})
 			})},
 	{"one-hash-table",
-		"no non-test line under internal/exec names map[string], and the build scratch pool is drawn from (buildScratchPool.Get() on exactly three lines, in hashJoin, partitionJoin and execAgg: every build — join or aggregation, on every driver — is one keyTable from one pool",
-		38, all(forbid("internal/exec", nil, "map[string]"),
-			exactly("internal/exec", 3, "buildScratchPool.Get(", nil))},
+		"no non-test line under internal/exec names map[string]: every build — join or aggregation, on every driver — is one keyTable",
+		38, forbid("internal/exec", nil, "map[string]")},
+	{"one-recycler",
+		"under internal/exec, sync.Pool and weak. are named only in pool.go, no non-test file imports unsafe, and build scratch is drawn (getBuildScratch() on exactly three lines, in hashJoin, partitionJoin and execAgg: every array and scratch struct exec reuses lives in one recycled set that every goroutine shares, so what a statement allocates does not depend on the P it ran on",
+		44, all(forbid("internal/exec", except("internal/exec/pool.go"), "sync.Pool", "weak."),
+			forbid("internal/exec", nil, `"unsafe"`),
+			exactly("internal/exec", 3, "getBuildScratch(", regexp.MustCompile(`^func getBuildScratch\(`)))},
 	{"one-frame-io",
 		"under internal/server and internal/repl, a connection's bytes are read (io.ReadFull() and written (.Write() only in internal/server/frame.go, by FrameConn: every frame goes through one pair of per-connection buffers",
 		34, all(forbid("internal/server", except("internal/server/frame.go"), "io.ReadFull(", ".Write("),

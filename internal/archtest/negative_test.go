@@ -67,16 +67,11 @@ var violations = []violation{
 	{"row-ids-sized-once", "a second draw of row identities", "on 2 non-test lines", map[string]string{
 		"internal/exec/batch.go": "package exec\n\nfunc (b *Batch) reserve(n int) { b.RowIDs = pooledRowIDs(n) }\n",
 		"internal/exec/scan.go":  "package exec\n\nfunc f(n int) { ids := pooledRowIDs(n) }\n"}},
-	{"one-row-pool", "a second row-array pool", "internal/exec/scratch.go:3:", map[string]string{
-		"internal/exec/pool.go":    "package exec\n\nvar rowPools classPool[storage.Tuple]\n",
-		"internal/exec/scratch.go": "package exec\n\nfunc f() { rowPools[4].Put(p) }\n"}},
 	{"one-row-pool", "Execute's result recycled", ".drop( on 8 non-test lines", map[string]string{
 		"internal/exec/relational.go": "package exec\n\nfunc feed() { ctx.drop(b) }\n\nfunc execIndexJoin() { defer ctx.drop(outer) }\n\nfunc execSort() { ctx.drop(sb) }\n\nfunc Execute() { ctx.drop(b) }\n",
 		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { defer ctx.drop(left) }\n",
 		"internal/exec/dml.go":        "package exec\n\nfunc execUpdate() { defer ctx.drop(child) }\n\nfunc execDelete() { defer ctx.drop(child) }\n",
 		"internal/exec/context.go":    "package exec\n\nfunc (c *Ctx) ReleaseStatement() { c.drop(c.result) }\n"}},
-	{"one-statement-arena", "a chunk pooled outside pool.go", "internal/exec/vectorized.go:3:", map[string]string{
-		"internal/exec/vectorized.go": "package exec\n\nfunc f(c []storage.Value) { chunkPool.Put(&c[0]) }\n"}},
 	{"one-statement-arena", "a statement released outside its session", "internal/selfdrive/loop.go:3:", map[string]string{
 		"internal/selfdrive/loop.go": "package selfdrive\n\nfunc f(w *session.Session) { w.ExecCtx().ReleaseStatement() }\n"}},
 	{"one-statement-arena", "heap tuples back in the Materialize driver", "internal/exec/pipeline.go:3:", map[string]string{
@@ -84,10 +79,18 @@ var violations = []violation{
 		"internal/exec/pipeline.go": "package exec\n\nfunc applyStage() { t, keep := st.step(r, heap) } // not the arena\n"}},
 	{"one-hash-table", "a group map back in the aggregation", "internal/exec/relational.go:3:", map[string]string{
 		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { groups := make(map[string]*aggState) }\n"}},
-	{"one-hash-table", "a build scratch drawn a fourth time", "on 4 non-test lines", map[string]string{
-		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { s := buildScratchPool.Get().(*buildScratch) }\n",
-		"internal/exec/parallel.go":   "package exec\n\nfunc partitionJoin() { s := buildScratchPool.Get().(*buildScratch) }\n",
-		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { s := buildScratchPool.Get().(*buildScratch) }\n\nfunc execSort() { s := buildScratchPool.Get().(*buildScratch) }\n"}},
+	{"one-recycler", "a second row-array pool", "internal/exec/scratch.go:3:", map[string]string{
+		"internal/exec/pool.go":    "package exec\n\nvar anchor sync.Pool\n",
+		"internal/exec/scratch.go": "package exec\n\nvar rowPool = sync.Pool{New: newRows}\n"}},
+	{"one-recycler", "a chunk pooled outside pool.go", "internal/exec/vectorized.go:3:", map[string]string{
+		"internal/exec/vectorized.go": "package exec\n\nfunc f(c []storage.Value) { spare = weak.Make(&c[0]) }\n"}},
+	{"one-recycler", "an array rebuilt from a pointer again", "internal/exec/pool.go:3:", map[string]string{
+		"internal/exec/pool.go": "package exec\n\nimport \"unsafe\"\n"}},
+	{"one-recycler", "a build scratch drawn a fourth time", "on 4 non-test lines", map[string]string{
+		"internal/exec/pool.go":       "package exec\n\nfunc getBuildScratch() *buildScratch { return new(buildScratch) }\n",
+		"internal/exec/pipeline.go":   "package exec\n\nfunc hashJoin() { s := getBuildScratch() }\n",
+		"internal/exec/parallel.go":   "package exec\n\nfunc partitionJoin() { s := getBuildScratch() }\n",
+		"internal/exec/relational.go": "package exec\n\nfunc execAgg() { s := getBuildScratch() }\n\nfunc execSort() { s := getBuildScratch() }\n"}},
 	{"one-frame-io", "a reply written past the frame buffers", "internal/server/server.go:3:", map[string]string{
 		"internal/server/frame.go":  "package server\n\nfunc (c *FrameConn) End() { c.rw.Write(frame) }\n",
 		"internal/server/server.go": "package server\n\nfunc reply(conn Conn, f Frame) { conn.Write(AppendFrame(nil, f)) }\n"}},

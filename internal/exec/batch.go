@@ -16,7 +16,7 @@ type Batch struct {
 // reserve sizes an empty batch for up to n rows, with row identities when
 // ids is set: only Execute's caller reads them (a DML child), never a parent
 // that consumes the batch inside exec. It is the one place exec draws row
-// arrays and row identities from their pools: every batch, a result or a
+// arrays and row identities from the recycled set: every batch, a result or a
 // consumed one, on every driver, sizes through it.
 func (b *Batch) reserve(n int, ids bool) {
 	b.Rows = pooledRows(n)
@@ -45,7 +45,7 @@ func (b *Batch) sink(ids bool) rowSink {
 }
 
 // push appends a row, and its identity while the batch still carries them.
-// A batch that outgrows its reservation grows through the pools.
+// A batch that outgrows its reservation grows through the recycled set.
 func (b *Batch) push(rid storage.RowID, t storage.Tuple) {
 	if len(b.Rows) == cap(b.Rows) {
 		b.grow()
@@ -56,7 +56,7 @@ func (b *Batch) push(rid storage.RowID, t storage.Tuple) {
 	}
 }
 
-// grow moves b's rows, and its identities, into pooled arrays of the next
+// grow moves b's rows, and its identities, into recycled arrays of the next
 // size class and recycles the outgrown ones.
 func (b *Batch) grow() {
 	old := *b

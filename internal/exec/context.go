@@ -132,8 +132,8 @@ func (c *Ctx) Statement(node plan.Node) (*Batch, error) {
 }
 
 // ReleaseStatement gives the last Statement's memory back: its result's
-// arrays to the row pools, its Batch struct to the Ctx, and the arena region
-// it carved, cleared, to the chunk pool. The result must not be read
+// arrays to the recycled set, its Batch struct to the Ctx, and the arena
+// region it carved, cleared, to the set. The result must not be read
 // afterwards. Without a statement to release it does nothing.
 func (c *Ctx) ReleaseStatement() {
 	if c.result != nil {

@@ -198,7 +198,7 @@ func TestHashJoinMatchesNestedLoop(t *testing.T) {
 // of 4n rows under five keys keeps one entry per key and one link per row,
 // and the bucket chains its inserts walk — every find compares at most its
 // bucket's chain — grow with the rows, not with the rows per key. Every
-// driver builds in a table drawn from the build scratch pool, so after each
+// driver builds in a table drawn from the recycled set, so after each
 // driver's join the build is repeated here through a pooled table, where a
 // second build of the same size allocates nothing.
 func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
@@ -230,7 +230,7 @@ func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
 				if len(b.Rows) != size {
 					t.Fatalf("%d build rows joined to %d, want one match each", size, len(b.Rows))
 				}
-				s := buildScratchPool.Get().(*buildScratch)
+				s := getBuildScratch()
 				jt := &s.kt
 				s.keyBuf = jt.build(build, keyCols, s.keyBuf)
 				if len(jt.entries) != keys || len(jt.next) != size {
@@ -250,7 +250,7 @@ func TestJoinBuildLinearInRowsPerKey(t *testing.T) {
 				if allocs := testing.AllocsPerRun(3, func() { s.keyBuf = jt.build(build, keyCols, s.keyBuf) }); allocs != 0 {
 					t.Errorf("rebuilding a table of %d rows allocates %.0f times", size, allocs)
 				}
-				buildScratchPool.Put(s)
+				putBuildScratch(s)
 			}
 			if steps[0] > 2*n || steps[1] > 4*steps[0] {
 				t.Fatalf("chain steps %d at %d rows, %d at %d: want at most %d and 4x", steps[0], n, steps[1], 4*n, 2*n)

@@ -124,7 +124,7 @@ func emitExchangeMerge(ctx *Ctx, total, width float64, parts, dop int) {
 // outgrows its window, so a destination never passes its source. The stale
 // headers the compaction leaves past the merged length are cleared when the
 // array is recycled. A stripe appends, never pushes: it must not grow
-// through the pools, which would recycle its window of b.
+// through the recycled set, which would recycle its window of b.
 func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 	tbl := ctx.DB.Table(n.Table)
 	if tbl == nil {
@@ -151,8 +151,8 @@ func exchangeScan(ctx *Ctx, n *plan.SeqScanNode, b *Batch, ids bool) error {
 		}
 		dop = fanOut(ctx, parts, ou.ParallelScan, func(th *hw.Thread, p, dop int) []float64 {
 			stripe := &stripes[p]
-			buf := getScanBuf()
-			scan(th, p, id, ts, *buf, func(chunk []storage.ScanRow) bool {
+			buf := getScanBuf(scanBatchSize)
+			scan(th, p, id, ts, buf, func(chunk []storage.ScanRow) bool {
 				for i := range chunk {
 					stripe.Rows = append(stripe.Rows, chunk[i].Data)
 					if ids {
@@ -249,8 +249,8 @@ func partitionJoin(ctx *Ctx, n *plan.HashJoinNode) (*Batch, error) {
 			})
 			buildRows := len(build.Rows)
 			htBytes := float64(buildRows) * entryBytes
-			s := buildScratchPool.Get().(*buildScratch)
-			defer buildScratchPool.Put(s)
+			s := getBuildScratch()
+			defer putBuildScratch(s)
 			jt := &s.kt
 			s.keyBuf = jt.build(build.Rows, n.LeftKeys, s.keyBuf)
 			ctx.chargeJoinBuild(th, buildRows, htBytes)

@@ -38,8 +38,8 @@ import (
 //
 // A chain materializes row identities only when its parent reads them:
 // Execute's caller (a DML child) does, a parent that consumes the batch
-// inside exec never does. Every batch draws its row array from the pool
-// (pool.go); a consumed one — fed to a breaker, a hash join's build side, an
+// inside exec never does. Every batch draws its row array from the
+// recycled set (pool.go); a consumed one — fed to a breaker, a hash join's build side, an
 // index join's outer — recycles it once the parent has read the last row,
 // and a statement's result when its owner releases the statement.
 //
@@ -167,7 +167,7 @@ func runSource(ctx *Ctx, src plan.Node, out rowSink) error {
 }
 
 // seqSource streams every visible row of the table into out inside the
-// SEQ_SCAN bracket, through a pooled scan-row buffer. Each chunk is a
+// SEQ_SCAN bracket, through a recycled scan-row buffer. Each chunk is a
 // cancellation point: whatever consumes the rows may be a breaker fused into
 // the chain, which has no operator boundary of its own.
 func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
@@ -179,10 +179,10 @@ func seqSource(ctx *Ctx, n *plan.SeqScanNode, out rowSink) error {
 
 	start := ctx.Tracker.Start()
 	out.expect(tbl.NumRows())
-	buf := getScanBuf()
+	buf := getScanBuf(scanBatchSize)
 	rows := 0
 	var err error
-	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(chunk []storage.ScanRow) bool {
+	tbl.ScanBatch(ctx.Thread(), id, ts, buf, func(chunk []storage.ScanRow) bool {
 		if err = ctx.interrupted(); err != nil {
 			return false
 		}
@@ -225,8 +225,7 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	}
 
 	start := ctx.Tracker.Start()
-	buf := getPostingBuf()
-	ps := *buf
+	ps := getPostingBuf()
 	if n.Eq != nil {
 		// The point key encodes into the worker's key buffer: a source is a
 		// leaf, and no index-join probe, its other user, runs while it reads.
@@ -245,8 +244,7 @@ func idxSource(ctx *Ctx, n *plan.IdxScanNode, out rowSink) error {
 	}
 	out.expect(len(ps))
 	rows := ctx.readPostings(tbl, idx.Meta.KeyCols, ps, id, ts, out.push)
-	*buf = ps
-	putPostingBuf(buf)
+	putPostingBuf(ps)
 
 	matched := float64(rows)
 	ctx.compute(matched * 8)
@@ -545,8 +543,8 @@ func (c *Ctx) chargeJoinProbe(th *hw.Thread, probed, htBytes, outRows, outWidth 
 
 // hashJoin is the hash join of every driver but Exchange. The build side
 // materializes (it must) into a consumed batch, whose pooled row array the
-// join recycles as it returns, and into a keyTable drawn from the build
-// scratch pool — its own, so a join on the probe side, or an aggregation
+// join recycles as it returns, and into a keyTable drawn from the
+// recycled set — its own, so a join on the probe side, or an aggregation
 // above, builds in another; the probe side is fed — when the right child is
 // a chain on a streaming driver, its rows flow from the storage layer
 // through the probe into the join output with no intermediate Batch. Output
@@ -561,8 +559,8 @@ func hashJoin(ctx *Ctx, n *plan.HashJoinNode, drv plan.Driver) (*Batch, error) {
 		return nil, err
 	}
 	defer ctx.drop(left) // joined tuples copy their build half
-	s := buildScratchPool.Get().(*buildScratch)
-	defer buildScratchPool.Put(s) // the table keeps key bytes and row numbers, no tuple
+	s := getBuildScratch()
+	defer putBuildScratch(s) // the table keeps key bytes and row numbers, no tuple
 	jt := &s.kt
 	s.keyBuf = jt.build(left.Rows, n.LeftKeys, s.keyBuf)
 

@@ -3,43 +3,45 @@ package exec
 import (
 	"math/bits"
 	"sync"
-	"unsafe"
+	"weak"
 
+	"mb2/internal/exec/vec"
 	"mb2/internal/index"
 	"mb2/internal/storage"
 )
 
-// Hot-path scratch memory discipline. The drivers draw five kinds of
-// buffers:
+// Hot-path scratch memory discipline. Every array and scratch struct exec
+// reuses lives in one recycled set that all goroutines share under one
+// mutex, so a draw sees whatever any goroutine gave back: between two
+// garbage collections, what a statement allocates is a pure function of the
+// statements before it, on whichever P they ran. The set lives as long as a
+// sync.Pool's contents would: only a weak pointer reaches it, anchor holds
+// it, and every lock moves it back into anchor, so an idle set survives one
+// collection and the second frees it. The drivers draw four kinds of memory:
 //
-//   - pooled scratch (scan-row buffers, posting buffers): returned to a
-//     sync.Pool before Execute returns; never escapes. Row widths are not
-//     buffered at all: a stage and a breaker's shape keep them as a
-//     run-length widthLog, one inline run for a fixed-width stream.
-//   - build scratch (a hash join's or an aggregation's keyTable, key buffer
-//     and group slabs): one pool for every build on every driver, returned
-//     before the build's operator returns; never escapes.
+//   - scratch (scan-row and posting buffers, a vectorized batch, a build's
+//     hash table and slabs): given back before the operator that drew it
+//     returns; never escapes. A stage's row widths are a run-length widthLog.
 //   - per-Ctx scratch (the index join's key buffer, the stage list, the
 //     Batch structs of released results): a Ctx is single-worker by
 //     contract, so it is reused with no synchronization.
 //   - arena-backed output tuples: projected, joined and aggregated tuples
-//     are carved out of pooled 4 096-value chunks by the Ctx's valueArena,
+//     are carved out of recycled 4 096-value chunks by the Ctx's valueArena,
 //     on every driver; only a partition worker, which runs on another
 //     goroutine, makes its own through the nil arena heap. Each region is
-//     handed out exactly once, so keeping a fed tuple is safe. A chunk
-//     returns to the pool only when the statement that drew it is released
-//     (Ctx.Statement, Ctx.ReleaseStatement), cleared first; a result of a
-//     caller that never releases owns its chunks.
-//   - pooled row arrays (a batch's []storage.Tuple and []storage.RowID):
-//     every batch draws its arrays from size-classed pools, and an array
-//     that outgrows its estimate grows into the next class, recycling the
-//     outgrown one. A batch that a parent reads once inside exec and then
-//     drops — a chain fed to a breaker, a hash join's build side, a
-//     partition-wise join worker's build side and output, an index join's
-//     outer, a top-n sort's buffer, a DML child — recycles its arrays,
-//     cleared, once the parent has read the last row; a statement's result
-//     recycles them when the statement is released. Only arrays of tuple
-//     headers and row identities are recycled, never a tuple.
+//     handed out exactly once, so keeping a fed tuple is safe. A chunk goes
+//     back only when the statement that drew it is released (Ctx.Statement,
+//     Ctx.ReleaseStatement), cleared first; a result of a caller that never
+//     releases owns its chunks.
+//   - row arrays (a batch's []storage.Tuple and []storage.RowID), drawn by
+//     size class; an array that outgrows its estimate grows into the next
+//     class, recycling the outgrown one. A batch that a parent reads once
+//     inside exec and then drops — a chain fed to a breaker, a hash join's
+//     build side, a partition-wise join worker's build side and output, an
+//     index join's outer, a top-n sort's buffer, a DML child — recycles its
+//     arrays, cleared, once the parent has read the last row; a statement's
+//     result, when the statement is released. Only arrays of tuple headers
+//     and row identities are recycled, never a tuple.
 //
 // See DESIGN.md "Execution: source → stages → sink" for the full retention
 // contract.
@@ -49,24 +51,118 @@ const (
 	arenaChunkVals = 4096
 )
 
-// Pools hold pointers to slices so Get/Put stay allocation-free.
-var scanBufPool = sync.Pool{
-	New: func() any { b := make([]storage.ScanRow, 0, scanBatchSize); return &b },
+// recycled is everything exec reuses, read and written only under setMu.
+type recycled struct {
+	rows     freeList[storage.Tuple]
+	ids      freeList[storage.RowID]
+	scanRows freeList[storage.ScanRow] // scanBatchSize and vec.BatchRows rows
+	postings freeList[index.Entry]
+	values   freeList[storage.Value] // arena chunks, cleared
+	builds   stack[buildScratch]
+	batches  stack[vec.Batch]
 }
 
-var postingBufPool = sync.Pool{
-	New: func() any { b := make([]index.Entry, 0, 256); return &b },
+var (
+	setMu       sync.Mutex
+	recycledSet weak.Pointer[recycled]
+	anchor      sync.Pool // the set, dropped after two collections with no lock
+)
+
+// lockSet locks setMu and returns the set, a new one if the last was freed.
+func lockSet() *recycled {
+	setMu.Lock()
+	r, _ := anchor.Get().(*recycled)
+	if r == nil {
+		if r = recycledSet.Value(); r == nil {
+			r = new(recycled)
+			recycledSet = weak.Make(r)
+		}
+	}
+	anchor.Put(r)
+	return r
+}
+
+// Each draw and return locks the set once.
+func getScanBuf(n int) []storage.ScanRow { defer setMu.Unlock(); return lockSet().scanRows.get(n) }
+func putScanBuf(b []storage.ScanRow)     { defer setMu.Unlock(); lockSet().scanRows.put(b) }
+func getPostingBuf() []index.Entry       { defer setMu.Unlock(); return lockSet().postings.largest(256) }
+func putPostingBuf(b []index.Entry)      { defer setMu.Unlock(); lockSet().postings.put(b) }
+func pooledRows(n int) []storage.Tuple   { defer setMu.Unlock(); return lockSet().rows.get(n) }
+func pooledRowIDs(n int) []storage.RowID { defer setMu.Unlock(); return lockSet().ids.get(n) }
+func getBuildScratch() *buildScratch     { defer setMu.Unlock(); return lockSet().builds.pop() }
+func putBuildScratch(s *buildScratch)    { defer setMu.Unlock(); lockSet().builds.push(s) }
+func getVecBatch() *vec.Batch            { defer setMu.Unlock(); return lockSet().batches.pop() }
+func putVecBatch(b *vec.Batch)           { defer setMu.Unlock(); lockSet().batches.push(b) }
+func putChunk(c []storage.Value)         { defer setMu.Unlock(); lockSet().values.put(c) }
+
+func getChunk() []storage.Value {
+	defer setMu.Unlock()
+	return lockSet().values.get(arenaChunkVals)[:arenaChunkVals]
+}
+
+// stack is a free list of scratch structs; pop makes one when it is empty.
+type stack[T any] []*T
+
+func (s *stack[T]) pop() *T {
+	if n := len(*s) - 1; n >= 0 {
+		x := (*s)[n]
+		(*s)[n], *s = nil, (*s)[:n]
+		return x
+	}
+	return new(T)
+}
+
+func (s *stack[T]) push(x *T) { *s = append(*s, x) }
+
+// freeList holds arrays of T in power-of-two size classes: class k holds
+// arrays of capacity at least 1<<k. minRowClass is capHint's floor.
+type freeList[T any] [bits.UintSize][][]T
+
+const minRowClass = 4
+
+// get returns an empty array with room for n elements: a held one of n's
+// class, or a new one at the class's power of two.
+func (l *freeList[T]) get(n int) []T {
+	k := minRowClass
+	if n > 1<<minRowClass {
+		k = bits.Len(uint(n - 1))
+	}
+	if c := l[k]; len(c) > 0 {
+		a := c[len(c)-1]
+		c[len(c)-1], l[k] = nil, c[:len(c)-1]
+		return a[:0]
+	}
+	return make([]T, 0, 1<<k)
+}
+
+// largest returns the largest array held, or a new one with room for n
+// elements: a posting buffer grows by append, so the next lookup finds it.
+func (l *freeList[T]) largest(n int) []T {
+	for k := len(l) - 1; k > minRowClass; k-- {
+		if len(l[k]) > 0 {
+			return l.get(1 << k)
+		}
+	}
+	return l.get(n)
+}
+
+// put keeps a, whose elements the caller has cleared where they must not
+// keep a pointer alive, in the largest class its capacity covers.
+func (l *freeList[T]) put(a []T) {
+	if k := bits.Len(uint(cap(a))) - 1; k >= minRowClass {
+		l[k] = append(l[k], a[:0])
+	}
 }
 
 // buildScratch is a build's hash table and scratch — a hash join's, a
-// partition-wise join worker's, an aggregation's — drawn from one pool on
+// partition-wise join worker's, an aggregation's — drawn from the set on
 // every driver. The table holds key bytes and row numbers and the
 // accumulators float64s, so a build reuses whatever an earlier one left, and
-// allocates nothing once the pool holds scratch its size. Only vals, an
+// allocates nothing once the set holds scratch its size. Only vals, an
 // aggregation's group columns, holds values; execAgg clears it before the
-// scratch goes back, so no pooled scratch keeps a string alive. Every Get is
-// a distinct scratch: a build nested under another (a join on a join's probe
-// side, a join under an aggregation) never shares one.
+// scratch goes back, so no recycled scratch keeps a string alive. Every draw
+// is a distinct scratch: a build nested under another (a join on a join's
+// probe side, a join under an aggregation) never shares one.
 type buildScratch struct {
 	kt     keyTable
 	keyBuf []byte          // build and probe keys, encoded
@@ -74,91 +170,20 @@ type buildScratch struct {
 	vals   []storage.Value // execAgg: each group's columns
 }
 
-var buildScratchPool = sync.Pool{New: func() any { return new(buildScratch) }}
-
-func getScanBuf() *[]storage.ScanRow { return scanBufPool.Get().(*[]storage.ScanRow) }
-
-func putScanBuf(b *[]storage.ScanRow) {
-	*b = (*b)[:0]
-	scanBufPool.Put(b)
-}
-
-func getPostingBuf() *[]index.Entry { return postingBufPool.Get().(*[]index.Entry) }
-
-func putPostingBuf(b *[]index.Entry) {
-	*b = (*b)[:0]
-	postingBufPool.Put(b)
-}
-
-// classPool holds arrays of T in power-of-two size classes: class k holds
-// arrays of capacity at least 1<<k, each kept as a pointer to its first
-// element, so that neither Get nor Put boxes a slice header. minRowClass is
-// capHint's floor.
-type classPool[T any] [bits.UintSize]sync.Pool
-
-const minRowClass = 4
-
-// get returns an empty array with room for n elements, at a power of two
-// capacity.
-func (p *classPool[T]) get(n int) []T {
-	k := minRowClass
-	if n > 1<<minRowClass {
-		k = bits.Len(uint(n - 1))
-	}
-	if first, _ := p[k].Get().(*T); first != nil {
-		return unsafe.Slice(first, 1<<k)[:0]
-	}
-	return make([]T, 0, 1<<k)
-}
-
-// put returns a, whose elements the caller has cleared where they hold
-// pointers, to the largest class its capacity covers.
-func (p *classPool[T]) put(a []T) {
-	a = a[:cap(a)]
-	if len(a) < 1<<minRowClass {
-		return
-	}
-	p[bits.Len(uint(len(a)))-1].Put(&a[0])
-}
-
-// rowPools and idPools hold a batch's row arrays and row identities.
-var (
-	rowPools classPool[storage.Tuple]
-	idPools  classPool[storage.RowID]
-)
-
-// pooledRows returns an empty row array with room for n rows.
-func pooledRows(n int) []storage.Tuple { return rowPools.get(n) }
-
-// pooledRowIDs returns an empty row-identity array with room for n rows.
-func pooledRowIDs(n int) []storage.RowID { return idPools.get(n) }
-
-// recycle empties a batch nobody reads any more and returns its arrays to
-// the pools, the row array cleared up to its capacity: a stale tuple header
-// past the batch's length (an Exchange window's, a filter's) would otherwise
-// keep its tuple alive.
+// recycle empties a batch nobody reads any more and gives its arrays back,
+// the row array cleared up to its capacity: a stale tuple header past the
+// batch's length (an Exchange window's, a filter's) would otherwise keep its
+// tuple alive.
 func (b *Batch) recycle() {
-	rows := b.Rows[:cap(b.Rows)]
-	clear(rows)
-	rowPools.put(rows)
-	if b.RowIDs != nil {
-		idPools.put(b.RowIDs)
-	}
+	clear(b.Rows[:cap(b.Rows)])
+	r := lockSet()
+	r.rows.put(b.Rows)
+	r.ids.put(b.RowIDs)
+	setMu.Unlock()
 	*b = Batch{}
 }
 
-// chunkPool holds cleared arena chunks of arenaChunkVals values, each kept
-// as a pointer to its first value.
-var chunkPool sync.Pool
-
-func getChunk() []storage.Value {
-	if first, _ := chunkPool.Get().(*storage.Value); first != nil {
-		return unsafe.Slice(first, arenaChunkVals)
-	}
-	return make([]storage.Value, arenaChunkVals)
-}
-
-// valueArena hands out tuple backing storage carved from pooled chunks, so
+// valueArena hands out tuple backing storage carved from recycled chunks, so
 // building k output tuples costs ~k*width/arenaChunkVals chunk draws instead
 // of k allocations. Tuples are carved with a full slice expression, so
 // appending to one can never bleed into its neighbor; a tuple wider than a
@@ -168,7 +193,7 @@ func getChunk() []storage.Value {
 // that carved it is released. The arena knows the region one statement
 // carved — the chunk and offset at its mark, the chunks it drew, the carve
 // count when it ended — and release clears exactly those values, gives the
-// drawn chunks back to the pool and rewinds the chunk current at the mark,
+// drawn chunks back to the set and rewinds the chunk current at the mark,
 // which may be shared with an earlier result nobody released. If anything
 // was carved after the statement ended (a caller running Execute on the
 // statement's Ctx in between), those values follow the region in the
@@ -226,7 +251,7 @@ func (a *valueArena) end() {
 	a.endCarved = a.carved
 }
 
-// release gives the region back — cleared, its drawn chunks to the pool —
+// release gives the region back — cleared, its drawn chunks to the set —
 // when nothing was carved after it ended, and forgets it otherwise.
 func (a *valueArena) release() {
 	if a.region == endedRegion && a.carved == a.endCarved {
@@ -241,7 +266,7 @@ func (a *valueArena) release() {
 				} else {
 					clear(c)
 				}
-				chunkPool.Put(&c[0])
+				putChunk(c)
 			}
 			a.chunk = a.markChunk
 		}

@@ -2,9 +2,12 @@ package exec
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
@@ -15,7 +18,7 @@ import (
 // consumedShapes is one plan for each parent that consumes a batch inside
 // exec — an aggregation and a top-n sort on feed, a hash join's build side
 // (and its fed probe) and an index join's outer — over the rows of items
-// with id < k, and the builds that draw from the build scratch pool nested
+// with id < k, and builds that draw their scratch from the recycled set nested
 // in one another: an aggregation over a hash join, and a hash join on a hash
 // join's probe side. Every result depends on every consumed row.
 func consumedShapes(k int) []plan.Node {
@@ -132,5 +135,151 @@ func TestConsumedRowArraysDoNotAlias(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestStatementAllocationsDoNotDependOnTheP hands an unpartitioned Ctx and a
+// Ctx over four partitions at DOP 2 between two goroutines on every
+// statement, on at least two Ps with the collector off. After warm-up, each
+// cycle of a scan, an aggregation, a top-n sort and a hash join on both
+// allocates the same bytes: a buffer one goroutine gives back on one P is
+// the one the other draws on the next.
+func TestStatementAllocationsDoNotDependOnTheP(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	const rows, groups = 3000, 10
+	plain, parted := newTestDB(t, rows, groups), newTestDB(t, rows, groups)
+	knobs := parted.Knobs()
+	knobs.PartitionCount = 4
+	parted.SetKnobs(knobs)
+	type statement struct {
+		ctx *Ctx
+		q   plan.Node
+	}
+	var cycle []statement
+	for _, c := range []struct {
+		db  *engine.DB
+		dop int
+	}{{plain, 1}, {parted, 2}} {
+		ctx := NewCtx(c.db, hw.DefaultCPU())
+		ctx.DOP = c.dop
+		scan := &plan.SeqScanNode{Table: "items", Filter: plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(rows / 2)}}
+		for _, q := range append([]plan.Node{scan}, consumedShapes(rows)[:3]...) {
+			cycle = append(cycle, statement{ctx, q})
+		}
+	}
+
+	// Each goroutine runs the statements it is handed; the next one goes to
+	// the other.
+	var work [2]chan int
+	done := make(chan error)
+	for g := range work {
+		work[g] = make(chan int)
+		go func() {
+			for i := range work[g] {
+				_, err := cycle[i].ctx.Statement(cycle[i].q)
+				done <- err
+			}
+		}()
+	}
+	defer func() {
+		for _, c := range work {
+			close(c)
+		}
+	}()
+	step := 0
+	runCycle := func() {
+		for i := range cycle {
+			work[step%2] <- i
+			step++
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	settleRuntime()
+	for range 20 {
+		runCycle()
+	}
+	bytes := make([]uint64, 0, 10)
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	for range 10 {
+		before := ms.TotalAlloc
+		runCycle()
+		runtime.ReadMemStats(&ms)
+		bytes = append(bytes, ms.TotalAlloc-before)
+	}
+	t.Logf("bytes per cycle: %v", bytes)
+	for _, b := range bytes {
+		if b != bytes[0] {
+			t.Fatalf("bytes per cycle differ: %v", bytes)
+		}
+	}
+}
+
+// settleRuntime grows the per-P state a draw may touch until nothing a test
+// runs next makes a goroutine, a sudog (a blocked goroutine's wait record),
+// an OS thread, room in a P's timer heap or a P's shared list in the set's
+// anchor. The runtime makes one when the P that needs it finds its own list
+// and the global one empty, and which P runs what — the runtime's
+// background goroutines included — is the scheduler's choice; and a lock
+// whose goroutine moves to another P between anchor's Get and Put finds that
+// P's private slot taken. Goroutines that sleep, each Put the set twice,
+// block together and are released leave more of each on the global lists
+// than the Ps' own lists hold, and every P's timer heap and anchor list
+// grown; a few of them lock their thread, so the rest need threads of their
+// own. A collection empties the global sudog list and the anchor: call it
+// with the collector off.
+func settleRuntime() {
+	set := lockSet()
+	setMu.Unlock()
+	var blocked, exited sync.WaitGroup
+	release := make(chan struct{})
+	for i := range 512 {
+		blocked.Add(1)
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			if i < 8 {
+				runtime.LockOSThread()
+				defer runtime.UnlockOSThread()
+			}
+			time.Sleep(time.Millisecond)
+			anchor.Put(set)
+			anchor.Put(set)
+			blocked.Done()
+			<-release
+		}()
+	}
+	blocked.Wait()
+	time.Sleep(10 * time.Millisecond) // every goroutine reaches its receive
+	close(release)
+	exited.Wait()
+}
+
+// TestRecycledSetLivesAsAPoolWould: the set survives one collection, so an
+// array given back before it is the one the next draw returns, and the
+// second collection with no draw in between frees the set.
+func TestRecycledSetLivesAsAPoolWould(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	buf := getScanBuf(scanBatchSize)
+	first := &buf[:1][0]
+	putScanBuf(buf)
+	runtime.GC()
+	// Under the race detector sync.Pool drops a quarter of its Puts, so the
+	// anchor may have lost the set to that one collection.
+	buf = getScanBuf(scanBatchSize)
+	if !raceEnabled && &buf[:1][0] != first {
+		t.Fatal("a draw after one collection returned a new array")
+	}
+	putScanBuf(buf)
+	runtime.GC()
+	runtime.GC()
+	if recycledSet.Value() != nil {
+		t.Fatal("the set outlived two collections with no draw")
 	}
 }

@@ -57,8 +57,8 @@ func enter(ctx *Ctx, node plan.Node) (plan.Driver, plan.ScanPipeline, error) {
 // input, so each breaker has one body for every driver. A consumer that
 // buffers the rows passes expect, called once before the first row with the
 // row count (a Batch's) or the optimizer's estimate of it (a stream's). The
-// Batch is consumed: its row array comes from the pool and is recycled after
-// the last row, so sink may keep a tuple but never the array. Row
+// Batch is consumed: its row array comes from the recycled set and goes back
+// after the last row, so sink may keep a tuple but never the array. Row
 // identities are not fed (the loop passes 0), so none are materialized:
 // nothing above a breaker carries them.
 func feed(ctx *Ctx, node plan.Node, expect func(rows int), sink func(storage.RowID, storage.Tuple)) error {
@@ -157,8 +157,7 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 	// Probe keys encode into the worker scratch buffer and postings collect
 	// into a pooled buffer via the copy-free lookup path; matches buffer
 	// outside the tree's read lock so version reads never nest inside it.
-	buf := getPostingBuf()
-	ps := *buf
+	ps := getPostingBuf()
 	for _, or := range outer.Rows {
 		ctx.keyBuf = index.AppendKeyFromTuple(ctx.keyBuf[:0], or, n.OuterKeys)
 		ps = ps[:0]
@@ -171,8 +170,7 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 		})
 		ctx.compute(12)
 	}
-	*buf = ps
-	putPostingBuf(buf)
+	putPostingBuf(ps)
 	width := float64(tbl.Meta.Schema.TupleBytes())
 	feats := ou.ExecFeatures(out.NumRows(), outer.NumCols(), width, float64(idx.NumRows()), 0, loops, ctx.compiled())
 	ctx.Tracker.Stop(ou.IdxScan, feats, start)
@@ -189,11 +187,11 @@ func execIndexJoin(ctx *Ctx, n *plan.IndexJoinNode) (*Batch, error) {
 // and its columns copied into a pooled value slab; nothing is allocated per
 // group: the output rows are carved from the Ctx's arena.
 func execAgg(ctx *Ctx, n *plan.AggNode) (*Batch, error) {
-	s := buildScratchPool.Get().(*buildScratch)
+	s := getBuildScratch()
 	defer func() {
-		clear(s.vals) // group columns may hold strings: the pool must not keep them
+		clear(s.vals) // group columns may hold strings: the set must not keep them
 		s.vals = s.vals[:0]
-		buildScratchPool.Put(s)
+		putBuildScratch(s)
 	}()
 	kt := &s.kt
 	kt.reset(aggHeads, 0)

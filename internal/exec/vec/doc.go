@@ -38,14 +38,15 @@
 //
 //   - A Batch and everything it references (columns, selection vector,
 //     masks, the scratch row) is worker-private scratch owned by the
-//     executing goroutine. Get/Put recycle batches through a sync.Pool;
-//     the executor returns its batch before Execute returns, mirroring
-//     the pooled-scratch discipline in exec/pool.go.
+//     executing goroutine. The package keeps no batches: the executor
+//     draws its batch from exec's recycled set (exec/pool.go) and gives it
+//     back before Execute returns; Load resets whatever a drawn batch held.
 //   - Values read out of a Batch (Value, Row) are copies of storage.Value
 //     structs; string bytes are shared with the underlying version store,
 //     which is immutable, so copies are safe to retain. Callers that
 //     materialize output tuples must copy values out (the executor carves
-//     them from its value arena) — batch memory is invalid after Put.
+//     them from its value arena) — batch memory is invalid once the batch
+//     is given back.
 //   - Row returns the batch-owned scratch tuple, overwritten by the next
 //     Row call. It exists for per-lane fallback evaluation; never retain
 //     or hand it across lanes.

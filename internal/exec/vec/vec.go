@@ -1,8 +1,6 @@
 package vec
 
 import (
-	"sync"
-
 	"mb2/internal/plan"
 	"mb2/internal/storage"
 )
@@ -24,21 +22,6 @@ type Batch struct {
 	sel     []int32 // live lanes, ascending
 	masks   [][]bool
 	scratch storage.Tuple
-}
-
-var batchPool = sync.Pool{New: func() any { return &Batch{} }}
-
-// GetBatch returns a pooled batch ready for Load.
-func GetBatch() *Batch { return batchPool.Get().(*Batch) }
-
-// PutBatch returns a batch to the pool. The caller must not retain the
-// batch or any value slice it handed out.
-func PutBatch(b *Batch) {
-	b.cols = b.cols[:0]
-	b.sel = b.sel[:0]
-	b.n = 0
-	b.used = 0
-	batchPool.Put(b)
 }
 
 // grabCol hands out an owned column array of n values, recycling arrays

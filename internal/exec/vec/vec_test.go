@@ -28,8 +28,7 @@ func mkRows(n int) []storage.ScanRow {
 // filterParity checks Batch.Filter against per-row Expr evaluation.
 func filterParity(t *testing.T, pred plan.Expr, rows []storage.ScanRow) {
 	t.Helper()
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	b.Load(rows)
 	b.Filter(pred)
 
@@ -91,8 +90,7 @@ func TestFilterKernelParity(t *testing.T) {
 
 func TestSequentialFiltersCompact(t *testing.T) {
 	rows := mkRows(100)
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	b.Load(rows)
 	b.Filter(plan.Cmp{Op: plan.GE, L: plan.Col(0), R: plan.IntConst(10)})
 	b.Filter(plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(20)})
@@ -108,8 +106,7 @@ func TestSequentialFiltersCompact(t *testing.T) {
 
 func TestProjectColsIsViewOnly(t *testing.T) {
 	rows := mkRows(50)
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	b.Load(rows)
 	b.Filter(plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(25)})
 	b.ProjectCols([]int{2, 0})
@@ -130,8 +127,7 @@ func TestProjectColsIsViewOnly(t *testing.T) {
 
 func TestProjectExprsRebasesSelection(t *testing.T) {
 	rows := mkRows(40)
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	b.Load(rows)
 	pred := plan.Cmp{Op: plan.GE, L: plan.Col(0), R: plan.IntConst(30)}
 	b.Filter(pred)
@@ -158,8 +154,7 @@ func TestProjectExprsRebasesSelection(t *testing.T) {
 }
 
 func TestBatchReuseAcrossChunks(t *testing.T) {
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	// A second Load must fully reset state left by filters and projections.
 	b.Load(mkRows(80))
 	b.Filter(plan.Cmp{Op: plan.LT, L: plan.Col(0), R: plan.IntConst(5)})
@@ -178,8 +173,7 @@ func TestBatchReuseAcrossChunks(t *testing.T) {
 }
 
 func TestLaneBytes(t *testing.T) {
-	b := GetBatch()
-	defer PutBatch(b)
+	b := new(Batch)
 	rows := mkRows(3)
 	b.Load(rows)
 	for _, lane := range b.Sel() {

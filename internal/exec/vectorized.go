@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"mb2/internal/exec/vec"
 	"mb2/internal/ou"
@@ -51,12 +50,6 @@ func vecBatches(rows float64) float64 {
 	return math.Ceil(rows / vec.BatchRows)
 }
 
-// vecScanBufPool holds scan-row buffers sized to the vectorized batch
-// (scanBufPool's buffers are sized for the row sources' smaller chunks).
-var vecScanBufPool = sync.Pool{
-	New: func() any { b := make([]storage.ScanRow, 0, vec.BatchRows); return &b },
-}
-
 // note records a chunk's live lanes entering the stage. Widths sample one
 // live lane per chunk — enough for the SeqRead charge billed afterwards,
 // with no per-row measurement on the hot path.
@@ -89,13 +82,13 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 		return fmt.Errorf("exec: table %q does not exist", src.Table)
 	}
 	id, ts := ctx.snapshot()
-	b := vec.GetBatch()
-	buf := vecScanBufPool.Get().(*[]storage.ScanRow)
+	b := getVecBatch()
+	buf := getScanBuf(vec.BatchRows) // a chunk is one batch
 
 	start := ctx.Tracker.Start()
 	scanned := 0
 	var err error
-	tbl.ScanBatch(ctx.Thread(), id, ts, *buf, func(rows []storage.ScanRow) bool {
+	tbl.ScanBatch(ctx.Thread(), id, ts, buf, func(rows []storage.ScanRow) bool {
 		if err = ctx.interrupted(); err != nil {
 			return false
 		}
@@ -136,8 +129,8 @@ func runVecPass(ctx *Ctx, src *plan.SeqScanNode, stages []chainStage, keepRows b
 		}
 		return true
 	})
-	vecScanBufPool.Put(buf)
-	vec.PutBatch(b)
+	putScanBuf(buf)
+	putVecBatch(b)
 	if err != nil {
 		return err // an aborted pass bills nothing, like seqSource's
 	}

@@ -2,7 +2,6 @@ package session
 
 import (
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"slices"
 	"testing"
@@ -176,13 +175,7 @@ func TestReleasedStatementsKeepWhatOutlivesThem(t *testing.T) {
 // arrays that outgrow the plan's estimate grow through the pool, and each
 // statement reuses what the one before it released.
 func TestStatementAllocationsDoNotGrowWithResult(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// AllocsPerRun measures on one P; a sync.Pool forgets its contents when
-	// the P count changes, so the warm-up runs are on one P too.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	db, reg := testDB(t, 2000)
 	mustExec(t, open(t, reg), "CREATE INDEX t_k ON t (k)")
 	for i, s := range openModes(t, db, reg) {
