@@ -58,9 +58,10 @@ smoke: drive-smoke cli-smoke
 drive-smoke:
 	$(GO) run ./cmd/mb2-drive -intervals 4 -templates 16 -clusters 4 -load-curve diurnal -verify
 
-# cli-smoke exercises the CLI modes no test reaches: the seeded load
-# generator and the replication demo of mb2-server, each replayed by
-# -verify, the mb2-train -data-out -> mb2-drive -data hand-off, and one
+# cli-smoke exercises the CLI modes through their flags: the seeded load
+# generator and the replication demo of mb2-server (whose run
+# TestReplRunMatchesOracle also drives), each replayed by -verify, the
+# mb2-train -data-out -> mb2-drive -data hand-off, and one
 # mb2-bench experiment — fig9a, whose subject is the join hash-table build
 # and its JHTSleepEvery path.
 cli-smoke:

@@ -2,64 +2,28 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/exec"
-	"mb2/internal/fold"
 	"mb2/internal/repl"
 	"mb2/internal/server"
 	"mb2/internal/storage"
+	"mb2/internal/workload"
 )
 
-// replDB builds the replicated schema: one kv table with a primary-key
-// index, so promotion exercises the index rebuild.
-func replDB() (*engine.DB, error) {
-	db := engine.OpenOnDevices(catalog.DefaultKnobs(), nil, nil)
-	sch := catalog.NewSchema(
-		catalog.Column{Name: "k", Type: catalog.Int64},
-		catalog.Column{Name: "v", Type: catalog.Int64},
-	)
-	if _, err := db.CreateTable("kv", sch); err != nil {
-		return nil, err
-	}
-	if _, _, err := db.CreateIndex(nil, db.Machine.CPU, "kv_pk", "kv",
-		[]string{"k"}, true, 1); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
-// replCommit runs one insert-and-commit transaction through the logged path.
-func replCommit(db *engine.DB, k, v int64) error {
-	tbl := db.Table("kv")
-	tx := db.Txns.Begin(nil)
-	data := storage.Tuple{storage.NewInt(k), storage.NewInt(v)}
-	if _, err := db.Insert(tx, nil, tbl, data, 1); err != nil {
-		return err
-	}
-	_, err := db.CommitLogged(tx, nil, nil)
-	return err
-}
-
-// replStateDigest folds the committed kv rows at the engine's last commit
-// timestamp into an order-independent digest.
-func replStateDigest(db *engine.DB) uint64 {
-	tbl := db.Table("kv")
-	h := fold.New()
-	tbl.Scan(nil, 0, db.Txns.LastCommitTS(), func(row storage.RowID, data storage.Tuple) bool {
-		fmt.Fprintf(&h, "%d=%d,%d;", row, data[0].I, data[1].I)
-		return true
-	})
-	return h.Sum64()
-}
-
-// replRun drives one seeded primary shipping to `replicas` staggered
-// replicas over the in-process transport, then promotes the least-stale one
-// and returns its state digest.
+// replRun drives workload.SmallBank's seeded serial stream on a primary
+// shipping to `replicas` staggered replicas over the in-process transport,
+// then promotes the least-stale one. The promoted state must equal the
+// stream's oracle at the commits the replica received — and, since every
+// replica received the whole log, the primary's state. It returns the
+// promoted state's digest.
 func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
-	db, err := replDB()
+	stream := workload.SmallBank{}.Stream(seed, txns)
+	open := func() (*engine.DB, []*storage.Table, error) {
+		return stream.Schema.Open(catalog.DefaultKnobs(), nil, nil)
+	}
+	db, tables, err := open()
 	if err != nil {
 		return 0, err
 	}
@@ -69,18 +33,20 @@ func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
 	for i := 0; i < replicas; i++ {
 		cfg.ApplyEvery = append(cfg.ApplyEvery, i+1)
 	}
-	grp, err := repl.NewGroup(db, replDB, server.NewPipe(), cfg)
+	grp, err := repl.NewGroup(db, func() (*engine.DB, error) {
+		rdb, _, err := open()
+		return rdb, err
+	}, server.NewPipe(), cfg)
 	if err != nil {
 		return 0, err
 	}
 	defer grp.Close()
 
-	// Every third commit, and once at the end, a maintenance pass flushes
-	// the log and ships it.
+	// Every third transaction, committed or aborted, and once at the end, a
+	// maintenance pass flushes the log and ships it.
 	m := exec.NewMaintainer(db, 3, grp.Sync)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < txns; i++ {
-		if err := replCommit(db, int64(i), rng.Int63n(1_000_000)); err != nil {
+	for _, ct := range stream.Txns {
+		if err := workload.Apply(db, tables, ct); err != nil {
 			return 0, err
 		}
 		if err := m.Finished(); err != nil {
@@ -112,31 +78,49 @@ func replRun(replicas, txns int, seed int64, report bool) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	digest := replStateDigest(rep.DB())
+
+	// The promoted node must expose exactly the commits it received: the
+	// oracle state at k, the commit timestamp k, rebuilt indexes agreeing
+	// with visibility.
+	k := sts[least].ReceivedCommits
+	ndb := rep.DB()
+	if got := ndb.Txns.LastCommitTS(); got != k {
+		return 0, fmt.Errorf("promoted commit ts %d, oracle expects %d", got, k)
+	}
+	ntables := make([]*storage.Table, len(stream.Schema.Tables))
+	for i, t := range stream.Schema.Tables {
+		ntables[i] = ndb.Table(t.Name)
+	}
+	state := workload.CaptureState(ntables, k)
+	if err := state.Diff(stream.ModelAfter(k)); err != nil {
+		return 0, fmt.Errorf("promoted state diverges from the oracle: %w", err)
+	}
+	if err := ndb.CheckIndexes(); err != nil {
+		return 0, fmt.Errorf("promoted replica's rebuilt index: %w", err)
+	}
+	digest := state.Digest()
+	primary := workload.CaptureState(tables, db.Txns.LastCommitTS()).Digest()
 	if report {
 		fmt.Printf("\npromoted replica %d (least stale): %d commits, %d records replayed, %d indexes rebuilt, %.1f us\n",
 			least, ps.Commits, ps.AppliedRecords, ps.IndexesRebuilt, ps.Elapsed.ElapsedUS)
-		fmt.Printf("promoted state digest: %#x (primary %#x)\n", digest, replStateDigest(db))
+		fmt.Printf("promoted state digest: %#x (oracle at %d commits; primary %#x)\n", digest, k, primary)
 	}
-	if got, want := digest, replStateDigest(db); got != want {
-		return 0, fmt.Errorf("promoted state digest %#x diverges from primary %#x", got, want)
-	}
-	if ps.Commits != db.Txns.LastCommitTS() {
-		return 0, fmt.Errorf("promoted replica at %d commits, primary at %d", ps.Commits, db.Txns.LastCommitTS())
+	if digest != primary {
+		return 0, fmt.Errorf("promoted state digest %#x diverges from primary %#x", digest, primary)
 	}
 	return digest, nil
 }
 
-// runRepl stands up a log-shipping replication group behind a seeded
-// committed workload, prints per-replica staleness, promotes the
-// least-stale replica, and verifies the promoted state against the primary.
-// With verify, a full re-run must reproduce the promoted digest bit for
-// bit.
+// runRepl stands up a log-shipping replication group behind SmallBank's
+// seeded transaction stream, prints per-replica staleness, promotes the
+// least-stale replica, and verifies the promoted state against the
+// stream's oracle and the primary. With verify, a full re-run must
+// reproduce the promoted digest bit for bit.
 func runRepl(replicas, txns int, seed int64, verify bool) error {
 	if txns < 1 {
 		return fmt.Errorf("-txns %d: a replication run ships at least one transaction", txns)
 	}
-	fmt.Printf("== log-shipping replication (seed %d, %d txns, %d replicas, in-proc transport) ==\n",
+	fmt.Printf("== log-shipping replication (seed %d, %d SmallBank txns, %d replicas, in-proc transport) ==\n",
 		seed, txns, replicas)
 	digest, err := replRun(replicas, txns, seed, true)
 	if err != nil {

@@ -35,7 +35,7 @@ func main() {
 		fmt.Printf("%-6s %12s %12s %8s\n", "query", "actual(us)", "pred(us)", "err")
 		var totalErr float64
 		for _, q := range templates {
-			actual := experiments.MeasureOne(db, q)
+			actual := experiments.MeasureOne(db, q, catalog.Interpret)
 			pred, _, err := p.Models.PredictQuery(tr.TranslatePlan(q.Plan))
 			if err != nil {
 				log.Fatal(err)

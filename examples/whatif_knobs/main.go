@@ -72,15 +72,15 @@ func main() {
 	// Verify against real executions in all three modes.
 	var actI, actC, actV float64
 	for _, q := range templates {
-		actI += experiments.MeasureOne(db, q)
+		actI += experiments.MeasureOne(db, q, catalog.Interpret)
 	}
 	db.SetKnobs(func() catalog.Knobs { k := db.Knobs(); k.ExecutionMode = catalog.Compile; return k }())
 	for _, q := range templates {
-		actC += experiments.MeasureOneCompiled(db, q)
+		actC += experiments.MeasureOne(db, q, catalog.Compile)
 	}
 	db.SetKnobs(func() catalog.Knobs { k := db.Knobs(); k.ExecutionMode = catalog.Vectorize; return k }())
 	for _, q := range templates {
-		actV += experiments.MeasureOneVectorized(db, q)
+		actV += experiments.MeasureOne(db, q, catalog.Vectorize)
 	}
 	fmt.Printf("actual: interp=%.1fus compile=%.1fus (%.0f%% reduction) vector=%.1fus (%.0f%% reduction)\n",
 		actI, actC, (1-actC/actI)*100, actV, (1-actV/actI)*100)

@@ -108,6 +108,10 @@ var rules = []rule{
 			})
 		}, exactly("internal/engine", 1, "ReplayWrite(", nil),
 			func(t *tree) []string { return t.lines("", except("internal/wal/"), commitTest.MatchString) })},
+	{"one-statement-source",
+		"no non-test file under internal/check, internal/selfdrive or cmd/ creates a table or declares a schema (.CreateTable(, catalog.NewSchema(), and none under internal/selfdrive builds an IdxScanNode: each workload's schema, transaction stream, row oracle and TPC-C read template is written once, in internal/workload",
+		45, all(forbid("internal/check", nil, schemaDecl...), forbid("cmd", nil, schemaDecl...),
+			forbid("internal/selfdrive", nil, append(schemaDecl, "IdxScanNode{")...))},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},
@@ -210,6 +214,9 @@ func cmdLinksNoCheck(t *tree) []string {
 	}
 	return bad
 }
+
+// schemaDecl is what creating a table or declaring a schema names.
+var schemaDecl = []string{".CreateTable(", "catalog.NewSchema("}
 
 var (
 	remainingWrite  = regexp.MustCompile(`\.Remaining\[[^\]]*\]\s*([-+*/]?=[^=]|\+\+|--)`)

@@ -108,6 +108,12 @@ var violations = []violation{
 		"internal/runner/r.go": "package runner\n\nfunc f() { if r.Type == wal.RecordCommit { order = append(order, r.TxnID) } }\n"}},
 	{"one-redo", "a switch on the commit record outside wal", "internal/repl/r.go:5:", map[string]string{
 		"internal/repl/r.go": "package repl\n\nfunc f() {\n\tswitch r.Type {\n\tcase wal.RecordCommit:\n\t}\n}\n"}},
+	{"one-statement-source", "a table the crash sweep creates itself", "internal/check/crash.go:3:", map[string]string{
+		"internal/check/crash.go": "package check\n\nfunc open(db *engine.DB) { db.CreateTable(\"kv\", sch) }\n"}},
+	{"one-statement-source", "a schema a binary declares itself", "cmd/tool/repl.go:3:", map[string]string{
+		"cmd/tool/repl.go": "package main\n\nvar sch = catalog.NewSchema(catalog.Column{Name: \"k\"})\n"}},
+	{"one-statement-source", "a TPC-C read template the loop builds itself", "internal/selfdrive/workload.go:3:", map[string]string{
+		"internal/selfdrive/workload.go": "package selfdrive\n\nfunc ordersPoint() plan.Node { return &plan.IdxScanNode{Table: \"orders\"} }\n"}},
 	{"fuzz-targets-run", "a fuzz target make fuzz does not run", "internal/x.FuzzB is not run by make fuzz", map[string]string{
 		"Makefile":                "fuzz:\n\t$(GO) test -run=NONE -fuzz=FuzzA -fuzztime=5s ./internal/x\n",
 		"internal/x/fuzz_test.go": "package x\n\nfunc FuzzA(f *testing.F) {}\n\nfunc FuzzB(f *testing.F) {}\n"}},

@@ -3,28 +3,26 @@ package check
 import (
 	"errors"
 	"fmt"
-	"math/rand"
-	"sort"
-	"strings"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/exec"
-	"mb2/internal/fold"
 	"mb2/internal/hw"
 	"mb2/internal/storage"
 	"mb2/internal/wal"
+	"mb2/internal/workload"
 )
 
 // This file implements the crash-at-every-point property harness. A
-// deterministic serial workload (SmallBank or TATP style) runs against a
-// live engine whose WAL lives on a block device; the resulting durable
-// image is then cut at every byte offset — each cut is exactly the image a
-// hw.FaultDevice crash at that offset leaves behind — and a fresh instance
-// recovers from the cut. The recovered state must equal an independent
-// model oracle's fold of every transaction whose commit record lies inside
-// the valid prefix: no error at any offset, no lost committed transaction,
-// no ghost uncommitted write.
+// deterministic serial workload stream (workload.SmallBank or
+// workload.TATP's Stream) runs against a live engine whose WAL lives on a
+// block device; the resulting durable image is then cut at every byte
+// offset — each cut is exactly the image a hw.FaultDevice crash at that
+// offset leaves behind — and a fresh instance recovers from the cut. The
+// recovered state must equal the stream's model oracle (ModelAfter) of
+// every transaction whose commit record lies inside the valid prefix: no
+// error at any offset, no lost committed transaction, no ghost uncommitted
+// write.
 
 // CrashConfig parameterizes one crash-recovery property run. Zero values
 // select defaults sized so an every-byte sweep finishes quickly under
@@ -69,335 +67,16 @@ type CrashReport struct {
 	FlushFailures uint64 // transient flush retries absorbed (0 on MemDevice)
 }
 
-// Effect kinds of one transaction's write set.
-const (
-	effInsert = iota
-	effUpdate
-	effDelete
-)
-
-// crashEffect is one row write: the unit both the live execution and the
-// model oracle consume, so they cannot disagree about intent.
-type crashEffect struct {
-	kind  int
-	table int // index into the workload's table list
-	row   storage.RowID
-	data  storage.Tuple // nil for deletes
-}
-
-// crashTxn is one generated transaction. Aborted transactions execute their
-// effects and roll back: their write records reach the log with no commit
-// record, which is exactly the ghost-write hazard recovery must discard.
-type crashTxn struct {
-	effects []crashEffect
-	abort   bool
-}
-
-// ddl is a workload's schema: its tables, and a unique index on each
-// table's first column, maintained by the live run and rebuilt by recovery.
-type ddl struct {
-	tables    []string
-	schemas   []catalog.Schema
-	pkIndexes []string // one per table, "" for none
-}
-
-// smallBank is the SmallBank schema the stress harness and the SmallBank
-// crash workload run against.
-var smallBank = ddl{
-	tables: []string{"accounts", "savings", "checking"},
-	schemas: []catalog.Schema{
-		catalog.NewSchema(
-			catalog.Column{Name: "custid", Type: catalog.Int64},
-			catalog.Column{Name: "name", Type: catalog.Varchar},
-		),
-		catalog.NewSchema(
-			catalog.Column{Name: "custid", Type: catalog.Int64},
-			catalog.Column{Name: "bal", Type: catalog.Float64},
-		),
-		catalog.NewSchema(
-			catalog.Column{Name: "custid", Type: catalog.Int64},
-			catalog.Column{Name: "bal", Type: catalog.Float64},
-		),
-	},
-	pkIndexes: []string{"accounts_pk", "savings_pk", "checking_pk"},
-}
-
-// open creates an empty database on the given devices (nil: a fresh
-// MemDevice) and materializes the schema in it: every table, then every
-// index, before any data, so the write path maintains the indexes from the
-// first row. It returns the tables in schema order.
-func (d ddl) open(knobs catalog.Knobs, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, error) {
-	db := engine.OpenOnDevices(knobs, logDev, ckptDev)
-	tables := make([]*storage.Table, len(d.tables))
-	for i, name := range d.tables {
-		t, err := db.CreateTable(name, d.schemas[i])
-		if err != nil {
-			return nil, nil, err
-		}
-		tables[i] = t
-	}
-	for i, name := range d.pkIndexes {
-		if name == "" {
-			continue
-		}
-		if _, _, err := db.CreateIndex(nil, db.Machine.CPU, name, d.tables[i],
-			[]string{d.schemas[i].Columns[0].Name}, true, 1); err != nil {
-			return nil, nil, err
-		}
-	}
-	return db, tables, nil
-}
-
-// crashWorkload is a deterministic serial transaction stream plus the DDL
-// it runs against.
-type crashWorkload struct {
-	ddl
-	name string
-	txns []crashTxn
-}
-
-// --- workload generators ----------------------------------------------------
-
-// genSmallBank generates a SmallBank-style stream over accounts, savings,
-// and checking: inserts, balance updates, transfers, deletes, and deliberate
-// aborts. The generator simulates its own model state so it only updates or
-// deletes rows that are live, and predicts every RowID (serial inserts
-// allocate sequentially).
-func genSmallBank(seed int64, txns int) crashWorkload {
-	w := crashWorkload{ddl: smallBank, name: "smallbank"}
-	type acct struct {
-		id             int64
-		acc, sav, chk  storage.RowID
-		savBal, chkBal float64
-		live           bool
-	}
-	var (
-		accts    []acct
-		rowCount [3]storage.RowID
-		nextID   int64
-	)
-	rng := rand.New(rand.NewSource(seed ^ 0xc4a54))
-	newAcct := func(abort bool) crashTxn {
-		id := nextID
-		savBal := float64(rng.Intn(100_000)) / 100
-		chkBal := float64(rng.Intn(50_000)) / 100
-		a := acct{id: id, acc: rowCount[0], sav: rowCount[1], chk: rowCount[2],
-			savBal: savBal, chkBal: chkBal, live: true}
-		ct := crashTxn{abort: abort, effects: []crashEffect{
-			{effInsert, 0, a.acc, storage.Tuple{storage.NewInt(id), storage.NewString(fmt.Sprintf("cust-%06d", id))}},
-			{effInsert, 1, a.sav, storage.Tuple{storage.NewInt(id), storage.NewFloat(savBal)}},
-			{effInsert, 2, a.chk, storage.Tuple{storage.NewInt(id), storage.NewFloat(chkBal)}},
-		}}
-		// Row IDs are consumed even when the transaction aborts: the heap
-		// slot is allocated, only the version is rolled back.
-		rowCount[0]++
-		rowCount[1]++
-		rowCount[2]++
-		nextID++
-		if !abort {
-			accts = append(accts, a)
-		}
-		return ct
-	}
-	pickLive := func() int {
-		live := make([]int, 0, len(accts))
-		for i := range accts {
-			if accts[i].live {
-				live = append(live, i)
-			}
-		}
-		if len(live) == 0 {
-			return -1
-		}
-		return live[rng.Intn(len(live))]
-	}
-	balTuple := func(id int64, bal float64) storage.Tuple {
-		return storage.Tuple{storage.NewInt(id), storage.NewFloat(bal)}
-	}
-	for t := 0; t < txns; t++ {
-		if t < 6 {
-			w.txns = append(w.txns, newAcct(false))
-			continue
-		}
-		i := pickLive()
-		if i < 0 {
-			w.txns = append(w.txns, newAcct(false))
-			continue
-		}
-		a := &accts[i]
-		amt := float64(rng.Intn(10_000)) / 100
-		switch p := rng.Intn(100); {
-		case p < 30: // deposit
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal+amt)},
-			}})
-			a.chkBal += amt
-		case p < 50: // transfer savings(a) -> checking(b)
-			j := pickLive()
-			b := &accts[j]
-			eff := []crashEffect{{effUpdate, 1, a.sav, balTuple(a.id, a.savBal-amt)}}
-			a.savBal -= amt
-			eff = append(eff, crashEffect{effUpdate, 2, b.chk, balTuple(b.id, b.chkBal+amt)})
-			b.chkBal += amt
-			w.txns = append(w.txns, crashTxn{effects: eff})
-		case p < 65: // write check
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal-amt)},
-			}})
-			a.chkBal -= amt
-		case p < 75: // new customer
-			w.txns = append(w.txns, newAcct(false))
-		case p < 85: // close the account: delete all three rows
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effDelete, 0, a.acc, nil},
-				{effDelete, 1, a.sav, nil},
-				{effDelete, 2, a.chk, nil},
-			}})
-			a.live = false
-		default: // deposit executed and rolled back: ghost writes in the log
-			w.txns = append(w.txns, crashTxn{abort: true, effects: []crashEffect{
-				{effUpdate, 2, a.chk, balTuple(a.id, a.chkBal+amt)},
-			}})
-		}
-	}
-	return w
-}
-
-// genTATP generates a TATP-style stream over subscriber and call_forwarding:
-// location updates, forwarding-entry churn (insert/delete with varchar
-// payloads), and deliberate aborts.
-func genTATP(seed int64, txns int) crashWorkload {
-	w := crashWorkload{name: "tatp", ddl: ddl{
-		tables: []string{"subscriber", "call_forwarding"},
-		schemas: []catalog.Schema{
-			catalog.NewSchema(
-				catalog.Column{Name: "s_id", Type: catalog.Int64},
-				catalog.Column{Name: "bit_1", Type: catalog.Int64},
-				catalog.Column{Name: "vlr_location", Type: catalog.Int64},
-			),
-			catalog.NewSchema(
-				catalog.Column{Name: "s_id", Type: catalog.Int64},
-				catalog.Column{Name: "numberx", Type: catalog.Varchar},
-			),
-		},
-		pkIndexes: []string{"subscriber_pk", ""},
-	}}
-	type sub struct {
-		id       int64
-		row      storage.RowID
-		bit, vlr int64
-	}
-	type fwd struct {
-		row storage.RowID
-		sid int64
-	}
-	var (
-		subs     []sub
-		fwds     []fwd
-		rowCount [2]storage.RowID
-	)
-	rng := rand.New(rand.NewSource(seed ^ 0x7a79))
-	subTuple := func(s sub) storage.Tuple {
-		return storage.Tuple{storage.NewInt(s.id), storage.NewInt(s.bit), storage.NewInt(s.vlr)}
-	}
-	for t := 0; t < txns; t++ {
-		if t < 6 {
-			s := sub{id: int64(t), row: rowCount[0], bit: int64(rng.Intn(2)), vlr: rng.Int63n(1 << 30)}
-			rowCount[0]++
-			subs = append(subs, s)
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effInsert, 0, s.row, subTuple(s)},
-			}})
-			continue
-		}
-		s := &subs[rng.Intn(len(subs))]
-		switch p := rng.Intn(100); {
-		case p < 50: // UpdateLocation
-			s.vlr = rng.Int63n(1 << 30)
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effUpdate, 0, s.row, subTuple(*s)},
-			}})
-		case p < 70: // InsertCallForwarding
-			f := fwd{row: rowCount[1], sid: s.id}
-			rowCount[1]++
-			fwds = append(fwds, f)
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effInsert, 1, f.row, storage.Tuple{storage.NewInt(f.sid),
-					storage.NewString(fmt.Sprintf("fwd-%d-%08d", f.sid, rng.Intn(1e8)))}},
-			}})
-		case p < 85: // DeleteCallForwarding
-			if len(fwds) == 0 {
-				s.vlr = rng.Int63n(1 << 30)
-				w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-					{effUpdate, 0, s.row, subTuple(*s)},
-				}})
-				continue
-			}
-			i := rng.Intn(len(fwds))
-			f := fwds[i]
-			fwds = append(fwds[:i], fwds[i+1:]...)
-			w.txns = append(w.txns, crashTxn{effects: []crashEffect{
-				{effDelete, 1, f.row, nil},
-			}})
-		default: // aborted location update
-			ghost := *s
-			ghost.vlr = rng.Int63n(1 << 30)
-			w.txns = append(w.txns, crashTxn{abort: true, effects: []crashEffect{
-				{effUpdate, 0, s.row, subTuple(ghost)},
-			}})
-		}
-	}
-	return w
-}
-
 // --- execution ---------------------------------------------------------------
 
 // newCrashDB opens the workload's schema on the given devices,
 // hash-partitioning every table when the config asks for it.
-func newCrashDB(cfg CrashConfig, w crashWorkload, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, error) {
+func newCrashDB(cfg CrashConfig, w workload.Stream, logDev, ckptDev hw.BlockDevice) (*engine.DB, []*storage.Table, error) {
 	knobs := catalog.DefaultKnobs()
 	if cfg.Partitions > 1 {
 		knobs.PartitionCount = cfg.Partitions
 	}
-	return w.open(knobs, logDev, ckptDev)
-}
-
-// applyCrashTxn executes one generated transaction through the engine's
-// write path: versioned writes, index entries, redo logging, commit-ordered
-// commit record (or rollback). An update or delete reads its before-image
-// uncharged.
-func applyCrashTxn(db *engine.DB, tables []*storage.Table, ct crashTxn) error {
-	tx := db.Txns.Begin(nil)
-	for _, e := range ct.effects {
-		tbl := tables[e.table]
-		if e.kind == effInsert {
-			row, err := db.Insert(tx, nil, tbl, e.data, 1)
-			if err != nil {
-				return err
-			}
-			if row != e.row {
-				return fmt.Errorf("insert allocated row %d, generator predicted %d", row, e.row)
-			}
-			continue
-		}
-		old, err := tbl.Read(nil, e.row, tx.ID, tx.ReadTS)
-		if err != nil {
-			return fmt.Errorf("read before-image: %w", err)
-		}
-		if e.kind == effUpdate {
-			err = db.Update(tx, nil, tbl, e.row, old, e.data, 1)
-		} else {
-			err = db.Delete(tx, nil, tbl, e.row, old, 1)
-		}
-		if err != nil {
-			return fmt.Errorf("write: %w", err)
-		}
-	}
-	if ct.abort {
-		return db.Abort(tx, nil)
-	}
-	_, err := db.CommitLogged(tx, nil, nil)
-	return err
+	return w.Schema.Open(knobs, logDev, ckptDev)
 }
 
 // runCrashWorkload executes the whole stream on db with a maintenance pass
@@ -407,14 +86,14 @@ func applyCrashTxn(db *engine.DB, tables []*storage.Table, ct crashTxn) error {
 // checkpoint and, from the run's second final pass, a cadence-lagged tail.
 // A log-device crash ends the run cleanly — the crash is the point. It
 // returns how many transactions committed and whether the device crashed.
-func runCrashWorkload(cfg CrashConfig, w crashWorkload, db *engine.DB, tables []*storage.Table, ship func() error) (commits uint64, crashed bool, err error) {
+func runCrashWorkload(cfg CrashConfig, w workload.Stream, db *engine.DB, tables []*storage.Table, ship func() error) (commits uint64, crashed bool, err error) {
 	m := exec.NewMaintainer(db, cfg.FlushEvery, ship)
 	checkpointed := false
-	for _, ct := range w.txns {
-		if err := applyCrashTxn(db, tables, ct); err != nil {
+	for _, ct := range w.Txns {
+		if err := workload.Apply(db, tables, ct); err != nil {
 			return commits, false, err
 		}
-		if !ct.abort {
+		if !ct.Abort {
 			commits++
 		}
 		if err = m.Finished(); err != nil {
@@ -441,101 +120,16 @@ func runCrashWorkload(cfg CrashConfig, w crashWorkload, db *engine.DB, tables []
 	return commits, false, err
 }
 
-// --- oracle ------------------------------------------------------------------
-
-// modelAfter folds the first k committed transactions' effects into the
-// canonical table/row -> tuple rendering: the independent oracle recovered
-// state is compared against. Aborted transactions never contribute.
-func modelAfter(w crashWorkload, k uint64) map[string]string {
-	state := make(map[string]string)
-	committed := uint64(0)
-	for _, ct := range w.txns {
-		if ct.abort {
-			continue
-		}
-		if committed == k {
-			break
-		}
-		committed++
-		for _, e := range ct.effects {
-			key := fmt.Sprintf("%s/%d", w.tables[e.table], e.row)
-			if e.kind == effDelete {
-				delete(state, key)
-			} else {
-				state[key] = renderTuple(e.data)
-			}
-		}
-	}
-	return state
-}
-
-// renderTuple renders a tuple as its values with their kinds (INT64:7), so
-// two renderings are equal only if every value has the same kind and the
-// same printed form.
-func renderTuple(data storage.Tuple) string {
-	parts := make([]string, len(data))
-	for i, v := range data {
-		parts[i] = v.Kind.String() + ":" + v.String()
-	}
-	return strings.Join(parts, ",")
-}
-
-// captureState snapshots every visible tuple at readTS, in the same
-// rendering the oracle uses.
-func captureState(tables []*storage.Table, readTS uint64) map[string]string {
-	out := make(map[string]string)
-	for _, tbl := range tables {
-		tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-			out[fmt.Sprintf("%s/%d", tbl.Meta.Name, row)] = renderTuple(data)
-			return true
-		})
-	}
-	return out
-}
-
-// digestState hashes a captured state in a canonical order; serial-mode
-// replays of the same seed must produce the same digest.
-func digestState(state map[string]string) uint64 {
-	keys := make([]string, 0, len(state))
-	for k := range state {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	d := fold.New()
-	for _, k := range keys {
-		fmt.Fprintf(&d, "%s=%s\n", k, state[k])
-	}
-	return d.Sum64()
-}
-
-func diffStates(got, want map[string]string) error {
-	for k, w := range want {
-		g, ok := got[k]
-		if !ok {
-			return fmt.Errorf("committed row %s lost (want %q)", k, w)
-		}
-		if g != w {
-			return fmt.Errorf("row %s = %q, want %q", k, g, w)
-		}
-	}
-	for k, g := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Errorf("ghost row %s = %q (not committed)", k, g)
-		}
-	}
-	return nil
-}
-
 // --- the sweep ---------------------------------------------------------------
 
-func generate(cfg CrashConfig) (crashWorkload, error) {
+func generate(cfg CrashConfig) (workload.Stream, error) {
 	switch cfg.Workload {
 	case "", "smallbank":
-		return genSmallBank(cfg.Seed, cfg.Txns), nil
+		return workload.SmallBank{}.Stream(cfg.Seed, cfg.Txns), nil
 	case "tatp":
-		return genTATP(cfg.Seed, cfg.Txns), nil
+		return workload.TATP{}.Stream(cfg.Seed, cfg.Txns), nil
 	default:
-		return crashWorkload{}, fmt.Errorf("unknown workload %q", cfg.Workload)
+		return workload.Stream{}, fmt.Errorf("unknown workload %q", cfg.Workload)
 	}
 }
 
@@ -558,7 +152,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		return nil, err
 	}
 	fail := func(offset int, err error) error {
-		return fmt.Errorf("crash: seed=%d workload=%s offset=%d: %w", cfg.Seed, w.name, offset, err)
+		return fmt.Errorf("crash: seed=%d workload=%s offset=%d: %w", cfg.Seed, w.Name, offset, err)
 	}
 
 	golden, goldenTables, err := newCrashDB(cfg, w, nil, nil)
@@ -577,8 +171,8 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 
 	// The live database must already match the oracle's full fold; if it
 	// does not, the bug is in the workload or engine, not recovery.
-	liveState := captureState(goldenTables, golden.Txns.LastCommitTS())
-	if err := diffStates(liveState, modelAfter(w, commits)); err != nil {
+	liveState := workload.CaptureState(goldenTables, golden.Txns.LastCommitTS())
+	if err := liveState.Diff(w.ModelAfter(commits)); err != nil {
 		return nil, fail(-1, fmt.Errorf("live state diverges from oracle: %w", err))
 	}
 	if err := golden.CheckIndexes(); err != nil {
@@ -602,13 +196,16 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	}
 
 	report := &CrashReport{
-		Seed: cfg.Seed, Workload: w.name, Txns: len(w.txns), Commits: commits,
+		Seed: cfg.Seed, Workload: w.Name, Txns: len(w.Txns), Commits: commits,
 		Partitions:   goldenTables[0].PartitionCount(),
 		Checkpointed: cfg.CheckpointAfter > 0, LogBytes: len(logImage),
 	}
 	retries, _ := golden.WAL.FaultStats()
 	report.FlushFailures = retries
 
+	// The oracle's fold at each commit count, made once: every offset inside
+	// one transaction's log records expects the same state.
+	models := make(map[uint64]workload.State)
 	verify := func(offset int) error {
 		prefix := logImage[:offset]
 		// The committed prefix the oracle expects: checkpointed commits
@@ -637,7 +234,12 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		if got := fresh.Txns.LastCommitTS(); got != k {
 			return fmt.Errorf("recovered commit ts %d, oracle expects %d committed", got, k)
 		}
-		if err := diffStates(captureState(freshTables, k), modelAfter(w, k)); err != nil {
+		want, ok := models[k]
+		if !ok {
+			want = w.ModelAfter(k)
+			models[k] = want
+		}
+		if err := workload.CaptureState(freshTables, k).Diff(want); err != nil {
 			return err
 		}
 		// Recovery must re-route every replayed row: at every crash offset
@@ -654,7 +256,7 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 			return fmt.Errorf("rebuilt index: %w", err)
 		}
 		if offset == len(logImage) {
-			report.FinalDigest = digestState(captureState(freshTables, k))
+			report.FinalDigest = workload.CaptureState(freshTables, k).Digest()
 			report.LastCommitTS = k
 			if k != commits {
 				return fmt.Errorf("full image recovered %d commits, golden run committed %d", k, commits)

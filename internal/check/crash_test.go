@@ -9,11 +9,12 @@ import (
 	"mb2/internal/engine"
 	"mb2/internal/hw"
 	"mb2/internal/wal"
+	"mb2/internal/workload"
 )
 
 // runOn runs the workload, unshipped, on a fresh instance whose log lives on
 // logDev (nil: a clean MemDevice).
-func runOn(cfg CrashConfig, w crashWorkload, logDev hw.BlockDevice) (*engine.DB, uint64, error) {
+func runOn(cfg CrashConfig, w workload.Stream, logDev hw.BlockDevice) (*engine.DB, uint64, error) {
 	db, tables, err := newCrashDB(cfg, w, logDev, nil)
 	if err != nil {
 		return nil, 0, err
@@ -39,7 +40,7 @@ func TestCrashEveryByteSmallBank(t *testing.T) {
 	}
 }
 
-// Crash at every byte offset: TATP-style workload with varchar payloads.
+// Crash at every byte offset: TATP workload with forwarding-entry churn.
 func TestCrashEveryByteTATP(t *testing.T) {
 	rep, err := RunCrash(CrashConfig{Seed: 2, Workload: "tatp"})
 	if err != nil {
@@ -159,7 +160,7 @@ func TestFaultDeviceCrashMatchesSlicedPrefix(t *testing.T) {
 	cfg := CrashConfig{Seed: 13, Workload: "smallbank"}
 	cfg.Txns = 40
 	cfg.FlushEvery = 3
-	w := genSmallBank(cfg.Seed, cfg.Txns)
+	w := workload.SmallBank{}.Stream(cfg.Seed, cfg.Txns)
 
 	golden, _, err := runOn(cfg, w, nil)
 	if err != nil {
@@ -190,7 +191,7 @@ func TestCrashDropTailRecovers(t *testing.T) {
 	cfg := CrashConfig{Seed: 17, Workload: "tatp"}
 	cfg.Txns = 40
 	cfg.FlushEvery = 3
-	w := genTATP(cfg.Seed, cfg.Txns)
+	w := workload.TATP{}.Stream(cfg.Seed, cfg.Txns)
 
 	plan := hw.NoFaults()
 	plan.DropFromAppend = 5
@@ -212,7 +213,7 @@ func TestCrashDropTailRecovers(t *testing.T) {
 		t.Fatal("dropped-tail log recovered nothing")
 	}
 	k := fresh.Txns.LastCommitTS()
-	if err := diffStates(captureState(tables, k), modelAfter(w, k)); err != nil {
+	if err := workload.CaptureState(tables, k).Diff(w.ModelAfter(k)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -224,7 +225,7 @@ func TestCrashBitFlipStopsReplay(t *testing.T) {
 	cfg := CrashConfig{Seed: 19, Workload: "smallbank"}
 	cfg.Txns = 30
 	cfg.FlushEvery = 3
-	w := genSmallBank(cfg.Seed, cfg.Txns)
+	w := workload.SmallBank{}.Stream(cfg.Seed, cfg.Txns)
 
 	golden, _, err := runOn(cfg, w, nil)
 	if err != nil {
@@ -251,7 +252,7 @@ func TestCrashBitFlipStopsReplay(t *testing.T) {
 		t.Fatal("mid-log bit flip must surface as a torn tail")
 	}
 	k := fresh.Txns.LastCommitTS()
-	if err := diffStates(captureState(tables, k), modelAfter(w, k)); err != nil {
+	if err := workload.CaptureState(tables, k).Diff(w.ModelAfter(k)); err != nil {
 		t.Fatal(err)
 	}
 	_, body, _, err := wal.ParseSegment(dev.Contents())
@@ -270,7 +271,7 @@ func TestCrashTransientRetriesComplete(t *testing.T) {
 	cfg := CrashConfig{Seed: 23, Workload: "smallbank"}
 	cfg.Txns = 40
 	cfg.FlushEvery = 3
-	w := genSmallBank(cfg.Seed, cfg.Txns)
+	w := workload.SmallBank{}.Stream(cfg.Seed, cfg.Txns)
 
 	golden, commits, err := runOn(cfg, w, nil)
 	if err != nil {

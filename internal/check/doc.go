@@ -1,13 +1,16 @@
 // Package check is a deterministic concurrency-stress and
 // invariant-checking harness for the MB2 substrate (the engine the paper's
-// OU-runners instrument: MVCC storage, B+tree indexes, GC, WAL). One Run
-// drives N worker goroutines through a seed-derived SmallBank-style
-// transaction mix — point reads, balance updates, cross-account transfers,
-// account insert/delete, and live snapshot audits — against a single
-// engine.DB while background maintenance (GC epochs, WAL group flushes)
-// races the workload, with a parallel index build at the first phase
-// boundary. At every phase boundary the harness quiesces and verifies four
-// invariant families:
+// OU-runners instrument: MVCC storage, B+tree indexes, GC, WAL). It
+// declares no workload of its own: schemas, transaction draws, serial
+// streams and the row-model oracle come from internal/workload. One Run
+// drives N worker goroutines through a seed-derived SmallBank transaction
+// mix (workload.SmallBank.Draw) — point reads, balance updates,
+// cross-account transfers, account insert/delete, and live snapshot audits
+// — against a single engine.DB opened from workload.SmallBank's schema
+// while background maintenance (GC epochs, WAL group flushes) races the
+// workload, with a parallel index build at the first phase boundary. At
+// every phase boundary the harness quiesces and verifies four invariant
+// families:
 //
 //   - MVCC / snapshot isolation: no half-published commits, version chains
 //     well-formed, committed balances conserved against a commit ledger,
@@ -38,4 +41,8 @@
 // digest varies run to run while every invariant must still hold. This
 // seed-derivation discipline is the template the parallel training
 // pipeline mirrors (internal/par, runner.SweepUnit).
+//
+// RunCrash and RunFailover replay a serial workload.Stream (SmallBank or
+// TATP) through workload.Apply and judge every recovered or promoted state
+// by the stream's oracle (Stream.ModelAfter, workload.CaptureState).
 package check

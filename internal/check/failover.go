@@ -13,6 +13,7 @@ import (
 	"mb2/internal/repl"
 	"mb2/internal/server"
 	"mb2/internal/storage"
+	"mb2/internal/workload"
 )
 
 // This file implements the deterministic failover drill. The crash harness's
@@ -161,20 +162,19 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	}
 	fail := func(offset int, err error) error {
 		return fmt.Errorf("failover: seed=%d workload=%s policy=%s offset=%d: %w",
-			cfg.Seed, w.name, cfg.Policy, offset, err)
+			cfg.Seed, w.Name, cfg.Policy, offset, err)
 	}
-	// TupleBytes is the workload's mean modeled tuple width: the checkpoint
-	// feature the planner would use, kept identical across the sweep.
-	tupleBytes := 0.0
-	for _, sch := range w.schemas {
-		tupleBytes += float64(sch.TupleBytes())
-	}
-	tupleBytes /= float64(len(w.schemas))
-
 	golden, goldenTables, err := newCrashDB(crashCfg, w, nil, nil)
 	if err != nil {
 		return nil, fail(-1, err)
 	}
+	// TupleBytes is the workload's mean modeled tuple width: the checkpoint
+	// feature the planner would use, kept identical across the sweep.
+	tupleBytes := 0.0
+	for _, tbl := range goldenTables {
+		tupleBytes += float64(tbl.Meta.Schema.TupleBytes())
+	}
+	tupleBytes /= float64(len(goldenTables))
 	goldenCommits, _, err := runCrashWorkload(crashCfg, w, golden, goldenTables, nil)
 	if err != nil {
 		return nil, fail(-1, err)
@@ -257,19 +257,20 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 		if got := ndb.Txns.LastCommitTS(); got != k {
 			return res, fmt.Errorf("promoted commit ts %d, oracle expects %d", got, k)
 		}
-		ntables := make([]*storage.Table, len(w.tables))
-		for i, name := range w.tables {
-			if ntables[i] = ndb.Table(name); ntables[i] == nil {
-				return res, fmt.Errorf("promoted node lost table %q", name)
+		ntables := make([]*storage.Table, len(w.Schema.Tables))
+		for i, t := range w.Schema.Tables {
+			if ntables[i] = ndb.Table(t.Name); ntables[i] == nil {
+				return res, fmt.Errorf("promoted node lost table %q", t.Name)
 			}
 		}
-		if err := diffStates(captureState(ntables, k), modelAfter(w, k)); err != nil {
+		state := workload.CaptureState(ntables, k)
+		if err := state.Diff(w.ModelAfter(k)); err != nil {
 			return res, err
 		}
 		if err := ndb.CheckIndexes(); err != nil {
 			return res, fmt.Errorf("rebuilt index: %w", err)
 		}
-		res.stateDigest = digestState(captureState(ntables, k))
+		res.stateDigest = state.Digest()
 		return res, nil
 	}
 
@@ -285,8 +286,8 @@ func RunFailover(cfg FailoverConfig) (*FailoverReport, error) {
 	}
 
 	report := &FailoverReport{
-		Seed: cfg.Seed, Workload: w.name, Policy: cfg.Policy, Replicas: cfg.Replicas,
-		Txns: len(w.txns), Commits: goldenCommits, LogBytes: len(goldenLog),
+		Seed: cfg.Seed, Workload: w.Name, Policy: cfg.Policy, Replicas: cfg.Replicas,
+		Txns: len(w.Txns), Commits: goldenCommits, LogBytes: len(goldenLog),
 		Offsets: len(offsets), Checkpointed: cfg.CheckpointAfter > 0,
 		Promotions: make([]int, cfg.Replicas),
 	}

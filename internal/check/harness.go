@@ -17,6 +17,7 @@ import (
 	"mb2/internal/par"
 	"mb2/internal/storage"
 	"mb2/internal/txn"
+	"mb2/internal/workload"
 )
 
 // Config parameterizes one stress run. Zero values select defaults sized so
@@ -177,7 +178,7 @@ func (h *harness) tables() []*storage.Table {
 // row), and loads the initial accounts through the real transactional path
 // so the WAL image covers every committed state transition.
 func (h *harness) setup(knobs catalog.Knobs) error {
-	db, tables, err := smallBank.open(knobs, nil, nil)
+	db, tables, err := workload.SmallBank{}.Schema().Open(knobs, nil, nil)
 	if err != nil {
 		return err
 	}
@@ -185,8 +186,7 @@ func (h *harness) setup(knobs catalog.Knobs) error {
 	h.accT, h.savT, h.chkT = tables[0], tables[1], tables[2]
 	rng := rand.New(rand.NewSource(h.cfg.Seed ^ 0x5eed))
 	for i := 0; i < h.cfg.Accounts; i++ {
-		op := Op{Kind: OpInsert, Amount: float64(rng.Intn(100_000)) / 100}
-		if err := h.opInsert(op); err != nil {
+		if err := h.opInsert(workload.SmallBank{}.Opening(rng)); err != nil {
 			return err
 		}
 	}
@@ -353,21 +353,21 @@ func (h *harness) pickAccount(sel int) account {
 // Every write goes through the engine's one write path (engine/write.go),
 // with the worker count as the index latch's contenders.
 
-func (h *harness) execOp(op Op) error {
+func (h *harness) execOp(op workload.Op) error {
 	switch op.Kind {
-	case OpBalance:
+	case workload.OpBalance:
 		return h.opBalance(op)
-	case OpDeposit:
+	case workload.OpDeposit:
 		return h.opDeposit(op)
-	case OpTransfer:
+	case workload.OpTransfer:
 		return h.opTransfer(op)
-	case OpWriteCheck:
+	case workload.OpWriteCheck:
 		return h.opWriteCheck(op)
-	case OpInsert:
+	case workload.OpInsert:
 		return h.opInsert(op)
-	case OpDelete:
+	case workload.OpDelete:
 		return h.opDelete(op)
-	case OpAudit:
+	case workload.OpAudit:
 		return h.opAudit()
 	}
 	return fmt.Errorf("unknown op kind %d", op.Kind)
@@ -377,7 +377,7 @@ func (h *harness) execOp(op Op) error {
 // tables inside one snapshot and checks two live invariants: unique indexes
 // expose at most one visible row per key, and insert/delete commits are
 // atomic across tables (the customer is present in all tables or none).
-func (h *harness) opBalance(op Op) error {
+func (h *harness) opBalance(op workload.Op) error {
 	a := h.pickAccount(op.A)
 	st := h.begin()
 	key := index.EncodeKey(storage.NewInt(a.id))
@@ -413,7 +413,7 @@ func (h *harness) opBalance(op Op) error {
 	return h.commit(st)
 }
 
-func (h *harness) opDeposit(op Op) error {
+func (h *harness) opDeposit(op workload.Op) error {
 	a := h.pickAccount(op.A)
 	st := h.begin()
 	chk, ok, err := h.readRow(st, h.chkT, a.chk)
@@ -433,7 +433,7 @@ func (h *harness) opDeposit(op Op) error {
 	return h.commit(st)
 }
 
-func (h *harness) opTransfer(op Op) error {
+func (h *harness) opTransfer(op workload.Op) error {
 	a := h.pickAccount(op.A)
 	b := h.pickAccount(op.B)
 	st := h.begin()
@@ -463,7 +463,7 @@ func (h *harness) opTransfer(op Op) error {
 	return h.commit(st) // delta 0: money moved, none created
 }
 
-func (h *harness) opWriteCheck(op Op) error {
+func (h *harness) opWriteCheck(op workload.Op) error {
 	a := h.pickAccount(op.A)
 	st := h.begin()
 	sav, ok, err := h.readRow(st, h.savT, a.sav)
@@ -494,25 +494,22 @@ func (h *harness) opWriteCheck(op Op) error {
 	return h.commit(st)
 }
 
-func (h *harness) opInsert(op Op) error {
+func (h *harness) opInsert(op workload.Op) error {
 	id := h.nextID.Add(1) - 1
-	sav0 := op.Amount
-	chk0 := float64(int(op.Amount*100)%5000) / 100
+	rows := workload.NewAccount(id, op.Amount)
 	st := h.begin()
 	a := account{id: id}
 	var errs [3]error
-	a.acc, errs[0] = h.db.Insert(st.tx, nil, h.accT, storage.Tuple{
-		storage.NewInt(id), storage.NewString(fmt.Sprintf("cust-%06d", id)),
-	}, h.contenders)
-	a.sav, errs[1] = h.db.Insert(st.tx, nil, h.savT, storage.Tuple{storage.NewInt(id), storage.NewFloat(sav0)}, h.contenders)
-	a.chk, errs[2] = h.db.Insert(st.tx, nil, h.chkT, storage.Tuple{storage.NewInt(id), storage.NewFloat(chk0)}, h.contenders)
+	a.acc, errs[0] = h.db.Insert(st.tx, nil, h.accT, rows[0], h.contenders)
+	a.sav, errs[1] = h.db.Insert(st.tx, nil, h.savT, rows[1], h.contenders)
+	a.chk, errs[2] = h.db.Insert(st.tx, nil, h.chkT, rows[2], h.contenders)
 	if err := errors.Join(errs[:]...); err != nil {
 		return h.abortOnConflict(st, err)
 	}
 	if op.Abort {
 		return h.abort(st)
 	}
-	st.delta = sav0 + chk0
+	st.delta = rows[1][1].Float() + rows[2][1].Float()
 	if err := h.commit(st); err != nil {
 		return err
 	}
@@ -525,7 +522,7 @@ func (h *harness) opInsert(op Op) error {
 // opDelete tombstones a customer in all three tables in one transaction.
 // Deleted accounts stay in the registry so later operations keep exercising
 // tombstone visibility.
-func (h *harness) opDelete(op Op) error {
+func (h *harness) opDelete(op workload.Op) error {
 	a := h.pickAccount(op.B)
 	st := h.begin()
 	accData, ok, err := h.readRow(st, h.accT, a.acc)
@@ -666,6 +663,6 @@ func (h *harness) report() *Report {
 		Checks:       int(h.checks.Load()),
 		Accounts:     accounts,
 		LastCommitTS: lastTS,
-		StateDigest:  digestState(captureState(h.tables(), lastTS)),
+		StateDigest:  workload.CaptureState(h.tables(), lastTS).Digest(),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mb2/internal/storage"
+	"mb2/internal/workload"
 )
 
 // checkAll runs the four invariant families at a quiesce point (no active
@@ -89,7 +90,7 @@ func checkPartitionScan(tbl *storage.Table, readTS uint64) error {
 	}
 	global := make(map[storage.RowID]string)
 	tbl.Scan(nil, 0, readTS, func(row storage.RowID, data storage.Tuple) bool {
-		global[row] = renderTuple(data)
+		global[row] = workload.RenderTuple(data)
 		return true
 	})
 	merged := make(map[storage.RowID]string, len(global))
@@ -107,7 +108,7 @@ func checkPartitionScan(tbl *storage.Table, readTS uint64) error {
 						perr = fmt.Errorf("table %s row %d surfaced by two partition scans", tbl.Meta.Name, r.Row)
 						return false
 					}
-					merged[r.Row] = renderTuple(r.Data)
+					merged[r.Row] = workload.RenderTuple(r.Data)
 				}
 				return true
 			})
@@ -154,11 +155,11 @@ func (h *harness) checkConservation() error {
 func (h *harness) checkGC() error {
 	h.checks.Add(1)
 	snapTS := h.db.Txns.LastCommitTS()
-	before := captureState(h.tables(), snapTS)
+	before := workload.CaptureState(h.tables(), snapTS)
 	if err := h.maint.Pass(); err != nil {
 		return fmt.Errorf("maintenance pass: %w", err)
 	}
-	if err := diffStates(captureState(h.tables(), snapTS), before); err != nil {
+	if err := workload.CaptureState(h.tables(), snapTS).Diff(before); err != nil {
 		return fmt.Errorf("GC changed the state visible at snapshot %d: %w", snapTS, err)
 	}
 	oldest := h.db.Txns.OldestActiveTS()
@@ -181,7 +182,7 @@ func (h *harness) checkWALReplay() error {
 	if err := h.maint.Pass(); err != nil {
 		return fmt.Errorf("maintenance pass: %w", err)
 	}
-	fresh, tables, err := smallBank.open(h.db.Knobs(), nil, nil)
+	fresh, tables, err := workload.SmallBank{}.Schema().Open(h.db.Knobs(), nil, nil)
 	if err != nil {
 		return err
 	}
@@ -193,7 +194,7 @@ func (h *harness) checkWALReplay() error {
 	if st.TornTail || st.Committed != last {
 		return fmt.Errorf("recovered %d commits (torn tail: %t), live engine committed %d", st.Committed, st.TornTail, last)
 	}
-	if err := diffStates(captureState(tables, last), captureState(h.tables(), last)); err != nil {
+	if err := workload.CaptureState(tables, last).Diff(workload.CaptureState(h.tables(), last)); err != nil {
 		return fmt.Errorf("recovered state: %w", err)
 	}
 	for _, tbl := range tables {

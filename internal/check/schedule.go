@@ -1,45 +1,10 @@
 package check
 
-import "math/rand"
+import (
+	"math/rand"
 
-// OpKind enumerates the workload steps a schedule can emit. The mix mirrors
-// SmallBank's five transaction types plus account creation/removal (to
-// exercise insert, delete, and index maintenance) and an auditor that
-// verifies snapshot isolation while traffic is live.
-type OpKind int
-
-// Scheduled operation kinds.
-const (
-	// OpBalance reads one customer's row in all three tables through the
-	// primary-key indexes inside a read-only transaction and verifies the
-	// snapshot shows the customer in either all tables or none.
-	OpBalance OpKind = iota
-	// OpDeposit adds Amount to one checking balance.
-	OpDeposit
-	// OpTransfer moves Amount from one customer's savings to another's
-	// checking (SmallBank's Amalgamate shape).
-	OpTransfer
-	// OpWriteCheck reads both balances and debits checking by Amount.
-	OpWriteCheck
-	// OpInsert creates a fresh customer with starting balances.
-	OpInsert
-	// OpDelete tombstones a customer in all three tables.
-	OpDelete
-	// OpAudit sums every committed balance at one snapshot, twice, and
-	// checks both repeatable-read stability and conservation against the
-	// commit ledger.
-	OpAudit
+	"mb2/internal/workload"
 )
-
-// Op is one scheduled workload step. A and B are account selectors (reduced
-// modulo the live account count at execution time); Abort marks a write
-// transaction that deliberately rolls back after doing its work.
-type Op struct {
-	Kind   OpKind
-	A, B   int
-	Amount float64
-	Abort  bool
-}
 
 // Schedule is the deterministic per-seed plan for one stress run: every
 // worker's full operation stream, derived purely from the seed. Re-running
@@ -47,54 +12,22 @@ type Op struct {
 // failure replayable.
 type Schedule struct {
 	Seed    int64
-	Workers [][]Op
+	Workers [][]workload.Op
 }
 
-// BuildSchedule derives the complete run plan from the seed. Each worker's
-// stream comes from its own PRNG seeded by (seed, worker), so neither the
-// worker count nor scheduling order of other workers perturbs a stream.
+// BuildSchedule derives the complete run plan from the seed, each step one
+// workload.SmallBank draw. Each worker's stream comes from its own PRNG
+// seeded by (seed, worker), so neither the worker count nor scheduling
+// order of other workers perturbs a stream.
 func BuildSchedule(seed int64, workers, opsPerWorker int) *Schedule {
-	s := &Schedule{Seed: seed, Workers: make([][]Op, workers)}
+	s := &Schedule{Seed: seed, Workers: make([][]workload.Op, workers)}
 	for w := range s.Workers {
 		rng := rand.New(rand.NewSource(seed*1_000_003 + int64(w)*7919))
-		ops := make([]Op, opsPerWorker)
+		ops := make([]workload.Op, opsPerWorker)
 		for i := range ops {
-			ops[i] = nextOp(rng)
+			ops[i] = workload.SmallBank{}.Draw(rng)
 		}
 		s.Workers[w] = ops
 	}
 	return s
-}
-
-// nextOp draws one operation from the mix: ~20% balance reads, ~55% balance
-// writes, ~15% schema-shape churn (insert/delete), ~7% audits, and a 10%
-// deliberate-abort rate on write transactions.
-func nextOp(rng *rand.Rand) Op {
-	op := Op{A: rng.Intn(1 << 30), B: rng.Intn(1 << 30)}
-	roll := rng.Intn(100)
-	switch {
-	case roll < 20:
-		op.Kind = OpBalance
-	case roll < 45:
-		op.Kind = OpDeposit
-		op.Amount = float64(rng.Intn(2000))/100 + 0.25
-	case roll < 63:
-		op.Kind = OpTransfer
-		op.Amount = float64(rng.Intn(10000)) / 100
-	case roll < 78:
-		op.Kind = OpWriteCheck
-		op.Amount = float64(rng.Intn(500))/100 + 1
-	case roll < 86:
-		op.Kind = OpInsert
-		op.Amount = float64(rng.Intn(100000)) / 100
-	case roll < 93:
-		op.Kind = OpDelete
-	default:
-		op.Kind = OpAudit
-	}
-	switch op.Kind {
-	case OpDeposit, OpTransfer, OpWriteCheck, OpInsert, OpDelete:
-		op.Abort = rng.Intn(10) == 0
-	}
-	return op
 }

@@ -88,7 +88,7 @@ func Fig9a(p *Pipeline) (Fig9aResult, error) {
 			return res, err
 		}
 		templates := joinHeavyTemplates(db)
-		actual := measureTemplatesWithSleep(db, templates, catalog.Compile, 3, v.every)
+		actual := measureTemplates(db, templates, catalog.Compile, 3, v.every)
 		tr := modeling.NewTranslator(db, catalog.Compile)
 		for mi := range fig9aVersions {
 			if mi > vi {
@@ -147,24 +147,6 @@ func joinHeavyTemplates(db *engine.DB) []runner.QueryTemplate {
 	return out
 }
 
-// measureTemplatesWithSleep is measureTemplates with the simulated JHT
-// software update applied.
-func measureTemplatesWithSleep(db *engine.DB, templates []runner.QueryTemplate,
-	mode catalog.ExecutionMode, reps, sleepEvery int) []float64 {
-	out := make([]float64, len(templates))
-	for i, q := range templates {
-		samples := make([]float64, 0, reps)
-		for r := 0; r < reps; r++ {
-			ctx := runnerCtx(db, mode, sleepEvery)
-			before := ctx.Thread().Counters()
-			mustRun(ctx, q.Plan)
-			samples = append(samples, ctx.Thread().Since(before).ElapsedUS)
-		}
-		out[i] = metrics.TrimmedMean(samples, 0.2)
-	}
-	return out
-}
-
 // PrintFig9a renders the adaptation matrix.
 func PrintFig9a(w io.Writer, r Fig9aResult) {
 	fprintf(w, "Fig 9a: model adaptation under DBMS updates (avg relative error, TPC-H)\n")
@@ -209,7 +191,7 @@ func Fig9b(p *Pipeline) ([]Fig9bRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		actual := measureTemplates(db, templates, catalog.Interpret, 3)
+		actual := measureTemplates(db, templates, catalog.Interpret, 3, 0)
 
 		tr := modeling.NewTranslator(db, catalog.Interpret)
 		accPred, err := mb2QueryPredictions(p.Models, tr, templates)

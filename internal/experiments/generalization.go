@@ -6,8 +6,6 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
-	"mb2/internal/exec"
-	"mb2/internal/hw"
 	"mb2/internal/metrics"
 	"mb2/internal/modeling"
 	"mb2/internal/plan"
@@ -18,24 +16,19 @@ import (
 
 // measureTemplates executes each template in isolation several times and
 // returns the trimmed-mean elapsed time per template (microseconds).
+// sleepEvery > 0 applies the simulated JHT software update
+// (exec.Ctx.JHTSleepEvery).
 func measureTemplates(db *engine.DB, templates []runner.QueryTemplate,
-	mode catalog.ExecutionMode, reps int) []float64 {
-	if reps < 1 {
-		reps = 1
-	}
+	mode catalog.ExecutionMode, reps, sleepEvery int) []float64 {
+	reps = max(reps, 1)
 	out := make([]float64, len(templates))
 	for i, q := range templates {
 		samples := make([]float64, 0, reps)
 		for r := 0; r < reps; r++ {
-			th := hw.NewThread(db.Machine.CPU)
-			ctx := &exec.Ctx{DB: db,
-				Tracker: metrics.NewTracker(nil, th),
-				Mode:    mode, Contenders: 1}
-			before := th.Counters()
-			if _, err := exec.Execute(ctx, q.Plan); err != nil {
-				panic("experiments: " + err.Error())
-			}
-			samples = append(samples, th.Since(before).ElapsedUS)
+			ctx := runnerCtx(db, mode, sleepEvery)
+			before := ctx.Thread().Counters()
+			mustRun(ctx, q.Plan)
+			samples = append(samples, ctx.Thread().Since(before).ElapsedUS)
 		}
 		out[i] = metrics.TrimmedMean(samples, 0.2)
 	}
@@ -114,7 +107,7 @@ func Fig7a(p *Pipeline) ([]Fig7aRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	actual1 := measureTemplates(db1, templates1, catalog.Interpret, 3)
+	actual1 := measureTemplates(db1, templates1, catalog.Interpret, 3, 0)
 	var plans []plan.Node
 	var lats []float64
 	for rep := 0; rep < 5; rep++ { // repeated epochs of the same workload
@@ -142,7 +135,7 @@ func Fig7a(p *Pipeline) ([]Fig7aRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		actual := measureTemplates(db, templates, catalog.Interpret, 3)
+		actual := measureTemplates(db, templates, catalog.Interpret, 3, 0)
 
 		qp := make([]float64, len(templates))
 		for i, q := range templates {
@@ -210,7 +203,7 @@ func Fig7b(p *Pipeline) ([]Fig7bRow, error) {
 		}
 		dbs[i] = db
 		templates[i] = b.Templates(db, seed)
-		actuals[i] = measureTemplates(db, templates[i], catalog.Interpret, 5)
+		actuals[i] = measureTemplates(db, templates[i], catalog.Interpret, 5, 0)
 	}
 
 	// QPPNet trains on the most complex workload (TPC-C).
@@ -265,19 +258,8 @@ func PrintFig7b(w io.Writer, rows []Fig7bRow) {
 	}
 }
 
-// MeasureOne measures one template's isolated elapsed time under the
-// interpreter (helper for examples and per-query analysis).
-func MeasureOne(db *engine.DB, q runner.QueryTemplate) float64 {
-	return measureTemplates(db, []runner.QueryTemplate{q}, catalog.Interpret, 3)[0]
-}
-
-// MeasureOneCompiled is MeasureOne under JIT compilation.
-func MeasureOneCompiled(db *engine.DB, q runner.QueryTemplate) float64 {
-	return measureTemplates(db, []runner.QueryTemplate{q}, catalog.Compile, 3)[0]
-}
-
-// MeasureOneVectorized is MeasureOne under batch-at-a-time vectorized
-// execution.
-func MeasureOneVectorized(db *engine.DB, q runner.QueryTemplate) float64 {
-	return measureTemplates(db, []runner.QueryTemplate{q}, catalog.Vectorize, 3)[0]
+// MeasureOne measures one template's isolated elapsed time under the given
+// execution mode (helper for examples and per-query analysis).
+func MeasureOne(db *engine.DB, q runner.QueryTemplate, mode catalog.ExecutionMode) float64 {
+	return measureTemplates(db, []runner.QueryTemplate{q}, mode, 3, 0)[0]
 }

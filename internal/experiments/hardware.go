@@ -122,7 +122,7 @@ func Fig10(p *Pipeline) (Fig10Result, error) {
 		var rows []Fig10Row
 		for _, f := range testFreqs {
 			db.Machine.CPU = db.Machine.CPU.WithFreq(f)
-			actual := measureTemplates(db, templates, catalog.Interpret, 3)
+			actual := measureTemplates(db, templates, catalog.Interpret, 3, 0)
 			tr := modeling.NewTranslator(db, catalog.Interpret)
 			basePred := make([]float64, len(templates))
 			manyPred := make([]float64, len(templates))

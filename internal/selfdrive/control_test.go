@@ -21,7 +21,7 @@ func newTestController(t *testing.T, cfg Config) (*LiveController, *planner.Inde
 	if err := bench.Load(db, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	scan := customerByLast(0, 0, 0, 3)
+	scan := bench.CustomerByLastScan(0, 0, 0)
 	cands := planner.GenerateIndexCandidates(db, modeling.IntervalForecast{
 		IntervalUS: 100_000, Threads: 1,
 		Queries: []modeling.ForecastQuery{{Plan: scan, Count: 10, Fingerprint: plan.Fingerprint(scan)}},

@@ -238,7 +238,7 @@ func TestLiveControllerAdvancesBuildUnderLoad(t *testing.T) {
 		defer sess.Close()
 		var sum hw.Metrics
 		for q := 0; q < scans; q++ {
-			node := customerByLast(0, int64(q%10), int64(s*scans+q), 3)
+			node := workload.TPCC{CustomersPerDistrict: 300}.CustomerByLastScan(0, int64(q%10), int64(s*scans+q))
 			_, iso, err := sess.ExecPlan(tmplCustomerByLast, plan.Fingerprint(node), node)
 			if err != nil {
 				t.Fatal(err)

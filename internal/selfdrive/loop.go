@@ -109,7 +109,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxImpactRatio <= 0 {
 		cfg.MaxImpactRatio = d.MaxImpactRatio
 	}
-	if cfg.CustomersPerDistrict < tpccLastNames {
+	if cfg.CustomersPerDistrict < workload.TPCCLastNames {
 		cfg.CustomersPerDistrict = d.CustomersPerDistrict
 	}
 	return cfg
@@ -199,8 +199,7 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 		knobs.ScanDOP = cfg.DOP
 	}
 	db := engine.Open(knobs)
-	bench := workload.TPCC{CustomersPerDistrict: cfg.CustomersPerDistrict}
-	if err := bench.Load(db, 1, cfg.Seed); err != nil {
+	if err := sc.tpcc.Load(db, 1, cfg.Seed); err != nil {
 		return nil, fmt.Errorf("selfdrive: loading workload: %w", err)
 	}
 

@@ -9,6 +9,7 @@ import (
 
 	"mb2/internal/plan"
 	"mb2/internal/planner"
+	"mb2/internal/workload"
 )
 
 // Load-curve names (Config.LoadCurve). Flat keeps per-session volume
@@ -63,13 +64,15 @@ var scenarioBases = [...]string{
 // building), never from session workers.
 type scenario struct {
 	cfg      Config
+	tpcc     workload.TPCC       // the loaded TPC-C, whose builders make the base templates
 	scale    func(i int) float64 // the load curve: volume multiplier at interval i
 	repCache map[string]plan.Node
 }
 
 // newScenario resolves the Config's load curve and template population.
 func newScenario(cfg Config) (*scenario, error) {
-	sc := &scenario{cfg: cfg, repCache: make(map[string]plan.Node)}
+	sc := &scenario{cfg: cfg, tpcc: workload.TPCC{CustomersPerDistrict: cfg.CustomersPerDistrict},
+		repCache: make(map[string]plan.Node)}
 	switch cfg.LoadCurve {
 	case "", LoadFlat:
 		sc.scale = func(int) float64 { return 1 }
@@ -154,11 +157,6 @@ func scaleEstimates(n plan.Node, f float64) plan.Node {
 	}
 }
 
-// customerMatches estimates a by-last-name lookup's matching rows.
-func (sc *scenario) customerMatches() float64 {
-	return float64(sc.cfg.CustomersPerDistrict) / tpccLastNames
-}
-
 // orderlineRows estimates the analytic scan's matching rows: half the
 // order-line table (10 districts x cpd*3/4 orders x ~10 lines).
 func (sc *scenario) orderlineRows() float64 {
@@ -173,11 +171,11 @@ func (sc *scenario) orderlineRows() float64 {
 func (sc *scenario) baseRep(base string) plan.Node {
 	switch base {
 	case tmplOrdersPoint:
-		return ordersPoint(0, 0, 0)
+		return workload.OrdersPoint(0, 0, 0)
 	case tmplStockLevel:
-		return stockLevel(0, 0, 0)
+		return workload.StockLevel(0, 0, 0)
 	case tmplCustomerByLast:
-		return customerByLast(0, 0, 0, sc.customerMatches())
+		return sc.tpcc.CustomerByLastScan(0, 0, 0)
 	case tmplOrderlineScan:
 		return orderlineScan(5, sc.orderlineRows())
 	}
@@ -259,11 +257,11 @@ func (sc *scenario) sessionQueries(rng *rand.Rand, interval int, published []pla
 		d := rng.Int63n(10)
 		switch {
 		case i < nCustomer:
-			add(2, customerByLast(0, d, rng.Int63n(tpccLastNames), sc.customerMatches()))
+			add(2, sc.tpcc.CustomerByLastScan(0, d, rng.Int63n(workload.TPCCLastNames)))
 		case i%3 == 0:
-			add(0, ordersPoint(0, d, rng.Int63n(int64(cpd))))
+			add(0, workload.OrdersPoint(0, d, rng.Int63n(int64(cpd))))
 		case i%3 == 1:
-			add(1, stockLevel(0, d, rng.Int63n(int64(cpd*3/4))))
+			add(1, workload.StockLevel(0, d, rng.Int63n(int64(cpd*3/4))))
 		default:
 			add(3, orderlineScan(5, sc.orderlineRows()))
 		}

@@ -6,22 +6,20 @@ import (
 	"mb2/internal/fold"
 	"mb2/internal/plan"
 	"mb2/internal/planner"
-	"mb2/internal/storage"
 )
 
-// Drive workload template names. The mix is TPC-C's read side: order point
-// lookups, the stock-level range aggregate, and the index-sensitive
-// customer-by-last-name lookup whose share ramps over the run (the drift
-// the forecaster picks up and the planner's index action exploits).
+// Drive workload template names. The mix is TPC-C's read side, built by
+// workload.TPCC's builders: order point lookups (workload.OrdersPoint), the
+// stock-level range aggregate (workload.StockLevel), and the index-sensitive
+// customer-by-last-name lookup (TPCC.CustomerByLastScan) whose share ramps
+// over the run (the drift the forecaster picks up and the planner's index
+// action exploits) — plus the loop's own analytic order-line scan.
 const (
 	tmplOrdersPoint    = "orders_point"
 	tmplStockLevel     = "stock_level"
 	tmplCustomerByLast = "customer_by_last"
 	tmplOrderlineScan  = "orderline_scan"
 )
-
-// tpccLastNames mirrors workload.TPCC's distinct C_LAST values.
-const tpccLastNames = 100
 
 // liveQuery is one query instance a session executes.
 type liveQuery struct {
@@ -41,50 +39,6 @@ func unitSeed(seed int64, name string) int64 {
 
 func est(rows, distinct float64) plan.Estimates {
 	return plan.Estimates{Rows: rows, Distinct: distinct}
-}
-
-func ints(vals ...int64) []storage.Value {
-	out := make([]storage.Value, len(vals))
-	for i, v := range vals {
-		out[i] = storage.NewInt(v)
-	}
-	return out
-}
-
-// ordersPoint looks one order up through its primary key.
-func ordersPoint(w, d, o int64) plan.Node {
-	return &plan.IdxScanNode{Table: "orders", Index: "orders_pk",
-		Eq: ints(w, d, o), Rows: est(1, 1)}
-}
-
-// stockLevel aggregates recent order lines of a district (TPC-C
-// StockLevel's shape).
-func stockLevel(w, d, lo int64) plan.Node {
-	return &plan.AggNode{
-		Child: &plan.IdxScanNode{Table: "orderline", Index: "orderline_pk",
-			Lo: ints(w, d, lo), Hi: ints(w, d, lo+20),
-			Rows: est(200, 20)},
-		GroupBy: []int{4},
-		Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(4)}},
-		Rows:    est(100, 100),
-	}
-}
-
-// customerByLast scans customers by (warehouse, district, last name). It
-// deliberately emits the sequential-scan form: the planner discovers the
-// hot equality columns itself and its published index rewrites the plan.
-func customerByLast(w, d, last int64, matches float64) plan.Node {
-	return &plan.SeqScanNode{
-		Table: "customer",
-		Filter: plan.And{
-			L: plan.Cmp{Op: plan.EQ, L: plan.Col(2), R: plan.IntConst(w)},
-			R: plan.And{
-				L: plan.Cmp{Op: plan.EQ, L: plan.Col(1), R: plan.IntConst(d)},
-				R: plan.Cmp{Op: plan.EQ, L: plan.Col(3), R: plan.IntConst(last)},
-			},
-		},
-		Rows: est(matches, matches),
-	}
 }
 
 // orderlineScan is the analytic template: sum order-line amounts above a

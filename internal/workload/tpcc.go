@@ -30,7 +30,6 @@ func (TPCC) Name() string { return "tpcc" }
 const (
 	tpccDistricts  = 10
 	tpccItems      = 1000
-	tpccLastNames  = 100 // distinct C_LAST values per district
 	tpccOlPerOrder = 10
 )
 
@@ -41,6 +40,9 @@ func (b TPCC) custPerDistrict() int {
 	return 300
 }
 
+// TPCCLastNames is the number of distinct C_LAST values per district.
+const TPCCLastNames = 100
+
 // Column positions used by the transaction plans.
 const (
 	custID      = 0 // customer: c_id, c_d_id, c_w_id, c_last, c_balance, c_ytd_payment, c_payment_cnt
@@ -49,6 +51,32 @@ const (
 	custLast    = 3
 	custBalance = 4
 )
+
+// tpccSchema is TPC-C's nine tables and the primary-key indexes of all but
+// history (non-unique, built in this order).
+var tpccSchema = Schema{
+	Tables: []Table{
+		{"warehouse", []catalog.Column{ic("w_id"), fc("w_tax"), fc("w_ytd")}},
+		{"district", []catalog.Column{ic("d_id"), ic("d_w_id"), fc("d_tax"), fc("d_ytd"), ic("d_next_o_id")}},
+		{"customer", []catalog.Column{ic("c_id"), ic("c_d_id"), ic("c_w_id"), ic("c_last"), fc("c_balance"), fc("c_ytd_payment"), ic("c_payment_cnt")}},
+		{"history", []catalog.Column{ic("h_c_id"), ic("h_d_id"), ic("h_w_id"), fc("h_amount")}},
+		{"neworder", []catalog.Column{ic("no_o_id"), ic("no_d_id"), ic("no_w_id")}},
+		{"orders", []catalog.Column{ic("o_id"), ic("o_d_id"), ic("o_w_id"), ic("o_c_id"), ic("o_ol_cnt")}},
+		{"orderline", []catalog.Column{ic("ol_o_id"), ic("ol_d_id"), ic("ol_w_id"), ic("ol_number"), ic("ol_i_id"), fc("ol_quantity"), fc("ol_amount")}},
+		{"item", []catalog.Column{ic("i_id"), fc("i_price"), ic("i_name")}},
+		{"stock", []catalog.Column{ic("s_i_id"), ic("s_w_id"), fc("s_quantity"), fc("s_ytd")}},
+	},
+	Indexes: []Index{
+		{"warehouse_pk", "warehouse", []string{"w_id"}},
+		{"district_pk", "district", []string{"d_w_id", "d_id"}},
+		{"customer_pk", "customer", []string{"c_w_id", "c_d_id", "c_id"}},
+		{"item_pk", "item", []string{"i_id"}},
+		{"stock_pk", "stock", []string{"s_w_id", "s_i_id"}},
+		{"orders_pk", "orders", []string{"o_w_id", "o_d_id", "o_id"}},
+		{"orderline_pk", "orderline", []string{"ol_w_id", "ol_d_id", "ol_o_id"}},
+		{"neworder_pk", "neworder", []string{"no_w_id", "no_d_id", "no_o_id"}},
+	},
+}
 
 // Load implements Benchmark.
 func (b TPCC) Load(db *engine.DB, scale float64, seed int64) error {
@@ -59,24 +87,8 @@ func (b TPCC) Load(db *engine.DB, scale float64, seed int64) error {
 	}
 	cpd := b.custPerDistrict()
 
-	tables := []struct {
-		name string
-		cols []catalog.Column
-	}{
-		{"warehouse", []catalog.Column{ic("w_id"), fc("w_tax"), fc("w_ytd")}},
-		{"district", []catalog.Column{ic("d_id"), ic("d_w_id"), fc("d_tax"), fc("d_ytd"), ic("d_next_o_id")}},
-		{"customer", []catalog.Column{ic("c_id"), ic("c_d_id"), ic("c_w_id"), ic("c_last"), fc("c_balance"), fc("c_ytd_payment"), ic("c_payment_cnt")}},
-		{"history", []catalog.Column{ic("h_c_id"), ic("h_d_id"), ic("h_w_id"), fc("h_amount")}},
-		{"neworder", []catalog.Column{ic("no_o_id"), ic("no_d_id"), ic("no_w_id")}},
-		{"orders", []catalog.Column{ic("o_id"), ic("o_d_id"), ic("o_w_id"), ic("o_c_id"), ic("o_ol_cnt")}},
-		{"orderline", []catalog.Column{ic("ol_o_id"), ic("ol_d_id"), ic("ol_w_id"), ic("ol_number"), ic("ol_i_id"), fc("ol_quantity"), fc("ol_amount")}},
-		{"item", []catalog.Column{ic("i_id"), fc("i_price"), ic("i_name")}},
-		{"stock", []catalog.Column{ic("s_i_id"), ic("s_w_id"), fc("s_quantity"), fc("s_ytd")}},
-	}
-	for _, t := range tables {
-		if _, err := db.CreateTable(t.name, catalog.NewSchema(t.cols...)); err != nil {
-			return err
-		}
+	if err := tpccSchema.createTables(db); err != nil {
+		return err
 	}
 
 	var rows []storage.Tuple
@@ -106,7 +118,7 @@ func (b TPCC) Load(db *engine.DB, scale float64, seed int64) error {
 			for c := 0; c < cpd; c++ {
 				rows = append(rows, storage.Tuple{
 					storage.NewInt(int64(c)), storage.NewInt(int64(d)), storage.NewInt(int64(w)),
-					storage.NewInt(pick(rng, tpccLastNames)),
+					storage.NewInt(pick(rng, TPCCLastNames)),
 					storage.NewFloat(-10), storage.NewFloat(10), storage.NewInt(1),
 				})
 			}
@@ -168,25 +180,7 @@ func (b TPCC) Load(db *engine.DB, scale float64, seed int64) error {
 	}
 
 	// Primary-key indexes (single-threaded builds at load time).
-	pks := []struct {
-		idx, table string
-		cols       []string
-	}{
-		{"warehouse_pk", "warehouse", []string{"w_id"}},
-		{"district_pk", "district", []string{"d_w_id", "d_id"}},
-		{"customer_pk", "customer", []string{"c_w_id", "c_d_id", "c_id"}},
-		{"item_pk", "item", []string{"i_id"}},
-		{"stock_pk", "stock", []string{"s_w_id", "s_i_id"}},
-		{"orders_pk", "orders", []string{"o_w_id", "o_d_id", "o_id"}},
-		{"orderline_pk", "orderline", []string{"ol_w_id", "ol_d_id", "ol_o_id"}},
-		{"neworder_pk", "neworder", []string{"no_w_id", "no_d_id", "no_o_id"}},
-	}
-	for _, pk := range pks {
-		if _, _, err := db.CreateIndex(nil, db.Machine.CPU, pk.idx, pk.table, pk.cols, false, 1); err != nil {
-			return err
-		}
-	}
-	return nil
+	return tpccSchema.createIndexes(db)
 }
 
 // CustomerSecondaryIndex is the (C_W_ID, C_D_ID, C_LAST) index whose
@@ -200,18 +194,31 @@ func CustomerSecondaryKeyCols() []string { return []string{"c_w_id", "c_d_id", "
 // uses the secondary index when it exists, otherwise a sequential scan —
 // the plan difference that makes the index's benefit measurable.
 func (b TPCC) customerByLastPlan(db *engine.DB, w, d, last int64) plan.Node {
-	matches := float64(b.custPerDistrict()) / tpccLastNames
 	useIndex := db.Index(CustomerSecondaryIndex) != nil
 	if b.ForceCustomerIndex != nil {
 		useIndex = *b.ForceCustomerIndex
 	}
-	if useIndex {
-		return &plan.IdxScanNode{
-			Table: "customer", Index: CustomerSecondaryIndex,
-			Eq:   []storage.Value{storage.NewInt(w), storage.NewInt(d), storage.NewInt(last)},
-			Rows: est(matches, matches),
-		}
+	if !useIndex {
+		return b.CustomerByLastScan(w, d, last)
 	}
+	matches := b.customerMatches()
+	return &plan.IdxScanNode{
+		Table: "customer", Index: CustomerSecondaryIndex,
+		Eq:   keys(w, d, last),
+		Rows: est(matches, matches),
+	}
+}
+
+// customerMatches estimates a by-last-name lookup's matching rows.
+func (b TPCC) customerMatches() float64 {
+	return float64(b.custPerDistrict()) / TPCCLastNames
+}
+
+// CustomerByLastScan scans customers by (warehouse, district, last name):
+// the sequential-scan form of the index-sensitive lookup, whose equality
+// columns a planner can discover and serve with an index.
+func (b TPCC) CustomerByLastScan(w, d, last int64) plan.Node {
+	matches := b.customerMatches()
 	return &plan.SeqScanNode{
 		Table: "customer",
 		Filter: plan.And{
@@ -225,27 +232,50 @@ func (b TPCC) customerByLastPlan(db *engine.DB, w, d, last int64) plan.Node {
 	}
 }
 
+// OrdersPoint looks one order up through its primary key (OrderStatus's
+// order read).
+func OrdersPoint(w, d, o int64) plan.Node {
+	return &plan.IdxScanNode{Table: "orders", Index: "orders_pk", Eq: keys(w, d, o), Rows: est(1, 1)}
+}
+
+// StockLevel counts the items of a district's order lines for the twenty
+// orders from lo on (StockLevel's range aggregate).
+func StockLevel(w, d, lo int64) plan.Node {
+	return &plan.AggNode{
+		Child: &plan.IdxScanNode{Table: "orderline", Index: "orderline_pk",
+			Lo:   keys(w, d, lo),
+			Hi:   keys(w, d, lo+20),
+			Rows: est(20*tpccOlPerOrder, 20)},
+		GroupBy: []int{4},
+		Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(4)}},
+		Rows:    est(100, 100),
+	}
+}
+
+// keys builds an integer index key.
+func keys(vals ...int64) []storage.Value {
+	out := make([]storage.Value, len(vals))
+	for i, v := range vals {
+		out[i] = storage.NewInt(v)
+	}
+	return out
+}
+
 // Procedure is one transaction type: Make builds the plan sequence for a
 // single invocation (executed inside one transaction).
 type Procedure struct {
-	Name   string
-	Weight int
-	Make   func(db *engine.DB, rng *rand.Rand) []plan.Node
+	Name string
+	Make func(db *engine.DB, rng *rand.Rand) []plan.Node
 }
 
-// Procedures returns TPC-C's five transaction types with the standard mix
-// weights.
+// Procedures returns TPC-C's five transaction types.
 func (b TPCC) Procedures() []Procedure {
 	cpd := b.custPerDistrict()
 	point := func(table, index string, vals ...int64) *plan.IdxScanNode {
-		keys := make([]storage.Value, len(vals))
-		for i, v := range vals {
-			keys[i] = storage.NewInt(v)
-		}
-		return &plan.IdxScanNode{Table: table, Index: index, Eq: keys, Rows: est(1, 1)}
+		return &plan.IdxScanNode{Table: table, Index: index, Eq: keys(vals...), Rows: est(1, 1)}
 	}
 
-	newOrder := Procedure{Name: "NewOrder", Weight: 45,
+	newOrder := Procedure{Name: "NewOrder",
 		Make: func(db *engine.DB, rng *rand.Rand) []plan.Node {
 			w := pick(rng, int(db.RowCount("warehouse")))
 			d := pick(rng, tpccDistricts)
@@ -287,11 +317,11 @@ func (b TPCC) Procedures() []Procedure {
 			return plans
 		}}
 
-	payment := Procedure{Name: "Payment", Weight: 43,
+	payment := Procedure{Name: "Payment",
 		Make: func(db *engine.DB, rng *rand.Rand) []plan.Node {
 			w := pick(rng, int(db.RowCount("warehouse")))
 			d := pick(rng, tpccDistricts)
-			last := pick(rng, tpccLastNames)
+			last := pick(rng, TPCCLastNames)
 			amount := 1 + rng.Float64()*4999
 			return []plan.Node{
 				&plan.UpdateNode{
@@ -315,7 +345,7 @@ func (b TPCC) Procedures() []Procedure {
 						plan.Arith{Op: plan.Add, L: plan.Col(5), R: plan.FloatConst(amount)},
 						plan.Arith{Op: plan.Add, L: plan.Col(6), R: plan.IntConst(1)},
 					},
-					Rows: est(float64(cpd)/tpccLastNames, 1),
+					Rows: est(float64(cpd)/TPCCLastNames, 1),
 				},
 				&plan.InsertNode{Table: "history", Tuples: []storage.Tuple{{
 					storage.NewInt(pick(rng, cpd)), storage.NewInt(d), storage.NewInt(w),
@@ -323,22 +353,22 @@ func (b TPCC) Procedures() []Procedure {
 			}
 		}}
 
-	orderStatus := Procedure{Name: "OrderStatus", Weight: 4,
+	orderStatus := Procedure{Name: "OrderStatus",
 		Make: func(db *engine.DB, rng *rand.Rand) []plan.Node {
 			w := pick(rng, int(db.RowCount("warehouse")))
 			d := pick(rng, tpccDistricts)
-			last := pick(rng, tpccLastNames)
+			last := pick(rng, TPCCLastNames)
 			o := pick(rng, cpd)
 			return []plan.Node{
 				b.customerByLastPlan(db, w, d, last),
-				point("orders", "orders_pk", w, d, o),
+				OrdersPoint(w, d, o),
 				&plan.IdxScanNode{Table: "orderline", Index: "orderline_pk",
-					Eq:   []storage.Value{storage.NewInt(w), storage.NewInt(d), storage.NewInt(o)},
+					Eq:   keys(w, d, o),
 					Rows: est(tpccOlPerOrder, 1)},
 			}
 		}}
 
-	delivery := Procedure{Name: "Delivery", Weight: 4,
+	delivery := Procedure{Name: "Delivery",
 		Make: func(db *engine.DB, rng *rand.Rand) []plan.Node {
 			w := pick(rng, int(db.RowCount("warehouse")))
 			d := pick(rng, tpccDistricts)
@@ -351,7 +381,7 @@ func (b TPCC) Procedures() []Procedure {
 				},
 				&plan.AggNode{
 					Child: &plan.IdxScanNode{Table: "orderline", Index: "orderline_pk",
-						Eq:   []storage.Value{storage.NewInt(w), storage.NewInt(d), storage.NewInt(o)},
+						Eq:   keys(w, d, o),
 						Rows: est(tpccOlPerOrder, 1)},
 					GroupBy: nil,
 					Aggs:    []plan.AggSpec{{Fn: plan.Sum, Arg: plan.Col(6)}},
@@ -366,22 +396,14 @@ func (b TPCC) Procedures() []Procedure {
 			}
 		}}
 
-	stockLevel := Procedure{Name: "StockLevel", Weight: 4,
+	stockLevel := Procedure{Name: "StockLevel",
 		Make: func(db *engine.DB, rng *rand.Rand) []plan.Node {
 			w := pick(rng, int(db.RowCount("warehouse")))
 			d := pick(rng, tpccDistricts)
 			lo := pick(rng, cpd*3/4)
 			return []plan.Node{
 				point("district", "district_pk", w, d),
-				&plan.AggNode{
-					Child: &plan.IdxScanNode{Table: "orderline", Index: "orderline_pk",
-						Lo:   []storage.Value{storage.NewInt(w), storage.NewInt(d), storage.NewInt(lo)},
-						Hi:   []storage.Value{storage.NewInt(w), storage.NewInt(d), storage.NewInt(lo + 20)},
-						Rows: est(20*tpccOlPerOrder, 20)},
-					GroupBy: []int{4},
-					Aggs:    []plan.AggSpec{{Fn: plan.Count, Arg: plan.Col(4)}},
-					Rows:    est(100, 100),
-				},
+				StockLevel(w, d, lo),
 			}
 		}}
 
@@ -392,20 +414,22 @@ func (b TPCC) Procedures() []Procedure {
 // index-independent query in the transaction mix, for query-level runtime
 // prediction (Fig 7b).
 func (b TPCC) Templates(db *engine.DB, seed int64) []runner.QueryTemplate {
+	return readTemplates(b.Procedures(), db, seed)
+}
+
+// readTemplates makes one seeded invocation of each procedure and keeps its
+// read-only statements — the repeatable ones — as templates named
+// Procedure#position.
+func readTemplates(procs []Procedure, db *engine.DB, seed int64) []runner.QueryTemplate {
 	rng := rand.New(rand.NewSource(seed))
 	var out []runner.QueryTemplate
-	for _, p := range b.Procedures() {
-		plans := p.Make(db, rng)
-		for i, pl := range plans {
-			// Only read-only statements are repeatable templates.
+	for _, p := range procs {
+		for i, pl := range p.Make(db, rng) {
 			switch pl.(type) {
 			case *plan.UpdateNode, *plan.DeleteNode, *plan.InsertNode:
 				continue
 			}
-			out = append(out, runner.QueryTemplate{
-				Name: p.Name + "#" + string(rune('0'+i)),
-				Plan: pl,
-			})
+			out = append(out, runner.QueryTemplate{Name: p.Name + "#" + string(rune('0'+i)), Plan: pl})
 		}
 	}
 	return out

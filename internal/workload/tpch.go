@@ -32,8 +32,18 @@ const (
 	tpchDays     = 2400 // order/ship dates span ~6.5 years, as in TPC-H
 )
 
-func ic(name string) catalog.Column { return catalog.Column{Name: name, Type: catalog.Int64} }
-func fc(name string) catalog.Column { return catalog.Column{Name: name, Type: catalog.Float64} }
+// tpchSchema is TPC-H's eight tables; the analytic templates scan them, so
+// they carry no index.
+var tpchSchema = Schema{Tables: []Table{
+	{"region", []catalog.Column{ic("r_regionkey"), ic("r_name")}},
+	{"nation", []catalog.Column{ic("n_nationkey"), ic("n_regionkey"), ic("n_name")}},
+	{"supplier", []catalog.Column{ic("s_suppkey"), ic("s_nationkey"), fc("s_acctbal")}},
+	{"customer", []catalog.Column{ic("c_custkey"), ic("c_nationkey"), fc("c_acctbal"), ic("c_mktsegment")}},
+	{"part", []catalog.Column{ic("p_partkey"), ic("p_type"), fc("p_retailprice"), ic("p_brand")}},
+	{"partsupp", []catalog.Column{ic("ps_partkey"), ic("ps_suppkey"), fc("ps_supplycost"), ic("ps_availqty")}},
+	{"orders", []catalog.Column{ic("o_orderkey"), ic("o_custkey"), ic("o_orderdate"), fc("o_totalprice"), ic("o_orderpriority")}},
+	{"lineitem", []catalog.Column{ic("l_orderkey"), ic("l_partkey"), ic("l_suppkey"), fc("l_quantity"), fc("l_extendedprice"), fc("l_discount"), ic("l_shipdate"), ic("l_returnflag"), ic("l_linestatus")}},
+}}
 
 // Load implements Benchmark.
 func (TPCH) Load(db *engine.DB, scale float64, seed int64) error {
@@ -46,23 +56,8 @@ func (TPCH) Load(db *engine.DB, scale float64, seed int64) error {
 		return v
 	}
 
-	tables := []struct {
-		name string
-		cols []catalog.Column
-	}{
-		{"region", []catalog.Column{ic("r_regionkey"), ic("r_name")}},
-		{"nation", []catalog.Column{ic("n_nationkey"), ic("n_regionkey"), ic("n_name")}},
-		{"supplier", []catalog.Column{ic("s_suppkey"), ic("s_nationkey"), fc("s_acctbal")}},
-		{"customer", []catalog.Column{ic("c_custkey"), ic("c_nationkey"), fc("c_acctbal"), ic("c_mktsegment")}},
-		{"part", []catalog.Column{ic("p_partkey"), ic("p_type"), fc("p_retailprice"), ic("p_brand")}},
-		{"partsupp", []catalog.Column{ic("ps_partkey"), ic("ps_suppkey"), fc("ps_supplycost"), ic("ps_availqty")}},
-		{"orders", []catalog.Column{ic("o_orderkey"), ic("o_custkey"), ic("o_orderdate"), fc("o_totalprice"), ic("o_orderpriority")}},
-		{"lineitem", []catalog.Column{ic("l_orderkey"), ic("l_partkey"), ic("l_suppkey"), fc("l_quantity"), fc("l_extendedprice"), fc("l_discount"), ic("l_shipdate"), ic("l_returnflag"), ic("l_linestatus")}},
-	}
-	for _, t := range tables {
-		if _, err := db.CreateTable(t.name, catalog.NewSchema(t.cols...)); err != nil {
-			return err
-		}
+	if err := tpchSchema.createTables(db); err != nil {
+		return err
 	}
 
 	load := func(name string, rows int, gen func(i int) storage.Tuple) error {

@@ -214,3 +214,48 @@ func TestOLTPTemplatesExecute(t *testing.T) {
 		}
 	}
 }
+
+// TestStreamsMatchTheirOracle applies each serial stream to a fresh
+// database: every predicted RowID must be the one the engine allocates, the
+// committed state must be the oracle's fold, and the stream must exercise
+// inserts, updates, deletes and deliberate aborts, inserts among them.
+func TestStreamsMatchTheirOracle(t *testing.T) {
+	for _, s := range []Stream{SmallBank{}.Stream(1, 300), TATP{}.Stream(1, 300)} {
+		t.Run(s.Name, func(t *testing.T) {
+			db, tables, err := s.Schema.Open(catalog.DefaultKnobs(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			commits := uint64(0)
+			kinds := map[int]bool{}
+			abortedKinds := map[int]bool{}
+			for i, ct := range s.Txns {
+				if err := Apply(db, tables, ct); err != nil {
+					t.Fatalf("txn %d: %v", i, err)
+				}
+				for _, e := range ct.effects {
+					kinds[e.kind] = true
+					if ct.Abort {
+						abortedKinds[e.kind] = true
+					}
+				}
+				if !ct.Abort {
+					commits++
+				}
+			}
+			got := CaptureState(tables, db.Txns.LastCommitTS())
+			if err := got.Diff(s.ModelAfter(commits)); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CheckIndexes(); err != nil {
+				t.Fatal(err)
+			}
+			if len(kinds) != 3 || len(abortedKinds) == 0 {
+				t.Fatalf("effect kinds %v, aborted %v: want insert, update and delete, and aborts", kinds, abortedKinds)
+			}
+			if s.Name == "smallbank" && !abortedKinds[effInsert] {
+				t.Fatal("no aborted account opening: its consumed RowIDs go unchecked")
+			}
+		})
+	}
+}
