@@ -12,12 +12,13 @@ import (
 
 // Hot-path scratch memory discipline. Every array and scratch struct exec
 // reuses lives in one recycled set that all goroutines share under one
-// mutex, so a draw sees whatever any goroutine gave back: between two
-// garbage collections, what a statement allocates is a pure function of the
-// statements before it, on whichever P they ran. The set lives as long as a
-// sync.Pool's contents would: only a weak pointer reaches it, anchor holds
-// it, and every lock moves it back into anchor, so an idle set survives one
-// collection and the second frees it. The drivers draw four kinds of memory:
+// mutex, so a draw sees whatever any goroutine gave back: while the set
+// lives, what a statement allocates is a pure function of the statements
+// before it, on whichever P they ran. The set lives as long as a sync.Pool's
+// contents would: only a weak pointer reaches it, anchor holds it, and every
+// lock moves it back into anchor, so an idle set survives one collection and
+// the second frees it — unless a Hold is out, which keeps it whatever the
+// collector does. The drivers draw four kinds of memory:
 //
 //   - scratch (scan-row and posting buffers, a vectorized batch, a build's
 //     hash table and slabs): given back before the operator that drew it
@@ -66,7 +67,27 @@ var (
 	setMu       sync.Mutex
 	recycledSet weak.Pointer[recycled]
 	anchor      sync.Pool // the set, dropped after two collections with no lock
+	held        *recycled // the set while holds > 0
+	holds       int
 )
+
+// Hold keeps the recycled set alive until the returned release is called
+// (once), however many collections run meanwhile. A caller that runs
+// statements between long stretches of other work holds the set across
+// them — the control loop from its load to its last interval — so that what
+// its statements allocate does not depend on when the collector ran.
+func Hold() (release func()) {
+	defer setMu.Unlock()
+	held = lockSet()
+	holds++
+	return func() {
+		setMu.Lock()
+		if holds--; holds == 0 {
+			held = nil
+		}
+		setMu.Unlock()
+	}
+}
 
 // lockSet locks setMu and returns the set, a new one if the last was freed.
 func lockSet() *recycled {

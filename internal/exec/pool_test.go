@@ -283,3 +283,32 @@ func TestRecycledSetLivesAsAPoolWould(t *testing.T) {
 		t.Fatal("the set outlived two collections with no draw")
 	}
 }
+
+// TestHeldSetOutlivesCollections: while a Hold is out the set survives any
+// number of collections with no draw, and once every hold is released it
+// lives as a pool's contents would again.
+func TestHeldSetOutlivesCollections(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	runtime.GC()
+	runtime.GC()
+	release := Hold()
+	inner := Hold()
+	buf := getScanBuf(scanBatchSize)
+	first := &buf[:1][0]
+	putScanBuf(buf)
+	inner()
+	for range 4 {
+		runtime.GC()
+	}
+	buf = getScanBuf(scanBatchSize)
+	if &buf[:1][0] != first {
+		t.Fatal("a draw after four collections under a hold returned a new array")
+	}
+	putScanBuf(buf)
+	release()
+	runtime.GC()
+	runtime.GC()
+	if recycledSet.Value() != nil {
+		t.Fatal("the set outlived two collections after its last hold was released")
+	}
+}

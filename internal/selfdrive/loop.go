@@ -8,6 +8,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/exec"
 	"mb2/internal/fold"
 	"mb2/internal/forecast"
 	"mb2/internal/hw"
@@ -191,6 +192,11 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The intervals' statements share exec's recycled set. Held across the
+	// load and the planning phases, which run no statement, it is not freed
+	// by whichever collections land there, so what an interval allocates
+	// does not depend on the collector's timing.
+	defer exec.Hold()()
 	knobs := catalog.DefaultKnobs()
 	if cfg.Partitions > 1 {
 		knobs.PartitionCount = cfg.Partitions
