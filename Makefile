@@ -53,8 +53,8 @@ smoke: drive-smoke cli-smoke
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
 
 # drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a
-# short run with the exploder, compression and a load curve on, replayed
-# by -verify.
+# short run with the exploder (its hot set rotating at the middle
+# interval), compression and a load curve on, replayed by -verify.
 drive-smoke:
 	$(GO) run ./cmd/mb2-drive -intervals 4 -templates 16 -clusters 4 -load-curve diurnal -verify
 

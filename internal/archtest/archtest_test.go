@@ -56,11 +56,14 @@ var rules = []rule{
 		"WAL.Serialize(, WAL.Flush( and GC.Run( are called only by exec/tasks.go, the checkpoint's own drain (engine/checkpoint.go), the OU sweeps (internal/runner/), internal/wal/, internal/gc/ and benchmark/: maintenance is an exec.Maintainer pass",
 		26, forbid("", except("internal/exec/tasks.go", "internal/engine/checkpoint.go", "internal/runner/", "internal/wal/", "internal/gc/", "benchmark/"),
 			"WAL.Serialize(", "WAL.Flush(", "GC.Run(")},
-	{"one-drain",
-		"DrainObservations( appears on exactly one line under internal/selfdrive, in LiveController.ingest: the control loop has one driver step and one drain of the process list",
-		28, exactly("internal/selfdrive", 1, "DrainObservations(", nil)},
+	{"one-control-step",
+		"under internal/selfdrive, DrainObservations(, .PredictInterval( and ScaleVec( each appear on exactly one line, in LiveController.Tick, and .Tick( on exactly one, in Run: the loop has one step, which drains the process list, observes the interval and predicts the next, and one loop that ticks it",
+		28, all(exactly("internal/selfdrive", 1, "DrainObservations(", nil),
+			exactly("internal/selfdrive", 1, ".PredictInterval(", nil),
+			exactly("internal/selfdrive", 1, "ScaleVec(", nil),
+			exactly("internal/selfdrive", 1, ".Tick(", nil))},
 	{"one-build-advance",
-		"a build thread's .Remaining[ is written only in internal/planner/candidates.go, and .Progress( appears on exactly one line under internal/selfdrive, in LiveController.ingest: an in-flight index build has one contention rule, BuildHandle.Progress",
+		"a build thread's .Remaining[ is written only in internal/planner/candidates.go, and .Progress( appears on exactly one line under internal/selfdrive, in LiveController.Tick: an in-flight index build has one contention rule, BuildHandle.Progress",
 		28, all(func(t *tree) []string {
 			return t.lines("", except("internal/planner/candidates.go"), remainingWrite.MatchString)
 		}, exactly("internal/selfdrive", 1, ".Progress(", nil))},

@@ -45,9 +45,12 @@ var violations = []violation{
 		"internal/check/harness.go": "package check\n\nfunc f() { tx.RecordWrite(w) }\n"}},
 	{"one-maintainer", "a hand-rolled flush cadence", "internal/session/s.go:3:", map[string]string{
 		"internal/session/s.go": "package session\n\nfunc f() { db.WAL.Flush(th) }\n"}},
-	{"one-drain", "a second DrainObservations( line", "on 2 non-test lines", map[string]string{
-		"internal/selfdrive/control.go": "package selfdrive\n\nfunc (c *LiveController) ingest() { c.reg.DrainObservations() }\n",
-		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc run() { reg.DrainObservations() }\n"}},
+	{"one-control-step", "a second DrainObservations( line", "DrainObservations( on 2 non-test lines", map[string]string{
+		"internal/selfdrive/control.go": "package selfdrive\n\nfunc (c *LiveController) Tick() { c.reg.DrainObservations() }\n",
+		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc run() { reg.DrainObservations(); ctl.Tick() }\n"}},
+	{"one-control-step", "a loop that predicts outside Tick", ".PredictInterval( on 2 non-test lines", map[string]string{
+		"internal/selfdrive/control.go": "package selfdrive\n\nfunc (c *LiveController) Tick() { c.p.Models.PredictInterval(tr, f, af) }\n",
+		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc run() { ctl.Tick(); ms.PredictInterval(tr, f, nil) }\n"}},
 	{"one-build-advance", "a second build-advance rule", "on 2 non-test lines", map[string]string{
 		"internal/selfdrive/control.go": "package selfdrive\n\nfunc f() { c.build.Progress(ratios, us) }\n",
 		"internal/selfdrive/loop.go":    "package selfdrive\n\nfunc g() { b.Progress(r, us) }\n"}},

@@ -384,9 +384,14 @@ func ackPeer(c net.Conn, maxFrame int) {
 
 // One Sync costs the primary the same few objects and bytes however long the
 // suffix it ships: the suffix goes out as views of the log device's chunks,
-// with no copy of it and no frame-sized write buffer. The replica end is
-// ackPeer, so every allocation counted is the primary's.
+// with no copy of it and no frame-sized write buffer. Only what Sync's own
+// code allocates is counted, from a profile of every allocation: the acking
+// peer's goroutine, the collector and a new thread do not pass through
+// Sync, and a sudog, goroutine or timer slot the runtime makes when its
+// per-P cache runs dry is the scheduler's, not Sync's.
 func TestSyncAllocatesConstantOnPrimary(t *testing.T) {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
 	db, err := blobFactory()
 	if err != nil {
 		t.Fatal(err)
@@ -404,20 +409,19 @@ func TestSyncAllocatesConstantOnPrimary(t *testing.T) {
 		sentBytes:  []int{0},
 		ackCommits: []uint64{0},
 	}
-	sync := func(txns int) (suffix int, mallocs, bytes uint64) {
+	sync := func(txns int) (suffix int, mallocs, bytes int64) {
 		commitBlobs(t, db, txns)
 		before := grp.sentBytes[0]
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		objs0, bytes0 := syncAllocations()
 		err := grp.Sync()
-		runtime.ReadMemStats(&m1)
+		objs1, bytes1 := syncAllocations()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if grp.sentBytes[0] != db.WAL.Device().Len() {
 			t.Fatalf("shipped %d of %d log bytes", grp.sentBytes[0], db.WAL.Device().Len())
 		}
-		return grp.sentBytes[0] - before, m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
+		return grp.sentBytes[0] - before, objs1 - objs0, bytes1 - bytes0
 	}
 	sync(2048) // grow the Sync's reused view lists and frame buffers once
 	for _, txns := range []int{1, 64, 2048} {
@@ -427,6 +431,43 @@ func TestSyncAllocatesConstantOnPrimary(t *testing.T) {
 		}
 		t.Logf("%d-byte suffix: %d objects, %d bytes", suffix, mallocs, bytes)
 	}
+}
+
+// syncAllocations totals the allocation profile's records whose stack
+// passes through Group.Sync, leaving out those the runtime's per-P caches
+// made (the innermost frame is the runtime's cache refill). Two collections
+// first publish every allocation made so far.
+func syncAllocations() (objs, bytes int64) {
+	runtime.GC()
+	runtime.GC()
+	n, _ := runtime.MemProfile(nil, true)
+	recs := make([]runtime.MemProfileRecord, n+64)
+	n, _ = runtime.MemProfile(recs, true)
+	for _, r := range recs[:n] {
+		frames := runtime.CallersFrames(r.Stack())
+		f, more := frames.Next()
+		if runtimeCacheRefill[f.Function] {
+			continue
+		}
+		for more && f.Function != syncFunc {
+			f, more = frames.Next()
+		}
+		if f.Function == syncFunc {
+			objs, bytes = objs+r.AllocObjects, bytes+r.AllocBytes
+		}
+	}
+	return objs, bytes
+}
+
+const syncFunc = "mb2/internal/repl.(*Group).Sync"
+
+// runtimeCacheRefill names the runtime functions that allocate a per-P
+// cache's entry when the P finds its own list and the global one empty: a
+// blocked goroutine's sudog, a goroutine, a slot in a P's timer heap.
+var runtimeCacheRefill = map[string]bool{
+	"runtime.acquireSudog":      true,
+	"runtime.malg":              true,
+	"runtime.(*timers).addHeap": true,
 }
 
 // A suffix larger than a frame can carry ships as consecutive append frames

@@ -8,6 +8,7 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/modeling"
 	"mb2/internal/plan"
 	"mb2/internal/workload"
 )
@@ -20,7 +21,6 @@ func compressedConfig() Config {
 	cfg.Templates = 64
 	cfg.Clusters = 8
 	cfg.LoadCurve = LoadDiurnal
-	cfg.SkewShiftAt = 3
 	return cfg
 }
 
@@ -44,14 +44,14 @@ func TestDriveLoopPinnedDigests(t *testing.T) {
 		cfg                   Config
 		digest, mape, volMAPE uint64
 	}{
-		{"default", DefaultConfig(), 0xb52d5068f447d5a2, 0x3fe22a3490fe7c36, 0x3fc9e85269799e84},
-		{"partitions4", func() Config { c := DefaultConfig(); c.Partitions = 4; return c }(), 0xe2cbeb21cd10d0ee, 0x3fe05191ff564967, 0x3fc9e85269799e84},
-		{"compressed", compressedConfig(), 0x283877d9ae1bb61, 0x403fbb39533d8a55, 0x3fdec873ba0a9712},
-		{"exploded", six(func(c *Config) { c.Templates = 32 }), 0x55d340a5bfd6004e, 0x3fe2d8dc0ee53eac, 0x3fe7ec04fec04fec},
-		{"diurnal", six(func(c *Config) { c.LoadCurve = LoadDiurnal }), 0x56363f4816590d69, 0x403d05cfbae7e78f, 0x3fe70e70e70e70e7},
-		{"flash", six(func(c *Config) { c.LoadCurve = LoadFlash }), 0xa777b0cc3d233e8, 0x3fe1d1da2978054a, 0x3ff0200000000000},
+		{"default", DefaultConfig(), 0xdae90ddfa4a84d84, 0x3fe22a3490fe7c36, 0x3fc9e85269799e84},
+		{"partitions4", func() Config { c := DefaultConfig(); c.Partitions = 4; return c }(), 0xa77c7597a0d6be4e, 0x3fe05191ff564967, 0x3fc9e85269799e84},
+		{"compressed", compressedConfig(), 0x7cbd736e25eec843, 0x403fbb39533d8a55, 0x3fdec873ba0a9712},
+		{"exploded", six(func(c *Config) { c.Templates = 32 }), 0x8a83b7135d1cca36, 0x3fe2fe82d06ea05c, 0x3fe921b7921b7922},
+		{"diurnal", six(func(c *Config) { c.LoadCurve = LoadDiurnal }), 0x7afbfe9996e8772a, 0x403d05cfbae7e78f, 0x3fe70e70e70e70e7},
+		{"flash", six(func(c *Config) { c.LoadCurve = LoadFlash }), 0x3c588c28fbec4c7, 0x3fe1d1da2978054a, 0x3ff0200000000000},
 		// MAPE re-pinned once by PR 23 (…6d26 → …6d6f, 73 ulp): interpreted-mode join and partition-probe labels are now bulk-billed.
-		{"partitions4-dop2", six(func(c *Config) { c.Partitions, c.DOP = 4, 2 }), 0x6d25440bf09e674, 0x3fcf1759de266d6f, 0x3fcc000000000000},
+		{"partitions4-dop2", six(func(c *Config) { c.Partitions, c.DOP = 4, 2 }), 0xcd358357e793389d, 0x3fcf1759de266d6f, 0x3fcc000000000000},
 	}
 	for _, tc := range cases {
 		res, err := Run(tc.cfg, ms)
@@ -220,9 +220,8 @@ func TestDriveLoopCacheEvictionsSurfaced(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Intervals = 4
 	cfg.Templates = 48
-	cfg.CacheEntries = 8
 
-	a, err := Run(cfg, ms)
+	a, err := run(cfg, ms, modeling.NewBoundedPredictionCache(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,9 +229,7 @@ func TestDriveLoopCacheEvictionsSurfaced(t *testing.T) {
 		t.Fatal("CacheEvictions = 0 with an 8-entry cache over 48 templates")
 	}
 
-	roomy := cfg
-	roomy.CacheEntries = 0 // default bound, far above this population
-	b, err := Run(roomy, ms)
+	b, err := Run(cfg, ms) // the default bound, far above this population
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package selfdrive
 
 import (
 	"fmt"
+	"time"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
+	"mb2/internal/fold"
 	"mb2/internal/forecast"
 	"mb2/internal/modeling"
 	"mb2/internal/ou"
@@ -24,8 +26,9 @@ const (
 // LiveController is the loop's one control step over a process list. It
 // sees whatever feeds the registry — Run's sessions, the wire server, an
 // embedded harness — only by draining it, and owns the forecast history,
-// the in-flight index build, the published indexes and the action log.
-// ingest and plan are its two halves; Tick runs them back to back.
+// the in-flight index build, the published indexes, the action log and the
+// run's record: the digest, the predicted and observed latency series and
+// the inference timings.
 type LiveController struct {
 	reg  *session.Registry
 	cfg  Config
@@ -42,12 +45,20 @@ type LiveController struct {
 	reps map[string]plan.Node
 
 	ticks   int
-	threads int // sessions the last ingest drained: the forecast's concurrency
+	threads int // sessions the last tick drained: the forecast's concurrency
 	volume  volumeScore
 
 	build     *planner.BuildHandle
 	published []planner.IndexCandidate
 	actions   []AppliedAction
+
+	// predicted is the latency predicted for the coming interval (0: none
+	// yet); predSeries and obsSeries pair each prediction with the latency
+	// its interval observed, and inferenceUS times each prediction.
+	predicted             float64
+	predSeries, obsSeries []float64
+	inferenceUS           []float64
+	dig                   fold.H
 }
 
 // NewLiveController attaches a controller, sized by the run's Config, to a
@@ -55,11 +66,7 @@ type LiveController struct {
 func NewLiveController(reg *session.Registry, ms *modeling.ModelSet, cfg Config) *LiveController {
 	cfg = cfg.withDefaults()
 	p := planner.New(reg.DB(), ms)
-	if cfg.CacheEntries > 0 {
-		p.Cache = modeling.NewBoundedPredictionCache(cfg.CacheEntries)
-	} else {
-		p.Cache = modeling.NewPredictionCache()
-	}
+	p.Cache = modeling.NewPredictionCache()
 	c := &LiveController{
 		reg: reg,
 		cfg: cfg,
@@ -70,6 +77,7 @@ func NewLiveController(reg *session.Registry, ms *modeling.ModelSet, cfg Config)
 		},
 		hist: newHistory(cfg.IntervalUS, cfg.HistoryWindow, cfg.Clusters),
 		reps: make(map[string]plan.Node),
+		dig:  fold.New(),
 	}
 	c.rep = func(name string, _ []planner.IndexCandidate) plan.Node { return c.reps[name] }
 	return c
@@ -81,26 +89,19 @@ func (c *LiveController) Actions() []AppliedAction { return c.actions }
 // History exposes the forecast store (observability).
 func (c *LiveController) History() *forecast.History { return c.hist }
 
-// Tick ingests one interval of traffic and runs one plan step. It returns
-// the actions applied this tick.
-func (c *LiveController) Tick() ([]AppliedAction, error) {
-	before := len(c.actions)
-	if _, _, _, err := c.ingest(); err != nil {
-		return nil, err
-	}
-	if _, _, err := c.plan(); err != nil {
-		return nil, err
-	}
-	return c.actions[before:], nil
-}
-
-// ingest is the step's first half: drain the registry, extend the history
-// and score the last volume forecast, charge whole-machine contention over
-// the drained per-session load plus the build's active threads, advance
-// each build thread by what contention left it, and publish a finished
-// build. It returns the observation, its template names sorted, and the
-// contention ratios: one per Load entry, then one per active build thread.
-func (c *LiveController) ingest() (session.Observation, []string, [][]float64, error) {
+// Tick is the control step over the traffic since the last one. It drains
+// the registry (an ascending session-ID merge, the serial-order
+// reduction), extends the history and scores the last volume forecast,
+// charges whole-machine contention over the drained per-session load plus
+// the build's active threads, advances each build thread by what
+// contention left it and publishes a finished build. The interval's
+// report — its volume, its contention-scaled average latency and the
+// prediction made for it — then folds into the digest. Once the history
+// holds two intervals the step forecasts the next one (held back for the
+// volume scoring), acts on it every PlanEvery-th step, and predicts its
+// latency with whatever is now in effect.
+func (c *LiveController) Tick() (IntervalReport, error) {
+	knobs := c.p.DB.Knobs() // only a step moves them: the knobs the interval ran with
 	obs := c.reg.DrainObservations()
 	// Keep the newest representative plan the traffic surfaced per
 	// template: the plans that run now (after an index publish, the index
@@ -122,23 +123,82 @@ func (c *LiveController) ingest() (session.Observation, []string, [][]float64, e
 	if c.build != nil {
 		c.build.Progress(ratios[len(obs.Load):], c.cfg.IntervalUS)
 	}
-	err := c.publishIfDone(c.ticks)
+	r := IntervalReport{
+		Interval: c.ticks, PredictedAvgLatencyUS: c.predicted, Mode: knobs.ExecutionMode,
+		DOP: max(knobs.ScanDOP, 1), Partitions: max(knobs.PartitionCount, 1),
+	}
+	if err := c.publishIfDone(c.ticks); err != nil {
+		return r, err
+	}
 	c.ticks++
-	return obs, names, ratios, err
+	r.Building, r.IndexLive = c.build != nil, len(c.published) > 0
+
+	// The observed latency: each session's load inflated by its contention
+	// ratios, over the interval's queries.
+	var latSum float64
+	for s, m := range obs.Load {
+		latSum += m.ScaleVec(ratios[s]).ElapsedUS
+	}
+	for _, name := range names {
+		r.Queries += int(obs.Counts[name])
+	}
+	if r.Queries > 0 {
+		r.ObservedAvgLatencyUS = latSum / float64(r.Queries)
+	}
+	if c.predicted > 0 {
+		c.predSeries = append(c.predSeries, c.predicted)
+		c.obsSeries = append(c.obsSeries, r.ObservedAvgLatencyUS)
+	}
+	c.dig = foldInterval(c.dig, r.Interval, names, obs.Counts, r.ObservedAvgLatencyUS, r.Mode, c.actions)
+
+	c.predicted = 0
+	if c.hist.Len() < 2 {
+		return r, nil
+	}
+	f := c.forecast()
+	if c.ticks%c.cfg.PlanEvery == 0 {
+		if err := c.act(c.ticks-1, f); err != nil {
+			return r, err
+		}
+	}
+	tr := modeling.NewTranslator(c.p.DB, c.p.DB.Knobs().ExecutionMode)
+	tr.Cache = c.p.Cache
+	var af *modeling.ActionForecast
+	if b := c.build; b != nil {
+		af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
+			Table: b.Candidate.Table, KeyCols: b.Candidate.KeyColNames, Threads: b.Threads,
+		}}
+	}
+	start := time.Now()
+	pred, err := c.p.Models.PredictInterval(tr, f, af)
+	if err != nil {
+		return r, err
+	}
+	c.inferenceUS = append(c.inferenceUS, float64(time.Since(start).Microseconds()))
+	c.predicted = pred.AvgQueryLatencyUS
+	return r, nil
 }
 
-// plan is the step's second half: once the history holds two intervals it
-// forecasts the next one — held back for the volume scoring — and on every
-// PlanEvery-th step acts on it. ok reports whether a forecast was made.
-func (c *LiveController) plan() (f modeling.IntervalForecast, ok bool, err error) {
-	if c.hist.Len() < 2 {
-		return f, false, nil
+// result is the run's outcome as the controller records it; Run adds the
+// interval reports and the sessions' execution counters.
+func (c *LiveController) result() *Result {
+	res := &Result{
+		Actions:        c.actions,
+		MAPE:           forecast.MAPE(c.predSeries, c.obsSeries),
+		VolumeMAPE:     forecast.MAPE(c.volume.pred, c.volume.obs),
+		InferenceUS:    c.inferenceUS,
+		HistoryEvicted: c.hist.Evicted(),
+		Digest:         c.dig.Sum64(),
 	}
-	f = c.forecast()
-	if c.ticks%c.cfg.PlanEvery == 0 {
-		err = c.act(c.ticks-1, f)
+	res.CacheHits, res.CacheMisses = c.p.Cache.Stats()
+	res.CacheHitRate = c.p.Cache.HitRate()
+	res.CacheEvictions = c.p.Cache.Evictions()
+	if cl := c.hist.Clusterer(); cl != nil {
+		res.TemplatesSeen, res.Clusters = cl.Assigned(), cl.Len()
+	} else {
+		res.TemplatesSeen = len(c.hist.Templates())
 	}
-	return f, true, err
+	return res
 }
 
 // forecast predicts the next interval's volumes and builds the inference

@@ -12,25 +12,26 @@
 //     the modeling.IntervalForecast inference consumes, and
 //     volumes.perTemplate fans them back out for volume-MAPE accounting.
 //   - LiveController (control.go) is the control step over a process list,
-//     in two halves. ingest drains the session.Registry, extends the
-//     history, charges whole-machine contention over the drained
-//     per-session load plus an in-flight index build's active threads,
-//     advances the build by what contention left it and publishes it once
-//     done. plan forecasts the next interval and, on planning steps, ranks
-//     candidate actions with planner.PlanActions and applies the first that
-//     clears the improvement threshold (passing over index builds while one
-//     is in flight), recording one AppliedAction.
+//     Tick. It drains the session.Registry, extends the history, charges
+//     whole-machine contention over the drained per-session load plus an
+//     in-flight index build's active threads, advances the build by what
+//     contention left it and publishes it once done, and reports the
+//     interval: its volume and its contention-scaled average latency. It
+//     folds the interval into the digest, forecasts the next interval, and
+//     on planning steps ranks candidate actions with planner.PlanActions
+//     and applies the first that clears the improvement threshold (passing
+//     over index builds while one is in flight), recording one
+//     AppliedAction. Last it predicts the next interval's latency (the
+//     predicted-vs-observed MAPE).
 //   - digest (digest.go) folds everything observable into the run's
 //     fingerprint.
 //
-// Run is a workload driver over one LiveController: each interval it
+// Run drives the scenario through one LiveController: each interval it
 // admits its sessions into the controller's registry, executes the
-// scenario on them, calls ingest, folds the interval into the digest, then
-// calls plan and predicts the next interval's latency (the
-// predicted-vs-observed MAPE). Its representative plans come from the
-// scenario. LiveController.Tick runs ingest and plan back to back over
-// whatever traffic a live registry carries, forecasting over the plans that
-// traffic surfaced.
+// scenario on them, calls Tick, closes the sessions and stamps the
+// interval's wall time. Its representative plans come from the scenario;
+// over whatever traffic a live registry carries, Tick forecasts over the
+// plans that traffic surfaced.
 //
 // # Determinism
 //

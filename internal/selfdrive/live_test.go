@@ -96,8 +96,19 @@ func TestLiveControllerDrivesFromServerTraffic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := ctrl.Tick(); err != nil {
+		// Each report carries what the clients sent and its contention-scaled
+		// latency; from the third tick on, the prediction the step made for
+		// it once the history held two intervals.
+		r, err := ctrl.Tick()
+		if err != nil {
 			t.Fatal(err)
+		}
+		if r.Interval != tick || r.Queries != nClients*perTick || r.ObservedAvgLatencyUS <= 0 {
+			t.Fatalf("tick %d reported interval %d, %d queries at %v us; want %d queries at a positive latency",
+				tick, r.Interval, r.Queries, r.ObservedAvgLatencyUS, nClients*perTick)
+		}
+		if tick >= 2 && r.PredictedAvgLatencyUS <= 0 {
+			t.Fatalf("tick %d carries no prediction though the history held two intervals", tick)
 		}
 	}
 

@@ -3,15 +3,11 @@ package selfdrive
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"mb2/internal/catalog"
 	"mb2/internal/engine"
 	"mb2/internal/exec"
-	"mb2/internal/fold"
-	"mb2/internal/forecast"
-	"mb2/internal/hw"
 	"mb2/internal/modeling"
 	"mb2/internal/par"
 	"mb2/internal/session"
@@ -58,17 +54,6 @@ type Config struct {
 	// LoadCurve shapes per-interval volume: "" or "flat", "diurnal"
 	// (sinusoid), "flash" (3x spike for two mid-run intervals).
 	LoadCurve string
-	// SkewShiftAt, when > 0, rotates the exploded population's hot
-	// variants at that interval — the mid-run skew shift. Only in-package
-	// tests set it: it is the hot-set rotation the pinned compressedConfig
-	// row of TestDriveLoopPinnedDigests depends on.
-	SkewShiftAt int
-	// CacheEntries bounds the prediction cache (0 =
-	// modeling.DefaultCacheEntries). Eviction only forgets memoized work,
-	// so the bound never affects digests. Only in-package tests set it: it
-	// is the eviction pressure TestDriveLoopCacheEvictionsSurfaced needs to
-	// show the bound is digest-neutral.
-	CacheEntries int
 }
 
 // DefaultConfig returns a configuration sized for tests and quick CLI runs.
@@ -184,9 +169,15 @@ type Result struct {
 }
 
 // Run executes the closed loop against a fresh TPC-C database using the
-// trained models. See the package comment for the loop's phases and
-// determinism scheme.
+// trained models, driving the scenario through one LiveController. See the
+// package comment for the loop's step and determinism scheme.
 func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
+	return run(cfg, ms, modeling.NewPredictionCache())
+}
+
+// run is Run over the given prediction cache. Eviction only forgets
+// memoized work, so the cache's bound never moves a digest.
+func run(cfg Config, ms *modeling.ModelSet, cache *modeling.PredictionCache) (*Result, error) {
 	cfg = cfg.withDefaults()
 	sc, err := newScenario(cfg)
 	if err != nil {
@@ -215,142 +206,48 @@ func Run(cfg Config, ms *modeling.ModelSet) (*Result, error) {
 	reg := session.NewRegistry(db, 0)
 	ctl := NewLiveController(reg, ms, cfg)
 	ctl.rep = sc.repFor
+	ctl.p.Cache = cache
 
-	res := &Result{}
-	dig := fold.New()
-	var predSeries, obsSeries []float64
-	predictedNext := 0.0
-
+	var reports []IntervalReport
+	var fused, vec int
 	for i := 0; i < cfg.Intervals; i++ {
-		ivStart := time.Now()
-		liveKnobs := db.Knobs()
-		mode := liveKnobs.ExecutionMode
-
-		// Phase 1: concurrent seeded execution with live observation.
+		start := time.Now()
 		// Each worker is a real session admitted through the process list:
-		// Open samples the live knobs (the ones read above) and wires
-		// the session's private observation buffer, and serial admission
-		// gives ascending IDs — the deterministic merge order. Each session
-		// draws its queries from its own seeded stream.
+		// Open samples the live knobs and wires the session's private
+		// observation buffer, and serial admission gives ascending IDs — the
+		// deterministic merge order. Each session draws its queries from its
+		// own seeded stream.
 		workers := make([]*session.Session, cfg.Sessions)
 		for s := range workers {
-			w, err := reg.Open(session.Options{Contenders: float64(cfg.Sessions)})
-			if err != nil {
+			if workers[s], err = reg.Open(session.Options{Contenders: float64(cfg.Sessions)}); err != nil {
 				return nil, fmt.Errorf("selfdrive: admitting session %d: %w", s, err)
 			}
-			workers[s] = w
 		}
-		queryIso := make([][]hw.Metrics, cfg.Sessions)
 		errs := make([]error, cfg.Sessions)
 		par.Do(cfg.Jobs, cfg.Sessions, func(s int) {
-			rng := rand.New(rand.NewSource(unitSeed(cfg.Seed,
-				fmt.Sprintf("drive/interval-%d/session-%d", i, s))))
-			for _, q := range sc.sessionQueries(rng, i, ctl.published) {
-				_, iso, err := workers[s].ExecPlan(q.name, 0, q.node)
-				if err != nil {
+			for _, q := range sc.sessionQueries(i, s, ctl.published) {
+				if _, _, err := workers[s].ExecPlan(q.name, 0, q.node); err != nil {
 					errs[s] = fmt.Errorf("selfdrive: session %d executing %s: %w", s, q.name, err)
 					return
 				}
-				queryIso[s] = append(queryIso[s], iso)
 			}
 		})
 		if err := errors.Join(errs...); err != nil {
 			return nil, err
 		}
-
-		// Phase 2: the controller ingests the interval — drain (ascending
-		// session-ID merge, the serial-order reduction), history, contention
-		// over the sessions' load and the build's active threads, build
-		// advance and publish — then the interval's sessions retire.
-		obs, names, ratios, err := ctl.ingest()
+		r, err := ctl.Tick()
 		if err != nil {
 			return nil, err
 		}
 		for _, w := range workers {
-			res.FusedPipelines += w.ExecCtx().FusedPipelines
-			res.VecBatches += w.ExecCtx().VecBatches
+			fused += w.ExecCtx().FusedPipelines
+			vec += w.ExecCtx().VecBatches
 			w.Close()
 		}
-
-		// The observed latency: each query's isolated metrics inflated by
-		// its session's contention ratios.
-		var latSum float64
-		nq := 0
-		for s := 0; s < cfg.Sessions; s++ {
-			for _, iso := range queryIso[s] {
-				latSum += iso.ScaleVec(ratios[s]).ElapsedUS
-				nq++
-			}
-		}
-		observed := 0.0
-		if nq > 0 {
-			observed = latSum / float64(nq)
-		}
-
-		report := IntervalReport{
-			Interval: i, Queries: nq,
-			ObservedAvgLatencyUS:  observed,
-			PredictedAvgLatencyUS: predictedNext,
-			Mode:                  mode,
-			Building:              ctl.build != nil,
-			IndexLive:             len(ctl.published) > 0,
-			DOP:                   max(liveKnobs.ScanDOP, 1),
-			Partitions:            max(liveKnobs.PartitionCount, 1),
-		}
-		if predictedNext > 0 {
-			predSeries = append(predSeries, predictedNext)
-			obsSeries = append(obsSeries, observed)
-		}
-
-		dig = foldInterval(dig, i, names, obs.Counts, observed, mode, ctl.actions)
-
-		// Phase 3: forecast, plan, act, and predict the next interval.
-		predictedNext = 0
-		if i < cfg.Intervals-1 {
-			f, ok, err := ctl.plan()
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				// Predict the coming interval with whatever is now in effect.
-				tr := modeling.NewTranslator(db, db.Knobs().ExecutionMode)
-				tr.Cache = ctl.p.Cache
-				var af *modeling.ActionForecast
-				if b := ctl.build; b != nil {
-					af = &modeling.ActionForecast{IndexBuild: &modeling.IndexBuildAction{
-						Table:   b.Candidate.Table,
-						KeyCols: b.Candidate.KeyColNames,
-						Threads: b.Threads,
-					}}
-				}
-				infStart := time.Now()
-				pred, err := ms.PredictInterval(tr, f, af)
-				if err != nil {
-					return nil, err
-				}
-				res.InferenceUS = append(res.InferenceUS, float64(time.Since(infStart).Microseconds()))
-				predictedNext = pred.AvgQueryLatencyUS
-			}
-		}
-
-		report.WallUS = float64(time.Since(ivStart).Microseconds())
-		res.Intervals = append(res.Intervals, report)
+		r.WallUS = float64(time.Since(start).Microseconds())
+		reports = append(reports, r)
 	}
-
-	res.Actions = ctl.actions
-	cache := ctl.p.Cache
-	res.CacheHits, res.CacheMisses = cache.Stats()
-	res.CacheHitRate = cache.HitRate()
-	res.CacheEvictions = cache.Evictions()
-	res.MAPE = forecast.MAPE(predSeries, obsSeries)
-	res.VolumeMAPE = forecast.MAPE(ctl.volume.pred, ctl.volume.obs)
-	res.HistoryEvicted = ctl.hist.Evicted()
-	if c := ctl.hist.Clusterer(); c != nil {
-		res.TemplatesSeen = c.Assigned()
-		res.Clusters = c.Len()
-	} else {
-		res.TemplatesSeen = len(ctl.hist.Templates())
-	}
-	res.Digest = dig.Sum64()
+	res := ctl.result()
+	res.Intervals, res.FusedPipelines, res.VecBatches = reports, fused, vec
 	return res, nil
 }

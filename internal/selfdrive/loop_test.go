@@ -9,10 +9,13 @@ import (
 
 	"mb2/internal/catalog"
 	"mb2/internal/check"
+	"mb2/internal/engine"
+	"mb2/internal/hw"
 	"mb2/internal/metrics"
 	"mb2/internal/modeling"
 	"mb2/internal/planner"
 	"mb2/internal/runner"
+	"mb2/internal/session"
 )
 
 var (
@@ -315,6 +318,91 @@ func TestDriveLoopPublishesIndex(t *testing.T) {
 	}
 	if !live {
 		t.Error("no interval reported a live index")
+	}
+}
+
+// TestObservedLatencyIsThePerQuerySum replays Run's scenario over a
+// controller, keeping every query's isolated metrics, and checks that each
+// interval's observed latency — Tick's sum over the drained per-session
+// load, each scaled by its session's contention ratios — equals the same
+// scaling applied query by query, to rounding. The replay must report
+// exactly what Run reports, so the check holds on Run's own path.
+func TestObservedLatencyIsThePerQuerySum(t *testing.T) {
+	ms := sharedModels(t)
+	dop2 := DefaultConfig()
+	dop2.Intervals, dop2.Partitions, dop2.DOP = 6, 4, 2
+	for _, cfg := range []Config{DefaultConfig(), dop2} {
+		want, err := Run(cfg, ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = cfg.withDefaults()
+		sc, err := newScenario(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		knobs := catalog.DefaultKnobs()
+		knobs.PartitionCount, knobs.ScanDOP = max(cfg.Partitions, 1), max(cfg.DOP, 1)
+		db := engine.Open(knobs)
+		if err := sc.tpcc.Load(db, 1, cfg.Seed); err != nil {
+			t.Fatal(err)
+		}
+		reg := session.NewRegistry(db, 0)
+		ctl := NewLiveController(reg, ms, cfg)
+		ctl.rep = sc.repFor
+
+		var got []IntervalReport
+		for i := 0; i < cfg.Intervals; i++ {
+			var load []hw.Metrics
+			var isos [][]hw.Metrics
+			var workers []*session.Session
+			for s := 0; s < cfg.Sessions; s++ {
+				w, err := reg.Open(session.Options{Contenders: float64(cfg.Sessions)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				workers = append(workers, w)
+				var sum hw.Metrics
+				var per []hw.Metrics
+				for _, q := range sc.sessionQueries(i, s, ctl.published) {
+					_, iso, err := w.ExecPlan(q.name, 0, q.node)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum.Add(iso)
+					per = append(per, iso)
+				}
+				load, isos = append(load, sum), append(isos, per)
+			}
+			if ctl.build != nil {
+				load = append(load, ctl.build.Demand(cfg.IntervalUS)...)
+			}
+			ratios := db.Machine.ContentionRatios(load, cfg.IntervalUS)
+			var latSum float64
+			nq := 0
+			for s, per := range isos {
+				for _, iso := range per {
+					latSum += iso.ScaleVec(ratios[s]).ElapsedUS
+					nq++
+				}
+			}
+			r, err := ctl.Tick()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range workers {
+				w.Close()
+			}
+			perQuery := latSum / float64(nq)
+			if rel := math.Abs(r.ObservedAvgLatencyUS-perQuery) / perQuery; r.Queries != nq || rel > 1e-12 {
+				t.Errorf("interval %d: %d queries observed at %v us, want %d at the per-query sum %v (relative error %g)",
+					i, r.Queries, r.ObservedAvgLatencyUS, nq, perQuery, rel)
+			}
+			got = append(got, r)
+		}
+		if !reflect.DeepEqual(got, stripWall(want.Intervals)) {
+			t.Fatalf("the replay reports\n%v\nbut Run reports\n%v", got, stripWall(want.Intervals))
+		}
 	}
 }
 

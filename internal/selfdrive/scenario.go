@@ -203,9 +203,9 @@ func (sc *scenario) repFor(name string, published []planner.IndexCandidate) plan
 }
 
 // pickVariant draws a variant ordinal for a base: min-of-two draws skews
-// volume toward low ordinals (a hot set), and from interval SkewShiftAt on
-// the hot set rotates half a population away — the mid-run skew shift the
-// cluster shares must adapt to.
+// volume toward low ordinals (a hot set), and from the run's middle
+// interval on the hot set rotates half a population away — the mid-run
+// skew shift the cluster shares must adapt to.
 func (sc *scenario) pickVariant(rng *rand.Rand, baseIdx, interval int) int {
 	nv := sc.variantsPerBase(baseIdx)
 	if nv <= 1 {
@@ -213,7 +213,7 @@ func (sc *scenario) pickVariant(rng *rand.Rand, baseIdx, interval int) int {
 	}
 	a, b := rng.Int63n(int64(nv)), rng.Int63n(int64(nv))
 	ord := int(min(a, b))
-	if sc.cfg.SkewShiftAt > 0 && interval >= sc.cfg.SkewShiftAt {
+	if interval >= sc.cfg.Intervals/2 {
 		ord = (ord + nv/2) % nv
 	}
 	return ord
@@ -233,13 +233,17 @@ func customerCount(i, volume int) int {
 }
 
 // sessionQueries builds one session's deterministic query list for an
-// interval: the load curve sets the volume, the ramping share of it are
-// customer lookups, and the remainder cycles through order points, stock
-// levels, and the analytic order-line scan. In an exploded population every
-// query lands on a rng-drawn variant whose plan carries the variant's
-// perturbed estimates (and the skew shift rotates the hot variants); the
-// plain population draws nothing extra and names the base itself.
-func (sc *scenario) sessionQueries(rng *rand.Rand, interval int, published []planner.IndexCandidate) []liveQuery {
+// interval, drawn from the session's own stream (seed ^
+// fold("drive/interval-i/session-s")): the load curve sets the volume, the
+// ramping share of it are customer lookups, and the remainder cycles
+// through order points, stock levels, and the analytic order-line scan. In
+// an exploded population every query lands on a rng-drawn variant whose
+// plan carries the variant's perturbed estimates (and the skew shift
+// rotates the hot variants); the plain population draws nothing extra and
+// names the base itself.
+func (sc *scenario) sessionQueries(interval, session int, published []planner.IndexCandidate) []liveQuery {
+	rng := rand.New(rand.NewSource(unitSeed(sc.cfg.Seed,
+		fmt.Sprintf("drive/interval-%d/session-%d", interval, session))))
 	cpd := sc.cfg.CustomersPerDistrict
 	qn := sc.intervalQueries(interval)
 	nCustomer := customerCount(interval, qn)
