@@ -46,11 +46,12 @@ fuzz:
 
 # smoke drives the CLIs (drive-smoke, cli-smoke), runs each examples/ program
 # once (they are otherwise only built), and executes every (pipeline,
-# variant) benchmark and every partition-sweep cell once — a correctness
-# smoke, not a measurement.
+# variant) benchmark, every partition-sweep cell and each tree family's fit
+# benchmark once — a correctness smoke, not a measurement.
 smoke: drive-smoke cli-smoke
 	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
+	$(GO) test -run=NONE -bench=BenchmarkFit -benchtime=1x ./internal/ml
 
 # drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a
 # short run with the exploder (its hot set rotating at the middle

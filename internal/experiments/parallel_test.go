@@ -99,3 +99,15 @@ func TestSeedMatrixDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// TestQuickPipelineDigestPinned pins the quick config's trained state: the
+// sweep's records, every OU model's selection report and its predictions
+// over its own records, and the interference model's report and size. A
+// change to the OU-runners, the ML kernels or model selection moves it, and
+// then it is re-pinned on purpose, with the fields that moved named.
+func TestQuickPipelineDigestPinned(t *testing.T) {
+	const want uint64 = 0xd179cead70b44f00
+	if got := pipeline(t).Digest(); got != want {
+		t.Fatalf("quick pipeline digest %#x, pinned %#x", got, want)
+	}
+}

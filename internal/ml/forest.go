@@ -47,15 +47,18 @@ func (m *RandomForest) Fit(X, Y [][]float64) error {
 	}
 	cfg := treeConfig{maxDepth: m.MaxDepth, minLeaf: m.MinLeaf, maxFeatures: maxFeatures}
 
-	// Trees share X/Ys read-only and write only their own slot.
+	// Trees share the columns, their ranks and the targets read-only; each
+	// presorts its own bootstrap sample and writes only its own slot.
+	cols, y, dy := columns(X), flatten(Ys), len(Ys[0])
+	ps := newPresorter(cols)
 	m.trees = make([]*treeNode, m.NumTrees)
 	par.Do(m.Jobs, m.NumTrees, func(t int) {
 		rng := rand.New(rand.NewSource(m.seed + int64(t)*7919))
-		rows := make([]int, n) // bootstrap sample
+		rows := make([]int32, n) // bootstrap sample
 		for i := range rows {
-			rows[i] = rng.Intn(n)
+			rows[i] = int32(rng.Intn(n))
 		}
-		m.trees[t] = buildTree(X, Ys, rows, cfg, 0, rng)
+		m.trees[t] = newTreeBuilder(cols, y, dy, cfg, rng, rows, ps.sort(rows)).grow(0, n, 0)
 	})
 	return nil
 }
@@ -88,7 +91,8 @@ func (m *RandomForest) SizeBytes() int {
 }
 
 // GradientBoosting is a per-output gradient-boosted ensemble of shallow
-// regression trees with squared-error loss.
+// regression trees with squared-error loss. Every tree scans every feature,
+// so fitting draws no randomness.
 type GradientBoosting struct {
 	NumRounds int
 	MaxDepth  int
@@ -100,7 +104,6 @@ type GradientBoosting struct {
 	// touch only column k — so the fitted model is identical at any
 	// worker count.
 	Jobs int
-	seed int64
 
 	base   []float64
 	stages [][]*treeNode // [round][output]
@@ -111,8 +114,8 @@ type GradientBoosting struct {
 func (m *GradientBoosting) SetJobs(jobs int) { m.Jobs = jobs }
 
 // NewGradientBoosting returns a GBM tuned for the OU-model workloads.
-func NewGradientBoosting(seed int64) *GradientBoosting {
-	return &GradientBoosting{NumRounds: 60, MaxDepth: 4, MinLeaf: 4, LR: 0.15, seed: seed}
+func NewGradientBoosting() *GradientBoosting {
+	return &GradientBoosting{NumRounds: 60, MaxDepth: 4, MinLeaf: 4, LR: 0.15}
 }
 
 // Fit implements Model.
@@ -134,41 +137,42 @@ func (m *GradientBoosting) Fit(X, Y [][]float64) error {
 		m.base[k] /= float64(n)
 	}
 
-	pred := make([][]float64, n)
-	for i := range pred {
-		pred[i] = append([]float64(nil), m.base...)
-	}
-	rows := make([]int, n)
-	for i := range rows {
-		rows[i] = i
-	}
+	// X is the same for every tree, so it is presorted once; each tree
+	// grows from a copy in its output's builder.
+	cols, rows := columns(X), identityRows(n)
+	order := newPresorter(cols).sort(rows)
 	cfg := treeConfig{maxDepth: m.MaxDepth, minLeaf: m.MinLeaf}
 
-	// One residual buffer per output so the outputs of a round can train
-	// concurrently; rounds remain sequential (each consumes the previous
-	// round's predictions). Within a round, output k reads and writes only
-	// column k of pred — distinct memory words — so parallel outputs
+	// One prediction column, residual buffer and builder per output so the
+	// outputs of a round can train concurrently; rounds remain sequential
+	// (each consumes the previous round's predictions). Within a round,
+	// output k reads and writes only its own buffers, so parallel outputs
 	// reproduce the serial result exactly.
 	m.stages = make([][]*treeNode, m.NumRounds)
-	resid := make([][][]float64, dy)
-	for k := range resid {
-		resid[k] = make([][]float64, n)
-		for i := range resid[k] {
-			resid[k][i] = make([]float64, 1)
+	pred := make([][]float64, dy)
+	resid := make([][]float64, dy)
+	builders := make([]*treeBuilder, dy)
+	for k := range builders {
+		pred[k] = make([]float64, n)
+		for i := range pred[k] {
+			pred[k][i] = m.base[k]
 		}
+		resid[k] = make([]float64, n)
+		builders[k] = newTreeBuilder(cols, resid[k], 1, cfg, nil, make([]int32, n), make([]int32, len(order)))
 	}
 	for round := 0; round < m.NumRounds; round++ {
 		m.stages[round] = make([]*treeNode, dy)
 		par.Do(m.Jobs, dy, func(k int) {
-			rk := resid[k]
+			pk, rk, b := pred[k], resid[k], builders[k]
 			for i := range rk {
-				rk[i][0] = Ys[i][k] - pred[i][k]
+				rk[i] = Ys[i][k] - pk[i]
 			}
-			rng := rand.New(rand.NewSource(m.seed + int64(round*31+k)))
-			tr := buildTree(X, rk, rows, cfg, 0, rng)
+			copy(b.rows, rows)
+			copy(b.order, order)
+			tr := b.grow(0, n, 0)
 			m.stages[round][k] = tr
-			for i := range pred {
-				pred[i][k] += m.LR * tr.predict(X[i])[0]
+			for i, x := range X {
+				pk[i] += m.LR * tr.predict(x)[0]
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -94,7 +95,7 @@ func TestKernelRegressionLocalFit(t *testing.T) {
 func TestTreeAndForestFitNonlinear(t *testing.T) {
 	d := synthDataset(1500, 0.05, 11)
 	test := synthDataset(200, 0, 12)
-	tree := NewRegressionTree(13)
+	tree := NewRegressionTree()
 	forest := NewRandomForest(13)
 	treeErr := fitAndScore(t, tree, d, test)
 	forestErr := fitAndScore(t, forest, d, test)
@@ -109,7 +110,7 @@ func TestTreeAndForestFitNonlinear(t *testing.T) {
 func TestGBMFitsNonlinear(t *testing.T) {
 	d := synthDataset(1200, 0.05, 14)
 	test := synthDataset(200, 0, 15)
-	m := NewGradientBoosting(16)
+	m := NewGradientBoosting()
 	err := fitAndScore(t, m, d, test)
 	if err > 0.2 {
 		t.Fatalf("gbm rel error = %v", err)
@@ -126,23 +127,34 @@ func TestNeuralNetworkFits(t *testing.T) {
 	}
 }
 
+// TestModelsDeterministic fits every family, and the lone tree, twice on
+// the same matrices: Fit leaves X and Y exactly as it found them, and the
+// two fits predict identically.
 func TestModelsDeterministic(t *testing.T) {
 	x := []float64{3.3, 7.7}
-	for _, name := range AlgorithmNames {
-		m1, _ := NewByName(name, 99)
-		m2, _ := NewByName(name, 99)
-		d1, d2 := synthDataset(300, 0.1, 20), synthDataset(300, 0.1, 20) // Fit may reorder its input
-		if err := m1.Fit(d1.X, d1.Y); err != nil {
-			t.Fatal(err)
+	d := synthDataset(300, 0.1, 20)
+	clone := func(m [][]float64) [][]float64 {
+		out := make([][]float64, len(m))
+		for i, row := range m {
+			out[i] = slices.Clone(row)
 		}
-		if err := m2.Fit(d2.X, d2.Y); err != nil {
-			t.Fatal(err)
-		}
-		p1, p2 := m1.Predict(x), m2.Predict(x)
-		for k := range p1 {
-			if p1[k] != p2[k] {
-				t.Errorf("%s not deterministic: %v vs %v", name, p1, p2)
+		return out
+	}
+	X0, Y0 := clone(d.X), clone(d.Y)
+	for _, name := range append(slices.Clone(AlgorithmNames), "tree") {
+		var preds [2][]float64
+		for i := range preds {
+			m, _ := NewByName(name, 99)
+			if err := m.Fit(d.X, d.Y); err != nil {
+				t.Fatal(err)
 			}
+			if !reflect.DeepEqual(d.X, X0) || !reflect.DeepEqual(d.Y, Y0) {
+				t.Fatalf("%s: Fit mutated its input", name)
+			}
+			preds[i] = m.Predict(x)
+		}
+		if !reflect.DeepEqual(preds[0], preds[1]) {
+			t.Errorf("%s not deterministic: %v vs %v", name, preds[0], preds[1])
 		}
 	}
 }
@@ -297,7 +309,7 @@ func TestSolveLinearKnownSystem(t *testing.T) {
 func TestTreeHandlesConstantFeatures(t *testing.T) {
 	X := [][]float64{{1, 5}, {1, 5}, {1, 5}, {1, 5}}
 	Y := [][]float64{{1}, {2}, {3}, {4}}
-	m := NewRegressionTree(1)
+	m := NewRegressionTree()
 	if err := m.Fit(X, Y); err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +330,7 @@ func TestPermutationImportance(t *testing.T) {
 		d.X = append(d.X, []float64{x0, x1, x2})
 		d.Y = append(d.Y, []float64{20*x0 + x1})
 	}
-	m := NewGradientBoosting(1)
+	m := NewGradientBoosting()
 	if err := m.Fit(d.X, d.Y); err != nil {
 		t.Fatal(err)
 	}

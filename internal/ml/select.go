@@ -24,11 +24,11 @@ func NewByName(name string, seed int64) (Model, error) {
 	case "kernel":
 		return NewKernelRegression(seed), nil
 	case "tree":
-		return NewRegressionTree(seed), nil
+		return NewRegressionTree(), nil
 	case "random_forest":
 		return NewRandomForest(seed), nil
 	case "gbm":
-		return NewGradientBoosting(seed), nil
+		return NewGradientBoosting(), nil
 	case "neural_net":
 		return NewNeuralNetwork(seed), nil
 	default:
