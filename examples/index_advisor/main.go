@@ -47,29 +47,34 @@ func main() {
 		return f
 	}
 
+	// One candidate build per thread count, priced against the live
+	// forecast; the what-if world runs the post-index plans.
 	pl := planner.New(db, p.Models)
-	action := modeling.IndexBuildAction{
-		Table:   "customer",
-		KeyCols: workload.CustomerSecondaryKeyCols(),
+	index := planner.IndexCandidate{Table: "customer", Name: workload.CustomerSecondaryIndex,
+		KeyColNames: workload.CustomerSecondaryKeyCols()}
+	var builds []planner.Action
+	for _, threads := range []int{1, 2, 4, 8, 16} {
+		builds = append(builds, planner.Action{Kind: planner.ActionIndexBuild, Index: &index, Threads: threads})
 	}
-	decisions, best, err := pl.ChooseIndexThreads(catalog.Interpret, action,
-		[]int{1, 2, 4, 8, 16}, forecast(false), forecast(true), 1.25)
-	if err != nil {
+	if err := pl.Price(catalog.Interpret, forecast(false), planner.WhatIf{Actions: builds, After: forecast(true)}); err != nil {
 		log.Fatal(err)
 	}
+	best := planner.ChooseIndexThreads(builds, 1.25)
 
 	fmt.Println("candidate plans (predicted by MB2's models):")
 	fmt.Printf("%8s %12s %12s %10s %10s\n",
 		"threads", "build(ms)", "buildCPU(ms)", "impact", "benefit")
-	for _, d := range decisions {
+	for _, b := range builds {
+		d := b.Decision
 		fmt.Printf("%8d %12.2f %12.2f %9.2fx %9.2fx\n",
-			d.Threads, d.BuildTimeUS/1e3, d.BuildCPUUS/1e3, d.ImpactRatio, d.BenefitRatio)
+			b.Threads, d.BuildTimeUS/1e3, d.BuildCPUUS/1e3, d.ImpactRatio(), d.BenefitRatio())
 	}
-	fmt.Printf("\nchosen deployment (fastest build within a 1.25x impact budget):\n  %s\n", best)
+	fmt.Printf("\nchosen deployment (fastest build within a 1.25x impact budget):\n  threads=%d %v\n",
+		best.Threads, best.Decision)
 
-	if best.BenefitRatio < 1 {
+	if best.PredictedImprovement > 0 {
 		fmt.Printf("\nverdict: build it — predicted %.0f%% faster workload afterwards\n",
-			(1-best.BenefitRatio)*100)
+			best.PredictedImprovement*100)
 	} else {
 		fmt.Println("\nverdict: skip it — no predicted benefit")
 	}
@@ -81,5 +86,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nactually built in %.2fms with %d threads (predicted %.2fms)\n",
-		build.ElapsedUS/1e3, best.Threads, best.BuildTimeUS/1e3)
+		build.ElapsedUS/1e3, best.Threads, best.Decision.BuildTimeUS/1e3)
 }

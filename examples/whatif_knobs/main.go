@@ -10,6 +10,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"sort"
 
 	"mb2/internal/catalog"
 	"mb2/internal/experiments"
@@ -61,13 +62,29 @@ func main() {
 	for _, q := range templates {
 		forecast.Queries = append(forecast.Queries, modeling.ForecastQuery{Plan: q.Plan, Count: 10})
 	}
+	// Price both flips against the interpreted baseline, then rank the
+	// three modes: the cheapest wins (ties by the planner's compiled,
+	// vectorized, interpreted preference) and is compared with the runner-up.
 	pl := planner.New(db, p.Models)
-	d, err := pl.EvaluateModeChange(forecast)
-	if err != nil {
+	flips := []planner.Action{
+		{Kind: planner.ActionModeChange, Mode: catalog.Compile},
+		{Kind: planner.ActionModeChange, Mode: catalog.Vectorize},
+	}
+	if err := pl.Price(catalog.Interpret, forecast, planner.WhatIf{Actions: flips[:1]}, planner.WhatIf{Actions: flips[1:]}); err != nil {
 		log.Fatal(err)
 	}
+	type modeLatency struct {
+		mode catalog.ExecutionMode
+		us   float64
+	}
+	modes := []modeLatency{
+		{catalog.Compile, flips[0].Decision.AfterLatencyUS},
+		{catalog.Vectorize, flips[1].Decision.AfterLatencyUS},
+		{catalog.Interpret, flips[0].Decision.BaselineLatencyUS},
+	}
+	sort.SliceStable(modes, func(i, j int) bool { return modes[i].us < modes[j].us })
 	fmt.Printf("\nplanner decision: switch to %s (predicted %.0f%% avg latency reduction vs runner-up)\n",
-		d.Best, d.PredictedReduction*100)
+		modes[0].mode, (1-modes[0].us/modes[1].us)*100)
 
 	// Verify against real executions in all three modes.
 	var actI, actC, actV float64

@@ -115,6 +115,9 @@ var rules = []rule{
 		"no non-test file under internal/check, internal/selfdrive or cmd/ creates a table or declares a schema (.CreateTable(, catalog.NewSchema(), and none under internal/selfdrive builds an IdxScanNode: each workload's schema, transaction stream, row oracle and TPC-C read template is written once, in internal/workload",
 		45, all(forbid("internal/check", nil, schemaDecl...), forbid("cmd", nil, schemaDecl...),
 			forbid("internal/selfdrive", nil, append(schemaDecl, "IdxScanNode{")...))},
+	{"one-price",
+		"under internal/planner, .PredictInterval( appears on exactly one non-test line, in Planner.Price: every candidate action — a mode flip, a knob shift, an index build at a thread count — is priced one way, against one baseline per planning step",
+		48, exactly("internal/planner", 1, ".PredictInterval(", nil)},
 	{"fuzz-targets-run",
 		"the Fuzz functions in _test.go files are exactly the targets make fuzz runs: a fuzz target nobody runs does not accumulate unnoticed",
 		31, fuzzTargetsRun},

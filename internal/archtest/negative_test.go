@@ -58,6 +58,9 @@ var violations = []violation{
 		"internal/planner/candidates.go": "package planner\n\nfunc (h *BuildHandle) Progress() { h.Remaining[j] -= us / r }\n",
 		"internal/planner/sim.go":        "package planner\n\nfunc f() { build.Remaining[j] -= us / r }\n",
 		"internal/selfdrive/control.go":  "package selfdrive\n\nfunc f() { c.build.Progress(ratios, us) }\n"}},
+	{"one-price", "a second evaluator that predicts", ".PredictInterval( on 2 non-test lines", map[string]string{
+		"internal/planner/planner.go": "package planner\n\nfunc (p *Planner) Price() { p.Models.PredictInterval(tr, fc, act) }\n",
+		"internal/planner/knobs.go":   "package planner\n\nfunc (p *Planner) EvaluateKnobShift() { p.Models.PredictInterval(wtr, f, nil) }\n"}},
 	{"one-observer", "an observer hook back in exec", "internal/exec/observed.go:3:", map[string]string{
 		"internal/exec/observed.go":   "package exec\n\ntype QueryObserver interface{ ObserveQuery(string) }\n",
 		"internal/session/session.go": "package session\n\nfunc (s *Session) run() { s.stats.record(t, n, iso) }\n"}},

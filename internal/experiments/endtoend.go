@@ -178,8 +178,9 @@ type Fig11Interval struct {
 // Fig11Result is the end-to-end self-driving execution.
 type Fig11Result struct {
 	Intervals []Fig11Interval
-	Mode      planner.ModeDecision
-	Decision  planner.IndexDecision
+	// Mode is the compiled-mode flip and Index the index build, each priced
+	// against the interpreted baseline of its phase.
+	Mode, Index planner.Action
 	// Actual vs predicted build window (seconds).
 	BuildStartS, BuildEndS, PredBuildEndS float64
 }
@@ -208,20 +209,24 @@ func Fig11(p *Pipeline, buildThreads int) (Fig11Result, error) {
 	// --- Planning with MB2's models (all predictions made ahead of time).
 	pl := planner.New(s.dbC, p.Models)
 	forecastH := s.forecastFor(s.tplH, s.perThreadH)
-	// The Sec 8.7 scenario is the paper's two-mode knob flip; pin the
-	// candidate set so the vectorized extension mode cannot hijack it.
-	res.Mode, err = pl.EvaluateModeChangeAmong(forecastH, catalog.Interpret, catalog.Compile)
-	if err != nil {
+	// The Sec 8.7 scenario is the paper's two-mode knob flip: compiled is
+	// the one candidate, so the vectorized extension mode cannot hijack it.
+	flip := []planner.Action{{Kind: planner.ActionModeChange, Mode: catalog.Compile}}
+	if err := pl.Price(catalog.Interpret, forecastH, planner.WhatIf{Actions: flip}); err != nil {
 		return res, err
 	}
+	res.Mode = flip[0]
+	compiled := res.Mode.PredictedImprovement > 0
 	useIdx, noIdx := true, false
 	forecastCPre := s.forecastFor(s.tpccTemplates(&noIdx), s.perThreadC)
 	forecastCPost := s.forecastFor(s.tpccTemplates(&useIdx), s.perThreadC)
-	res.Decision, err = pl.EvaluateIndexBuild(catalog.Interpret,
-		s.indexAction(buildThreads), forecastCPre, forecastCPost)
-	if err != nil {
+	build := []planner.Action{{Kind: planner.ActionIndexBuild, Threads: buildThreads,
+		Index: &planner.IndexCandidate{Table: "customer", Name: workload.CustomerSecondaryIndex,
+			KeyColNames: workload.CustomerSecondaryKeyCols()}}}
+	if err := pl.Price(catalog.Interpret, forecastCPre, planner.WhatIf{Actions: build, After: forecastCPost}); err != nil {
 		return res, err
 	}
+	res.Index = build[0]
 
 	// Predicted interval-level latency and CPU signals.
 	trI := modeling.NewTranslator(s.dbC, catalog.Interpret)
@@ -264,7 +269,7 @@ func Fig11(p *Pipeline, buildThreads int) (Fig11Result, error) {
 			return s.dbC, s.tpccTemplates(nil), s.perThreadC
 		},
 		ModeAt: func(i int) catalog.ExecutionMode {
-			if i >= modeSwitch && i < tpccBack && res.Mode.Best == catalog.Compile {
+			if i >= modeSwitch && i < tpccBack && compiled {
 				return catalog.Compile
 			}
 			return catalog.Interpret
@@ -306,7 +311,7 @@ func Fig11(p *Pipeline, buildThreads int) (Fig11Result, error) {
 			case iv.Building:
 				out.PredNorm = predHBuild.AvgQueryLatencyUS / baseH
 				out.PredBuildCPU = predBuildCPU
-			case i >= modeSwitch && res.Mode.Best == catalog.Compile:
+			case i >= modeSwitch && compiled:
 				out.PredNorm = predHComp.AvgQueryLatencyUS / baseH
 			default:
 				out.PredNorm = predHInterp.AvgQueryLatencyUS / baseH
@@ -324,7 +329,7 @@ func Fig11(p *Pipeline, buildThreads int) (Fig11Result, error) {
 		}
 		out.ActualCustomerCPU = iv.CPUByTemplate[customerQueryName]
 		out.ActualBuildCPU = iv.BuildCPUUtil
-		if i == modeSwitch && res.Mode.Best == catalog.Compile && out.Event == "" {
+		if i == modeSwitch && compiled && out.Event == "" {
 			out.Event = "change execution mode knob"
 		}
 		res.Intervals = append(res.Intervals, out)
@@ -349,9 +354,13 @@ func templateCPUShare(p *Pipeline, f modeling.IntervalForecast,
 // PrintFig11 renders the timeline.
 func PrintFig11(w io.Writer, r Fig11Result, buildThreads int) {
 	fprintf(w, "Fig 11: end-to-end self-driving execution (index build with %d threads)\n", buildThreads)
+	target := catalog.Interpret
+	if r.Mode.PredictedImprovement > 0 {
+		target = r.Mode.Mode
+	}
 	fprintf(w, "mode decision: %s->%s (predicted %.0f%% latency reduction)\n",
-		catalog.Interpret, r.Mode.Best, r.Mode.PredictedReduction*100)
-	fprintf(w, "index decision: %s\n", r.Decision.String())
+		catalog.Interpret, target, r.Mode.PredictedImprovement*100)
+	fprintf(w, "index decision: threads=%d %v\n", r.Index.Threads, r.Index.Decision)
 	fprintf(w, "build window: actual [%.2fms, %.2fms], predicted end %.2fms\n",
 		r.BuildStartS*1e3, r.BuildEndS*1e3, r.PredBuildEndS*1e3)
 	fprintf(w, "%-8s %-6s %11s %9s %8s %8s %8s %8s  %s\n",

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mb2/internal/catalog"
 	"mb2/internal/ou"
 )
 
@@ -208,15 +209,15 @@ func TestFig11EndToEnd(t *testing.T) {
 		t.Fatal("no intervals")
 	}
 	// The planner must pick compiled mode for the analytical workload.
-	if res.Mode.Best.String() != "COMPILE" {
-		t.Fatalf("mode decision = %v", res.Mode.Best)
+	if res.Mode.Mode != catalog.Compile || res.Mode.PredictedImprovement <= 0 {
+		t.Fatalf("mode decision = %v", res.Mode)
 	}
 	// The index decision must predict a benefit (< 1) and an impact (>= 1).
-	if res.Decision.BenefitRatio >= 1 {
-		t.Fatalf("index must predict a benefit: %v", res.Decision.BenefitRatio)
+	if d := res.Index.Decision; d.BenefitRatio() >= 1 {
+		t.Fatalf("index must predict a benefit: %v", d.BenefitRatio())
 	}
-	if res.Decision.ImpactRatio < 1 {
-		t.Fatalf("build must predict an impact: %v", res.Decision.ImpactRatio)
+	if d := res.Index.Decision; d.ImpactRatio() < 1 {
+		t.Fatalf("build must predict an impact: %v", d.ImpactRatio())
 	}
 	if res.BuildEndS <= res.BuildStartS {
 		t.Fatal("build window empty")

@@ -287,10 +287,11 @@ func TestTranslatorMatchesExecutorAllModes(t *testing.T) {
 	}
 }
 
-// TestTranslatorWhatIfMatchesLive is the property planner.EvaluateKnobShift
-// rests on: translating under the what-if overrides on an unpartitioned
-// database emits the OU kinds and worker chains a plain translator emits on
-// the database actually hashed that way at that DOP.
+// TestTranslatorWhatIfMatchesLive is the property planner.Price's
+// repartition and set-dop what-ifs rest on: translating under the what-if
+// overrides on an unpartitioned database emits the OU kinds and worker
+// chains a plain translator emits on the database actually hashed that way
+// at that DOP.
 func TestTranslatorWhatIfMatchesLive(t *testing.T) {
 	const n, parts, dop = 1000, 4, 2
 	serial := indexItemsID(t, newVecTestDB(t, n))

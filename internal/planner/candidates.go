@@ -72,12 +72,11 @@ type Action struct {
 	DOP int
 
 	// PredictedImprovement is the relative reduction in forecast average
-	// query latency the action promises (0 = none; always finite).
+	// query latency the action promises: its Decision's Improvement (0 =
+	// none; always finite).
 	PredictedImprovement float64
-
-	ModeDecision  *ModeDecision
-	IndexDecision *IndexDecision
-	KnobDecision  *KnobDecision
+	// Decision is the action's price, as Price filled it.
+	Decision Decision
 }
 
 // String renders the action for logs.
@@ -306,120 +305,89 @@ func (c IndexCandidate) RewriteForecast(f modeling.IntervalForecast) (modeling.I
 	return out, changed
 }
 
-// PlanActions generates and ranks candidate actions for the forecasted
-// interval across all four families: an execution-mode flip (when any of
-// the other two modes predicts lower latency; interpreted, compiled, and
-// vectorized all compete), an index build per hot predicate column set
-// evaluated at the configured thread counts, a repartition per candidate
-// partition count, and a DOP change per candidate scan DOP — the knob
-// actions evaluated with what-if translator overrides. Actions come back
-// sorted by predicted improvement, best first, deterministically
-// tie-broken; actions predicting no improvement are dropped.
+// PlanActions generates and prices candidate actions for the forecasted
+// interval across all four families — each execution mode other than the
+// live one, an index build per hot predicate column set at each configured
+// thread count, a repartition per candidate partition count, and a DOP
+// change per candidate scan DOP — through one Price call against one
+// baseline. Each index keeps the build ChooseIndexThreads picks. Actions
+// predicting no improvement are dropped; the rest come back ranked.
 func (p *Planner) PlanActions(mode catalog.ExecutionMode, f modeling.IntervalForecast, cfg CandidateConfig) ([]Action, error) {
-	var out []Action
-
-	md, err := p.EvaluateModeChange(f)
-	if err != nil {
-		return nil, err
+	var whatIfs []WhatIf
+	one := func(a Action) { whatIfs = append(whatIfs, WhatIf{Actions: []Action{a}}) }
+	for _, m := range modePreference {
+		if m != mode {
+			one(Action{Kind: ActionModeChange, Mode: m})
+		}
 	}
-	// The improvement is measured from the live mode, not the runner-up:
-	// the action's worth is what switching away from `mode` buys.
-	if md.Best != mode && md.ReductionFrom(mode) > 0 {
-		d := md
-		out = append(out, Action{
-			Kind: ActionModeChange, Mode: md.Best,
-			PredictedImprovement: md.ReductionFrom(mode),
-			ModeDecision:         &d,
-		})
-	}
-
 	threads := cfg.ThreadCandidates
 	if len(threads) == 0 {
 		threads = []int{1, 2, 4}
 	}
 	cands := GenerateIndexCandidates(p.DB, f)
 	for i := range cands {
-		c := cands[i]
-		after, changed := c.RewriteForecast(f)
+		after, changed := cands[i].RewriteForecast(f)
 		if !changed {
 			continue
 		}
-		action := modeling.IndexBuildAction{Table: c.Table, KeyCols: c.KeyColNames}
-		_, best, err := p.ChooseIndexThreads(mode, action, threads, f, after, cfg.MaxImpactRatio)
-		if err != nil {
-			return nil, err
+		w := WhatIf{After: after}
+		for _, t := range threads {
+			w.Actions = append(w.Actions, Action{Kind: ActionIndexBuild, Index: &cands[i], Threads: t})
 		}
-		if best == nil {
-			continue
-		}
-		improvement := finiteOr(1-best.BenefitRatio, 0)
-		if improvement <= 0 {
-			continue
-		}
-		d := *best
-		out = append(out, Action{
-			Kind: ActionIndexBuild, Index: &cands[i], Threads: best.Threads,
-			PredictedImprovement: improvement,
-			IndexDecision:        &d,
-		})
+		whatIfs = append(whatIfs, w)
 	}
-
-	curParts := normalizeKnob(p.DB.Knobs().PartitionCount)
+	knobs := p.DB.Knobs()
 	for _, parts := range partitionCandidates {
-		if parts == curParts {
-			continue
+		if parts != normalizeKnob(knobs.PartitionCount) {
+			one(Action{Kind: ActionRepartition, Partitions: parts})
 		}
-		d, err := p.EvaluateKnobShift(mode, f, parts, 0)
-		if err != nil {
-			return nil, err
-		}
-		if d.PredictedReduction <= 0 {
-			continue
-		}
-		kd := d
-		out = append(out, Action{
-			Kind: ActionRepartition, Partitions: parts,
-			PredictedImprovement: d.PredictedReduction,
-			KnobDecision:         &kd,
-		})
 	}
-
-	curDOP := normalizeKnob(p.DB.Knobs().ScanDOP)
 	for _, dop := range dopCandidates {
-		if dop == curDOP {
-			continue
+		if dop != normalizeKnob(knobs.ScanDOP) {
+			one(Action{Kind: ActionSetDOP, DOP: dop})
 		}
-		d, err := p.EvaluateKnobShift(mode, f, 0, dop)
-		if err != nil {
-			return nil, err
-		}
-		if d.PredictedReduction <= 0 {
-			continue
-		}
-		kd := d
-		out = append(out, Action{
-			Kind: ActionSetDOP, DOP: dop,
-			PredictedImprovement: d.PredictedReduction,
-			KnobDecision:         &kd,
-		})
+	}
+	if err := p.Price(mode, f, whatIfs...); err != nil {
+		return nil, err
 	}
 
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].PredictedImprovement != out[j].PredictedImprovement {
-			return out[i].PredictedImprovement > out[j].PredictedImprovement
+	var out []Action
+	for _, w := range whatIfs {
+		a := &w.Actions[0]
+		if a.Kind == ActionIndexBuild {
+			a = ChooseIndexThreads(w.Actions, cfg.MaxImpactRatio)
 		}
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
+		if a.PredictedImprovement > 0 {
+			out = append(out, *a)
 		}
-		if out[i].Index != nil && out[j].Index != nil && out[i].Index.Name != out[j].Index.Name {
-			return out[i].Index.Name < out[j].Index.Name
-		}
-		if out[i].Partitions != out[j].Partitions {
-			return out[i].Partitions < out[j].Partitions
-		}
-		return out[i].DOP < out[j].DOP
-	})
+	}
+	rank(out)
 	return out, nil
+}
+
+// rank sorts actions best first: by predicted improvement, then family,
+// index name, target mode (modePreference), partition count and DOP, so
+// the order is deterministic.
+func rank(actions []Action) {
+	sort.SliceStable(actions, func(i, j int) bool {
+		a, b := actions[i], actions[j]
+		if a.PredictedImprovement != b.PredictedImprovement {
+			return a.PredictedImprovement > b.PredictedImprovement
+		}
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
+		}
+		if a.Index != nil && b.Index != nil && a.Index.Name != b.Index.Name {
+			return a.Index.Name < b.Index.Name
+		}
+		if a.Mode != b.Mode {
+			return preference(a.Mode) < preference(b.Mode)
+		}
+		if a.Partitions != b.Partitions {
+			return a.Partitions < b.Partitions
+		}
+		return a.DOP < b.DOP
+	})
 }
 
 // normalizeKnob floors a partition-count or DOP knob at its serial value.

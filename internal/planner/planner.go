@@ -1,10 +1,14 @@
 // Package planner implements the self-driving DBMS's decision side: it
-// consumes MB2's behavior-model predictions to evaluate candidate actions —
+// consumes MB2's behavior-model predictions to price candidate actions —
 // changing the execution-mode knob, building an index with a chosen degree
 // of parallelism, repartitioning the tables, and raising or lowering the
-// scan DOP — estimating each action's cost, impact on the
-// running workload, and benefit (Secs 2.1, 8.7). It also provides the
-// interval-timeline simulator used by the end-to-end experiments.
+// scan DOP. Every candidate is priced one way (Price): against the
+// forecast's baseline latency, predicted once at the live configuration,
+// into one Decision holding the action's benefit (the latency after it)
+// and, for an index build, its cost and its impact on the running workload
+// (Secs 2.1, 8.7). PlanActions ranks the four families by one improvement
+// rule. The package also provides the interval-timeline simulator used by
+// the end-to-end experiments.
 package planner
 
 import (
@@ -48,22 +52,6 @@ func finiteOr(v, fallback float64) float64 {
 	return v
 }
 
-// ModeDecision compares execution modes for a forecasted workload.
-type ModeDecision struct {
-	InterpretLatencyUS float64
-	CompileLatencyUS   float64
-	VectorizeLatencyUS float64
-	Best               catalog.ExecutionMode
-	// PredictedReduction is the relative latency reduction of switching to
-	// the best mode from the runner-up (the cheapest of the other evaluated
-	// modes).
-	PredictedReduction float64
-
-	// among is the candidate-mode set the decision ranged over (set by
-	// decide; ReductionFrom treats modes outside it as unevaluated).
-	among []catalog.ExecutionMode
-}
-
 // modePreference is the pinned tie-break order for equal predicted
 // latencies: compiled first (no per-batch overheads, best cache behavior in
 // the machine the models simulate), then vectorized, then interpreted.
@@ -72,277 +60,162 @@ var modePreference = [...]catalog.ExecutionMode{
 	catalog.Compile, catalog.Vectorize, catalog.Interpret,
 }
 
-// LatencyFor returns the decision's predicted average latency for a mode.
-func (d ModeDecision) LatencyFor(m catalog.ExecutionMode) float64 {
-	switch m {
-	case catalog.Compile:
-		return d.CompileLatencyUS
-	case catalog.Vectorize:
-		return d.VectorizeLatencyUS
-	default:
-		return d.InterpretLatencyUS
+// preference is a mode's rank in modePreference.
+func preference(m catalog.ExecutionMode) int {
+	for i, p := range modePreference {
+		if p == m {
+			return i
+		}
 	}
+	return len(modePreference)
 }
 
-// ReductionFrom is the relative latency reduction of switching from mode m
-// to the decision's best mode: 0 when m is already best, was not among the
-// evaluated candidates, or has no measurable latency. Always finite and
-// non-negative.
-func (d ModeDecision) ReductionFrom(m catalog.ExecutionMode) float64 {
-	if m == d.Best || !modeAmong(d.among, m) {
-		return 0
-	}
-	from := d.LatencyFor(m)
-	if from <= 0 {
-		return 0
-	}
-	r := 1 - d.LatencyFor(d.Best)/from
-	if r < 0 {
-		r = 0
-	}
-	return finiteOr(r, 0)
-}
-
-func modeAmong(among []catalog.ExecutionMode, m catalog.ExecutionMode) bool {
-	for _, c := range among {
-		if c == m {
-			return true
-		}
-	}
-	return false
-}
-
-// decide fills Best and PredictedReduction from the latency fields,
-// considering only the candidate modes in among. The minimum predicted
-// latency wins; exact ties break by modePreference. PredictedReduction is
-// the reduction relative to the runner-up candidate (0 with fewer than two
-// candidates or a zero-latency runner-up).
-func (d *ModeDecision) decide(among []catalog.ExecutionMode) {
-	d.among = among
-	haveBest := false
-	for _, m := range modePreference {
-		if !modeAmong(among, m) {
-			continue
-		}
-		if !haveBest || d.LatencyFor(m) < d.LatencyFor(d.Best) {
-			d.Best, haveBest = m, true
-		}
-	}
-	runnerUp, haveRU := 0.0, false
-	for _, m := range among {
-		if m == d.Best {
-			continue
-		}
-		if l := d.LatencyFor(m); !haveRU || l < runnerUp {
-			runnerUp, haveRU = l, true
-		}
-	}
-	if haveRU && runnerUp > 0 {
-		d.PredictedReduction = finiteOr(1-d.LatencyFor(d.Best)/runnerUp, 0)
-		if d.PredictedReduction < 0 {
-			d.PredictedReduction = 0
-		}
-	}
-}
-
-// EvaluateModeChange predicts the forecasted workload's average latency
-// under all three execution modes — interpreted, compiled, and vectorized —
-// and picks the cheapest. The forecast's plans are mode-independent; the
-// translator applies the mode knob.
-//
-// The decision is total: a degenerate forecast (no queries, all-zero
-// counts, or models emitting non-finite values) yields zero latencies and
-// PredictedReduction = 0 — never NaN or Inf — so callers acting only on a
-// positive reduction stay inert.
-func (p *Planner) EvaluateModeChange(f modeling.IntervalForecast) (ModeDecision, error) {
-	return p.EvaluateModeChangeAmong(f, catalog.Interpret, catalog.Compile, catalog.Vectorize)
-}
-
-// EvaluateModeChangeAmong is EvaluateModeChange restricted to an explicit
-// candidate-mode set (used by scenarios that pin a two-mode action space,
-// e.g. the Fig 11 reproduction). Latency fields for modes outside the set
-// stay zero and never influence Best.
-func (p *Planner) EvaluateModeChangeAmong(f modeling.IntervalForecast, among ...catalog.ExecutionMode) (ModeDecision, error) {
-	var d ModeDecision
-	for _, m := range among {
-		pred, err := p.Models.PredictInterval(p.translator(m), f, nil)
-		if err != nil {
-			return d, err
-		}
-		lat := finiteOr(pred.AvgQueryLatencyUS, 0)
-		switch m {
-		case catalog.Compile:
-			d.CompileLatencyUS = lat
-		case catalog.Vectorize:
-			d.VectorizeLatencyUS = lat
-		default:
-			d.InterpretLatencyUS = lat
-		}
-	}
-	d.decide(among)
-	return d, nil
-}
-
-// KnobDecision compares the live partitioning/DOP knobs against a
-// hypothetical setting for a forecasted workload.
-type KnobDecision struct {
-	// Partitions and DOP are the hypothetical knob values; 0 leaves the
-	// corresponding knob at its live value.
-	Partitions int
-	DOP        int
-
+// Decision is the planner's price for one candidate action, the same Sec
+// 2.1 questions for every family: the forecast's average query latency at
+// the live configuration (the baseline) and once the action has taken
+// effect (after). An index build also has a cost and an impact: the
+// latency while it runs and the build's time, CPU and memory. Every field
+// is finite; a degenerate forecast (no queries, zero counts, non-finite
+// model outputs) prices at zero.
+type Decision struct {
 	BaselineLatencyUS float64
 	AfterLatencyUS    float64
-	// PredictedReduction is the relative latency reduction of adopting the
-	// setting (0 when it does not help; always finite).
-	PredictedReduction float64
-}
 
-// String renders the decision for logs.
-func (d KnobDecision) String() string {
-	return fmt.Sprintf("parts=%d dop=%d baseline=%.1fus after=%.1fus (reduction %.1f%%)",
-		d.Partitions, d.DOP, d.BaselineLatencyUS, d.AfterLatencyUS, d.PredictedReduction*100)
-}
-
-// EvaluateKnobShift predicts the forecasted workload's average latency under
-// a hypothetical partition-count/DOP setting, using translator what-if
-// overrides rather than touching the engine. parts or dop <= 0 leaves that
-// knob at its live value. Unlike an index build, adopting the setting is
-// near-instantaneous (a knob write plus a directory rebuild), so the
-// decision has no during-action phase: only baseline versus after.
-//
-// The what-if translator deliberately carries no prediction cache — plan
-// fingerprints do not encode the overrides, so cached entries would alias
-// the live configuration (see Translator.PartitionsOverride).
-func (p *Planner) EvaluateKnobShift(mode catalog.ExecutionMode, f modeling.IntervalForecast, parts, dop int) (KnobDecision, error) {
-	d := KnobDecision{Partitions: parts, DOP: dop}
-	base, err := p.Models.PredictInterval(p.translator(mode), f, nil)
-	if err != nil {
-		return d, err
-	}
-	wtr := modeling.NewTranslator(p.DB, mode)
-	wtr.PartitionsOverride = parts
-	wtr.DOPOverride = dop
-	after, err := p.Models.PredictInterval(wtr, f, nil)
-	if err != nil {
-		return d, err
-	}
-	d.BaselineLatencyUS = finiteOr(base.AvgQueryLatencyUS, 0)
-	d.AfterLatencyUS = finiteOr(after.AvgQueryLatencyUS, 0)
-	if d.BaselineLatencyUS > 0 && d.AfterLatencyUS < d.BaselineLatencyUS {
-		d.PredictedReduction = finiteOr(1-d.AfterLatencyUS/d.BaselineLatencyUS, 0)
-	}
-	return d, nil
-}
-
-// IndexDecision is the planner's full cost/impact/benefit estimate for an
-// index build with a specific thread count: the Sec 2.1 example's three
-// questions.
-type IndexDecision struct {
-	Threads int
-	// BuildTimeUS is how long the action takes (interference-adjusted max
-	// across build threads).
-	BuildTimeUS float64
-	// BuildCPUUS is the action's total CPU consumption.
-	BuildCPUUS float64
-	// BuildMemoryBytes is the memory the new index occupies.
+	// DuringLatencyUS is the latency while the build's threads contend
+	// with the workload (index builds only).
+	DuringLatencyUS float64
+	// BuildTimeUS is how long the build takes (interference-adjusted max
+	// across build threads), BuildCPUUS its total CPU consumption and
+	// BuildMemoryBytes the memory the new index occupies.
+	BuildTimeUS      float64
+	BuildCPUUS       float64
 	BuildMemoryBytes float64
-	// ImpactRatio is workload latency during the build relative to before
-	// (>= 1: building hurts).
-	ImpactRatio float64
-	// BenefitRatio is workload latency after the build relative to before
-	// (< 1 when the index helps).
-	BenefitRatio float64
-	// BaselineLatencyUS, DuringLatencyUS, and AfterLatencyUS are the
-	// underlying absolute predictions.
-	BaselineLatencyUS float64
-	DuringLatencyUS   float64
-	AfterLatencyUS    float64
 }
 
-// EvaluateIndexBuild predicts an index build's cost, its impact on the
-// current-plan workload while it runs, and the benefit once post-index
-// plans take over. before and after hold the same forecasted workload with
-// pre-index and post-index plans respectively.
-//
-// The decision is total: degenerate forecasts (no queries, zero counts,
-// non-finite model outputs) yield zero costs, and with no baseline latency
-// the impact and benefit ratios stay 0 rather than dividing by zero — the
-// result is always defined and finite.
-func (p *Planner) EvaluateIndexBuild(mode catalog.ExecutionMode,
-	action modeling.IndexBuildAction,
-	before, after modeling.IntervalForecast) (IndexDecision, error) {
-
-	d := IndexDecision{Threads: action.Threads}
-	tr := p.translator(mode)
-
-	base, err := p.Models.PredictInterval(tr, before, nil)
-	if err != nil {
-		return d, err
+// Improvement is the relative latency reduction the action promises, the
+// one rule every family is ranked by: 1 − after/baseline when the baseline
+// is positive and the action lowers it, otherwise 0.
+func (d Decision) Improvement() float64 {
+	if d.BaselineLatencyUS > 0 && d.AfterLatencyUS < d.BaselineLatencyUS {
+		return finiteOr(1-d.AfterLatencyUS/d.BaselineLatencyUS, 0)
 	}
-	during, err := p.Models.PredictInterval(tr, before, &modeling.ActionForecast{IndexBuild: &action})
-	if err != nil {
-		return d, err
-	}
-	post, err := p.Models.PredictInterval(tr, after, nil)
-	if err != nil {
-		return d, err
-	}
+	return 0
+}
 
-	d.BaselineLatencyUS = finiteOr(base.AvgQueryLatencyUS, 0)
-	d.DuringLatencyUS = finiteOr(during.AvgQueryLatencyUS, 0)
-	d.AfterLatencyUS = finiteOr(post.AvgQueryLatencyUS, 0)
-	d.BuildTimeUS = finiteOr(during.ActionElapsedUS, 0)
-	d.BuildCPUUS = finiteOr(during.ActionTotal.CPUTimeUS, 0)
-	d.BuildMemoryBytes = finiteOr(during.ActionTotal.MemoryBytes, 0)
+// ImpactRatio is the latency during a build relative to the baseline
+// (>= 1: building hurts; 0 with no baseline).
+func (d Decision) ImpactRatio() float64 { return d.ratio(d.DuringLatencyUS) }
+
+// BenefitRatio is the latency after the action relative to the baseline
+// (< 1 when it helps; 0 with no baseline).
+func (d Decision) BenefitRatio() float64 { return d.ratio(d.AfterLatencyUS) }
+
+func (d Decision) ratio(us float64) float64 {
 	if d.BaselineLatencyUS > 0 {
-		d.ImpactRatio = finiteOr(d.DuringLatencyUS/d.BaselineLatencyUS, 0)
-		d.BenefitRatio = finiteOr(d.AfterLatencyUS/d.BaselineLatencyUS, 0)
+		return finiteOr(us/d.BaselineLatencyUS, 0)
 	}
-	return d, nil
+	return 0
 }
 
-// ChooseIndexThreads evaluates the candidate thread counts and returns all
-// decisions plus the one meeting the impact budget with the shortest build
-// (the Fig 1 trade-off: more threads finish sooner but hurt more).
-func (p *Planner) ChooseIndexThreads(mode catalog.ExecutionMode,
-	action modeling.IndexBuildAction, candidates []int,
-	before, after modeling.IntervalForecast, maxImpactRatio float64) ([]IndexDecision, *IndexDecision, error) {
+// String renders a build's price for logs.
+func (d Decision) String() string {
+	return fmt.Sprintf("build=%.1fms impact=%.2fx benefit=%.2fx", d.BuildTimeUS/1e3, d.ImpactRatio(), d.BenefitRatio())
+}
 
-	var all []IndexDecision
-	var best *IndexDecision
-	for _, threads := range candidates {
-		a := action
-		a.Threads = threads
-		d, err := p.EvaluateIndexBuild(mode, a, before, after)
-		if err != nil {
-			return nil, nil, err
-		}
-		all = append(all, d)
+// A WhatIf is the world candidate actions lead to. Actions are its
+// candidates: one, or for an index build one per thread count, all of the
+// same family and target. After is the forecast with the post-index plans
+// for an index build; the other families run the live forecast.
+type WhatIf struct {
+	Actions []Action
+	After   modeling.IntervalForecast
+}
+
+// Price is the planner's one pricing function. It predicts the forecast's
+// baseline latency at the live configuration (mode and the live knobs)
+// once, then prices every what-if against it, filling each candidate's
+// Decision and PredictedImprovement in place. A mode change is predicted
+// through a translator for its target mode, a repartition or DOP change
+// through translator what-if overrides, and an index build over w.After —
+// its after latency once per what-if, its cost and during latency per
+// thread count, as the build's threads join the live forecast's load.
+//
+// The what-if knob translator deliberately carries no prediction cache —
+// plan fingerprints do not encode the overrides, so cached entries would
+// alias the live configuration (see Translator.PartitionsOverride).
+func (p *Planner) Price(mode catalog.ExecutionMode, f modeling.IntervalForecast, whatIfs ...WhatIf) error {
+	// predict is the package's one model call (archtest rule one-price).
+	predict := func(tr *modeling.Translator, fc modeling.IntervalForecast, act *modeling.ActionForecast) (modeling.IntervalPrediction, error) {
+		return p.Models.PredictInterval(tr, fc, act)
 	}
-	for i := range all {
-		d := &all[i]
-		if maxImpactRatio > 0 && d.ImpactRatio > maxImpactRatio {
+	live := p.translator(mode)
+	base, err := predict(live, f, nil)
+	if err != nil {
+		return err
+	}
+	baseline := finiteOr(base.AvgQueryLatencyUS, 0)
+	for _, w := range whatIfs {
+		if len(w.Actions) == 0 {
 			continue
 		}
-		if best == nil || d.BuildTimeUS < best.BuildTimeUS {
-			best = d
+		tr, after := live, f
+		switch a := w.Actions[0]; a.Kind {
+		case ActionModeChange:
+			tr = p.translator(a.Mode)
+		case ActionRepartition, ActionSetDOP:
+			tr = modeling.NewTranslator(p.DB, mode)
+			tr.PartitionsOverride, tr.DOPOverride = a.Partitions, a.DOP
+		case ActionIndexBuild:
+			after = w.After
+		}
+		post, err := predict(tr, after, nil)
+		if err != nil {
+			return err
+		}
+		for i := range w.Actions {
+			a := &w.Actions[i]
+			a.Decision = Decision{BaselineLatencyUS: baseline, AfterLatencyUS: finiteOr(post.AvgQueryLatencyUS, 0)}
+			if a.Kind == ActionIndexBuild {
+				build := modeling.IndexBuildAction{Table: a.Index.Table, KeyCols: a.Index.KeyColNames, Threads: a.Threads}
+				during, err := predict(live, f, &modeling.ActionForecast{IndexBuild: &build})
+				if err != nil {
+					return err
+				}
+				a.Decision.DuringLatencyUS = finiteOr(during.AvgQueryLatencyUS, 0)
+				a.Decision.BuildTimeUS = finiteOr(during.ActionElapsedUS, 0)
+				a.Decision.BuildCPUUS = finiteOr(during.ActionTotal.CPUTimeUS, 0)
+				a.Decision.BuildMemoryBytes = finiteOr(during.ActionTotal.MemoryBytes, 0)
+			}
+			a.PredictedImprovement = a.Decision.Improvement()
 		}
 	}
-	if best == nil && len(all) > 0 {
+	return nil
+}
+
+// ChooseIndexThreads is the index family's thread choice over one index's
+// priced builds: the build meeting the impact budget (0 = unbounded) with
+// the shortest build time, or — when none meets it — the gentlest (the Fig
+// 1 trade-off: more threads finish sooner but hurt more). Nil when builds
+// is empty.
+func ChooseIndexThreads(builds []Action, maxImpactRatio float64) *Action {
+	var best *Action
+	for i := range builds {
+		d := builds[i].Decision
+		if maxImpactRatio > 0 && d.ImpactRatio() > maxImpactRatio {
+			continue
+		}
+		if best == nil || d.BuildTimeUS < best.Decision.BuildTimeUS {
+			best = &builds[i]
+		}
+	}
+	if best == nil && len(builds) > 0 {
 		// Nothing meets the budget: take the gentlest option.
-		best = &all[0]
-		for i := range all {
-			if all[i].ImpactRatio < best.ImpactRatio {
-				best = &all[i]
+		best = &builds[0]
+		for i := range builds {
+			if builds[i].Decision.ImpactRatio() < best.Decision.ImpactRatio() {
+				best = &builds[i]
 			}
 		}
 	}
-	return all, best, nil
-}
-
-// String renders the decision for logs.
-func (d IndexDecision) String() string {
-	return fmt.Sprintf("threads=%d build=%.1fms impact=%.2fx benefit=%.2fx",
-		d.Threads, d.BuildTimeUS/1e3, d.ImpactRatio, d.BenefitRatio)
+	return best
 }

@@ -2,6 +2,7 @@ package planner
 
 import (
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -69,11 +70,29 @@ func scanDB(t *testing.T, rows int) (*engine.DB, []runner.QueryTemplate) {
 	return db, templates
 }
 
-// TestEvaluateModeChangeThreeWay: for a scan-heavy forecast the full
-// three-way decision must pick vectorized (batch kernels amortize away the
-// per-tuple interpretation the other modes pay), while the two-mode
-// restriction preserves the paper's original compiled-beats-interpreted
-// decision.
+// modeFlips prices a flip to each listed mode against the live one.
+func modeFlips(t *testing.T, p *Planner, live catalog.ExecutionMode, f modeling.IntervalForecast,
+	to ...catalog.ExecutionMode) []Action {
+	t.Helper()
+	var flips []Action
+	for _, m := range to {
+		flips = append(flips, Action{Kind: ActionModeChange, Mode: m})
+	}
+	var whatIfs []WhatIf
+	for i := range flips {
+		whatIfs = append(whatIfs, WhatIf{Actions: flips[i : i+1]})
+	}
+	if err := p.Price(live, f, whatIfs...); err != nil {
+		t.Fatal(err)
+	}
+	return flips
+}
+
+// TestEvaluateModeChangeThreeWay: for a scan-heavy forecast vectorized is the
+// cheapest mode (batch kernels amortize away the per-tuple interpretation
+// the other modes pay) and compiled beats interpreted — the paper's
+// original two-mode decision. Every flip is priced against the one live
+// baseline.
 func TestEvaluateModeChangeThreeWay(t *testing.T) {
 	ms := sharedModels(t)
 	db, templates := scanDB(t, 4000)
@@ -83,96 +102,100 @@ func TestEvaluateModeChangeThreeWay(t *testing.T) {
 		IntervalUS: 100000,
 		Threads:    2,
 	}
-	d, err := p.EvaluateModeChange(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Best != catalog.Vectorize {
-		t.Fatalf("vectorized mode must win for scans: %+v", d)
-	}
-	if d.PredictedReduction <= 0.1 {
-		t.Fatalf("mode gap too small: %v", d.PredictedReduction)
+	flips := modeFlips(t, p, catalog.Interpret, f, catalog.Compile, catalog.Vectorize)
+	comp, vec := flips[0].Decision, flips[1].Decision
+	if comp.BaselineLatencyUS != vec.BaselineLatencyUS {
+		t.Fatalf("flips priced against different baselines: %+v %+v", comp, vec)
 	}
 	// All three latencies populated and ordered: vec < compiled < interpreted.
-	if !(d.VectorizeLatencyUS > 0 && d.VectorizeLatencyUS < d.CompileLatencyUS &&
-		d.CompileLatencyUS < d.InterpretLatencyUS) {
-		t.Fatalf("latency ordering wrong: %+v", d)
+	if !(vec.AfterLatencyUS > 0 && vec.AfterLatencyUS < comp.AfterLatencyUS &&
+		comp.AfterLatencyUS < comp.BaselineLatencyUS) {
+		t.Fatalf("latency ordering wrong: %+v %+v", comp, vec)
 	}
-	// Switching away from interpreted buys at least as much as from compiled.
-	if !(d.ReductionFrom(catalog.Interpret) >= d.ReductionFrom(catalog.Compile) &&
-		d.ReductionFrom(catalog.Compile) > 0) {
-		t.Fatalf("reductions inconsistent: %+v", d)
+	if flips[0].PredictedImprovement <= 0.1 {
+		t.Fatalf("compiled gap too small: %v", flips[0].PredictedImprovement)
 	}
-	if d.ReductionFrom(catalog.Vectorize) != 0 {
-		t.Fatal("best mode must report zero self-reduction")
+	if flips[1].PredictedImprovement <= flips[0].PredictedImprovement {
+		t.Fatalf("vectorized must promise more than compiled: %v", flips)
 	}
 
-	// The pinned two-mode evaluation reproduces the original decision.
-	d2, err := p.EvaluateModeChangeAmong(f, catalog.Interpret, catalog.Compile)
-	if err != nil {
-		t.Fatal(err)
+	// From compiled, only vectorized improves; a flip that does not
+	// improve promises exactly 0.
+	flips = modeFlips(t, p, catalog.Compile, f, catalog.Vectorize, catalog.Interpret)
+	if flips[0].PredictedImprovement <= 0 || flips[1].PredictedImprovement != 0 {
+		t.Fatalf("flips from compiled: %v", flips)
 	}
-	if d2.Best != catalog.Compile {
-		t.Fatalf("compiled mode must win the two-way decision: %+v", d2)
-	}
-	if d2.VectorizeLatencyUS != 0 {
-		t.Fatalf("unevaluated mode got a latency: %+v", d2)
-	}
-	if d2.ReductionFrom(catalog.Vectorize) != 0 {
-		t.Fatal("unevaluated mode must report zero reduction")
-	}
-	if d2.PredictedReduction <= 0.1 {
-		t.Fatalf("two-way mode gap too small: %v", d2.PredictedReduction)
+	if flips[0].Decision.BaselineLatencyUS != comp.AfterLatencyUS {
+		t.Fatalf("compiled baseline %v, compiled flip predicted %v",
+			flips[0].Decision.BaselineLatencyUS, comp.AfterLatencyUS)
 	}
 }
 
-// TestModeDecisionTieBreaks pins the three-way ranking rules with literal
-// latencies: minimum predicted latency wins, exact ties break by the fixed
-// preference order (compiled, then vectorized, then interpreted), and the
-// predicted reduction is measured against the runner-up candidate.
+// TestModeDecisionTieBreaks pins the mode ranking with literal latencies:
+// mode candidates priced against one baseline rank by improvement,
+// equal-latency modes rank compiled, then vectorized, then interpreted, and
+// a candidate that does not lower the baseline (the live mode itself
+// among them) is dropped.
 func TestModeDecisionTieBreaks(t *testing.T) {
-	all := []catalog.ExecutionMode{catalog.Interpret, catalog.Compile, catalog.Vectorize}
+	I, C, V := catalog.Interpret, catalog.Compile, catalog.Vectorize
+	// Candidates arrive against the preference order; rank alone must
+	// restore it.
+	all := []catalog.ExecutionMode{I, V, C}
 	cases := []struct {
 		name              string
+		base              float64
 		interp, comp, vec float64
 		among             []catalog.ExecutionMode
-		wantBest          catalog.ExecutionMode
-		wantReduction     float64
+		want              []catalog.ExecutionMode
 	}{
-		{"vec-wins", 100, 60, 30, all, catalog.Vectorize, 0.5},
-		{"compile-wins", 100, 40, 80, all, catalog.Compile, 0.5},
-		{"interpret-wins", 20, 40, 80, all, catalog.Interpret, 0.5},
-		{"three-way-tie-prefers-compile", 50, 50, 50, all, catalog.Compile, 0},
-		{"vec-compile-tie-prefers-compile", 90, 50, 50, all, catalog.Compile, 0},
-		{"vec-interpret-tie-prefers-vec", 50, 90, 50, all, catalog.Vectorize, 0},
-		{"all-zero-degenerate", 0, 0, 0, all, catalog.Compile, 0},
-		{"two-way-ignores-vec", 100, 80, 1,
-			[]catalog.ExecutionMode{catalog.Interpret, catalog.Compile}, catalog.Compile, 0.2},
-		{"single-candidate", 100, 1, 1,
-			[]catalog.ExecutionMode{catalog.Interpret}, catalog.Interpret, 0},
+		{"vec-wins", 100, 100, 60, 30, all, []catalog.ExecutionMode{V, C}},
+		{"compile-wins", 100, 100, 40, 80, all, []catalog.ExecutionMode{C, V}},
+		{"interpret-wins", 40, 20, 40, 80, all, []catalog.ExecutionMode{I}},
+		{"three-way-tie-prefers-compile", 80, 50, 50, 50, all, []catalog.ExecutionMode{C, V, I}},
+		{"three-way-tie-keeps-live-mode", 50, 50, 50, 50, all, nil},
+		{"vec-compile-tie-prefers-compile", 90, 90, 50, 50, all, []catalog.ExecutionMode{C, V}},
+		{"vec-interpret-tie-prefers-vec", 90, 50, 90, 50, all, []catalog.ExecutionMode{V, I}},
+		{"all-zero-degenerate", 0, 0, 0, 0, all, nil},
+		{"two-way-ignores-vec", 100, 100, 80, 1, []catalog.ExecutionMode{I, C}, []catalog.ExecutionMode{C}},
+		{"single-candidate", 100, 100, 1, 1, []catalog.ExecutionMode{I}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			d := ModeDecision{
-				InterpretLatencyUS: tc.interp,
-				CompileLatencyUS:   tc.comp,
-				VectorizeLatencyUS: tc.vec,
+			lat := map[catalog.ExecutionMode]float64{I: tc.interp, C: tc.comp, V: tc.vec}
+			var actions []Action
+			for _, m := range tc.among {
+				d := Decision{BaselineLatencyUS: tc.base, AfterLatencyUS: lat[m]}
+				if d.Improvement() > 0 {
+					actions = append(actions, Action{Kind: ActionModeChange, Mode: m,
+						PredictedImprovement: d.Improvement(), Decision: d})
+				}
 			}
-			d.decide(tc.among)
-			if d.Best != tc.wantBest {
-				t.Fatalf("best = %v, want %v (%+v)", d.Best, tc.wantBest, d)
+			rank(actions)
+			var got []catalog.ExecutionMode
+			for _, a := range actions {
+				got = append(got, a.Mode)
 			}
-			if math.Abs(d.PredictedReduction-tc.wantReduction) > 1e-12 {
-				t.Fatalf("reduction = %v, want %v", d.PredictedReduction, tc.wantReduction)
-			}
-			// Determinism: re-deciding yields the identical outcome.
-			d2 := d
-			d2.decide(tc.among)
-			if d2.Best != d.Best || d2.PredictedReduction != d.PredictedReduction {
-				t.Fatalf("decision not stable: %+v vs %+v", d, d2)
+			if !reflect.DeepEqual(got, tc.want) {
+				t.Fatalf("ranked modes = %v, want %v", got, tc.want)
 			}
 		})
 	}
+}
+
+// indexBuilds prices one build of the CUSTOMER secondary index per thread
+// count, with after as the post-index forecast.
+func indexBuilds(t *testing.T, p *Planner, before, after modeling.IntervalForecast, threads ...int) []Action {
+	t.Helper()
+	index := &IndexCandidate{Table: "customer", Name: workload.CustomerSecondaryIndex,
+		KeyColNames: workload.CustomerSecondaryKeyCols()}
+	var builds []Action
+	for _, n := range threads {
+		builds = append(builds, Action{Kind: ActionIndexBuild, Index: index, Threads: n})
+	}
+	if err := p.Price(catalog.Interpret, before, WhatIf{Actions: builds, After: after}); err != nil {
+		t.Fatal(err)
+	}
+	return builds
 }
 
 func TestEvaluateIndexBuildCostImpactBenefit(t *testing.T) {
@@ -193,24 +216,16 @@ func TestEvaluateIndexBuildCostImpactBenefit(t *testing.T) {
 		}
 		return f
 	}
-	action := modeling.IndexBuildAction{
-		Table: "customer", KeyCols: workload.CustomerSecondaryKeyCols(), Threads: 4,
-	}
-	d, err := p.EvaluateIndexBuild(catalog.Interpret, action, forecast(false), forecast(true))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := indexBuilds(t, p, forecast(false), forecast(true), 4)[0]
+	d := a.Decision
 	if d.BuildTimeUS <= 0 || d.BuildCPUUS <= 0 || d.BuildMemoryBytes <= 0 {
 		t.Fatalf("cost estimates missing: %+v", d)
 	}
-	if d.ImpactRatio < 1 {
-		t.Fatalf("build must not speed the workload up: %v", d.ImpactRatio)
+	if d.ImpactRatio() < 1 {
+		t.Fatalf("build must not speed the workload up: %v", d.ImpactRatio())
 	}
-	if d.BenefitRatio >= 1 {
-		t.Fatalf("index must predict a benefit: %v", d.BenefitRatio)
-	}
-	if d.String() == "" {
-		t.Fatal("decision must render")
+	if d.BenefitRatio() >= 1 || a.PredictedImprovement != 1-d.BenefitRatio() {
+		t.Fatalf("index must predict a benefit: %v (improvement %v)", d.BenefitRatio(), a.PredictedImprovement)
 	}
 }
 
@@ -229,24 +244,29 @@ func TestChooseIndexThreadsTradeoff(t *testing.T) {
 	for _, q := range bb.Templates(db, 1) {
 		f.Queries = append(f.Queries, modeling.ForecastQuery{Plan: q.Plan, Count: 5})
 	}
-	action := modeling.IndexBuildAction{
-		Table: "customer", KeyCols: workload.CustomerSecondaryKeyCols(),
-	}
-	all, best, err := p.ChooseIndexThreads(catalog.Interpret, action, []int{1, 4, 8}, f, f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 || best == nil {
-		t.Fatalf("decisions missing: %v %v", all, best)
-	}
+	all := indexBuilds(t, p, f, f, 1, 4, 8)
 	// More threads must predict shorter builds.
-	if !(all[2].BuildTimeUS < all[1].BuildTimeUS && all[1].BuildTimeUS < all[0].BuildTimeUS) {
+	if !(all[2].Decision.BuildTimeUS < all[1].Decision.BuildTimeUS &&
+		all[1].Decision.BuildTimeUS < all[0].Decision.BuildTimeUS) {
 		t.Fatalf("build time must fall with threads: %v / %v / %v",
-			all[0].BuildTimeUS, all[1].BuildTimeUS, all[2].BuildTimeUS)
+			all[0].Decision.BuildTimeUS, all[1].Decision.BuildTimeUS, all[2].Decision.BuildTimeUS)
 	}
 	// With no impact budget, the fastest build wins.
-	if best.Threads != 8 {
+	if best := ChooseIndexThreads(all, 0); best == nil || best.Threads != 8 {
 		t.Fatalf("best = %+v", best)
+	}
+	// A budget no build meets takes the gentlest.
+	gentlest := &all[0]
+	for i := range all {
+		if all[i].Decision.ImpactRatio() < gentlest.Decision.ImpactRatio() {
+			gentlest = &all[i]
+		}
+	}
+	if best := ChooseIndexThreads(all, 1e-9); best != gentlest {
+		t.Fatalf("over budget: best = %+v, want the gentlest %+v", best, gentlest)
+	}
+	if ChooseIndexThreads(nil, 0) != nil {
+		t.Fatal("no builds must choose nothing")
 	}
 }
 
@@ -322,18 +342,58 @@ func TestPlanActionsRanksAllFourFamilies(t *testing.T) {
 			t.Fatalf("actions not sorted by improvement at %d: %v", i, actions)
 		}
 	}
-	if a := seen[ActionSetDOP]; a.DOP < 2 || a.KnobDecision == nil {
+	if a := seen[ActionSetDOP]; a.DOP < 2 {
 		t.Fatalf("set-dop action malformed: %+v", a)
 	}
-	if a := seen[ActionRepartition]; a.Partitions == 4 || a.Partitions < 1 || a.KnobDecision == nil {
+	if a := seen[ActionRepartition]; a.Partitions == 4 || a.Partitions < 1 {
 		t.Fatalf("repartition action malformed: %+v", a)
 	}
 	// The knob decisions must carry consistent latency pairs.
 	for _, k := range []ActionKind{ActionRepartition, ActionSetDOP} {
-		d := seen[k].KnobDecision
+		d := seen[k].Decision
 		if d.BaselineLatencyUS <= 0 || d.AfterLatencyUS <= 0 || d.AfterLatencyUS >= d.BaselineLatencyUS {
 			t.Fatalf("%v decision inconsistent: %+v", k, d)
 		}
+	}
+}
+
+// TestPlanActionsPricesOneBaseline: one planning step predicts the live
+// baseline once. On a 4-partition TPC-C engine every family surfaces, every
+// action carries the same baseline bits — the forecast predicted at the
+// live knobs — and each promises exactly 1 − after/baseline.
+func TestPlanActionsPricesOneBaseline(t *testing.T) {
+	ms := sharedModels(t)
+	b := workload.TPCC{CustomersPerDistrict: 500}
+	knobs := catalog.DefaultKnobs()
+	knobs.PartitionCount = 4
+	db := engine.Open(knobs)
+	if err := b.Load(db, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	p := New(db, ms)
+	p.Cache = modeling.NewPredictionCache()
+	f := tpccForecast(db, b, 20)
+	actions, err := p.PlanActions(catalog.Interpret, f, CandidateConfig{ThreadCandidates: []int{1, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ms.PredictInterval(modeling.NewTranslator(db, catalog.Interpret), f, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := map[ActionKind]bool{}
+	for _, a := range actions {
+		kinds[a.Kind] = true
+		d := a.Decision
+		if math.Float64bits(d.BaselineLatencyUS) != math.Float64bits(base.AvgQueryLatencyUS) {
+			t.Fatalf("%v: baseline %v, want the live prediction %v", a, d.BaselineLatencyUS, base.AvgQueryLatencyUS)
+		}
+		if want := 1 - d.AfterLatencyUS/d.BaselineLatencyUS; a.PredictedImprovement != want {
+			t.Fatalf("%v: improvement %v, want 1 - after/baseline = %v", a, a.PredictedImprovement, want)
+		}
+	}
+	if len(kinds) < 3 || !kinds[ActionIndexBuild] || !kinds[ActionModeChange] {
+		t.Fatalf("too few families to share the baseline: %v", actions)
 	}
 }
 
