@@ -46,12 +46,14 @@ fuzz:
 
 # smoke drives the CLIs (drive-smoke, cli-smoke), runs each examples/ program
 # once (they are otherwise only built), and executes every (pipeline,
-# variant) benchmark, every partition-sweep cell and each tree family's fit
-# benchmark once — a correctness smoke, not a measurement.
+# variant) benchmark, every partition-sweep cell, each tree family's fit
+# benchmark and the engine's three bulk durable-path benchmarks (checkpoint,
+# bulk flush, distinct count) once — a correctness smoke, not a measurement.
 smoke: drive-smoke cli-smoke
 	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 	$(GO) test -run=NONE -bench='BenchmarkPipelines|BenchmarkPartitionPipelines' -benchtime=1x ./internal/exec
 	$(GO) test -run=NONE -bench=BenchmarkFit -benchtime=1x ./internal/ml
+	$(GO) test -run=NONE -bench='BenchmarkCheckpoint|BenchmarkBulkFlush|BenchmarkDistinctCount' -benchtime=1x ./internal/engine
 
 # drive-smoke is the only test of mb2-drive's flag -> Config plumbing: a
 # short run with the exploder (its hot set rotating at the middle

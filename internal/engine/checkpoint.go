@@ -33,7 +33,8 @@ type CheckpointStats struct {
 //  2. Drain: serialize and flush every pending WAL record, so the log is
 //     a complete image of the snapshot's history before it is replaced.
 //  3. Snapshot: scan every table at LastCommitTS in catalog order and
-//     encode one insert record per visible row.
+//     encode one insert frame per visible row, straight from the scan into
+//     one image buffer sized from the tables' row counts.
 //  4. Publish: switch the checkpoint device to the new image (header +
 //     CRC-protected payload) with the device's atomic Reset. A crash during
 //     the switch leaves the previous image whole, beside the log that
@@ -62,26 +63,25 @@ func (db *DB) Checkpoint(th *hw.Thread) (CheckpointStats, error) {
 
 	st.Epoch = db.WAL.Epoch() + 1
 	st.SnapshotTS = db.Txns.LastCommitTS()
-	ck := wal.Checkpoint{Epoch: st.Epoch, SnapshotTS: st.SnapshotTS}
+	var tables []*storage.Table
+	size := 0
 	for _, name := range db.Catalog.Tables() {
-		t := db.Table(name)
-		if t == nil {
-			continue
+		if t := db.Table(name); t != nil {
+			tables = append(tables, t)
+			size += t.NumRows() * wal.RowFrameLen(t.Meta.Schema)
 		}
+	}
+	enc := wal.NewCheckpointEncoder(nil, size)
+	for _, t := range tables {
 		tid := int32(t.Meta.ID)
 		t.Scan(th, 0, st.SnapshotTS, func(row storage.RowID, data storage.Tuple) bool {
-			ck.Records = append(ck.Records, wal.Record{
-				Type:    wal.RecordInsert,
-				TableID: tid,
-				Row:     int64(row),
-				Payload: data,
-			})
+			enc.Add(tid, int64(row), data)
 			return true
 		})
 	}
-	st.Rows = len(ck.Records)
+	st.Rows = enc.Rows()
 
-	img := wal.AppendCheckpointImage(nil, ck)
+	img := enc.Finish(st.Epoch, st.SnapshotTS)
 	st.ImageBytes = len(img)
 	if th != nil {
 		th.SeqWrite(float64(len(img))/64, 64)

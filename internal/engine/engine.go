@@ -1,15 +1,26 @@
 // Package engine assembles the DBMS: catalog, storage, indexes,
 // transactions, WAL, and garbage collection behind one handle. It also
 // implements the self-driving index-build action (a contending OU) and the
-// table statistics the optimizer draws cardinality estimates from.
+// table statistics the optimizer draws cardinality estimates from: row
+// counts and exact distinct counts (DistinctCount).
+//
+// Checkpoint and recovery are the bulk durable path. A checkpoint encodes
+// every visible row straight from the table scans into one image buffer
+// sized from the row counts (wal.CheckpointEncoder); recovery and a
+// replica's reseed decode it through wal.LastValidCheckpoint. How buffers
+// are sized charges nothing: the simulated hw charges follow the rows
+// scanned and the bytes written.
 package engine
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"mb2/internal/catalog"
+	"mb2/internal/fold"
 	"mb2/internal/gc"
 	"mb2/internal/hw"
 	"mb2/internal/index"
@@ -453,9 +464,13 @@ func (db *DB) RowCount(name string) float64 {
 	return float64(t.NumRows())
 }
 
-// DistinctCount estimates the number of distinct values of the column set
-// over committed data; results are cached until the next bulk load. This is
-// the statistic behind the optimizer's cardinality estimates.
+// DistinctCount returns the number of distinct values of the column set
+// over the rows committed at the last commit timestamp — exactly, not a
+// sketch's estimate: two rows count once when their index keys
+// (index.AppendKeyFromTuple) are equal byte for byte, and the key encoding
+// is injective. Results are cached until the next bulk load or index
+// rebuild. This is the statistic behind the optimizer's cardinality
+// estimates.
 func (db *DB) DistinctCount(name string, cols []int) float64 {
 	key := fmt.Sprintf("%s/%v", name, cols)
 	db.statMu.Lock()
@@ -469,17 +484,83 @@ func (db *DB) DistinctCount(name string, cols []int) float64 {
 	if t == nil {
 		return 0
 	}
-	seen := make(map[string]struct{})
-	snapshot := db.Txns.LastCommitTS()
-	t.Scan(nil, 0, snapshot, func(_ storage.RowID, data storage.Tuple) bool {
-		seen[string(index.KeyFromTuple(data, cols))] = struct{}{}
-		return true
-	})
-	v := float64(len(seen))
+	v := float64(distinctKeys(t, cols, db.Txns.LastCommitTS()))
 	db.statMu.Lock()
 	db.stats[key] = v
 	db.statMu.Unlock()
 	return v
+}
+
+// keyRef is one row's key in distinctKeys' buffer: the key's fold hash and
+// the span of its bytes (a table's keys stay far below the 4 GiB the
+// offsets address).
+type keyRef struct {
+	hash     uint64
+	off, end uint32
+}
+
+// distinctKeys counts the distinct keys over cols of the rows visible at
+// snapshot. Every key is encoded into one buffer, and the rows' (hash, key)
+// pairs are sorted — by hash, then by key bytes among equal hashes — so
+// equal keys lie next to each other and each run of them counts once.
+func distinctKeys(t *storage.Table, cols []int, snapshot uint64) int {
+	rows := t.NumRows()
+	refs := make([]keyRef, 0, rows)
+	keys := make([]byte, 0, 8*len(cols)*rows)
+	t.Scan(nil, 0, snapshot, func(_ storage.RowID, data storage.Tuple) bool {
+		off := len(keys)
+		keys = index.AppendKeyFromTuple(keys, data, cols)
+		refs = append(refs, keyRef{hash: fold.New().Bytes(keys[off:]).Sum64(), off: uint32(off), end: uint32(len(keys))})
+		return true
+	})
+	return countRuns(refs, keys)
+}
+
+// countRuns sorts refs by (hash, key bytes) and returns how many distinct
+// keys they name: a hash collision costs a byte comparison, never a wrong
+// count. The hashes are radix-sorted, a byte a pass; only a run of equal
+// hashes is sorted by its keys.
+func countRuns(refs []keyRef, keys []byte) int {
+	var start [8][256]int // start[d][b]: where digit d's bucket b begins
+	for _, r := range refs {
+		for d := range start {
+			start[d][byte(r.hash>>(8*d))]++
+		}
+	}
+	for d := range start {
+		at := 0
+		for b, c := range start[d] {
+			start[d][b], at = at, at+c
+		}
+	}
+	tmp := make([]keyRef, len(refs))
+	for d := range start {
+		for _, r := range refs {
+			b := byte(r.hash >> (8 * d))
+			tmp[start[d][b]] = r
+			start[d][b]++
+		}
+		refs, tmp = tmp, refs
+	}
+	key := func(r keyRef) []byte { return keys[r.off:r.end] }
+	n := 0
+	for lo := 0; lo < len(refs); {
+		hi := lo + 1
+		for hi < len(refs) && refs[hi].hash == refs[lo].hash {
+			hi++
+		}
+		run := refs[lo:hi]
+		if len(run) > 1 {
+			slices.SortFunc(run, func(a, b keyRef) int { return bytes.Compare(key(a), key(b)) })
+		}
+		for i, r := range run {
+			if i == 0 || !bytes.Equal(key(r), key(run[i-1])) {
+				n++
+			}
+		}
+		lo = hi
+	}
+	return n
 }
 
 func (db *DB) invalidateStats(table string) {

@@ -159,6 +159,7 @@ func (m *GradientBoosting) Fit(X, Y [][]float64) error {
 		}
 		resid[k] = make([]float64, n)
 		builders[k] = newTreeBuilder(cols, resid[k], 1, cfg, nil, make([]int32, n), make([]int32, len(order)))
+		builders[k].leaves = []leafSpan{} // kept: Fit adds each leaf to its rows
 	}
 	for round := 0; round < m.NumRounds; round++ {
 		m.stages[round] = make([]*treeNode, dy)
@@ -169,10 +170,14 @@ func (m *GradientBoosting) Fit(X, Y [][]float64) error {
 			}
 			copy(b.rows, rows)
 			copy(b.order, order)
-			tr := b.grow(0, n, 0)
-			m.stages[round][k] = tr
-			for i, x := range X {
-				pk[i] += m.LR * tr.predict(x)[0]
+			b.leaves = b.leaves[:0]
+			m.stages[round][k] = b.grow(0, n, 0)
+			// The builder left each leaf's rows in its segment: the rows
+			// the tree's predict would walk to that leaf.
+			for _, l := range b.leaves {
+				for _, r := range b.rows[l.lo:l.hi] {
+					pk[r] += m.LR * l.node.value[0]
+				}
 			}
 		})
 	}

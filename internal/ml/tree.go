@@ -146,6 +146,17 @@ type treeBuilder struct {
 
 	mean, sum, sumSq, totSum, totSq []float64
 	features                        []int
+
+	// leaves lists the leaves grown since the caller last emptied it, each
+	// with its segment of rows: the rows the leaf predicts for. A nil list
+	// is not kept; a caller that reads it sets it non-nil.
+	leaves []leafSpan
+}
+
+// leafSpan is a leaf and its segment [lo, hi) of the builder's rows.
+type leafSpan struct {
+	lo, hi int
+	node   *treeNode
 }
 
 // newTreeBuilder makes a builder over the sample rows and its presorted
@@ -174,7 +185,7 @@ func (b *treeBuilder) grow(lo, hi, depth int) *treeNode {
 	rows := b.rows[lo:hi]
 	b.nodeMean(rows)
 	if depth >= b.cfg.maxDepth || len(rows) < 2*b.cfg.minLeaf {
-		return b.leaf()
+		return b.leafAt(lo, hi)
 	}
 	parentSSE := b.sse(rows)
 	s := split{feature: -1, score: parentSSE}
@@ -182,7 +193,7 @@ func (b *treeBuilder) grow(lo, hi, depth int) *treeNode {
 		b.scan(f, b.order[f*b.n+lo:f*b.n+hi], &s)
 	}
 	if s.feature < 0 || parentSSE-s.score < 1e-12 {
-		return b.leaf()
+		return b.leafAt(lo, hi)
 	}
 
 	col := b.cols[s.feature]
@@ -195,7 +206,7 @@ func (b *treeBuilder) grow(lo, hi, depth int) *treeNode {
 		}
 	}
 	if nl == 0 || nl == len(rows) {
-		return b.leaf()
+		return b.leafAt(lo, hi)
 	}
 	b.partition(rows)
 	// A child scans its orders only if it may split.
@@ -244,6 +255,16 @@ func (b *treeBuilder) nodeMean(rows []int32) {
 // leaf returns a leaf holding the current node's mean.
 func (b *treeBuilder) leaf() *treeNode {
 	return &treeNode{value: slices.Clone(b.mean)}
+}
+
+// leafAt returns the leaf of the segment [lo, hi) and lists it in b.leaves
+// when that list is kept.
+func (b *treeBuilder) leafAt(lo, hi int) *treeNode {
+	n := b.leaf()
+	if b.leaves != nil {
+		b.leaves = append(b.leaves, leafSpan{lo: lo, hi: hi, node: n})
+	}
+	return n
 }
 
 // sse is the rows' summed squared error around b.mean.

@@ -79,7 +79,7 @@ func TestDeserializePrefixFrameBoundaryCut(t *testing.T) {
 // header carried no CRC of its own. With the header CRC, every corrupt or
 // torn header reads as ok=false.
 func TestLastValidCheckpointDegenerateImages(t *testing.T) {
-	valid := AppendCheckpointImage(nil, Checkpoint{Epoch: 2, SnapshotTS: 9,
+	valid := appendCheckpointImage(nil, Checkpoint{Epoch: 2, SnapshotTS: 9,
 		Records: []Record{{Type: RecordInsert, TableID: 3, Row: 1,
 			Payload: storage.Tuple{storage.NewInt(42)}}}})
 
@@ -133,7 +133,7 @@ func TestLastValidCheckpointDegenerateImages(t *testing.T) {
 	}
 	// Flipping a header byte of a second image changes nothing: only the
 	// first is decoded.
-	two := AppendCheckpointImage(append([]byte(nil), valid...), Checkpoint{Epoch: 3, SnapshotTS: 20})
+	two := appendCheckpointImage(append([]byte(nil), valid...), Checkpoint{Epoch: 3, SnapshotTS: 20})
 	for i := len(valid); i < len(valid)+CheckpointHeaderLen; i++ {
 		bad := append([]byte(nil), two...)
 		bad[i] ^= 0x40

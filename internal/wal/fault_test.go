@@ -270,7 +270,7 @@ func TestCheckpointImageRoundTripAndTornTail(t *testing.T) {
 		}
 		return ck
 	}
-	img := AppendCheckpointImage(nil, mk(2, 25, 4))
+	img := appendCheckpointImage(nil, mk(2, 25, 4))
 
 	ck, ok, err := LastValidCheckpoint(img)
 	if err != nil || !ok {
@@ -290,7 +290,7 @@ func TestCheckpointImageRoundTripAndTornTail(t *testing.T) {
 	// A device holds one image: whatever follows a whole one — here a
 	// second image torn at every byte, then whole — is not looked at.
 	firstLen := len(img)
-	two := AppendCheckpointImage(img, mk(3, 40, 2))
+	two := appendCheckpointImage(img, mk(3, 40, 2))
 	for cut := firstLen; cut <= len(two); cut++ {
 		ck, ok, err := LastValidCheckpoint(two[:cut])
 		if err != nil || !ok || ck.Epoch != 2 || len(ck.Records) != 4 {

@@ -11,8 +11,9 @@ import (
 // parsers. The corpus is seeded from real flush images (segment header
 // stripped) so mutation starts from well-formed frames. Invariants:
 // DeserializePrefix never panics, its consumed prefix re-parses strictly and
-// re-serializes byte-identically, and Deserialize accepts exactly the
-// inputs DeserializePrefix consumes in full.
+// re-serializes byte-identically, every record's EncodedLen is the length
+// it serializes to, and Deserialize accepts exactly the inputs
+// DeserializePrefix consumes in full.
 func FuzzWALDeserialize(f *testing.F) {
 	seedImage := func(records ...Record) []byte {
 		m := NewManagerOn(256, hw.NewMemDevice())
@@ -68,6 +69,9 @@ func FuzzWALDeserialize(f *testing.F) {
 		for _, r := range records {
 			if err := r.Validate(); err != nil {
 				t.Fatalf("parsed record fails validation: %v", err)
+			}
+			if n := len(r.Serialize(nil)); n != r.EncodedLen() {
+				t.Fatalf("record encodes to %d bytes, EncodedLen says %d", n, r.EncodedLen())
 			}
 			rebuilt = r.Serialize(rebuilt)
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"mb2/internal/catalog"
 	"mb2/internal/hw"
@@ -33,8 +34,10 @@ func DeserializePrefix(buf []byte) (records []Record, consumed int, reason strin
 	return appendRecords(nil, buf)
 }
 
-// appendRecords is DeserializePrefix appending to records.
+// appendRecords is DeserializePrefix appending to records, which it grows
+// once to hold every frame buf lays out.
 func appendRecords(records []Record, buf []byte) ([]Record, int, string) {
+	records = slices.Grow(records, numFrames(buf))
 	off := 0
 	for off < len(buf) {
 		if off+frameOverhead > len(buf) {
@@ -58,6 +61,17 @@ func appendRecords(records []Record, buf []byte) ([]Record, int, string) {
 		off = bodyStart + n
 	}
 	return records, off, ""
+}
+
+// numFrames counts the frames a frame stream's length words lay out, up to
+// the first that runs past its end: at least as many records as
+// appendRecords decodes from it, and at most one per frameOverhead bytes.
+func numFrames(buf []byte) int {
+	n := 0
+	for off := 0; off+frameOverhead <= len(buf); n++ {
+		off += frameOverhead + int(binary.LittleEndian.Uint32(buf[off:off+4]))
+	}
+	return n
 }
 
 // DeserializeParts is DeserializePrefix over the bytes from off on of the
@@ -144,6 +158,10 @@ func gatherParts(dst, cur []byte, parts [][]byte) int {
 // type(1) + txnID(8) + tableID(4) + row(8) + value count(4).
 const recordHeaderLen = 1 + 8 + 4 + 8 + 4
 
+// minValueLen is the smallest encoded value: an empty varchar's kind and
+// length.
+const minValueLen = 1 + 4
+
 func decodeRecord(b []byte) (Record, error) {
 	var r Record
 	if len(b) < recordHeaderLen {
@@ -161,6 +179,11 @@ func decodeRecord(b []byte) (Record, error) {
 		return r, fmt.Errorf("wal: payload count %d exceeds limit", nvals)
 	}
 	off := recordHeaderLen
+	if nvals > 0 {
+		// Every value takes at least minValueLen bytes, which bounds what
+		// a corrupt count can reserve.
+		r.Payload = make(storage.Tuple, 0, min(nvals, (len(b)-off)/minValueLen))
+	}
 	for i := 0; i < nvals; i++ {
 		if off >= len(b) {
 			return r, fmt.Errorf("wal: truncated value %d", i)

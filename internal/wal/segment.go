@@ -5,6 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
+
+	"mb2/internal/catalog"
+	"mb2/internal/storage"
 )
 
 // Log-segment and checkpoint-image headers. Both start with an 8-byte magic
@@ -90,28 +94,62 @@ type Checkpoint struct {
 	Records    []Record
 }
 
-// AppendCheckpointImage appends the encoded checkpoint to dst. A checkpoint
-// device holds one such image, published by an atomic Reset, so recovery
-// decodes it or finds none (LastValidCheckpoint).
-func AppendCheckpointImage(dst []byte, ck Checkpoint) []byte {
-	var payload []byte
-	for _, r := range ck.Records {
-		payload = r.Serialize(payload)
-	}
+// CheckpointEncoder is the one checkpoint encoder: it writes an image in a
+// single pass into a single buffer — room for the header, each snapshot
+// row's insert frame as the snapshot yields it, then the header in place —
+// so no record slice is built and no payload is copied. A checkpoint device
+// holds one such image, published by an atomic Reset, so recovery decodes
+// it or finds none (LastValidCheckpoint, the one decoder).
+type CheckpointEncoder struct {
+	img   []byte
+	start int // where the image starts in img
+	rows  int
+}
+
+// NewCheckpointEncoder starts an image appended to dst, growing dst once to
+// hold a payload of sizeHint bytes (RowFrameLen sizes one row's frame).
+func NewCheckpointEncoder(dst []byte, sizeHint int) *CheckpointEncoder {
 	start := len(dst)
-	dst = append(dst, ckptMagic...)
-	var scratch [8]byte
-	binary.LittleEndian.PutUint64(scratch[:], ck.Epoch)
-	dst = append(dst, scratch[:]...)
-	binary.LittleEndian.PutUint64(scratch[:], ck.SnapshotTS)
-	dst = append(dst, scratch[:]...)
-	binary.LittleEndian.PutUint32(scratch[:4], uint32(len(payload)))
-	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.Checksum(payload, crcTable))
-	dst = append(dst, scratch[:4]...)
-	binary.LittleEndian.PutUint32(scratch[:4], crc32.Checksum(dst[start:start+32], crcTable))
-	dst = append(dst, scratch[:4]...)
-	return append(dst, payload...)
+	dst = slices.Grow(dst, CheckpointHeaderLen+max(sizeHint, 0))
+	return &CheckpointEncoder{img: append(dst, make([]byte, CheckpointHeaderLen)...), start: start}
+}
+
+// Add appends the insert frame of one snapshot row.
+func (e *CheckpointEncoder) Add(tableID int32, row int64, data storage.Tuple) {
+	e.img = Record{Type: RecordInsert, TableID: tableID, Row: row, Payload: data}.Serialize(e.img)
+	e.rows++
+}
+
+// Rows returns how many rows have been added.
+func (e *CheckpointEncoder) Rows() int { return e.rows }
+
+// Finish writes the header of the snapshot at snapshotTS that starts epoch
+// and returns dst extended by the whole image.
+func (e *CheckpointEncoder) Finish(epoch, snapshotTS uint64) []byte {
+	hdr := e.img[e.start : e.start+CheckpointHeaderLen]
+	payload := e.img[e.start+CheckpointHeaderLen:]
+	copy(hdr, ckptMagic)
+	binary.LittleEndian.PutUint64(hdr[8:16], epoch)
+	binary.LittleEndian.PutUint64(hdr[16:24], snapshotTS)
+	binary.LittleEndian.PutUint32(hdr[24:28], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[28:32], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[32:36], crc32.Checksum(hdr[:32], crcTable))
+	return e.img
+}
+
+// RowFrameLen is the size of a checkpoint frame for a row of schema whose
+// varchars hold their modeled width (catalog.Column.ByteWidth): exact for a
+// schema of numbers, an estimate otherwise.
+func RowFrameLen(schema catalog.Schema) int {
+	n := frameOverhead + recordHeaderLen
+	for _, c := range schema.Columns {
+		if c.Type == catalog.Varchar {
+			n += 1 + 4 + c.ByteWidth()
+		} else {
+			n += 1 + 8
+		}
+	}
+	return n
 }
 
 // CheckpointHeader is what a checkpoint image says about itself before its

@@ -9,7 +9,14 @@
 // walk the image, verify each record, and stop cleanly at the first torn or
 // corrupt frame — the longest-valid-prefix contract DeserializePrefix
 // implements. Checkpoint images (see Checkpoint) share the frame encoding
-// for their row payload.
+// for their row payload; CheckpointEncoder is their one encoder and
+// LastValidCheckpoint their one decoder.
+//
+// Every pass sizes its large buffers once: Serialize encodes into a buffer
+// of the records' summed EncodedLen (a bulk one becomes the log buffer
+// itself), Flush gathers into a write of the sealed buffers' byte count,
+// and a checkpoint image is encoded in place from the row scans. Steady-state
+// passes reuse the Manager's scratch and allocate nothing.
 package wal
 
 import (
@@ -17,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 
 	"mb2/internal/catalog"
@@ -78,6 +86,23 @@ func (r Record) Validate() error {
 		}
 	}
 	return nil
+}
+
+// EncodedLen returns how many bytes Serialize appends for the record: its
+// frame header, record header and values. A pass sizes its buffer from it
+// once instead of growing it record by record.
+func (r Record) EncodedLen() int {
+	n := frameOverhead + recordHeaderLen
+	for _, v := range r.Payload {
+		// A kind byte, then a varchar's length and bytes or a number's
+		// eight bytes.
+		if v.Kind == catalog.Varchar {
+			n += 1 + 4 + len(v.S)
+		} else {
+			n += 1 + 8
+		}
+	}
+	return n
 }
 
 // Serialize appends the framed binary encoding of the record to dst and
@@ -152,8 +177,10 @@ type Manager struct {
 	// storage, handed back to Enqueue by the next drain, and the encode
 	// buffer), flushBuf to flushMu (the gathered device write); Flush hands
 	// the log buffer's storage back to current once it is copied out.
-	// Storage a bulk pass grew past maxScratch (for the queue, past
-	// keepRecords) is dropped, not kept on the heap.
+	// Each pass sizes its buffer once, from the records' EncodedLen or the
+	// sealed buffers' byte count. Storage a bulk pass needed past
+	// maxScratch (for the queue, past keepRecords) is dropped, not kept on
+	// the heap; a bulk encode buffer becomes the log buffer itself.
 	spareQueue  []Record
 	serBuf      []byte
 	flushBuf    []byte
@@ -270,13 +297,13 @@ func (m *Manager) Serialize(th *hw.Thread) SerializeStats {
 	m.queue = m.spareQueue
 	m.mu.Unlock()
 
-	var st SerializeStats
-	local := m.serBuf[:0]
+	st := SerializeStats{Records: len(queue)}
 	for _, r := range queue {
-		before := len(local)
+		st.Bytes += r.EncodedLen()
+	}
+	local := slices.Grow(m.serBuf[:0], st.Bytes)
+	for _, r := range queue {
 		local = r.Serialize(local)
-		st.Bytes += len(local) - before
-		st.Records++
 	}
 	m.serBuf = scratch(local, maxScratchBytes)
 	clear(queue) // drop the payload references before the storage is reused
@@ -290,7 +317,15 @@ func (m *Manager) Serialize(th *hw.Thread) SerializeStats {
 	m.mu.Lock()
 	m.serializedRecords += uint64(st.Records)
 	m.serializedBytes += uint64(st.Bytes)
-	m.current = append(m.current, local...)
+	if len(m.current) == 0 && cap(local) > maxScratchBytes {
+		// A bulk pass's buffer is not kept as scratch: it becomes the log
+		// buffer itself rather than being copied into one.
+		m.current = local
+	} else {
+		m.current = append(m.current, local...)
+	}
+	// Room for every buffer this pass seals and the one Flush seals.
+	m.sealed = slices.Grow(m.sealed, len(m.current)/m.bufferBytes+1)
 	for len(m.current) >= m.bufferBytes {
 		buf := m.current[:m.bufferBytes]
 		m.current = m.current[m.bufferBytes:]
@@ -348,7 +383,11 @@ func (m *Manager) Flush(th *hw.Thread) (FlushStats, error) {
 		return st, nil
 	}
 
-	write := m.flushBuf[:0]
+	need := st.Bytes
+	if !m.headerWritten {
+		need += SegmentHeaderLen
+	}
+	write := slices.Grow(m.flushBuf[:0], need)
 	if !m.headerWritten {
 		write = appendSegmentHeader(write, m.epoch)
 	}
